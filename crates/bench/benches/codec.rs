@@ -44,16 +44,17 @@ static COUNTING: wsm_bench::CountingAlloc = wsm_bench::CountingAlloc;
 /// per-subscriber deep clone or serialization sneaks back in.
 const MEDIATED_PUBLISH_ALLOC_BUDGET: f64 = 32_000.0;
 
-/// Allocation budget for encoding one 16-message inter-broker
-/// federation batch (`notify_shared` + serialize). The batch shares
+/// Allocation budget for encoding one 16-message wrapped `Notify`
+/// batch (`notify_shared` + serialize) — the encode wrapped-mode
+/// consumer flushes (`render_batch`) use, and the shape an
+/// inter-broker hop to a remote shard would take. The batch shares
 /// each payload by `Arc` and every QName in the wrapped-notification
 /// vocabulary is pre-seeded in the interner, so the encode must stay
 /// on the pointer-equality fast path — a budget breach here means the
-/// federation hop started re-interning (or deep-cloning) per message.
+/// batch encode started re-interning (or deep-cloning) per message.
 /// Measured ~350 allocs/op; the budget leaves ~15% headroom — tight
-/// on purpose, since the pipelined links made this encode an opt-in
-/// compat path (`LinkMode::XmlNotify`) that no longer gets exercised
-/// by every federation test run.
+/// on purpose, since the in-process federation links hand batches
+/// over structurally and never run this encode.
 const FEDERATION_ENCODE_ALLOC_BUDGET: f64 = 400.0;
 
 fn bench_codec(c: &mut Criterion) {
@@ -196,9 +197,9 @@ fn write_machine_readable() {
         black_box(env.to_xml());
     }));
 
-    // Federation hop: one batched inter-broker `Notify` encode — 16
-    // messages sharing their payload subtrees by `Arc`, the shape
-    // `FederatedMessenger::flush` sends per shard.
+    // One batched `Notify` encode — 16 messages sharing their payload
+    // subtrees by `Arc`, the shape a wire hop to a remote shard (and a
+    // wrapped-mode consumer flush) serializes.
     let batch: Vec<SharedNotificationMessage> = (0..16u64)
         .map(|i| {
             SharedNotificationMessage::new(

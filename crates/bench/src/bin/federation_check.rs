@@ -34,8 +34,9 @@
 //! Usage: `federation_check <fresh.json> <baseline.json>`. Exits
 //! non-zero listing every violated gate.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::process::ExitCode;
+use wsm_bench::{parse_bench_report as parse, BenchReport as Report};
 
 /// Minimum `shards-8` / `shards-1` throughput ratio at every
 /// subscriber count, in both the committed baseline and the fresh
@@ -57,89 +58,30 @@ const BASELINE_PARAMS: [u64; 3] = [10_000, 100_000, 1_000_000];
 
 const SCENARIO: &str = "fanout_zipf";
 
-/// The fields of `BENCH_federation.json` this gate consumes.
-#[derive(Debug, Default)]
-struct Report {
-    /// `(mode, param) → events_per_sec` for the `fanout_zipf` rows.
-    samples: HashMap<(String, u64), f64>,
-    /// `stage name → (sample count, p50 µs)`.
-    stages: HashMap<String, (u64, f64)>,
-}
-
-/// Extract a `"key": "value"` string field from one JSON line.
-fn str_field(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": \"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-/// Extract a `"key": 123.4` numeric field from one JSON line.
-fn num_field(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// The `"name":` key opening a stage line, e.g. `"federate": {...}`.
-fn str_prefix_key(line: &str) -> Option<String> {
-    let rest = line.strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-/// Parse the line-oriented report the bench emitter writes. Unknown
-/// lines are ignored, so the parser tolerates additive report growth.
-fn parse(text: &str) -> Report {
-    let mut report = Report::default();
-    let mut in_stages = false;
-    for line in text.lines() {
-        let trimmed = line.trim();
-        if trimmed.starts_with("\"stages\"") {
-            in_stages = true;
-            continue;
-        }
-        if in_stages {
-            if trimmed.starts_with('}') {
-                in_stages = false;
-                continue;
-            }
-            if let (Some(name), Some(count)) =
-                (str_prefix_key(trimmed), num_field(trimmed, "count"))
-            {
-                let p50 = num_field(trimmed, "p50_us").unwrap_or(0.0);
-                report.stages.insert(name, (count as u64, p50));
-            }
-            continue;
-        }
-        if let (Some(scenario), Some(mode), Some(param), Some(eps)) = (
-            str_field(trimmed, "scenario"),
-            str_field(trimmed, "mode"),
-            num_field(trimmed, "param"),
-            num_field(trimmed, "events_per_sec"),
-        ) {
-            if scenario == SCENARIO {
-                report.samples.insert((mode, param as u64), eps);
-            }
-        }
-    }
+/// The `fanout_zipf` throughput at `(mode, param)`, if the report has it.
+fn eps_at(report: &Report, mode: &str, param: u64) -> Option<f64> {
     report
+        .samples
+        .get(&(SCENARIO.to_string(), mode.to_string(), param))
+        .copied()
 }
 
 /// The subscriber counts a report carries any `fanout_zipf` row for.
 fn params_of(report: &Report) -> BTreeSet<u64> {
-    report.samples.keys().map(|(_, p)| *p).collect()
+    report
+        .samples
+        .keys()
+        .filter(|(scenario, _, _)| scenario == SCENARIO)
+        .map(|(_, _, p)| *p)
+        .collect()
 }
 
 /// Grid-completeness violations for `report` over `params`.
 fn check_grid(report: &Report, params: &[u64], label: &str, out: &mut Vec<String>) {
     for &param in params {
         for mode in SHARD_MODES {
-            match report.samples.get(&(mode.to_string(), param)) {
-                Some(eps) if *eps > 0.0 => {}
+            match eps_at(report, mode, param) {
+                Some(eps) if eps > 0.0 => {}
                 Some(eps) => out.push(format!(
                     "{label}: {SCENARIO}/{mode} at {param} subscribers: \
                      non-positive throughput {eps}"
@@ -155,9 +97,9 @@ fn check_grid(report: &Report, params: &[u64], label: &str, out: &mut Vec<String
 /// Scaling-ratio violations for `report` over `params`.
 fn check_ratio(report: &Report, params: &[u64], label: &str, out: &mut Vec<String>) {
     for &param in params {
-        let one = report.samples.get(&("shards-1".to_string(), param));
-        let eight = report.samples.get(&("shards-8".to_string(), param));
-        if let (Some(&one), Some(&eight)) = (one, eight) {
+        let one = eps_at(report, "shards-1", param);
+        let eight = eps_at(report, "shards-8", param);
+        if let (Some(one), Some(eight)) = (one, eight) {
             if one > 0.0 && eight < MIN_SPEEDUP_8X * one {
                 out.push(format!(
                     "{label}: at {param} subscribers, shards-8 {eight:.0} ev/s is only \
@@ -177,9 +119,10 @@ fn violations(fresh: &Report, baseline: &Report) -> Vec<String> {
     // 1. The committed baseline carries the full grid and hop spans.
     check_grid(baseline, &BASELINE_PARAMS, "baseline", &mut out);
     match baseline.stages.get("federate") {
-        Some((count, p50)) if *count > 0 => {
-            // 3. The zero-reparse fast path keeps the hop span cheap.
-            if *p50 > MAX_FEDERATE_P50_US {
+        Some(row) if row.count > 0 => {
+            // 3. The zero-reparse hop keeps the hop span cheap.
+            let p50 = row.p50_us;
+            if p50 > MAX_FEDERATE_P50_US {
                 out.push(format!(
                     "baseline: federate stage p50 {p50:.2}us exceeds the                      {MAX_FEDERATE_P50_US}us pipelined-link budget"
                 ));
@@ -230,7 +173,8 @@ fn main() -> ExitCode {
     let problems = violations(&fresh, &baseline);
     if problems.is_empty() {
         let ratio_at = |r: &Report, p: u64| {
-            r.samples[&("shards-8".to_string(), p)] / r.samples[&("shards-1".to_string(), p)]
+            let at = |mode| eps_at(r, mode, p).expect("the gate passed, so the grid is complete");
+            at("shards-8") / at("shards-1")
         };
         let fresh_param = *params_of(&fresh).iter().next().unwrap();
         println!(
@@ -302,8 +246,9 @@ mod tests {
     fn parses_the_emitter_shape() {
         let r = parse(&doc(&FULL, None, true));
         assert_eq!(r.samples.len(), 12);
-        assert_eq!(r.samples[&("shards-8".into(), 1_000_000)], 1100.0);
-        assert_eq!(r.stages["federate"], (64, 7.0));
+        assert_eq!(eps_at(&r, "shards-8", 1_000_000), Some(1100.0));
+        assert_eq!(r.stages["federate"].count, 64);
+        assert_eq!(r.stages["federate"].p50_us, 7.0);
         assert_eq!(params_of(&r).len(), 3);
     }
 

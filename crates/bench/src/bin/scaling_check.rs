@@ -26,8 +26,8 @@
 //! committed copy stashed before the bench ran (the bench overwrites
 //! the report in place). Exits non-zero listing every violated gate.
 
-use std::collections::HashMap;
 use std::process::ExitCode;
+use wsm_bench::{parse_bench_report as parse, BenchReport as Report};
 
 /// Allowed shortfall of parallel vs sequential at one grid point.
 /// Quick-mode windows are ~10ms, so individual points carry a few
@@ -41,85 +41,6 @@ const DELIVER_REGRESSION_MAX: f64 = 1.25;
 /// The fan-out grid every report must cover.
 const GRID: [u64; 4] = [1, 8, 64, 256];
 const SCENARIOS: [&str; 2] = ["publish_inline", "publish_wire"];
-
-/// The fields of `BENCH_scaling.json` this gate consumes.
-#[derive(Debug, Default)]
-struct Report {
-    /// `(scenario, mode, param) → events_per_sec`.
-    samples: HashMap<(String, String, u64), f64>,
-    /// `stage name → (count, mean_us)`.
-    stages: HashMap<String, (u64, f64)>,
-    /// Rows in the `"matching"` array.
-    matching_rows: usize,
-}
-
-/// Extract a `"key": "value"` string field from one JSON line.
-fn str_field(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": \"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-/// Extract a `"key": 123.4` numeric field from one JSON line.
-fn num_field(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Parse the line-oriented report the bench emitter writes (one sample
-/// per line, one stage per line). Unknown lines are ignored, so the
-/// parser tolerates additive report growth.
-fn parse(text: &str) -> Report {
-    let mut report = Report::default();
-    let mut in_stages = false;
-    for line in text.lines() {
-        let trimmed = line.trim();
-        if trimmed.starts_with("\"stages\"") {
-            in_stages = true;
-            continue;
-        }
-        if in_stages {
-            if trimmed.starts_with('}') {
-                in_stages = false;
-                continue;
-            }
-            let name = match str_prefix_key(trimmed) {
-                Some(n) => n,
-                None => continue,
-            };
-            if let (Some(count), Some(mean)) =
-                (num_field(trimmed, "count"), num_field(trimmed, "mean_us"))
-            {
-                report.stages.insert(name, (count as u64, mean));
-            }
-            continue;
-        }
-        if let (Some(scenario), Some(mode), Some(param), Some(eps)) = (
-            str_field(trimmed, "scenario"),
-            str_field(trimmed, "mode"),
-            num_field(trimmed, "param"),
-            num_field(trimmed, "events_per_sec"),
-        ) {
-            report.samples.insert((scenario, mode, param as u64), eps);
-        }
-        if trimmed.contains("\"mean_ns\"") {
-            report.matching_rows += 1;
-        }
-    }
-    report
-}
-
-/// The `"name":` key opening a stage line, e.g. `"deliver": {...}`.
-fn str_prefix_key(line: &str) -> Option<String> {
-    let rest = line.strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_string())
-}
 
 /// Every gate violation in `fresh` judged against `baseline`, as
 /// human-readable failure lines. Empty means the gate passes.
@@ -144,7 +65,7 @@ fn violations(fresh: &Report, baseline: &Report) -> Vec<String> {
         }
     }
     match fresh.stages.get("deliver") {
-        Some((count, _)) if *count > 0 => {}
+        Some(row) if row.count > 0 => {}
         Some(_) => out.push("deliver stage breakdown has zero samples".into()),
         None => out.push("deliver stage breakdown missing from report".into()),
     }
@@ -176,9 +97,10 @@ fn violations(fresh: &Report, baseline: &Report) -> Vec<String> {
 
     // 3. Deliver-stage mean vs the committed baseline.
     match (fresh.stages.get("deliver"), baseline.stages.get("deliver")) {
-        (Some((_, fresh_mean)), Some((_, base_mean))) => {
+        (Some(fresh_row), Some(base_row)) => {
+            let (fresh_mean, base_mean) = (fresh_row.mean_us, base_row.mean_us);
             let ceiling = base_mean * DELIVER_REGRESSION_MAX;
-            if *fresh_mean > ceiling {
+            if fresh_mean > ceiling {
                 out.push(format!(
                     "deliver mean {fresh_mean:.1}us exceeds {:.0}% of committed \
                      baseline {base_mean:.1}us",
@@ -218,12 +140,12 @@ fn main() -> ExitCode {
     let baseline = parse(&baseline_text);
     let problems = violations(&fresh, &baseline);
     if problems.is_empty() {
-        let (_, deliver_mean) = fresh.stages["deliver"];
+        let deliver_mean = fresh.stages["deliver"].mean_us;
         println!(
             "scaling gate PASS: {} grid points, deliver mean {deliver_mean:.1}us \
              (baseline {:.1}us), {} matching rows",
             fresh.samples.len(),
-            baseline.stages["deliver"].1,
+            baseline.stages["deliver"].mean_us,
             fresh.matching_rows
         );
         ExitCode::SUCCESS
@@ -279,7 +201,8 @@ mod tests {
             r.samples[&("publish_wire".into(), "parallel".into(), 8)],
             1100.0
         );
-        assert_eq!(r.stages["deliver"], (24, 5000.0));
+        assert_eq!(r.stages["deliver"].count, 24);
+        assert_eq!(r.stages["deliver"].mean_us, 5000.0);
         assert_eq!(r.matching_rows, 1);
     }
 

@@ -6,6 +6,7 @@
 //! `figures`, `msgdiff`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -362,6 +363,99 @@ pub fn write_bench_json_full(
     let mut file = std::fs::File::create(&path).expect("create bench json");
     file.write_all(out.as_bytes()).expect("write bench json");
     path
+}
+
+/// One `"stages"` row of a `BENCH_*.json` report, as the CI gates
+/// read it back.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct StageRow {
+    /// Samples recorded.
+    pub count: u64,
+    /// Mean duration (µs).
+    pub mean_us: f64,
+    /// Median (µs).
+    pub p50_us: f64,
+}
+
+/// The fields of a `BENCH_*.json` report the gate binaries
+/// (`scaling_check`, `federation_check`) consume.
+#[derive(Debug, Default)]
+pub struct BenchReport {
+    /// `(scenario, mode, param) → events_per_sec`.
+    pub samples: HashMap<(String, String, u64), f64>,
+    /// `stage name → {count, mean_us, p50_us}`.
+    pub stages: HashMap<String, StageRow>,
+    /// Rows in the `"matching"` array.
+    pub matching_rows: usize,
+}
+
+/// Extract a `"key": "value"` string field from one JSON line.
+fn str_field(line: &str, key: &str) -> Option<String> {
+    let pat = format!("\"{key}\": \"");
+    let start = line.find(&pat)? + pat.len();
+    let rest = &line[start..];
+    Some(rest[..rest.find('"')?].to_string())
+}
+
+/// Extract a `"key": 123.4` numeric field from one JSON line.
+fn num_field(line: &str, key: &str) -> Option<f64> {
+    let pat = format!("\"{key}\": ");
+    let start = line.find(&pat)? + pat.len();
+    let rest = &line[start..];
+    let end = rest
+        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
+}
+
+/// The `"name":` key opening a stage line, e.g. `"deliver": {...}`.
+fn str_prefix_key(line: &str) -> Option<String> {
+    let rest = line.strip_prefix('"')?;
+    Some(rest[..rest.find('"')?].to_string())
+}
+
+/// Parse the line-oriented report [`write_bench_json_full`] writes (one
+/// sample per line, one stage per line). Unknown lines are ignored, so
+/// the reader tolerates additive report growth.
+pub fn parse_bench_report(text: &str) -> BenchReport {
+    let mut report = BenchReport::default();
+    let mut in_stages = false;
+    for line in text.lines() {
+        let trimmed = line.trim();
+        if trimmed.starts_with("\"stages\"") {
+            in_stages = true;
+            continue;
+        }
+        if in_stages {
+            if trimmed.starts_with('}') {
+                in_stages = false;
+                continue;
+            }
+            if let (Some(name), Some(count)) =
+                (str_prefix_key(trimmed), num_field(trimmed, "count"))
+            {
+                let row = StageRow {
+                    count: count as u64,
+                    mean_us: num_field(trimmed, "mean_us").unwrap_or(0.0),
+                    p50_us: num_field(trimmed, "p50_us").unwrap_or(0.0),
+                };
+                report.stages.insert(name, row);
+            }
+            continue;
+        }
+        if let (Some(scenario), Some(mode), Some(param), Some(eps)) = (
+            str_field(trimmed, "scenario"),
+            str_field(trimmed, "mode"),
+            num_field(trimmed, "param"),
+            num_field(trimmed, "events_per_sec"),
+        ) {
+            report.samples.insert((scenario, mode, param as u64), eps);
+        }
+        if trimmed.contains("\"mean_ns\"") {
+            report.matching_rows += 1;
+        }
+    }
+    report
 }
 
 #[cfg(test)]

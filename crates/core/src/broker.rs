@@ -210,8 +210,7 @@ impl WsMessenger {
     }
 
     /// Runtime observability kill-switch: `false` stops metric and
-    /// span recording without recompiling. A no-op when the `obs`
-    /// feature is compiled out.
+    /// span recording without recompiling.
     pub fn set_obs_enabled(&self, on: bool) {
         self.inner.obs.set_enabled(on);
     }
@@ -345,7 +344,6 @@ impl WsMessenger {
 
     /// Prometheus-style text exposition of the broker metrics
     /// (refreshes the live-subscription gauge at scrape time).
-    #[cfg(feature = "obs")]
     pub fn metrics_text(&self) -> String {
         self.inner
             .obs
@@ -364,19 +362,16 @@ impl WsMessenger {
     }
 
     /// Snapshot of the buffered pipeline-stage spans, oldest first.
-    #[cfg(feature = "obs")]
     pub fn trace_spans(&self) -> Vec<crate::obs::SpanRecord> {
         self.inner.obs.spans()
     }
 
     /// Take the buffered pipeline-stage spans, leaving the ring empty.
-    #[cfg(feature = "obs")]
     pub fn drain_trace_spans(&self) -> Vec<crate::obs::SpanRecord> {
         self.inner.obs.drain_spans()
     }
 
     /// Aggregate per-stage and per-delivery latency statistics.
-    #[cfg(feature = "obs")]
     pub fn obs_snapshot(&self) -> crate::obs::ObsSnapshot {
         self.inner.obs.snapshot()
     }
@@ -385,14 +380,12 @@ impl WsMessenger {
     /// engine (replacing any previous set). Objectives are judged
     /// against *terminal* end-to-end outcomes — publish to final
     /// delivery, dead-lettering, or expiry — on the virtual clock.
-    #[cfg(feature = "obs")]
     pub fn set_slos(&self, specs: Vec<crate::obs::SloSpec>) {
         self.inner.obs.set_slos(specs);
     }
 
     /// Evaluate every installed objective as of the current virtual
     /// time: measured quantile, error-budget burn rate, pass/fail.
-    #[cfg(feature = "obs")]
     pub fn slo_reports(&self) -> Vec<crate::obs::SloReport> {
         self.inner.obs.slo_reports(self.inner.net.clock().now_ms())
     }
@@ -400,13 +393,11 @@ impl WsMessenger {
     /// Reconstruct complete per-(event, subscriber) delivery stories
     /// from the buffered spans: every attempt in causal order plus the
     /// terminal outcome, if one was reached.
-    #[cfg(feature = "obs")]
     pub fn delivery_stories(&self) -> Vec<crate::obs::DeliveryStory> {
         crate::obs::reconstruct(&self.inner.obs.spans())
     }
 
     /// The buffered spans plus a trailing span-loss gauge, as JSONL.
-    #[cfg(feature = "obs")]
     pub fn spans_jsonl(&self) -> String {
         self.inner.obs.spans_jsonl()
     }
@@ -440,23 +431,6 @@ impl WsMessenger {
         ingest(&self.inner, event)
     }
 
-    /// Ingest a batch of structured notifications — the zero-reparse
-    /// federation fast path. Each message becomes an [`InternalEvent`]
-    /// by moving its `Arc`s (no serialization, no parse, no payload
-    /// clone), tagged with `origin` as if it had arrived over the
-    /// equivalent XML `Notify` hop. Returns total per-subscriber
-    /// deliveries.
-    pub fn publish_shared_batch(
-        &self,
-        batch: Vec<wsm_notification::SharedNotificationMessage>,
-        origin: SpecDialect,
-    ) -> usize {
-        batch
-            .into_iter()
-            .map(|m| self.publish_event(InternalEvent::from_shared_notification(m, origin)))
-            .sum()
-    }
-
     /// Flush wrapped-mode buffers; returns batches sent.
     pub fn flush_wrapped(&self) -> usize {
         let inner = &self.inner;
@@ -468,19 +442,16 @@ impl WsMessenger {
                 let env = render_batch(&sub, &payloads, &inner.uri, &epr);
                 if inner.net.send(&sub.consumer.address, env).is_ok() {
                     batches += 1;
-                    #[cfg(feature = "obs")]
-                    {
-                        let now = inner.net.clock().now_ms();
-                        for ev in &events {
-                            inner.obs.resolve(
-                                ev.seq,
-                                &sub.id,
-                                0,
-                                ev.queued_at_ms,
-                                now,
-                                crate::obs::Outcome::Delivered,
-                            );
-                        }
+                    let now = inner.net.clock().now_ms();
+                    for ev in &events {
+                        inner.obs.resolve(
+                            ev.seq,
+                            &sub.id,
+                            0,
+                            ev.queued_at_ms,
+                            now,
+                            crate::obs::Outcome::Delivered,
+                        );
                     }
                 } else {
                     drop_failed(inner, &sub.id);
@@ -549,7 +520,6 @@ struct RenderSource<'a> {
     rendered: u64,
     /// Accumulated render time, recorded as the `render` stage span
     /// once the fan-out completes.
-    #[cfg(feature = "obs")]
     render_ns: u64,
 }
 
@@ -557,7 +527,6 @@ impl EventSource for RenderSource<'_> {
     fn next_event(&mut self) -> Option<PushJob> {
         loop {
             let sub = self.subs.next()?;
-            #[cfg(feature = "obs")]
             let render_started = std::time::Instant::now();
             let envelope = render_notification_cached(
                 self.cache,
@@ -566,10 +535,7 @@ impl EventSource for RenderSource<'_> {
                 &self.inner.uri,
                 &self.inner.manager_uri,
             );
-            #[cfg(feature = "obs")]
-            {
-                self.render_ns += render_started.elapsed().as_nanos() as u64;
-            }
+            self.render_ns += render_started.elapsed().as_nanos() as u64;
             let job = PushJob {
                 sub_id: sub.id.clone(),
                 address: sub.consumer.address.clone(),
@@ -652,7 +618,6 @@ fn fan_out(inner: &MessengerInner, event: &InternalEvent, seq: u64) -> usize {
         seq,
         now,
         rendered: 0,
-        #[cfg(feature = "obs")]
         render_ns: 0,
     };
     let deliver_timer = inner.obs.start();
@@ -668,7 +633,6 @@ fn fan_out(inner: &MessengerInner, event: &InternalEvent, seq: u64) -> usize {
     // first so ring order stays publish → match → render → deliver,
     // then the deliver span — whose duration now *includes* the
     // overlapped rendering — and the publisher's handoff wait.
-    #[cfg(feature = "obs")]
     inner
         .obs
         .stage_dur(Stage::Render, seq, source.render_ns, now, source.rendered);
@@ -688,24 +652,20 @@ fn fan_out(inner: &MessengerInner, event: &InternalEvent, seq: u64) -> usize {
             workers as u64,
         );
     }
-    #[cfg(feature = "obs")]
     inner.obs.record_latencies(&report.latencies_ns);
     delivered += report.delivered;
     // Every first-round success is a terminal outcome: resolve its
     // causal timeline (and feed the e2e histogram + SLO engine) now.
-    #[cfg(feature = "obs")]
-    {
-        let resolved_at = inner.net.clock().now_ms();
-        for job in &report.resolved {
-            inner.obs.resolve(
-                job.seq,
-                &job.sub_id,
-                job.attempt,
-                job.published_at_ms,
-                resolved_at,
-                crate::obs::Outcome::Delivered,
-            );
-        }
+    let resolved_at = inner.net.clock().now_ms();
+    for job in &report.resolved {
+        inner.obs.resolve(
+            job.seq,
+            &job.sub_id,
+            job.attempt,
+            job.published_at_ms,
+            resolved_at,
+            crate::obs::Outcome::Delivered,
+        );
     }
     let mut delta = report.delta;
     match rel {
@@ -716,7 +676,6 @@ fn fan_out(inner: &MessengerInner, event: &InternalEvent, seq: u64) -> usize {
             delta.failed = 0;
             let now = inner.net.clock().now_ms();
             for (kind, job) in report.failures {
-                #[cfg(feature = "obs")]
                 let (jseq, jsub, jattempt, jpub) = (
                     job.seq,
                     job.sub_id.clone(),
@@ -726,40 +685,34 @@ fn fan_out(inner: &MessengerInner, event: &InternalEvent, seq: u64) -> usize {
                 match rel.admit_failure(kind, job, now) {
                     Admitted::Requeued { backoff_ms, .. } => {
                         inner.obs.record_backoff(backoff_ms);
-                        #[cfg(feature = "obs")]
                         inner.obs.retry(jseq, &jsub, jattempt, now, 0);
                     }
                     Admitted::DeadLettered => {
                         delta.failed += 1;
                         delta.dead_lettered += 1;
                         inner.obs.record_dead_letter();
-                        #[cfg(feature = "obs")]
-                        {
-                            inner
-                                .obs
-                                .dead_letter(jseq, &jsub, jattempt.saturating_add(1), now);
-                            inner.obs.resolve(
-                                jseq,
-                                &jsub,
-                                jattempt,
-                                jpub,
-                                now,
-                                crate::obs::Outcome::DeadLettered,
-                            );
-                        }
+                        inner
+                            .obs
+                            .dead_letter(jseq, &jsub, jattempt.saturating_add(1), now);
+                        inner.obs.resolve(
+                            jseq,
+                            &jsub,
+                            jattempt,
+                            jpub,
+                            now,
+                            crate::obs::Outcome::DeadLettered,
+                        );
                     }
                 }
             }
             refresh_reliability_gauges(inner, &rel);
         }
         None => {
-            #[cfg(feature = "obs")]
             let now = inner.net.clock().now_ms();
             for (_, job) in &report.failures {
                 drop_failed(inner, &job.sub_id);
                 // Legacy mode evicts the subscription: the message's
                 // story ends here, unresolved-by-delivery.
-                #[cfg(feature = "obs")]
                 inner.obs.resolve(
                     job.seq,
                     &job.sub_id,
@@ -802,7 +755,6 @@ fn pump_reliability(inner: &MessengerInner) -> PumpReport {
     for _ in 0..report.dead_lettered {
         inner.obs.record_dead_letter();
     }
-    #[cfg(feature = "obs")]
     for ev in &report.events {
         use crate::reliability::PumpEventKind;
         match ev.kind {
@@ -857,23 +809,17 @@ fn family(d: SpecDialect) -> u8 {
 /// resolving any pending deliveries it still held as expired.
 fn forget_reliability(inner: &MessengerInner, id: &str) {
     if let Some(rel) = inner.reliability.read().as_ref() {
-        let dropped = rel.forget(id);
-        #[cfg(feature = "obs")]
-        {
-            let now = inner.net.clock().now_ms();
-            for p in &dropped {
-                inner.obs.resolve(
-                    p.seq,
-                    id,
-                    p.attempts + p.strikes,
-                    p.published_at_ms,
-                    now,
-                    crate::obs::Outcome::Expired,
-                );
-            }
+        let now = inner.net.clock().now_ms();
+        for p in rel.forget(id) {
+            inner.obs.resolve(
+                p.seq,
+                id,
+                p.attempts + p.strikes,
+                p.published_at_ms,
+                now,
+                crate::obs::Outcome::Expired,
+            );
         }
-        #[cfg(not(feature = "obs"))]
-        drop(dropped);
     }
 }
 
@@ -1066,24 +1012,14 @@ impl SoapHandler for MessengerHandler {
         // Observability operations short-circuit before dialect
         // detection: they live in the broker's own namespace and must
         // not perturb the pipeline they report on.
-        #[cfg(feature = "obs")]
         if body.name.is(crate::render::WSM_NS, "GetMetrics") {
             return get_metrics(inner).map(Some);
         }
-        #[cfg(feature = "obs")]
         if body.name.is(crate::render::WSM_NS, "GetTrace") {
             return get_trace(inner, body).map(Some);
         }
-        #[cfg(not(feature = "obs"))]
-        if body.name.is(crate::render::WSM_NS, "GetMetrics")
-            || body.name.is(crate::render::WSM_NS, "GetTrace")
-        {
-            return Err(Fault::receiver(
-                "observability is compiled out of this broker (the `obs` feature is disabled)",
-            ));
-        }
         // Dead-letter operations are part of the delivery contract,
-        // not observability — available with or without `obs`.
+        // not observability.
         if body.name.is(crate::render::WSM_NS, "GetDeadLetters") {
             return get_dead_letters(inner).map(Some);
         }
@@ -1174,7 +1110,6 @@ impl SoapHandler for MessengerHandler {
 
 /// `GetMetrics` (broker extension namespace): the Prometheus-style
 /// text exposition wrapped in a SOAP response.
-#[cfg(feature = "obs")]
 fn get_metrics(inner: &MessengerInner) -> Result<Envelope, Fault> {
     inner.obs.set_subscriptions(inner.registry.len() as i64);
     Ok(Envelope::new(wsm_soap::SoapVersion::V11).with_body(
@@ -1187,7 +1122,6 @@ fn get_metrics(inner: &MessengerInner) -> Result<Envelope, Fault> {
 
 /// `GetTrace` (broker extension namespace): the buffered pipeline
 /// spans as `Span` elements. `Drain="true"` empties the ring.
-#[cfg(feature = "obs")]
 fn get_trace(inner: &MessengerInner, body: &Element) -> Result<Envelope, Fault> {
     let spans = if body.attr("Drain") == Some("true") {
         inner.obs.drain_spans()
@@ -1342,19 +1276,16 @@ fn wse_manage(
         let events = inner.registry.drain_queue(&id, max);
         // Handing the events to the puller is the terminal outcome for
         // a pull subscription: resolve each one's causal timeline.
-        #[cfg(feature = "obs")]
-        {
-            let resolved_at = inner.net.clock().now_ms();
-            for ev in &events {
-                inner.obs.resolve(
-                    ev.seq,
-                    &id,
-                    0,
-                    ev.queued_at_ms,
-                    resolved_at,
-                    crate::obs::Outcome::Delivered,
-                );
-            }
+        let resolved_at = inner.net.clock().now_ms();
+        for ev in &events {
+            inner.obs.resolve(
+                ev.seq,
+                &id,
+                0,
+                ev.queued_at_ms,
+                resolved_at,
+                crate::obs::Outcome::Delivered,
+            );
         }
         let payloads: Vec<_> = events.into_iter().map(|e| e.payload).collect();
         Ok(codec.pull_response_shared(&payloads))

@@ -31,9 +31,9 @@
 //! keeps a per-size-bucket EWMA of observed per-job cost for both and
 //! picks the cheaper, probing the loser occasionally so a regime
 //! change (e.g. wire latency appearing) is noticed. With
-//! `set_fanout_workers(0|1)` the engine is the sequential baseline: a
-//! barriered collect-then-send loop, preserving the legacy semantics
-//! exactly.
+//! `set_fanout_workers(0|1)` there is no pool to hand off to, so every
+//! publication streams on the publishing thread — the sequential
+//! baseline, sending in match order.
 //!
 //! The pool is **persistent and lazy**: worker threads spawn the first
 //! time a sharded publication runs and then park on their per-worker
@@ -191,7 +191,6 @@ impl StatsDelta {
 /// Identity of one first-round success, handed back so the broker can
 /// record its terminal resolution span without keeping the (heavier)
 /// job alive past the send.
-#[cfg(feature = "obs")]
 #[derive(Debug, Clone)]
 pub struct ResolvedMark {
     /// Publication sequence number (the trace id).
@@ -211,9 +210,7 @@ struct Gather {
     delivered: usize,
     delta: StatsDelta,
     failures: Vec<(FailKind, PushJob)>,
-    #[cfg(feature = "obs")]
     resolved: Vec<ResolvedMark>,
-    #[cfg(feature = "obs")]
     latencies_ns: Vec<u64>,
 }
 
@@ -222,23 +219,18 @@ impl Gather {
         self.delivered += other.delivered;
         self.delta.merge(&other.delta);
         self.failures.extend(other.failures);
-        #[cfg(feature = "obs")]
-        {
-            self.resolved.extend(other.resolved);
-            self.latencies_ns.extend(other.latencies_ns);
-        }
+        self.resolved.extend(other.resolved);
+        self.latencies_ns.extend(other.latencies_ns);
     }
 
     /// Record one send of an owned job (inline paths: the job moves
     /// into the failure list or is dropped on success).
     fn tally_owned(&mut self, job: PushJob, rep: &SendReport) {
         self.delta.retried += rep.retried;
-        #[cfg(feature = "obs")]
         self.latencies_ns.push(rep.elapsed_ns);
         match rep.result {
             Ok(()) => {
                 self.count_delivered(&job);
-                #[cfg(feature = "obs")]
                 self.resolved.push(ResolvedMark {
                     seq: job.seq,
                     sub_id: job.sub_id,
@@ -257,12 +249,10 @@ impl Gather {
     /// stay in the shared shard, so the rare failure clones out).
     fn tally_ref(&mut self, job: &PushJob, rep: &SendReport) {
         self.delta.retried += rep.retried;
-        #[cfg(feature = "obs")]
         self.latencies_ns.push(rep.elapsed_ns);
         match rep.result {
             Ok(()) => {
                 self.count_delivered(job);
-                #[cfg(feature = "obs")]
                 self.resolved.push(ResolvedMark {
                     seq: job.seq,
                     sub_id: job.sub_id.clone(),
@@ -296,9 +286,8 @@ pub struct FanOutReport {
     pub delivered: usize,
     /// Total push jobs the source yielded.
     pub jobs: usize,
-    /// Which dispatch path ran: `"sequential"` (barriered baseline),
-    /// `"inline"` (streaming on the publishing thread), or
-    /// `"sharded"` (worker pool).
+    /// Which dispatch path ran: `"inline"` (streaming on the
+    /// publishing thread) or `"sharded"` (worker pool).
     pub mode: &'static str,
     /// Jobs claimed from a non-home shard (sharded path only).
     pub steals: u64,
@@ -315,11 +304,9 @@ pub struct FanOutReport {
     pub failures: Vec<(FailKind, PushJob)>,
     /// First-round successes, identified so the broker can record
     /// their terminal resolution spans.
-    #[cfg(feature = "obs")]
     pub resolved: Vec<ResolvedMark>,
     /// Wall-clock send duration per job (including retries), for the
     /// broker's per-subscriber delivery-latency histogram.
-    #[cfg(feature = "obs")]
     pub latencies_ns: Vec<u64>,
 }
 
@@ -333,9 +320,7 @@ impl FanOutReport {
             join_wait_ns: 0,
             delta: gather.delta,
             failures: gather.failures,
-            #[cfg(feature = "obs")]
             resolved: gather.resolved,
-            #[cfg(feature = "obs")]
             latencies_ns: gather.latencies_ns,
         }
     }
@@ -630,9 +615,9 @@ impl Governor {
 
 // ----------------------------------------------------------- engine
 
-/// A broker's delivery engine: a barriered sequential baseline, a
-/// streaming inline path, and a sharded persistent worker pool, with
-/// an adaptive governor choosing between the latter two.
+/// A broker's delivery engine: a streaming inline path and a sharded
+/// persistent worker pool, with an adaptive governor choosing between
+/// the two.
 pub struct DeliveryEngine {
     pool: Mutex<Option<Pool>>,
     mode: AtomicU8,
@@ -685,10 +670,9 @@ impl DeliveryEngine {
     }
 
     /// Execute a publication's push fan-out from a streaming source:
-    /// barriered sequentially when `workers <= 1`, streamed inline
-    /// when the batch is small or the governor prefers it, otherwise
-    /// sharded across the worker pool (overlapping the source's
-    /// rendering with delivery).
+    /// streamed inline when `workers <= 1`, the batch is small or the
+    /// governor prefers it, otherwise sharded across the worker pool
+    /// (overlapping the source's rendering with delivery).
     pub fn execute_source<S: EventSource>(
         &self,
         net: &Network,
@@ -697,10 +681,7 @@ impl DeliveryEngine {
         mut source: S,
     ) -> FanOutReport {
         let attempts = attempts.max(1);
-        if workers <= 1 {
-            return execute_barriered(net, attempts, &mut source);
-        }
-        if source.expected() < PARALLEL_THRESHOLD {
+        if workers <= 1 || source.expected() < PARALLEL_THRESHOLD {
             return execute_streaming(net, attempts, &mut source);
         }
         match self.mode() {
@@ -805,28 +786,11 @@ impl DeliveryEngine {
     }
 }
 
-/// The sequential baseline: drain the source completely (the barrier),
-/// then send in order on the publishing thread. This is the legacy
-/// shape — chaos scenarios pin `workers = 1` to keep its deterministic
-/// trace order.
-fn execute_barriered(net: &Network, attempts: u32, source: &mut dyn EventSource) -> FanOutReport {
-    let mut jobs = Vec::with_capacity(source.expected());
-    while let Some(job) = source.next_event() {
-        jobs.push(job);
-    }
-    let total = jobs.len();
-    let mut sink = NetworkSink::new(net.clone(), attempts);
-    let mut gather = Gather::default();
-    for job in jobs {
-        let rep = sink.send_event(&job);
-        gather.tally_owned(job, &rep);
-    }
-    FanOutReport::from_gather(gather, total, "sequential")
-}
-
 /// The streaming inline path: pull one job, send it, repeat — no
 /// intermediate batch `Vec`, and each envelope is sent while still hot
-/// from its render.
+/// from its render. Sends go out in source order on the publishing
+/// thread, which is what chaos scenarios pinning `workers = 1` rely on
+/// for a deterministic trace.
 fn execute_streaming(net: &Network, attempts: u32, source: &mut dyn EventSource) -> FanOutReport {
     let mut sink = NetworkSink::new(net.clone(), attempts);
     let mut gather = Gather::default();
@@ -891,10 +855,46 @@ mod tests {
         }
     }
 
+    /// Yields `left` jobs, noting at each pull how many sends the
+    /// counter endpoint has already handled.
+    struct ProbeSource {
+        left: Vec<PushJob>,
+        counter: std::sync::Arc<Counter>,
+        sent_at_pull: Vec<u32>,
+    }
+    impl EventSource for ProbeSource {
+        fn next_event(&mut self) -> Option<PushJob> {
+            self.sent_at_pull.push(*self.counter.0.lock());
+            self.left.pop()
+        }
+        fn expected(&self) -> usize {
+            self.left.len()
+        }
+    }
+
+    #[test]
+    fn single_worker_streams_pulls_between_sends() {
+        let net = Network::new();
+        let counter = std::sync::Arc::new(Counter(parking_lot::Mutex::new(0)));
+        net.register("http://c", counter.clone());
+        let mut source = ProbeSource {
+            left: jobs(8, "http://c"),
+            counter,
+            sent_at_pull: Vec::new(),
+        };
+        let report = DeliveryEngine::new().execute_source(&net, 1, 1, &mut source);
+        assert_eq!(report.delivered, 8);
+        assert_eq!(
+            source.sent_at_pull,
+            (0..=8).collect::<Vec<u32>>(),
+            "each job is sent before the next is pulled, with no barrier"
+        );
+    }
+
     #[test]
     fn sharded_matches_sequential_outcomes() {
         // Mixed good/missing endpoints, forced through the sharded
-        // path, must report exactly what the barriered baseline does.
+        // path, must report exactly what a sequential send loop would.
         let net = Network::new();
         let counter = std::sync::Arc::new(Counter(parking_lot::Mutex::new(0)));
         net.register("http://c", counter.clone());
@@ -919,11 +919,8 @@ mod tests {
             .iter()
             .all(|(kind, job)| *kind == FailKind::Transient && job.address == "http://nowhere"));
         assert_eq!(*counter.0.lock(), 24);
-        #[cfg(feature = "obs")]
-        {
-            assert_eq!(report.resolved.len(), 24);
-            assert_eq!(report.latencies_ns.len(), 32);
-        }
+        assert_eq!(report.resolved.len(), 24);
+        assert_eq!(report.latencies_ns.len(), 32);
     }
 
     struct Sleepy(std::time::Duration);
@@ -1046,7 +1043,7 @@ mod tests {
         let engine = DeliveryEngine::new();
         let report = engine.execute(&net, 3, 1, jobs(2, "http://faulty"));
         assert_eq!(report.delivered, 0);
-        assert_eq!(report.mode, "sequential");
+        assert_eq!(report.mode, "inline");
         assert_eq!(report.delta.failed, 2);
         assert_eq!(
             report.delta.retried, 0,

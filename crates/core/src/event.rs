@@ -58,11 +58,10 @@ impl InternalEvent {
 
     /// An event rebuilt from a federated
     /// [`SharedNotificationMessage`](wsm_notification::SharedNotificationMessage)
-    /// without touching the payload tree — the zero-reparse fast path
-    /// of an in-process federation hop. `origin` is the dialect the
+    /// without touching the payload tree — the zero-reparse
+    /// in-process federation hop. `origin` is the dialect the
     /// equivalent wire hop would have arrived in, so mediation
-    /// accounting is identical between the fast path and the XML
-    /// compatibility mode.
+    /// accounting matches what an encoded `Notify` would record.
     pub fn from_shared_notification(
         msg: wsm_notification::SharedNotificationMessage,
         origin: SpecDialect,

@@ -26,29 +26,25 @@
 //!   double-buffered batch queue drained by a persistent flusher
 //!   thread: publishers *enqueue and return* instead of carrying the
 //!   inter-broker hop themselves. Batch boundaries come from
-//!   [`BatchPolicy`] — a fixed size, or adaptive Nagle-style sealing
-//!   that sizes batches from an EWMA of the arrival rate and a
-//!   virtual-clock deadline. When the shared queue bound is hit,
+//!   [`BatchPolicy`]: adaptive Nagle-style sealing that sizes batches
+//!   from an EWMA of the arrival rate and a virtual-clock deadline
+//!   (`min == max` pins the size). When the shared queue bound is hit,
 //!   [`OverflowPolicy`] decides whether publishers park until the
 //!   flushers make room or *shed* — deliver their own event inline —
 //!   so backpressure never drops an event. The default policy is
 //!   [`BatchPolicy::Immediate`]: every publication is delivered
 //!   synchronously on the publisher's thread, in publication order,
 //!   and no flusher threads exist.
-//! * **Zero-reparse fast path.** In the default [`LinkMode::Structured`]
-//!   a federated batch is handed to the owning shard as structured
-//!   [`SharedNotificationMessage`] values — the `Arc`'d payload subtree
-//!   crosses the hop without being serialized or reparsed, and the
-//!   [`Stage::Federate`] span times exactly the structured handoff
-//!   (batch → [`InternalEvent`] conversion); delivery cost then shows
-//!   up in the owning shard's own pipeline stages, where it belongs.
-//!   [`LinkMode::XmlNotify`] is the wire-compatibility mode: each hop
-//!   is encoded as the same multi-message `Notify` envelope
-//!   ([`WsnCodec::notify_shared`]) a remote broker would receive, and
-//!   the `Federate` span covers encode + send like it did when the hop
-//!   was synchronous. The two modes produce byte-identical consumer
-//!   deliveries (property-tested), so `XmlNotify` is purely a
-//!   compatibility/accounting choice.
+//! * **Zero-reparse hop.** A federated batch is handed to the owning
+//!   shard as structured [`SharedNotificationMessage`] values — the
+//!   `Arc`'d payload subtree crosses the hop without being serialized
+//!   or reparsed, and the [`Stage::Federate`] span times exactly the
+//!   structured handoff (batch → [`InternalEvent`] conversion);
+//!   delivery cost then shows up in the owning shard's own pipeline
+//!   stages, where it belongs. Consumer deliveries are byte-identical
+//!   to sending the shard the multi-message `Notify` envelope
+//!   ([`WsnCodec::notify_shared`]) a remote broker would receive
+//!   (property-tested in `tests/federation_links.rs`).
 //! * **Shard autonomy.** Each shard is a full [`WsMessenger`]: its own
 //!   registry, staged delivery engine, reliability layer, and WSE↔WSN
 //!   mediation. The front only routes.
@@ -132,23 +128,9 @@ pub fn shard_of_root(root: &str, shards: usize) -> usize {
 }
 
 /// The dialect a federated hop is accounted as: the batch crosses the
-/// link in WSN 1.3 shape whether it travels as structured values or as
-/// an encoded `Notify`, so mediation statistics are identical in both
-/// [`LinkMode`]s.
+/// link in WSN 1.3 shape, so mediation statistics are what an encoded
+/// `Notify` to the owning shard would produce.
 const FED_ORIGIN: SpecDialect = SpecDialect::Wsn(WsnVersion::V1_3);
-
-/// How a federated batch crosses an inter-shard link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LinkMode {
-    /// Hand the batch to the owning shard as structured
-    /// [`SharedNotificationMessage`] values: the payload subtree is an
-    /// `Arc` clone, never serialized, never reparsed. The default.
-    Structured,
-    /// Encode each hop as the multi-message `Notify` envelope a remote
-    /// broker would receive and send it over the simulated wire — the
-    /// compatibility mode, byte-identical in consumer-visible effect.
-    XmlNotify,
-}
 
 /// When a link seals its pending events into a batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,9 +139,6 @@ pub enum BatchPolicy {
     /// the publisher's thread, in publication order. The default, and
     /// the only policy with no flusher threads.
     Immediate,
-    /// Seal after exactly this many pending events (clamped to ≥ 2;
-    /// use [`BatchPolicy::Immediate`] for unbatched delivery).
-    Fixed(usize),
     /// Nagle-style adaptive sealing: target
     /// `clamp(ceil(deadline_ms / ewma_arrival_gap_ms), min, max)`
     /// events per batch, where the EWMA tracks the link's inter-arrival
@@ -167,7 +146,8 @@ pub enum BatchPolicy {
     /// links shrink toward `min`. Independently of the target, a batch
     /// seals once its oldest event has waited `deadline_ms` of virtual
     /// time (checked on each arrival, so no timer thread exists and
-    /// runs stay deterministic).
+    /// runs stay deterministic). `min == max` with
+    /// `deadline_ms: u64::MAX` seals after exactly that many events.
     Adaptive {
         /// Smallest batch the rate estimate may choose.
         min: usize,
@@ -249,25 +229,19 @@ struct LinkCtx {
     idle: Condvar,
     net: Network,
     shards: Vec<WsMessenger>,
-    /// Shard endpoint EPRs, pre-built once for `notify_shared`.
-    shard_eprs: Vec<EndpointReference>,
     /// Cached-route senders to each shard's broker endpoint — the wire
-    /// the `XmlNotify` mode (and subscribe forwarding) travels over.
+    /// forwarded Subscribe / GetCurrentMessage / RegisterPublisher
+    /// requests travel over.
     wire: Vec<Mutex<EndpointSender>>,
     /// The front's own observability: `Stage::Federate` hop spans and
     /// `Stage::FederateEnqueue` publisher-side spans.
     obs: BrokerObs,
     /// Fast-path dispatch flag: false ⇔ policy is `Immediate`.
     buffering: AtomicBool,
-    /// Fast-path mode flag: true ⇔ `LinkMode::XmlNotify`.
-    xml_wire: AtomicBool,
     /// Events delivered inline by publishers under `OverflowPolicy::Shed`.
     shed: AtomicU64,
-    #[cfg(feature = "obs")]
     queue_depth: Arc<wsm_obs::Gauge>,
-    #[cfg(feature = "obs")]
     flush_size: Arc<wsm_obs::Histogram>,
-    #[cfg(feature = "obs")]
     shed_total: Arc<wsm_obs::Counter>,
 }
 
@@ -275,7 +249,6 @@ struct LinkCtx {
 fn batch_target(policy: &BatchPolicy, ewma_gap_ms: f64) -> usize {
     match policy {
         BatchPolicy::Immediate => 1,
-        BatchPolicy::Fixed(n) => (*n).max(2),
         BatchPolicy::Adaptive {
             min,
             max,
@@ -306,36 +279,11 @@ fn seal_link(state: &mut HubState, shard: usize) -> usize {
     n
 }
 
-/// Deliver one event inline on the caller's thread (the `Immediate`
-/// policy and the `Shed` overflow path).
-fn deliver_one(ctx: &LinkCtx, shard: usize, msg: SharedNotificationMessage) -> usize {
-    let seq = ctx.obs.next_seq();
-    #[cfg(feature = "obs")]
-    ctx.flush_size.record(1);
-    let timer = ctx.obs.start();
-    if ctx.xml_wire.load(Ordering::Relaxed) {
-        let env = WsnCodec::new(WsnVersion::V1_3)
-            .notify_shared(&ctx.shard_eprs[shard], std::slice::from_ref(&msg));
-        // The link cannot 404 (the shard registered at start), and
-        // injected faults surface as shard-side delivery outcomes, so a
-        // hop error here is not actionable beyond dropping.
-        let _ = ctx.wire[shard].lock().send(env);
-        ctx.obs
-            .stage(Stage::Federate, seq, timer, ctx.net.clock().now_ms(), 1);
-    } else {
-        let ev = InternalEvent::from_shared_notification(msg, FED_ORIGIN);
-        // The Federate span covers exactly the structured handoff; the
-        // shard's own pipeline stages time the delivery that follows.
-        ctx.obs
-            .stage(Stage::Federate, seq, timer, ctx.net.clock().now_ms(), 1);
-        ctx.shards[shard].publish_event(ev);
-    }
-    1
-}
-
-/// Deliver one sealed batch (flusher context, no hub lock held).
-/// Returns the emptied vector so the flusher can recycle it as the
-/// link's spare buffer.
+/// The one inter-shard hop: hand a batch to its owning shard, with no
+/// hub lock held — a sealed batch in flusher context, or a batch of one
+/// on the publisher's thread (the `Immediate` policy and the `Shed`
+/// overflow path). Returns the emptied vector so the flusher can
+/// recycle it as the link's spare buffer.
 fn deliver_batch(
     ctx: &LinkCtx,
     shard: usize,
@@ -346,26 +294,18 @@ fn deliver_batch(
         return batch;
     }
     let seq = ctx.obs.next_seq();
-    #[cfg(feature = "obs")]
     ctx.flush_size.record(n);
-    if ctx.xml_wire.load(Ordering::Relaxed) {
-        let timer = ctx.obs.start();
-        let env = WsnCodec::new(WsnVersion::V1_3).notify_shared(&ctx.shard_eprs[shard], &batch);
-        let _ = ctx.wire[shard].lock().send(env);
-        ctx.obs
-            .stage(Stage::Federate, seq, timer, ctx.net.clock().now_ms(), n);
-        batch.clear();
-    } else {
-        let timer = ctx.obs.start();
-        let events: Vec<InternalEvent> = batch
-            .drain(..)
-            .map(|m| InternalEvent::from_shared_notification(m, FED_ORIGIN))
-            .collect();
-        ctx.obs
-            .stage(Stage::Federate, seq, timer, ctx.net.clock().now_ms(), n);
-        for ev in events {
-            ctx.shards[shard].publish_event(ev);
-        }
+    let timer = ctx.obs.start();
+    let events: Vec<InternalEvent> = batch
+        .drain(..)
+        .map(|m| InternalEvent::from_shared_notification(m, FED_ORIGIN))
+        .collect();
+    // The Federate span covers exactly the structured handoff; the
+    // shard's own pipeline stages time the delivery that follows.
+    ctx.obs
+        .stage(Stage::Federate, seq, timer, ctx.net.clock().now_ms(), n);
+    for ev in events {
+        ctx.shards[shard].publish_event(ev);
     }
     batch
 }
@@ -401,7 +341,6 @@ fn flusher_loop(ctx: Arc<LinkCtx>, home: usize) {
         if lq.spare.capacity() < empty.capacity() {
             lq.spare = empty;
         }
-        #[cfg(feature = "obs")]
         ctx.queue_depth.set(state.queued as i64);
         ctx.room.notify_all();
         if state.queued == 0 && state.in_flight == 0 {
@@ -462,12 +401,7 @@ impl FederatedMessenger {
             .iter()
             .map(|b| Mutex::new(net.sender(b.manager_uri())))
             .collect();
-        let shard_eprs = shard_brokers
-            .iter()
-            .map(|b| EndpointReference::new(b.uri()))
-            .collect();
         let obs = BrokerObs::new();
-        #[cfg(feature = "obs")]
         let (queue_depth, flush_size, shed_total) = {
             let r = obs.registry();
             r.describe(
@@ -505,17 +439,12 @@ impl FederatedMessenger {
             idle: Condvar::new(),
             net: net.clone(),
             shards: shard_brokers,
-            shard_eprs,
             wire,
             obs,
             buffering: AtomicBool::new(false),
-            xml_wire: AtomicBool::new(false),
             shed: AtomicU64::new(0),
-            #[cfg(feature = "obs")]
             queue_depth,
-            #[cfg(feature = "obs")]
             flush_size,
-            #[cfg(feature = "obs")]
             shed_total,
         });
         let inner = Arc::new(FederationInner {
@@ -639,26 +568,6 @@ impl FederatedMessenger {
         }
     }
 
-    /// Switch how batches cross the links (structured fast path vs
-    /// encoded `Notify` wire). Drains the queues in the old mode first
-    /// so no batch straddles the switch.
-    pub fn set_link_mode(&self, mode: LinkMode) {
-        self.flush();
-        self.inner
-            .ctx
-            .xml_wire
-            .store(matches!(mode, LinkMode::XmlNotify), Ordering::Relaxed);
-    }
-
-    /// The current link mode.
-    pub fn link_mode(&self) -> LinkMode {
-        if self.inner.ctx.xml_wire.load(Ordering::Relaxed) {
-            LinkMode::XmlNotify
-        } else {
-            LinkMode::Structured
-        }
-    }
-
     /// What publishers do when the shared link-queue bound is hit.
     pub fn set_overflow_policy(&self, policy: OverflowPolicy) {
         self.inner.ctx.state.lock().overflow = policy;
@@ -680,17 +589,6 @@ impl FederatedMessenger {
     /// are still delivered — this counts queue-bypass work, not loss.
     pub fn shed_events(&self) -> u64 {
         self.inner.ctx.shed.load(Ordering::Relaxed)
-    }
-
-    /// Back-compat batching knob: `batch ≤ 1` is
-    /// [`BatchPolicy::Immediate`], anything larger is
-    /// [`BatchPolicy::Fixed`]. Prefer [`Self::set_link_policy`].
-    pub fn set_batch_max(&self, batch: usize) {
-        self.set_link_policy(if batch <= 1 {
-            BatchPolicy::Immediate
-        } else {
-            BatchPolicy::Fixed(batch)
-        });
     }
 
     /// Publish an event on a topic through the federation.
@@ -724,7 +622,8 @@ impl FederatedMessenger {
         };
         let msg = SharedNotificationMessage::new(event.topic, event.producer, event.payload);
         if !ctx.buffering.load(Ordering::Relaxed) {
-            return deliver_one(ctx, shard, msg);
+            deliver_batch(ctx, shard, vec![msg]);
+            return 1;
         }
         self.enqueue_buffered(shard, msg)
     }
@@ -758,9 +657,8 @@ impl FederatedMessenger {
                 OverflowPolicy::Shed => {
                     drop(state);
                     ctx.shed.fetch_add(1, Ordering::Relaxed);
-                    #[cfg(feature = "obs")]
                     ctx.shed_total.inc();
-                    let n = deliver_one(ctx, shard, msg);
+                    deliver_batch(ctx, shard, vec![msg]);
                     ctx.obs.stage(
                         Stage::FederateEnqueue,
                         seq,
@@ -768,7 +666,7 @@ impl FederatedMessenger {
                         ctx.net.clock().now_ms(),
                         1,
                     );
-                    return n;
+                    return 1;
                 }
             }
         }
@@ -785,7 +683,6 @@ impl FederatedMessenger {
         lq.last_arrival_ms = now;
         lq.pending.push(msg);
         state.queued += 1;
-        #[cfg(feature = "obs")]
         ctx.queue_depth.set(state.queued as i64);
         let lq = &state.links[shard];
         let deadline_hit = matches!(
@@ -922,7 +819,6 @@ impl FederatedMessenger {
 
     /// The front's own span snapshot: the [`Stage::Federate`] hops and
     /// [`Stage::FederateEnqueue`] publisher-side enqueues.
-    #[cfg(feature = "obs")]
     pub fn federation_spans(&self) -> Vec<crate::obs::SpanRecord> {
         self.inner.ctx.obs.spans()
     }
@@ -930,7 +826,6 @@ impl FederatedMessenger {
     /// Aggregate statistics of the front's obs (only the `federate` /
     /// `federate_enqueue` stages accumulate here; per-shard pipelines
     /// report on the shards themselves).
-    #[cfg(feature = "obs")]
     pub fn federation_snapshot(&self) -> crate::obs::ObsSnapshot {
         self.inner.ctx.obs.snapshot()
     }
@@ -941,7 +836,6 @@ impl FederatedMessenger {
     /// per-flush batch-size histogram, and the shed counter. Per-shard
     /// pipeline metrics come from each shard's own
     /// [`WsMessenger::metrics_text`].
-    #[cfg(feature = "obs")]
     pub fn metrics_text(&self) -> String {
         let ctx = &self.inner.ctx;
         ctx.queue_depth.set(ctx.state.lock().queued as i64);
@@ -950,7 +844,6 @@ impl FederatedMessenger {
 
     /// Install declarative latency objectives on every shard's SLO
     /// engine (replacing any previous set).
-    #[cfg(feature = "obs")]
     pub fn set_slos(&self, specs: Vec<crate::obs::SloSpec>) {
         for s in &self.inner.ctx.shards {
             s.set_slos(specs.clone());
@@ -959,7 +852,6 @@ impl FederatedMessenger {
 
     /// Evaluate every installed objective on every shard, concatenated
     /// in shard order.
-    #[cfg(feature = "obs")]
     pub fn slo_reports(&self) -> Vec<crate::obs::SloReport> {
         self.inner
             .ctx
@@ -1409,7 +1301,12 @@ mod tests {
         // Trickle arrivals clamp to min; a hot link clamps to max.
         assert_eq!(batch_target(&p, 5.0), 4);
         assert_eq!(batch_target(&p, 0.1), 64);
-        assert_eq!(batch_target(&BatchPolicy::Fixed(8), 3.0), 8);
+        let pinned = BatchPolicy::Adaptive {
+            min: 8,
+            max: 8,
+            deadline_ms: u64::MAX,
+        };
+        assert_eq!(batch_target(&pinned, 3.0), 8);
         assert_eq!(batch_target(&BatchPolicy::Immediate, 3.0), 1);
     }
 
@@ -1443,28 +1340,6 @@ mod tests {
 
         assert_eq!(wsn.notifications().len(), 3, "topic sub: its topic only");
         assert_eq!(wse.received().len(), 5, "broadcast sub: every event, once");
-    }
-
-    #[test]
-    fn xml_wire_mode_matches_structured_deliveries() {
-        // The two link modes must be indistinguishable to consumers.
-        let net = Network::new();
-        let fed = FederatedMessenger::start(&net, "http://fed", 2);
-        let wse = EventSink::start(&net, "http://c", WseVersion::Aug2004);
-        Subscriber::new(&net, WseVersion::Aug2004)
-            .subscribe(fed.uri(), SubscribeRequest::push(wse.epr()))
-            .unwrap();
-
-        assert_eq!(fed.link_mode(), LinkMode::Structured);
-        fed.publish_on("storms", &payload(1));
-        fed.set_link_mode(LinkMode::XmlNotify);
-        fed.publish_on("storms", &payload(2));
-        fed.set_link_mode(LinkMode::Structured);
-
-        let got = wse.received();
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0], payload(1), "structured hop delivers the payload");
-        assert_eq!(got[1], payload(2), "XML hop delivers the same payload");
     }
 
     #[test]
@@ -1537,7 +1412,11 @@ mod tests {
             .subscribe(fed.uri(), SubscribeRequest::push(wse.epr()))
             .unwrap();
 
-        fed.set_batch_max(8);
+        fed.set_link_policy(BatchPolicy::Adaptive {
+            min: 8,
+            max: 8,
+            deadline_ms: u64::MAX,
+        });
         let mut flushed = 0;
         for i in 0..6 {
             flushed += fed.publish_on("storms", &payload(i));
@@ -1549,25 +1428,22 @@ mod tests {
         assert_eq!(fed.link_queue_depth(), 0, "flush drains the link");
         assert_eq!(wse.received().len(), 6);
 
-        #[cfg(feature = "obs")]
-        {
-            let spans = fed.federation_spans();
-            let federate: Vec<_> = spans
-                .iter()
-                .filter(|s| s.stage == crate::obs::Stage::Federate)
-                .collect();
-            assert_eq!(federate.len(), 1, "one hop for the whole batch");
-            assert_eq!(federate[0].items, 6, "items carries the batch size");
-            let enqueues = spans
-                .iter()
-                .filter(|s| s.stage == crate::obs::Stage::FederateEnqueue)
-                .count();
-            assert_eq!(enqueues, 6, "each buffered publish records an enqueue");
-        }
+        let spans = fed.federation_spans();
+        let federate: Vec<_> = spans
+            .iter()
+            .filter(|s| s.stage == crate::obs::Stage::Federate)
+            .collect();
+        assert_eq!(federate.len(), 1, "one hop for the whole batch");
+        assert_eq!(federate[0].items, 6, "items carries the batch size");
+        let enqueues = spans
+            .iter()
+            .filter(|s| s.stage == crate::obs::Stage::FederateEnqueue)
+            .count();
+        assert_eq!(enqueues, 6, "each buffered publish records an enqueue");
     }
 
     #[test]
-    fn fixed_policy_seals_and_delivers_at_target() {
+    fn pinned_policy_seals_and_delivers_at_target() {
         let net = Network::new();
         let fed = FederatedMessenger::start(&net, "http://fed", 2);
         let wse = EventSink::start(&net, "http://c", WseVersion::Aug2004);
@@ -1575,7 +1451,11 @@ mod tests {
             .subscribe(fed.uri(), SubscribeRequest::push(wse.epr()))
             .unwrap();
 
-        fed.set_link_policy(BatchPolicy::Fixed(4));
+        fed.set_link_policy(BatchPolicy::Adaptive {
+            min: 4,
+            max: 4,
+            deadline_ms: u64::MAX,
+        });
         let mut sealed = 0;
         for i in 0..4 {
             sealed += fed.publish_on("storms", &payload(i));
@@ -1616,16 +1496,13 @@ mod tests {
         fed.flush();
         assert_eq!(wse.received().len(), 4);
 
-        #[cfg(feature = "obs")]
-        {
-            let federate: Vec<_> = fed
-                .federation_spans()
-                .into_iter()
-                .filter(|s| s.stage == crate::obs::Stage::Federate)
-                .collect();
-            assert_eq!(federate.len(), 1, "deadline sealing made one hop");
-            assert_eq!(federate[0].items, 4);
-        }
+        let federate: Vec<_> = fed
+            .federation_spans()
+            .into_iter()
+            .filter(|s| s.stage == crate::obs::Stage::Federate)
+            .collect();
+        assert_eq!(federate.len(), 1, "deadline sealing made one hop");
+        assert_eq!(federate[0].items, 4);
     }
 
     #[test]

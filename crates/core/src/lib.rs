@@ -68,13 +68,12 @@ pub mod stage;
 
 pub use backend::{InMemoryBackend, JmsBackend, MessagingBackend};
 pub use broker::{MediationStats, WsMessenger};
-#[cfg(feature = "obs")]
-pub use delivery::ResolvedMark;
-pub use delivery::{DeliveryEngine, DispatchMode, FailKind, FanOutReport, PushJob, StatsDelta};
+pub use delivery::{
+    DeliveryEngine, DispatchMode, FailKind, FanOutReport, PushJob, ResolvedMark, StatsDelta,
+};
 pub use detect::SpecDialect;
 pub use event::InternalEvent;
-pub use federation::{shard_of_root, BatchPolicy, FederatedMessenger, LinkMode, OverflowPolicy};
-#[cfg(feature = "obs")]
+pub use federation::{shard_of_root, BatchPolicy, FederatedMessenger, OverflowPolicy};
 pub use obs::ObsSnapshot;
 pub use registry::{
     BrokerDeliveryMode, BrokerSubscription, QueuedEvent, Registry, SubscriptionStatus,
@@ -86,7 +85,6 @@ pub use reliability::{
 };
 pub use render::{render_notification, render_notification_cached, RenderCache};
 pub use stage::{EventSink as DeliverySink, EventSource, NetworkSink, SendReport, VecSource};
-#[cfg(feature = "obs")]
 pub use wsm_obs::{
     reconstruct, story_for, DeliveryStory, HistogramStats, Outcome, SloReport, SloSpec, SpanRecord,
     Stage, TraceContext,

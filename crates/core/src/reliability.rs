@@ -337,7 +337,6 @@ pub enum Admitted {
 }
 
 /// How one pump attempt ended, for the broker's causal trace.
-#[cfg(feature = "obs")]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PumpEventKind {
     /// The attempt delivered the message.
@@ -356,7 +355,6 @@ pub enum PumpEventKind {
 /// One pump attempt, reported back so the broker can record the
 /// per-attempt span and, on a terminal outcome, the end-to-end
 /// resolution for the (event, subscriber) pair.
-#[cfg(feature = "obs")]
 #[derive(Debug, Clone)]
 pub struct PumpEvent {
     /// Publication sequence number of the event.
@@ -395,7 +393,6 @@ pub struct PumpReport {
     /// histogram).
     pub backoffs_ms: Vec<u64>,
     /// Per-attempt outcomes for the causal trace.
-    #[cfg(feature = "obs")]
     pub events: Vec<PumpEvent>,
 }
 
@@ -414,7 +411,6 @@ impl PumpReport {
         self.delta.redelivered += other.delta.redelivered;
         self.delta.dead_lettered += other.delta.dead_lettered;
         self.backoffs_ms.extend(other.backoffs_ms);
-        #[cfg(feature = "obs")]
         self.events.extend(other.events);
     }
 }
@@ -632,12 +628,9 @@ impl ReliabilityState {
                 // Attempt ordinal: every prior failure (transient or
                 // poison) was one delivery round.
                 let attempt = pending.attempts + pending.strikes;
-                #[cfg(feature = "obs")]
                 let send_started = std::time::Instant::now();
                 let outcome = send(&address, pending.envelope.clone(), attempt > 0);
-                #[cfg(feature = "obs")]
                 let dur_ns = send_started.elapsed().as_nanos() as u64;
-                #[cfg(feature = "obs")]
                 let mut event = PumpEvent {
                     seq: pending.seq,
                     sub_id: sub_id.clone(),
@@ -665,7 +658,6 @@ impl ReliabilityState {
                         if pending.mediated {
                             report.delta.mediated += 1;
                         }
-                        #[cfg(feature = "obs")]
                         report.events.push(event);
                         if ch.queue.is_empty() {
                             break;
@@ -686,11 +678,8 @@ impl ReliabilityState {
                             report.dead_lettered += 1;
                             report.delta.dead_lettered += 1;
                             report.delta.failed += 1;
-                            #[cfg(feature = "obs")]
-                            {
-                                event.kind = PumpEventKind::DeadLettered;
-                                report.events.push(event);
-                            }
+                            event.kind = PumpEventKind::DeadLettered;
+                            report.events.push(event);
                             // The head is gone; the next message may
                             // be attempted on the channel's next turn,
                             // not in this burst.
@@ -702,11 +691,8 @@ impl ReliabilityState {
                             inner.depth += 1;
                             report.requeued += 1;
                             report.backoffs_ms.push(backoff_ms);
-                            #[cfg(feature = "obs")]
-                            {
-                                event.kind = PumpEventKind::Requeued { backoff_ms };
-                                report.events.push(event);
-                            }
+                            event.kind = PumpEventKind::Requeued { backoff_ms };
+                            report.events.push(event);
                         }
                         break;
                     }

@@ -9,8 +9,7 @@
 //! wire) lets rendering overlap with delivery: the broker's lazy
 //! render source feeds the staged engine while workers are already
 //! sending the first shards (see [`crate::delivery`]), and the
-//! sequential baseline keeps its barriered collect-then-send shape by
-//! draining the source up front.
+//! single-thread path sends each job as soon as it is rendered.
 //!
 //! [`NetworkSink`] is the production sink. It owns the send-with-retry
 //! policy (transient errors burn the in-line retry budget, poison
@@ -86,7 +85,6 @@ pub struct SendReport {
     /// In-line retries consumed (transient errors only).
     pub retried: u64,
     /// Wall-clock duration of the whole send including retries.
-    #[cfg(feature = "obs")]
     pub elapsed_ns: u64,
 }
 
@@ -140,7 +138,6 @@ impl EventSink for NetworkSink {
     /// — the endpoint just told us it would reject an identical
     /// resend.
     fn send_event(&mut self, job: &PushJob) -> SendReport {
-        #[cfg(feature = "obs")]
         let started = std::time::Instant::now();
         let attempts = self.attempts;
         let sender = self.sender_for(&job.address);
@@ -176,7 +173,6 @@ impl EventSink for NetworkSink {
         SendReport {
             result,
             retried,
-            #[cfg(feature = "obs")]
             elapsed_ns: started.elapsed().as_nanos() as u64,
         }
     }

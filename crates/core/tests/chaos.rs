@@ -228,7 +228,6 @@ fn poison_messages_dead_letter_and_redeliver_over_soap() {
 
 /// Breaker, queue-depth, dead-letter, and backoff instruments all
 /// surface through the metrics exposition.
-#[cfg(feature = "obs")]
 #[test]
 fn reliability_metrics_appear_in_exposition() {
     let seed = chaos_seed();
@@ -388,25 +387,22 @@ fn sharded_churn_resolves_every_inflight_delivery() {
         assert!(seqs.windows(2).all(|w| w[0] < w[1]), "in order, no dupes");
     }
 
-    #[cfg(feature = "obs")]
-    {
-        let snap = broker.obs_snapshot();
-        assert_eq!(snap.spans_evicted, 0, "ring large enough for the run");
-        let stories = broker.delivery_stories();
-        assert!(!stories.is_empty());
-        let unresolved: Vec<_> = stories
-            .iter()
-            .filter(|s| s.outcome.is_none())
-            .map(|s| (s.seq, s.subscriber.clone()))
-            .collect();
-        assert!(
-            unresolved.is_empty(),
-            "every in-flight delivery reached a terminal outcome, missing: {unresolved:?}"
-        );
-        assert_eq!(
-            stories.len() as u64,
-            snap.outcome_delivered + snap.outcome_dead_lettered + snap.outcome_expired,
-            "outcome counters agree with reconstructed stories"
-        );
-    }
+    let snap = broker.obs_snapshot();
+    assert_eq!(snap.spans_evicted, 0, "ring large enough for the run");
+    let stories = broker.delivery_stories();
+    assert!(!stories.is_empty());
+    let unresolved: Vec<_> = stories
+        .iter()
+        .filter(|s| s.outcome.is_none())
+        .map(|s| (s.seq, s.subscriber.clone()))
+        .collect();
+    assert!(
+        unresolved.is_empty(),
+        "every in-flight delivery reached a terminal outcome, missing: {unresolved:?}"
+    );
+    assert_eq!(
+        stories.len() as u64,
+        snap.outcome_delivered + snap.outcome_dead_lettered + snap.outcome_expired,
+        "outcome counters agree with reconstructed stories"
+    );
 }

@@ -227,33 +227,30 @@ fn multi_shard_churn_leaves_no_orphans_and_resolves_every_delivery() {
     let stable_events = (0..EVENTS).filter(|i| i % 3 == 0).count();
     assert_eq!(stable_wsn.notifications().len(), stable_events);
 
-    #[cfg(feature = "obs")]
-    {
-        let mut terminal = 0u64;
-        for shard in fed.shards() {
-            let snap = shard.obs_snapshot();
-            assert_eq!(snap.spans_evicted, 0, "span ring large enough");
-            let stories = shard.delivery_stories();
-            let unresolved: Vec<_> = stories
-                .iter()
-                .filter(|s| s.outcome.is_none())
-                .map(|s| (s.seq, s.subscriber.clone()))
-                .collect();
-            assert!(
-                unresolved.is_empty(),
-                "every in-flight delivery reached a terminal outcome, missing: {unresolved:?}"
-            );
-            terminal += snap.outcome_delivered + snap.outcome_dead_lettered + snap.outcome_expired;
-        }
-        assert!(terminal >= EVENTS as u64, "at least one outcome per event");
-        // Federation hops were recorded and each carried one event
-        // (batch_max is 1 in this scenario).
-        let fed_spans = fed.federation_spans();
-        let hops: u64 = fed_spans
+    let mut terminal = 0u64;
+    for shard in fed.shards() {
+        let snap = shard.obs_snapshot();
+        assert_eq!(snap.spans_evicted, 0, "span ring large enough");
+        let stories = shard.delivery_stories();
+        let unresolved: Vec<_> = stories
             .iter()
-            .filter(|s| s.stage == wsm_messenger::Stage::Federate)
-            .map(|s| s.items)
-            .sum();
-        assert_eq!(hops, EVENTS as u64, "one federated event per publication");
+            .filter(|s| s.outcome.is_none())
+            .map(|s| (s.seq, s.subscriber.clone()))
+            .collect();
+        assert!(
+            unresolved.is_empty(),
+            "every in-flight delivery reached a terminal outcome, missing: {unresolved:?}"
+        );
+        terminal += snap.outcome_delivered + snap.outcome_dead_lettered + snap.outcome_expired;
     }
+    assert!(terminal >= EVENTS as u64, "at least one outcome per event");
+    // Federation hops were recorded and each carried one event
+    // (the link policy is `Immediate` in this scenario).
+    let fed_spans = fed.federation_spans();
+    let hops: u64 = fed_spans
+        .iter()
+        .filter(|s| s.stage == wsm_messenger::Stage::Federate)
+        .map(|s| s.items)
+        .sum();
+    assert_eq!(hops, EVENTS as u64, "one federated event per publication");
 }

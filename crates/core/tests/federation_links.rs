@@ -1,12 +1,14 @@
-//! Pipelined federation links: mode equivalence and backpressure.
+//! Pipelined federation links: wire equivalence and backpressure.
 //!
 //! Two contracts guard the link layer:
 //!
-//! * **Mode equivalence.** The zero-reparse structured fast path
-//!   ([`LinkMode::Structured`]) and the encoded `Notify` wire path
-//!   ([`LinkMode::XmlNotify`]) must be indistinguishable to consumers —
-//!   for any seeded Zipf workload, every subscriber receives the *same
-//!   set of envelope bytes* in both modes (property-tested below).
+//! * **Wire equivalence.** The zero-reparse structured hop must be
+//!   indistinguishable to consumers from the encoded hop a remote
+//!   broker would make — each event sent to its owning shard as a WSN
+//!   1.3 `Notify` envelope. For any seeded Zipf workload, every
+//!   subscriber receives the *same set of envelope bytes* either way
+//!   (property-tested below; the encoded hop lives only here, as the
+//!   reference).
 //! * **Lossless backpressure.** When the bounded link queue fills,
 //!   [`OverflowPolicy::Park`] parks publishers until the flushers make
 //!   room and [`OverflowPolicy::Shed`] makes publishers deliver their
@@ -16,11 +18,14 @@
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
 use wsm_eventing::{EventSink, SubscribeRequest, Subscriber, WseVersion};
-use wsm_messenger::{BatchPolicy, FederatedMessenger, LinkMode, OverflowPolicy};
-use wsm_notification::{WsnClient, WsnFilter, WsnSubscribeRequest, WsnVersion};
+use wsm_messenger::{BatchPolicy, FederatedMessenger, OverflowPolicy};
+use wsm_notification::{
+    SharedNotificationMessage, WsnClient, WsnCodec, WsnFilter, WsnSubscribeRequest, WsnVersion,
+};
 use wsm_soap::{Envelope, Fault};
+use wsm_topics::TopicPath;
 use wsm_transport::Network;
-use wsm_xml::Element;
+use wsm_xml::{Element, SharedElement};
 
 /// Seeded LCG (same constants as the chaos suites).
 struct Lcg(u64);
@@ -91,13 +96,32 @@ const ROOTS: [&str; 8] = [
     "t7",
 ];
 
-/// Run one seeded workload through a federation in `mode`, returning
+/// Seal after exactly `n` events: a batch size the arrival rate cannot
+/// move and no deadline.
+fn pinned(n: usize) -> BatchPolicy {
+    BatchPolicy::Adaptive {
+        min: n,
+        max: n,
+        deadline_ms: u64::MAX,
+    }
+}
+
+/// How a workload's events reach their owning shard.
+#[derive(Clone, Copy)]
+enum Hop {
+    /// Through the federation's own pipelined links.
+    Links,
+    /// The reference: each event encoded as the `Notify` envelope a
+    /// remote broker would send, posted to the owning shard's endpoint.
+    EncodedNotify,
+}
+
+/// Run one seeded workload through a federation over `hop`, returning
 /// each capture sink's sorted envelope bytes: a topic-rooted WSN
 /// consumer per root-pair plus one broadcast WSE sink.
-fn run_workload(mode: LinkMode, seed: u64, shards: usize, events: usize) -> Vec<Vec<String>> {
+fn run_workload(hop: Hop, seed: u64, shards: usize, events: usize) -> Vec<Vec<String>> {
     let net = Network::new();
     let fed = FederatedMessenger::start(&net, "http://fed", shards);
-    fed.set_link_mode(mode);
 
     let mut sinks = Vec::new();
     let wsn = WsnClient::new(&net, WsnVersion::V1_3);
@@ -121,16 +145,35 @@ fn run_workload(mode: LinkMode, seed: u64, shards: usize, events: usize) -> Vec<
         .unwrap();
     sinks.push(broadcast);
 
-    // Batched pipelined delivery in both modes: the equivalence claim
+    // Batched pipelined delivery on the links: the equivalence claim
     // covers the whole link layer, not just the inline path.
-    fed.set_link_policy(BatchPolicy::Fixed(4));
+    fed.set_link_policy(pinned(4));
+    let codec = WsnCodec::new(WsnVersion::V1_3);
     let mut rng = Lcg(seed);
     for i in 0..events {
         let root = ROOTS[zipf_pick(&mut rng, ROOTS.len())];
         let payload = Element::local("event")
             .with_attr("seq", i.to_string())
             .with_text(format!("v{}", rng.next() % 1000));
-        fed.publish_on(&format!("{root}/readings"), &payload);
+        let topic = format!("{root}/readings");
+        match hop {
+            Hop::Links => {
+                fed.publish_on(&topic, &payload);
+            }
+            Hop::EncodedNotify => {
+                let shard = &fed.shards()[fed.shard_for_topic(&topic)];
+                let msg = SharedNotificationMessage::new(
+                    TopicPath::parse(&topic),
+                    None,
+                    SharedElement::new(payload),
+                );
+                let env = codec.notify_shared(
+                    &wsm_addressing::EndpointReference::new(shard.uri()),
+                    std::slice::from_ref(&msg),
+                );
+                net.send(shard.uri(), env).unwrap();
+            }
+        }
         if rng.next().is_multiple_of(4) {
             net.clock().advance_ms(1);
         }
@@ -142,22 +185,23 @@ fn run_workload(mode: LinkMode, seed: u64, shards: usize, events: usize) -> Vec<
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// For any seeded Zipf workload, the structured fast path and the
-    /// XML wire path hand every subscriber byte-identical envelopes.
+    /// For any seeded Zipf workload, the structured links and the
+    /// encoded `Notify` hop hand every subscriber byte-identical
+    /// envelopes.
     #[test]
-    fn structured_and_xml_wire_paths_are_byte_identical(
+    fn structured_links_match_encoded_notify_hop_byte_for_byte(
         seed in any::<u64>(),
         shards in 1usize..5,
         events in 1usize..48,
     ) {
-        let fast = run_workload(LinkMode::Structured, seed, shards, events);
-        let wire = run_workload(LinkMode::XmlNotify, seed, shards, events);
+        let fast = run_workload(Hop::Links, seed, shards, events);
+        let wire = run_workload(Hop::EncodedNotify, seed, shards, events);
         prop_assert_eq!(fast.len(), wire.len());
         // The broadcast sink matches every event, so the workload
         // genuinely exercised both paths.
         prop_assert_eq!(fast.last().unwrap().len(), events);
         for (i, (f, w)) in fast.iter().zip(wire.iter()).enumerate() {
-            prop_assert_eq!(f, w, "sink {} envelopes diverge between modes", i);
+            prop_assert_eq!(f, w, "sink {} envelopes diverge between hops", i);
         }
     }
 }
@@ -197,7 +241,7 @@ fn park_backpressure_never_drops_events() {
     // own, and real per-send time: every admission races the bound, so
     // the park path (seal-everything-and-wait) carries the whole run.
     fed.set_link_capacity(4);
-    fed.set_link_policy(BatchPolicy::Fixed(64));
+    fed.set_link_policy(pinned(64));
     fed.set_overflow_policy(OverflowPolicy::Park);
     net.set_send_delay_us(100);
 
@@ -245,7 +289,7 @@ fn shed_overflow_bypasses_queue_without_loss() {
     // Capacity 2 and a batch target of 64 that is never reached: the
     // first two events buffer and everything after must shed.
     fed.set_link_capacity(2);
-    fed.set_link_policy(BatchPolicy::Fixed(64));
+    fed.set_link_policy(pinned(64));
     fed.set_overflow_policy(OverflowPolicy::Shed);
     for i in 0..EVENTS {
         fed.publish_on("storms/r", &seq_event(i));
@@ -280,7 +324,7 @@ fn idle_flushers_steal_hot_link_backlog() {
 
     // Everything lands on one root → one link; batches of 2 seal 32
     // sealed batches onto that single link.
-    fed.set_link_policy(BatchPolicy::Fixed(2));
+    fed.set_link_policy(pinned(2));
     for i in 0..64 {
         fed.publish_on("storms/r", &seq_event(i));
     }

@@ -30,7 +30,6 @@ fn notify_envelope(topic: &str, payload: Element) -> Envelope {
     )
 }
 
-#[cfg(feature = "obs")]
 mod spans {
     use super::*;
 
@@ -142,6 +141,24 @@ mod spans {
             "no spans while recording is disabled"
         );
         assert_eq!(broker.obs_snapshot().published, 0);
+        // Switched off is still an answer, not a fault: GetMetrics
+        // serves the (frozen) exposition through the same handler that
+        // keeps mediating traffic.
+        let req = Envelope::new(SoapVersion::V11).with_body(Element::ns(
+            wsm_messenger::render::WSM_NS,
+            "GetMetrics",
+            "wsm",
+        ));
+        let resp = net.request("http://broker", req).unwrap();
+        let text = resp
+            .body()
+            .unwrap()
+            .child_ns(wsm_messenger::render::WSM_NS, "Exposition")
+            .unwrap()
+            .text();
+        assert!(text.contains("wsm_published_total 0"), "got:\n{text}");
+        broker.publish_on("storms", &Element::local("still quiet"));
+        assert_eq!(sink.received().len(), 2, "traffic still flows");
         broker.set_obs_enabled(true);
         broker.publish_on("storms", &Element::local("loud"));
         assert_eq!(broker.obs_snapshot().published, 1);
@@ -452,11 +469,16 @@ mod spans {
             .subscribe(fed.uri(), SubscribeRequest::push(sink.epr()))
             .unwrap();
 
-        fed.set_link_policy(wsm_messenger::BatchPolicy::Fixed(4));
-        for i in 0..6 {
+        fed.set_link_policy(wsm_messenger::BatchPolicy::Adaptive {
+            min: 4,
+            max: 4,
+            deadline_ms: u64::MAX,
+        });
+        for i in 0..3 {
             fed.publish_on("storms", &Element::local(format!("e{i}")));
         }
-        // Two still buffered (the first four sealed and delivered).
+        // All three still buffered: below the batch target nothing
+        // seals, so no flusher races the scrape.
         let text = fed.metrics_text();
         let depth_line = text
             .lines()
@@ -468,20 +490,22 @@ mod spans {
             .unwrap()
             .parse()
             .unwrap();
-        assert_eq!(depth as usize, fed.link_queue_depth());
+        assert_eq!(depth, 3);
+        assert_eq!(fed.link_queue_depth(), 3);
         assert!(
             text.contains("# HELP wsm_fed_link_queue_depth "),
             "gauge described"
         );
+        assert!(text.contains("wsm_fed_shed_total "), "shed counter exposed");
+        fed.flush();
+        let text = fed.metrics_text();
+        assert!(
+            text.contains("wsm_fed_link_queue_depth 0"),
+            "scrape refreshes the gauge after the flush drains the links"
+        );
         assert!(
             text.contains("wsm_fed_flush_size_bucket{"),
             "flush-size histogram exposed"
-        );
-        assert!(text.contains("wsm_fed_shed_total "), "shed counter exposed");
-        fed.flush();
-        assert!(
-            fed.metrics_text().contains("wsm_fed_link_queue_depth 0"),
-            "scrape refreshes the gauge after the flush drains the links"
         );
     }
 }

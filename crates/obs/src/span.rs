@@ -43,15 +43,12 @@ pub enum Stage {
     /// Time the publishing thread spent waiting for the staged
     /// delivery engine's workers to drain the sharded handoff after
     /// sealing its last shard (`items` carries the worker count).
-    /// Zero-cost when the engine runs inline or barriered.
+    /// Zero-cost when the engine runs inline.
     Handoff,
     /// One batched inter-broker hop on the federation path: the
-    /// structured handoff of a sealed batch to its owner shard (fast
-    /// path), or encoding a multi-message `Notify` envelope and
-    /// sending it over the simulated network (XML compatibility mode,
-    /// where the span necessarily includes the peer's synchronous
-    /// handling). `items` carries the batch size, so the amortization
-    /// of the hop is visible in timelines.
+    /// structured handoff of a sealed batch to its owner shard.
+    /// `items` carries the batch size, so the amortization of the hop
+    /// is visible in timelines.
     Federate,
     /// The publisher-side half of a pipelined federation hop: placing
     /// one event on its link's batch queue, including any time the

@@ -93,7 +93,7 @@ struct Inner {
     /// default) keeps sends instantaneous; benches set it to model wire
     /// time that concurrent senders can overlap.
     send_delay_us: AtomicU64,
-    /// Send-path metrics (no-op without the `obs` feature).
+    /// Send-path metrics.
     obs: NetObs,
 }
 
@@ -459,13 +459,11 @@ impl Network {
 
     /// Send-path metrics registry (attempt/byte/outcome counters and
     /// the `net_send_ns` latency histogram).
-    #[cfg(feature = "obs")]
     pub fn metrics(&self) -> &wsm_obs::MetricsRegistry {
         self.0.obs.registry()
     }
 
     /// Send-path metrics as Prometheus text exposition.
-    #[cfg(feature = "obs")]
     pub fn metrics_text(&self) -> String {
         wsm_obs::export::prometheus(self.0.obs.registry())
     }
@@ -829,7 +827,6 @@ mod tests {
         assert!(drained.iter().all(|r| !r.worker.is_empty()));
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn send_metrics_count_attempts_and_outcomes() {
         let net = Network::new();
