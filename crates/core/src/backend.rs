@@ -6,48 +6,49 @@
 //! way, WS-Messenger provides Web service interfaces to existing
 //! messaging systems."
 //!
-//! The broker pushes every normalized [`InternalEvent`] *into* the
-//! backend and drains delivered events back *out* before fan-out. With
-//! [`InMemoryBackend`] this is a queue hop; with [`JmsBackend`] events
-//! genuinely round-trip through the `wsm-jms` provider (serialized XML
-//! in a `TextMessage`, topic in a property), demonstrating the wrap.
+//! The broker hands every normalized [`InternalEvent`] to the backend's
+//! one hop, [`MessagingBackend::relay`], and fans out exactly what that
+//! call hands back. With [`InMemoryBackend`] the hop is the identity;
+//! with [`JmsBackend`] events genuinely round-trip through the
+//! `wsm-jms` provider (serialized XML in a `TextMessage`, topic in a
+//! property), demonstrating the wrap.
 
 use crate::event::InternalEvent;
 use parking_lot::Mutex;
-use std::collections::VecDeque;
 use wsm_jms::{JmsMessage, JmsProvider};
 use wsm_xml::Element;
 
 /// The generic pub/sub interface the broker rides on.
 pub trait MessagingBackend: Send + Sync {
-    /// Accept one event for dissemination.
-    fn publish(&self, event: InternalEvent);
-    /// Drain the events the backend has delivered since the last call.
-    fn drain(&self) -> Vec<InternalEvent>;
+    /// Pass one event through the backend and return what the backend
+    /// delivers for *this* call, in delivery order.
+    ///
+    /// The hop must be atomic with respect to other callers: a
+    /// concurrent `relay` never receives this call's event, and
+    /// nothing is left behind for a later call to pick up. The broker
+    /// fans the returned events out on the calling thread before
+    /// `publish_*` returns, which is what keeps one publisher's events
+    /// in order at every subscriber.
+    fn relay(&self, event: InternalEvent) -> Vec<InternalEvent>;
     /// Backend name (for stats/logging).
     fn name(&self) -> &'static str;
 }
 
-/// The default backend: an in-process queue.
+/// The default backend: no underlying system, the event comes straight
+/// back.
 #[derive(Default)]
-pub struct InMemoryBackend {
-    queue: Mutex<VecDeque<InternalEvent>>,
-}
+pub struct InMemoryBackend;
 
 impl InMemoryBackend {
     /// A fresh backend.
     pub fn new() -> Self {
-        InMemoryBackend::default()
+        InMemoryBackend
     }
 }
 
 impl MessagingBackend for InMemoryBackend {
-    fn publish(&self, event: InternalEvent) {
-        self.queue.lock().push_back(event);
-    }
-
-    fn drain(&self) -> Vec<InternalEvent> {
-        self.queue.lock().drain(..).collect()
+    fn relay(&self, event: InternalEvent) -> Vec<InternalEvent> {
+        vec![event]
     }
 
     fn name(&self) -> &'static str {
@@ -58,7 +59,12 @@ impl MessagingBackend for InMemoryBackend {
 /// A backend that routes events through a JMS provider topic.
 pub struct JmsBackend {
     provider: JmsProvider,
-    subscription: wsm_jms::TopicSubscription,
+    /// The relay's receiving end. The lock is the hop's critical
+    /// section: a publisher takes it before its provider `publish` and
+    /// keeps it until it has received its event back, so concurrent
+    /// publishers cannot take each other's. It covers nothing else —
+    /// not the XML encode/decode, and never the fan-out.
+    subscription: Mutex<wsm_jms::TopicSubscription>,
     topic: String,
 }
 
@@ -68,7 +74,7 @@ impl JmsBackend {
         let subscription = provider.create_durable_subscriber(topic, "ws-messenger-relay", None);
         JmsBackend {
             provider,
-            subscription,
+            subscription: Mutex::new(subscription),
             topic: topic.to_string(),
         }
     }
@@ -117,18 +123,14 @@ impl JmsBackend {
 }
 
 impl MessagingBackend for JmsBackend {
-    fn publish(&self, event: InternalEvent) {
-        self.provider.publish(&self.topic, Self::encode(&event));
-    }
-
-    fn drain(&self) -> Vec<InternalEvent> {
-        let mut out = Vec::new();
-        while let Some(m) = self.subscription.receive() {
-            if let Some(ev) = Self::decode(&m) {
-                out.push(ev);
-            }
-        }
-        out
+    fn relay(&self, event: InternalEvent) -> Vec<InternalEvent> {
+        let message = Self::encode(&event);
+        let received: Vec<JmsMessage> = {
+            let subscription = self.subscription.lock();
+            self.provider.publish(&self.topic, message);
+            std::iter::from_fn(|| subscription.receive()).collect()
+        };
+        received.iter().filter_map(Self::decode).collect()
     }
 
     fn name(&self) -> &'static str {
@@ -141,15 +143,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn in_memory_fifo() {
+    fn in_memory_relay_is_the_identity() {
         let b = InMemoryBackend::new();
-        b.publish(InternalEvent::raw(Element::local("a")));
-        b.publish(InternalEvent::on_topic("t", Element::local("b")));
-        let got = b.drain();
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].payload_element().name.local, "a");
-        assert_eq!(got[1].topic.as_ref().unwrap().to_string(), "t");
-        assert!(b.drain().is_empty());
+        let a = InternalEvent::raw(Element::local("a"));
+        let t = InternalEvent::on_topic("t", Element::local("b"));
+        assert_eq!(b.relay(a.clone()), vec![a]);
+        assert_eq!(b.relay(t.clone()), vec![t]);
         assert_eq!(b.name(), "in-memory");
     }
 
@@ -162,12 +161,11 @@ mod tests {
             .with_origin(crate::detect::SpecDialect::Wsn(
                 wsm_notification::WsnVersion::V1_3,
             ));
-        b.publish(ev.clone());
-        // The event really sits in the JMS provider.
+        // The event really goes through the JMS provider: the relay is
+        // a durable subscriber there, and what comes back was decoded
+        // from the provider's message.
         assert_eq!(provider.subscriber_count("wsm.relay"), 1);
-        let got = b.drain();
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0], ev);
+        assert_eq!(b.relay(ev.clone()), vec![ev]);
         assert_eq!(b.name(), "jms");
     }
 
@@ -176,7 +174,27 @@ mod tests {
         let b = JmsBackend::new(JmsProvider::new(), "t");
         let payload =
             wsm_xml::parse(r#"<e:alert xmlns:e="urn:wx" sev="4">h &amp; m</e:alert>"#).unwrap();
-        b.publish(InternalEvent::raw(payload.clone()));
-        assert_eq!(b.drain()[0].payload_element(), &payload);
+        let got = b.relay(InternalEvent::raw(payload.clone()));
+        assert_eq!(got[0].payload_element(), &payload);
+    }
+
+    #[test]
+    fn jms_relay_returns_each_thread_exactly_its_own_events() {
+        const PER_THREAD: usize = 500;
+        let b = JmsBackend::new(JmsProvider::new(), "t");
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for who in ["a", "b"] {
+                let (b, start) = (&b, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for n in 0..PER_THREAD {
+                        let ev =
+                            InternalEvent::raw(Element::local(who).with_attr("n", n.to_string()));
+                        assert_eq!(b.relay(ev.clone()), vec![ev], "thread {who}, event {n}");
+                    }
+                });
+            }
+        });
     }
 }

@@ -483,13 +483,13 @@ fn ingest_seq(inner: &MessengerInner, event: InternalEvent, seq: u64) -> usize {
     }
     inner.stats.inc_published();
     inner.obs.record_publication();
-    inner.backend.publish(event);
+    let relayed = inner.backend.relay(event);
     inner
         .obs
         .stage(Stage::Publish, seq, timer, inner.net.clock().now_ms(), 1);
     let mut delivered = 0;
-    for ev in inner.backend.drain() {
-        delivered += fan_out(inner, &ev, seq);
+    for ev in &relayed {
+        delivered += fan_out(inner, ev, seq);
     }
     // Piggyback a redelivery pass on every publication: queued
     // messages whose backoff elapsed (the sends above advanced the

@@ -43,7 +43,7 @@
 //! failed subscriptions *after* the fan-out completes — worker threads
 //! never take registry locks.
 
-use crate::stage::{EventSink, EventSource, NetworkSink, SendReport, VecSource};
+use crate::stage::{EventSource, NetworkSink, SendReport, VecSource};
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -409,7 +409,7 @@ impl PubWork {
     fn claim_pass(
         &self,
         home: usize,
-        sink: &mut NetworkSink,
+        sink: &NetworkSink,
         local: &mut Gather,
         stolen: &mut u64,
     ) -> bool {
@@ -442,7 +442,7 @@ impl PubWork {
     /// A pool worker's whole participation in this publication: claim
     /// until drained, then merge local results exactly once; the last
     /// merger wakes the publisher.
-    fn run_worker(&self, home: usize, sink: &mut NetworkSink) {
+    fn run_worker(&self, home: usize, sink: &NetworkSink) {
         let mut local = Gather::default();
         let mut stolen = 0u64;
         loop {
@@ -738,10 +738,10 @@ impl DeliveryEngine {
         work.cv.notify_all();
         // The publishing thread helps drain, starting from the shard
         // it sealed last (the one least likely to be claimed yet).
-        let mut sink = NetworkSink::new(net.clone(), attempts);
+        let sink = NetworkSink::new(net.clone(), attempts);
         let mut local = Gather::default();
         let mut stolen = 0u64;
-        work.claim_pass(workers - 1, &mut sink, &mut local, &mut stolen);
+        work.claim_pass(workers - 1, &sink, &mut local, &mut stolen);
         let join_started = Instant::now();
         let mut gather = work.wait_merged();
         let join_wait_ns = join_started.elapsed().as_nanos() as u64;
@@ -774,8 +774,8 @@ impl DeliveryEngine {
                 .name(format!("wsm-push-{i}"))
                 .spawn(move || {
                     for work in rx.iter() {
-                        let mut sink = NetworkSink::new(net.clone(), work.attempts);
-                        work.run_worker(i, &mut sink);
+                        let sink = NetworkSink::new(net.clone(), work.attempts);
+                        work.run_worker(i, &sink);
                     }
                 })
                 .expect("spawn delivery worker");
@@ -792,7 +792,7 @@ impl DeliveryEngine {
 /// thread, which is what chaos scenarios pinning `workers = 1` rely on
 /// for a deterministic trace.
 fn execute_streaming(net: &Network, attempts: u32, source: &mut dyn EventSource) -> FanOutReport {
-    let mut sink = NetworkSink::new(net.clone(), attempts);
+    let sink = NetworkSink::new(net.clone(), attempts);
     let mut gather = Gather::default();
     let mut total = 0usize;
     while let Some(job) = source.next_event() {

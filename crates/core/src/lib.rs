@@ -84,7 +84,7 @@ pub use reliability::{
     ReliabilityState,
 };
 pub use render::{render_notification, render_notification_cached, RenderCache};
-pub use stage::{EventSink as DeliverySink, EventSource, NetworkSink, SendReport, VecSource};
+pub use stage::{EventSource, NetworkSink, SendReport, VecSource};
 pub use wsm_obs::{
     reconstruct, story_for, DeliveryStory, HistogramStats, Outcome, SloReport, SloSpec, SpanRecord,
     Stage, TraceContext,

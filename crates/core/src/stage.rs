@@ -5,23 +5,20 @@
 //! matched subscriber's envelope into a `Vec`, then handed the whole
 //! batch to the engine. Restructuring the pipeline around an
 //! [`EventSource`] (something that yields rendered [`PushJob`]s one at
-//! a time) and an [`EventSink`] (something that puts one job on the
-//! wire) lets rendering overlap with delivery: the broker's lazy
-//! render source feeds the staged engine while workers are already
-//! sending the first shards (see [`crate::delivery`]), and the
-//! single-thread path sends each job as soon as it is rendered.
+//! a time) and a [`NetworkSink`] (which puts one job on the wire) lets
+//! rendering overlap with delivery: the broker's lazy render source
+//! feeds the staged engine while workers are already sending the first
+//! shards (see [`crate::delivery`]), and the single-thread path sends
+//! each job as soon as it is rendered.
 //!
-//! [`NetworkSink`] is the production sink. It owns the send-with-retry
-//! policy (transient errors burn the in-line retry budget, poison
-//! responses short-circuit) and a cached per-endpoint route
-//! ([`EndpointSender`]): consecutive sends to the same consumer skip
-//! the endpoint-table lock and re-resolve only when the table's
-//! generation changes, so large fan-outs to few endpoints amortize
-//! routing the way a kept-alive HTTP connection would amortize
-//! connection setup.
+//! [`NetworkSink`] owns the send-with-retry policy: transient errors
+//! burn the in-line retry budget, poison responses short-circuit. It
+//! sends straight through [`Network::send_class`] — every subscription
+//! has its own consumer address, so there is no route worth caching
+//! between consecutive jobs.
 
 use crate::delivery::{FailKind, PushJob};
-use wsm_transport::{AttemptClass, EndpointSender, Network};
+use wsm_transport::{AttemptClass, Network};
 
 /// A stage that yields rendered push jobs, one at a time.
 ///
@@ -88,22 +85,13 @@ pub struct SendReport {
     pub elapsed_ns: u64,
 }
 
-/// A stage that puts one rendered job on the wire.
-///
-/// Sinks are per-thread: each delivery worker (and the publishing
-/// thread, when it participates in draining) owns one, so route
-/// caches need no synchronization.
-pub trait EventSink {
-    /// Deliver one job, consuming the configured attempt budget.
-    fn send_event(&mut self, job: &PushJob) -> SendReport;
-}
-
-/// The production [`EventSink`]: sends over the simulated network with
-/// the broker's retry policy and a cached per-endpoint route.
+/// The delivery engine's sink: sends one rendered job over the
+/// simulated network with the broker's retry policy. Each delivery
+/// worker (and the publishing thread, when it participates in
+/// draining) owns one.
 pub struct NetworkSink {
     net: Network,
     attempts: u32,
-    route: Option<EndpointSender>,
 }
 
 impl NetworkSink {
@@ -113,37 +101,21 @@ impl NetworkSink {
         NetworkSink {
             net,
             attempts: attempts.max(1),
-            route: None,
         }
     }
 
-    /// The cached route for `addr`, re-targeting only when the
-    /// previous send went elsewhere. The [`EndpointSender`] itself
-    /// revalidates against the endpoint-table generation, so a stale
-    /// cache can never skip an unregister or miss a re-register.
-    fn sender_for(&mut self, addr: &str) -> &mut EndpointSender {
-        let stale = self.route.as_ref().is_none_or(|r| r.target() != addr);
-        if stale {
-            self.route = Some(self.net.sender(addr));
-        }
-        self.route.as_mut().expect("route just populated")
-    }
-}
-
-impl EventSink for NetworkSink {
-    /// One-shot or retried send, per the configured attempt budget.
+    /// Deliver one job: a one-shot or retried send, per the configured
+    /// attempt budget.
     ///
     /// Only **transient** errors consume the immediate-retry budget; a
     /// poison response (SOAP fault, refused connection) short-circuits
     /// — the endpoint just told us it would reject an identical
     /// resend.
-    fn send_event(&mut self, job: &PushJob) -> SendReport {
+    pub fn send_event(&self, job: &PushJob) -> SendReport {
         let started = std::time::Instant::now();
-        let attempts = self.attempts;
-        let sender = self.sender_for(&job.address);
         let mut retried = 0;
         let mut result = Err(FailKind::Transient);
-        for i in 0..attempts {
+        for i in 0..self.attempts {
             // Only the very first send of a job's first attempt counts
             // as a first-class attempt; everything after is a re-send
             // of the same message and is attributed as such in
@@ -153,7 +125,10 @@ impl EventSink for NetworkSink {
             } else {
                 AttemptClass::First
             };
-            match sender.send_class(job.envelope.clone(), class) {
+            match self
+                .net
+                .send_class(&job.address, job.envelope.clone(), class)
+            {
                 Ok(()) => {
                     result = Ok(());
                     break;
@@ -164,7 +139,7 @@ impl EventSink for NetworkSink {
                         result = Err(kind);
                         break;
                     }
-                    if i + 1 < attempts {
+                    if i + 1 < self.attempts {
                         retried += 1;
                     }
                 }
@@ -185,14 +160,6 @@ mod tests {
     use wsm_soap::{Envelope, SoapVersion};
     use wsm_transport::SoapHandler;
     use wsm_xml::Element;
-
-    struct Count(parking_lot::Mutex<u32>);
-    impl SoapHandler for Count {
-        fn handle(&self, _req: Envelope) -> Result<Option<Envelope>, wsm_soap::Fault> {
-            *self.0.lock() += 1;
-            Ok(None)
-        }
-    }
 
     fn job(address: &str, attempt: u32) -> PushJob {
         PushJob {
@@ -217,26 +184,9 @@ mod tests {
     }
 
     #[test]
-    fn sink_caches_route_across_same_endpoint_sends() {
-        let net = Network::new();
-        let c = Arc::new(Count(parking_lot::Mutex::new(0)));
-        net.register("http://c", c.clone());
-        let mut sink = NetworkSink::new(net, 1);
-        for _ in 0..4 {
-            assert!(sink.send_event(&job("http://c", 0)).result.is_ok());
-        }
-        assert_eq!(*c.0.lock(), 4);
-        assert_eq!(
-            sink.route.as_ref().map(|r| r.target()),
-            Some("http://c"),
-            "route stays pinned to the repeated endpoint"
-        );
-    }
-
-    #[test]
     fn sink_retries_transient_and_shortcircuits_poison() {
         let net = Network::new();
-        let mut sink = NetworkSink::new(net.clone(), 3);
+        let sink = NetworkSink::new(net.clone(), 3);
         let rep = sink.send_event(&job("http://nowhere", 0));
         assert_eq!(rep.result, Err(FailKind::Transient));
         assert_eq!(rep.retried, 2, "attempts-1 retries for a missing endpoint");

@@ -37,8 +37,18 @@ fn assert_publisher_order(payloads: &[Element], who: &str) {
     }
 }
 
+/// Twenty fresh brokers, not one: the publisher race this guards
+/// against (one publisher's event fanned out on another publisher's
+/// thread, after the owner had moved on) needs a particular
+/// interleaving, and a single round only hits it about one run in five.
 #[test]
 fn concurrent_publish_with_churn_keeps_exact_accounting() {
+    for _ in 0..20 {
+        publish_with_churn_round();
+    }
+}
+
+fn publish_with_churn_round() {
     let net = Network::new();
     let broker = WsMessenger::start(&net, "http://broker");
 

@@ -1,6 +1,6 @@
 //! The virtual clock.
 
-use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A shared, manually-advanced millisecond clock.
@@ -10,7 +10,7 @@ use std::sync::Arc;
 /// real time would make them slow and flaky; instead every component
 /// reads this clock, and tests/benches advance it explicitly.
 #[derive(Debug, Clone, Default)]
-pub struct SimClock(Arc<Mutex<u64>>);
+pub struct SimClock(Arc<AtomicU64>);
 
 impl SimClock {
     /// A clock starting at time zero.
@@ -20,20 +20,17 @@ impl SimClock {
 
     /// Current virtual time in milliseconds.
     pub fn now_ms(&self) -> u64 {
-        *self.0.lock()
+        self.0.load(Ordering::SeqCst)
     }
 
     /// Advance the clock by `ms` milliseconds.
     pub fn advance_ms(&self, ms: u64) {
-        *self.0.lock() += ms;
+        self.0.fetch_add(ms, Ordering::SeqCst);
     }
 
     /// Set the clock to an absolute time (must not go backwards).
     pub fn set_ms(&self, ms: u64) {
-        let mut t = self.0.lock();
-        if ms > *t {
-            *t = ms;
-        }
+        self.0.fetch_max(ms, Ordering::SeqCst);
     }
 }
 

@@ -19,8 +19,9 @@
 //!   flapping down-windows, latency spikes) and a fixed per-hop
 //!   simulated latency, driving a **virtual clock** that subscription
 //!   expiration and fault schedules are measured against;
-//! * a **trace** of every delivery attempt, which the benches and the
-//!   EXPERIMENTS harness read back.
+//! * a **trace** of delivery attempts — a bounded ring of the last
+//!   65 536, with evictions counted in the `net_trace_dropped` gauge —
+//!   which the tests and the EXPERIMENTS harness read back.
 //!
 //! ```
 //! use wsm_transport::{Network, SoapHandler};

@@ -2,14 +2,14 @@
 
 use crate::clock::SimClock;
 use crate::faults::{FaultPlan, Injection};
-use crate::obs::{NetObs, NetTimer};
+use crate::obs::NetObs;
 use crate::trace::{DeliveryOutcome, TraceRecord};
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
-use std::fmt;
+use std::collections::{HashMap, VecDeque};
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use wsm_soap::{Envelope, Fault};
 
 /// A SOAP endpoint: receives a request envelope, returns `Ok(Some(_))`
@@ -70,10 +70,31 @@ impl fmt::Display for TransportError {
 
 impl std::error::Error for TransportError {}
 
+impl TransportError {
+    /// The trace outcome of a delivery attempt that ended in this
+    /// error. `NoResponse` is decided after the attempt (the handler
+    /// accepted the message, it just had no response body), so the
+    /// attempt itself counts as delivered.
+    fn outcome(&self) -> DeliveryOutcome {
+        match self {
+            TransportError::NoEndpoint(_) => DeliveryOutcome::NoEndpoint,
+            TransportError::Refused(_) => DeliveryOutcome::Refused,
+            TransportError::Dropped(_) => DeliveryOutcome::Dropped,
+            TransportError::Fault(fault) => DeliveryOutcome::Faulted(fault.reason.clone()),
+            TransportError::NoResponse(_) => DeliveryOutcome::Delivered,
+        }
+    }
+}
+
 struct Endpoint {
     handler: Arc<dyn SoapHandler>,
     options: EndpointOptions,
 }
+
+/// How many delivery attempts the trace keeps. The largest in-repo
+/// reader looks at a few thousand records; past this the oldest record
+/// is evicted and counted in the `net_trace_dropped` gauge.
+const TRACE_CAPACITY: usize = 65_536;
 
 struct Inner {
     endpoints: RwLock<HashMap<String, Endpoint>>,
@@ -82,7 +103,7 @@ struct Inner {
     /// consecutive sends to one endpoint skip the registry lock.
     endpoint_epoch: AtomicU64,
     faults: Mutex<FaultPlan>,
-    trace: Mutex<Vec<TraceRecord>>,
+    trace: Mutex<VecDeque<TraceRecord>>,
     clock: SimClock,
     /// Simulated per-hop latency added to the clock on every delivery.
     /// An atomic, not a mutex: every delivery reads it, and a lock
@@ -114,7 +135,7 @@ impl Network {
             endpoints: RwLock::new(HashMap::new()),
             endpoint_epoch: AtomicU64::new(0),
             faults: Mutex::new(FaultPlan::default()),
-            trace: Mutex::new(Vec::new()),
+            trace: Mutex::new(VecDeque::new()),
             clock: SimClock::new(),
             latency_ms: AtomicU64::new(0),
             send_delay_us: AtomicU64::new(0),
@@ -181,8 +202,7 @@ impl Network {
     /// A reusable route to one endpoint: consecutive sends to the same
     /// address through the returned [`EndpointSender`] resolve the
     /// handler once per endpoint-table generation instead of taking
-    /// the registry read lock per message — the transport half of the
-    /// fan-out engine's per-endpoint send batching.
+    /// the registry read lock per message.
     pub fn sender(&self, to: impl Into<String>) -> EndpointSender {
         EndpointSender {
             net: self.clone(),
@@ -258,25 +278,14 @@ impl Network {
         envelope: Envelope,
         class: AttemptClass,
     ) -> Result<(), TransportError> {
-        self.deliver(to, envelope, false, class).map(|_| ())
+        self.deliver_routed(to, None, envelope, false, class)
+            .map(|_| ())
     }
 
     /// Two-way request/response exchange.
     pub fn request(&self, to: &str, envelope: Envelope) -> Result<Envelope, TransportError> {
-        match self.deliver(to, envelope, true, AttemptClass::First)? {
-            Some(resp) => Ok(resp),
-            None => Err(TransportError::NoResponse(to.to_string())),
-        }
-    }
-
-    fn deliver(
-        &self,
-        to: &str,
-        envelope: Envelope,
-        two_way: bool,
-        class: AttemptClass,
-    ) -> Result<Option<Envelope>, TransportError> {
-        self.deliver_routed(to, None, envelope, two_way, class)
+        self.deliver_routed(to, None, envelope, true, AttemptClass::First)?
+            .ok_or_else(|| TransportError::NoResponse(to.to_string()))
     }
 
     /// One delivery, optionally through a pre-resolved route.
@@ -294,7 +303,7 @@ impl Network {
         two_way: bool,
         class: AttemptClass,
     ) -> Result<Option<Envelope>, TransportError> {
-        let timer = self.0.obs.start();
+        let started = Instant::now();
         // Consult the fault plan before the hop: it decides this
         // delivery's fate and any extra injected latency.
         let injected = self.0.faults.lock().on_delivery(to, self.0.clock.now_ms());
@@ -305,116 +314,49 @@ impl Network {
             std::thread::sleep(Duration::from_micros(delay));
         }
         let label = label_of(&envelope);
-        // Size accounting only needs the length; a pooled buffer keeps
-        // this off the allocator on every send.
-        let bytes = envelope.xml_len();
 
-        match injected.action {
-            Injection::Deliver => {}
-            Injection::Drop => {
-                self.record(
-                    timer,
-                    to,
-                    &label,
-                    bytes,
-                    two_way,
-                    class,
-                    DeliveryOutcome::Dropped,
-                );
-                return Err(TransportError::Dropped(to.to_string()));
-            }
-            Injection::Fault => {
-                let fault = Fault::receiver("injected fault");
-                self.record(
-                    timer,
-                    to,
-                    &label,
-                    bytes,
-                    two_way,
-                    class,
-                    DeliveryOutcome::Faulted(fault.reason.clone()),
-                );
-                return Err(TransportError::Fault(Box::new(fault)));
-            }
-        }
-
-        let resolved = match route {
-            Some(cached) => cached.map(|(h, o)| (Arc::clone(h), *o)),
-            None => self.lookup(to),
-        };
-        let (handler, options) = match resolved {
-            Some(ep) => ep,
-            None => {
-                self.record(
-                    timer,
-                    to,
-                    &label,
-                    bytes,
-                    two_way,
-                    class,
-                    DeliveryOutcome::NoEndpoint,
-                );
-                return Err(TransportError::NoEndpoint(to.to_string()));
+        let result = match injected.action {
+            Injection::Drop => Err(TransportError::Dropped(to.to_string())),
+            Injection::Fault => Err(TransportError::Fault(Box::new(Fault::receiver(
+                "injected fault",
+            )))),
+            Injection::Deliver => {
+                let looked_up;
+                let endpoint = match route {
+                    Some(cached) => cached,
+                    None => {
+                        looked_up = self.lookup(to);
+                        looked_up.as_ref()
+                    }
+                };
+                match endpoint {
+                    None => Err(TransportError::NoEndpoint(to.to_string())),
+                    Some((_, options)) if options.firewalled => {
+                        Err(TransportError::Refused(to.to_string()))
+                    }
+                    Some((handler, _)) => handler
+                        .handle(envelope)
+                        .map_err(|fault| TransportError::Fault(Box::new(fault))),
+                }
             }
         };
-        if options.firewalled {
-            self.record(
-                timer,
-                to,
-                &label,
-                bytes,
-                two_way,
-                class,
-                DeliveryOutcome::Refused,
-            );
-            return Err(TransportError::Refused(to.to_string()));
-        }
 
-        match handler.handle(envelope) {
-            Ok(resp) => {
-                self.record(
-                    timer,
-                    to,
-                    &label,
-                    bytes,
-                    two_way,
-                    class,
-                    DeliveryOutcome::Delivered,
-                );
-                Ok(resp)
-            }
-            Err(fault) => {
-                self.record(
-                    timer,
-                    to,
-                    &label,
-                    bytes,
-                    two_way,
-                    class,
-                    DeliveryOutcome::Faulted(fault.reason.clone()),
-                );
-                Err(TransportError::Fault(Box::new(fault)))
-            }
+        // Every attempt, whatever its fate, is counted and traced here
+        // and nowhere else.
+        let outcome = match &result {
+            Ok(_) => DeliveryOutcome::Delivered,
+            Err(err) => err.outcome(),
+        };
+        self.0.obs.observe(started, &outcome, class);
+        let mut trace = self.0.trace.lock();
+        if trace.len() == TRACE_CAPACITY {
+            trace.pop_front();
+            self.0.obs.trace_dropped.add(1);
         }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn record(
-        &self,
-        timer: NetTimer,
-        to: &str,
-        label: &str,
-        bytes: usize,
-        two_way: bool,
-        class: AttemptClass,
-        outcome: DeliveryOutcome,
-    ) {
-        self.0.obs.observe(timer, &outcome, bytes, class);
-        self.0.trace.lock().push(TraceRecord {
+        trace.push_back(TraceRecord {
             time_ms: self.0.clock.now_ms(),
             to: to.to_string(),
-            label: label.to_string(),
-            bytes,
+            label,
             two_way,
             outcome,
             worker: std::thread::current()
@@ -422,26 +364,35 @@ impl Network {
                 .unwrap_or("(unnamed)")
                 .to_string(),
         });
+        result
     }
 
-    /// Snapshot of the delivery trace.
+    /// Snapshot of the delivery trace, oldest first. The trace is a
+    /// bounded ring: this and every other reader below see at most the
+    /// last `TRACE_CAPACITY` (65 536) attempts; older records are
+    /// evicted and counted in the `net_trace_dropped` gauge.
     pub fn trace(&self) -> Vec<TraceRecord> {
-        self.0.trace.lock().clone()
+        self.0.trace.lock().iter().cloned().collect()
     }
 
     /// Take the delivery trace, leaving it empty — the cheap way for
     /// tests to assert exactly the records one scenario produced,
     /// including per-worker records from the parallel fan-out path.
+    /// The eviction count is kept.
     pub fn drain_trace(&self) -> Vec<TraceRecord> {
-        std::mem::take(&mut *self.0.trace.lock())
+        std::mem::take(&mut *self.0.trace.lock()).into()
     }
 
-    /// Clear the trace (benches do this between runs).
+    /// Clear the trace (benches do this between runs). The eviction
+    /// count is kept.
     pub fn clear_trace(&self) {
         self.0.trace.lock().clear();
     }
 
-    /// The delivery trace as JSONL, one record per line.
+    /// The delivery trace as JSONL, one record per line, then a
+    /// trailing `{"gauge":"trace_dropped","value":N}` line (the shape
+    /// `wsm_obs::export::ring_jsonl` uses) so a reader can tell a
+    /// complete trace from one the ring truncated.
     ///
     /// Every field is derived from the virtual clock and message
     /// content — no wall-clock durations — so two runs of the same
@@ -449,16 +400,18 @@ impl Network {
     /// job diffs this export across back-to-back runs.
     pub fn trace_jsonl(&self) -> String {
         let trace = self.0.trace.lock();
-        let mut out = String::with_capacity(trace.len() * 96);
+        let mut out = String::with_capacity(trace.len() * 96 + 48);
         for r in trace.iter() {
             out.push_str(&r.to_json());
             out.push('\n');
         }
+        let dropped = self.0.obs.trace_dropped.get();
+        let _ = writeln!(out, "{{\"gauge\":\"trace_dropped\",\"value\":{dropped}}}");
         out
     }
 
-    /// Send-path metrics registry (attempt/byte/outcome counters and
-    /// the `net_send_ns` latency histogram).
+    /// Send-path metrics registry (attempt/outcome counters and the
+    /// `net_send_ns` latency histogram).
     pub fn metrics(&self) -> &wsm_obs::MetricsRegistry {
         self.0.obs.registry()
     }
@@ -482,13 +435,13 @@ impl Network {
 /// A cached route to one endpoint, from [`Network::sender`].
 ///
 /// Resolving an endpoint costs a registry read lock and a hash lookup
-/// per send; a fan-out worker delivering a batch to the same consumer
-/// pays that once per endpoint-table generation instead. The cache is
-/// validated against [`Network::endpoint_epoch`] on every send, so a
-/// re-registered or removed endpoint is always observed — and the
-/// fault plan is still consulted per delivery, so injected loss,
-/// flapping, and latency spikes behave identically through a cached
-/// route.
+/// per send; a holder that keeps talking to one endpoint (a federation
+/// link to its shard) pays that once per endpoint-table generation
+/// instead. The cache is validated against
+/// [`Network::endpoint_epoch`] on every send, so a re-registered or
+/// removed endpoint is always observed — and the fault plan is still
+/// consulted per delivery, so injected loss, flapping, and latency
+/// spikes behave identically through a cached route.
 pub struct EndpointSender {
     net: Network,
     to: String,
@@ -497,15 +450,9 @@ pub struct EndpointSender {
 }
 
 impl EndpointSender {
-    /// The endpoint this sender routes to.
-    pub fn target(&self) -> &str {
-        &self.to
-    }
-
-    /// Pre-resolve the route against the current endpoint-table epoch,
-    /// so a persistent link (a federation flusher holding this sender
-    /// for its lifetime) pays the registry lookup at link creation
-    /// instead of on its first hop.
+    /// Re-resolve the route if the endpoint table changed since it was
+    /// cached. Every send does this first; call it directly to pay the
+    /// registry lookup ahead of the first one.
     pub fn resolve_now(&mut self) {
         let epoch = self.net.endpoint_epoch();
         if self.resolved_epoch != Some(epoch) {
@@ -521,11 +468,7 @@ impl EndpointSender {
         envelope: Envelope,
         class: AttemptClass,
     ) -> Result<(), TransportError> {
-        let epoch = self.net.endpoint_epoch();
-        if self.resolved_epoch != Some(epoch) {
-            self.route = self.net.lookup(&self.to);
-            self.resolved_epoch = Some(epoch);
-        }
+        self.resolve_now();
         self.net
             .deliver_routed(&self.to, Some(self.route.as_ref()), envelope, false, class)
             .map(|_| ())
@@ -542,21 +485,11 @@ impl EndpointSender {
     /// shard so Subscribe and subscription-management forwards skip the
     /// per-call endpoint lookup.
     pub fn request(&mut self, envelope: Envelope) -> Result<Envelope, TransportError> {
-        let epoch = self.net.endpoint_epoch();
-        if self.resolved_epoch != Some(epoch) {
-            self.route = self.net.lookup(&self.to);
-            self.resolved_epoch = Some(epoch);
-        }
-        match self.net.deliver_routed(
-            &self.to,
-            Some(self.route.as_ref()),
-            envelope,
-            true,
-            AttemptClass::First,
-        )? {
-            Some(resp) => Ok(resp),
-            None => Err(TransportError::NoResponse(self.to.clone())),
-        }
+        self.resolve_now();
+        let route = Some(self.route.as_ref());
+        self.net
+            .deliver_routed(&self.to, route, envelope, true, AttemptClass::First)?
+            .ok_or_else(|| TransportError::NoResponse(self.to.clone()))
     }
 }
 
@@ -783,6 +716,98 @@ mod tests {
             Err(TransportError::Dropped(_))
         ));
         sender.send(env()).unwrap();
+    }
+
+    #[test]
+    fn every_fate_is_traced_and_counted_exactly_once() {
+        fn plain(n: &Network) {
+            n.register("http://x", Arc::new(Sink));
+        }
+        type Setup = fn(&Network);
+        let fates: [(Setup, DeliveryOutcome); 6] = [
+            (plain, DeliveryOutcome::Delivered),
+            (
+                |n| {
+                    plain(n);
+                    n.drop_next("http://x", 1);
+                },
+                DeliveryOutcome::Dropped,
+            ),
+            (
+                |n| {
+                    plain(n);
+                    n.fault_next("http://x", 1);
+                },
+                DeliveryOutcome::Faulted("injected fault".into()),
+            ),
+            (
+                |n| n.register("http://x", Arc::new(Grumpy)),
+                DeliveryOutcome::Faulted("no thanks".into()),
+            ),
+            (|_| {}, DeliveryOutcome::NoEndpoint),
+            (
+                |n| {
+                    let options = EndpointOptions { firewalled: true };
+                    n.register_with("http://x", Arc::new(Sink), options);
+                },
+                DeliveryOutcome::Refused,
+            ),
+        ];
+        for (arm, outcome) in fates {
+            for cached in [false, true] {
+                let net = Network::new();
+                arm(&net);
+                let result = if cached {
+                    net.sender("http://x").send(env())
+                } else {
+                    net.send("http://x", env())
+                };
+                let what = format!("{outcome} (cached route: {cached})");
+                assert_eq!(result.is_ok(), outcome == DeliveryOutcome::Delivered);
+                let trace = net.trace();
+                assert_eq!(trace.len(), 1, "{what}: one trace record");
+                assert_eq!(trace[0].outcome, outcome, "{what}");
+                let metrics = net.metrics();
+                assert_eq!(metrics.counter("net_sends_total").get(), 1, "{what}");
+                assert_eq!(metrics.histogram("net_send_ns").stats().count, 1, "{what}");
+                for t in ["delivered", "dropped", "faulted", "no_endpoint", "refused"] {
+                    let counted = metrics.counter(&format!("net_outcome_{t}_total")).get();
+                    assert_eq!(
+                        counted,
+                        u64::from(t == outcome.tag()),
+                        "{what}: net_outcome_{t}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn trace_is_a_bounded_ring_that_counts_evictions() {
+        let net = Network::new();
+        net.register("http://a", Arc::new(Sink));
+        net.set_latency_ms(1);
+        for _ in 0..TRACE_CAPACITY + 10 {
+            net.send("http://a", env()).unwrap();
+        }
+        let trace = net.trace();
+        assert_eq!(trace.len(), TRACE_CAPACITY);
+        // Send k is stamped k ms: the ten oldest are the ones gone.
+        assert_eq!(trace[0].time_ms, 11);
+        assert_eq!(trace.last().unwrap().time_ms, (TRACE_CAPACITY + 10) as u64);
+        assert!(net.metrics_text().contains("\nnet_trace_dropped 10\n"));
+        let sends = net.metrics().counter("net_sends_total").get();
+        assert_eq!(sends, (TRACE_CAPACITY + 10) as u64);
+        let jsonl = net.trace_jsonl();
+        assert_eq!(jsonl.lines().count(), TRACE_CAPACITY + 1);
+        assert_eq!(
+            jsonl.lines().last(),
+            Some("{\"gauge\":\"trace_dropped\",\"value\":10}")
+        );
+        // Draining empties the ring but keeps the eviction count.
+        assert_eq!(net.drain_trace().len(), TRACE_CAPACITY);
+        assert!(net.trace().is_empty());
+        assert_eq!(net.metrics().gauge("net_trace_dropped").get(), 10);
     }
 
     #[test]

@@ -4,26 +4,25 @@ use crate::network::AttemptClass;
 use crate::trace::DeliveryOutcome;
 use std::sync::Arc;
 use std::time::Instant;
-use wsm_obs::{Counter, Histogram, MetricsRegistry};
+use wsm_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 
-/// Wall-clock handle for one delivery attempt.
-pub type NetTimer = Instant;
-
-/// Metrics for the network send/latency path: attempt and byte
-/// totals (split by first-attempt vs retry), per-outcome counters,
-/// and a send-latency histogram.
+/// Metrics for the network send/latency path: attempt totals (split
+/// by first-attempt vs retry), per-outcome counters, a send-latency
+/// histogram, and the trace ring's eviction count.
 pub struct NetObs {
     registry: MetricsRegistry,
     sends: Arc<Counter>,
     sends_first: Arc<Counter>,
     sends_retry: Arc<Counter>,
-    bytes: Arc<Counter>,
     send_ns: Arc<Histogram>,
     delivered: Arc<Counter>,
     dropped: Arc<Counter>,
     no_endpoint: Arc<Counter>,
     refused: Arc<Counter>,
     faulted: Arc<Counter>,
+    /// Records evicted from the bounded trace — the only copy of the
+    /// count; the network bumps it under the trace lock.
+    pub(crate) trace_dropped: Arc<Gauge>,
 }
 
 impl Default for NetObs {
@@ -45,44 +44,34 @@ impl NetObs {
             "net_sends_retry_total",
             "Re-send attempts: in-line retries and queued redeliveries.",
         );
-        registry.describe("net_bytes_total", "Serialized envelope bytes sent.");
         registry.describe("net_send_ns", "Wall-clock send latency, nanoseconds.");
+        registry.describe(
+            "net_trace_dropped",
+            "Trace records evicted from the bounded delivery trace.",
+        );
         NetObs {
             sends: registry.counter("net_sends_total"),
             sends_first: registry.counter("net_sends_first_total"),
             sends_retry: registry.counter("net_sends_retry_total"),
-            bytes: registry.counter("net_bytes_total"),
             send_ns: registry.histogram("net_send_ns"),
             delivered: registry.counter("net_outcome_delivered_total"),
             dropped: registry.counter("net_outcome_dropped_total"),
             no_endpoint: registry.counter("net_outcome_no_endpoint_total"),
             refused: registry.counter("net_outcome_refused_total"),
             faulted: registry.counter("net_outcome_faulted_total"),
+            trace_dropped: registry.gauge("net_trace_dropped"),
             registry,
         }
     }
 
-    /// Start timing one delivery attempt.
-    #[inline]
-    pub fn start(&self) -> NetTimer {
-        Instant::now()
-    }
-
-    /// Record one finished delivery attempt.
-    pub fn observe(
-        &self,
-        timer: NetTimer,
-        outcome: &DeliveryOutcome,
-        bytes: usize,
-        class: AttemptClass,
-    ) {
-        self.send_ns.record(timer.elapsed().as_nanos() as u64);
+    /// Record one finished delivery attempt that began at `started`.
+    pub fn observe(&self, started: Instant, outcome: &DeliveryOutcome, class: AttemptClass) {
+        self.send_ns.record(started.elapsed().as_nanos() as u64);
         self.sends.inc();
         match class {
             AttemptClass::First => self.sends_first.inc(),
             AttemptClass::Retry => self.sends_retry.inc(),
         }
-        self.bytes.add(bytes as u64);
         match outcome {
             DeliveryOutcome::Delivered => self.delivered.inc(),
             DeliveryOutcome::Dropped => self.dropped.inc(),

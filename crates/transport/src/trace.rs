@@ -53,8 +53,6 @@ pub struct TraceRecord {
     /// The `wsa:Action` of the message if one was present (any WSA
     /// version), else the body element's local name.
     pub label: String,
-    /// Serialized size of the envelope in bytes.
-    pub bytes: usize,
     /// Whether this was a request/response exchange (vs one-way).
     pub two_way: bool,
     /// Outcome.
@@ -74,11 +72,10 @@ impl TraceRecord {
     pub fn to_json(&self) -> String {
         let esc = |s: &str| s.replace('"', "'");
         let mut out = format!(
-            "{{\"time_ms\":{},\"to\":\"{}\",\"label\":\"{}\",\"bytes\":{},\"two_way\":{},\"outcome\":\"{}\"",
+            "{{\"time_ms\":{},\"to\":\"{}\",\"label\":\"{}\",\"two_way\":{},\"outcome\":\"{}\"",
             self.time_ms,
             esc(&self.to),
             esc(&self.label),
-            self.bytes,
             self.two_way,
             self.outcome.tag(),
         );
@@ -100,7 +97,6 @@ mod tests {
             time_ms: 42,
             to: "http://c".into(),
             label: "urn:go".into(),
-            bytes: 100,
             two_way: false,
             outcome: DeliveryOutcome::Faulted("no \"thanks\"".into()),
             worker: "main".into(),
