@@ -184,7 +184,7 @@ fn bench_ablation(c: &mut Criterion) {
     let consumer = wsm_addressing::EndpointReference::new("http://c");
     let subs: Vec<BrokerSubscription> = (0..64)
         .map(|i| BrokerSubscription {
-            id: format!("wsm-{i}"),
+            id: format!("wsm-{i}").into(),
             spec: if i % 2 == 0 {
                 SpecDialect::Wse(WseVersion::Aug2004)
             } else {

@@ -537,14 +537,12 @@ impl EventSource for RenderSource<'_> {
             );
             self.render_ns += render_started.elapsed().as_nanos() as u64;
             let job = PushJob {
-                sub_id: sub.id.clone(),
-                address: sub.consumer.address.clone(),
-                envelope,
-                wse: matches!(sub.spec, SpecDialect::Wse(_)),
                 mediated: self
                     .event
                     .origin
                     .is_some_and(|o| family(o) != family(sub.spec)),
+                sub,
+                envelope,
                 seq: self.seq,
                 published_at_ms: self.now,
                 attempt: 0,
@@ -555,7 +553,7 @@ impl EventSource for RenderSource<'_> {
             if let Some(rel) = self
                 .rel
                 .as_ref()
-                .filter(|r| r.must_enqueue(&job.sub_id, self.now))
+                .filter(|r| r.must_enqueue(job.sub_id(), self.now))
             {
                 rel.enqueue_new(job, self.now);
                 continue;
@@ -654,19 +652,12 @@ fn fan_out(inner: &MessengerInner, event: &InternalEvent, seq: u64) -> usize {
     }
     inner.obs.record_latencies(&report.latencies_ns);
     delivered += report.delivered;
-    // Every first-round success is a terminal outcome: resolve its
-    // causal timeline (and feed the e2e histogram + SLO engine) now.
-    let resolved_at = inner.net.clock().now_ms();
-    for job in &report.resolved {
-        inner.obs.resolve(
-            job.seq,
-            &job.sub_id,
-            job.attempt,
-            job.published_at_ms,
-            resolved_at,
-            crate::obs::Outcome::Delivered,
-        );
-    }
+    // Every first-round success is a terminal outcome: resolve the
+    // publication's causal timelines (and feed the e2e histogram + SLO
+    // engine) now, in one pass.
+    inner
+        .obs
+        .resolve_delivered(&report.resolved, inner.net.clock().now_ms());
     let mut delta = report.delta;
     match rel {
         Some(rel) => {
@@ -675,30 +666,27 @@ fn fan_out(inner: &MessengerInner, event: &InternalEvent, seq: u64) -> usize {
             // counts against the broker.
             delta.failed = 0;
             let now = inner.net.clock().now_ms();
-            for (kind, job) in report.failures {
-                let (jseq, jsub, jattempt, jpub) = (
-                    job.seq,
-                    job.sub_id.clone(),
-                    job.attempt,
-                    job.published_at_ms,
-                );
-                match rel.admit_failure(kind, job, now) {
+            for (kind, job) in &report.failures {
+                match rel.admit_failure(*kind, job, now) {
                     Admitted::Requeued { backoff_ms, .. } => {
                         inner.obs.record_backoff(backoff_ms);
-                        inner.obs.retry(jseq, &jsub, jattempt, now, 0);
+                        inner.obs.retry(job.seq, job.sub_id(), job.attempt, now, 0);
                     }
                     Admitted::DeadLettered => {
                         delta.failed += 1;
                         delta.dead_lettered += 1;
                         inner.obs.record_dead_letter();
-                        inner
-                            .obs
-                            .dead_letter(jseq, &jsub, jattempt.saturating_add(1), now);
+                        inner.obs.dead_letter(
+                            job.seq,
+                            job.sub_id(),
+                            job.attempt.saturating_add(1),
+                            now,
+                        );
                         inner.obs.resolve(
-                            jseq,
-                            &jsub,
-                            jattempt,
-                            jpub,
+                            job.seq,
+                            job.sub_id(),
+                            job.attempt,
+                            job.published_at_ms,
                             now,
                             crate::obs::Outcome::DeadLettered,
                         );
@@ -710,12 +698,12 @@ fn fan_out(inner: &MessengerInner, event: &InternalEvent, seq: u64) -> usize {
         None => {
             let now = inner.net.clock().now_ms();
             for (_, job) in &report.failures {
-                drop_failed(inner, &job.sub_id);
+                drop_failed(inner, job.sub_id());
                 // Legacy mode evicts the subscription: the message's
                 // story ends here, unresolved-by-delivery.
                 inner.obs.resolve(
                     job.seq,
-                    &job.sub_id,
+                    job.sub_id(),
                     job.attempt,
                     job.published_at_ms,
                     now,
@@ -1137,7 +1125,7 @@ fn get_trace(inner: &MessengerInner, body: &Element) -> Result<Envelope, Fault> 
         el.set_attr(wsm_xml::QName::local("DurNs"), s.dur_ns.to_string());
         el.set_attr(wsm_xml::QName::local("Items"), s.items.to_string());
         if let Some(sub) = &s.subscriber {
-            el.set_attr(wsm_xml::QName::local("Subscriber"), sub.clone());
+            el.set_attr(wsm_xml::QName::local("Subscriber"), &**sub);
             el.set_attr(wsm_xml::QName::local("Attempt"), s.attempt.to_string());
         }
         if let Some(o) = s.outcome {

@@ -43,6 +43,8 @@
 //! failed subscriptions *after* the fan-out completes — worker threads
 //! never take registry locks.
 
+use crate::detect::SpecDialect;
+use crate::registry::BrokerSubscription;
 use crate::stage::{EventSource, NetworkSink, SendReport, VecSource};
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
@@ -102,16 +104,18 @@ impl FailKind {
 }
 
 /// One rendered push delivery, ready to send.
+///
+/// The job borrows the subscription it answers instead of copying
+/// facts out of it: the id, the consumer address and the family are
+/// read through [`PushJob::sub_id`], [`PushJob::address`] and
+/// [`PushJob::wse`], so building a job allocates nothing and cloning
+/// one (the failure path) is reference bumps.
 #[derive(Debug, Clone)]
 pub struct PushJob {
     /// Subscription the delivery answers (dropped on failure).
-    pub sub_id: String,
-    /// Consumer address.
-    pub address: String,
+    pub sub: Arc<BrokerSubscription>,
     /// The rendered envelope.
     pub envelope: Envelope,
-    /// Whether the consumer is WS-Eventing (for the per-family stat).
-    pub wse: bool,
     /// Whether the delivery crosses specification families.
     pub mediated: bool,
     /// Publication sequence number (the trace id — threads the causal
@@ -123,6 +127,33 @@ pub struct PushJob {
     /// Attempt ordinal for this send: 0 for the original fan-out, 1..
     /// for queued redeliveries.
     pub attempt: u32,
+}
+
+impl PushJob {
+    /// Id of the subscription the delivery answers.
+    pub fn sub_id(&self) -> &str {
+        &self.sub.id
+    }
+
+    /// Consumer address.
+    pub fn address(&self) -> &str {
+        &self.sub.consumer.address
+    }
+
+    /// Whether the consumer is WS-Eventing (for the per-family stat).
+    pub fn wse(&self) -> bool {
+        matches!(self.sub.spec, SpecDialect::Wse(_))
+    }
+
+    /// The coordinates of a successful send of this job.
+    fn resolved(&self) -> ResolvedMark {
+        ResolvedMark {
+            seq: self.seq,
+            sub_id: Arc::clone(&self.sub.id),
+            attempt: self.attempt,
+            published_at_ms: self.published_at_ms,
+        }
+    }
 }
 
 /// How the engine dispatches a publication's fan-out.
@@ -195,8 +226,9 @@ impl StatsDelta {
 pub struct ResolvedMark {
     /// Publication sequence number (the trace id).
     pub seq: u64,
-    /// Subscription the delivery answered.
-    pub sub_id: String,
+    /// Subscription the delivery answered (the subscription's own id,
+    /// shared by reference).
+    pub sub_id: Arc<str>,
     /// Attempt ordinal of the successful send.
     pub attempt: u32,
     /// Virtual ingest time, for the end-to-end latency.
@@ -223,42 +255,17 @@ impl Gather {
         self.latencies_ns.extend(other.latencies_ns);
     }
 
-    /// Record one send of an owned job (inline paths: the job moves
-    /// into the failure list or is dropped on success).
-    fn tally_owned(&mut self, job: PushJob, rep: &SendReport) {
-        self.delta.retried += rep.retried;
-        self.latencies_ns.push(rep.elapsed_ns);
-        match rep.result {
-            Ok(()) => {
-                self.count_delivered(&job);
-                self.resolved.push(ResolvedMark {
-                    seq: job.seq,
-                    sub_id: job.sub_id,
-                    attempt: job.attempt,
-                    published_at_ms: job.published_at_ms,
-                });
-            }
-            Err(kind) => {
-                self.delta.failed += 1;
-                self.failures.push((kind, job));
-            }
-        }
-    }
-
-    /// Record one send of a shard-resident job (sharded path: jobs
-    /// stay in the shared shard, so the rare failure clones out).
-    fn tally_ref(&mut self, job: &PushJob, rep: &SendReport) {
+    /// Record one send of `job`. The job stays where it is (the
+    /// publisher's hands, or the shared shard), so the rare failure
+    /// clones out — reference bumps: a job is a subscription handle,
+    /// a copy-on-write envelope and a few numbers.
+    fn tally(&mut self, job: &PushJob, rep: &SendReport) {
         self.delta.retried += rep.retried;
         self.latencies_ns.push(rep.elapsed_ns);
         match rep.result {
             Ok(()) => {
                 self.count_delivered(job);
-                self.resolved.push(ResolvedMark {
-                    seq: job.seq,
-                    sub_id: job.sub_id.clone(),
-                    attempt: job.attempt,
-                    published_at_ms: job.published_at_ms,
-                });
+                self.resolved.push(job.resolved());
             }
             Err(kind) => {
                 self.delta.failed += 1;
@@ -269,7 +276,7 @@ impl Gather {
 
     fn count_delivered(&mut self, job: &PushJob) {
         self.delivered += 1;
-        if job.wse {
+        if job.wse() {
             self.delta.delivered_wse += 1;
         } else {
             self.delta.delivered_wsn += 1;
@@ -428,7 +435,7 @@ impl PubWork {
                 let end = (start + CLAIM).min(jobs.len());
                 for job in &jobs[start..end] {
                     let rep = sink.send_event(job);
-                    local.tally_ref(job, &rep);
+                    local.tally(job, &rep);
                 }
                 claimed_any = true;
                 if off != 0 {
@@ -798,7 +805,7 @@ fn execute_streaming(net: &Network, attempts: u32, source: &mut dyn EventSource)
     while let Some(job) = source.next_event() {
         total += 1;
         let rep = sink.send_event(&job);
-        gather.tally_owned(job, &rep);
+        gather.tally(&job, &rep);
     }
     FanOutReport::from_gather(gather, total, "inline")
 }
@@ -806,6 +813,7 @@ fn execute_streaming(net: &Network, attempts: u32, source: &mut dyn EventSource)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::test_sub;
     use wsm_soap::SoapVersion;
     use wsm_transport::SoapHandler;
     use wsm_xml::Element;
@@ -825,10 +833,8 @@ mod tests {
     fn jobs_at(n: usize, address: impl Fn(usize) -> String) -> Vec<PushJob> {
         (0..n)
             .map(|i| PushJob {
-                sub_id: format!("wsm-{i}"),
-                address: address(i),
+                sub: test_sub(&format!("wsm-{i}"), &address(i), i % 2 == 0),
                 envelope: Envelope::new(SoapVersion::V11).with_body(Element::local("e")),
-                wse: i % 2 == 0,
                 mediated: false,
                 seq: 1,
                 published_at_ms: 0,
@@ -917,7 +923,7 @@ mod tests {
         assert!(report
             .failures
             .iter()
-            .all(|(kind, job)| *kind == FailKind::Transient && job.address == "http://nowhere"));
+            .all(|(kind, job)| *kind == FailKind::Transient && job.address() == "http://nowhere"));
         assert_eq!(*counter.0.lock(), 24);
         assert_eq!(report.resolved.len(), 24);
         assert_eq!(report.latencies_ns.len(), 32);
@@ -1024,7 +1030,7 @@ mod tests {
             assert_eq!(report.failures.len(), 8);
             for (kind, job) in &report.failures {
                 assert_eq!(*kind, FailKind::Transient, "missing endpoint is transient");
-                assert_eq!(job.address, "http://nowhere", "job handed back intact");
+                assert_eq!(job.address(), "http://nowhere", "job handed back intact");
             }
         }
     }

@@ -16,6 +16,7 @@
 //! overhead of live instrumentation against the same binary with
 //! recording skipped.
 
+use crate::delivery::ResolvedMark;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -212,7 +213,7 @@ impl BrokerObs {
         self.stages[Stage::Retry as usize].record(dur_ns);
         let ctx = TraceContext::new(seq, subscriber, attempt);
         self.ring.push(SpanRecord::for_attempt(
-            &ctx,
+            ctx,
             Stage::Retry,
             at_ms,
             dur_ns,
@@ -230,7 +231,7 @@ impl BrokerObs {
         self.dead_letters.inc();
         let ctx = TraceContext::new(seq, subscriber, attempt);
         self.ring.push(SpanRecord::for_attempt(
-            &ctx,
+            ctx,
             Stage::DeadLetter,
             at_ms,
             0,
@@ -266,8 +267,32 @@ impl BrokerObs {
             .observe(at_ms, e2e_ms, outcome == Outcome::Delivered);
         let ctx = TraceContext::new(seq, subscriber, attempt);
         self.ring.push(
-            SpanRecord::for_attempt(&ctx, Stage::Resolve, at_ms, 0, e2e_ms).with_outcome(outcome),
+            SpanRecord::for_attempt(ctx, Stage::Resolve, at_ms, 0, e2e_ms).with_outcome(outcome),
         );
+    }
+
+    /// Record every first-round success of one publication as
+    /// resolved at `at_ms`: exactly what one
+    /// [`BrokerObs::resolve`]`(.., Outcome::Delivered)` per mark
+    /// records — the same spans in the same order, histogram samples,
+    /// outcome count and SLO feed — but the spans go into the ring
+    /// under one lock and carry the marks' subscriber ids by
+    /// reference.
+    pub fn resolve_delivered(&self, marks: &[ResolvedMark], at_ms: u64) {
+        if !self.enabled() {
+            return;
+        }
+        let e2e_ms = |m: &ResolvedMark| at_ms.saturating_sub(m.published_at_ms);
+        for m in marks {
+            self.e2e_latency.record(e2e_ms(m));
+            self.slo.observe(at_ms, e2e_ms(m), true);
+        }
+        self.outcome_delivered.add(marks.len() as u64);
+        self.ring.push_all(marks.iter().map(|m| {
+            let ctx = TraceContext::new(m.seq, Arc::clone(&m.sub_id), m.attempt);
+            SpanRecord::for_attempt(ctx, Stage::Resolve, at_ms, 0, e2e_ms(m))
+                .with_outcome(Outcome::Delivered)
+        }));
     }
 
     /// Install latency objectives on the broker's SLO engine,
@@ -436,5 +461,60 @@ impl ObsSnapshot {
             .iter()
             .find(|(n, _)| *n == name)
             .map(|(_, s)| *s)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn resolve_delivered_records_what_one_resolve_per_mark_records() {
+        let marks: Vec<ResolvedMark> = (0..300u64)
+            .map(|i| ResolvedMark {
+                seq: 7 + i / 100,
+                sub_id: format!("wsm-{i}").into(),
+                attempt: (i % 3) as u32,
+                published_at_ms: i % 40,
+            })
+            .collect();
+        let at_ms = 45;
+        let slo = || vec![SloSpec::p99("fast", 20, 1_000).with_budget(0.5)];
+
+        let one_by_one = BrokerObs::new();
+        one_by_one.set_slos(slo());
+        for m in &marks {
+            one_by_one.resolve(
+                m.seq,
+                &m.sub_id,
+                m.attempt,
+                m.published_at_ms,
+                at_ms,
+                Outcome::Delivered,
+            );
+        }
+        let at_once = BrokerObs::new();
+        at_once.set_slos(slo());
+        at_once.resolve_delivered(&marks, at_ms);
+
+        assert_eq!(at_once.spans(), one_by_one.spans());
+        assert_eq!(at_once.spans().len(), marks.len());
+        let (a, b) = (at_once.snapshot(), one_by_one.snapshot());
+        assert_eq!(a.e2e_latency_ms.count, marks.len() as u64);
+        assert_eq!(a.e2e_latency_ms, b.e2e_latency_ms);
+        assert_eq!(a.outcome_delivered, marks.len() as u64);
+        assert_eq!(a.outcome_delivered, b.outcome_delivered);
+        assert_eq!(at_once.slo_reports(at_ms), one_by_one.slo_reports(at_ms));
+        assert!(at_once.slo_reports(at_ms)[0].bad > 0, "the SLO was fed");
+        // The spans carry the marks' own ids, not copies of them.
+        let first = at_once.spans().remove(0).subscriber.unwrap();
+        assert!(Arc::ptr_eq(&first, &marks[0].sub_id));
+
+        // Switched off, neither records anything.
+        let off = BrokerObs::new();
+        off.set_enabled(false);
+        off.resolve_delivered(&marks, at_ms);
+        assert!(off.spans().is_empty());
+        assert_eq!(off.snapshot().outcome_delivered, 0);
     }
 }

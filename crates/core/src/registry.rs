@@ -140,8 +140,10 @@ pub enum BrokerDeliveryMode {
 /// instead of a deep copy of filters and endpoint references.
 #[derive(Debug, Clone)]
 pub struct BrokerSubscription {
-    /// Identifier minted by the registry.
-    pub id: String,
+    /// Identifier minted by the registry. Shared by reference with
+    /// everything that names the subscription per delivery — push
+    /// jobs, resolve marks, trace spans — so none of them copies it.
+    pub id: Arc<str>,
     /// The dialect the subscription was created in — and therefore the
     /// dialect its notifications are rendered in.
     pub spec: SpecDialect,
@@ -345,7 +347,7 @@ impl Registry {
         let key = inner.next_id;
         let id = format!("wsm-{key}");
         let core = Arc::new(BrokerSubscription {
-            id: id.clone(),
+            id: Arc::from(id.as_str()),
             spec,
             consumer,
             end_to,
@@ -424,7 +426,7 @@ impl Registry {
         // entry was renewed past `now_ms` re-arms at its live deadline
         // (the heap's entry for it was stale), and a key that was
         // unsubscribed is simply dropped.
-        let mut ids: Vec<String> = Vec::new();
+        let mut ids: Vec<Arc<str>> = Vec::new();
         while let Some(&Reverse((t, key))) = inner.expiry.peek() {
             if t > now_ms {
                 break;
@@ -585,7 +587,7 @@ impl Registry {
             .by_key
             .values_mut()
             .filter(|e| !e.wrap_buffer.is_empty())
-            .map(|e| (e.core.id.clone(), std::mem::take(&mut e.wrap_buffer)))
+            .map(|e| (e.core.id.to_string(), std::mem::take(&mut e.wrap_buffer)))
             .collect()
     }
 
@@ -608,6 +610,26 @@ impl Registry {
             .map(|e| e.core.clone())
             .collect()
     }
+}
+
+/// A push subscription with no filters, for tests that need a
+/// [`crate::delivery::PushJob`] but no registry: `wse` picks the
+/// consumer's family (WS-Eventing 08/2004 or WS-Notification 1.3).
+#[cfg(test)]
+pub(crate) fn test_sub(id: &str, address: &str, wse: bool) -> Arc<BrokerSubscription> {
+    Arc::new(BrokerSubscription {
+        id: id.into(),
+        spec: if wse {
+            SpecDialect::Wse(wsm_eventing::WseVersion::Aug2004)
+        } else {
+            SpecDialect::Wsn(wsm_notification::WsnVersion::V1_3)
+        },
+        consumer: EndpointReference::new(address),
+        end_to: None,
+        filters: UnifiedFilters::default(),
+        mode: BrokerDeliveryMode::Push,
+        use_raw: false,
+    })
 }
 
 #[cfg(test)]
@@ -730,7 +752,7 @@ mod tests {
             let mut v: Vec<String> = r
                 .matching(ev, None, 0)
                 .into_iter()
-                .map(|s| s.id.clone())
+                .map(|s| s.id.to_string())
                 .collect();
             v.sort();
             v
@@ -795,7 +817,7 @@ mod tests {
         let mut got: Vec<String> = r
             .matching(&ev, None, 0)
             .into_iter()
-            .map(|s| s.id.clone())
+            .map(|s| s.id.to_string())
             .collect();
         got.sort();
         let mut want = vec![on_source[3].clone(), complex.clone()];
@@ -807,7 +829,7 @@ mod tests {
         let got: Vec<String> = r
             .matching(&ev, None, 0)
             .into_iter()
-            .map(|s| s.id.clone())
+            .map(|s| s.id.to_string())
             .collect();
         assert_eq!(got, vec![complex]);
     }
@@ -868,7 +890,7 @@ mod tests {
                 let got: Vec<String> = r
                     .matching(ev, props_opt, 0)
                     .into_iter()
-                    .map(|s| s.id.clone())
+                    .map(|s| s.id.to_string())
                     .collect();
                 let want: Vec<String> = ids
                     .iter()
@@ -897,7 +919,7 @@ mod tests {
         assert_eq!(r.matching(&ev, None, 0).len(), 1);
         let swept = r.sweep_expired(20);
         assert_eq!(swept.len(), 1);
-        assert_eq!(swept[0].id, id);
+        assert_eq!(*swept[0].id, *id);
         assert!(r.matching(&ev, None, 30).is_empty());
     }
 

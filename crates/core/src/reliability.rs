@@ -508,16 +508,16 @@ impl ReliabilityState {
         let breaker_cfg = self.config.breaker;
         let ch = inner
             .channels
-            .entry(job.sub_id)
+            .entry(job.sub_id().to_string())
             .or_insert_with(|| SubChannel {
-                address: job.address,
+                address: job.address().to_string(),
                 queue: VecDeque::new(),
                 breaker: CircuitBreaker::new(breaker_cfg),
                 next_due_ms: now_ms,
             });
         ch.queue.push_back(PendingDelivery {
+            wse: job.wse(),
             envelope: job.envelope,
-            wse: job.wse,
             mediated: job.mediated,
             attempts: 0,
             strikes: 0,
@@ -532,23 +532,25 @@ impl ReliabilityState {
 
     /// Admit a job the fan-out engine failed: charge the failure to
     /// the breaker and either requeue the message with backoff or
-    /// dead-letter it.
-    pub fn admit_failure(&self, kind: FailKind, job: PushJob, now_ms: u64) -> Admitted {
+    /// dead-letter it. The job is only read — the queue keeps a clone
+    /// of its copy-on-write envelope — so the caller still has the
+    /// coordinates to trace the outcome with.
+    pub fn admit_failure(&self, kind: FailKind, job: &PushJob, now_ms: u64) -> Admitted {
         let mut inner = self.inner.lock();
         let breaker_cfg = self.config.breaker;
         let ch = inner
             .channels
-            .entry(job.sub_id.clone())
+            .entry(job.sub_id().to_string())
             .or_insert_with(|| SubChannel {
-                address: job.address.clone(),
+                address: job.address().to_string(),
                 queue: VecDeque::new(),
                 breaker: CircuitBreaker::new(breaker_cfg),
                 next_due_ms: now_ms,
             });
         ch.breaker.on_failure(now_ms);
         let pending = PendingDelivery {
-            envelope: job.envelope,
-            wse: job.wse,
+            envelope: job.envelope.clone(),
+            wse: job.wse(),
             mediated: job.mediated,
             attempts: if kind == FailKind::Transient { 1 } else { 0 },
             strikes: if kind == FailKind::Poison { 1 } else { 0 },
@@ -557,11 +559,13 @@ impl ReliabilityState {
             published_at_ms: job.published_at_ms,
         };
         if self.exhausted(&pending) {
-            let dl = dead_letter_of(&job.sub_id, &ch.address, pending, now_ms);
+            let dl = dead_letter_of(job.sub_id(), &ch.address, pending, now_ms);
             inner.dead.push(dl);
             return Admitted::DeadLettered;
         }
-        let backoff_ms = self.config.backoff_ms(&job.sub_id, pending.attempts.max(1));
+        let backoff_ms = self
+            .config
+            .backoff_ms(job.sub_id(), pending.attempts.max(1));
         // The failed message is older than anything a later
         // publication enqueued while the fan-out was in flight, so it
         // goes to the *front* of the channel.
@@ -877,11 +881,9 @@ mod tests {
 
     fn job(sub: &str, seq: u64) -> PushJob {
         PushJob {
-            sub_id: sub.to_string(),
-            address: format!("http://{sub}"),
+            sub: crate::registry::test_sub(sub, &format!("http://{sub}"), true),
             envelope: Envelope::new(SoapVersion::V11)
                 .with_body(Element::local("e").with_attr("seq", seq.to_string())),
-            wse: true,
             mediated: false,
             seq,
             published_at_ms: 0,
@@ -893,7 +895,7 @@ mod tests {
     fn fresh_messages_queue_behind_pending_redeliveries() {
         let state = ReliabilityState::new(FaultTolerance::default());
         assert_eq!(
-            state.admit_failure(FailKind::Transient, job("s", 1), 0),
+            state.admit_failure(FailKind::Transient, &job("s", 1), 0),
             Admitted::Requeued {
                 due_ms: state.config.backoff_ms("s", 1),
                 backoff_ms: state.config.backoff_ms("s", 1),
@@ -924,7 +926,7 @@ mod tests {
             ..FaultTolerance::default()
         };
         let state = ReliabilityState::new(ft);
-        state.admit_failure(FailKind::Poison, job("s", 1), 0);
+        state.admit_failure(FailKind::Poison, &job("s", 1), 0);
         assert_eq!(state.depth(), 1);
         let due = state.next_due_ms().unwrap();
         let report = state.pump(due, &|_, _, _| Err(FailKind::Poison));
@@ -944,7 +946,7 @@ mod tests {
             ..FaultTolerance::default()
         };
         let state = ReliabilityState::new(ft);
-        state.admit_failure(FailKind::Transient, job("s", 1), 0);
+        state.admit_failure(FailKind::Transient, &job("s", 1), 0);
         let mut now = 0;
         for _ in 0..8 {
             let Some(due) = state.next_due_ms() else {
@@ -965,7 +967,7 @@ mod tests {
             ..FaultTolerance::default()
         };
         let state = ReliabilityState::new(ft);
-        state.admit_failure(FailKind::Poison, job("s", 1), 0);
+        state.admit_failure(FailKind::Poison, &job("s", 1), 0);
         assert_eq!(state.dead_count(), 1);
         assert_eq!(state.redeliver_dead(100), 1);
         assert_eq!(state.dead_count(), 0);
@@ -977,7 +979,7 @@ mod tests {
     #[test]
     fn forget_clears_channel_and_depth() {
         let state = ReliabilityState::new(FaultTolerance::default());
-        state.admit_failure(FailKind::Transient, job("s", 1), 0);
+        state.admit_failure(FailKind::Transient, &job("s", 1), 0);
         state.enqueue_new(job("s", 2), 0);
         assert_eq!(state.depth(), 2);
         state.forget("s");
@@ -996,8 +998,8 @@ mod tests {
             ..FaultTolerance::default()
         };
         let state = ReliabilityState::new(cfgd);
-        state.admit_failure(FailKind::Transient, job("a", 1), 0);
-        state.admit_failure(FailKind::Transient, job("b", 1), 0);
+        state.admit_failure(FailKind::Transient, &job("a", 1), 0);
+        state.admit_failure(FailKind::Transient, &job("b", 1), 0);
         assert_eq!(state.breaker_census(10), (2, 0));
         assert_eq!(state.breaker_census(1_000), (0, 2), "windows elapsed");
         assert_eq!(state.breaker_state("a", 10), Some(BreakerState::Open));

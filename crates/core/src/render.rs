@@ -4,13 +4,18 @@
 //! notification messages follow the expected specifications of the
 //! target event consumers" (§VII). This module is that guarantee: one
 //! [`InternalEvent`] in, an envelope in the subscription's dialect out.
+//!
+//! The fan-out renders through a per-publication [`RenderCache`]: one
+//! prototype envelope per dialect class, lent out by reference from a
+//! write-once slot (no lock, whichever thread asks), cloned
+//! copy-on-write per subscriber and patched in place. What a delivery
+//! copies is one header vector, plus the `Notify` body for wrapped
+//! WS-Notification; nothing after the render copies the tree again.
 
 use crate::detect::SpecDialect;
 use crate::event::InternalEvent;
 use crate::registry::BrokerSubscription;
-use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use wsm_addressing::EndpointReference;
 use wsm_eventing::WseCodec;
 use wsm_notification::{NotificationMessage, SharedNotificationMessage, WsnCodec};
@@ -33,21 +38,42 @@ pub const WSM_NS: &str = "urn:ws-messenger:broker";
 ///   instead of once per subscriber.
 /// * **Prototype envelopes** — a complete envelope is built once per
 ///   `(spec version, raw-mode)` equivalence class, addressed to a
-///   placeholder consumer. Per subscriber the prototype is cloned
-///   (interned names make that Arc bumps, not string copies) and only
-///   the subscriber-dependent parts are patched in: the `wsa:To` text,
-///   the consumer EPR's echoed reference data, and — for wrapped WSN —
-///   the `SubscriptionReference` inside the `NotificationMessage`.
+///   placeholder consumer. Per subscriber the prototype is cloned —
+///   two reference bumps, the envelope is copy-on-write — and only the
+///   subscriber-dependent parts are patched in: the `wsa:To` text, the
+///   consumer EPR's echoed reference data, and — for wrapped WSN — the
+///   `SubscriptionReference` inside the `NotificationMessage`. The
+///   first header patch copies the header vector (names are static
+///   handles, so that is element and text copies only); the body is
+///   copied only when it is patched, i.e. for wrapped WSN, and a
+///   WS-Eventing or raw delivery never copies its body at all.
 ///
-/// The cache is `Sync`, so the parallel fan-out workers can render
-/// against it concurrently.
+/// There are at most eight classes (four dialects, raw or wrapped),
+/// so the templates live in eight write-once slots: the cache is
+/// `Sync` and lends out `&ClassTemplate` with no lock and no copy,
+/// whichever thread renders.
 pub struct RenderCache {
     payload: Arc<SharedElement>,
-    classes: Mutex<HashMap<(SpecDialect, bool), ClassTemplate>>,
+    classes: [OnceLock<ClassTemplate>; CLASSES],
+}
+
+/// Four dialects, each raw or wrapped.
+const CLASSES: usize = 2 * SpecDialect::ALL.len();
+
+/// The slot of one `(dialect, raw-mode)` class in [`RenderCache`].
+fn class_slot(spec: SpecDialect, use_raw: bool) -> usize {
+    use wsm_eventing::WseVersion::{Aug2004, Jan2004};
+    use wsm_notification::WsnVersion::{V1_0, V1_3};
+    let dialect = match spec {
+        SpecDialect::Wse(Jan2004) => 0,
+        SpecDialect::Wse(Aug2004) => 1,
+        SpecDialect::Wsn(V1_0) => 2,
+        SpecDialect::Wsn(V1_3) => 3,
+    };
+    2 * dialect + usize::from(use_raw)
 }
 
 /// One equivalence class's prebuilt envelope plus the patch points.
-#[derive(Clone)]
 struct ClassTemplate {
     /// The full envelope, addressed to an empty placeholder consumer
     /// (blank `wsa:To`, no echoed reference data, and for wrapped WSN
@@ -74,7 +100,7 @@ impl RenderCache {
     pub fn new(event: &InternalEvent) -> Self {
         RenderCache {
             payload: Arc::clone(&event.payload),
-            classes: Mutex::new(HashMap::new()),
+            classes: Default::default(),
         }
     }
 
@@ -85,7 +111,7 @@ impl RenderCache {
 
     /// How many equivalence classes have been rendered so far.
     pub fn class_count(&self) -> usize {
-        self.classes.lock().len()
+        self.classes.iter().filter(|c| c.get().is_some()).count()
     }
 
     fn template(
@@ -95,59 +121,55 @@ impl RenderCache {
         manager_uri: &str,
         spec: SpecDialect,
         use_raw: bool,
-    ) -> ClassTemplate {
-        self.classes
-            .lock()
-            .entry((spec, use_raw))
-            .or_insert_with(|| {
-                let placeholder = EndpointReference::new("");
-                match spec {
-                    SpecDialect::Wse(v) => {
-                        let mut proto =
-                            WseCodec::new(v).notification_shared(&placeholder, &self.payload);
-                        let echo_at = proto.headers().len();
-                        if let Some(t) = &event.topic {
-                            proto.add_header(
-                                Element::ns(WSM_NS, "Topic", "wsm").with_text(t.to_string()),
-                            );
-                        }
-                        ClassTemplate {
-                            proto,
-                            echo_at,
-                            sub_ref: None,
-                        }
+    ) -> &ClassTemplate {
+        self.classes[class_slot(spec, use_raw)].get_or_init(|| {
+            let placeholder = EndpointReference::new("");
+            match spec {
+                SpecDialect::Wse(v) => {
+                    let mut proto =
+                        WseCodec::new(v).notification_shared(&placeholder, &self.payload);
+                    let echo_at = proto.headers().len();
+                    if let Some(t) = &event.topic {
+                        proto.add_header(
+                            Element::ns(WSM_NS, "Topic", "wsm").with_text(t.to_string()),
+                        );
                     }
-                    SpecDialect::Wsn(v) if use_raw => {
-                        let proto =
-                            WsnCodec::new(v).raw_notification_shared(&placeholder, &self.payload);
-                        let echo_at = proto.headers().len();
-                        ClassTemplate {
-                            proto,
-                            echo_at,
-                            sub_ref: None,
-                        }
-                    }
-                    SpecDialect::Wsn(v) => {
-                        let message = SharedNotificationMessage {
-                            topic: event.topic.clone(),
-                            producer: event
-                                .producer
-                                .clone()
-                                .or_else(|| Some(EndpointReference::new(broker_uri.to_string()))),
-                            subscription: None,
-                            message: Arc::clone(&self.payload),
-                        };
-                        let proto = WsnCodec::new(v).notify_shared(&placeholder, &[message]);
-                        let echo_at = proto.headers().len();
-                        ClassTemplate {
-                            proto,
-                            echo_at,
-                            sub_ref: Some(subscription_reference_proto(v, manager_uri)),
-                        }
+                    ClassTemplate {
+                        proto,
+                        echo_at,
+                        sub_ref: None,
                     }
                 }
-            })
-            .clone()
+                SpecDialect::Wsn(v) if use_raw => {
+                    let proto =
+                        WsnCodec::new(v).raw_notification_shared(&placeholder, &self.payload);
+                    let echo_at = proto.headers().len();
+                    ClassTemplate {
+                        proto,
+                        echo_at,
+                        sub_ref: None,
+                    }
+                }
+                SpecDialect::Wsn(v) => {
+                    let message = SharedNotificationMessage {
+                        topic: event.topic.clone(),
+                        producer: event
+                            .producer
+                            .clone()
+                            .or_else(|| Some(EndpointReference::new(broker_uri.to_string()))),
+                        subscription: None,
+                        message: Arc::clone(&self.payload),
+                    };
+                    let proto = WsnCodec::new(v).notify_shared(&placeholder, &[message]);
+                    let echo_at = proto.headers().len();
+                    ClassTemplate {
+                        proto,
+                        echo_at,
+                        sub_ref: Some(subscription_reference_proto(v, manager_uri)),
+                    }
+                }
+            }
+        })
     }
 }
 
@@ -193,12 +215,12 @@ fn subscription_reference_proto(v: wsm_notification::WsnVersion, manager_uri: &s
 /// over the subscription-manager EPR the broker mints (see
 /// [`wsn_subscription_epr`]).
 ///
-/// Per subscriber this clones the class prototype and patches the three
-/// subscriber-dependent spots — the `wsa:To` text, the consumer's
-/// echoed reference data, and (wrapped WSN) the subscription id inside
-/// the prototype `SubscriptionReference` — instead of rebuilding the
-/// tree, so the per-subscriber cost no longer scales with envelope
-/// size.
+/// Per subscriber this takes a copy-on-write clone of the class
+/// prototype and patches the three subscriber-dependent spots — the
+/// `wsa:To` text, the consumer's echoed reference data, and (wrapped
+/// WSN) the subscription id inside the prototype
+/// `SubscriptionReference` — instead of rebuilding the tree: the header
+/// vector is copied once, the body only where it is patched.
 pub fn render_notification_cached(
     cache: &RenderCache,
     sub: &BrokerSubscription,
@@ -207,7 +229,7 @@ pub fn render_notification_cached(
     manager_uri: &str,
 ) -> Envelope {
     let t = cache.template(event, broker_uri, manager_uri, sub.spec, sub.use_raw);
-    let mut env = t.proto;
+    let mut env = t.proto.clone();
     // Patch wsa:To — always the first header the MAPs applied.
     if let Some(to) = env.header_at_mut(0) {
         to.children.clear();
@@ -218,8 +240,8 @@ pub fn render_notification_cached(
     for (at, item) in (t.echo_at..).zip(sub.consumer.all_reference_data()) {
         env.insert_header(at, item.clone());
     }
-    if let Some(proto) = t.sub_ref {
-        let mut sub_ref = proto;
+    if let Some(proto) = &t.sub_ref {
+        let mut sub_ref = proto.clone();
         // Proto shape is [Address, <container>[identifier]]; write this
         // subscription's id into the identifier slot.
         if let Some(id_el) = sub_ref
@@ -228,7 +250,7 @@ pub fn render_notification_cached(
             .and_then(Node::as_element_mut)
             .and_then(|c| c.children.get_mut(0).and_then(Node::as_element_mut))
         {
-            id_el.push_text(sub.id.clone());
+            id_el.push_text(&*sub.id);
         }
         // Notify > NotificationMessage: the reference is its first
         // child, exactly where `notify_envelope` places it.

@@ -15,7 +15,9 @@
 //! burn the in-line retry budget, poison responses short-circuit. It
 //! sends straight through [`Network::send_class`] — every subscription
 //! has its own consumer address, so there is no route worth caching
-//! between consecutive jobs.
+//! between consecutive jobs. A handler takes its envelope by value, so
+//! each send hands over a clone of the job's; the envelope is
+//! copy-on-write, which makes that two reference bumps.
 
 use crate::delivery::{FailKind, PushJob};
 use wsm_transport::{AttemptClass, Network};
@@ -127,7 +129,7 @@ impl NetworkSink {
             };
             match self
                 .net
-                .send_class(&job.address, job.envelope.clone(), class)
+                .send_class(job.address(), job.envelope.clone(), class)
             {
                 Ok(()) => {
                     result = Ok(());
@@ -163,10 +165,8 @@ mod tests {
 
     fn job(address: &str, attempt: u32) -> PushJob {
         PushJob {
-            sub_id: "s".into(),
-            address: address.into(),
+            sub: crate::registry::test_sub("s", address, true),
             envelope: Envelope::new(SoapVersion::V11).with_body(Element::local("e")),
-            wse: true,
             mediated: false,
             seq: 1,
             published_at_ms: 0,
@@ -178,8 +178,8 @@ mod tests {
     fn vec_source_yields_in_order_and_hints_len() {
         let mut src = VecSource::new(vec![job("http://a", 0), job("http://b", 0)]);
         assert_eq!(src.expected(), 2);
-        assert_eq!(src.next_event().unwrap().address, "http://a");
-        assert_eq!(src.next_event().unwrap().address, "http://b");
+        assert_eq!(src.next_event().unwrap().address(), "http://a");
+        assert_eq!(src.next_event().unwrap().address(), "http://b");
         assert!(src.next_event().is_none());
     }
 

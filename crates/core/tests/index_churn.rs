@@ -112,7 +112,7 @@ fn churn_never_misses_live_or_matches_stale() {
         // and is registered for the whole call.
         for id in &permanent_set {
             assert!(
-                got.iter().any(|s| s.id == *id),
+                got.iter().any(|s| &*s.id == *id),
                 "matching() missed live subscription {id}"
             );
         }
@@ -120,7 +120,7 @@ fn churn_never_misses_live_or_matches_stale() {
         // (or were, mid-call) registered — ids are minted by this
         // registry, so anything else would be an index leak.
         for s in &got {
-            assert!(registry.get(&s.id).is_some() || !permanent_set.contains(&s.id.as_str()));
+            assert!(registry.get(&s.id).is_some() || !permanent_set.contains(&&*s.id));
         }
         probes += 1;
         let all_progressed = rounds.iter().all(|r| r.load(Ordering::Relaxed) > 0);
@@ -141,7 +141,7 @@ fn churn_never_misses_live_or_matches_stale() {
     let mut got: Vec<String> = registry
         .matching(&event, None, 0)
         .into_iter()
-        .map(|s| s.id.clone())
+        .map(|s| s.id.to_string())
         .collect();
     got.sort();
     let mut want = permanent.clone();

@@ -348,7 +348,7 @@ mod tests {
     fn attempt_spans_serialize_causal_fields() {
         let ctx = TraceContext::new(3, "sub-9", 2);
         let span =
-            SpanRecord::for_attempt(&ctx, Stage::Resolve, 44, 0, 44).with_outcome(Outcome::Expired);
+            SpanRecord::for_attempt(ctx, Stage::Resolve, 44, 0, 44).with_outcome(Outcome::Expired);
         let line = span_json(&span);
         assert!(line.contains("\"stage\":\"resolve\""));
         assert!(line.contains("\"subscriber\":\"sub-9\""));

@@ -13,6 +13,7 @@
 
 use parking_lot::Mutex;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// A stage of the broker's mediation pipeline
 /// (publish → detect → match → render → deliver), or one of the
@@ -140,8 +141,10 @@ impl Outcome {
 pub struct TraceContext {
     /// Publication sequence number (the trace id).
     pub seq: u64,
-    /// Subscription id of the consumer this delivery targets.
-    pub subscriber_id: String,
+    /// Subscription id of the consumer this delivery targets — shared
+    /// with the subscription it names, so threading a context through
+    /// queues and spans copies a pointer, not the id.
+    pub subscriber_id: Arc<str>,
     /// Attempt ordinal: 0 for the original send, counting up across
     /// redeliveries.
     pub attempt: u32,
@@ -150,7 +153,7 @@ pub struct TraceContext {
 impl TraceContext {
     /// Build a context for `attempt` of delivering `seq` to
     /// `subscriber_id`.
-    pub fn new(seq: u64, subscriber_id: impl Into<String>, attempt: u32) -> Self {
+    pub fn new(seq: u64, subscriber_id: impl Into<Arc<str>>, attempt: u32) -> Self {
         TraceContext {
             seq,
             subscriber_id: subscriber_id.into(),
@@ -181,8 +184,9 @@ pub struct SpanRecord {
     /// Thread that closed the span, when it was a fan-out worker.
     pub worker: Option<String>,
     /// Subscriber this span belongs to, for per-subscriber
-    /// delivery-attempt stages; `None` for pipeline-wide stages.
-    pub subscriber: Option<String>,
+    /// delivery-attempt stages; `None` for pipeline-wide stages. The
+    /// id is the [`TraceContext`]'s, shared by reference.
+    pub subscriber: Option<Arc<str>>,
     /// Attempt ordinal within this (event, subscriber) delivery
     /// (0 = original fan-out send). Always 0 for pipeline-wide stages.
     pub attempt: u32,
@@ -207,9 +211,10 @@ impl SpanRecord {
     }
 
     /// A per-subscriber delivery-attempt span carrying the causal
-    /// coordinates of `ctx`.
+    /// coordinates of `ctx` (taken by value: the span keeps the
+    /// context's subscriber id rather than copying it).
     pub fn for_attempt(
-        ctx: &TraceContext,
+        ctx: TraceContext,
         stage: Stage,
         at_ms: u64,
         dur_ns: u64,
@@ -222,7 +227,7 @@ impl SpanRecord {
             dur_ns,
             items,
             worker: None,
-            subscriber: Some(ctx.subscriber_id.clone()),
+            subscriber: Some(ctx.subscriber_id),
             attempt: ctx.attempt,
             outcome: None,
         }
@@ -263,12 +268,22 @@ impl SpanRing {
 
     /// Append a span, evicting the oldest when full.
     pub fn push(&self, span: SpanRecord) {
+        self.push_all([span]);
+    }
+
+    /// Append every span of `spans`, in order, under one lock — what a
+    /// publication that resolves hundreds of deliveries at once uses
+    /// instead of taking the lock per subscriber. Eviction is per span,
+    /// exactly as that many [`SpanRing::push`] calls would do it.
+    pub fn push_all(&self, spans: impl IntoIterator<Item = SpanRecord>) {
         let mut inner = self.inner.lock();
-        if inner.buf.len() == self.cap {
-            inner.buf.pop_front();
-            inner.dropped += 1;
+        for span in spans {
+            if inner.buf.len() == self.cap {
+                inner.buf.pop_front();
+                inner.dropped += 1;
+            }
+            inner.buf.push_back(span);
         }
-        inner.buf.push_back(span);
     }
 
     /// Spans currently buffered.
@@ -323,6 +338,23 @@ mod tests {
     }
 
     #[test]
+    fn push_all_is_that_many_pushes() {
+        let one_by_one = SpanRing::new(3);
+        let at_once = SpanRing::new(3);
+        let spans =
+            |from: u64| (from..from + 4).map(|seq| SpanRecord::new(seq, Stage::Resolve, 0, 0, 1));
+        for round in [0, 4] {
+            for span in spans(round) {
+                one_by_one.push(span);
+            }
+            at_once.push_all(spans(round));
+        }
+        assert_eq!(at_once.snapshot(), one_by_one.snapshot());
+        assert_eq!(at_once.dropped(), one_by_one.dropped());
+        assert_eq!(at_once.dropped(), 5);
+    }
+
+    #[test]
     fn stage_names_are_pipeline_ordered() {
         let names: Vec<&str> = Stage::PIPELINE.iter().map(|s| s.name()).collect();
         assert_eq!(
@@ -351,13 +383,13 @@ mod tests {
     #[test]
     fn attempt_spans_carry_causal_coordinates() {
         let ctx = TraceContext::new(7, "sub-1", 2);
-        let span = SpanRecord::for_attempt(&ctx, Stage::Retry, 120, 5_000, 2);
+        let span = SpanRecord::for_attempt(ctx.clone(), Stage::Retry, 120, 5_000, 2);
         assert_eq!(span.seq, 7);
         assert_eq!(span.subscriber.as_deref(), Some("sub-1"));
         assert_eq!(span.attempt, 2);
         assert_eq!(span.outcome, None);
 
-        let terminal = SpanRecord::for_attempt(&ctx, Stage::Resolve, 130, 0, 130)
+        let terminal = SpanRecord::for_attempt(ctx, Stage::Resolve, 130, 0, 130)
             .with_outcome(Outcome::DeadLettered);
         assert_eq!(terminal.outcome, Some(Outcome::DeadLettered));
         assert_eq!(terminal.outcome.unwrap().name(), "dead_lettered");

@@ -122,7 +122,7 @@ mod tests {
         for attempt in 0..3u32 {
             let ctx = TraceContext::new(9, "sub-a", attempt);
             spans.push(SpanRecord::for_attempt(
-                &ctx,
+                ctx,
                 Stage::Retry,
                 100 + 10 * attempt as u64,
                 2_000,
@@ -130,15 +130,21 @@ mod tests {
             ));
         }
         let ctx = TraceContext::new(9, "sub-a", 3);
-        spans.push(SpanRecord::for_attempt(&ctx, Stage::DeadLetter, 140, 0, 3));
+        spans.push(SpanRecord::for_attempt(
+            ctx.clone(),
+            Stage::DeadLetter,
+            140,
+            0,
+            3,
+        ));
         spans.push(
-            SpanRecord::for_attempt(&ctx, Stage::Resolve, 140, 0, 40)
+            SpanRecord::for_attempt(ctx, Stage::Resolve, 140, 0, 40)
                 .with_outcome(Outcome::DeadLettered),
         );
         // Unrelated subscriber on the same seq.
         let other = TraceContext::new(9, "sub-b", 0);
         spans.push(
-            SpanRecord::for_attempt(&other, Stage::Resolve, 101, 0, 1)
+            SpanRecord::for_attempt(other, Stage::Resolve, 101, 0, 1)
                 .with_outcome(Outcome::Delivered),
         );
 

@@ -1,4 +1,20 @@
 //! The envelope model.
+//!
+//! An [`Envelope`] is **copy-on-write**: its header vector and its body
+//! vector each sit behind an `Arc`, so `clone()` is two reference bumps
+//! and a clone shares both vectors with its original until one of them
+//! is written. Every mutator goes through `Arc::make_mut`, which copies
+//! the one vector it is about to change if (and only if) someone else
+//! still holds it (replacing the whole body copies nothing: a shared
+//! vector is simply left to its other holders).
+//!
+//! The broker leans on this three times per delivery. The per-class
+//! prototype is handed to each subscriber's render as a clone: the
+//! render's first header write is the delivery's one deep copy, and a
+//! body nobody patches is never copied. The sink clones the finished
+//! envelope for `SoapHandler::handle(&self, Envelope)`, and the
+//! redelivery queue keeps another; both are free. Equality,
+//! serialization and parsing see only the contents.
 
 use std::fmt;
 use std::sync::Arc;
@@ -96,11 +112,14 @@ impl From<XmlError> for SoapError {
 /// the headers stay individually addressed. Node equality treats
 /// shared and plain subtrees identically, so this is invisible to
 /// comparisons and round-trips.
+///
+/// Cloning is cheap (see the module docs): the clone shares the header
+/// and body vectors until either side writes to one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Envelope {
     version: SoapVersion,
-    headers: Vec<Element>,
-    body: Vec<Node>,
+    headers: Arc<Vec<Element>>,
+    body: Arc<Vec<Node>>,
 }
 
 impl Envelope {
@@ -108,8 +127,8 @@ impl Envelope {
     pub fn new(version: SoapVersion) -> Self {
         Envelope {
             version,
-            headers: Vec::new(),
-            body: Vec::new(),
+            headers: Arc::default(),
+            body: Arc::default(),
         }
     }
 
@@ -120,7 +139,7 @@ impl Envelope {
 
     /// Append a header block.
     pub fn add_header(&mut self, header: Element) {
-        self.headers.push(header);
+        Arc::make_mut(&mut self.headers).push(header);
     }
 
     /// Builder-style [`Envelope::add_header`].
@@ -140,25 +159,30 @@ impl Envelope {
     ///
     /// Panics if `index > self.headers().len()`.
     pub fn insert_header(&mut self, index: usize, header: Element) {
-        self.headers.insert(index, header);
+        Arc::make_mut(&mut self.headers).insert(index, header);
     }
 
     /// Mutable access to the header block at `index`, if any.
     pub fn header_at_mut(&mut self, index: usize) -> Option<&mut Element> {
-        self.headers.get_mut(index)
+        // Probe first: an out-of-range index must not cost a copy.
+        if index >= self.headers.len() {
+            return None;
+        }
+        Arc::make_mut(&mut self.headers).get_mut(index)
     }
 
     /// Mutable access to the first body element (the usual case).
     pub fn body_first_mut(&mut self) -> Option<&mut Element> {
-        self.body.iter_mut().find_map(|n| match n {
-            Node::Element(e) => Some(e),
-            _ => None,
-        })
+        let at = self
+            .body
+            .iter()
+            .position(|n| matches!(n, Node::Element(_)))?;
+        Arc::make_mut(&mut self.body)[at].as_element_mut()
     }
 
     /// Replace the body content with a single element.
     pub fn set_body(&mut self, body: Element) {
-        self.body = vec![Node::Element(body)];
+        self.replace_body(Node::Element(body));
     }
 
     /// Builder-style [`Envelope::set_body`].
@@ -170,7 +194,20 @@ impl Envelope {
     /// Replace the body content with a shared subtree whose
     /// serialization is cached across every envelope that embeds it.
     pub fn set_shared_body(&mut self, body: Arc<SharedElement>) {
-        self.body = vec![Node::Shared(body)];
+        self.replace_body(Node::Shared(body));
+    }
+
+    /// The write half of copy-on-write for a whole-body replacement:
+    /// the old content is going away, so a shared vector is left to its
+    /// other holders rather than copied first.
+    fn replace_body(&mut self, node: Node) {
+        match Arc::get_mut(&mut self.body) {
+            Some(body) => {
+                body.clear();
+                body.push(node);
+            }
+            None => self.body = Arc::new(vec![node]),
+        }
     }
 
     /// Builder-style [`Envelope::set_shared_body`].
@@ -216,13 +253,13 @@ impl Envelope {
         let mut env = Element::ns(ns, "Envelope", p);
         if !self.headers.is_empty() {
             let mut header = Element::ns(ns, "Header", p);
-            for h in &self.headers {
+            for h in self.headers.iter() {
                 header.push(h.clone());
             }
             env.push(header);
         }
         let mut body = Element::ns(ns, "Body", p);
-        for b in &self.body {
+        for b in self.body.iter() {
             body.children.push(b.clone());
         }
         env.push(body);
@@ -248,7 +285,7 @@ impl Envelope {
     /// headers and plain bodies are estimated.
     pub fn xml_size_hint(&self) -> usize {
         let mut hint = 192 + self.headers.len() * 128;
-        for b in &self.body {
+        for b in self.body.iter() {
             hint += match b {
                 Node::Shared(s) => s.serialized_len(),
                 _ => 256,
@@ -315,8 +352,8 @@ impl Envelope {
         let body = body.ok_or_else(|| SoapError::Structure("missing Body".into()))?;
         Ok(Envelope {
             version,
-            headers,
-            body,
+            headers: Arc::new(headers),
+            body: Arc::new(body),
         })
     }
 }
@@ -405,10 +442,10 @@ mod tests {
     #[test]
     fn multiple_body_elements_preserved() {
         let mut env = Envelope::new(SoapVersion::V11);
-        env.body = vec![
+        env.body = Arc::new(vec![
             Node::Element(Element::local("a")),
             Node::Element(Element::local("b")),
-        ];
+        ]);
         let back = Envelope::from_xml(&env.to_xml()).unwrap();
         assert_eq!(back.body_elements().count(), 2);
     }
@@ -426,6 +463,68 @@ mod tests {
         assert_eq!(shared_env.to_xml(), plain_env.to_xml());
         assert_eq!(Envelope::from_xml(&shared_env.to_xml()).unwrap(), plain_env);
         assert_eq!(shared_env.body().unwrap().name.local, "ev");
+    }
+
+    #[test]
+    fn a_clone_shares_storage_until_written() {
+        let original = Envelope::new(SoapVersion::V12)
+            .with_header(Element::ns("urn:h", "To", "h").with_text("a"))
+            .with_header(Element::ns("urn:h", "Action", "h").with_text("urn:go"))
+            .with_body(Element::ns("urn:b", "B", "b").with_child(Element::local("c")));
+        let xml = original.to_xml();
+
+        let copy = original.clone();
+        assert!(Arc::ptr_eq(&copy.headers, &original.headers));
+        assert!(Arc::ptr_eq(&copy.body, &original.body));
+        // Reading, and a write that has nothing to write to, copy nothing.
+        let mut probe = original.clone();
+        assert!(probe.header_at_mut(9).is_none());
+        assert_eq!(probe.to_xml(), xml);
+        assert!(Arc::ptr_eq(&probe.headers, &original.headers));
+
+        // Each mutator copies the one vector it writes, and only for
+        // the envelope it was called on.
+        type Write = fn(&mut Envelope);
+        let writes: [(&str, Write, bool); 6] = [
+            ("add_header", |e| e.add_header(Element::local("x")), true),
+            (
+                "insert_header",
+                |e| e.insert_header(1, Element::local("x")),
+                true,
+            ),
+            (
+                "header_at_mut",
+                |e| e.header_at_mut(0).unwrap().push_text("!"),
+                true,
+            ),
+            (
+                "body_first_mut",
+                |e| e.body_first_mut().unwrap().push_text("!"),
+                false,
+            ),
+            ("set_body", |e| e.set_body(Element::local("x")), false),
+            (
+                "set_shared_body",
+                |e| e.set_shared_body(SharedElement::new(Element::local("x"))),
+                false,
+            ),
+        ];
+        for (name, write, writes_headers) in writes {
+            let mut copy = original.clone();
+            write(&mut copy);
+            assert_ne!(copy.to_xml(), xml, "{name} wrote");
+            assert_eq!(original.to_xml(), xml, "{name} left the original alone");
+            assert_eq!(
+                Arc::ptr_eq(&copy.headers, &original.headers),
+                !writes_headers,
+                "{name}: headers"
+            );
+            assert_eq!(
+                Arc::ptr_eq(&copy.body, &original.body),
+                writes_headers,
+                "{name}: body"
+            );
+        }
     }
 
     #[test]

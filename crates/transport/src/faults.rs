@@ -171,7 +171,9 @@ pub struct Injected {
 }
 
 impl Injected {
-    const CLEAN: Injected = Injected {
+    /// Nothing injected: what a plan answers for an endpoint it does
+    /// not name.
+    pub(crate) const CLEAN: Injected = Injected {
         extra_latency_ms: 0,
         action: Injection::Deliver,
     };
@@ -213,6 +215,14 @@ impl FaultPlan {
     /// The spec for `uri`, if any.
     pub fn endpoint(&self, uri: &str) -> Option<&EndpointFaults> {
         self.specs.get(uri)
+    }
+
+    /// Does the plan name any endpoint at all? When it does not,
+    /// [`FaultPlan::on_delivery`] answers "deliver, no extra latency"
+    /// for every URI and changes nothing — which is what lets the
+    /// network skip the plan (and its lock) while this is false.
+    pub(crate) fn names_an_endpoint(&self) -> bool {
+        !self.specs.is_empty()
     }
 
     /// Is any fault configured anywhere?

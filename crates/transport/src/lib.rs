@@ -21,7 +21,14 @@
 //!   expiration and fault schedules are measured against;
 //! * a **trace** of delivery attempts — a bounded ring of the last
 //!   65 536, with evictions counted in the `net_trace_dropped` gauge —
-//!   which the tests and the EXPERIMENTS harness read back.
+//!   which the tests and the EXPERIMENTS harness read back. The ring
+//!   stores compact records whose strings are shared handles; readers
+//!   get [`TraceRecord`]s with owned `String`s, built on the way out.
+//!
+//! A send that is delivered with no fault configured takes no
+//! process-wide lock but the trace ring's and allocates nothing: the
+//! fault plan is consulted (and locked) only while it names an
+//! endpoint. See the [`network`] module docs.
 //!
 //! ```
 //! use wsm_transport::{Network, SoapHandler};

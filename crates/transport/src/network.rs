@@ -1,16 +1,49 @@
 //! The endpoint registry and delivery engine.
+//!
+//! # What a delivered send costs
+//!
+//! Every delivery attempt — whatever its fate — goes through one
+//! function, `deliver_routed`, which decides, counts and traces it. On
+//! the delivered path with no fault configured that function takes no
+//! process-wide lock but the trace ring's and allocates nothing:
+//!
+//! * **Faults.** The [`FaultPlan`] sits behind a mutex, but a flag
+//!   beside it says whether the plan names any endpoint at all. Every
+//!   mutator ([`Network::drop_next`], [`Network::fault_next`],
+//!   [`Network::latency_spike_next`], [`Network::set_flapping`],
+//!   [`Network::set_fault_plan`]) re-derives the flag while it holds
+//!   the plan lock; a send reads the flag first and locks the plan only
+//!   when it is set. A plan that names no endpoint answers "deliver, no
+//!   extra latency" for every URI and changes nothing, so skipping it
+//!   is exact, not an approximation.
+//! * **Clock.** The virtual clock is advanced only by a non-zero hop
+//!   latency; a zero-latency send just reads it.
+//! * **Trace.** The ring stores a private compact record whose strings
+//!   are shared: `to` is the endpoint table's own key, `label` comes
+//!   from a per-thread cache of the last few labels that thread sent,
+//!   `worker` is a per-thread handle on the thread's name. Readers
+//!   ([`Network::trace`], [`Network::drain_trace`],
+//!   [`Network::trace_jsonl`]) build the public [`TraceRecord`], with
+//!   its owned `String`s, on the way out — so what they return, and
+//!   every exported byte, is what it always was.
+//!
+//! The error arms (no endpoint, refused, dropped, faulted) build their
+//! `String`s as before: they are not the path a broker is sized for.
 
 use crate::clock::SimClock;
-use crate::faults::{FaultPlan, Injection};
+use crate::faults::{FaultPlan, Injected, Injection};
 use crate::obs::NetObs;
 use crate::trace::{DeliveryOutcome, TraceRecord};
 use parking_lot::{Mutex, RwLock};
+use std::borrow::Cow;
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::fmt::{self, Write as _};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wsm_soap::{Envelope, Fault};
+use wsm_xml::Node;
 
 /// A SOAP endpoint: receives a request envelope, returns `Ok(Some(_))`
 /// for a response, `Ok(None)` for one-way accept (HTTP 202), or a fault.
@@ -91,19 +124,88 @@ struct Endpoint {
     options: EndpointOptions,
 }
 
+/// A resolved endpoint: its handler and options, plus the endpoint
+/// table's own key for the trace to share.
+struct Route {
+    to: Arc<str>,
+    handler: Arc<dyn SoapHandler>,
+    options: EndpointOptions,
+}
+
+/// What the trace ring stores per attempt: a [`TraceRecord`] whose
+/// strings are shared handles (see the module docs), so recording a
+/// delivered send allocates nothing.
+struct Traced {
+    time_ms: u64,
+    to: Arc<str>,
+    label: Arc<str>,
+    two_way: bool,
+    outcome: DeliveryOutcome,
+    worker: Arc<str>,
+}
+
+impl Traced {
+    /// The public record readers get.
+    fn record(&self) -> TraceRecord {
+        TraceRecord {
+            time_ms: self.time_ms,
+            to: self.to.to_string(),
+            label: self.label.to_string(),
+            two_way: self.two_way,
+            outcome: self.outcome.clone(),
+            worker: self.worker.to_string(),
+        }
+    }
+}
+
+/// How many distinct labels a thread remembers. A broker thread sends a
+/// handful of actions in turn (one per consumer dialect on a mediated
+/// fan-out), so a single entry would miss on every send.
+const LABEL_CACHE: usize = 8;
+
+thread_local! {
+    /// The last [`LABEL_CACHE`] distinct labels this thread sent, oldest
+    /// first.
+    static LABELS: RefCell<VecDeque<Arc<str>>> = const { RefCell::new(VecDeque::new()) };
+    /// This thread's name, as the trace attributes deliveries to it.
+    static WORKER: Arc<str> = Arc::from(std::thread::current().name().unwrap_or("(unnamed)"));
+}
+
+/// A shared handle on `label`: this thread's cached one when it sent
+/// the same label recently, else a fresh one that pushes the oldest
+/// out of the cache. A miss only costs the allocation a hit saves; the
+/// label recorded is `label` either way.
+fn shared_label(label: &str) -> Arc<str> {
+    LABELS.with_borrow_mut(|cache| {
+        if let Some(hit) = cache.iter().find(|l| &***l == label) {
+            return Arc::clone(hit);
+        }
+        let fresh: Arc<str> = Arc::from(label);
+        if cache.len() == LABEL_CACHE {
+            cache.pop_front();
+        }
+        cache.push_back(Arc::clone(&fresh));
+        fresh
+    })
+}
+
 /// How many delivery attempts the trace keeps. The largest in-repo
 /// reader looks at a few thousand records; past this the oldest record
 /// is evicted and counted in the `net_trace_dropped` gauge.
 const TRACE_CAPACITY: usize = 65_536;
 
 struct Inner {
-    endpoints: RwLock<HashMap<String, Endpoint>>,
+    endpoints: RwLock<HashMap<Arc<str>, Endpoint>>,
     /// Endpoint-table generation, bumped on every register/unregister.
     /// [`EndpointSender`] caches a resolved route against this epoch so
     /// consecutive sends to one endpoint skip the registry lock.
     endpoint_epoch: AtomicU64,
     faults: Mutex<FaultPlan>,
-    trace: Mutex<VecDeque<TraceRecord>>,
+    /// True iff the plan in `faults` names any endpoint. Written only
+    /// by `edit_faults`, under the plan lock; read by every send
+    /// *before* the lock, which it then takes only when this is set.
+    faults_armed: AtomicBool,
+    trace: Mutex<VecDeque<Traced>>,
     clock: SimClock,
     /// Simulated per-hop latency added to the clock on every delivery.
     /// An atomic, not a mutex: every delivery reads it, and a lock
@@ -135,6 +237,7 @@ impl Network {
             endpoints: RwLock::new(HashMap::new()),
             endpoint_epoch: AtomicU64::new(0),
             faults: Mutex::new(FaultPlan::default()),
+            faults_armed: AtomicBool::new(false),
             trace: Mutex::new(VecDeque::new()),
             clock: SimClock::new(),
             latency_ms: AtomicU64::new(0),
@@ -181,7 +284,7 @@ impl Network {
         self.0
             .endpoints
             .write()
-            .insert(uri.into(), Endpoint { handler, options });
+            .insert(Arc::from(uri.into()), Endpoint { handler, options });
         self.0.endpoint_epoch.fetch_add(1, Ordering::Release);
     }
 
@@ -212,12 +315,16 @@ impl Network {
         }
     }
 
-    fn lookup(&self, to: &str) -> Option<(Arc<dyn SoapHandler>, EndpointOptions)> {
+    fn lookup(&self, to: &str) -> Option<Route> {
         self.0
             .endpoints
             .read()
-            .get(to)
-            .map(|ep| (Arc::clone(&ep.handler), ep.options))
+            .get_key_value(to)
+            .map(|(key, ep)| Route {
+                to: Arc::clone(key),
+                handler: Arc::clone(&ep.handler),
+                options: ep.options,
+            })
     }
 
     /// Is an endpoint registered at `uri`?
@@ -225,42 +332,56 @@ impl Network {
         self.0.endpoints.read().contains_key(uri)
     }
 
+    /// Change the fault plan and re-derive the "plan names an
+    /// endpoint" flag from the result, both under the plan lock — the
+    /// one way the plan is ever written, so the flag cannot drift from
+    /// it. A send that read the flag as clear just before an edit is a
+    /// send that ran before the edit.
+    fn edit_faults(&self, edit: impl FnOnce(&mut FaultPlan)) {
+        let mut plan = self.0.faults.lock();
+        edit(&mut plan);
+        self.0
+            .faults_armed
+            .store(plan.names_an_endpoint(), Ordering::SeqCst);
+    }
+
     /// Drop the next `n` deliveries addressed to `uri`.
     pub fn drop_next(&self, uri: impl Into<String>, n: u32) {
-        self.0.faults.lock().endpoint_mut(uri).drop_next = n;
+        self.edit_faults(|plan| plan.endpoint_mut(uri).drop_next = n);
     }
 
     /// Answer the next `n` deliveries to `uri` with an injected SOAP
     /// fault — a *poison* response, as opposed to transient loss.
     pub fn fault_next(&self, uri: impl Into<String>, n: u32) {
-        self.0.faults.lock().endpoint_mut(uri).fault_next = n;
+        self.edit_faults(|plan| plan.endpoint_mut(uri).fault_next = n);
     }
 
     /// Add `n` latency spikes of `ms` extra virtual milliseconds to the
     /// upcoming deliveries addressed to `uri`.
     pub fn latency_spike_next(&self, uri: impl Into<String>, ms: u64, n: usize) {
-        self.0
-            .faults
-            .lock()
-            .endpoint_mut(uri)
-            .latency_spikes_ms
-            .extend(std::iter::repeat_n(ms, n));
+        self.edit_faults(|plan| {
+            plan.endpoint_mut(uri)
+                .latency_spikes_ms
+                .extend(std::iter::repeat_n(ms, n))
+        });
     }
 
     /// Make `uri` flap: unreachable for `down_ms` out of every
     /// `period_ms` of virtual time.
     pub fn set_flapping(&self, uri: impl Into<String>, period_ms: u64, down_ms: u64) {
-        self.0.faults.lock().endpoint_mut(uri).flap = Some(crate::faults::Flap {
-            period_ms,
-            down_ms,
-            phase_ms: 0,
+        self.edit_faults(|plan| {
+            plan.endpoint_mut(uri).flap = Some(crate::faults::Flap {
+                period_ms,
+                down_ms,
+                phase_ms: 0,
+            })
         });
     }
 
     /// Install a whole [`FaultPlan`], replacing any existing faults
     /// (including pending `drop_next` budgets).
     pub fn set_fault_plan(&self, plan: FaultPlan) {
-        *self.0.faults.lock() = plan;
+        self.edit_faults(|current| *current = plan);
     }
 
     /// One-way send (fire-and-forget notification delivery), counted
@@ -298,28 +419,41 @@ impl Network {
     fn deliver_routed(
         &self,
         to: &str,
-        route: Option<Option<&(Arc<dyn SoapHandler>, EndpointOptions)>>,
+        route: Option<Option<&Route>>,
         envelope: Envelope,
         two_way: bool,
         class: AttemptClass,
     ) -> Result<Option<Envelope>, TransportError> {
         let started = Instant::now();
         // Consult the fault plan before the hop: it decides this
-        // delivery's fate and any extra injected latency.
-        let injected = self.0.faults.lock().on_delivery(to, self.0.clock.now_ms());
+        // delivery's fate and any extra injected latency. A plan that
+        // names no endpoint decides "deliver" for every URI and keeps
+        // no state about the asking, so it is not even locked.
+        let injected = if self.0.faults_armed.load(Ordering::SeqCst) {
+            self.0.faults.lock().on_delivery(to, self.0.clock.now_ms())
+        } else {
+            Injected::CLEAN
+        };
         let latency = self.0.latency_ms.load(Ordering::Relaxed) + injected.extra_latency_ms;
-        self.0.clock.advance_ms(latency);
+        if latency > 0 {
+            self.0.clock.advance_ms(latency);
+        }
         let delay = self.0.send_delay_us.load(Ordering::Relaxed);
         if delay > 0 {
             std::thread::sleep(Duration::from_micros(delay));
         }
-        let label = label_of(&envelope);
+        let label = shared_label(&label_of(&envelope));
 
-        let result = match injected.action {
-            Injection::Drop => Err(TransportError::Dropped(to.to_string())),
-            Injection::Fault => Err(TransportError::Fault(Box::new(Fault::receiver(
-                "injected fault",
-            )))),
+        // The attempt's fate, and — where an endpoint was found — the
+        // endpoint table's key for the trace to share.
+        let (result, key) = match injected.action {
+            Injection::Drop => (Err(TransportError::Dropped(to.to_string())), None),
+            Injection::Fault => (
+                Err(TransportError::Fault(Box::new(Fault::receiver(
+                    "injected fault",
+                )))),
+                None,
+            ),
             Injection::Deliver => {
                 let looked_up;
                 let endpoint = match route {
@@ -330,13 +464,17 @@ impl Network {
                     }
                 };
                 match endpoint {
-                    None => Err(TransportError::NoEndpoint(to.to_string())),
-                    Some((_, options)) if options.firewalled => {
-                        Err(TransportError::Refused(to.to_string()))
-                    }
-                    Some((handler, _)) => handler
-                        .handle(envelope)
-                        .map_err(|fault| TransportError::Fault(Box::new(fault))),
+                    None => (Err(TransportError::NoEndpoint(to.to_string())), None),
+                    Some(ep) if ep.options.firewalled => (
+                        Err(TransportError::Refused(to.to_string())),
+                        Some(Arc::clone(&ep.to)),
+                    ),
+                    Some(ep) => (
+                        ep.handler
+                            .handle(envelope)
+                            .map_err(|fault| TransportError::Fault(Box::new(fault))),
+                        Some(Arc::clone(&ep.to)),
+                    ),
                 }
             }
         };
@@ -348,22 +486,29 @@ impl Network {
             Err(err) => err.outcome(),
         };
         self.0.obs.observe(started, &outcome, class);
-        let mut trace = self.0.trace.lock();
-        if trace.len() == TRACE_CAPACITY {
-            trace.pop_front();
-            self.0.obs.trace_dropped.add(1);
-        }
-        trace.push_back(TraceRecord {
-            time_ms: self.0.clock.now_ms(),
-            to: to.to_string(),
-            label,
-            two_way,
-            outcome,
-            worker: std::thread::current()
-                .name()
-                .unwrap_or("(unnamed)")
-                .to_string(),
-        });
+        let to = key.unwrap_or_else(|| Arc::from(to));
+        let worker = WORKER.with(Arc::clone);
+        let evicted = {
+            let mut trace = self.0.trace.lock();
+            let evicted = if trace.len() == TRACE_CAPACITY {
+                self.0.obs.trace_dropped.add(1);
+                trace.pop_front()
+            } else {
+                None
+            };
+            trace.push_back(Traced {
+                time_ms: self.0.clock.now_ms(),
+                to,
+                label,
+                two_way,
+                outcome,
+                worker,
+            });
+            evicted
+        };
+        // Released outside the lock: dropping a record writes to the
+        // reference counts it shares.
+        drop(evicted);
         result
     }
 
@@ -372,7 +517,7 @@ impl Network {
     /// last `TRACE_CAPACITY` (65 536) attempts; older records are
     /// evicted and counted in the `net_trace_dropped` gauge.
     pub fn trace(&self) -> Vec<TraceRecord> {
-        self.0.trace.lock().iter().cloned().collect()
+        self.0.trace.lock().iter().map(Traced::record).collect()
     }
 
     /// Take the delivery trace, leaving it empty — the cheap way for
@@ -380,7 +525,8 @@ impl Network {
     /// including per-worker records from the parallel fan-out path.
     /// The eviction count is kept.
     pub fn drain_trace(&self) -> Vec<TraceRecord> {
-        std::mem::take(&mut *self.0.trace.lock()).into()
+        let drained = std::mem::take(&mut *self.0.trace.lock());
+        drained.iter().map(Traced::record).collect()
     }
 
     /// Clear the trace (benches do this between runs). The eviction
@@ -402,7 +548,7 @@ impl Network {
         let trace = self.0.trace.lock();
         let mut out = String::with_capacity(trace.len() * 96 + 48);
         for r in trace.iter() {
-            out.push_str(&r.to_json());
+            out.push_str(&r.record().to_json());
             out.push('\n');
         }
         let dropped = self.0.obs.trace_dropped.get();
@@ -446,7 +592,7 @@ pub struct EndpointSender {
     net: Network,
     to: String,
     resolved_epoch: Option<u64>,
-    route: Option<(Arc<dyn SoapHandler>, EndpointOptions)>,
+    route: Option<Route>,
 }
 
 impl EndpointSender {
@@ -494,20 +640,24 @@ impl EndpointSender {
 }
 
 /// Label a message for tracing: its `wsa:Action` text in any WSA
-/// version, else the first body element's local name.
-fn label_of(env: &Envelope) -> String {
+/// version, else the first body element's local name. Borrowed from
+/// the envelope wherever the text is one node, which is every message
+/// this workspace builds or parses.
+fn label_of(env: &Envelope) -> Cow<'_, str> {
     for h in env.headers() {
         if h.name.local == "Action" {
             if let Some(ns) = h.name.ns.as_deref() {
                 if ns.contains("addressing") {
-                    return h.text().trim().to_string();
+                    let mut texts = h.children.iter().filter_map(Node::as_text);
+                    return match (texts.next(), texts.next()) {
+                        (Some(only), None) => Cow::Borrowed(only.trim()),
+                        _ => Cow::Owned(h.text().trim().to_string()),
+                    };
                 }
             }
         }
     }
-    env.body()
-        .map(|b| b.name.local.to_string())
-        .unwrap_or_else(|| "(empty)".to_string())
+    Cow::Borrowed(env.body().map_or("(empty)", |b| b.name.local.as_str()))
 }
 
 #[cfg(test)]
@@ -716,6 +866,212 @@ mod tests {
             Err(TransportError::Dropped(_))
         ));
         sender.send(env()).unwrap();
+    }
+
+    /// A flat JSON object, checked the way a line-oriented reader
+    /// would: strings closed, escapes legal, no raw control character,
+    /// nothing after the closing brace.
+    fn is_one_json_object(line: &str) -> bool {
+        let mut chars = line.chars();
+        if chars.next() != Some('{') {
+            return false;
+        }
+        let mut in_string = false;
+        while let Some(c) = chars.next() {
+            match c {
+                c if c.is_control() => return false,
+                '\\' if in_string => match chars.next() {
+                    Some('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') => {}
+                    Some('u') => {
+                        if !(0..4).all(|_| chars.next().is_some_and(|h| h.is_ascii_hexdigit())) {
+                            return false;
+                        }
+                    }
+                    _ => return false,
+                },
+                '"' => in_string = !in_string,
+                '}' if !in_string => return chars.next().is_none(),
+                '{' if !in_string => return false,
+                _ => {}
+            }
+        }
+        false
+    }
+
+    #[test]
+    fn jsonl_stays_one_object_per_line_whatever_the_action_says() {
+        let net = Network::new();
+        net.register("http://a", Arc::new(Sink));
+        net.register("http://g", Arc::new(Grumpy));
+        let mut hostile = env();
+        hostile.add_header(
+            Element::ns("http://www.w3.org/2005/08/addressing", "Action", "wsa")
+                .with_text("a\\b\nc"),
+        );
+        net.send("http://a", hostile.clone()).unwrap();
+        net.send("http://g", hostile).unwrap_err();
+        assert_eq!(net.trace()[0].label, "a\\b\nc", "the record keeps the text");
+        let jsonl = net.trace_jsonl();
+        assert_eq!(jsonl.lines().count(), 3, "two records and the gauge");
+        for line in jsonl.lines() {
+            assert!(is_one_json_object(line), "{line:?}");
+        }
+        assert!(jsonl.contains(r#""label":"a\\b\nc""#), "{jsonl}");
+        assert!(
+            !is_one_json_object("{\"label\":\"a\\b\nc\"}"),
+            "the checker checks"
+        );
+    }
+
+    /// How many trace records carry each outcome tag.
+    fn tally(net: &Network, tag: &str) -> usize {
+        net.count_outcomes(|o| o.tag() == tag)
+    }
+
+    #[test]
+    fn fault_plan_is_consulted_exactly_when_it_names_an_endpoint() {
+        let net = Network::new();
+        net.register("http://a", Arc::new(Sink));
+        let mut sender = net.sender("http://a");
+        // Nothing configured: a thousand clean sends, either way in.
+        for _ in 0..500 {
+            net.send("http://a", env()).unwrap();
+            sender.send(env()).unwrap();
+        }
+        // Arming takes effect on the very next send, and for exactly
+        // the budget asked for.
+        net.drop_next("http://a", 2);
+        assert!(matches!(
+            net.send("http://a", env()),
+            Err(TransportError::Dropped(_))
+        ));
+        assert!(matches!(
+            sender.send(env()),
+            Err(TransportError::Dropped(_))
+        ));
+        net.send("http://a", env()).unwrap();
+        sender.send(env()).unwrap();
+        assert_eq!(tally(&net, "dropped"), 2);
+        assert_eq!(tally(&net, "delivered"), 1_002);
+
+        // Every mutator arms; an empty plan disarms.
+        type Arm = fn(&Network);
+        let arms: [(Arm, &str); 4] = [
+            (|n| n.fault_next("http://a", 1), "faulted"),
+            (|n| n.set_flapping("http://a", 10, 10), "dropped"),
+            (
+                |n| {
+                    let always = crate::EndpointFaults::new().with_drop_rate(1.0);
+                    n.set_fault_plan(FaultPlan::new().with_endpoint("http://a", always));
+                },
+                "dropped",
+            ),
+            (|n| n.latency_spike_next("http://a", 7, 1), "delivered"),
+        ];
+        for (arm, fate) in arms {
+            for cached in [false, true] {
+                net.set_fault_plan(FaultPlan::new());
+                net.drain_trace();
+                let before = net.clock().now_ms();
+                arm(&net);
+                let _ = if cached {
+                    sender.send(env())
+                } else {
+                    net.send("http://a", env())
+                };
+                assert_eq!(tally(&net, fate), 1, "{fate} (cached route: {cached})");
+                let spiked = u64::from(fate == "delivered") * 7;
+                assert_eq!(net.clock().now_ms() - before, spiked);
+                // Disarmed again: whatever budget was left is gone.
+                net.set_fault_plan(FaultPlan::new());
+                net.send("http://a", env()).unwrap();
+                sender.send(env()).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn a_fault_armed_under_a_running_sender_is_spent_exactly() {
+        for cached in [false, true] {
+            let net = Network::new();
+            net.register("http://a", Arc::new(Sink));
+            let running = std::sync::Barrier::new(2);
+            let faults_seen = std::thread::scope(|s| {
+                let sender = s.spawn(|| {
+                    let mut route = net.sender("http://a");
+                    let mut send = || {
+                        if cached {
+                            route.send(env())
+                        } else {
+                            net.send("http://a", env())
+                        }
+                    };
+                    // Send until the three faults the other thread arms
+                    // somewhere in the middle of this loop have all come
+                    // back, then enough more to show no fourth follows.
+                    let mut faulted = 0;
+                    let mut sent = 0u32;
+                    while faulted < 3 {
+                        if sent == 100 {
+                            running.wait();
+                        }
+                        faulted += u32::from(send().is_err());
+                        sent += 1;
+                        assert!(sent < 50_000_000, "the armed plan was never seen");
+                    }
+                    for _ in 0..1_000 {
+                        faulted += u32::from(send().is_err());
+                    }
+                    faulted
+                });
+                // The sender is in its loop, on a plan it has only ever
+                // seen unarmed.
+                running.wait();
+                net.fault_next("http://a", 3);
+                sender.join().unwrap()
+            });
+            assert_eq!(faults_seen, 3, "cached route: {cached}");
+            assert_eq!(tally(&net, "faulted"), 3, "cached route: {cached}");
+        }
+    }
+
+    #[test]
+    fn more_labels_than_a_thread_caches_still_label_every_record() {
+        let net = Network::new();
+        net.register("http://a", Arc::new(Sink));
+        let actions: Vec<String> = (0..LABEL_CACHE + 2)
+            .map(|i| format!("urn:act:{i}"))
+            .collect();
+        let messages: Vec<Envelope> = actions
+            .iter()
+            .map(|a| {
+                env().with_header(
+                    Element::ns("http://www.w3.org/2005/08/addressing", "Action", "wsa")
+                        .with_text(a.as_str()),
+                )
+            })
+            .collect();
+        for _ in 0..3 {
+            for m in &messages {
+                net.send("http://a", m.clone()).unwrap();
+            }
+        }
+        // Inside what the cache keeps, a repeat shares its label.
+        net.send("http://a", messages.last().unwrap().clone())
+            .unwrap();
+        let labels: Vec<String> = net.trace().into_iter().map(|r| r.label).collect();
+        let mut want: Vec<&str> = Vec::new();
+        for _ in 0..3 {
+            want.extend(actions.iter().map(String::as_str));
+        }
+        want.push(actions.last().unwrap());
+        assert_eq!(labels, want);
+        let ring = net.0.trace.lock();
+        let last_two: Vec<&Arc<str>> = ring.iter().rev().take(2).map(|r| &r.label).collect();
+        assert!(
+            Arc::ptr_eq(last_two[0], last_two[1]),
+            "a hit shares the handle"
+        );
     }
 
     #[test]

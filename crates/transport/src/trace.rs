@@ -1,6 +1,6 @@
 //! Delivery tracing.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// What happened to one delivery attempt.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,21 +69,52 @@ impl TraceRecord {
     /// Every field is deterministic for a seeded scenario on the
     /// virtual clock (no wall-clock values), which is what lets the
     /// chaos CI job diff two runs' exports byte for byte.
+    ///
+    /// The label and a fault's reason come off the wire, so every
+    /// string is escaped: a backslash, a line break or any other
+    /// control character is written as its JSON escape, and the record
+    /// stays one valid object on one line whatever a sender put in its
+    /// `wsa:Action`. A double quote is written as `'` rather than
+    /// `\"`, as this export always has.
     pub fn to_json(&self) -> String {
-        let esc = |s: &str| s.replace('"', "'");
-        let mut out = format!(
-            "{{\"time_ms\":{},\"to\":\"{}\",\"label\":\"{}\",\"two_way\":{},\"outcome\":\"{}\"",
-            self.time_ms,
-            esc(&self.to),
-            esc(&self.label),
+        let mut out = String::with_capacity(128);
+        let _ = write!(out, "{{\"time_ms\":{},\"to\":\"", self.time_ms);
+        escape_into(&mut out, &self.to);
+        out.push_str("\",\"label\":\"");
+        escape_into(&mut out, &self.label);
+        let _ = write!(
+            out,
+            "\",\"two_way\":{},\"outcome\":\"{}\"",
             self.two_way,
             self.outcome.tag(),
         );
         if let DeliveryOutcome::Faulted(reason) = &self.outcome {
-            out.push_str(&format!(",\"reason\":\"{}\"", esc(reason)));
+            out.push_str(",\"reason\":\"");
+            escape_into(&mut out, reason);
+            out.push('"');
         }
-        out.push_str(&format!(",\"worker\":\"{}\"}}", esc(&self.worker)));
+        out.push_str(",\"worker\":\"");
+        escape_into(&mut out, &self.worker);
+        out.push_str("\"}");
         out
+    }
+}
+
+/// Append `s` as the inside of a JSON string (see
+/// [`TraceRecord::to_json`] for the one non-standard mapping).
+fn escape_into(out: &mut String, s: &str) {
+    for c in s.chars() {
+        match c {
+            '"' => out.push('\''),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if c.is_control() => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
     }
 }
 
@@ -107,6 +138,28 @@ mod tests {
         assert!(json.contains("\"outcome\":\"faulted\""));
         assert!(json.contains("\"reason\":\"no 'thanks'\""));
         assert!(json.ends_with("\"worker\":\"main\"}"));
+    }
+
+    #[test]
+    fn record_json_escapes_what_the_wire_can_carry() {
+        let r = TraceRecord {
+            time_ms: 1,
+            to: "http://c".into(),
+            label: "a\\b\nc\td\u{1}\u{7f}".into(),
+            two_way: true,
+            outcome: DeliveryOutcome::Faulted("line one\r\nline two".into()),
+            worker: "main".into(),
+        };
+        let json = r.to_json();
+        assert!(!json.contains(['\n', '\r', '\t', '\u{1}', '\u{7f}']));
+        assert!(
+            json.contains(r#""label":"a\\b\nc\td\u0001\u007f""#),
+            "{json}"
+        );
+        assert!(
+            json.contains(r#""reason":"line one\r\nline two""#),
+            "{json}"
+        );
     }
 
     #[test]

@@ -56,7 +56,7 @@ struct Parser<'a> {
     /// `(prefix, uri, depth_marker)`. A frame is popped by truncating to
     /// the length recorded when the element was entered. Both parts are
     /// interned: the same prefixes and URIs recur on every message, so
-    /// pushing a scope is two reference-count bumps, not two `String`s.
+    /// pushing a scope is two pointer copies, not two `String`s.
     scopes: Vec<(Option<Interned>, Interned)>,
 }
 

@@ -1,5 +1,5 @@
 //! Concurrency stress for the global QName interner: many threads
-//! interning overlapping name sets must converge on one `Arc<str>` per
+//! interning overlapping name sets must converge on one table entry per
 //! distinct string, and the table must stay bounded (no duplicate
 //! entries, no unbounded growth from contention retries).
 
@@ -50,14 +50,14 @@ fn concurrent_interning_converges_and_stays_bounded() {
 
     // Every thread's final round interned the same name set (round
     // ROUNDS-1), so the handles must be pointer-identical across
-    // threads: one Arc per distinct string, however racy the inserts.
+    // threads: one entry per distinct string, however racy the inserts.
     let reference = &results[0];
     for other in &results[1..] {
         assert_eq!(reference.len(), other.len());
         for (a, b) in reference.iter().zip(other) {
             assert!(
                 Interned::ptr_eq(a, b),
-                "two threads hold different Arcs for {a:?}"
+                "two threads hold different entries for {a:?}"
             );
         }
     }
