@@ -39,7 +39,7 @@ pub enum WsaVersion {
 
 impl WsaVersion {
     /// The namespace URI of this version.
-    pub fn ns(self) -> &'static str {
+    pub const fn ns(self) -> &'static str {
         match self {
             WsaVersion::V200303 => "http://schemas.xmlsoap.org/ws/2003/03/addressing",
             WsaVersion::V200408 => "http://schemas.xmlsoap.org/ws/2004/08/addressing",

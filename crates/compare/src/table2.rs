@@ -4,7 +4,11 @@
 //!
 //! The mapping is not hardcoded prose: each row is backed by the
 //! operations the implementation crates actually serve, which the tests
-//! below verify by driving the services.
+//! below verify by driving the services — and its gaps are the broker's
+//! own version-gap table, [`SpecDialect::supports`], which decides what
+//! WS-Messenger answers in each dialect.
+//!
+//! [`SpecDialect::supports`]: wsm_messenger::SpecDialect::supports
 
 /// One row of Table 2: (WS-Eventing side, WS-BaseNotification side).
 pub fn table2() -> Vec<(&'static str, &'static str)> {
@@ -60,6 +64,7 @@ mod tests {
     use super::*;
     use wsm_addressing::EndpointReference;
     use wsm_eventing::{EventSink, EventSource, Expires, SubscribeRequest, Subscriber, WseVersion};
+    use wsm_messenger::{OpKind, SpecDialect, WsMessenger};
     use wsm_notification::{
         NotificationConsumer, NotificationProducer, Termination, WsnClient, WsnFilter,
         WsnSubscribeRequest, WsnVersion,
@@ -168,6 +173,142 @@ mod tests {
         let _ = codec;
         assert!(net.request(&h.manager.address, env).is_err());
         let _ = EndpointReference::new("x");
+    }
+
+    const WSE: [SpecDialect; 2] = [
+        SpecDialect::Wse(WseVersion::Jan2004),
+        SpecDialect::Wse(WseVersion::Aug2004),
+    ];
+    const WSN: [SpecDialect; 2] = [
+        SpecDialect::Wsn(WsnVersion::V1_0),
+        SpecDialect::Wsn(WsnVersion::V1_3),
+    ];
+
+    /// The two "Not available" rows and the two "Not defined, can use …
+    /// in WSRF" rows, read off the broker's version-gap table.
+    #[test]
+    fn gap_rows_are_the_brokers_version_gaps() {
+        let rows = table2();
+        for (row, ops) in [
+            (5, [OpKind::Pause, OpKind::Resume]),
+            (6, [OpKind::GetCurrentMessage; 2]),
+        ] {
+            assert_eq!(rows[row].0, "Not available");
+            for op in ops {
+                assert!(WSE.iter().all(|d| !d.supports(op)), "{op:?}");
+                assert!(WSN.iter().all(|d| d.supports(op)), "{op:?}");
+            }
+        }
+        for row in [3, 4] {
+            assert!(rows[row].1.starts_with("Not defined") && rows[row].1.ends_with("in WSRF"));
+        }
+        // GetStatus: WS-Notification has none, and reads the status as a
+        // WSRF resource property instead.
+        assert!(SpecDialect::Wse(WseVersion::Aug2004).supports(OpKind::GetStatus));
+        for d in WSN {
+            assert!(!d.supports(OpKind::GetStatus));
+            assert!(d.supports(OpKind::GetResourceProperty));
+        }
+        // SubscriptionEnd: a WS-Notification subscription is a WS-Resource
+        // whose WSRF lifetime ends with a TerminationNotification; a
+        // WS-Eventing subscription has no WSRF lifetime.
+        for op in [OpKind::Destroy, OpKind::SetTerminationTime] {
+            assert!(WSN.iter().all(|d| d.supports(op)), "{op:?}");
+            assert!(WSE.iter().all(|d| !d.supports(op)), "{op:?}");
+        }
+    }
+
+    /// A live subscription at a fresh broker in `dialect`, with one
+    /// publication on topic `t` behind it: the manager EPR and id.
+    fn subscribed(
+        net: &Network,
+        broker: &WsMessenger,
+        dialect: SpecDialect,
+    ) -> (EndpointReference, String) {
+        match dialect {
+            SpecDialect::Wse(v) => {
+                let sink = EventSink::start(net, "http://sink", v);
+                let h = Subscriber::new(net, v)
+                    .subscribe(broker.uri(), SubscribeRequest::push(sink.epr()))
+                    .unwrap();
+                (h.manager, h.id)
+            }
+            SpecDialect::Wsn(v) => {
+                let consumer = NotificationConsumer::start(net, "http://sink", v);
+                let req =
+                    WsnSubscribeRequest::new(consumer.epr()).with_filter(WsnFilter::topic("t"));
+                let h = WsnClient::new(net, v)
+                    .subscribe(broker.uri(), &req)
+                    .unwrap();
+                (h.reference, h.id)
+            }
+        }
+    }
+
+    /// In each dialect's namespace, WS-Messenger answers each operation
+    /// of Table 2's gaps exactly when `supports` says the dialect defines
+    /// it, and faults otherwise.
+    #[test]
+    fn the_broker_answers_each_gap_operation_exactly_where_supported() {
+        for dialect in WSE.into_iter().chain(WSN) {
+            for op in OpKind::ALL
+                .into_iter()
+                .filter(|op| *op != OpKind::Subscribe)
+            {
+                let net = Network::new();
+                let broker = WsMessenger::start(&net, "http://broker");
+                let (manager, id) = subscribed(&net, &broker, dialect);
+                broker.publish_on("t", &Element::local("m"));
+                let ns = dialect_ns(dialect);
+                let mut body = Element::ns(op.ns(dialect), op.name(), "op");
+                match op {
+                    OpKind::Renew if matches!(dialect, SpecDialect::Wse(_)) => {
+                        body.push(Element::ns(ns, "Expires", "wse").with_text("PT1M"))
+                    }
+                    OpKind::Renew => {
+                        body.push(Element::ns(ns, "TerminationTime", "wsnt").with_text("PT1M"))
+                    }
+                    OpKind::SetTerminationTime => body.push(
+                        Element::ns(wsm_wsrf::WSRF_RL_NS, "RequestedTerminationTime", "wsrf-rl")
+                            .with_text(Termination::At(60_000).to_lexical()),
+                    ),
+                    OpKind::GetResourceProperty => body.push_text("wsnt:TerminationTime"),
+                    OpKind::GetCurrentMessage => {
+                        body.push(Element::ns(ns, "Topic", "t").with_text("t"))
+                    }
+                    _ => {}
+                }
+                if dialect == SpecDialect::Wse(WseVersion::Jan2004) {
+                    body.push(Element::ns(ns, "Id", "wse").with_text(id.as_str()));
+                }
+                let to = match op {
+                    OpKind::GetCurrentMessage | OpKind::RegisterPublisher => {
+                        broker.uri().to_string()
+                    }
+                    _ => manager.address.clone(),
+                };
+                let mut env = wsm_soap::Envelope::new(wsm_soap::SoapVersion::V11).with_body(body);
+                let wsa = match dialect {
+                    SpecDialect::Wse(v) => v.wsa(),
+                    SpecDialect::Wsn(v) => v.wsa(),
+                };
+                wsm_addressing::MessageHeaders::to_epr(&manager, "urn:gap").apply(&mut env, wsa);
+                let answered = net.request(&to, env);
+                assert_eq!(
+                    answered.is_ok(),
+                    dialect.supports(op),
+                    "{} {op:?}: {answered:?}",
+                    dialect.label()
+                );
+            }
+        }
+    }
+
+    fn dialect_ns(dialect: SpecDialect) -> &'static str {
+        match dialect {
+            SpecDialect::Wse(v) => v.ns(),
+            SpecDialect::Wsn(v) => v.ns(),
+        }
     }
 
     #[test]

@@ -1,11 +1,23 @@
 //! The WS-Messenger broker itself.
+//!
+//! Publications arrive in process ([`WsMessenger::publish_event`]) or
+//! over SOAP, and fan out through the registry, the render cache and
+//! the delivery engine. Every SOAP request — at the broker URI or the
+//! subscription manager's — enters through the control plane's one
+//! endpoint (`crate::control`), which hands publications to ingest and
+//! every management request, decoded once, to `WsMessenger::apply`:
+//! the one place the broker's registry is changed on a subscriber's
+//! behalf.
 
 use crate::backend::{InMemoryBackend, MessagingBackend};
+use crate::control::{
+    unknown_subscription, ControlOp, Endpoint, Manage, OpKind, Reply, Subscribed, Subscription,
+};
 use crate::delivery::{self, DeliveryEngine, DispatchMode, FailKind, PushJob, StatsDelta};
 use crate::detect::SpecDialect;
 use crate::event::InternalEvent;
-use crate::obs::{BrokerObs, Stage};
-use crate::registry::{BrokerDeliveryMode, BrokerSubscription, Registry, UnifiedFilters};
+use crate::obs::{BrokerObs, Outcome, Stage};
+use crate::registry::{BrokerDeliveryMode, BrokerSubscription, Registry};
 use crate::reliability::{
     Admitted, BreakerState, DeadLetter, FaultTolerance, PumpReport, ReliabilityState,
 };
@@ -16,11 +28,10 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use wsm_addressing::EndpointReference;
-use wsm_eventing::{EndStatus, Expires, WseCodec, WseVersion};
-use wsm_notification::{Termination, WsnCodec, WsnFilter, WsnVersion};
-use wsm_soap::{Envelope, Fault};
-use wsm_topics::{TopicExpression, TopicSpace};
-use wsm_transport::{AttemptClass, Network, SoapHandler};
+use wsm_eventing::{EndStatus, Expires, WseCodec};
+use wsm_soap::Fault;
+use wsm_topics::{TopicExpression, TopicPath, TopicSpace};
+use wsm_transport::{AttemptClass, Network};
 use wsm_xml::{Element, SharedElement};
 
 /// Counters describing the broker's mediation activity.
@@ -161,19 +172,11 @@ impl WsMessenger {
             engine: DeliveryEngine::new(),
             reliability: RwLock::new(None),
         });
-        net.register(
-            uri,
-            Arc::new(MessengerHandler {
-                inner: Arc::clone(&inner),
-            }),
-        );
-        net.register(
-            inner.manager_uri.clone(),
-            Arc::new(ManagerHandler {
-                inner: Arc::clone(&inner),
-            }),
-        );
-        WsMessenger { inner }
+        let broker = WsMessenger { inner };
+        let endpoint = Arc::new(Endpoint::Broker(broker.clone()));
+        net.register(uri, endpoint.clone());
+        net.register(broker.inner.manager_uri.clone(), endpoint);
+        broker
     }
 
     /// The broker endpoint URI.
@@ -437,7 +440,7 @@ impl WsMessenger {
         let mut batches = 0;
         for (id, events) in inner.registry.take_wrap_buffers() {
             if let Some(sub) = inner.registry.get(&id) {
-                let epr = subscription_epr(inner, &sub.id, sub.spec);
+                let epr = subscription_epr(&inner.manager_uri, &sub.id, sub.spec);
                 let payloads: Vec<_> = events.iter().map(|e| e.payload.clone()).collect();
                 let env = render_batch(&sub, &payloads, &inner.uri, &epr);
                 if inner.net.send(&sub.consumer.address, env).is_ok() {
@@ -470,8 +473,8 @@ fn ingest(inner: &MessengerInner, event: InternalEvent) -> usize {
 }
 
 /// Ingest one publication under an already-minted trace sequence
-/// number (the SOAP handler mints the seq when it times dialect
-/// detection, so all of a request's stage spans share one trace id).
+/// number (a SOAP publication's messages and its `detect` span share
+/// one trace id).
 fn ingest_seq(inner: &MessengerInner, event: InternalEvent, seq: u64) -> usize {
     let timer = inner.obs.start();
     if let Some(t) = &event.topic {
@@ -818,7 +821,7 @@ fn drop_failed(inner: &MessengerInner, id: &str) {
     if let Some(sub) = inner.registry.remove(id) {
         if let (SpecDialect::Wse(v), Some(end_to)) = (sub.spec, &sub.end_to) {
             let codec = WseCodec::new(v);
-            let manager = subscription_epr(inner, &sub.id, sub.spec);
+            let manager = subscription_epr(&inner.manager_uri, &sub.id, sub.spec);
             let env = codec.subscription_end(
                 end_to,
                 &manager,
@@ -830,8 +833,9 @@ fn drop_failed(inner: &MessengerInner, id: &str) {
     }
 }
 
-fn subscription_epr(inner: &MessengerInner, id: &str, spec: SpecDialect) -> EndpointReference {
-    let epr = EndpointReference::new(inner.manager_uri.clone());
+/// The EPR a subscriber manages subscription `id` through, at `manager`.
+pub(crate) fn subscription_epr(manager: &str, id: &str, spec: SpecDialect) -> EndpointReference {
+    let epr = EndpointReference::new(manager.to_string());
     match spec {
         SpecDialect::Wse(v) if v.id_in_reference_parameters() => epr.with_reference(
             v.wsa(),
@@ -840,559 +844,153 @@ fn subscription_epr(inner: &MessengerInner, id: &str, spec: SpecDialect) -> Endp
         SpecDialect::Wse(_) => epr,
         // Kept in lockstep with the cached render path, which patches
         // the same EPR shape into its SubscriptionReference prototype.
-        SpecDialect::Wsn(v) => crate::render::wsn_subscription_epr(v, &inner.manager_uri, id),
+        SpecDialect::Wsn(v) => crate::render::wsn_subscription_epr(v, manager, id),
     }
 }
 
-// --------------------------------------------------- subscribe paths
+// ------------------------------------------------------- control plane
 
-fn wse_subscribe(
-    inner: &MessengerInner,
-    v: WseVersion,
-    request: &Envelope,
-) -> Result<Envelope, Fault> {
-    let codec = WseCodec::new(v);
-    let req = codec.parse_subscribe(request)?;
-    let mut filters = UnifiedFilters::default();
-    if let Some(f) = &req.filter {
-        if f.dialect != wsm_eventing::XPATH_DIALECT {
-            return Err(
-                Fault::sender("the requested filter dialect is not supported")
-                    .with_subcode("wse:FilteringNotSupported"),
-            );
-        }
-        // Compile once at Subscribe time; the Arc'd program is shared
-        // by every subsequent match.
-        let compiled = wsm_xpath::CompiledFilter::compile(&f.expression).map_err(|e| {
-            Fault::sender(format!("invalid XPath filter: {e}"))
-                .with_subcode("wse:FilteringNotSupported")
-        })?;
-        filters.content.push(std::sync::Arc::new(compiled));
-    }
-    let mode = match req.mode {
-        wsm_eventing::DeliveryMode::Push => BrokerDeliveryMode::Push,
-        wsm_eventing::DeliveryMode::Pull => BrokerDeliveryMode::Pull,
-        wsm_eventing::DeliveryMode::Wrapped => BrokerDeliveryMode::Wrapped,
-    };
-    let now = inner.net.clock().now_ms();
-    let expires_at = req.expires.map(|e| e.absolute(now));
-    let id = inner.registry.insert(
-        SpecDialect::Wse(v),
-        req.notify_to,
-        req.end_to,
-        filters,
-        mode,
-        false,
-        expires_at,
-    );
-    let handle = wsm_eventing::SubscriptionHandle {
-        manager: subscription_epr(inner, &id, SpecDialect::Wse(v)),
-        id,
-        expires: req.expires,
-        version: v,
-    };
-    Ok(codec.subscribe_response(&handle))
-}
-
-fn wsn_subscribe(
-    inner: &MessengerInner,
-    v: WsnVersion,
-    request: &Envelope,
-) -> Result<Envelope, Fault> {
-    let codec = WsnCodec::new(v);
-    let req = codec.parse_subscribe(request)?;
-    let mut filters = UnifiedFilters::default();
-    for f in &req.filters {
-        match f {
-            WsnFilter::Topic(t) => filters.topics.push(t.clone()),
-            WsnFilter::ProducerProperties(x) => {
-                let compiled = wsm_xpath::CompiledFilter::compile(x).map_err(|e| {
-                    Fault::sender(format!("invalid ProducerProperties filter: {e}"))
-                        .with_subcode("wsnt:InvalidFilterFault")
-                })?;
-                filters.producer_props.push(std::sync::Arc::new(compiled))
-            }
-            WsnFilter::MessageContent {
-                dialect,
-                expression,
-            } => {
-                if dialect != wsm_notification::XPATH_DIALECT {
-                    return Err(Fault::sender("unsupported MessageContent dialect")
-                        .with_subcode("wsnt:InvalidFilterFault"));
-                }
-                let compiled = wsm_xpath::CompiledFilter::compile(expression).map_err(|e| {
-                    Fault::sender(format!("invalid MessageContent filter: {e}"))
-                        .with_subcode("wsnt:InvalidFilterFault")
-                })?;
-                filters.content.push(std::sync::Arc::new(compiled))
-            }
-        }
-    }
-    // Seed the topic space from concrete topic filters so that
-    // GetCurrentMessage and demand bookkeeping can see them.
-    {
-        let mut space = inner.topic_space.lock();
-        for t in &filters.topics {
-            if let Some(p) = wsm_topics::TopicPath::parse(t.text()) {
-                space.add(&p);
-            }
-        }
-    }
-    let now = inner.net.clock().now_ms();
-    let termination = req.initial_termination.map(|t| t.absolute(now));
-    let id = inner.registry.insert(
-        SpecDialect::Wsn(v),
-        req.consumer,
-        None,
-        filters,
-        BrokerDeliveryMode::Push,
-        req.use_raw,
-        termination,
-    );
-    Ok(codec.subscribe_response(
-        &EndpointReference::new(inner.manager_uri.clone()),
-        &id,
-        now,
-        termination,
-    ))
-}
-
-// ------------------------------------------------------- main handler
-
-struct MessengerHandler {
-    inner: Arc<MessengerInner>,
-}
-
-/// Every namespace the broker processes: both spec families (all
-/// versions), the three WS-Addressing versions, WSRF, and the broker's
-/// own extension namespace. Shared with the federation front, which
-/// speaks the same surface.
-pub(crate) fn understood_namespaces() -> Vec<&'static str> {
-    let mut out = vec![
-        wsm_wsrf::WSRF_RL_NS,
-        wsm_wsrf::WSRF_RP_NS,
-        crate::render::WSM_NS,
-    ];
-    for d in SpecDialect::ALL {
-        match d {
-            SpecDialect::Wse(v) => out.push(v.ns()),
-            SpecDialect::Wsn(v) => {
-                out.push(v.ns());
-                out.push(v.brokered_ns());
-            }
-        }
-    }
-    for w in [
-        wsm_addressing::WsaVersion::V200303,
-        wsm_addressing::WsaVersion::V200408,
-        wsm_addressing::WsaVersion::V200508,
-    ] {
-        out.push(w.ns());
-    }
-    out
-}
-
-impl SoapHandler for MessengerHandler {
-    fn handle(&self, request: Envelope) -> Result<Option<Envelope>, Fault> {
+impl WsMessenger {
+    /// Ingest one inbound SOAP publication as one trace, however many
+    /// messages it carries: its first span is the dialect detection the
+    /// endpoint timed (`detect_ns`).
+    pub(crate) fn ingest(&self, events: impl Iterator<Item = InternalEvent>, detect_ns: u64) {
         let inner = &self.inner;
-        wsm_soap::check_must_understand(&request, &understood_namespaces())?;
-        let body = request.body().ok_or_else(|| Fault::sender("empty body"))?;
-        // Observability operations short-circuit before dialect
-        // detection: they live in the broker's own namespace and must
-        // not perturb the pipeline they report on.
-        if body.name.is(crate::render::WSM_NS, "GetMetrics") {
-            return get_metrics(inner).map(Some);
-        }
-        if body.name.is(crate::render::WSM_NS, "GetTrace") {
-            return get_trace(inner, body).map(Some);
-        }
-        // Dead-letter operations are part of the delivery contract,
-        // not observability.
-        if body.name.is(crate::render::WSM_NS, "GetDeadLetters") {
-            return get_dead_letters(inner).map(Some);
-        }
-        if body.name.is(crate::render::WSM_NS, "RedeliverDeadLetters") {
-            return redeliver_dead_letters_op(inner).map(Some);
-        }
         let seq = inner.obs.next_seq();
-        let detect_timer = inner.obs.start();
-        let dialect = SpecDialect::detect(&request);
-        inner.obs.stage(
-            Stage::Detect,
-            seq,
-            detect_timer,
-            inner.net.clock().now_ms(),
-            1,
-        );
-        match dialect {
-            Some(SpecDialect::Wse(v)) => {
-                if body.name.is(v.ns(), "Subscribe") {
-                    return wse_subscribe(inner, v, &request).map(Some);
-                }
-                Err(Fault::sender(format!(
-                    "unsupported WS-Eventing operation {} at the broker endpoint",
-                    body.name.clark()
-                )))
-            }
-            Some(SpecDialect::Wsn(v)) => {
-                let codec = WsnCodec::new(v);
-                if body.name.is(v.ns(), "Subscribe") {
-                    return wsn_subscribe(inner, v, &request).map(Some);
-                }
-                if let Some(msgs) = codec.parse_notify(&request) {
-                    // Every NotificationMessage in the batch shares the
-                    // request's trace seq: one inbound Notify is one
-                    // trace, however many messages it carries.
-                    for m in msgs {
-                        let ev = InternalEvent {
-                            topic: m.topic,
-                            payload: SharedElement::new(m.message),
-                            producer: m.producer,
-                            origin: Some(SpecDialect::Wsn(v)),
-                        };
-                        ingest_seq(inner, ev, seq);
-                    }
-                    return Ok(None);
-                }
-                if body.name.is(v.ns(), "GetCurrentMessage") {
-                    return get_current_message(inner, v, body).map(Some);
-                }
-                if body.name.is(v.brokered_ns(), "RegisterPublisher") {
-                    let (publisher, topics, demand) = codec.parse_register_publisher(&request)?;
-                    if demand {
-                        return Err(Fault::sender(
-                            "WS-Messenger accepts demand-based registrations only via the \
-                             wsm-notification broker; register without Demand here",
-                        ));
-                    }
-                    let _ = publisher;
-                    {
-                        let mut space = inner.topic_space.lock();
-                        for t in &topics {
-                            if let Some(p) = wsm_topics::TopicPath::parse(t.text()) {
-                                space.add(&p);
-                            }
-                        }
-                    }
-                    let n = inner
-                        .publisher_registrations
-                        .fetch_add(1, Ordering::Relaxed)
-                        + 1;
-                    let reg = EndpointReference::new(format!("{}/registrations/{n}", inner.uri));
-                    return Ok(Some(codec.register_publisher_response(&reg)));
-                }
-                Err(Fault::sender(format!(
-                    "unsupported WS-Notification operation {}",
-                    body.name.clark()
-                )))
-            }
-            None => {
-                // A bare payload: treat as a raw publication.
-                let ev = InternalEvent::raw(body.clone());
-                ingest_seq(inner, ev, seq);
-                Ok(None)
-            }
+        let now = inner.net.clock().now_ms();
+        inner.obs.stage_dur(Stage::Detect, seq, detect_ns, now, 1);
+        for ev in events {
+            ingest_seq(inner, ev, seq);
         }
     }
-}
 
-/// `GetMetrics` (broker extension namespace): the Prometheus-style
-/// text exposition wrapped in a SOAP response.
-fn get_metrics(inner: &MessengerInner) -> Result<Envelope, Fault> {
-    inner.obs.set_subscriptions(inner.registry.len() as i64);
-    Ok(Envelope::new(wsm_soap::SoapVersion::V11).with_body(
-        Element::ns(crate::render::WSM_NS, "GetMetricsResponse", "wsm").with_child(
-            Element::ns(crate::render::WSM_NS, "Exposition", "wsm")
-                .with_text(inner.obs.prometheus()),
-        ),
-    ))
-}
-
-/// `GetTrace` (broker extension namespace): the buffered pipeline
-/// spans as `Span` elements. `Drain="true"` empties the ring.
-fn get_trace(inner: &MessengerInner, body: &Element) -> Result<Envelope, Fault> {
-    let spans = if body.attr("Drain") == Some("true") {
-        inner.obs.drain_spans()
-    } else {
-        inner.obs.spans()
-    };
-    let mut resp = Element::ns(crate::render::WSM_NS, "GetTraceResponse", "wsm");
-    for s in spans {
-        let mut el = Element::ns(crate::render::WSM_NS, "Span", "wsm");
-        el.set_attr(wsm_xml::QName::local("Seq"), s.seq.to_string());
-        el.set_attr(wsm_xml::QName::local("Stage"), s.stage.name());
-        el.set_attr(wsm_xml::QName::local("AtMs"), s.at_ms.to_string());
-        el.set_attr(wsm_xml::QName::local("DurNs"), s.dur_ns.to_string());
-        el.set_attr(wsm_xml::QName::local("Items"), s.items.to_string());
-        if let Some(sub) = &s.subscriber {
-            el.set_attr(wsm_xml::QName::local("Subscriber"), &**sub);
-            el.set_attr(wsm_xml::QName::local("Attempt"), s.attempt.to_string());
-        }
-        if let Some(o) = s.outcome {
-            el.set_attr(wsm_xml::QName::local("Outcome"), o.name());
-        }
-        resp.push(el);
-    }
-    Ok(Envelope::new(wsm_soap::SoapVersion::V11).with_body(resp))
-}
-
-/// `GetDeadLetters` (broker extension namespace): every message in the
-/// dead-letter store as a `wsm:DeadLetter` element carrying the
-/// subscription, consumer address, reason, budget spent, virtual
-/// timestamp, and the undeliverable payload itself.
-fn get_dead_letters(inner: &MessengerInner) -> Result<Envelope, Fault> {
-    let letters = inner
-        .reliability
-        .read()
-        .as_ref()
-        .map_or_else(Vec::new, |r| r.dead_letters());
-    let mut resp = Element::ns(crate::render::WSM_NS, "GetDeadLettersResponse", "wsm");
-    for dl in letters {
-        let mut el = Element::ns(crate::render::WSM_NS, "DeadLetter", "wsm");
-        el.set_attr(wsm_xml::QName::local("Sub"), dl.sub_id);
-        el.set_attr(wsm_xml::QName::local("Address"), dl.address);
-        el.set_attr(wsm_xml::QName::local("Reason"), dl.reason);
-        el.set_attr(wsm_xml::QName::local("Attempts"), dl.attempts.to_string());
-        el.set_attr(wsm_xml::QName::local("Strikes"), dl.strikes.to_string());
-        el.set_attr(wsm_xml::QName::local("AtMs"), dl.at_ms.to_string());
-        if let Some(body) = dl.envelope.body() {
-            el.push(body.clone());
-        }
-        resp.push(el);
-    }
-    Ok(Envelope::new(wsm_soap::SoapVersion::V11).with_body(resp))
-}
-
-/// `RedeliverDeadLetters` (broker extension namespace): requeue every
-/// dead letter with a fresh budget and report how many.
-fn redeliver_dead_letters_op(inner: &MessengerInner) -> Result<Envelope, Fault> {
-    let count = match inner.reliability.read().clone() {
-        Some(rel) => rel.redeliver_dead(inner.net.clock().now_ms()),
-        None => 0,
-    };
-    let mut resp = Element::ns(crate::render::WSM_NS, "RedeliverDeadLettersResponse", "wsm");
-    resp.set_attr(wsm_xml::QName::local("Count"), count.to_string());
-    Ok(Envelope::new(wsm_soap::SoapVersion::V11).with_body(resp))
-}
-
-fn get_current_message(
-    inner: &MessengerInner,
-    v: WsnVersion,
-    body: &Element,
-) -> Result<Envelope, Fault> {
-    let codec = WsnCodec::new(v);
-    let topic_el = body
-        .child_ns(v.ns(), "Topic")
-        .ok_or_else(|| Fault::sender("GetCurrentMessage requires a Topic"))?;
-    let dialect = topic_el
-        .attr("Dialect")
-        .unwrap_or(wsm_topics::expression::CONCRETE_DIALECT);
-    let expr = TopicExpression::compile_uri(dialect, topic_el.text().trim())
-        .map_err(|e| Fault::sender(format!("invalid topic: {e}")))?;
-    let space = inner.topic_space.lock();
-    let current = inner.current.lock();
-    let last = space
-        .expand(&expr)
-        .into_iter()
-        .rev()
-        .find_map(|t| current.get(&t.to_string()).cloned());
-    match last {
-        Some(m) => Ok(codec.get_current_message_response(Some(m.element()))),
-        None => Err(Fault::sender("no current message on that topic")
-            .with_subcode("wsnt:NoCurrentMessageOnTopicFault")),
-    }
-}
-
-// ---------------------------------------------------- manager handler
-
-struct ManagerHandler {
-    inner: Arc<MessengerInner>,
-}
-
-impl SoapHandler for ManagerHandler {
-    fn handle(&self, request: Envelope) -> Result<Option<Envelope>, Fault> {
+    /// Register one decoded subscription.
+    pub(crate) fn subscribe(&self, s: Subscription) -> Subscribed {
         let inner = &self.inner;
-        let dialect = SpecDialect::detect(&request)
-            .ok_or_else(|| Fault::sender("cannot determine the specification of this request"))?;
-        match dialect {
-            SpecDialect::Wse(v) => wse_manage(inner, v, &request).map(Some),
-            SpecDialect::Wsn(v) => wsn_manage(inner, v, &request).map(Some),
-        }
-    }
-}
-
-fn wse_manage(
-    inner: &MessengerInner,
-    v: WseVersion,
-    request: &Envelope,
-) -> Result<Envelope, Fault> {
-    let codec = WseCodec::new(v);
-    let ns = v.ns();
-    let body = request.body().ok_or_else(|| Fault::sender("empty body"))?;
-    let id = codec
-        .extract_subscription_id(request)
-        .ok_or_else(|| Fault::sender("no subscription identifier in request"))?;
-    let now = inner.net.clock().now_ms();
-    inner.registry.sweep_expired(now);
-    let unknown = || Fault::sender(format!("unknown subscription {id}"));
-
-    if body.name.is(ns, "Renew") {
-        inner.registry.get(&id).ok_or_else(unknown)?;
-        let requested = body
-            .child_ns(ns, "Expires")
-            .and_then(|e| Expires::parse(&e.text()));
-        inner
-            .registry
-            .set_expiry(&id, requested.map(|e| e.absolute(now)));
-        Ok(codec.management_response("Renew", requested))
-    } else if body.name.is(ns, "GetStatus") {
-        if !v.has_get_status() {
-            return Err(Fault::sender("GetStatus is not defined in this version"));
-        }
-        let status = inner.registry.status(&id).ok_or_else(unknown)?;
-        Ok(codec.management_response("GetStatus", status.expires_at_ms.map(Expires::At)))
-    } else if body.name.is(ns, "Unsubscribe") {
-        inner.registry.remove(&id).ok_or_else(unknown)?;
-        forget_reliability(inner, &id);
-        Ok(codec.management_response("Unsubscribe", None))
-    } else if body.name.is(ns, "Pull") {
-        inner.registry.get(&id).ok_or_else(unknown)?;
-        let max = body
-            .attr("MaxElements")
-            .and_then(|m| m.parse().ok())
-            .unwrap_or(usize::MAX);
-        let events = inner.registry.drain_queue(&id, max);
-        // Handing the events to the puller is the terminal outcome for
-        // a pull subscription: resolve each one's causal timeline.
-        let resolved_at = inner.net.clock().now_ms();
-        for ev in &events {
-            inner.obs.resolve(
-                ev.seq,
-                &id,
-                0,
-                ev.queued_at_ms,
-                resolved_at,
-                crate::obs::Outcome::Delivered,
-            );
-        }
-        let payloads: Vec<_> = events.into_iter().map(|e| e.payload).collect();
-        Ok(codec.pull_response_shared(&payloads))
-    } else {
-        Err(Fault::sender(format!(
-            "unsupported operation {}",
-            body.name.clark()
-        )))
-    }
-}
-
-fn wsn_manage(
-    inner: &MessengerInner,
-    v: WsnVersion,
-    request: &Envelope,
-) -> Result<Envelope, Fault> {
-    let codec = WsnCodec::new(v);
-    let ns = v.ns();
-    let body = request.body().ok_or_else(|| Fault::sender("empty body"))?;
-    let id = codec
-        .extract_subscription_id(request)
-        .ok_or_else(|| Fault::sender("no SubscriptionId in request"))?;
-    let now = inner.net.clock().now_ms();
-    inner.registry.sweep_expired(now);
-    let unknown = || {
-        Fault::sender(format!("unknown subscription {id}"))
-            .with_subcode("wsnt:ResourceUnknownFault")
-    };
-
-    if body.name.is(ns, "Renew") {
-        if !v.has_native_renew_unsubscribe() {
-            return Err(Fault::sender("WSN 1.0 renews via WSRF SetTerminationTime"));
-        }
-        inner.registry.get(&id).ok_or_else(unknown)?;
-        let t = body
-            .child_ns(ns, "TerminationTime")
-            .and_then(|e| Termination::parse(&e.text()))
-            .ok_or_else(|| Fault::sender("Renew requires a TerminationTime"))?;
-        inner.registry.set_expiry(&id, Some(t.absolute(now)));
-        Ok(codec.management_response("Renew"))
-    } else if body.name.is(ns, "Unsubscribe") {
-        if !v.has_native_renew_unsubscribe() {
-            return Err(Fault::sender("WSN 1.0 unsubscribes via WSRF Destroy"));
-        }
-        inner.registry.remove(&id).ok_or_else(unknown)?;
-        forget_reliability(inner, &id);
-        Ok(codec.management_response("Unsubscribe"))
-    } else if body.name.is(ns, "PauseSubscription") {
-        if !inner.registry.set_paused(&id, true) {
-            return Err(unknown());
-        }
-        Ok(codec.management_response("PauseSubscription"))
-    } else if body.name.is(ns, "ResumeSubscription") {
-        if !inner.registry.set_paused(&id, false) {
-            return Err(unknown());
-        }
-        Ok(codec.management_response("ResumeSubscription"))
-    } else if body.name.is(wsm_wsrf::WSRF_RL_NS, "Destroy") {
-        inner.registry.remove(&id).ok_or_else(unknown)?;
-        forget_reliability(inner, &id);
-        Ok(
-            Envelope::new(wsm_soap::SoapVersion::V11).with_body(Element::ns(
-                wsm_wsrf::WSRF_RL_NS,
-                "DestroyResponse",
-                "wsrf-rl",
-            )),
-        )
-    } else if body.name.is(wsm_wsrf::WSRF_RL_NS, "SetTerminationTime") {
-        inner.registry.get(&id).ok_or_else(unknown)?;
-        let t = body
-            .child_ns(wsm_wsrf::WSRF_RL_NS, "RequestedTerminationTime")
-            .and_then(|e| Termination::parse(&e.text()))
-            .ok_or_else(|| Fault::sender("missing RequestedTerminationTime"))?;
-        let abs = t.absolute(now);
-        inner.registry.set_expiry(&id, Some(abs));
-        Ok(Envelope::new(wsm_soap::SoapVersion::V11).with_body(
-            Element::ns(
-                wsm_wsrf::WSRF_RL_NS,
-                "SetTerminationTimeResponse",
-                "wsrf-rl",
-            )
-            .with_child(
-                Element::ns(wsm_wsrf::WSRF_RL_NS, "NewTerminationTime", "wsrf-rl")
-                    .with_text(wsm_xml::xsd::format_datetime(abs)),
-            ),
-        ))
-    } else if body.name.is(wsm_wsrf::WSRF_RP_NS, "GetResourceProperty") {
-        let sub = inner.registry.get(&id).ok_or_else(unknown)?;
-        let status = inner.registry.status(&id).ok_or_else(unknown)?;
-        let wanted = body.text();
-        let local = wanted.trim().rsplit(':').next().unwrap_or("");
-        let mut resp = Element::ns(
-            wsm_wsrf::WSRF_RP_NS,
-            "GetResourcePropertyResponse",
-            "wsrf-rp",
+        seed_topics(inner, &s.filters.topics);
+        let now = inner.net.clock().now_ms();
+        let expires_at = s.lease.map(|l| l.absolute(now));
+        let id = inner.registry.insert(
+            s.dialect, s.consumer, s.end_to, s.filters, s.mode, s.use_raw, expires_at,
         );
-        match local {
-            "Paused" => {
-                resp.push(Element::ns(ns, "Paused", "wsnt").with_text(status.paused.to_string()))
-            }
-            "TerminationTime" => {
-                if let Some(t) = status.expires_at_ms {
-                    resp.push(
-                        Element::ns(ns, "TerminationTime", "wsnt")
-                            .with_text(wsm_xml::xsd::format_datetime(t)),
-                    );
-                }
-            }
-            "ConsumerReference" => resp.push(
-                Element::ns(ns, "ConsumerReference", "wsnt")
-                    .with_text(sub.consumer.address.clone()),
-            ),
-            _ => {}
+        Subscribed {
+            manager: inner.manager_uri.clone(),
+            id,
+            requested: s.lease,
+            now_ms: now,
+            expires_at,
         }
-        Ok(Envelope::new(wsm_soap::SoapVersion::V11).with_body(resp))
-    } else {
-        Err(Fault::sender(format!(
-            "unsupported operation {}",
-            body.name.clark()
-        )))
+    }
+
+    /// Apply one decoded control operation.
+    pub(crate) fn apply(&self, op: ControlOp) -> Result<Reply, Fault> {
+        let inner = &self.inner;
+        Ok(match op {
+            ControlOp::Subscribe(s) => Reply::Subscribed(self.subscribe(*s)),
+            ControlOp::Manage(dialect, id, op) => {
+                manage(inner, &id, op).ok_or_else(|| unknown_subscription(dialect, &id))?
+            }
+            ControlOp::GetCurrentMessage(topic) => {
+                let space = inner.topic_space.lock();
+                let current = inner.current.lock();
+                let last = space
+                    .expand(&topic)
+                    .into_iter()
+                    .rev()
+                    .find_map(|t| current.get(&t.to_string()).cloned())
+                    .ok_or_else(|| {
+                        Fault::sender("no current message on that topic")
+                            .with_subcode("wsnt:NoCurrentMessageOnTopicFault")
+                    })?;
+                Reply::CurrentMessage(last)
+            }
+            ControlOp::RegisterPublisher(topics, demand) => {
+                if demand {
+                    return Err(Fault::sender(
+                        "WS-Messenger accepts demand-based registrations only via the \
+                         wsm-notification broker; register without Demand here",
+                    ));
+                }
+                seed_topics(inner, &topics);
+                let n = 1 + inner
+                    .publisher_registrations
+                    .fetch_add(1, Ordering::Relaxed);
+                Reply::Registered(format!("{}/registrations/{n}", inner.uri))
+            }
+            ControlOp::GetMetrics => Reply::Metrics(self.metrics_text()),
+            ControlOp::GetTrace(true) => Reply::Trace(self.drain_trace_spans()),
+            ControlOp::GetTrace(false) => Reply::Trace(self.trace_spans()),
+            ControlOp::GetDeadLetters => Reply::DeadLetters(self.dead_letters()),
+            ControlOp::RedeliverDeadLetters => Reply::Redelivered(self.redeliver_dead_letters()),
+        })
+    }
+}
+
+/// Add the concrete ones among `topics` to the topic space, so that
+/// GetCurrentMessage can see them.
+fn seed_topics(inner: &MessengerInner, topics: &[TopicExpression]) {
+    let mut space = inner.topic_space.lock();
+    for t in topics {
+        if let Some(p) = TopicPath::parse(t.text()) {
+            space.add(&p);
+        }
+    }
+}
+
+/// Apply a management operation to subscription `id`; `None` when no
+/// live subscription has that id.
+fn manage(inner: &MessengerInner, id: &str, op: Manage) -> Option<Reply> {
+    let registry = &inner.registry;
+    let now = inner.net.clock().now_ms();
+    registry.sweep_expired(now);
+    match op {
+        Manage::Lease(kind, lease) => {
+            let at = lease.map(|l| l.absolute(now));
+            // WS-Eventing's Renew echoes the lease asked for; WSRF's
+            // SetTerminationTime answers with the instant it set.
+            let told = if kind == OpKind::Renew {
+                lease
+            } else {
+                at.map(Expires::At)
+            };
+            registry
+                .set_expiry(id, at)
+                .then_some(Reply::Ack(kind, told))
+        }
+        Manage::Pause(kind) => registry
+            .set_paused(id, kind == OpKind::Pause)
+            .then_some(Reply::Ack(kind, None)),
+        Manage::End(kind) => {
+            registry.remove(id)?;
+            forget_reliability(inner, id);
+            Some(Reply::Ack(kind, None))
+        }
+        Manage::GetStatus => registry
+            .status(id)
+            .map(|s| Reply::Ack(OpKind::GetStatus, s.expires_at_ms.map(Expires::At))),
+        Manage::Pull(max) => {
+            registry.get(id)?;
+            let events = registry.drain_queue(id, max);
+            // Handing the events to the puller is the terminal outcome
+            // for a pull subscription: resolve each one's causal timeline.
+            let obs = &inner.obs;
+            for ev in &events {
+                obs.resolve(ev.seq, id, 0, ev.queued_at_ms, now, Outcome::Delivered);
+            }
+            let pulled = events.into_iter().map(|e| e.payload).collect();
+            Some(Reply::Pulled(pulled))
+        }
+        Manage::Property(name) => {
+            let sub = registry.get(id)?;
+            let status = registry.status(id)?;
+            Some(Reply::Property(match name.as_str() {
+                "Paused" => Some(("Paused", status.paused.to_string())),
+                "TerminationTime" => status
+                    .expires_at_ms
+                    .map(|t| ("TerminationTime", wsm_xml::xsd::format_datetime(t))),
+                "ConsumerReference" => Some(("ConsumerReference", sub.consumer.address.clone())),
+                _ => None,
+            }))
+        }
     }
 }

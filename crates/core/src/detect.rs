@@ -36,6 +36,14 @@ impl SpecDialect {
         }
     }
 
+    /// The dialect's base specification namespace.
+    pub(crate) fn ns(self) -> &'static str {
+        match self {
+            SpecDialect::Wse(v) => v.ns(),
+            SpecDialect::Wsn(v) => v.ns(),
+        }
+    }
+
     /// Does a namespace belong to this dialect?
     fn owns_ns(self, ns: &str) -> bool {
         match self {
@@ -76,11 +84,7 @@ impl SpecDialect {
         // 3. Descendant elements of the body.
         for body in env.body_elements() {
             for d in SpecDialect::ALL {
-                let ns = match d {
-                    SpecDialect::Wse(v) => v.ns(),
-                    SpecDialect::Wsn(v) => v.ns(),
-                };
-                if has_descendant_in_ns(body, ns) {
+                if has_descendant_in_ns(body, d.ns()) {
                     return Some(d);
                 }
             }

@@ -43,11 +43,21 @@
 //!   delivery cost then shows up in the owning shard's own pipeline
 //!   stages, where it belongs. Consumer deliveries are byte-identical
 //!   to sending the shard the multi-message `Notify` envelope
-//!   ([`WsnCodec::notify_shared`]) a remote broker would receive
+//!   ([`wsm_notification::WsnCodec::notify_shared`]) a remote broker would receive
 //!   (property-tested in `tests/federation_links.rs`).
 //! * **Shard autonomy.** Each shard is a full [`WsMessenger`]: its own
 //!   registry, staged delivery engine, reliability layer, and WSE↔WSN
 //!   mediation. The front only routes.
+//! * **Control plane.** The front decodes each management request once
+//!   (`crate::control`) and places it: a Subscribe on the shards that
+//!   own its topic roots (every shard for the broadcast residue), a
+//!   management operation on the shards its route table names. It calls
+//!   those shards' `apply` directly under each shard's own subscription
+//!   id and merges their replies — nothing is re-encoded or re-parsed
+//!   for the hop — then answers once, with its own manager URI and
+//!   federated id. The broker's `wsm:` operations are answered too:
+//!   metrics and trace from the front's own, dead letters from the
+//!   shards'.
 //!
 //! Flusher threads are lazily spawned the first time a buffering
 //! [`BatchPolicy`] is installed and then live as long as the process —
@@ -94,7 +104,8 @@
 //! assert_eq!(wse.received().len(), 12);
 //! ```
 
-use crate::broker::{understood_namespaces, WsMessenger};
+use crate::broker::WsMessenger;
+use crate::control::{unknown_subscription, ControlOp, Endpoint, Manage, Reply, Subscribed};
 use crate::detect::SpecDialect;
 use crate::event::InternalEvent;
 use crate::obs::{BrokerObs, Stage};
@@ -104,15 +115,11 @@ use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use wsm_addressing::EndpointReference;
-use wsm_eventing::{SubscriptionHandle, WseCodec, WseVersion};
-use wsm_notification::{
-    SharedNotificationMessage, WsnCodec, WsnFilter, WsnVersion, SUBSCRIPTION_ID_LOCAL,
-};
-use wsm_soap::{Envelope, Fault};
-use wsm_topics::TopicPath;
-use wsm_transport::{EndpointSender, Network, TransportError};
-use wsm_xml::{Element, Node};
+use wsm_notification::{SharedNotificationMessage, WsnVersion};
+use wsm_soap::Fault;
+use wsm_topics::{TopicExpression, TopicPath};
+use wsm_transport::Network;
+use wsm_xml::Element;
 
 /// FNV-1a over the topic root, reduced mod the shard count. FNV is
 /// deliberate: it is stable across processes and Rust versions (unlike
@@ -229,10 +236,6 @@ struct LinkCtx {
     idle: Condvar,
     net: Network,
     shards: Vec<WsMessenger>,
-    /// Cached-route senders to each shard's broker endpoint — the wire
-    /// forwarded Subscribe / GetCurrentMessage / RegisterPublisher
-    /// requests travel over.
-    wire: Vec<Mutex<EndpointSender>>,
     /// The front's own observability: `Stage::Federate` hop spans and
     /// `Stage::FederateEnqueue` publisher-side spans.
     obs: BrokerObs,
@@ -349,24 +352,13 @@ fn flusher_loop(ctx: Arc<LinkCtx>, home: usize) {
     }
 }
 
-/// Where one federated subscription lives: its dialect (which decides
-/// how the subscription id is carried in management requests) and the
-/// `(shard, local_id)` pairs behind the federated id.
-#[derive(Debug, Clone)]
-struct FedRoute {
-    spec: SpecDialect,
-    entries: Vec<(usize, String)>,
-}
-
 struct FederationInner {
-    net: Network,
     uri: String,
     manager_uri: String,
-    /// Cached-route senders to each shard's subscription manager.
-    manager_links: Vec<Mutex<EndpointSender>>,
-    /// Federated id → placement. The front mints `fed-{n}` ids so a
-    /// subscriber holds one handle however many shards back it.
-    routes: Mutex<HashMap<String, FedRoute>>,
+    /// Federated id → the `(shard, local id)` placements behind it. The
+    /// front mints `fed-{n}` ids so a subscriber holds one handle however
+    /// many shards back it.
+    routes: Mutex<HashMap<String, Vec<(usize, String)>>>,
     next_id: AtomicU64,
     /// Round-robin cursor for topicless publications.
     round_robin: AtomicUsize,
@@ -392,14 +384,6 @@ impl FederatedMessenger {
         let n = shards.max(1);
         let shard_brokers: Vec<WsMessenger> = (0..n)
             .map(|i| WsMessenger::start(net, &format!("{uri}/shard-{i}")))
-            .collect();
-        let wire = shard_brokers
-            .iter()
-            .map(|b| Mutex::new(net.sender(b.uri())))
-            .collect();
-        let manager_links = shard_brokers
-            .iter()
-            .map(|b| Mutex::new(net.sender(b.manager_uri())))
             .collect();
         let obs = BrokerObs::new();
         let (queue_depth, flush_size, shed_total) = {
@@ -439,7 +423,6 @@ impl FederatedMessenger {
             idle: Condvar::new(),
             net: net.clone(),
             shards: shard_brokers,
-            wire,
             obs,
             buffering: AtomicBool::new(false),
             shed: AtomicU64::new(0),
@@ -447,29 +430,20 @@ impl FederatedMessenger {
             flush_size,
             shed_total,
         });
-        let inner = Arc::new(FederationInner {
-            net: net.clone(),
-            uri: uri.to_string(),
-            manager_uri: format!("{uri}/subscriptions"),
-            manager_links,
-            routes: Mutex::new(HashMap::new()),
-            next_id: AtomicU64::new(0),
-            round_robin: AtomicUsize::new(0),
-            ctx,
-        });
-        net.register(
-            uri,
-            Arc::new(FrontHandler {
-                inner: Arc::clone(&inner),
+        let front = FederatedMessenger {
+            inner: Arc::new(FederationInner {
+                uri: uri.to_string(),
+                manager_uri: format!("{uri}/subscriptions"),
+                routes: Mutex::new(HashMap::new()),
+                next_id: AtomicU64::new(0),
+                round_robin: AtomicUsize::new(0),
+                ctx,
             }),
-        );
-        net.register(
-            inner.manager_uri.clone(),
-            Arc::new(FedManagerHandler {
-                inner: Arc::clone(&inner),
-            }),
-        );
-        FederatedMessenger { inner }
+        };
+        let endpoint = Arc::new(Endpoint::Front(front.clone()));
+        net.register(uri, endpoint.clone());
+        net.register(front.inner.manager_uri.clone(), endpoint);
+        front
     }
 
     /// The front's broker endpoint URI.
@@ -524,12 +498,7 @@ impl FederatedMessenger {
     /// subscriptions — equals [`Self::subscription_count`] when no
     /// registration is orphaned and none was inserted out-of-band.
     pub fn route_entry_count(&self) -> usize {
-        self.inner
-            .routes
-            .lock()
-            .values()
-            .map(|r| r.entries.len())
-            .sum()
+        self.inner.routes.lock().values().map(Vec::len).sum()
     }
 
     /// Spawn the persistent flushers (one per link) if they are not
@@ -862,115 +831,19 @@ impl FederatedMessenger {
     }
 }
 
-// ------------------------------------------------------ id plumbing
+// ------------------------------------------------------ control plane
 
-/// Mint the next federated subscription id.
-fn mint_id(inner: &FederationInner) -> String {
-    format!("fed-{}", inner.next_id.fetch_add(1, Ordering::Relaxed) + 1)
-}
-
-/// The federated manager EPR a subscriber gets back — same shape the
-/// broker hands out, but addressed at the front's manager.
-fn fed_subscription_epr(inner: &FederationInner, id: &str, spec: SpecDialect) -> EndpointReference {
-    let epr = EndpointReference::new(inner.manager_uri.clone());
-    match spec {
-        SpecDialect::Wse(v) if v.id_in_reference_parameters() => epr.with_reference(
-            v.wsa(),
-            Element::ns(v.ns(), "Identifier", "wse").with_text(id),
-        ),
-        SpecDialect::Wse(_) => epr,
-        SpecDialect::Wsn(v) => crate::render::wsn_subscription_epr(v, &inner.manager_uri, id),
-    }
-}
-
-/// Pull the (federated) subscription id out of a management request,
-/// whatever dialect carried it.
-fn extract_fed_id(env: &Envelope) -> Option<String> {
-    for d in SpecDialect::ALL {
-        let id = match d {
-            SpecDialect::Wse(v) => WseCodec::new(v).extract_subscription_id(env),
-            SpecDialect::Wsn(v) => WsnCodec::new(v).extract_subscription_id(env),
-        };
-        if id.is_some() {
-            return id;
-        }
-    }
-    None
-}
-
-/// Replace an element's text content.
-fn set_element_text(e: &mut Element, text: &str) {
-    e.children
-        .retain(|c| !matches!(c, Node::Text(_) | Node::CData(_)));
-    e.children.push(Node::Text(text.to_string()));
-}
-
-/// Rewrite the subscription id a management request carries so the
-/// forwarded copy names the shard-local registration instead of the
-/// federated id: the `wse:Identifier` header (WSE 08/2004), the
-/// `wse:Id` body child (WSE 01/2004), or the `SubscriptionId` header
-/// (WSN, both versions — also what the WSRF operations echo).
-fn rewrite_subscription_id(env: &mut Envelope, spec: SpecDialect, local_id: &str) {
-    match spec {
-        SpecDialect::Wse(v) if v.id_in_reference_parameters() => {
-            let idx = env
-                .headers()
-                .iter()
-                .position(|h| h.name.is(v.ns(), "Identifier"));
-            if let Some(h) = idx.and_then(|i| env.header_at_mut(i)) {
-                set_element_text(h, local_id);
-            }
-        }
-        SpecDialect::Wse(v) => {
-            if let Some(body) = env.body_first_mut() {
-                for child in body.children.iter_mut() {
-                    if let Node::Element(e) = child {
-                        if e.name.is(v.ns(), "Id") {
-                            set_element_text(e, local_id);
-                        }
-                    }
-                }
-            }
-        }
-        SpecDialect::Wsn(v) => {
-            let idx = env
-                .headers()
-                .iter()
-                .position(|h| h.name.is(v.ns(), SUBSCRIPTION_ID_LOCAL));
-            if let Some(h) = idx.and_then(|i| env.header_at_mut(i)) {
-                set_element_text(h, local_id);
-            }
-        }
-    }
-}
-
-/// Surface a forwarding failure as a SOAP fault: shard-side faults
-/// pass through, transport-level failures become receiver faults.
-fn transport_fault(err: TransportError) -> Fault {
-    match err {
-        TransportError::Fault(f) => *f,
-        other => Fault::receiver(format!("federation forward failed: {other}")),
-    }
-}
-
-// -------------------------------------------------- subscribe routing
-
-/// Which shards a WSN subscription must live on: the owners of its
-/// literal topic roots, or every shard when any filter is wildcard-
-/// rooted or no topic filter constrains it (the broadcast residue).
-fn wsn_target_shards(filters: &[WsnFilter], shards: usize) -> Vec<usize> {
-    let mut targets: Vec<usize> = Vec::new();
-    let mut has_topic = false;
-    for f in filters {
-        if let WsnFilter::Topic(t) = f {
-            has_topic = true;
-            match t.index_roots() {
-                Some(roots) => targets.extend(roots.iter().map(|r| shard_of_root(r, shards))),
-                None => return (0..shards).collect(),
-            }
-        }
-    }
-    if !has_topic {
+/// Which shards a subscription must live on: the owners of its literal
+/// topic roots, or every shard when a topic filter is wildcard-rooted or
+/// none constrains it — the broadcast residue, which includes every
+/// WS-Eventing subscription.
+fn target_shards(topics: &[TopicExpression], shards: usize) -> Vec<usize> {
+    // `None` as soon as one filter is wildcard-rooted.
+    let roots: Option<Vec<Vec<&str>>> = topics.iter().map(|t| t.index_roots()).collect();
+    let mut targets: Vec<usize> = (roots.into_iter().flatten().flatten())
+        .map(|r| shard_of_root(r, shards))
+        .collect();
+    if targets.is_empty() {
         return (0..shards).collect();
     }
     targets.sort_unstable();
@@ -978,272 +851,95 @@ fn wsn_target_shards(filters: &[WsnFilter], shards: usize) -> Vec<usize> {
     targets
 }
 
-/// Forward a Subscribe to `shard`, returning the shard's response
-/// envelope. Takes the envelope by value: fan-out callers clone once
-/// per extra shard at the call boundary, and the last forward moves
-/// the original instead of cloning it again.
-fn forward_subscribe(
-    inner: &FederationInner,
-    shard: usize,
-    request: Envelope,
-) -> Result<Envelope, Fault> {
-    inner.ctx.wire[shard]
-        .lock()
-        .request(request)
-        .map_err(transport_fault)
-}
-
-fn fed_wse_subscribe(
-    inner: &FederationInner,
-    v: WseVersion,
-    request: Envelope,
-) -> Result<Envelope, Fault> {
-    let codec = WseCodec::new(v);
-    // WS-Eventing has no topic filter the partition rule could use, so
-    // every WSE subscription is broadcast residue.
-    let shards = inner.ctx.shards.len();
-    let mut entries = Vec::with_capacity(shards);
-    let mut first: Option<SubscriptionHandle> = None;
-    let mut request = Some(request);
-    for shard in 0..shards {
-        let env = if shard + 1 == shards {
-            request.take().expect("envelope moved once")
-        } else {
-            request.as_ref().expect("envelope still owned").clone()
-        };
-        let resp = forward_subscribe(inner, shard, env)?;
-        let handle = codec.parse_subscribe_response(&resp)?;
-        entries.push((shard, handle.id.clone()));
-        first.get_or_insert(handle);
-    }
-    let template = first.expect("at least one shard");
-    let fed_id = mint_id(inner);
-    inner.routes.lock().insert(
-        fed_id.clone(),
-        FedRoute {
-            spec: SpecDialect::Wse(v),
-            entries,
-        },
-    );
-    let handle = SubscriptionHandle {
-        manager: fed_subscription_epr(inner, &fed_id, SpecDialect::Wse(v)),
-        id: fed_id,
-        expires: template.expires,
-        version: v,
-    };
-    Ok(codec.subscribe_response(&handle))
-}
-
-fn fed_wsn_subscribe(
-    inner: &FederationInner,
-    v: WsnVersion,
-    request: Envelope,
-) -> Result<Envelope, Fault> {
-    let codec = WsnCodec::new(v);
-    let req = codec.parse_subscribe(&request)?;
-    let targets = wsn_target_shards(&req.filters, inner.ctx.shards.len());
-    let mut entries = Vec::with_capacity(targets.len());
-    let mut request = Some(request);
-    for (k, shard) in targets.iter().enumerate() {
-        let env = if k + 1 == targets.len() {
-            request.take().expect("envelope moved once")
-        } else {
-            request.as_ref().expect("envelope still owned").clone()
-        };
-        let resp = forward_subscribe(inner, *shard, env)?;
-        let (_manager, id) = codec.parse_subscribe_response(&resp)?;
-        entries.push((*shard, id));
-    }
-    let fed_id = mint_id(inner);
-    inner.routes.lock().insert(
-        fed_id.clone(),
-        FedRoute {
-            spec: SpecDialect::Wsn(v),
-            entries,
-        },
-    );
-    let now = inner.net.clock().now_ms();
-    let termination = req.initial_termination.map(|t| t.absolute(now));
-    Ok(codec.subscribe_response(
-        &EndpointReference::new(inner.manager_uri.clone()),
-        &fed_id,
-        now,
-        termination,
-    ))
-}
-
-// -------------------------------------------------------- front handler
-
-/// The federation front: routes Subscribe, federates publications,
-/// and forwards topic-addressable queries to the owning shard.
-struct FrontHandler {
-    inner: Arc<FederationInner>,
-}
-
-impl FrontHandler {
-    /// Publish every message of one inbound publication batch through
-    /// the link layer, then flush: SOAP publishers expect publish-is-
-    /// delivered semantics (buffering is the in-process publisher
-    /// API's knob).
-    fn ingest_and_flush(&self, events: Vec<InternalEvent>) {
-        let fed = FederatedMessenger {
-            inner: Arc::clone(&self.inner),
-        };
-        for ev in events {
-            fed.publish_event(ev);
-        }
-        fed.flush();
-    }
-}
-
-impl wsm_transport::SoapHandler for FrontHandler {
-    fn handle(&self, request: Envelope) -> Result<Option<Envelope>, Fault> {
+impl FederatedMessenger {
+    /// Apply one decoded control operation: place it on the shards that
+    /// hold its state, apply it there under each shard's own id, and
+    /// merge what they reply. The front's own metrics and trace answer
+    /// `wsm:GetMetrics` and `wsm:GetTrace`.
+    pub(crate) fn apply(&self, op: ControlOp) -> Result<Reply, Fault> {
         let inner = &self.inner;
-        wsm_soap::check_must_understand(&request, &understood_namespaces())?;
-        let body = request.body().ok_or_else(|| Fault::sender("empty body"))?;
-        match SpecDialect::detect(&request) {
-            Some(SpecDialect::Wse(v)) => {
-                if body.name.is(v.ns(), "Subscribe") {
-                    return fed_wse_subscribe(inner, v, request).map(Some);
+        let shards = &inner.ctx.shards;
+        let n = shards.len();
+        match op {
+            // Placed on every shard it needs, under one federated id.
+            ControlOp::Subscribe(s) => {
+                let targets = target_shards(&s.filters.topics, n);
+                let (&last, rest) = targets.split_last().expect("a subscription has a shard");
+                let mut entries = Vec::with_capacity(targets.len());
+                for &i in rest {
+                    entries.push((i, shards[i].subscribe(s.as_ref().clone()).id));
                 }
-                Err(Fault::sender(format!(
-                    "unsupported WS-Eventing operation {} at the federation front",
-                    body.name.clark()
-                )))
+                let placed = shards[last].subscribe(*s);
+                entries.push((last, placed.id));
+                let id = format!("fed-{}", inner.next_id.fetch_add(1, Ordering::Relaxed) + 1);
+                inner.routes.lock().insert(id.clone(), entries);
+                let manager = inner.manager_uri.clone();
+                Ok(Reply::Subscribed(Subscribed {
+                    manager,
+                    id,
+                    ..placed
+                }))
             }
-            Some(SpecDialect::Wsn(v)) => {
-                let codec = WsnCodec::new(v);
-                if body.name.is(v.ns(), "Subscribe") {
-                    return fed_wsn_subscribe(inner, v, request).map(Some);
-                }
-                if let Some(msgs) = codec.parse_notify(&request) {
-                    self.ingest_and_flush(
-                        msgs.into_iter()
-                            .map(|m| InternalEvent {
-                                topic: m.topic,
-                                payload: wsm_xml::SharedElement::new(m.message),
-                                producer: m.producer,
-                                origin: Some(SpecDialect::Wsn(v)),
-                            })
-                            .collect(),
-                    );
-                    return Ok(None);
-                }
-                if body.name.is(v.ns(), "GetCurrentMessage") {
-                    // Current-message state lives where publications on
-                    // the topic are ingested: the root's owner shard.
-                    let owner = body
-                        .child_ns(v.ns(), "Topic")
-                        .and_then(|t| TopicPath::parse(t.text().trim()))
-                        .map(|p| shard_of_root(p.root(), inner.ctx.shards.len()));
-                    let shards: Vec<usize> = match owner {
-                        Some(i) => vec![i],
-                        None => (0..inner.ctx.shards.len()).collect(),
-                    };
-                    let mut last = Fault::sender("no current message on that topic");
-                    for shard in shards {
-                        match inner.ctx.wire[shard].lock().request(request.clone()) {
-                            Ok(resp) => return Ok(Some(resp)),
-                            Err(e) => last = transport_fault(e),
-                        }
-                    }
-                    return Err(last);
-                }
-                if body.name.is(v.brokered_ns(), "RegisterPublisher") {
-                    // Registration seeds topic-space metadata; replicate
-                    // it so any shard can answer for those topics.
-                    let mut last = Fault::receiver("no shard accepted the registration");
-                    let mut ok = None;
-                    for shard in 0..inner.ctx.shards.len() {
-                        match inner.ctx.wire[shard].lock().request(request.clone()) {
-                            Ok(resp) => ok = Some(resp),
-                            Err(e) => last = transport_fault(e),
-                        }
-                    }
-                    return match ok {
-                        Some(resp) => Ok(Some(resp)),
-                        None => Err(last),
-                    };
-                }
-                Err(Fault::sender(format!(
-                    "unsupported WS-Notification operation {} at the federation front",
-                    body.name.clark()
-                )))
+            ControlOp::Manage(dialect, id, manage) => {
+                let mut routes = inner.routes.lock();
+                // Unsubscribe and Destroy end the route with its placements.
+                let entries = match manage {
+                    Manage::End(_) => routes.remove(&id),
+                    _ => routes.get(&id).cloned(),
+                };
+                drop(routes);
+                let entries = entries.ok_or_else(|| unknown_subscription(dialect, &id))?;
+                self.on_shards(entries.into_iter().map(|(shard, local)| {
+                    (shard, ControlOp::Manage(dialect, local, manage.clone()))
+                }))
             }
-            None => {
-                // A bare payload: a topicless raw publication.
-                let payload = body.clone();
-                self.ingest_and_flush(vec![InternalEvent::raw(payload)]);
-                Ok(None)
+            // Current-message state lives where publications on the
+            // topic are ingested: the root's owner shard.
+            ControlOp::GetCurrentMessage(ref topic) => {
+                let owner = TopicPath::parse(topic.text()).map(|p| shard_of_root(p.root(), n));
+                let shards = (0..n).filter(|s| owner.is_none_or(|o| o == *s));
+                self.on_shards(shards.map(|s| (s, op.clone())))
             }
+            ControlOp::GetMetrics => Ok(Reply::Metrics(self.metrics_text())),
+            ControlOp::GetTrace(true) => Ok(Reply::Trace(inner.ctx.obs.drain_spans())),
+            ControlOp::GetTrace(false) => Ok(Reply::Trace(self.federation_spans())),
+            // A publisher registration seeds every shard's topic space,
+            // and dead letters live on the shards.
+            op => self.on_shards((0..n).map(|s| (s, op.clone()))),
         }
     }
-}
 
-// ------------------------------------------------------ manager handler
-
-/// The federation's subscription manager: resolves a federated id to
-/// its shard placements, rewrites the id per entry, forwards, and
-/// merges where the operation demands it (WSE `Pull`).
-struct FedManagerHandler {
-    inner: Arc<FederationInner>,
-}
-
-impl wsm_transport::SoapHandler for FedManagerHandler {
-    fn handle(&self, request: Envelope) -> Result<Option<Envelope>, Fault> {
-        let inner = &self.inner;
-        wsm_soap::check_must_understand(&request, &understood_namespaces())?;
-        let body = request.body().ok_or_else(|| Fault::sender("empty body"))?;
-        let fed_id = extract_fed_id(&request)
-            .ok_or_else(|| Fault::sender("the request names no subscription"))?;
-        let route = inner
-            .routes
-            .lock()
-            .get(&fed_id)
-            .cloned()
-            .ok_or_else(|| Fault::sender(format!("unknown subscription {fed_id}")))?;
-        let op = body.name.local.as_str();
-        let mut responses = Vec::with_capacity(route.entries.len());
-        let mut first_err: Option<Fault> = None;
-        for (shard, local_id) in &route.entries {
-            let mut env = request.clone();
-            rewrite_subscription_id(&mut env, route.spec, local_id);
-            match inner.manager_links[*shard].lock().request(env) {
-                Ok(resp) => responses.push(resp),
-                Err(e) => {
-                    first_err.get_or_insert_with(|| transport_fault(e));
+    /// Apply each `(shard, op)` and merge the shards' replies: pulled
+    /// events and dead letters concatenate, redelivery counts add, and
+    /// otherwise the first answer stands. Faults only when every shard
+    /// faulted, with the first shard's fault.
+    fn on_shards(&self, ops: impl Iterator<Item = (usize, ControlOp)>) -> Result<Reply, Fault> {
+        ops.map(|(shard, op)| self.inner.ctx.shards[shard].apply(op))
+            .reduce(|a, b| match (a, b) {
+                (Ok(Reply::Pulled(mut a)), Ok(Reply::Pulled(b))) => {
+                    a.extend(b);
+                    Ok(Reply::Pulled(a))
                 }
-            }
-        }
-        if responses.is_empty() {
-            return Err(first_err.unwrap_or_else(|| Fault::receiver("no shard answered")));
-        }
-        if matches!(op, "Unsubscribe" | "Destroy") {
-            inner.routes.lock().remove(&fed_id);
-        }
-        // Pull-mode queues are per shard; merge the drained events so
-        // the puller sees one stream.
-        if op == "Pull" {
-            if let SpecDialect::Wse(v) = route.spec {
-                let codec = WseCodec::new(v);
-                let mut events = Vec::new();
-                for r in &responses {
-                    events.extend(codec.parse_pull_response(r));
+                (Ok(Reply::DeadLetters(mut a)), Ok(Reply::DeadLetters(b))) => {
+                    a.extend(b);
+                    Ok(Reply::DeadLetters(a))
                 }
-                return Ok(Some(codec.pull_response(&events)));
-            }
-        }
-        Ok(responses.into_iter().next().map(Some).unwrap())
+                (Ok(Reply::Redelivered(a)), Ok(Reply::Redelivered(b))) => {
+                    Ok(Reply::Redelivered(a + b))
+                }
+                (Ok(r), _) | (Err(_), Ok(r)) => Ok(r),
+                (Err(f), Err(_)) => Err(f),
+            })
+            .unwrap_or_else(|| Err(Fault::receiver("no shard answered")))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wsm_eventing::{DeliveryMode, EventSink, SubscribeRequest, Subscriber};
-    use wsm_notification::{NotificationConsumer, WsnClient, WsnSubscribeRequest};
-    use wsm_soap::SoapVersion;
-    use wsm_topics::TopicExpression;
+    use wsm_addressing::EndpointReference;
+    use wsm_eventing::{DeliveryMode, EventSink, SubscribeRequest, Subscriber, WseVersion};
+    use wsm_notification::{NotificationConsumer, WsnClient, WsnFilter, WsnSubscribeRequest};
 
     fn payload(n: u64) -> Element {
         Element::local("event").with_text(format!("e{n}"))
@@ -1267,24 +963,22 @@ mod tests {
 
     #[test]
     fn wsn_routing_places_concrete_roots_and_broadcasts_residue() {
-        let concrete = vec![WsnFilter::Topic(
-            TopicExpression::concrete("storms/tornado").unwrap(),
-        )];
+        let concrete = vec![TopicExpression::concrete("storms/tornado").unwrap()];
         assert_eq!(
-            wsn_target_shards(&concrete, 4),
+            target_shards(&concrete, 4),
             vec![shard_of_root("storms", 4)]
         );
         let union = vec![
-            WsnFilter::Topic(TopicExpression::concrete("storms").unwrap()),
-            WsnFilter::Topic(TopicExpression::concrete("jobs").unwrap()),
+            TopicExpression::concrete("storms").unwrap(),
+            TopicExpression::concrete("jobs").unwrap(),
         ];
-        let t = wsn_target_shards(&union, 4);
+        let t = target_shards(&union, 4);
         assert!(t.contains(&shard_of_root("storms", 4)));
         assert!(t.contains(&shard_of_root("jobs", 4)));
         // Wildcard-rooted and content-only subscriptions replicate.
-        let wild = vec![WsnFilter::Topic(TopicExpression::full("//storms").unwrap())];
-        assert_eq!(wsn_target_shards(&wild, 4), vec![0, 1, 2, 3]);
-        assert_eq!(wsn_target_shards(&[], 4), vec![0, 1, 2, 3]);
+        let wild = vec![TopicExpression::full("//storms").unwrap()];
+        assert_eq!(target_shards(&wild, 4), vec![0, 1, 2, 3]);
+        assert_eq!(target_shards(&[], 4), vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -1503,39 +1197,5 @@ mod tests {
             .collect();
         assert_eq!(federate.len(), 1, "deadline sealing made one hop");
         assert_eq!(federate[0].items, 4);
-    }
-
-    #[test]
-    fn rewrite_replaces_each_dialect_id_carrier() {
-        // WSE 08/2004: header Identifier.
-        let v = WseVersion::Aug2004;
-        let mut env = Envelope::new(SoapVersion::V11)
-            .with_header(Element::ns(v.ns(), "Identifier", "wse").with_text("fed-1"))
-            .with_body(Element::ns(v.ns(), "Renew", "wse"));
-        rewrite_subscription_id(&mut env, SpecDialect::Wse(v), "wsm-9");
-        assert_eq!(env.header(v.ns(), "Identifier").unwrap().text(), "wsm-9");
-
-        // WSE 01/2004: body child Id.
-        let j = WseVersion::Jan2004;
-        let mut env = Envelope::new(SoapVersion::V11).with_body(
-            Element::ns(j.ns(), "Renew", "wse")
-                .with_child(Element::ns(j.ns(), "Id", "wse").with_text("fed-2")),
-        );
-        rewrite_subscription_id(&mut env, SpecDialect::Wse(j), "wsm-7");
-        assert_eq!(
-            env.body().unwrap().child_ns(j.ns(), "Id").unwrap().text(),
-            "wsm-7"
-        );
-
-        // WSN: header SubscriptionId.
-        let w = WsnVersion::V1_3;
-        let mut env = Envelope::new(SoapVersion::V11)
-            .with_header(Element::ns(w.ns(), SUBSCRIPTION_ID_LOCAL, "wsnt").with_text("fed-3"))
-            .with_body(Element::ns(w.ns(), "Renew", "wsnt"));
-        rewrite_subscription_id(&mut env, SpecDialect::Wsn(w), "wsm-5");
-        assert_eq!(
-            env.header(w.ns(), SUBSCRIPTION_ID_LOCAL).unwrap().text(),
-            "wsm-5"
-        );
     }
 }

@@ -56,6 +56,7 @@
 
 pub mod backend;
 pub mod broker;
+mod control;
 pub mod delivery;
 pub mod detect;
 pub mod event;
@@ -68,6 +69,7 @@ pub mod stage;
 
 pub use backend::{InMemoryBackend, JmsBackend, MessagingBackend};
 pub use broker::{MediationStats, WsMessenger};
+pub use control::OpKind;
 pub use delivery::{
     DeliveryEngine, DispatchMode, FailKind, FanOutReport, PushJob, ResolvedMark, StatsDelta,
 };

@@ -120,16 +120,10 @@ impl UnifiedFilters {
     }
 }
 
-/// How the consumer wants messages delivered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BrokerDeliveryMode {
-    /// Push one message per event.
-    Push,
-    /// Queue at the broker; the consumer pulls (WSE pull mode).
-    Pull,
-    /// Buffer and push batches (WSE wrapped mode).
-    Wrapped,
-}
+/// How the consumer wants messages delivered: WS-Eventing's three
+/// delivery modes, which a WS-Notification subscription (always push)
+/// shares.
+pub type BrokerDeliveryMode = wsm_eventing::DeliveryMode;
 
 /// One live broker subscription: the immutable facts fixed at
 /// `Subscribe` time.

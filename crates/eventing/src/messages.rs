@@ -130,12 +130,7 @@ impl WseCodec {
             }
         };
 
-        let expires = match body.child_ns(ns, "Expires") {
-            Some(e) => Some(Expires::parse(&e.text()).ok_or_else(|| {
-                Fault::sender("invalid wse:Expires").with_subcode("wse:InvalidExpirationTime")
-            })?),
-            None => None,
-        };
+        let expires = self.requested_expiry(body)?;
 
         let filters: Vec<&Element> = body.children_ns(ns, "Filter").collect();
         if filters.len() > self.version.max_filters() {
@@ -156,6 +151,18 @@ impl WseCodec {
             expires,
             filter,
         })
+    }
+
+    /// The `wse:Expires` a request body asks for, if any; one that does
+    /// not parse faults with `wse:InvalidExpirationTime`.
+    fn requested_expiry(&self, body: &Element) -> Result<Option<Expires>, Fault> {
+        body.child_ns(self.version.ns(), "Expires")
+            .map(|e| {
+                Expires::parse(&e.text()).ok_or_else(|| {
+                    Fault::sender("invalid wse:Expires").with_subcode("wse:InvalidExpirationTime")
+                })
+            })
+            .transpose()
     }
 
     /// Build a `SubscribeResponse`.
@@ -262,6 +269,17 @@ impl WseCodec {
             body.push(self.el("Expires").with_text(e.to_lexical()));
         }
         self.management_request(handle, "Renew", body)
+    }
+
+    /// Parse a `Renew` body into the expiry it asks for (`None`: no
+    /// expiry). An `Expires` that does not parse faults exactly as it
+    /// does in `Subscribe`.
+    pub fn parse_renew(&self, env: &Envelope) -> Result<Option<Expires>, Fault> {
+        let body = env
+            .body()
+            .filter(|b| b.name.is(self.version.ns(), "Renew"))
+            .ok_or_else(|| Fault::sender("expected wse:Renew"))?;
+        self.requested_expiry(body)
     }
 
     /// `GetStatus` request (08/2004 only; callers guard on the version).

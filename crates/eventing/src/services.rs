@@ -305,11 +305,8 @@ fn manage(inner: &SourceInner, request: &Envelope) -> Result<Option<Envelope>, F
     let unknown = || Fault::sender(format!("unknown subscription {id}"));
 
     if body.name.is(ns, "Renew") {
-        let sub = inner.store.get(&id).ok_or_else(unknown)?;
-        let _ = sub;
-        let requested = body
-            .child_ns(ns, "Expires")
-            .and_then(|e| Expires::parse(&e.text()));
+        inner.store.get(&id).ok_or_else(unknown)?;
+        let requested = inner.codec.parse_renew(request)?;
         let expires_at = requested.map(|e| e.absolute(now));
         inner.store.set_expiry(&id, expires_at);
         Ok(Some(inner.codec.management_response("Renew", requested)))
@@ -612,6 +609,33 @@ mod tests {
         source.publish(&Element::local("e3"));
         assert_eq!(sink.received().len(), 2, "expired subscription dropped");
         assert_eq!(source.subscription_count(), 0);
+    }
+
+    #[test]
+    fn renew_with_an_unparseable_expires_faults_and_keeps_the_lease() {
+        for v in [WseVersion::Jan2004, WseVersion::Aug2004] {
+            let (net, source, sink, subscriber) = setup(v);
+            let h = subscriber
+                .subscribe(
+                    source.uri(),
+                    SubscribeRequest::push(sink.epr()).with_expires(Expires::Duration(1_000)),
+                )
+                .unwrap();
+            let mut renew = WseCodec::new(v).renew(&h, None);
+            renew
+                .body_first_mut()
+                .unwrap()
+                .push(Element::ns(v.ns(), "Expires", "wse").with_text("whenever"));
+            match net.request(&h.manager.address, renew) {
+                Err(TransportError::Fault(f)) => {
+                    assert_eq!(f.subcode.as_deref(), Some("wse:InvalidExpirationTime"))
+                }
+                other => panic!("{v:?}: {other:?}"),
+            }
+            net.clock().advance_ms(2_000);
+            source.publish(&Element::local("late"));
+            assert!(sink.received().is_empty(), "{v:?}: the lease still ran out");
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ pub enum WseVersion {
 
 impl WseVersion {
     /// The specification namespace.
-    pub fn ns(self) -> &'static str {
+    pub const fn ns(self) -> &'static str {
         match self {
             WseVersion::Jan2004 => "http://schemas.xmlsoap.org/ws/2004/01/eventing",
             WseVersion::Aug2004 => "http://schemas.xmlsoap.org/ws/2004/08/eventing",

@@ -443,6 +443,33 @@ impl WsnCodec {
         self.management(subscription, "GetResourceProperty", body)
     }
 
+    /// WSRF `DestroyResponse`.
+    pub fn wsrf_destroy_response(&self) -> Envelope {
+        let body = Element::ns(wsm_wsrf::WSRF_RL_NS, "DestroyResponse", "wsrf-rl");
+        self.envelope().with_body(body)
+    }
+
+    /// WSRF `SetTerminationTimeResponse`, reporting the instant set.
+    pub fn wsrf_set_termination_time_response(&self, at_ms: u64) -> Envelope {
+        let rl = wsm_wsrf::WSRF_RL_NS;
+        let body = Element::ns(rl, "SetTerminationTimeResponse", "wsrf-rl").with_child(
+            Element::ns(rl, "NewTerminationTime", "wsrf-rl")
+                .with_text(wsm_xml::xsd::format_datetime(at_ms)),
+        );
+        self.envelope().with_body(body)
+    }
+
+    /// WSRF `GetResourcePropertyResponse` carrying the property values.
+    pub fn wsrf_get_property_response(
+        &self,
+        values: impl IntoIterator<Item = Element>,
+    ) -> Envelope {
+        let rp = wsm_wsrf::WSRF_RP_NS;
+        let mut body = Element::ns(rp, "GetResourcePropertyResponse", "wsrf-rp");
+        body.children.extend(values.into_iter().map(Node::Element));
+        self.envelope().with_body(body)
+    }
+
     /// A generic empty management response.
     pub fn management_response(&self, op: &str) -> Envelope {
         let mut env = self.envelope().with_body(self.el(&format!("{op}Response")));
@@ -478,6 +505,21 @@ impl WsnCodec {
             MessageHeaders::request(to, self.version.action("GetCurrentMessage")),
         );
         env
+    }
+
+    /// Parse a `GetCurrentMessage` request into the topic it asks about.
+    pub fn parse_get_current_message(&self, env: &Envelope) -> Result<TopicExpression, Fault> {
+        let ns = self.version.ns();
+        let topic = env
+            .body()
+            .filter(|b| b.name.is(ns, "GetCurrentMessage"))
+            .and_then(|b| b.child_ns(ns, "Topic"))
+            .ok_or_else(|| Fault::sender("GetCurrentMessage requires a Topic"))?;
+        let dialect = topic
+            .attr("Dialect")
+            .unwrap_or(wsm_topics::expression::CONCRETE_DIALECT);
+        TopicExpression::compile_uri(dialect, topic.text().trim())
+            .map_err(|e| Fault::sender(format!("invalid topic: {e}")))
     }
 
     /// `GetCurrentMessageResponse` carrying the last message (if any).

@@ -260,16 +260,7 @@ pub(crate) fn handle_get_current_message(
     inner: &ProducerInner,
     request: &Envelope,
 ) -> Result<Envelope, Fault> {
-    let ns = inner.codec.version.ns();
-    let body = request.body().ok_or_else(|| Fault::sender("empty body"))?;
-    let topic_el = body
-        .child_ns(ns, "Topic")
-        .ok_or_else(|| Fault::sender("GetCurrentMessage requires a Topic"))?;
-    let dialect = topic_el
-        .attr("Dialect")
-        .unwrap_or(wsm_topics::expression::CONCRETE_DIALECT);
-    let expr = TopicExpression::compile_uri(dialect, topic_el.text().trim())
-        .map_err(|e| Fault::sender(format!("invalid topic: {e}")))?;
+    let expr = inner.codec.parse_get_current_message(request)?;
     let space = inner.topic_space.lock();
     let current = inner.current.lock();
     let last = space
@@ -392,13 +383,7 @@ pub(crate) fn handle_management(
         inner.store.remove(&id).ok_or_else(unknown)?;
         inner.resources.destroy(&id);
         notify_population_change(inner);
-        Ok(
-            Envelope::new(wsm_soap::SoapVersion::V11).with_body(Element::ns(
-                wsm_wsrf::WSRF_RL_NS,
-                "DestroyResponse",
-                "wsrf-rl",
-            )),
-        )
+        Ok(inner.codec.wsrf_destroy_response())
     } else if body.name.is(wsm_wsrf::WSRF_RL_NS, "SetTerminationTime") {
         if !version.requires_wsrf() {
             return Err(Fault::sender(
@@ -419,17 +404,7 @@ pub(crate) fn handle_management(
                     .with_text(wsm_xml::xsd::format_datetime(abs)),
             );
         });
-        Ok(Envelope::new(wsm_soap::SoapVersion::V11).with_body(
-            Element::ns(
-                wsm_wsrf::WSRF_RL_NS,
-                "SetTerminationTimeResponse",
-                "wsrf-rl",
-            )
-            .with_child(
-                Element::ns(wsm_wsrf::WSRF_RL_NS, "NewTerminationTime", "wsrf-rl")
-                    .with_text(wsm_xml::xsd::format_datetime(abs)),
-            ),
-        ))
+        Ok(inner.codec.wsrf_set_termination_time_response(abs))
     } else if body.name.is(wsm_wsrf::WSRF_RP_NS, "GetResourceProperty") {
         if !version.requires_wsrf() {
             return Err(Fault::sender(
@@ -439,15 +414,10 @@ pub(crate) fn handle_management(
         let resource = inner.resources.get(&id).ok_or_else(unknown)?;
         let wanted = body.text();
         let local = wanted.trim().rsplit(':').next().unwrap_or("").to_string();
-        let mut resp = Element::ns(
-            wsm_wsrf::WSRF_RP_NS,
-            "GetResourcePropertyResponse",
-            "wsrf-rp",
-        );
-        for p in resource.properties.get(&wsm_xml::QName::ns(ns, local)) {
-            resp.push(p.clone());
-        }
-        Ok(Envelope::new(wsm_soap::SoapVersion::V11).with_body(resp))
+        let values = resource.properties.get(&wsm_xml::QName::ns(ns, local));
+        Ok(inner
+            .codec
+            .wsrf_get_property_response(values.into_iter().cloned()))
     } else {
         Err(Fault::sender(format!(
             "unsupported operation {}",

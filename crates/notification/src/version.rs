@@ -18,7 +18,7 @@ pub enum WsnVersion {
 
 impl WsnVersion {
     /// The base-notification namespace.
-    pub fn ns(self) -> &'static str {
+    pub const fn ns(self) -> &'static str {
         match self {
             WsnVersion::V1_0 => {
                 "http://docs.oasis-open.org/wsn/2004/06/wsn-WS-BaseNotification-1.2-draft-01.xsd"
@@ -28,7 +28,7 @@ impl WsnVersion {
     }
 
     /// The brokered-notification namespace.
-    pub fn brokered_ns(self) -> &'static str {
+    pub const fn brokered_ns(self) -> &'static str {
         match self {
             WsnVersion::V1_0 => {
                 "http://docs.oasis-open.org/wsn/2004/06/wsn-WS-BrokeredNotification-1.2-draft-01.xsd"

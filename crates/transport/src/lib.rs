@@ -25,10 +25,12 @@
 //!   stores compact records whose strings are shared handles; readers
 //!   get [`TraceRecord`]s with owned `String`s, built on the way out.
 //!
-//! A send that is delivered with no fault configured takes no
-//! process-wide lock but the trace ring's and allocates nothing: the
-//! fault plan is consulted (and locked) only while it names an
-//! endpoint. See the [`network`] module docs.
+//! A send that is delivered with no fault configured allocates nothing
+//! and takes no exclusive lock but the trace ring's: it resolves its
+//! endpoint under the endpoint table's read lock (there is no route
+//! cache to keep coherent with registrations), and the fault plan is
+//! consulted (and locked) only while it names an endpoint. See the
+//! [`network`] module docs.
 //!
 //! ```
 //! use wsm_transport::{Network, SoapHandler};
@@ -58,7 +60,5 @@ pub mod trace;
 
 pub use clock::SimClock;
 pub use faults::{EndpointFaults, FaultPlan, Flap, Injected, Injection};
-pub use network::{
-    AttemptClass, EndpointOptions, EndpointSender, Network, SoapHandler, TransportError,
-};
+pub use network::{AttemptClass, EndpointOptions, Network, SoapHandler, TransportError};
 pub use trace::{DeliveryOutcome, TraceRecord};

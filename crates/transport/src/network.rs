@@ -3,9 +3,10 @@
 //! # What a delivered send costs
 //!
 //! Every delivery attempt — whatever its fate — goes through one
-//! function, `deliver_routed`, which decides, counts and traces it. On
+//! function, `deliver`, which decides, counts and traces it. On
 //! the delivered path with no fault configured that function takes no
-//! process-wide lock but the trace ring's and allocates nothing:
+//! exclusive lock but the trace ring's (it resolves the endpoint under
+//! the table's read lock) and allocates nothing:
 //!
 //! * **Faults.** The [`FaultPlan`] sits behind a mutex, but a flag
 //!   beside it says whether the plan names any endpoint at all. Every
@@ -119,15 +120,8 @@ impl TransportError {
     }
 }
 
+#[derive(Clone)]
 struct Endpoint {
-    handler: Arc<dyn SoapHandler>,
-    options: EndpointOptions,
-}
-
-/// A resolved endpoint: its handler and options, plus the endpoint
-/// table's own key for the trace to share.
-struct Route {
-    to: Arc<str>,
     handler: Arc<dyn SoapHandler>,
     options: EndpointOptions,
 }
@@ -196,10 +190,6 @@ const TRACE_CAPACITY: usize = 65_536;
 
 struct Inner {
     endpoints: RwLock<HashMap<Arc<str>, Endpoint>>,
-    /// Endpoint-table generation, bumped on every register/unregister.
-    /// [`EndpointSender`] caches a resolved route against this epoch so
-    /// consecutive sends to one endpoint skip the registry lock.
-    endpoint_epoch: AtomicU64,
     faults: Mutex<FaultPlan>,
     /// True iff the plan in `faults` names any endpoint. Written only
     /// by `edit_faults`, under the plan lock; read by every send
@@ -235,7 +225,6 @@ impl Network {
     pub fn new() -> Self {
         Network(Arc::new(Inner {
             endpoints: RwLock::new(HashMap::new()),
-            endpoint_epoch: AtomicU64::new(0),
             faults: Mutex::new(FaultPlan::default()),
             faults_armed: AtomicBool::new(false),
             trace: Mutex::new(VecDeque::new()),
@@ -285,46 +274,11 @@ impl Network {
             .endpoints
             .write()
             .insert(Arc::from(uri.into()), Endpoint { handler, options });
-        self.0.endpoint_epoch.fetch_add(1, Ordering::Release);
     }
 
     /// Remove an endpoint. Returns true if one was registered.
     pub fn unregister(&self, uri: &str) -> bool {
-        let removed = self.0.endpoints.write().remove(uri).is_some();
-        if removed {
-            self.0.endpoint_epoch.fetch_add(1, Ordering::Release);
-        }
-        removed
-    }
-
-    /// The current endpoint-table generation (see [`EndpointSender`]).
-    pub fn endpoint_epoch(&self) -> u64 {
-        self.0.endpoint_epoch.load(Ordering::Acquire)
-    }
-
-    /// A reusable route to one endpoint: consecutive sends to the same
-    /// address through the returned [`EndpointSender`] resolve the
-    /// handler once per endpoint-table generation instead of taking
-    /// the registry read lock per message.
-    pub fn sender(&self, to: impl Into<String>) -> EndpointSender {
-        EndpointSender {
-            net: self.clone(),
-            to: to.into(),
-            resolved_epoch: None,
-            route: None,
-        }
-    }
-
-    fn lookup(&self, to: &str) -> Option<Route> {
-        self.0
-            .endpoints
-            .read()
-            .get_key_value(to)
-            .map(|(key, ep)| Route {
-                to: Arc::clone(key),
-                handler: Arc::clone(&ep.handler),
-                options: ep.options,
-            })
+        self.0.endpoints.write().remove(uri).is_some()
     }
 
     /// Is an endpoint registered at `uri`?
@@ -399,27 +353,19 @@ impl Network {
         envelope: Envelope,
         class: AttemptClass,
     ) -> Result<(), TransportError> {
-        self.deliver_routed(to, None, envelope, false, class)
-            .map(|_| ())
+        self.deliver(to, envelope, false, class).map(|_| ())
     }
 
     /// Two-way request/response exchange.
     pub fn request(&self, to: &str, envelope: Envelope) -> Result<Envelope, TransportError> {
-        self.deliver_routed(to, None, envelope, true, AttemptClass::First)?
+        self.deliver(to, envelope, true, AttemptClass::First)?
             .ok_or_else(|| TransportError::NoResponse(to.to_string()))
     }
 
-    /// One delivery, optionally through a pre-resolved route.
-    /// `route: None` resolves the endpoint here (the uncached path);
-    /// `Some(resolved)` is an [`EndpointSender`]'s epoch-validated
-    /// cache, where the inner `None` means "no endpoint existed at
-    /// resolution time". Fault injection, latency, and tracing are
-    /// identical either way — a cached route only skips the registry
-    /// lookup, never the fault plan.
-    fn deliver_routed(
+    /// One delivery attempt: decide its fate, count it and trace it.
+    fn deliver(
         &self,
         to: &str,
-        route: Option<Option<&Route>>,
         envelope: Envelope,
         two_way: bool,
         class: AttemptClass,
@@ -455,25 +401,21 @@ impl Network {
                 None,
             ),
             Injection::Deliver => {
-                let looked_up;
-                let endpoint = match route {
-                    Some(cached) => cached,
-                    None => {
-                        looked_up = self.lookup(to);
-                        looked_up.as_ref()
-                    }
-                };
-                match endpoint {
+                // Resolved under the table's read lock, which is released
+                // before the handler runs.
+                let resolved = (self.0.endpoints.read())
+                    .get_key_value(to)
+                    .map(|(key, ep)| (Arc::clone(key), ep.clone()));
+                match resolved {
                     None => (Err(TransportError::NoEndpoint(to.to_string())), None),
-                    Some(ep) if ep.options.firewalled => (
-                        Err(TransportError::Refused(to.to_string())),
-                        Some(Arc::clone(&ep.to)),
-                    ),
-                    Some(ep) => (
+                    Some((key, ep)) if ep.options.firewalled => {
+                        (Err(TransportError::Refused(to.to_string())), Some(key))
+                    }
+                    Some((key, ep)) => (
                         ep.handler
                             .handle(envelope)
                             .map_err(|fault| TransportError::Fault(Box::new(fault))),
-                        Some(Arc::clone(&ep.to)),
+                        Some(key),
                     ),
                 }
             }
@@ -575,67 +517,6 @@ impl Network {
             .iter()
             .filter(|r| pred(&r.outcome))
             .count()
-    }
-}
-
-/// A cached route to one endpoint, from [`Network::sender`].
-///
-/// Resolving an endpoint costs a registry read lock and a hash lookup
-/// per send; a holder that keeps talking to one endpoint (a federation
-/// link to its shard) pays that once per endpoint-table generation
-/// instead. The cache is validated against
-/// [`Network::endpoint_epoch`] on every send, so a re-registered or
-/// removed endpoint is always observed — and the fault plan is still
-/// consulted per delivery, so injected loss, flapping, and latency
-/// spikes behave identically through a cached route.
-pub struct EndpointSender {
-    net: Network,
-    to: String,
-    resolved_epoch: Option<u64>,
-    route: Option<Route>,
-}
-
-impl EndpointSender {
-    /// Re-resolve the route if the endpoint table changed since it was
-    /// cached. Every send does this first; call it directly to pay the
-    /// registry lookup ahead of the first one.
-    pub fn resolve_now(&mut self) {
-        let epoch = self.net.endpoint_epoch();
-        if self.resolved_epoch != Some(epoch) {
-            self.route = self.net.lookup(&self.to);
-            self.resolved_epoch = Some(epoch);
-        }
-    }
-
-    /// One-way send through the cached route, with an explicit attempt
-    /// class (see [`Network::send_class`]).
-    pub fn send_class(
-        &mut self,
-        envelope: Envelope,
-        class: AttemptClass,
-    ) -> Result<(), TransportError> {
-        self.resolve_now();
-        self.net
-            .deliver_routed(&self.to, Some(self.route.as_ref()), envelope, false, class)
-            .map(|_| ())
-    }
-
-    /// One-way send through the cached route, counted as a first
-    /// attempt.
-    pub fn send(&mut self, envelope: Envelope) -> Result<(), TransportError> {
-        self.send_class(envelope, AttemptClass::First)
-    }
-
-    /// Two-way request/response exchange through the cached route (see
-    /// [`Network::request`]). The federation front keeps one sender per
-    /// shard so Subscribe and subscription-management forwards skip the
-    /// per-call endpoint lookup.
-    pub fn request(&mut self, envelope: Envelope) -> Result<Envelope, TransportError> {
-        self.resolve_now();
-        let route = Some(self.route.as_ref());
-        self.net
-            .deliver_routed(&self.to, route, envelope, true, AttemptClass::First)?
-            .ok_or_else(|| TransportError::NoResponse(self.to.clone()))
     }
 }
 
@@ -816,58 +697,6 @@ mod tests {
         assert_eq!(t[1].label, "urn:go");
     }
 
-    #[test]
-    fn endpoint_sender_caches_route_across_sends() {
-        let net = Network::new();
-        net.register("http://a", Arc::new(Sink));
-        let epoch = net.endpoint_epoch();
-        let mut sender = net.sender("http://a");
-        sender.send(env()).unwrap();
-        sender.send(env()).unwrap();
-        // No registrations happened, so the epoch (and the cached
-        // route) held across both sends.
-        assert_eq!(net.endpoint_epoch(), epoch);
-        assert_eq!(net.count_outcomes(|o| *o == DeliveryOutcome::Delivered), 2);
-    }
-
-    #[test]
-    fn endpoint_sender_observes_unregister_and_reregister() {
-        let net = Network::new();
-        net.register("http://a", Arc::new(Sink));
-        let mut sender = net.sender("http://a");
-        sender.send(env()).unwrap();
-        net.unregister("http://a");
-        assert!(matches!(
-            sender.send(env()),
-            Err(TransportError::NoEndpoint(_))
-        ));
-        // A fresh registration at the same address must be picked up —
-        // including one with different options.
-        net.register_with(
-            "http://a",
-            Arc::new(Echo),
-            EndpointOptions { firewalled: true },
-        );
-        assert!(matches!(
-            sender.send(env()),
-            Err(TransportError::Refused(_))
-        ));
-    }
-
-    #[test]
-    fn endpoint_sender_still_consults_fault_plan() {
-        let net = Network::new();
-        net.register("http://a", Arc::new(Sink));
-        let mut sender = net.sender("http://a");
-        sender.send(env()).unwrap();
-        net.drop_next("http://a", 1);
-        assert!(matches!(
-            sender.send(env()),
-            Err(TransportError::Dropped(_))
-        ));
-        sender.send(env()).unwrap();
-    }
-
     /// A flat JSON object, checked the way a line-oriented reader
     /// would: strings closed, escapes legal, no raw control character,
     /// nothing after the closing brace.
@@ -932,27 +761,22 @@ mod tests {
     fn fault_plan_is_consulted_exactly_when_it_names_an_endpoint() {
         let net = Network::new();
         net.register("http://a", Arc::new(Sink));
-        let mut sender = net.sender("http://a");
-        // Nothing configured: a thousand clean sends, either way in.
-        for _ in 0..500 {
+        // Nothing configured: a thousand clean sends.
+        for _ in 0..1_000 {
             net.send("http://a", env()).unwrap();
-            sender.send(env()).unwrap();
         }
         // Arming takes effect on the very next send, and for exactly
         // the budget asked for.
         net.drop_next("http://a", 2);
-        assert!(matches!(
-            net.send("http://a", env()),
-            Err(TransportError::Dropped(_))
-        ));
-        assert!(matches!(
-            sender.send(env()),
-            Err(TransportError::Dropped(_))
-        ));
+        for _ in 0..2 {
+            assert!(matches!(
+                net.send("http://a", env()),
+                Err(TransportError::Dropped(_))
+            ));
+        }
         net.send("http://a", env()).unwrap();
-        sender.send(env()).unwrap();
         assert_eq!(tally(&net, "dropped"), 2);
-        assert_eq!(tally(&net, "delivered"), 1_002);
+        assert_eq!(tally(&net, "delivered"), 1_001);
 
         // Every mutator arms; an empty plan disarms.
         type Arm = fn(&Network);
@@ -969,70 +793,54 @@ mod tests {
             (|n| n.latency_spike_next("http://a", 7, 1), "delivered"),
         ];
         for (arm, fate) in arms {
-            for cached in [false, true] {
-                net.set_fault_plan(FaultPlan::new());
-                net.drain_trace();
-                let before = net.clock().now_ms();
-                arm(&net);
-                let _ = if cached {
-                    sender.send(env())
-                } else {
-                    net.send("http://a", env())
-                };
-                assert_eq!(tally(&net, fate), 1, "{fate} (cached route: {cached})");
-                let spiked = u64::from(fate == "delivered") * 7;
-                assert_eq!(net.clock().now_ms() - before, spiked);
-                // Disarmed again: whatever budget was left is gone.
-                net.set_fault_plan(FaultPlan::new());
-                net.send("http://a", env()).unwrap();
-                sender.send(env()).unwrap();
-            }
+            net.set_fault_plan(FaultPlan::new());
+            net.drain_trace();
+            let before = net.clock().now_ms();
+            arm(&net);
+            let _ = net.send("http://a", env());
+            assert_eq!(tally(&net, fate), 1, "{fate}");
+            let spiked = u64::from(fate == "delivered") * 7;
+            assert_eq!(net.clock().now_ms() - before, spiked);
+            // Disarmed again: whatever budget was left is gone.
+            net.set_fault_plan(FaultPlan::new());
+            net.send("http://a", env()).unwrap();
         }
     }
 
     #[test]
     fn a_fault_armed_under_a_running_sender_is_spent_exactly() {
-        for cached in [false, true] {
-            let net = Network::new();
-            net.register("http://a", Arc::new(Sink));
-            let running = std::sync::Barrier::new(2);
-            let faults_seen = std::thread::scope(|s| {
-                let sender = s.spawn(|| {
-                    let mut route = net.sender("http://a");
-                    let mut send = || {
-                        if cached {
-                            route.send(env())
-                        } else {
-                            net.send("http://a", env())
-                        }
-                    };
-                    // Send until the three faults the other thread arms
-                    // somewhere in the middle of this loop have all come
-                    // back, then enough more to show no fourth follows.
-                    let mut faulted = 0;
-                    let mut sent = 0u32;
-                    while faulted < 3 {
-                        if sent == 100 {
-                            running.wait();
-                        }
-                        faulted += u32::from(send().is_err());
-                        sent += 1;
-                        assert!(sent < 50_000_000, "the armed plan was never seen");
+        let net = Network::new();
+        net.register("http://a", Arc::new(Sink));
+        let running = std::sync::Barrier::new(2);
+        let faults_seen = std::thread::scope(|s| {
+            let sender = s.spawn(|| {
+                let send = || net.send("http://a", env());
+                // Send until the three faults the other thread arms
+                // somewhere in the middle of this loop have all come
+                // back, then enough more to show no fourth follows.
+                let mut faulted = 0;
+                let mut sent = 0u32;
+                while faulted < 3 {
+                    if sent == 100 {
+                        running.wait();
                     }
-                    for _ in 0..1_000 {
-                        faulted += u32::from(send().is_err());
-                    }
-                    faulted
-                });
-                // The sender is in its loop, on a plan it has only ever
-                // seen unarmed.
-                running.wait();
-                net.fault_next("http://a", 3);
-                sender.join().unwrap()
+                    faulted += u32::from(send().is_err());
+                    sent += 1;
+                    assert!(sent < 50_000_000, "the armed plan was never seen");
+                }
+                for _ in 0..1_000 {
+                    faulted += u32::from(send().is_err());
+                }
+                faulted
             });
-            assert_eq!(faults_seen, 3, "cached route: {cached}");
-            assert_eq!(tally(&net, "faulted"), 3, "cached route: {cached}");
-        }
+            // The sender is in its loop, on a plan it has only ever
+            // seen unarmed.
+            running.wait();
+            net.fault_next("http://a", 3);
+            sender.join().unwrap()
+        });
+        assert_eq!(faults_seen, 3);
+        assert_eq!(tally(&net, "faulted"), 3);
     }
 
     #[test]
@@ -1110,30 +918,27 @@ mod tests {
             ),
         ];
         for (arm, outcome) in fates {
-            for cached in [false, true] {
-                let net = Network::new();
-                arm(&net);
-                let result = if cached {
-                    net.sender("http://x").send(env())
-                } else {
-                    net.send("http://x", env())
-                };
-                let what = format!("{outcome} (cached route: {cached})");
-                assert_eq!(result.is_ok(), outcome == DeliveryOutcome::Delivered);
-                let trace = net.trace();
-                assert_eq!(trace.len(), 1, "{what}: one trace record");
-                assert_eq!(trace[0].outcome, outcome, "{what}");
-                let metrics = net.metrics();
-                assert_eq!(metrics.counter("net_sends_total").get(), 1, "{what}");
-                assert_eq!(metrics.histogram("net_send_ns").stats().count, 1, "{what}");
-                for t in ["delivered", "dropped", "faulted", "no_endpoint", "refused"] {
-                    let counted = metrics.counter(&format!("net_outcome_{t}_total")).get();
-                    assert_eq!(
-                        counted,
-                        u64::from(t == outcome.tag()),
-                        "{what}: net_outcome_{t}"
-                    );
-                }
+            let net = Network::new();
+            arm(&net);
+            let result = net.send("http://x", env());
+            assert_eq!(result.is_ok(), outcome == DeliveryOutcome::Delivered);
+            let trace = net.trace();
+            assert_eq!(trace.len(), 1, "{outcome}: one trace record");
+            assert_eq!(trace[0].outcome, outcome, "{outcome}");
+            let metrics = net.metrics();
+            assert_eq!(metrics.counter("net_sends_total").get(), 1, "{outcome}");
+            assert_eq!(
+                metrics.histogram("net_send_ns").stats().count,
+                1,
+                "{outcome}"
+            );
+            for t in ["delivered", "dropped", "faulted", "no_endpoint", "refused"] {
+                let counted = metrics.counter(&format!("net_outcome_{t}_total")).get();
+                assert_eq!(
+                    counted,
+                    u64::from(t == outcome.tag()),
+                    "{outcome}: net_outcome_{t}"
+                );
             }
         }
     }
