@@ -8,7 +8,13 @@
 //! Table 2's: WS-Eventing has no Pause/Resume, GetCurrentMessage or
 //! RegisterPublisher; WS-Eventing 01/2004 has no GetStatus and no pull
 //! delivery; WS-BaseNotification 1.0 renews and unsubscribes only
-//! through WSRF; WS-Notification has no GetStatus and no Pull.
+//! through WSRF; WS-Notification has no GetStatus and no Pull; and only
+//! WS-Notification 1.3 has PullPoints (Table 1).
+//!
+//! The two WS-BrokeredNotification features a broker serves are driven
+//! end to end in both setups too: a PullPoint from `CreatePullPoint`, and
+//! a demand-based publisher that publishes only while a subscription
+//! wants its topics.
 //!
 //! Any change to a broker or front handler must keep this file green.
 
@@ -20,7 +26,8 @@ use wsm_eventing::{
 use wsm_messenger::render::WSM_NS;
 use wsm_messenger::{FaultTolerance, FederatedMessenger, WsMessenger};
 use wsm_notification::{
-    NotificationConsumer, Termination, WsnCodec, WsnFilter, WsnSubscribeRequest, WsnVersion,
+    NotificationConsumer, NotificationProducer, PullPoint, Termination, WsnClient, WsnCodec,
+    WsnFilter, WsnSubscribeRequest, WsnVersion,
 };
 use wsm_soap::{Envelope, FaultCode, SoapVersion};
 use wsm_topics::TopicExpression;
@@ -108,6 +115,7 @@ const DEFINED: &[(&str, [bool; 4])] = &[
     ("ResumeSubscription", [false, false, true, true]),
     ("GetCurrentMessage", [false, false, true, true]),
     ("RegisterPublisher", [false, false, true, true]),
+    ("CreatePullPoint", [false, false, false, true]),
     ("Pull", [false, true, false, false]),
     ("Unsubscribe", [true, true, false, true]),
     ("Destroy", [false, false, true, true]),
@@ -256,7 +264,10 @@ fn set_termination_body() -> Element {
 /// URI it goes to.
 fn request(d: Dialect, handle: &Handle, op: &str) -> (String, Envelope) {
     let topic = TopicExpression::concrete(TOPIC).expect("concrete topic");
-    let to_broker = matches!(op, "GetCurrentMessage" | "RegisterPublisher");
+    let to_broker = matches!(
+        op,
+        "GetCurrentMessage" | "RegisterPublisher" | "CreatePullPoint"
+    );
     let to = if to_broker { BROKER } else { handle.manager() }.to_string();
     let env = match (d, handle) {
         (Dialect::Wse(v), Handle::Wse(h)) => {
@@ -275,7 +286,7 @@ fn request(d: Dialect, handle: &Handle, op: &str) -> (String, Envelope) {
                     op,
                     Element::ns(WSRF_RP_NS, op, "wsrf-rp").with_text("wsnt:TerminationTime"),
                 ),
-                "GetCurrentMessage" | "RegisterPublisher" => {
+                "GetCurrentMessage" | "RegisterPublisher" | "CreatePullPoint" => {
                     let body = el(op).with_child(el("Topic").with_text(TOPIC));
                     let mut env = Envelope::new(SoapVersion::V12).with_body(body);
                     MessageHeaders::request(BROKER, v.action(op)).apply(&mut env, v.wsa());
@@ -302,6 +313,7 @@ fn request(d: Dialect, handle: &Handle, op: &str) -> (String, Envelope) {
                     &[topic],
                     false,
                 ),
+                "CreatePullPoint" => codec.create_pull_point(BROKER),
                 _ => codec.management(r, op, el(op)),
             }
         }
@@ -356,6 +368,7 @@ fn exercise(federated: bool, d: Dialect) -> (&'static str, Vec<(String, Option<S
     publish(&mut rows, "ResumeSubscription");
     call(&mut rows, &a, "GetCurrentMessage");
     call(&mut rows, &a, "RegisterPublisher");
+    call(&mut rows, &a, "CreatePullPoint");
     if d != Dialect::Wse(WseVersion::Jan2004) {
         call(&mut rows, &b, "Pull");
     }
@@ -512,5 +525,113 @@ fn extension_operations_are_answered_and_never_published() {
             "{}: an extension request was delivered as an event",
             setup.name()
         );
+    }
+}
+
+#[test]
+fn a_pull_point_from_create_pull_point_is_delivered_to_and_drained_with_get_messages() {
+    let v = WsnVersion::V1_3;
+    let codec = WsnCodec::new(v);
+    for federated in [false, true] {
+        let net = Network::new();
+        let setup = Setup::start(&net, federated);
+        let reply = net
+            .request(BROKER, codec.create_pull_point(BROKER))
+            .unwrap_or_else(|e| panic!("{}: CreatePullPoint: {e}", setup.name()));
+        let pull_point = codec
+            .parse_create_pull_point_response(&reply)
+            .expect("a PullPoint reference");
+        // The pull point is the consumer: to the broker it is a push
+        // consumer like any other (paper §V.3).
+        subscribe(&net, Dialect::Wsn(v), pull_point.clone(), false);
+        setup.publish(&Element::local("event"));
+        let got = PullPoint::get_messages_remote(&net, v, &pull_point, 10)
+            .unwrap_or_else(|e| panic!("{}: GetMessages: {e}", setup.name()));
+        assert_eq!(got.len(), 1, "{}", setup.name());
+        assert_eq!(got[0].message.name.local, "event", "{}", setup.name());
+        let again = PullPoint::get_messages_remote(&net, v, &pull_point, 10).expect("GetMessages");
+        assert!(again.is_empty(), "{}: GetMessages drains", setup.name());
+    }
+}
+
+#[test]
+fn a_demand_based_publisher_publishes_only_while_a_subscription_wants_its_topics() {
+    for v in [WsnVersion::V1_0, WsnVersion::V1_3] {
+        for federated in [false, true] {
+            let net = Network::new();
+            let setup = Setup::start(&net, federated);
+            let name = format!("{} {v:?}", setup.name());
+            let publisher = NotificationProducer::start(&net, "http://publisher", v);
+            let consumer = NotificationConsumer::start(&net, "http://consumer", v);
+            let codec = WsnCodec::new(v);
+            let topic = TopicExpression::concrete(TOPIC).expect("concrete topic");
+            let register = codec.register_publisher(
+                BROKER,
+                Some(&EndpointReference::new(publisher.uri())),
+                &[topic],
+                true,
+            );
+            net.request(BROKER, register)
+                .unwrap_or_else(|e| panic!("{name}: RegisterPublisher: {e}"));
+            assert_eq!(
+                publisher.subscription_count(),
+                1,
+                "{name}: one subscription"
+            );
+            // What the publisher delivers to the broker: 0 while the
+            // broker's subscription at it is paused.
+            let mut n = 0;
+            let mut publish = || {
+                n += 1;
+                let reading = Element::local("reading").with_attr("n", n.to_string());
+                publisher.publish_on(TOPIC, &reading)
+            };
+            assert_eq!(publish(), 0, "{name}: paused from the start");
+
+            let client = WsnClient::new(&net, v);
+            let wanting =
+                |t: &str| WsnSubscribeRequest::new(consumer.epr()).with_filter(WsnFilter::topic(t));
+            client
+                .subscribe(BROKER, &wanting("traffic"))
+                .expect("Subscribe");
+            assert_eq!(publish(), 0, "{name}: another topic creates no demand");
+
+            let h = client
+                .subscribe(BROKER, &wanting(TOPIC))
+                .expect("Subscribe");
+            assert_eq!(publish(), 1, "{name}: resumed by a matching Subscribe");
+            assert_eq!(consumer.notifications().len(), 1, "{name}: forwarded");
+
+            client.unsubscribe(&h).expect("Unsubscribe");
+            assert_eq!(publish(), 0, "{name}: paused again by Unsubscribe");
+            assert_eq!(consumer.notifications().len(), 1, "{name}");
+        }
+    }
+}
+
+#[test]
+fn a_registration_is_addressed_at_the_broker_or_front_that_took_it() {
+    let v = WsnVersion::V1_3;
+    let codec = WsnCodec::new(v);
+    let topic = TopicExpression::concrete(TOPIC).expect("concrete topic");
+    for federated in [false, true] {
+        let net = Network::new();
+        let setup = Setup::start(&net, federated);
+        for n in 1..=2 {
+            let register =
+                codec.register_publisher(BROKER, None, std::slice::from_ref(&topic), false);
+            let reply = net.request(BROKER, register).expect("RegisterPublisher");
+            let registration = reply
+                .body()
+                .and_then(|b| b.child_ns(v.brokered_ns(), "PublisherRegistrationReference"))
+                .and_then(|e| EndpointReference::from_element(e, v.wsa()))
+                .expect("a registration reference");
+            assert_eq!(
+                registration.address,
+                format!("{BROKER}/registrations/{n}"),
+                "{}",
+                setup.name()
+            );
+        }
     }
 }
