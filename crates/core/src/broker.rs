@@ -10,6 +10,7 @@
 //! behalf.
 
 use crate::backend::{InMemoryBackend, MessagingBackend};
+use crate::brokered::Brokered;
 use crate::control::{
     unknown_subscription, ControlOp, Endpoint, Manage, OpKind, Reply, Subscribed, Subscription,
 };
@@ -121,7 +122,7 @@ struct MessengerInner {
     properties: Mutex<Element>,
     stats: StatsCells,
     obs: BrokerObs,
-    publisher_registrations: AtomicU64,
+    brokered: Brokered,
     /// Delivery attempts per notification before the subscription is
     /// dropped (the broker's "reliable" knob; 1 = no retry).
     delivery_attempts: AtomicU32,
@@ -166,7 +167,7 @@ impl WsMessenger {
             properties: Mutex::new(Element::local("ProducerProperties")),
             stats: StatsCells::default(),
             obs: BrokerObs::new(),
-            publisher_registrations: AtomicU64::new(0),
+            brokered: Brokered::default(),
             delivery_attempts: AtomicU32::new(1),
             fanout_workers: AtomicUsize::new(delivery::default_workers()),
             engine: DeliveryEngine::new(),
@@ -203,7 +204,7 @@ impl WsMessenger {
 
     /// Number of registered publishers.
     pub fn publisher_registration_count(&self) -> u64 {
-        self.inner.publisher_registrations.load(Ordering::Relaxed)
+        self.inner.brokered.registrations()
     }
 
     /// Mediation statistics so far (a lock-free snapshot of relaxed
@@ -574,7 +575,9 @@ impl EventSource for RenderSource<'_> {
 fn fan_out(inner: &MessengerInner, event: &InternalEvent, seq: u64) -> usize {
     let now = inner.net.clock().now_ms();
     let match_timer = inner.obs.start();
-    inner.registry.sweep_expired(now);
+    if !inner.registry.sweep_expired(now).is_empty() {
+        demand_changed(inner);
+    }
     let props = inner.properties.lock().clone();
     let subs = inner.registry.matching(event, Some(&props), now);
     inner
@@ -830,6 +833,7 @@ fn drop_failed(inner: &MessengerInner, id: &str) {
             );
             let _ = inner.net.send(&end_to.address, env);
         }
+        demand_changed(inner);
     }
 }
 
@@ -867,7 +871,7 @@ impl WsMessenger {
     /// Register one decoded subscription.
     pub(crate) fn subscribe(&self, s: Subscription) -> Subscribed {
         let inner = &self.inner;
-        seed_topics(inner, &s.filters.topics);
+        self.seed_topics(&s.filters.topics);
         let now = inner.net.clock().now_ms();
         let expires_at = s.lease.map(|l| l.absolute(now));
         let id = inner.registry.insert(
@@ -882,13 +886,30 @@ impl WsMessenger {
         }
     }
 
+    /// Does a live, unpaused subscription want one of `topics`? One with
+    /// no topic filter wants every topic; otherwise a topic the broker
+    /// knows must match both one of `topics` and the subscription's
+    /// filter.
+    pub(crate) fn wants(&self, topics: &[TopicExpression]) -> bool {
+        wants(&self.inner, topics)
+    }
+
     /// Apply one decoded control operation.
     pub(crate) fn apply(&self, op: ControlOp) -> Result<Reply, Fault> {
         let inner = &self.inner;
         Ok(match op {
-            ControlOp::Subscribe(s) => Reply::Subscribed(self.subscribe(*s)),
+            ControlOp::Subscribe(s) => {
+                let subscribed = self.subscribe(*s);
+                demand_changed(inner);
+                Reply::Subscribed(subscribed)
+            }
+            // Every management operation sweeps expired subscriptions;
+            // Unsubscribe, Destroy, Pause, Resume and a lease change
+            // also change who wants what.
             ControlOp::Manage(dialect, id, op) => {
-                manage(inner, &id, op).ok_or_else(|| unknown_subscription(dialect, &id))?
+                let reply = manage(inner, &id, op);
+                demand_changed(inner);
+                reply.ok_or_else(|| unknown_subscription(dialect, &id))?
             }
             ControlOp::GetCurrentMessage(topic) => {
                 let space = inner.topic_space.lock();
@@ -904,18 +925,17 @@ impl WsMessenger {
                     })?;
                 Reply::CurrentMessage(last)
             }
-            ControlOp::RegisterPublisher(topics, demand) => {
-                if demand {
-                    return Err(Fault::sender(
-                        "WS-Messenger accepts demand-based registrations only via the \
-                         wsm-notification broker; register without Demand here",
-                    ));
-                }
-                seed_topics(inner, &topics);
-                let n = 1 + inner
-                    .publisher_registrations
-                    .fetch_add(1, Ordering::Relaxed);
-                Reply::Registered(format!("{}/registrations/{n}", inner.uri))
+            ControlOp::RegisterPublisher(r) => {
+                self.seed_topics(&r.topics);
+                let address = inner.brokered.register(&inner.net, &inner.uri, *r)?;
+                demand_changed(inner);
+                Reply::Registered(address)
+            }
+            ControlOp::CreatePullPoint(v) => {
+                let address = inner
+                    .brokered
+                    .create_pull_point(&inner.net, &inner.uri, v)?;
+                Reply::PullPoint(address)
             }
             ControlOp::GetMetrics => Reply::Metrics(self.metrics_text()),
             ControlOp::GetTrace(true) => Reply::Trace(self.drain_trace_spans()),
@@ -924,17 +944,34 @@ impl WsMessenger {
             ControlOp::RedeliverDeadLetters => Reply::Redelivered(self.redeliver_dead_letters()),
         })
     }
-}
 
-/// Add the concrete ones among `topics` to the topic space, so that
-/// GetCurrentMessage can see them.
-fn seed_topics(inner: &MessengerInner, topics: &[TopicExpression]) {
-    let mut space = inner.topic_space.lock();
-    for t in topics {
-        if let Some(p) = TopicPath::parse(t.text()) {
-            space.add(&p);
+    /// Add the concrete ones among `topics` to the topic space, so that
+    /// GetCurrentMessage and the demand check see them.
+    pub(crate) fn seed_topics(&self, topics: &[TopicExpression]) {
+        let mut space = self.inner.topic_space.lock();
+        for t in topics {
+            if let Some(p) = TopicPath::parse(t.text()) {
+                space.add(&p);
+            }
         }
     }
+}
+
+/// See [`WsMessenger::wants`].
+fn wants(inner: &MessengerInner, topics: &[TopicExpression]) -> bool {
+    let known: Vec<TopicPath> = {
+        let space = inner.topic_space.lock();
+        topics.iter().flat_map(|t| space.expand(t)).collect()
+    };
+    inner.registry.wants_any(&known, inner.net.clock().now_ms())
+}
+
+/// Re-evaluate the demand-based publishers after the subscriptions
+/// changed.
+fn demand_changed(inner: &MessengerInner) {
+    inner
+        .brokered
+        .refresh(&inner.net, |topics| wants(inner, topics));
 }
 
 /// Apply a management operation to subscription `id`; `None` when no

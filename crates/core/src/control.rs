@@ -20,7 +20,8 @@
 //!   broadcast residue), management on the shards its route table
 //!   names, under each shard's own id. It calls the shards' `apply`
 //!   directly and merges their [`Reply`]s; nothing is re-encoded for the
-//!   hop.
+//!   hop. Publisher registration and PullPoints are each one's own
+//!   (`crate::brokered`).
 //! * **Encode.** [`encode`] words a reply in the requesting dialect with
 //!   the family codec; the front answers with its own manager URI and
 //!   federated id.
@@ -29,6 +30,7 @@
 //! unchanged.
 
 use crate::broker::{subscription_epr, WsMessenger};
+use crate::brokered::Registration;
 use crate::detect::SpecDialect;
 use crate::event::InternalEvent;
 use crate::federation::FederatedMessenger;
@@ -49,7 +51,7 @@ use wsm_xml::{Element, SharedElement};
 
 /// A specification operation a broker answers: those of paper Table 2,
 /// the WSRF arms WS-BaseNotification 1.0 manages subscriptions through,
-/// and publisher registration.
+/// publisher registration and PullPoint creation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// Create a subscription.
@@ -76,11 +78,13 @@ pub enum OpKind {
     GetCurrentMessage,
     /// Register a publisher (WS-BrokeredNotification).
     RegisterPublisher,
+    /// Create a PullPoint (WS-Notification 1.3).
+    CreatePullPoint,
 }
 
 impl OpKind {
     /// Every operation.
-    pub const ALL: [OpKind; 12] = [
+    pub const ALL: [OpKind; 13] = [
         OpKind::Subscribe,
         OpKind::Renew,
         OpKind::Unsubscribe,
@@ -93,6 +97,7 @@ impl OpKind {
         OpKind::GetResourceProperty,
         OpKind::GetCurrentMessage,
         OpKind::RegisterPublisher,
+        OpKind::CreatePullPoint,
     ];
 
     /// The local name of the request's body element.
@@ -110,6 +115,7 @@ impl OpKind {
             OpKind::GetResourceProperty => "GetResourceProperty",
             OpKind::GetCurrentMessage => "GetCurrentMessage",
             OpKind::RegisterPublisher => "RegisterPublisher",
+            OpKind::CreatePullPoint => "CreatePullPoint",
         }
     }
 
@@ -118,7 +124,9 @@ impl OpKind {
         match (self, dialect) {
             (OpKind::Destroy | OpKind::SetTerminationTime, _) => WSRF_RL_NS,
             (OpKind::GetResourceProperty, _) => WSRF_RP_NS,
-            (OpKind::RegisterPublisher, SpecDialect::Wsn(v)) => v.brokered_ns(),
+            (OpKind::RegisterPublisher | OpKind::CreatePullPoint, SpecDialect::Wsn(v)) => {
+                v.brokered_ns()
+            }
             _ => dialect.ns(),
         }
     }
@@ -127,10 +135,11 @@ impl OpKind {
 impl SpecDialect {
     /// Does this dialect define `op`? Paper Table 2's version gaps as
     /// data: WS-Eventing has no pause/resume, GetCurrentMessage,
-    /// publisher registration or WSRF arms, and 01/2004 no GetStatus or
-    /// pull delivery; WS-Notification has no GetStatus or Pull, and 1.0
-    /// renews and unsubscribes only through WSRF `SetTerminationTime`
-    /// and `Destroy`.
+    /// publisher registration, PullPoints or WSRF arms, and 01/2004 no
+    /// GetStatus or pull delivery; WS-Notification has no GetStatus or
+    /// Pull, 1.0 renews and unsubscribes only through WSRF
+    /// `SetTerminationTime` and `Destroy`, and only 1.3 has PullPoints
+    /// (Table 1).
     pub fn supports(self, op: OpKind) -> bool {
         use OpKind::*;
         match self {
@@ -143,6 +152,7 @@ impl SpecDialect {
             SpecDialect::Wsn(v) => match op {
                 Renew | Unsubscribe => v.has_native_renew_unsubscribe(),
                 GetCurrentMessage => v.has_get_current_message(),
+                CreatePullPoint => v.has_pull_point(),
                 GetStatus | Pull => false,
                 _ => true,
             },
@@ -205,9 +215,10 @@ pub(crate) enum ControlOp {
     /// by this id; a front applies it on each shard under the shard's id.
     Manage(SpecDialect, String, Manage),
     GetCurrentMessage(TopicExpression),
-    /// The topics registered, and whether the publisher asked to be
-    /// driven by demand.
-    RegisterPublisher(Vec<TopicExpression>, bool),
+    /// Boxed, like a Subscribe: every management request moves this
+    /// enum, so no rare variant may widen it.
+    RegisterPublisher(Box<Registration>),
+    CreatePullPoint(WsnVersion),
     GetMetrics,
     /// `true` empties the span ring.
     GetTrace(bool),
@@ -239,6 +250,8 @@ pub(crate) enum Reply {
     CurrentMessage(Arc<SharedElement>),
     /// The registration's address.
     Registered(String),
+    /// The new PullPoint's address.
+    PullPoint(String),
     Metrics(String),
     Trace(Vec<SpanRecord>),
     DeadLetters(Vec<DeadLetter>),
@@ -281,10 +294,17 @@ pub(crate) fn decode(dialect: SpecDialect, request: &Envelope) -> Result<Control
             let topic = WsnCodec::new(v).parse_get_current_message(request)?;
             return Ok(ControlOp::GetCurrentMessage(topic));
         }
-        (OpKind::RegisterPublisher, SpecDialect::Wsn(v)) => {
-            let (_, topics, demand) = WsnCodec::new(v).parse_register_publisher(request)?;
-            return Ok(ControlOp::RegisterPublisher(topics, demand));
+        (OpKind::RegisterPublisher, SpecDialect::Wsn(version)) => {
+            let (publisher, topics, demand) =
+                WsnCodec::new(version).parse_register_publisher(request)?;
+            return Ok(ControlOp::RegisterPublisher(Box::new(Registration {
+                version,
+                publisher,
+                topics,
+                demand,
+            })));
         }
+        (OpKind::CreatePullPoint, SpecDialect::Wsn(v)) => return Ok(ControlOp::CreatePullPoint(v)),
         (OpKind::Renew, SpecDialect::Wse(v)) => {
             Manage::Lease(kind, WseCodec::new(v).parse_renew(request)?)
         }
@@ -307,9 +327,10 @@ pub(crate) fn decode(dialect: SpecDialect, request: &Envelope) -> Result<Control
             Manage::Property(body.text().trim().rsplit(':').next().unwrap_or("").into())
         }
         // `supports` refused these.
-        (OpKind::GetCurrentMessage | OpKind::RegisterPublisher, SpecDialect::Wse(_)) => {
-            return Err(undefined())
-        }
+        (
+            OpKind::GetCurrentMessage | OpKind::RegisterPublisher | OpKind::CreatePullPoint,
+            SpecDialect::Wse(_),
+        ) => return Err(undefined()),
     };
     let id = match dialect {
         SpecDialect::Wse(v) => WseCodec::new(v).extract_subscription_id(request),
@@ -452,6 +473,9 @@ pub(crate) fn encode(dialect: Option<SpecDialect>, reply: Reply) -> Envelope {
         (Reply::Registered(address), Some(SpecDialect::Wsn(v))) => {
             return WsnCodec::new(v).register_publisher_response(&EndpointReference::new(address))
         }
+        (Reply::PullPoint(address), Some(SpecDialect::Wsn(v))) => {
+            return WsnCodec::new(v).create_pull_point_response(&EndpointReference::new(address))
+        }
         (Reply::Metrics(text), _) => {
             wsm("GetMetricsResponse").with_child(wsm("Exposition").with_text(text))
         }
@@ -520,7 +544,9 @@ impl Endpoint {
 
     /// Hand a publication to ingest. A front federates its events, then
     /// flushes: SOAP publishers expect publish-is-delivered semantics
-    /// (buffering is the in-process publisher API's knob).
+    /// (buffering is the in-process publisher API's knob). Its shards
+    /// may have swept expired subscriptions meanwhile, so it then
+    /// re-evaluates its demand-based publishers.
     fn ingest(&self, events: impl Iterator<Item = InternalEvent>, detect_ns: u64) {
         match self {
             Endpoint::Broker(b) => b.ingest(events, detect_ns),
@@ -529,6 +555,7 @@ impl Endpoint {
                     f.publish_event(ev);
                 }
                 f.flush();
+                f.refresh_demand();
             }
         }
     }

@@ -57,7 +57,9 @@
 //!   for the hop — then answers once, with its own manager URI and
 //!   federated id. The broker's `wsm:` operations are answered too:
 //!   metrics and trace from the front's own, dead letters from the
-//!   shards'.
+//!   shards'. Publisher registrations and PullPoints are the front's
+//!   own: it subscribes at a demand-based publisher once, as the
+//!   consumer, and ORs its shards' demand.
 //!
 //! Flusher threads are lazily spawned the first time a buffering
 //! [`BatchPolicy`] is installed and then live as long as the process —
@@ -105,6 +107,7 @@
 //! ```
 
 use crate::broker::WsMessenger;
+use crate::brokered::Brokered;
 use crate::control::{unknown_subscription, ControlOp, Endpoint, Manage, Reply, Subscribed};
 use crate::detect::SpecDialect;
 use crate::event::InternalEvent;
@@ -362,6 +365,8 @@ struct FederationInner {
     next_id: AtomicU64,
     /// Round-robin cursor for topicless publications.
     round_robin: AtomicUsize,
+    /// Publishers registered at the front, and its PullPoints.
+    brokered: Brokered,
     /// The link hub: shards, queues, flusher coordination.
     ctx: Arc<LinkCtx>,
 }
@@ -437,6 +442,7 @@ impl FederatedMessenger {
                 routes: Mutex::new(HashMap::new()),
                 next_id: AtomicU64::new(0),
                 round_robin: AtomicUsize::new(0),
+                brokered: Brokered::default(),
                 ctx,
             }),
         };
@@ -852,10 +858,20 @@ fn target_shards(topics: &[TopicExpression], shards: usize) -> Vec<usize> {
 }
 
 impl FederatedMessenger {
+    /// Re-evaluate the demand-based publishers registered at the front:
+    /// one is wanted while some shard wants its topics.
+    pub(crate) fn refresh_demand(&self) {
+        let ctx = &self.inner.ctx;
+        self.inner.brokered.refresh(&ctx.net, |topics| {
+            ctx.shards.iter().any(|s| s.wants(topics))
+        });
+    }
+
     /// Apply one decoded control operation: place it on the shards that
     /// hold its state, apply it there under each shard's own id, and
     /// merge what they reply. The front's own metrics and trace answer
-    /// `wsm:GetMetrics` and `wsm:GetTrace`.
+    /// `wsm:GetMetrics` and `wsm:GetTrace`; publisher registration and
+    /// PullPoints are the front's own too.
     pub(crate) fn apply(&self, op: ControlOp) -> Result<Reply, Fault> {
         let inner = &self.inner;
         let shards = &inner.ctx.shards;
@@ -873,6 +889,7 @@ impl FederatedMessenger {
                 entries.push((last, placed.id));
                 let id = format!("fed-{}", inner.next_id.fetch_add(1, Ordering::Relaxed) + 1);
                 inner.routes.lock().insert(id.clone(), entries);
+                self.refresh_demand();
                 let manager = inner.manager_uri.clone();
                 Ok(Reply::Subscribed(Subscribed {
                     manager,
@@ -889,9 +906,11 @@ impl FederatedMessenger {
                 };
                 drop(routes);
                 let entries = entries.ok_or_else(|| unknown_subscription(dialect, &id))?;
-                self.on_shards(entries.into_iter().map(|(shard, local)| {
+                let reply = self.on_shards(entries.into_iter().map(|(shard, local)| {
                     (shard, ControlOp::Manage(dialect, local, manage.clone()))
-                }))
+                }));
+                self.refresh_demand();
+                reply
             }
             // Current-message state lives where publications on the
             // topic are ingested: the root's owner shard.
@@ -900,11 +919,24 @@ impl FederatedMessenger {
                 let shards = (0..n).filter(|s| owner.is_none_or(|o| o == *s));
                 self.on_shards(shards.map(|s| (s, op.clone())))
             }
+            // The registration is the front's, under its own address;
+            // every shard's topic space learns the topics.
+            ControlOp::RegisterPublisher(r) => {
+                for s in shards {
+                    s.seed_topics(&r.topics);
+                }
+                let address = inner.brokered.register(&inner.ctx.net, &inner.uri, *r)?;
+                self.refresh_demand();
+                Ok(Reply::Registered(address))
+            }
+            ControlOp::CreatePullPoint(v) => inner
+                .brokered
+                .create_pull_point(&inner.ctx.net, &inner.uri, v)
+                .map(Reply::PullPoint),
             ControlOp::GetMetrics => Ok(Reply::Metrics(self.metrics_text())),
             ControlOp::GetTrace(true) => Ok(Reply::Trace(inner.ctx.obs.drain_spans())),
             ControlOp::GetTrace(false) => Ok(Reply::Trace(self.federation_spans())),
-            // A publisher registration seeds every shard's topic space,
-            // and dead letters live on the shards.
+            // Dead letters live on the shards.
             op => self.on_shards((0..n).map(|s| (s, op.clone()))),
         }
     }

@@ -56,6 +56,7 @@
 
 pub mod backend;
 pub mod broker;
+mod brokered;
 mod control;
 pub mod delivery;
 pub mod detect;

@@ -529,6 +529,23 @@ impl Registry {
         hits.into_iter().map(|(_, core)| core).collect()
     }
 
+    /// Does a live, unpaused subscription want one of `topics`? One
+    /// without a topic filter wants every topic; the others are found
+    /// through the topic trie.
+    pub(crate) fn wants_any(&self, topics: &[TopicPath], now_ms: u64) -> bool {
+        let inner = self.inner.lock();
+        let live = |key: &u64| inner.by_key.get(key).is_some_and(|e| e.live(now_ms));
+        let index = &inner.index;
+        let literal = index
+            .literal_groups
+            .values()
+            .flat_map(|g| g.buckets.values().flatten());
+        index.broadcast.iter().chain(literal).any(live)
+            || topics
+                .iter()
+                .any(|t| index.trie.matches(t).iter().any(live))
+    }
+
     /// Queue an event on a pull subscription.
     pub fn queue_event(
         &self,

@@ -3,9 +3,10 @@
 //!
 //! The IBM/Globus-led half of the specification competition the paper
 //! studies: **WS-BaseNotification** (producer/consumer interactions),
-//! **WS-BrokeredNotification** (notification brokers, publisher
-//! registration, demand-based publishing) and — in the sibling
-//! `wsm-topics` crate — **WS-Topics**.
+//! the message formats of **WS-BrokeredNotification** (publisher
+//! registration, demand-based publishing, PullPoint creation; the
+//! broker that serves them is WS-Messenger, in `wsm-messenger`) and —
+//! in the sibling `wsm-topics` crate — **WS-Topics**.
 //!
 //! Two base-notification versions are implemented, the two columns of
 //! the paper's Table 1:
@@ -26,10 +27,10 @@
 //! Entities (paper Fig. 2): **Subscriber** → **NotificationProducer**
 //! / **SubscriptionManager**; **Publisher** → producer;
 //! **NotificationProducer** → (Notify) → **NotificationConsumer**.
-//! WS-BrokeredNotification adds the **NotificationBroker** which is
-//! simultaneously a producer and a consumer.
+//! WS-BrokeredNotification adds a broker which is simultaneously a
+//! producer and a consumer: WS-Messenger (`wsm_messenger::WsMessenger`)
+//! plays that part for both spec families.
 
-pub mod broker;
 pub mod consumer;
 pub mod messages;
 pub mod model;
@@ -38,7 +39,6 @@ pub mod pullpoint;
 pub mod store;
 pub mod version;
 
-pub use broker::NotificationBroker;
 pub use consumer::NotificationConsumer;
 pub use messages::{SharedNotificationMessage, WsnCodec, SUBSCRIPTION_ID_LOCAL};
 pub use model::{NotificationMessage, Termination, WsnFilter, WsnSubscribeRequest};

@@ -74,6 +74,13 @@ fn raw_action(message: &Element) -> String {
         .unwrap_or_else(|| format!("urn:wsm:event/{}", message.name.local))
 }
 
+/// The `xsd:boolean` value of element `el`, a sender fault when it has
+/// none.
+fn boolean(el: &Element, what: &str) -> Result<bool, Fault> {
+    wsm_xml::xsd::parse_boolean(&el.text())
+        .ok_or_else(|| Fault::sender(format!("{what} is not an xsd:boolean")))
+}
+
 /// The element name that carries a subscription id inside the
 /// subscription-manager EPR. Its *container* differs by version —
 /// `ReferenceProperties` in 1.0 vs `ReferenceParameters` in 1.3 — which
@@ -245,7 +252,7 @@ impl WsnCodec {
                     });
                 }
                 if let Some(un) = body.child_ns(ns, "UseNotify") {
-                    use_raw = un.text().trim() == "false";
+                    use_raw = !boolean(un, "UseNotify")?;
                 }
                 if self.version.requires_topic()
                     && !filters.iter().any(|f| matches!(f, WsnFilter::Topic(_)))
@@ -801,10 +808,10 @@ impl WsnCodec {
         for t in body.children_ns(ns, "Topic") {
             topics.push(Self::parse_topic_expression(t)?);
         }
-        let demand = body
-            .child_ns(brns, "Demand")
-            .is_some_and(|d| d.text().trim() == "true");
-        Ok((publisher, topics, demand))
+        let demand = (body.child_ns(brns, "Demand"))
+            .map(|d| boolean(d, "Demand"))
+            .transpose()?;
+        Ok((publisher, topics, demand.unwrap_or(false)))
     }
 
     /// `RegisterPublisherResponse` with the registration EPR.
@@ -1025,6 +1032,62 @@ mod tests {
         assert_eq!(p.unwrap().address, "http://pub");
         assert_eq!(t.len(), 1);
         assert!(demand);
+    }
+
+    /// `env` with the text of its body's `local` child replaced.
+    fn with_child_text(mut env: Envelope, local: &str, text: &str) -> Envelope {
+        let body = env.body_first_mut().unwrap();
+        let child = body
+            .children
+            .iter_mut()
+            .filter_map(|n| match n {
+                Node::Element(e) if e.name.local == local => Some(e),
+                _ => None,
+            })
+            .next()
+            .unwrap();
+        child.children = vec![Node::Text(text.into())];
+        env
+    }
+
+    #[test]
+    fn demand_reads_every_xsd_boolean_form() {
+        let codec = WsnCodec::new(WsnVersion::V1_3);
+        let env = codec.register_publisher("http://broker", None, &[], true);
+        for (text, demand) in [
+            ("1", true),
+            (" true ", true),
+            ("0", false),
+            ("false", false),
+        ] {
+            let (_, _, got) = codec
+                .parse_register_publisher(&with_child_text(env.clone(), "Demand", text))
+                .unwrap();
+            assert_eq!(got, demand, "Demand `{text}`");
+        }
+        let fault = codec
+            .parse_register_publisher(&with_child_text(env, "Demand", "yes"))
+            .unwrap_err();
+        assert_eq!(fault.code, wsm_soap::FaultCode::Sender);
+    }
+
+    #[test]
+    fn use_notify_reads_every_xsd_boolean_form() {
+        let codec = WsnCodec::new(WsnVersion::V1_0);
+        let req = WsnSubscribeRequest::new(consumer())
+            .with_filter(WsnFilter::topic("t"))
+            .raw();
+        let env = codec.subscribe("http://p", &req);
+        for (text, use_raw) in [("0", true), ("false", true), ("1", false), (" true", false)] {
+            let got = codec
+                .parse_subscribe(&with_child_text(env.clone(), "UseNotify", text))
+                .unwrap();
+            assert_eq!(got.use_raw, use_raw, "UseNotify `{text}`");
+        }
+        let fault = codec
+            .parse_subscribe(&with_child_text(env, "UseNotify", "no"))
+            .unwrap_err();
+        assert_eq!(fault.code, wsm_soap::FaultCode::Sender);
     }
 
     #[test]

@@ -26,31 +26,28 @@ pub struct WsnSubscriptionHandle {
     pub version: WsnVersion,
 }
 
-pub(crate) struct ProducerInner {
-    pub codec: WsnCodec,
-    pub net: Network,
-    pub uri: String,
-    pub manager_uri: String,
-    pub store: WsnSubscriptionStore,
-    pub topic_space: Mutex<TopicSpace>,
+struct ProducerInner {
+    codec: WsnCodec,
+    net: Network,
+    uri: String,
+    manager_uri: String,
+    store: WsnSubscriptionStore,
+    topic_space: Mutex<TopicSpace>,
     /// Last message per concrete topic (for GetCurrentMessage).
-    pub current: Mutex<HashMap<String, Element>>,
+    current: Mutex<HashMap<String, Element>>,
     /// The producer's property document (targets of ProducerProperties
     /// filters).
-    pub properties: Mutex<Element>,
+    properties: Mutex<Element>,
     /// WSRF resource view of subscriptions (1.0 — "subscriptions are
     /// WS-Resources").
-    pub resources: ResourceHome,
-    /// Listener invoked whenever the subscription population changes
-    /// (the broker hangs demand recomputation off this).
-    pub on_population_change: Mutex<Option<Arc<dyn Fn() + Send + Sync>>>,
+    resources: ResourceHome,
 }
 
 /// A WS-Notification producer: accepts subscriptions, publishes
 /// messages on topics, answers `GetCurrentMessage`.
 #[derive(Clone)]
 pub struct NotificationProducer {
-    pub(crate) inner: Arc<ProducerInner>,
+    inner: Arc<ProducerInner>,
 }
 
 impl NotificationProducer {
@@ -67,7 +64,6 @@ impl NotificationProducer {
             current: Mutex::new(HashMap::new()),
             properties: Mutex::new(Element::local("ProducerProperties")),
             resources: ResourceHome::new(),
-            on_population_change: Mutex::new(None),
         });
         net.register(
             uri,
@@ -104,11 +100,6 @@ impl NotificationProducer {
         self.inner.store.len()
     }
 
-    /// Direct store access (mediation broker / benches).
-    pub fn store(&self) -> &WsnSubscriptionStore {
-        &self.inner.store
-    }
-
     /// Declare a topic in the producer's topic space.
     pub fn add_topic(&self, path: &str) {
         self.inner.topic_space.lock().add_str(path);
@@ -127,7 +118,7 @@ impl NotificationProducer {
     /// Publish a message on a topic. Returns the number of successful
     /// deliveries.
     pub fn publish(&self, topic: Option<&TopicPath>, payload: &Element) -> usize {
-        publish_message(&self.inner, topic, payload, None)
+        publish_message(&self.inner, topic, payload)
     }
 
     /// Publish on a topic given as a string path.
@@ -137,28 +128,10 @@ impl NotificationProducer {
     }
 }
 
-pub(crate) fn notify_population_change(inner: &ProducerInner) {
-    let cb = inner.on_population_change.lock().clone();
-    if let Some(f) = cb {
-        f();
-    }
-}
-
-/// Core publish path, shared with the broker (which republishes with a
-/// producer reference attached).
-pub(crate) fn publish_message(
-    inner: &ProducerInner,
-    topic: Option<&TopicPath>,
-    payload: &Element,
-    producer_ref: Option<&EndpointReference>,
-) -> usize {
+fn publish_message(inner: &ProducerInner, topic: Option<&TopicPath>, payload: &Element) -> usize {
     let now = inner.net.clock().now_ms();
-    let swept = inner.store.sweep_expired(now);
-    if !swept.is_empty() {
-        for s in &swept {
-            inner.resources.destroy(&s.id);
-        }
-        notify_population_change(inner);
+    for s in inner.store.sweep_expired(now) {
+        inner.resources.destroy(&s.id);
     }
     if let Some(t) = topic {
         inner.topic_space.lock().add(t);
@@ -173,9 +146,7 @@ pub(crate) fn publish_message(
         } else {
             let msg = NotificationMessage {
                 topic: topic.cloned(),
-                producer: producer_ref
-                    .cloned()
-                    .or(Some(EndpointReference::new(inner.uri.clone()))),
+                producer: Some(EndpointReference::new(inner.uri.clone())),
                 subscription: Some(subscription_epr(inner, &sub.id)),
                 message: payload.clone(),
             };
@@ -186,38 +157,32 @@ pub(crate) fn publish_message(
             Err(_) => failed.push(sub.id.clone()),
         }
     }
-    if !failed.is_empty() {
-        for id in &failed {
-            if let Some(sub) = inner.store.remove(id) {
-                inner.resources.destroy(id);
-                // 1.0: the WSRF TerminationNotification stands in for a
-                // SubscriptionEnd (paper Table 2).
-                if inner.codec.version == WsnVersion::V1_0 {
-                    let note = wsm_wsrf::home::termination_notification(
-                        id,
-                        wsm_wsrf::TerminationReason::Destroyed,
-                    );
-                    let env = inner.codec.raw_notification(&sub.consumer, &note);
-                    let _ = inner.net.send(&sub.consumer.address, env);
-                }
+    for id in &failed {
+        if let Some(sub) = inner.store.remove(id) {
+            inner.resources.destroy(id);
+            // 1.0: the WSRF TerminationNotification stands in for a
+            // SubscriptionEnd (paper Table 2).
+            if inner.codec.version == WsnVersion::V1_0 {
+                let note = wsm_wsrf::home::termination_notification(
+                    id,
+                    wsm_wsrf::TerminationReason::Destroyed,
+                );
+                let env = inner.codec.raw_notification(&sub.consumer, &note);
+                let _ = inner.net.send(&sub.consumer.address, env);
             }
         }
-        notify_population_change(inner);
     }
     delivered
 }
 
-pub(crate) fn subscription_epr(inner: &ProducerInner, id: &str) -> EndpointReference {
+fn subscription_epr(inner: &ProducerInner, id: &str) -> EndpointReference {
     EndpointReference::new(inner.manager_uri.clone()).with_reference(
         inner.codec.version.wsa(),
         Element::ns(inner.codec.version.ns(), SUBSCRIPTION_ID_LOCAL, "wsnt").with_text(id),
     )
 }
 
-pub(crate) fn handle_subscribe(
-    inner: &ProducerInner,
-    request: &Envelope,
-) -> Result<Envelope, Fault> {
+fn handle_subscribe(inner: &ProducerInner, request: &Envelope) -> Result<Envelope, Fault> {
     let req = inner.codec.parse_subscribe(request)?;
     let filters = CompiledFilters::compile(&req).map_err(|why| {
         Fault::sender(format!("invalid filter: {why}")).with_subcode("wsnt:InvalidFilterFault")
@@ -247,7 +212,6 @@ pub(crate) fn handle_subscribe(
             inner.resources.set_termination_time(&id, Some(t));
         }
     }
-    notify_population_change(inner);
     Ok(inner.codec.subscribe_response(
         &EndpointReference::new(inner.manager_uri.clone()),
         &id,
@@ -256,7 +220,7 @@ pub(crate) fn handle_subscribe(
     ))
 }
 
-pub(crate) fn handle_get_current_message(
+fn handle_get_current_message(
     inner: &ProducerInner,
     request: &Envelope,
 ) -> Result<Envelope, Fault> {
@@ -307,10 +271,7 @@ impl SoapHandler for ManagerHandler {
     }
 }
 
-pub(crate) fn handle_management(
-    inner: &ProducerInner,
-    request: &Envelope,
-) -> Result<Envelope, Fault> {
+fn handle_management(inner: &ProducerInner, request: &Envelope) -> Result<Envelope, Fault> {
     let version = inner.codec.version;
     let ns = version.ns();
     let body = request.body().ok_or_else(|| Fault::sender("empty body"))?;
@@ -354,7 +315,6 @@ pub(crate) fn handle_management(
         }
         inner.store.remove(&id).ok_or_else(unknown)?;
         inner.resources.destroy(&id);
-        notify_population_change(inner);
         Ok(inner.codec.management_response("Unsubscribe"))
     } else if body.name.is(ns, "PauseSubscription") {
         if !inner.store.set_paused(&id, true) {
@@ -363,7 +323,6 @@ pub(crate) fn handle_management(
         inner.resources.with_properties(&id, |p| {
             p.update(Element::ns(ns, "Paused", "wsnt").with_text("true"));
         });
-        notify_population_change(inner);
         Ok(inner.codec.management_response("PauseSubscription"))
     } else if body.name.is(ns, "ResumeSubscription") {
         if !inner.store.set_paused(&id, false) {
@@ -372,7 +331,6 @@ pub(crate) fn handle_management(
         inner.resources.with_properties(&id, |p| {
             p.update(Element::ns(ns, "Paused", "wsnt").with_text("false"));
         });
-        notify_population_change(inner);
         Ok(inner.codec.management_response("ResumeSubscription"))
     } else if body.name.is(wsm_wsrf::WSRF_RL_NS, "Destroy") {
         if !version.requires_wsrf() {
@@ -382,7 +340,6 @@ pub(crate) fn handle_management(
         }
         inner.store.remove(&id).ok_or_else(unknown)?;
         inner.resources.destroy(&id);
-        notify_population_change(inner);
         Ok(inner.codec.wsrf_destroy_response())
     } else if body.name.is(wsm_wsrf::WSRF_RL_NS, "SetTerminationTime") {
         if !version.requires_wsrf() {

@@ -222,11 +222,6 @@ impl WsnSubscriptionStore {
             .collect()
     }
 
-    /// All live subscriptions (paused included).
-    pub fn all(&self) -> Vec<WsnSubscription> {
-        self.inner.lock().subs.values().cloned().collect()
-    }
-
     /// Number of live subscriptions.
     pub fn len(&self) -> usize {
         self.inner.lock().subs.len()

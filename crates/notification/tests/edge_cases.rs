@@ -138,41 +138,6 @@ fn several_subscriptions_same_consumer() {
 }
 
 #[test]
-fn notify_batch_from_publisher_is_split_per_message() {
-    use wsm_addressing::EndpointReference;
-    use wsm_notification::{NotificationMessage, WsnCodec};
-
-    let (net, _producer, consumer, client) = setup(WsnVersion::V1_3);
-    let broker = wsm_notification::NotificationBroker::start(&net, "http://brk", WsnVersion::V1_3);
-    client
-        .subscribe(
-            broker.uri(),
-            &WsnSubscribeRequest::new(consumer.epr()).with_filter(WsnFilter::topic("t")),
-        )
-        .unwrap();
-    // One Notify with three NotificationMessages.
-    let codec = WsnCodec::new(WsnVersion::V1_3);
-    let msgs: Vec<NotificationMessage> = (0..3)
-        .map(|i| {
-            NotificationMessage::new(
-                wsm_topics::TopicPath::parse("t"),
-                Element::local(format!("m{i}")),
-            )
-        })
-        .collect();
-    net.send(
-        broker.uri(),
-        codec.notify(&EndpointReference::new(broker.uri()), &msgs),
-    )
-    .unwrap();
-    assert_eq!(
-        consumer.notifications().len(),
-        3,
-        "each message republished"
-    );
-}
-
-#[test]
 fn wsrf_resource_view_tracks_pause_state_in_10() {
     let (_net, producer, consumer, client) = setup(WsnVersion::V1_0);
     let h = client

@@ -34,8 +34,9 @@ fn node_to_element(node: &TopicNode) -> Element {
 
 /// Parse a `TopicSet` element back into a topic space.
 ///
-/// Elements with `wstop:topic="true"` (or no marking at all, for
-/// tolerance) become topics; nesting becomes hierarchy.
+/// Elements whose `wstop:topic` is an `xsd:boolean` true (`true` or
+/// `1`), or that carry no marking at all, for tolerance, become topics;
+/// nesting becomes hierarchy.
 pub fn from_topic_set(el: &Element) -> Option<TopicSpace> {
     if !el.name.is(TOPIC_SET_NS, "TopicSet") {
         return None;
@@ -53,8 +54,7 @@ pub fn from_topic_set(el: &Element) -> Option<TopicSpace> {
 fn walk(el: &Element, mut prefix: Vec<String>, space: &mut TopicSpace) {
     let marked = el
         .attr_ns(TOPIC_SET_NS, "topic")
-        .map(|v| v == "true")
-        .unwrap_or(true);
+        .is_none_or(|v| wsm_xml::xsd::parse_boolean(v) == Some(true));
     prefix.push(el.name.local.to_string());
     if marked {
         space.add(&TopicPath {
@@ -106,6 +106,25 @@ mod tests {
         assert_eq!(storms.attr_ns(TOPIC_SET_NS, "topic"), Some("true"));
         assert!(storms.child("tornado").is_some());
         assert!(storms.child("hail").is_some());
+    }
+
+    #[test]
+    fn topic_marking_is_an_xsd_boolean() {
+        let mark = |name: &str, value: &str| {
+            Element::local(name).with_attr_ns(TOPIC_SET_NS, "topic", "wstop", value)
+        };
+        let doc = Element::ns(TOPIC_SET_NS, "TopicSet", "wstop")
+            .with_child(mark("one", "1"))
+            .with_child(mark("spaced", " true "))
+            .with_child(mark("zero", "0"))
+            .with_child(mark("no", "false"));
+        let names: Vec<String> = from_topic_set(&doc)
+            .unwrap()
+            .all_topics()
+            .iter()
+            .map(|t| t.to_string())
+            .collect();
+        assert_eq!(names, ["one", "spaced"]);
     }
 
     #[test]

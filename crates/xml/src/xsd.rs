@@ -1,4 +1,4 @@
-//! XML Schema `duration` and `dateTime` lexical forms.
+//! XML Schema `boolean`, `duration` and `dateTime` lexical forms.
 //!
 //! Both WS-Eventing and WS-Notification express subscription expiration
 //! as either an `xsd:dateTime` (absolute) or an `xsd:duration`
@@ -6,6 +6,16 @@
 //! Table 1 row in the paper. The engines run on a virtual millisecond
 //! clock, so this module maps between epoch-milliseconds and the two
 //! lexical forms.
+
+/// Parse an `xsd:boolean`: `true` or `1`, `false` or `0`, with
+/// surrounding whitespace collapsed; `None` for any other text.
+pub fn parse_boolean(s: &str) -> Option<bool> {
+    match s.trim() {
+        "true" | "1" => Some(true),
+        "false" | "0" => Some(false),
+        _ => None,
+    }
+}
 
 /// Format milliseconds as an `xsd:duration` (`PnDTnHnMnS`).
 ///
@@ -188,6 +198,21 @@ fn days_from_civil(y: i64, m: u32, d: u32) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn boolean_has_four_lexical_forms() {
+        for (text, value) in [("true", true), ("1", true), ("false", false), ("0", false)] {
+            assert_eq!(parse_boolean(text), Some(value), "{text}");
+            assert_eq!(
+                parse_boolean(&format!(" \n{text}\t")),
+                Some(value),
+                "{text}"
+            );
+        }
+        for bad in ["", "TRUE", "yes", "01", "t", "1 0"] {
+            assert_eq!(parse_boolean(bad), None, "`{bad}` should fail");
+        }
+    }
 
     #[test]
     fn duration_roundtrip() {

@@ -11,8 +11,11 @@
 //! * an *alerting service* (WS-Eventing) with an XPath content filter
 //!   that only wants failures,
 //! * a *laptop behind a firewall* that cannot accept inbound
-//!   connections and therefore subscribes in pull mode — the exact
-//!   scenario the paper gives for pull delivery.
+//!   connections and therefore pulls — the exact scenario the paper
+//!   gives for pull delivery. It does so twice, once per family: in
+//!   WS-Eventing it subscribes in pull mode; in WS-Notification 1.3 it
+//!   asks the broker for a PullPoint, subscribes with the PullPoint as
+//!   its consumer, and drains it with `GetMessages`.
 //!
 //! Run with `cargo run --example grid_monitoring`.
 
@@ -21,7 +24,8 @@ use ws_messenger_suite::eventing::{
 };
 use ws_messenger_suite::messenger::WsMessenger;
 use ws_messenger_suite::notification::{
-    NotificationConsumer, WsnClient, WsnFilter, WsnSubscribeRequest, WsnVersion,
+    NotificationConsumer, PullPoint, WsnClient, WsnCodec, WsnFilter, WsnSubscribeRequest,
+    WsnVersion,
 };
 use ws_messenger_suite::transport::Network;
 use ws_messenger_suite::xml::Element;
@@ -68,6 +72,19 @@ fn main() {
         )
         .unwrap();
 
+    // The same laptop in WS-Notification 1.3: a PullPoint from the
+    // broker stands in for it as the consumer.
+    let codec = WsnCodec::new(WsnVersion::V1_3);
+    let created = net
+        .request(broker.uri(), codec.create_pull_point(broker.uri()))
+        .unwrap();
+    let pull_point = codec.parse_create_pull_point_response(&created).unwrap();
+    wsn.subscribe(
+        broker.uri(),
+        &WsnSubscribeRequest::new(pull_point.clone()).with_filter(WsnFilter::topic("jobs")),
+    )
+    .unwrap();
+
     println!(
         "{} subscriptions registered at the broker",
         broker.subscription_count()
@@ -107,13 +124,12 @@ fn main() {
     assert_eq!(alarm.len(), 1);
     assert_eq!(alarm[0].attr("job"), Some("varcall-2"));
 
-    // The laptop polls from behind its firewall.
+    // The laptop polls from behind its firewall, in both families.
     let pulled = wse.pull(&laptop_handle, 10).unwrap();
-    println!(
-        "laptop pulled {} queued event(s) through the firewall",
-        pulled.len()
-    );
+    let drained = PullPoint::get_messages_remote(&net, WsnVersion::V1_3, &pull_point, 10).unwrap();
+    println!("laptop pulls: wse={} wsn={}", pulled.len(), drained.len());
     assert_eq!(pulled.len(), 4);
+    assert_eq!(drained.len(), 4);
 
     // Time passes; the alerting lease is renewed before it expires.
     net.clock().advance_ms(3_000_000);
