@@ -119,7 +119,11 @@ struct MessengerInner {
     backend: Arc<dyn MessagingBackend>,
     topic_space: Mutex<TopicSpace>,
     current: Mutex<HashMap<String, Arc<SharedElement>>>,
-    properties: Mutex<Element>,
+    /// The ProducerProperties document, copy-on-write: `set_property`
+    /// edits through `Arc::make_mut`, so a publication holding the
+    /// previous document keeps it and each publication takes a
+    /// reference rather than a copy.
+    properties: Mutex<Arc<Element>>,
     stats: StatsCells,
     obs: BrokerObs,
     brokered: Brokered,
@@ -164,7 +168,7 @@ impl WsMessenger {
             backend,
             topic_space: Mutex::new(TopicSpace::new()),
             current: Mutex::new(HashMap::new()),
-            properties: Mutex::new(Element::local("ProducerProperties")),
+            properties: Mutex::new(Arc::new(Element::local("ProducerProperties"))),
             stats: StatsCells::default(),
             obs: BrokerObs::new(),
             brokered: Brokered::default(),
@@ -413,7 +417,8 @@ impl WsMessenger {
 
     /// Set a broker/producer property (ProducerProperties filters).
     pub fn set_property(&self, name: &str, value: &str) {
-        let mut props = self.inner.properties.lock();
+        let mut current = self.inner.properties.lock();
+        let props = Arc::make_mut(&mut current);
         props
             .children
             .retain(|c| c.as_element().map(|e| e.name.local != name).unwrap_or(true));

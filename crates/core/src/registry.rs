@@ -9,6 +9,19 @@
 //! are compiled once at `Subscribe` time ([`CompiledFilter`]) and the
 //! `Arc` handle is cached on the subscription.
 //!
+//! # Shared programs
+//!
+//! Filters are shared by canonical form: [`Registry::insert`] swaps each
+//! content and producer-properties filter for the registry's one copy
+//! of its program — equal iff the lowered, folded programs are equal
+//! (`CompiledFilter`'s `Eq`), so `/event[@sev>3]` and
+//! `/event[ @sev > 3 ]` are one program. Each distinct program holds a
+//! dense slot and a reference count; removal, expiry and failure drops
+//! release it, so the table never outlives the subscriptions using it.
+//! Per publication, [`Registry::matching`] memoises one verdict per
+//! slot and document (payload, producer properties): a program is run
+//! at most once per publication however many candidates carry it.
+//!
 //! # The match index
 //!
 //! The seed evaluated every publication against every subscription, so
@@ -34,7 +47,8 @@
 //!   (topicless subscriptions with complex content filters, or none).
 //!   These still run the full check, now prefiltered by the
 //!   required-name bitset and over a shared [`EvalDoc`] built once per
-//!   publication.
+//!   publication (the producer-properties document only when a
+//!   candidate first needs it), through the verdict memo.
 //!
 //! Match cost therefore scales with *matching* subscriptions (plus the
 //! broadcast residue), not with registry size.
@@ -42,6 +56,7 @@
 use crate::detect::SpecDialect;
 use crate::event::InternalEvent;
 use parking_lot::Mutex;
+use std::cell::OnceCell;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
@@ -57,10 +72,25 @@ pub struct UnifiedFilters {
     /// topic fails a topic filter.
     pub topics: Vec<TopicExpression>,
     /// Content predicates (WSE default filter, WSN MessageContent),
-    /// compiled once and shared.
+    /// compiled once. Once registered, these are the [`Registry`]'s
+    /// shared programs: every subscription whose filter has the same
+    /// canonical (lowered, folded) form holds the same `Arc`, whatever
+    /// its source text.
     pub content: Vec<Arc<CompiledFilter>>,
-    /// Producer-properties predicates (WSN only).
+    /// Producer-properties predicates (WSN only), shared the same way.
     pub producer_props: Vec<Arc<CompiledFilter>>,
+}
+
+/// Which document a filter is evaluated against.
+#[derive(Clone, Copy)]
+enum Doc {
+    Payload = 0,
+    Props = 1,
+}
+
+/// A filter's verdict on an indexed document, `false` without one.
+fn run(f: &CompiledFilter, doc: Option<&EvalDoc>) -> bool {
+    doc.is_some_and(|d| f.may_match(d) && f.matches_doc(d))
 }
 
 impl UnifiedFilters {
@@ -72,17 +102,22 @@ impl UnifiedFilters {
     pub fn admit(&self, event: &InternalEvent, producer_properties: Option<&Element>) -> bool {
         let payload = EvalDoc::new(event.payload_element());
         let props = producer_properties.map(EvalDoc::new);
-        self.admit_docs(event.topic.as_ref(), false, &payload, props.as_ref())
+        self.admit_by(event.topic.as_ref(), false, |doc, _, f| match doc {
+            Doc::Payload => run(f, Some(&payload)),
+            Doc::Props => run(f, props.as_ref()),
+        })
     }
 
-    /// [`Self::admit`] over pre-indexed documents, optionally skipping
-    /// the topic check when an index has already proven it.
-    fn admit_docs(
+    /// The admission rule, optionally skipping the topic check when an
+    /// index has already proven it. `decide(doc, n, filter)` gives one
+    /// XPath filter's verdict; `n` counts the content filters, then the
+    /// producer-properties ones (a registered subscription's slot
+    /// order). A missing producer-properties document decides `false`.
+    fn admit_by(
         &self,
         topic: Option<&TopicPath>,
         topic_proven: bool,
-        payload: &EvalDoc,
-        props: Option<&EvalDoc>,
+        mut decide: impl FnMut(Doc, usize, &CompiledFilter) -> bool,
     ) -> bool {
         if !topic_proven && !self.topics.is_empty() {
             match topic {
@@ -94,29 +129,22 @@ impl UnifiedFilters {
                 None => return false,
             }
         }
-        if !self.content.is_empty()
+        let content = self.content.len();
+        if content > 0
             && !self
                 .content
                 .iter()
-                .any(|f| f.may_match(payload) && f.matches_doc(payload))
+                .enumerate()
+                .any(|(n, f)| decide(Doc::Payload, n, f))
         {
             return false;
         }
-        if !self.producer_props.is_empty() {
-            match props {
-                Some(doc) => {
-                    if !self
-                        .producer_props
-                        .iter()
-                        .any(|f| f.may_match(doc) && f.matches_doc(doc))
-                    {
-                        return false;
-                    }
-                }
-                None => return false,
-            }
-        }
-        true
+        self.producer_props.is_empty()
+            || self
+                .producer_props
+                .iter()
+                .enumerate()
+                .any(|(n, f)| decide(Doc::Props, content + n, f))
     }
 }
 
@@ -179,6 +207,9 @@ pub struct QueuedEvent {
 /// Registry entry: the shared immutable core plus mutable state.
 struct SubEntry {
     core: Arc<BrokerSubscription>,
+    /// Program-table slot of each XPath filter: content, then
+    /// producer properties.
+    slots: Box<[u32]>,
     paused: bool,
     expires_at_ms: Option<u64>,
     /// Queued events (pull mode).
@@ -211,6 +242,7 @@ struct RegistryInner {
     key_of: HashMap<String, u64>,
     next_id: u64,
     index: MatchIndex,
+    programs: Programs,
     /// `(expires_at_ms, key)` min-heap arming the expiry sweep. Lazy:
     /// renewals leave the old deadline in place and push a new one;
     /// the sweep re-checks the entry's real deadline at pop time. This
@@ -218,6 +250,74 @@ struct RegistryInner {
     /// O(registry) — at a million registrations a full-scan sweep cost
     /// more than the match itself.
     expiry: BinaryHeap<Reverse<(u64, u64)>>,
+}
+
+/// Every distinct filter program of the live subscriptions, held once
+/// (module docs, "Shared programs"), plus the per-publication verdict
+/// memo indexed by slot.
+#[derive(Default)]
+struct Programs {
+    /// Program → slot, keyed by program identity (`CompiledFilter`'s
+    /// `Eq`/`Hash`), so whitespace variants find one entry.
+    slot_of: HashMap<Arc<CompiledFilter>, u32>,
+    /// References per slot; 0 marks a free slot.
+    refs: Vec<u32>,
+    /// Free slots, reused before the table grows.
+    free: Vec<u32>,
+    /// Two verdict stamps per slot, one per [`Doc`]: `epoch << 1 |
+    /// verdict`. A stamp of an earlier publication is stale, so
+    /// starting a publication is one increment rather than a clear.
+    memo: Vec<u32>,
+    epoch: u32,
+}
+
+impl Programs {
+    /// The table's copy of `f` and its slot, taking one reference.
+    fn acquire(&mut self, f: &Arc<CompiledFilter>) -> (Arc<CompiledFilter>, u32) {
+        if let Some((shared, &slot)) = self.slot_of.get_key_value(f) {
+            self.refs[slot as usize] += 1;
+            return (shared.clone(), slot);
+        }
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.refs.push(0);
+            self.memo.extend([0, 0]);
+            u32::try_from(self.refs.len() - 1).expect("fewer than 2^32 distinct programs")
+        });
+        self.refs[slot as usize] = 1;
+        self.slot_of.insert(f.clone(), slot);
+        (f.clone(), slot)
+    }
+
+    /// Drop one reference to `f`'s slot; the last one frees it.
+    fn release(&mut self, f: &CompiledFilter, slot: u32) {
+        let refs = &mut self.refs[slot as usize];
+        *refs -= 1;
+        if *refs == 0 {
+            self.slot_of.remove(f);
+            self.free.push(slot);
+        }
+    }
+
+    /// Start a publication: every memoised verdict goes stale.
+    fn next_epoch(&mut self) {
+        if self.epoch == u32::MAX >> 1 {
+            self.memo.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+    }
+
+    /// The verdict of `slot`'s program on `doc` for this publication,
+    /// running `eval` only the first time it is asked.
+    fn verdict(&mut self, slot: u32, doc: Doc, eval: impl FnOnce() -> bool) -> bool {
+        let cell = &mut self.memo[slot as usize * 2 + doc as usize];
+        if *cell >> 1 == self.epoch {
+            return *cell & 1 == 1;
+        }
+        let verdict = eval();
+        *cell = self.epoch << 1 | verdict as u32;
+        verdict
+    }
 }
 
 /// Subscriptions bucketed by filters sharing one `path = 'literal'`
@@ -312,8 +412,12 @@ impl RegistryInner {
     fn remove_entry(&mut self, id: &str) -> Option<SubEntry> {
         let key = self.key_of.remove(id)?;
         let entry = self.by_key.remove(&key)?;
-        let core = entry.core.clone();
-        self.unlink(key, &core);
+        self.unlink(key, &entry.core);
+        let filters = &entry.core.filters;
+        let programs = filters.content.iter().chain(&filters.producer_props);
+        for (f, &slot) in programs.zip(entry.slots.iter()) {
+            self.programs.release(f, slot);
+        }
         Some(entry)
     }
 }
@@ -324,19 +428,30 @@ impl Registry {
         Registry::default()
     }
 
-    /// Insert a subscription (id is minted here).
+    /// Insert a subscription (id is minted here). Its XPath filters are
+    /// swapped for the registry's shared programs (module docs).
     #[allow(clippy::too_many_arguments)]
     pub fn insert(
         &self,
         spec: SpecDialect,
         consumer: EndpointReference,
         end_to: Option<EndpointReference>,
-        filters: UnifiedFilters,
+        mut filters: UnifiedFilters,
         mode: BrokerDeliveryMode,
         use_raw: bool,
         expires_at_ms: Option<u64>,
     ) -> String {
         let mut inner = self.inner.lock();
+        let slots = filters
+            .content
+            .iter_mut()
+            .chain(&mut filters.producer_props)
+            .map(|f| {
+                let (shared, slot) = inner.programs.acquire(f);
+                *f = shared;
+                slot
+            })
+            .collect();
         inner.next_id += 1;
         let key = inner.next_id;
         let id = format!("wsm-{key}");
@@ -358,6 +473,7 @@ impl Registry {
             key,
             SubEntry {
                 core,
+                slots,
                 paused: false,
                 expires_at_ms,
                 queue: VecDeque::new(),
@@ -456,20 +572,46 @@ impl Registry {
     /// arrive with their topic check proven and only re-run content /
     /// producer-properties filters; literal-bucket hits are full
     /// proofs and run nothing; broadcast entries run the whole check.
-    /// The index is sound — it only ever *skips* work the structures
-    /// have already decided — so results are identical to scanning
-    /// every subscription with [`UnifiedFilters::admit`].
+    /// Each distinct program runs at most once per document: later
+    /// candidates carrying it read its memoised verdict. The index is
+    /// sound — it only ever *skips* work the structures have already
+    /// decided — so results are identical to scanning every
+    /// subscription with [`UnifiedFilters::admit`].
     pub fn matching(
         &self,
         event: &InternalEvent,
         producer_properties: Option<&Element>,
         now_ms: u64,
     ) -> Vec<Arc<BrokerSubscription>> {
-        let inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let RegistryInner {
+            by_key,
+            index,
+            programs,
+            ..
+        } = &mut *guard;
+        programs.next_epoch();
         // One shared document index per publication, reused by every
-        // candidate filter evaluation and literal-group path.
+        // candidate filter evaluation and literal-group path; the
+        // producer-properties one is built when a candidate first asks.
         let payload = EvalDoc::new(event.payload_element());
-        let props = producer_properties.map(EvalDoc::new);
+        let props = OnceCell::new();
+        let mut admit = |e: &SubEntry, topic_proven: bool| {
+            e.live(now_ms)
+                && e.core
+                    .filters
+                    .admit_by(event.topic.as_ref(), topic_proven, |doc, n, f| {
+                        programs.verdict(e.slots[n], doc, || match doc {
+                            Doc::Payload => run(f, Some(&payload)),
+                            Doc::Props => run(
+                                f,
+                                props
+                                    .get_or_init(|| producer_properties.map(EvalDoc::new))
+                                    .as_ref(),
+                            ),
+                        })
+                    })
+        };
         // The subscription `Arc` is cloned on the *first* table probe:
         // at large registrations the candidate keys land all over the
         // `by_key` table, and re-probing every hit after the sort was
@@ -479,27 +621,21 @@ impl Registry {
         let mut hits: Vec<(u64, Arc<BrokerSubscription>)> = Vec::new();
 
         if let Some(topic) = &event.topic {
-            for key in inner.index.trie.matches(topic) {
-                if let Some(e) = inner.by_key.get(&key) {
-                    if e.live(now_ms)
-                        && e.core
-                            .filters
-                            .admit_docs(Some(topic), true, &payload, props.as_ref())
-                    {
-                        hits.push((key, e.core.clone()));
-                    }
+            for key in index.trie.matches(topic) {
+                if let Some(e) = by_key.get(&key).filter(|e| admit(e, true)) {
+                    hits.push((key, e.core.clone()));
                 }
             }
         }
 
-        for group in inner.index.literal_groups.values() {
+        for group in index.literal_groups.values() {
             let mut values = group.rep.eval_literal_path(&payload);
             values.sort_unstable();
             values.dedup();
             for value in values {
-                if let Some(bucket) = group.buckets.get(&value) {
+                if let Some(bucket) = group.buckets.get(value.as_ref()) {
                     for &key in bucket {
-                        if let Some(e) = inner.by_key.get(&key).filter(|e| e.live(now_ms)) {
+                        if let Some(e) = by_key.get(&key).filter(|e| e.live(now_ms)) {
                             hits.push((key, e.core.clone()));
                         }
                     }
@@ -507,18 +643,9 @@ impl Registry {
             }
         }
 
-        for &key in &inner.index.broadcast {
-            if let Some(e) = inner.by_key.get(&key) {
-                if e.live(now_ms)
-                    && e.core.filters.admit_docs(
-                        event.topic.as_ref(),
-                        false,
-                        &payload,
-                        props.as_ref(),
-                    )
-                {
-                    hits.push((key, e.core.clone()));
-                }
+        for &key in &index.broadcast {
+            if let Some(e) = by_key.get(&key).filter(|e| admit(e, false)) {
+                hits.push((key, e.core.clone()));
             }
         }
 
@@ -610,6 +737,12 @@ impl Registry {
     /// Is the registry empty?
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Distinct filter programs in the program table.
+    #[cfg(test)]
+    pub(crate) fn program_count(&self) -> usize {
+        self.inner.lock().programs.slot_of.len()
     }
 
     /// Snapshot all subscriptions.
@@ -912,6 +1045,72 @@ mod tests {
                 assert_eq!(got, want, "event {ei}, props {}", props_opt.is_some());
             }
         }
+    }
+
+    #[test]
+    fn program_table_is_bounded_by_live_subscriptions() {
+        // The selective grid's K3 population: 200 subscriptions over 13
+        // filters, every other one spelled with extra spaces.
+        let r = Registry::new();
+        let k3 = |i: usize| {
+            let k = i % 13;
+            if i.is_multiple_of(2) {
+                format!("/event[source='gridftp-{k}' and @sev>5]")
+            } else {
+                format!("/event[ source = 'gridftp-{k}' and @sev > 5 ]")
+            }
+        };
+        let ids: Vec<String> = (0..200)
+            .map(|i| {
+                let filters = UnifiedFilters {
+                    topics: vec![TopicExpression::full(&format!("grid/site{}/*", i % 50)).unwrap()],
+                    content: vec![xp(&k3(i))],
+                    producer_props: vec![],
+                };
+                let expires = i.is_multiple_of(3).then_some(100);
+                r.insert(
+                    spec(),
+                    epr(),
+                    None,
+                    filters,
+                    BrokerDeliveryMode::Push,
+                    false,
+                    expires,
+                )
+            })
+            .collect();
+        assert_eq!(r.program_count(), 13, "whitespace variants add none");
+        let (a, b) = (r.get(&ids[0]).unwrap(), r.get(&ids[13]).unwrap());
+        assert!(
+            Arc::ptr_eq(&a.filters.content[0], &b.filters.content[0]),
+            "both spellings hold the one shared program"
+        );
+
+        // Remove the leased-forever ones, then let the rest expire.
+        for (i, id) in ids.iter().enumerate() {
+            if !i.is_multiple_of(3) {
+                assert!(r.remove(id).is_some());
+            }
+        }
+        assert_eq!(r.program_count(), 13, "every program still has a holder");
+        assert_eq!(r.sweep_expired(100).len(), 67);
+        assert_eq!(r.program_count(), 0);
+        assert_eq!(r.inner.lock().programs.refs.len(), 13);
+
+        // A re-subscribe takes a freed slot instead of growing the table.
+        let again = insert_with(
+            &r,
+            UnifiedFilters {
+                topics: vec![],
+                content: vec![xp("/event[@sev>3]")],
+                producer_props: vec![],
+            },
+        );
+        assert_eq!(r.program_count(), 1);
+        assert_eq!(r.inner.lock().programs.refs.len(), 13);
+        let ev = InternalEvent::raw(Element::local("event").with_attr("sev", "5"));
+        assert_eq!(r.matching(&ev, None, 200).len(), 1);
+        assert_eq!(*r.matching(&ev, None, 200)[0].id, *again);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! XPath abstract syntax.
 
 /// Binary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
     /// `or`
     Or,
@@ -34,7 +34,7 @@ pub enum BinOp {
 }
 
 /// Axes supported by the engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Axis {
     /// `child::` (the default axis)
     Child,

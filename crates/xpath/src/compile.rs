@@ -17,15 +17,22 @@
 //! * **fact extraction** — conservative facts the registry's match
 //!   index uses to reject candidates without running the filter: a
 //!   required-name bitset and, for simple `path = 'literal'` filters,
-//!   a canonical literal-equality form.
+//!   a canonical literal-equality form;
+//! * **program identity** — a hash of the lowered, folded program, so
+//!   filters that compile to the same program compare equal however
+//!   their source text was spelled (see [`CompiledFilter`]'s `Eq`).
 
 use crate::ast::{Axis, BinOp, Expr, LocationPath, NodeTest, Step};
 use crate::eval::{v_bool, DocIndex, EvalDoc, V};
 use crate::parser::{self, XPathError};
 use crate::program::{
-    const_verdict, name_bit, run_path_strings, run_root, CExpr, CPath, CStep, CTest, Func,
+    const_verdict, name_bit, run_path_strings, run_root, CExpr, CPath, CStep, CTest, Func, Num,
 };
 use crate::value::Value;
+use std::borrow::Cow;
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::sync::OnceLock;
 use wsm_xml::intern::{intern, Interned};
 use wsm_xml::{Element, QName};
 
@@ -34,12 +41,38 @@ use wsm_xml::{Element, QName};
 /// Produced by [`CompiledFilter::compile`]; evaluated either directly
 /// against an [`Element`] or — the broker fast path — against a shared
 /// [`EvalDoc`] so one document index serves every candidate filter.
+///
+/// Equality and hashing are by *program*, not by source text: two
+/// filters are equal iff their lowered, folded programs are, so
+/// `/event[@sev>3]` equals `/event[ @sev > 3 ]` and `/a > 2 + 1` equals
+/// `/a > 3`, while one text compiled under bindings that map a prefix
+/// to different URIs gives two different filters. Equal filters select
+/// the same documents, which is what lets a registry keep one shared
+/// program per distinct filter. The hash is computed once, at compile
+/// time.
 #[derive(Debug, Clone)]
 pub struct CompiledFilter {
     source: String,
     prog: CExpr,
+    /// Hash of `prog` under [`identity_keys`]: the O(1) half of
+    /// program identity.
+    identity: u64,
     required_mask: u64,
     literal_eq: Option<LiteralEq>,
+}
+
+impl PartialEq for CompiledFilter {
+    fn eq(&self, other: &Self) -> bool {
+        std::ptr::eq(self, other) || (self.identity == other.identity && self.prog == other.prog)
+    }
+}
+
+impl Eq for CompiledFilter {}
+
+impl Hash for CompiledFilter {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.identity)
+    }
 }
 
 /// Canonical form of a `path = 'literal'` filter.
@@ -82,13 +115,15 @@ impl CompiledFilter {
         let literal_eq = extract_literal_eq(&prog);
         CompiledFilter {
             source: source.to_string(),
+            identity: identity_keys().hash_one(&prog),
             prog,
             required_mask,
             literal_eq,
         }
     }
 
-    /// The original expression text.
+    /// The original expression text. Equal filters may differ here: a
+    /// program shared by equality carries one of its spellings.
     pub fn source(&self) -> &str {
         &self.source
     }
@@ -99,9 +134,11 @@ impl CompiledFilter {
             V::B(b) => Value::Boolean(b),
             V::N(n) => Value::Number(n),
             V::S(s) => Value::String(s),
-            V::Nodes(ids) => {
-                Value::NodeSet(ids.iter().map(|&id| doc.idx.string_value(id)).collect())
-            }
+            V::Nodes(ids) => Value::NodeSet(
+                ids.iter()
+                    .map(|&id| doc.idx.string_value(id).into_owned())
+                    .collect(),
+            ),
         }
     }
 
@@ -152,14 +189,23 @@ impl CompiledFilter {
     }
 
     /// Evaluate the literal-equality path against a document, returning
-    /// the string-values of the selected nodes. Empty when this filter
-    /// has no literal-equality form.
-    pub fn eval_literal_path(&self, doc: &EvalDoc) -> Vec<String> {
+    /// the string-values of the selected nodes, borrowed from the
+    /// document where it can lend them. Empty when this filter has no
+    /// literal-equality form.
+    pub fn eval_literal_path<'a>(&self, doc: &EvalDoc<'a>) -> Vec<Cow<'a, str>> {
         match &self.literal_eq {
             Some(le) => run_path_strings(&doc.idx, &le.path),
             None => Vec::new(),
         }
     }
+}
+
+/// One random hash key per process, like a `HashMap`'s own: filters
+/// come from subscribers, and fixed keys would let crafted programs
+/// collide in a registry's program table.
+fn identity_keys() -> &'static RandomState {
+    static KEYS: OnceLock<RandomState> = OnceLock::new();
+    KEYS.get_or_init(RandomState::new)
 }
 
 // -------------------------------------------------------------- lowering
@@ -173,7 +219,7 @@ fn resolve(namespaces: &[(&str, &str)], prefix: &str) -> Option<Interned> {
 
 fn lower_expr(e: &Expr, ns: &[(&str, &str)]) -> CExpr {
     match e {
-        Expr::Number(n) => CExpr::Number(*n),
+        Expr::Number(n) => CExpr::Number(Num(*n)),
         Expr::Literal(s) => CExpr::Literal(s.clone()),
         // No variable bindings are defined by the WS filter dialects;
         // an unbound variable selects nothing.
@@ -307,7 +353,7 @@ fn fold(e: CExpr) -> CExpr {
     let idx = DocIndex::build(&dummy);
     match run_root(&idx, &rebuilt) {
         V::B(b) => CExpr::Bool(b),
-        V::N(n) => CExpr::Number(n),
+        V::N(n) => CExpr::Number(Num(n)),
         V::S(s) => CExpr::Literal(s),
         // Pure expressions never yield node-sets; keep the program
         // unchanged if that invariant is ever violated.
@@ -526,10 +572,42 @@ mod tests {
         let miss = xml("<event><source>other</source></event>").unwrap();
         let hd = EvalDoc::new(&hit);
         let md = EvalDoc::new(&miss);
-        assert_eq!(f.eval_literal_path(&hd), vec!["gridftp-7".to_string()]);
+        assert_eq!(f.eval_literal_path(&hd), vec!["gridftp-7"]);
         assert!(f.matches_doc(&hd));
-        assert_eq!(f.eval_literal_path(&md), vec!["other".to_string()]);
+        assert_eq!(f.eval_literal_path(&md), vec!["other"]);
         assert!(!f.matches_doc(&md));
+    }
+
+    #[test]
+    fn identity_is_the_folded_program() {
+        // Spacing, operand spelling and foldable constants vanish in
+        // the lowered program: one identity.
+        let spaced = [
+            ("/event[@sev>3]", "/event[ @sev > 3 ]"),
+            ("/event[@sev>3]", "/child::event[attribute::sev > 3]"),
+            ("/a > 2 + 1", "/a>3"),
+            ("/e/source = 'x'", "/e/source='x'"),
+        ];
+        for (a, b) in spaced {
+            assert_eq!(cf(a), cf(b), "{a} vs {b}");
+            assert_eq!(cf(a).identity, cf(b).identity, "{a} vs {b}");
+        }
+        // A different literal or number is a different program.
+        assert_ne!(cf("/e/source = 'x'"), cf("/e/source = 'y'"));
+        assert_ne!(cf("/event[@sev>3]"), cf("/event[@sev>4]"));
+        assert_ne!(cf("/a div 0"), cf("/a div -0"), "-0 is not 0");
+        // The same text under bindings to different URIs is not.
+        let under = |uri| {
+            CompiledFilter::compile_with_namespaces("/n:ev/n:kind = 'done'", &[("n", uri)]).unwrap()
+        };
+        assert_eq!(under("urn:ev"), under("urn:ev"));
+        assert_ne!(under("urn:ev"), under("urn:other"));
+        assert_ne!(under("urn:ev").identity, under("urn:other").identity);
+        // Another prefix bound to the same URI names the same nodes.
+        let other_prefix =
+            CompiledFilter::compile_with_namespaces("/m:ev/m:kind = 'done'", &[("m", "urn:ev")])
+                .unwrap();
+        assert_eq!(under("urn:ev"), other_prefix);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 use crate::ast::{Axis, BinOp, Expr, LocationPath, NodeTest, Step};
 use crate::program::name_bit;
 use crate::value::{number_to_string, str_to_number, Value};
+use std::borrow::Cow;
 use wsm_xml::tree::{Attribute, Node};
 use wsm_xml::{Element, QName};
 
@@ -29,7 +30,11 @@ pub fn evaluate_with_namespaces(expr: &Expr, root: &Element, namespaces: &[(&str
         V::B(b) => Value::Boolean(b),
         V::N(n) => Value::Number(n),
         V::S(s) => Value::String(s),
-        V::Nodes(ids) => Value::NodeSet(ids.iter().map(|&id| doc.string_value(id)).collect()),
+        V::Nodes(ids) => Value::NodeSet(
+            ids.iter()
+                .map(|&id| doc.string_value(id).into_owned())
+                .collect(),
+        ),
     }
 }
 
@@ -122,15 +127,23 @@ impl<'a> DocIndex<'a> {
         }
     }
 
-    pub(crate) fn string_value(&self, id: usize) -> String {
+    /// The XPath string-value of a node, borrowed from the document
+    /// for attributes, text and comments, and for elements whose only
+    /// child is one text node — the common shape of a filtered field.
+    /// Mixed or nested content is concatenated into a new string.
+    pub(crate) fn string_value(&self, id: usize) -> Cow<'a, str> {
         match &self.nodes[id] {
             NodeData::Root => match self.children[ROOT].first() {
                 Some(&r) => self.string_value(r),
-                None => String::new(),
+                None => Cow::Borrowed(""),
             },
-            NodeData::Element { el, .. } => el.deep_text(),
-            NodeData::Attr { attr, .. } => attr.value.clone(),
-            NodeData::Text { text, .. } | NodeData::Comment { text, .. } => (*text).to_string(),
+            NodeData::Element { el, .. } => match el.children.as_slice() {
+                [] => Cow::Borrowed(""),
+                [Node::Text(t) | Node::CData(t)] => Cow::Borrowed(t),
+                _ => Cow::Owned(el.deep_text()),
+            },
+            NodeData::Attr { attr, .. } => Cow::Borrowed(&attr.value),
+            NodeData::Text { text, .. } | NodeData::Comment { text, .. } => Cow::Borrowed(text),
         }
     }
 
@@ -269,7 +282,7 @@ pub(crate) fn v_string(doc: &DocIndex, v: V) -> String {
         V::N(n) => number_to_string(n),
         V::S(s) => s,
         V::Nodes(ids) => match ids.first() {
-            Some(&id) => doc.string_value(id),
+            Some(&id) => doc.string_value(id).into_owned(),
             None => String::new(),
         },
     }
@@ -344,7 +357,7 @@ fn eval_binary(ctx: &Ctx, op: BinOp, l: &Expr, r: &Expr) -> V {
 pub(crate) fn compare_eq(doc: &DocIndex, negate: bool, l: V, r: V) -> bool {
     let res = match (&l, &r) {
         (V::Nodes(a), V::Nodes(b)) => {
-            let bs: Vec<String> = b.iter().map(|&id| doc.string_value(id)).collect();
+            let bs: Vec<Cow<str>> = b.iter().map(|&id| doc.string_value(id)).collect();
             a.iter().any(|&ia| {
                 let sa = doc.string_value(ia);
                 bs.iter()
@@ -454,7 +467,7 @@ fn eval_path(ctx: &Ctx, lp: &LocationPath, start: Option<Vec<usize>>) -> Vec<usi
     for step in &lp.steps {
         let mut next: Vec<usize> = Vec::new();
         for &node in &current {
-            let mut candidates = walk_axis(ctx.doc, node, step.axis);
+            let mut candidates = walk_axis(ctx.doc, node, step.axis).into_owned();
             candidates.retain(|&id| node_test_matches(ctx, id, step));
             // Predicates use proximity positions along the axis.
             for pred in &step.predicates {
@@ -477,10 +490,12 @@ pub(crate) fn is_reverse_axis(axis: Axis) -> bool {
 }
 
 /// Nodes on `axis` from `node`, in axis order (reverse axes are returned
-/// nearest-first, which is their proximity order).
-pub(crate) fn walk_axis(doc: &DocIndex, node: usize, axis: Axis) -> Vec<usize> {
-    match axis {
-        Axis::Child => doc.children[node].clone(),
+/// nearest-first, which is their proximity order). The child and
+/// attribute axes are lent straight from the index.
+pub(crate) fn walk_axis<'d>(doc: &'d DocIndex, node: usize, axis: Axis) -> Cow<'d, [usize]> {
+    let out = match axis {
+        Axis::Child => return Cow::Borrowed(&doc.children[node]),
+        Axis::Attribute => return Cow::Borrowed(&doc.attrs[node]),
         Axis::Descendant => {
             let mut out = Vec::new();
             descend(doc, node, &mut out);
@@ -511,7 +526,6 @@ pub(crate) fn walk_axis(doc: &DocIndex, node: usize, axis: Axis) -> Vec<usize> {
             }
             out
         }
-        Axis::Attribute => doc.attrs[node].clone(),
         Axis::FollowingSibling => match doc.parent(node) {
             Some(p) => {
                 let sibs = &doc.children[p];
@@ -532,7 +546,8 @@ pub(crate) fn walk_axis(doc: &DocIndex, node: usize, axis: Axis) -> Vec<usize> {
             }
             None => Vec::new(),
         },
-    }
+    };
+    Cow::Owned(out)
 }
 
 fn descend(doc: &DocIndex, node: usize, out: &mut Vec<usize>) {
@@ -630,7 +645,7 @@ fn eval_call(ctx: &Ctx, name: &str, args: &[Expr]) -> V {
         ("boolean", 1) => V::B(to_bool(ctx, &arg(0))),
         ("number", 0) => V::N(str_to_number(&ctx.doc.string_value(ctx.node))),
         ("number", 1) => V::N(to_number(ctx, arg(0))),
-        ("string", 0) => V::S(ctx.doc.string_value(ctx.node)),
+        ("string", 0) => V::S(ctx.doc.string_value(ctx.node).into_owned()),
         ("string", 1) => V::S(to_string_v(ctx, arg(0))),
         ("concat", n) if n >= 2 => {
             let mut s = String::new();

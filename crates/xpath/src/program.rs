@@ -14,10 +14,12 @@ use crate::eval::{
     compare_eq, compare_rel, v_bool, v_number, v_string, walk_axis, DocIndex, NodeData, ROOT, V,
 };
 use crate::value::str_to_number;
+use std::borrow::Cow;
+use std::hash::{Hash, Hasher};
 use wsm_xml::intern::Interned;
 
 /// A node test with its namespace prefix already resolved.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) enum CTest {
     /// A name test; `ns` is the resolved namespace URI (or `None` for
     /// names in no namespace — XPath 1.0 has no default namespace).
@@ -43,7 +45,7 @@ pub(crate) enum CTest {
 }
 
 /// One lowered location step.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct CStep {
     pub(crate) axis: Axis,
     pub(crate) test: CTest,
@@ -51,7 +53,7 @@ pub(crate) struct CStep {
 }
 
 /// A lowered location path.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct CPath {
     pub(crate) absolute: bool,
     pub(crate) steps: Vec<CStep>,
@@ -60,7 +62,7 @@ pub(crate) struct CPath {
 /// Core-library functions, resolved (name, arity) → variant at compile
 /// time so evaluation dispatches on an enum instead of matching
 /// strings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum Func {
     True,
     False,
@@ -161,10 +163,34 @@ impl Func {
     }
 }
 
+/// A number constant of a program, compared and hashed by its bits:
+/// program equality is then an equivalence (a folded `0 div 0` equals
+/// itself), and `-0` stays apart from `0` (`1 div -0` is `-Infinity`).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Num(pub(crate) f64);
+
+impl PartialEq for Num {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.to_bits() == other.0.to_bits()
+    }
+}
+
+impl Eq for Num {}
+
+impl Hash for Num {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.to_bits().hash(state)
+    }
+}
+
 /// A lowered expression program.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality is structural over the lowered, folded form, so two filters
+/// whose source texts differ only in spacing — or in a constant
+/// subexpression that folds to the same value — are the same program.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) enum CExpr {
-    Number(f64),
+    Number(Num),
     Literal(String),
     /// A pre-folded boolean constant (`true()`, `1 < 2`, ...).
     Bool(bool),
@@ -235,7 +261,7 @@ pub(crate) fn run_root(doc: &DocIndex, prog: &CExpr) -> V {
 
 pub(crate) fn run(ctx: &PCtx, e: &CExpr) -> V {
     match e {
-        CExpr::Number(n) => V::N(*n),
+        CExpr::Number(n) => V::N(n.0),
         CExpr::Literal(s) => V::S(s.clone()),
         CExpr::Bool(b) => V::B(*b),
         CExpr::EmptySet => V::Nodes(Vec::new()),
@@ -318,8 +344,16 @@ fn run_path(ctx: &PCtx, p: &CPath, start: Option<Vec<usize>>) -> Vec<usize> {
     for step in &p.steps {
         let mut next: Vec<usize> = Vec::new();
         for &node in &current {
-            let mut candidates = walk_axis(ctx.doc, node, step.axis);
-            candidates.retain(|&id| test_matches(ctx.doc, id, step.axis, &step.test));
+            let axis = walk_axis(ctx.doc, node, step.axis);
+            let tested = axis
+                .iter()
+                .copied()
+                .filter(|&id| test_matches(ctx.doc, id, step.axis, &step.test));
+            if step.predicates.is_empty() {
+                next.extend(tested);
+                continue;
+            }
+            let mut candidates: Vec<usize> = tested.collect();
             for pred in &step.predicates {
                 candidates = apply_predicate(ctx, candidates, pred);
             }
@@ -398,7 +432,7 @@ fn run_call(ctx: &PCtx, f: Func, args: &[CExpr]) -> V {
         Func::Boolean => V::B(v_bool(&arg(0))),
         Func::Number0 => V::N(str_to_number(&doc.string_value(ctx.node))),
         Func::Number1 => V::N(n_of(arg(0))),
-        Func::String0 => V::S(doc.string_value(ctx.node)),
+        Func::String0 => V::S(doc.string_value(ctx.node).into_owned()),
         Func::String1 => V::S(s_of(arg(0))),
         Func::Concat => {
             let mut s = String::new();
@@ -525,7 +559,9 @@ fn normalize_space(s: &str) -> String {
 
 /// Evaluate the string-values of the nodes a path program selects —
 /// the primitive behind the match index's literal-equality buckets.
-pub(crate) fn run_path_strings(doc: &DocIndex, p: &CPath) -> Vec<String> {
+/// Values are borrowed from the document wherever its index can lend
+/// them.
+pub(crate) fn run_path_strings<'a>(doc: &DocIndex<'a>, p: &CPath) -> Vec<Cow<'a, str>> {
     let ctx = PCtx {
         doc,
         node: ROOT,
@@ -543,7 +579,7 @@ pub(crate) fn run_path_strings(doc: &DocIndex, p: &CPath) -> Vec<String> {
 pub(crate) fn const_verdict(prog: &CExpr) -> Option<bool> {
     match prog {
         CExpr::Bool(b) => Some(*b),
-        CExpr::Number(n) => Some(*n != 0.0 && !n.is_nan()),
+        CExpr::Number(Num(n)) => Some(*n != 0.0 && !n.is_nan()),
         CExpr::Literal(s) => Some(!s.is_empty()),
         CExpr::EmptySet => Some(false),
         _ => None,
