@@ -33,7 +33,7 @@ use wsm_bench::{
 };
 use wsm_eventing::WseVersion;
 use wsm_messenger::registry::Registry;
-use wsm_messenger::{BrokerDeliveryMode, DispatchMode, InternalEvent, SpecDialect, UnifiedFilters};
+use wsm_messenger::{BrokerDeliveryMode, InternalEvent, SpecDialect, UnifiedFilters};
 use wsm_topics::TopicExpression;
 
 /// Worker count for the parallel axis. Explicit (not
@@ -137,21 +137,25 @@ fn throughput_pair(n: u64, delay_us: u64) -> (f64, f64) {
 }
 
 /// Per-stage pipeline breakdown from a fixed-publication run of the
-/// sharded engine at the heaviest grid point (256 subscribers, wire
+/// worker pool at the heaviest grid point (256 subscribers, wire
 /// latency).
 ///
-/// Fixed counts (not a timed window) and a pinned dispatch mode keep
-/// the histogram's composition identical across quick and full runs,
-/// so the CI gate (`scaling_check`) can compare the fresh quick-mode
-/// `deliver` mean against the committed full-mode baseline. Pinning
-/// `Sharded` also keeps the adaptive governor's bootstrap/probe
-/// publications — which run the non-overlapping inline path and cost
-/// ~5× — out of the mean.
+/// Fixed counts (not a timed window) keep the histogram's composition
+/// identical across quick and full runs, so the CI gate
+/// (`scaling_check`) can compare the fresh quick-mode `deliver` mean
+/// against the committed full-mode baseline. Eight warm-up
+/// publications with observability off let the governor bootstrap
+/// both paths first, keeping its inline bootstrap runs — which do not
+/// overlap sends and cost ~5× — out of the mean.
 fn deliver_breakdown() -> Vec<StageBreakdown> {
     let (net, broker) = setup(256, "jobs/status");
     net.set_send_delay_us(WIRE_DELAY_US);
     broker.set_fanout_workers(PARALLEL_WORKERS);
-    broker.set_dispatch_mode(DispatchMode::Sharded);
+    broker.set_obs_enabled(false);
+    for seq in 0..8 {
+        broker.publish_on("jobs/status", &make_event(seq));
+    }
+    broker.set_obs_enabled(true);
     let pubs = if wsm_bench::quick_mode() { 24 } else { 96 };
     for seq in 0..pubs {
         broker.publish_on("jobs/status", &make_event(seq));

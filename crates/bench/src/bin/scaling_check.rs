@@ -18,8 +18,9 @@
 //!    timer noise, not a real deficit.
 //! 3. **Deliver-stage budget** — the fresh `deliver` mean may exceed
 //!    the committed baseline's by at most `DELIVER_REGRESSION_MAX`.
-//!    The emitter pins this histogram to a fixed-publication sharded
-//!    run precisely so quick and full runs are comparable.
+//!    The emitter fixes this histogram to a fixed-publication pool run
+//!    after a governor warm-up, precisely so quick and full runs are
+//!    comparable.
 //!
 //! Usage: `scaling_check <fresh.json> <baseline.json>`. The fresh file
 //! is the one the quick-mode bench just wrote; the baseline is the

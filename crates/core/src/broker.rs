@@ -14,7 +14,7 @@ use crate::brokered::Brokered;
 use crate::control::{
     unknown_subscription, ControlOp, Endpoint, Manage, OpKind, Reply, Subscribed, Subscription,
 };
-use crate::delivery::{self, DeliveryEngine, DispatchMode, FailKind, PushJob, StatsDelta};
+use crate::delivery::{self, DeliveryEngine, FailKind, PushJob, StatsDelta};
 use crate::detect::SpecDialect;
 use crate::event::InternalEvent;
 use crate::obs::{BrokerObs, Outcome, Stage};
@@ -23,7 +23,6 @@ use crate::reliability::{
     Admitted, BreakerState, DeadLetter, FaultTolerance, PumpReport, ReliabilityState,
 };
 use crate::render::{render_batch, render_notification_cached, RenderCache};
-use crate::stage::EventSource;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -243,16 +242,6 @@ impl WsMessenger {
         self.inner.fanout_workers.store(workers, Ordering::Relaxed);
     }
 
-    /// Pin the delivery engine's dispatch policy for parallel
-    /// fan-outs: [`DispatchMode::Adaptive`] (the default) measures
-    /// streaming-inline vs sharded-pool cost per fan-out size and
-    /// picks the cheaper; `Inline` and `Sharded` force one path —
-    /// benches use this to compare the regimes, and deterministic
-    /// scenarios can pin the path they were seeded against.
-    pub fn set_dispatch_mode(&self, mode: DispatchMode) {
-        self.inner.engine.set_mode(mode);
-    }
-
     /// Switch fault-tolerant delivery on (`Some(config)`) or back to
     /// the seed's drop-on-failure semantics (`None`).
     ///
@@ -449,21 +438,20 @@ impl WsMessenger {
                 let epr = subscription_epr(&inner.manager_uri, &sub.id, sub.spec);
                 let payloads: Vec<_> = events.iter().map(|e| e.payload.clone()).collect();
                 let env = render_batch(&sub, &payloads, &inner.uri, &epr);
-                if inner.net.send(&sub.consumer.address, env).is_ok() {
+                // A failed batch evicts the subscription, as a failed
+                // push does: its events' stories end expired.
+                let outcome = if inner.net.send(&sub.consumer.address, env).is_ok() {
                     batches += 1;
-                    let now = inner.net.clock().now_ms();
-                    for ev in &events {
-                        inner.obs.resolve(
-                            ev.seq,
-                            &sub.id,
-                            0,
-                            ev.queued_at_ms,
-                            now,
-                            crate::obs::Outcome::Delivered,
-                        );
-                    }
+                    Outcome::Delivered
                 } else {
                     drop_failed(inner, &sub.id);
+                    Outcome::Expired
+                };
+                let now = inner.net.clock().now_ms();
+                for ev in &events {
+                    inner
+                        .obs
+                        .resolve(ev.seq, &sub.id, 0, ev.queued_at_ms, now, outcome);
                 }
             }
         }
@@ -509,20 +497,20 @@ fn ingest_seq(inner: &MessengerInner, event: InternalEvent, seq: u64) -> usize {
     delivered
 }
 
-/// The broker's streaming [`EventSource`]: renders each matched push
-/// subscriber's envelope lazily as the delivery engine pulls it, so
-/// rendering overlaps with delivery (the engine is already sending
-/// sealed shards while later envelopes render). Per-subscriber
-/// reliability gating (FIFO behind pending redeliveries) happens here
-/// too: a gated job is enqueued to the redelivery channel and the
-/// source moves on to the next subscriber.
+/// The broker's render source: an iterator that renders each matched
+/// push subscriber's envelope as the delivery engine pulls it. The
+/// streaming path sends each job as soon as it is rendered; the pool
+/// path renders the whole publication before handing it over.
+/// Per-subscriber reliability gating (FIFO behind pending
+/// redeliveries) happens here too: a gated job is enqueued to the
+/// redelivery channel and the source moves on to the next subscriber,
+/// which is why the size hint's lower bound is zero.
 struct RenderSource<'a> {
     inner: &'a MessengerInner,
     cache: &'a RenderCache,
     event: &'a InternalEvent,
     rel: Option<Arc<ReliabilityState>>,
     subs: std::vec::IntoIter<Arc<BrokerSubscription>>,
-    expected: usize,
     seq: u64,
     now: u64,
     /// Jobs actually yielded (excludes reliability-gated ones).
@@ -532,8 +520,10 @@ struct RenderSource<'a> {
     render_ns: u64,
 }
 
-impl EventSource for RenderSource<'_> {
-    fn next_event(&mut self) -> Option<PushJob> {
+impl Iterator for RenderSource<'_> {
+    type Item = PushJob;
+
+    fn next(&mut self) -> Option<PushJob> {
         loop {
             let sub = self.subs.next()?;
             let render_started = std::time::Instant::now();
@@ -572,8 +562,8 @@ impl EventSource for RenderSource<'_> {
         }
     }
 
-    fn expected(&self) -> usize {
-        self.expected
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (0, Some(self.subs.len()))
     }
 }
 
@@ -615,7 +605,6 @@ fn fan_out(inner: &MessengerInner, event: &InternalEvent, seq: u64) -> usize {
         }
     }
     let cache = RenderCache::new(event);
-    let expected = push_subs.len();
     let workers = inner.fanout_workers.load(Ordering::Relaxed);
     let mut source = RenderSource {
         inner,
@@ -623,14 +612,13 @@ fn fan_out(inner: &MessengerInner, event: &InternalEvent, seq: u64) -> usize {
         event,
         rel: rel.clone(),
         subs: push_subs.into_iter(),
-        expected,
         seq,
         now,
         rendered: 0,
         render_ns: 0,
     };
     let deliver_timer = inner.obs.start();
-    let report = inner.engine.execute_source(
+    let report = inner.engine.execute(
         &inner.net,
         inner.delivery_attempts.load(Ordering::Relaxed),
         workers,
@@ -638,10 +626,10 @@ fn fan_out(inner: &MessengerInner, event: &InternalEvent, seq: u64) -> usize {
     );
     let after_ms = inner.net.clock().now_ms();
     // Render happened inside the deliver window (the source renders
-    // lazily while the engine sends); record its accumulated time
-    // first so ring order stays publish → match → render → deliver,
-    // then the deliver span — whose duration now *includes* the
-    // overlapped rendering — and the publisher's handoff wait.
+    // as the engine pulls jobs); record its accumulated time first so
+    // ring order stays publish → match → render → deliver, then the
+    // deliver span — whose duration *includes* the rendering — and
+    // the publisher's handoff wait.
     inner
         .obs
         .stage_dur(Stage::Render, seq, source.render_ns, now, source.rendered);

@@ -1,4 +1,5 @@
-//! Staged push fan-out with sharded batch handoff.
+//! Push fan-out: a streaming inline path and a persistent worker
+//! pool, with a governor choosing between them per publication.
 //!
 //! The broker's push deliveries are independent of each other within a
 //! single publication — each matched subscriber gets exactly one
@@ -8,50 +9,42 @@
 //! completes, so subscriber *S* always observes a publisher's event *n*
 //! before its event *n+1*.
 //!
-//! The first engine handed **one job per subscriber** across a shared
-//! channel; at mid fan-out the per-message channel hop cost more than
-//! the send it dispatched and parallel lost to sequential. This engine
-//! hands off **one `PubWork` per worker per publication**:
+//! [`DeliveryEngine::execute`] takes the publication as an iterator of
+//! rendered [`PushJob`]s and runs one of two paths:
 //!
-//! * the publication's jobs are pre-partitioned into per-worker
-//!   **shards**, filled and sealed incrementally while the broker's
-//!   [`EventSource`] is still rendering — so rendering overlaps with
-//!   delivery instead of barriering per publication;
-//! * workers **batch-claim** runs of `CLAIM` jobs from their home
-//!   shard with one atomic `fetch_add`, then **steal** from the other
-//!   shards in round-robin order when theirs runs dry, so a slow
-//!   endpoint in one shard cannot idle the rest of the pool;
-//! * the publishing thread seals the last shard and then participates
-//!   in claiming itself, so the engine never waits on a parked worker
-//!   to finish work the publisher could do.
+//! * **streaming** — pull one job, send it, repeat, on the publishing
+//!   thread, so each envelope goes out while still hot from its render.
+//!   With `set_fanout_workers(0|1)` or a fan-out under four jobs this
+//!   is the only path: the sequential baseline, sending in match order.
+//! * **pool** — the publisher renders the whole publication into one
+//!   `PubWork` and sends the same `Arc` to every pool worker. Every
+//!   sending thread, the publisher included, claims runs of `step` jobs
+//!   by advancing one shared cursor until it passes the end, then
+//!   merges its outcomes once into one gather; the publisher waits for
+//!   the last merge. One `fetch_add` per claim is the whole protocol.
 //!
-//! Which path a publication takes is decided per publication by a
-//! [`DispatchMode`]: `Sharded` forces the pool, `Inline` forces a
-//! streaming single-thread send loop, and the default `Adaptive` mode
-//! keeps a per-size-bucket EWMA of observed per-job cost for both and
-//! picks the cheaper, probing the loser occasionally so a regime
-//! change (e.g. wire latency appearing) is noticed. With
-//! `set_fanout_workers(0|1)` there is no pool to hand off to, so every
-//! publication streams on the publishing thread — the sequential
-//! baseline, sending in match order.
+//! The governor keeps a per-size-bucket EWMA of observed per-job cost
+//! for both paths and picks the cheaper, probing the loser
+//! occasionally so a regime change (e.g. wire latency appearing) is
+//! noticed.
 //!
 //! The pool is **persistent and lazy**: worker threads spawn the first
-//! time a sharded publication runs and then park on their per-worker
-//! channel between publications. Workers report per-delivery outcomes
-//! into a per-publication `Gather` merged once under one lock, so
-//! the broker applies one [`StatsDelta`] per publication and drops
-//! failed subscriptions *after* the fan-out completes — worker threads
-//! never take registry locks.
+//! time a publication goes to the pool and then park on their
+//! per-worker channel between publications. Workers report
+//! per-delivery outcomes into a per-publication `Gather` merged once
+//! under one lock, so the broker applies one [`StatsDelta`] per
+//! publication and drops failed subscriptions *after* the fan-out
+//! completes — worker threads never take registry locks.
 
 use crate::detect::SpecDialect;
 use crate::registry::BrokerSubscription;
-use crate::stage::{EventSource, NetworkSink, SendReport, VecSource};
+use crate::stage::{NetworkSink, SendReport};
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use wsm_soap::Envelope;
 use wsm_transport::{Network, TransportError};
 
@@ -60,9 +53,10 @@ use wsm_transport::{Network, TransportError};
 /// the publishing thread.
 const PARALLEL_THRESHOLD: usize = 4;
 
-/// How many jobs one claim takes from a shard: large enough that a
-/// worker's atomic traffic is 1/CLAIM of per-job handoff, small enough
-/// that stealing can still rebalance a slow shard.
+/// The most jobs one claim takes from the hand-off: large enough that
+/// a large fan-out's atomic traffic is 1/CLAIM of per-job hand-off,
+/// small enough that the other senders can still take over the rest
+/// of a slow run.
 const CLAIM: usize = 8;
 
 /// The default worker count: one per available core.
@@ -156,37 +150,6 @@ impl PushJob {
     }
 }
 
-/// How the engine dispatches a publication's fan-out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DispatchMode {
-    /// Per-size-bucket EWMA of observed per-job cost picks streaming
-    /// vs sharded per publication, probing the loser occasionally.
-    #[default]
-    Adaptive,
-    /// Always stream on the publishing thread (render → send per job).
-    Inline,
-    /// Always hand off to the sharded worker pool.
-    Sharded,
-}
-
-impl DispatchMode {
-    fn as_u8(self) -> u8 {
-        match self {
-            DispatchMode::Adaptive => 0,
-            DispatchMode::Inline => 1,
-            DispatchMode::Sharded => 2,
-        }
-    }
-
-    fn from_u8(v: u8) -> DispatchMode {
-        match v {
-            1 => DispatchMode::Inline,
-            2 => DispatchMode::Sharded,
-            _ => DispatchMode::Adaptive,
-        }
-    }
-}
-
 /// Stat increments accumulated over one fan-out, merged into
 /// [`crate::broker::MediationStats`] by the caller.
 #[derive(Debug, Default, Clone, Copy)]
@@ -256,7 +219,7 @@ impl Gather {
     }
 
     /// Record one send of `job`. The job stays where it is (the
-    /// publisher's hands, or the shared shard), so the rare failure
+    /// publisher's hands, or the shared hand-off), so the rare failure
     /// clones out — reference bumps: a job is a subscription handle,
     /// a copy-on-write envelope and a few numbers.
     fn tally(&mut self, job: &PushJob, rep: &SendReport) {
@@ -296,12 +259,9 @@ pub struct FanOutReport {
     /// Which dispatch path ran: `"inline"` (streaming on the
     /// publishing thread) or `"sharded"` (worker pool).
     pub mode: &'static str,
-    /// Jobs claimed from a non-home shard (sharded path only).
-    pub steals: u64,
     /// Wall time the publishing thread spent waiting for workers to
-    /// finish after it sealed the last shard and drained its own
-    /// claims (sharded path only; the broker records it as the
-    /// `handoff` stage).
+    /// finish after its own claims ran dry (pool path only; the broker
+    /// records it as the `handoff` stage).
     pub join_wait_ns: u64,
     /// Stat increments to merge.
     pub delta: StatsDelta,
@@ -323,7 +283,6 @@ impl FanOutReport {
             delivered: gather.delivered,
             jobs,
             mode,
-            steals: 0,
             join_wait_ns: 0,
             delta: gather.delta,
             failures: gather.failures,
@@ -333,46 +292,31 @@ impl FanOutReport {
     }
 }
 
-// ------------------------------------------------------ sharded work
+// --------------------------------------------------------- hand-off
 
-/// One worker's slice of a publication: the jobs land exactly once
-/// (sealed through the `OnceLock`), then any thread claims batches by
-/// advancing `cursor`.
-struct Shard {
-    jobs: OnceLock<Vec<PushJob>>,
-    cursor: AtomicUsize,
-}
-
-impl Shard {
-    fn new() -> Shard {
-        Shard {
-            jobs: OnceLock::new(),
-            cursor: AtomicUsize::new(0),
-        }
-    }
-}
-
-/// One publication's handoff to the pool: a single `Arc` enqueued to
-/// every worker, holding the per-worker shards and the completion
-/// rendezvous.
+/// One publication's hand-off to the pool: the fully rendered jobs, a
+/// claim cursor shared by every sending thread, and the gather they
+/// merge into.
 ///
-/// Protocol: the publisher fills and seals shards while workers are
-/// already claiming from the sealed ones; after sealing the last
-/// shard it sets `done_publishing`, helps claim, and then waits on the
-/// condvar until every worker has merged its local results. Workers
-/// that find nothing claimable before `done_publishing` wait on the
-/// same condvar (with a 1 ms belt against lost wakeups) for the next
-/// seal.
+/// Protocol: the publisher builds this with every job in place, sends
+/// the same `Arc` to each pool worker and claims alongside them. A
+/// claim advances `cursor` by `step`; a thread whose claim starts past
+/// the end has nothing left to take, merges its outcomes once and, if
+/// it is the last pool worker to merge, wakes the publisher. Every job
+/// is therefore sent by exactly one thread, and the publisher returns
+/// only after every worker has merged.
 struct PubWork {
-    shards: Vec<Shard>,
+    jobs: Vec<PushJob>,
+    /// Jobs per claim: `jobs / (4 × (workers + 1))` clamped to
+    /// `1..=CLAIM`, so each sending thread gets about four claims and
+    /// a small slow fan-out is still shared rather than taken whole by
+    /// the first thread to claim.
+    step: usize,
+    cursor: AtomicUsize,
     attempts: u32,
     /// Pool workers that will merge into `sync` (the publisher merges
     /// its own claims separately).
     workers: usize,
-    done_publishing: AtomicBool,
-    /// Shards sealed so far — the wait predicate for idle workers.
-    sealed: AtomicUsize,
-    steals: AtomicU64,
     sync: StdMutex<Collected>,
     cv: Condvar,
 }
@@ -384,99 +328,41 @@ struct Collected {
 }
 
 impl PubWork {
-    fn new(workers: usize, attempts: u32) -> PubWork {
+    fn new(jobs: Vec<PushJob>, workers: usize, attempts: u32) -> PubWork {
         PubWork {
-            shards: (0..workers).map(|_| Shard::new()).collect(),
+            step: (jobs.len() / (4 * (workers + 1))).clamp(1, CLAIM),
+            jobs,
+            cursor: AtomicUsize::new(0),
             attempts,
             workers,
-            done_publishing: AtomicBool::new(false),
-            sealed: AtomicUsize::new(0),
-            steals: AtomicU64::new(0),
             sync: StdMutex::new(Collected::default()),
             cv: Condvar::new(),
         }
     }
 
-    /// Publish shard `idx`'s jobs and wake anything waiting for work.
-    /// The empty lock bracket orders the wakeup after any waiter's
-    /// predicate check, so a worker that just saw the old seal count
-    /// under the lock cannot then miss this notify.
-    fn seal(&self, idx: usize, jobs: Vec<PushJob>) {
-        if self.shards[idx].jobs.set(jobs).is_err() {
-            unreachable!("shard sealed twice");
-        }
-        self.sealed.fetch_add(1, Ordering::Release);
-        drop(self.sync.lock().expect("pubwork mutex"));
-        self.cv.notify_all();
-    }
-
-    /// One pass over every shard, home first then stealing round-robin:
-    /// claim batches of [`CLAIM`] jobs until nothing sealed has work
-    /// left. Returns whether anything was claimed.
-    fn claim_pass(
-        &self,
-        home: usize,
-        sink: &NetworkSink,
-        local: &mut Gather,
-        stolen: &mut u64,
-    ) -> bool {
-        let n = self.shards.len();
-        let mut claimed_any = false;
-        for off in 0..n {
-            let shard = &self.shards[(home + off) % n];
-            let Some(jobs) = shard.jobs.get() else {
-                continue;
-            };
-            loop {
-                let start = shard.cursor.fetch_add(CLAIM, Ordering::Relaxed);
-                if start >= jobs.len() {
-                    break;
-                }
-                let end = (start + CLAIM).min(jobs.len());
-                for job in &jobs[start..end] {
-                    let rep = sink.send_event(job);
-                    local.tally(job, &rep);
-                }
-                claimed_any = true;
-                if off != 0 {
-                    *stolen += (end - start) as u64;
-                }
+    /// Send claimed runs of `step` jobs until the cursor passes the end.
+    /// The cursor publishes no data (the jobs reached every thread with
+    /// the `Arc`, through the channel), so `Relaxed` suffices.
+    fn claim(&self, sink: &NetworkSink, local: &mut Gather) {
+        loop {
+            let start = self.cursor.fetch_add(self.step, Ordering::Relaxed);
+            if start >= self.jobs.len() {
+                return;
+            }
+            let end = (start + self.step).min(self.jobs.len());
+            for job in &self.jobs[start..end] {
+                let rep = sink.send_event(job);
+                local.tally(job, &rep);
             }
         }
-        claimed_any
     }
 
     /// A pool worker's whole participation in this publication: claim
-    /// until drained, then merge local results exactly once; the last
-    /// merger wakes the publisher.
-    fn run_worker(&self, home: usize, sink: &NetworkSink) {
+    /// until drained, then merge exactly once; the last merger wakes
+    /// the publisher.
+    fn run_worker(&self, sink: &NetworkSink) {
         let mut local = Gather::default();
-        let mut stolen = 0u64;
-        loop {
-            let sealed_before = self.sealed.load(Ordering::Acquire);
-            let claimed = self.claim_pass(home, sink, &mut local, &mut stolen);
-            if !claimed {
-                if self.done_publishing.load(Ordering::Acquire) {
-                    // Every shard is sealed and an empty pass found no
-                    // unclaimed job: this publication is drained.
-                    break;
-                }
-                let guard = self.sync.lock().expect("pubwork mutex");
-                if self.sealed.load(Ordering::Acquire) == sealed_before
-                    && !self.done_publishing.load(Ordering::Acquire)
-                {
-                    // Nothing new since the empty pass; sleep until the
-                    // next seal (1 ms timeout as a lost-wakeup belt).
-                    let _ = self
-                        .cv
-                        .wait_timeout(guard, Duration::from_millis(1))
-                        .expect("pubwork condvar");
-                }
-            }
-        }
-        if stolen > 0 {
-            self.steals.fetch_add(stolen, Ordering::Relaxed);
-        }
+        self.claim(sink, &mut local);
         let mut c = self.sync.lock().expect("pubwork mutex");
         c.merged += 1;
         c.gather.merge(local);
@@ -488,16 +374,15 @@ impl PubWork {
     }
 
     /// Publisher-side rendezvous: block until every pool worker has
-    /// merged, then take the combined results.
+    /// merged, then take the combined results. The predicate is read
+    /// under the lock the last merger writes it under, so no wakeup
+    /// can be lost.
     fn wait_merged(&self) -> Gather {
-        let mut c = self.sync.lock().expect("pubwork mutex");
-        while c.merged < self.workers {
-            let (guard, _) = self
-                .cv
-                .wait_timeout(c, Duration::from_millis(1))
-                .expect("pubwork condvar");
-            c = guard;
-        }
+        let c = self.sync.lock().expect("pubwork mutex");
+        let mut c = self
+            .cv
+            .wait_while(c, |c| c.merged < self.workers)
+            .expect("pubwork condvar");
         std::mem::take(&mut c.gather)
     }
 }
@@ -506,7 +391,7 @@ impl PubWork {
 
 const MODE_INLINE: usize = 0;
 const MODE_SHARDED: usize = 1;
-/// Every `PROBE_PERIOD`-th adaptive publication in a bucket runs the
+/// Every `PROBE_PERIOD`-th governed publication in a bucket runs the
 /// currently-losing mode so its EWMA tracks regime changes.
 const PROBE_PERIOD: u64 = 64;
 /// Probe cadence when the losing mode is losing by ≥ 1.5×: each probe is
@@ -522,7 +407,7 @@ const PROBE_PERIOD_LANDSLIDE: u64 = PROBE_PERIOD * 8;
 /// loser is only re-sampled on sparse probes blended at α = 1/8.
 const BOOTSTRAP_SAMPLES: u64 = 3;
 
-/// Adaptive mode's memory: an EWMA (α = 1/8) of observed per-job
+/// The governor's memory: an EWMA (α = 1/8) of observed per-job
 /// nanoseconds for each dispatch path, in three fan-out size buckets
 /// (the crossover depends on batch size: handoff amortizes over more
 /// jobs as fan-out grows). Zero means "never measured" and forces a
@@ -622,12 +507,10 @@ impl Governor {
 
 // ----------------------------------------------------------- engine
 
-/// A broker's delivery engine: a streaming inline path and a sharded
-/// persistent worker pool, with an adaptive governor choosing between
-/// the two.
+/// A broker's delivery engine: a streaming inline path and a
+/// persistent worker pool, with a governor choosing between the two.
 pub struct DeliveryEngine {
     pool: Mutex<Option<Pool>>,
-    mode: AtomicU8,
     governor: Governor,
 }
 
@@ -649,113 +532,68 @@ impl DeliveryEngine {
     pub fn new() -> Self {
         DeliveryEngine {
             pool: Mutex::new(None),
-            mode: AtomicU8::new(DispatchMode::Adaptive.as_u8()),
             governor: Governor::new(),
         }
     }
 
-    /// Force (or restore) the dispatch policy for parallel fan-outs.
-    pub fn set_mode(&self, mode: DispatchMode) {
-        self.mode.store(mode.as_u8(), Ordering::Relaxed);
-    }
-
-    /// The current dispatch policy.
-    pub fn mode(&self) -> DispatchMode {
-        DispatchMode::from_u8(self.mode.load(Ordering::Relaxed))
-    }
-
-    /// Execute a publication's already-rendered push jobs (see
-    /// [`DeliveryEngine::execute_source`] for the streaming form).
+    /// Execute a publication's push fan-out. `jobs` renders lazily if
+    /// it likes; its `size_hint` upper bound sizes the decision.
+    /// Streamed inline when `workers <= 1`, the fan-out is small or the
+    /// governor prefers it (each job sent as soon as it is pulled),
+    /// otherwise rendered in full and handed to the worker pool.
     pub fn execute(
+        &self,
+        net: &Network,
+        attempts: u32,
+        workers: usize,
+        jobs: impl Iterator<Item = PushJob>,
+    ) -> FanOutReport {
+        let attempts = attempts.max(1);
+        let (low, high) = jobs.size_hint();
+        let expected = high.unwrap_or(low);
+        if workers <= 1 || expected < PARALLEL_THRESHOLD {
+            return execute_streaming(net, attempts, jobs);
+        }
+        let pick = self.governor.choose(expected);
+        let started = Instant::now();
+        let report = if pick == MODE_INLINE {
+            execute_streaming(net, attempts, jobs)
+        } else {
+            // Sized from the upper bound: `collect` would grow from the
+            // lower one, which a filtering source reports as zero.
+            let mut all = Vec::with_capacity(expected);
+            all.extend(jobs);
+            self.execute_sharded(net, attempts, workers, all)
+        };
+        self.governor
+            .observe(pick, report.jobs, started.elapsed().as_nanos() as u64);
+        report
+    }
+
+    /// The pool path: hand `jobs` to every worker, claim alongside
+    /// them, and wait for the last merge.
+    fn execute_sharded(
         &self,
         net: &Network,
         attempts: u32,
         workers: usize,
         jobs: Vec<PushJob>,
     ) -> FanOutReport {
-        self.execute_source(net, attempts, workers, VecSource::new(jobs))
-    }
-
-    /// Execute a publication's push fan-out from a streaming source:
-    /// streamed inline when `workers <= 1`, the batch is small or the
-    /// governor prefers it, otherwise sharded across the worker pool
-    /// (overlapping the source's rendering with delivery).
-    pub fn execute_source<S: EventSource>(
-        &self,
-        net: &Network,
-        attempts: u32,
-        workers: usize,
-        mut source: S,
-    ) -> FanOutReport {
-        let attempts = attempts.max(1);
-        if workers <= 1 || source.expected() < PARALLEL_THRESHOLD {
-            return execute_streaming(net, attempts, &mut source);
-        }
-        match self.mode() {
-            DispatchMode::Inline => execute_streaming(net, attempts, &mut source),
-            DispatchMode::Sharded => self.execute_sharded(net, attempts, workers, &mut source),
-            DispatchMode::Adaptive => {
-                let pick = self.governor.choose(source.expected());
-                let started = Instant::now();
-                let report = if pick == MODE_INLINE {
-                    execute_streaming(net, attempts, &mut source)
-                } else {
-                    self.execute_sharded(net, attempts, workers, &mut source)
-                };
-                self.governor
-                    .observe(pick, report.jobs, started.elapsed().as_nanos() as u64);
-                report
-            }
-        }
-    }
-
-    fn execute_sharded(
-        &self,
-        net: &Network,
-        attempts: u32,
-        workers: usize,
-        source: &mut dyn EventSource,
-    ) -> FanOutReport {
+        let total = jobs.len();
         let txs = self.pool_senders(net, workers);
-        let work = Arc::new(PubWork::new(workers, attempts));
-        // Hand the publication to every worker *before* filling, so
-        // delivery of early shards overlaps rendering of later ones.
+        let work = Arc::new(PubWork::new(jobs, workers, attempts));
         for tx in &txs {
             tx.send(Arc::clone(&work))
                 .expect("delivery pool alive while engine exists");
         }
-        let chunk = source.expected().div_ceil(workers).max(1);
-        let mut total = 0usize;
-        let mut idx = 0usize;
-        let mut buf: Vec<PushJob> = Vec::with_capacity(chunk);
-        while let Some(job) = source.next_event() {
-            buf.push(job);
-            total += 1;
-            if buf.len() >= chunk && idx + 1 < workers {
-                work.seal(idx, std::mem::replace(&mut buf, Vec::with_capacity(chunk)));
-                idx += 1;
-            }
-        }
-        work.seal(idx, buf);
-        for k in idx + 1..workers {
-            work.seal(k, Vec::new());
-        }
-        work.done_publishing.store(true, Ordering::Release);
-        drop(work.sync.lock().expect("pubwork mutex"));
-        work.cv.notify_all();
-        // The publishing thread helps drain, starting from the shard
-        // it sealed last (the one least likely to be claimed yet).
         let sink = NetworkSink::new(net.clone(), attempts);
         let mut local = Gather::default();
-        let mut stolen = 0u64;
-        work.claim_pass(workers - 1, &sink, &mut local, &mut stolen);
+        work.claim(&sink, &mut local);
         let join_started = Instant::now();
         let mut gather = work.wait_merged();
         let join_wait_ns = join_started.elapsed().as_nanos() as u64;
         gather.merge(local);
-        let steals = work.steals.load(Ordering::Relaxed) + stolen;
         let mut report = FanOutReport::from_gather(gather, total, "sharded");
-        report.steals = steals;
         report.join_wait_ns = join_wait_ns;
         report
     }
@@ -782,7 +620,7 @@ impl DeliveryEngine {
                 .spawn(move || {
                     for work in rx.iter() {
                         let sink = NetworkSink::new(net.clone(), work.attempts);
-                        work.run_worker(i, &sink);
+                        work.run_worker(&sink);
                     }
                 })
                 .expect("spawn delivery worker");
@@ -795,14 +633,18 @@ impl DeliveryEngine {
 
 /// The streaming inline path: pull one job, send it, repeat — no
 /// intermediate batch `Vec`, and each envelope is sent while still hot
-/// from its render. Sends go out in source order on the publishing
+/// from its render. Sends go out in iteration order on the publishing
 /// thread, which is what chaos scenarios pinning `workers = 1` rely on
 /// for a deterministic trace.
-fn execute_streaming(net: &Network, attempts: u32, source: &mut dyn EventSource) -> FanOutReport {
+fn execute_streaming(
+    net: &Network,
+    attempts: u32,
+    jobs: impl Iterator<Item = PushJob>,
+) -> FanOutReport {
     let sink = NetworkSink::new(net.clone(), attempts);
     let mut gather = Gather::default();
     let mut total = 0usize;
-    while let Some(job) = source.next_event() {
+    for job in jobs {
         total += 1;
         let rep = sink.send_event(&job);
         gather.tally(&job, &rep);
@@ -850,7 +692,7 @@ mod tests {
             let counter = std::sync::Arc::new(Counter(parking_lot::Mutex::new(0)));
             net.register("http://c", counter.clone());
             let engine = DeliveryEngine::new();
-            let report = engine.execute(&net, 1, workers, jobs(16, "http://c"));
+            let report = engine.execute(&net, 1, workers, jobs(16, "http://c").into_iter());
             assert_eq!(report.delivered, 16, "workers={workers}");
             assert_eq!(report.jobs, 16);
             assert_eq!(report.delta.delivered_wse, 8);
@@ -868,13 +710,11 @@ mod tests {
         counter: std::sync::Arc<Counter>,
         sent_at_pull: Vec<u32>,
     }
-    impl EventSource for ProbeSource {
-        fn next_event(&mut self) -> Option<PushJob> {
+    impl Iterator for ProbeSource {
+        type Item = PushJob;
+        fn next(&mut self) -> Option<PushJob> {
             self.sent_at_pull.push(*self.counter.0.lock());
             self.left.pop()
-        }
-        fn expected(&self) -> usize {
-            self.left.len()
         }
     }
 
@@ -888,7 +728,7 @@ mod tests {
             counter,
             sent_at_pull: Vec::new(),
         };
-        let report = DeliveryEngine::new().execute_source(&net, 1, 1, &mut source);
+        let report = DeliveryEngine::new().execute(&net, 1, 1, &mut source);
         assert_eq!(report.delivered, 8);
         assert_eq!(
             source.sent_at_pull,
@@ -899,8 +739,8 @@ mod tests {
 
     #[test]
     fn sharded_matches_sequential_outcomes() {
-        // Mixed good/missing endpoints, forced through the sharded
-        // path, must report exactly what a sequential send loop would.
+        // Mixed good/missing endpoints, sent through the pool, must
+        // report exactly what a sequential send loop would.
         let net = Network::new();
         let counter = std::sync::Arc::new(Counter(parking_lot::Mutex::new(0)));
         net.register("http://c", counter.clone());
@@ -911,9 +751,7 @@ mod tests {
                 "http://c".to_string()
             }
         };
-        let engine = DeliveryEngine::new();
-        engine.set_mode(DispatchMode::Sharded);
-        let report = engine.execute(&net, 2, 4, jobs_at(32, addr));
+        let report = DeliveryEngine::new().execute_sharded(&net, 2, 4, jobs_at(32, addr));
         assert_eq!(report.mode, "sharded");
         assert_eq!(report.jobs, 32);
         assert_eq!(report.delivered, 24);
@@ -937,31 +775,34 @@ mod tests {
         }
     }
 
+    /// Records the name of every thread that handles a delivery.
+    struct SlowNamed(parking_lot::Mutex<Vec<String>>);
+    impl SoapHandler for SlowNamed {
+        fn handle(&self, _req: Envelope) -> Result<Option<Envelope>, wsm_soap::Fault> {
+            let name = std::thread::current().name().unwrap_or("").to_string();
+            self.0.lock().push(name);
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            Ok(None)
+        }
+    }
+
     #[test]
-    fn workers_steal_from_slow_shards() {
-        // The first shard's endpoint is slow; everyone else finishes
-        // their own shard and must take over part of the slow one.
+    fn small_slow_fan_out_is_shared() {
+        // Eight 2 ms sends across four workers: the claim step must be
+        // small enough that the publisher, which claims first, cannot
+        // take the whole fan-out before the workers wake.
         let net = Network::new();
-        net.register(
-            "http://slow",
-            std::sync::Arc::new(Sleepy(Duration::from_millis(2))),
-        );
-        let counter = std::sync::Arc::new(Counter(parking_lot::Mutex::new(0)));
-        net.register("http://fast", counter.clone());
-        let addr = |i: usize| {
-            if i < 16 {
-                "http://slow".to_string()
-            } else {
-                "http://fast".to_string()
-            }
-        };
-        let engine = DeliveryEngine::new();
-        engine.set_mode(DispatchMode::Sharded);
-        let report = engine.execute(&net, 1, 4, jobs_at(64, addr));
-        assert_eq!(report.delivered, 64);
+        let handler = std::sync::Arc::new(SlowNamed(parking_lot::Mutex::new(Vec::new())));
+        net.register("http://slow", handler.clone());
+        let report = DeliveryEngine::new().execute_sharded(&net, 1, 4, jobs(8, "http://slow"));
+        assert_eq!(report.delivered, 8);
+        let mut names = handler.0.lock().clone();
+        assert_eq!(names.len(), 8);
+        names.sort();
+        names.dedup();
         assert!(
-            report.steals > 0,
-            "idle workers should claim from the slow shard"
+            names.len() >= 2,
+            "the fan-out stayed on one thread: {names:?}"
         );
     }
 
@@ -974,13 +815,13 @@ mod tests {
         let net = Network::new();
         net.register(
             "http://wire",
-            std::sync::Arc::new(Sleepy(Duration::from_micros(200))),
+            std::sync::Arc::new(Sleepy(std::time::Duration::from_micros(200))),
         );
         let engine = DeliveryEngine::new();
         let mut modes = Vec::new();
         let boot = BOOTSTRAP_SAMPLES as usize;
         for _ in 0..(2 * boot + 4) {
-            let report = engine.execute(&net, 1, 4, jobs(64, "http://wire"));
+            let report = engine.execute(&net, 1, 4, jobs(64, "http://wire").into_iter());
             assert_eq!(report.delivered, 64);
             modes.push(report.mode);
         }
@@ -1000,9 +841,8 @@ mod tests {
         let counter = std::sync::Arc::new(Counter(parking_lot::Mutex::new(0)));
         net.register("http://c", counter.clone());
         let engine = DeliveryEngine::new();
-        engine.set_mode(DispatchMode::Sharded);
         for _ in 0..10 {
-            let report = engine.execute(&net, 1, 4, jobs(8, "http://c"));
+            let report = engine.execute_sharded(&net, 1, 4, jobs(8, "http://c"));
             assert_eq!(report.delivered, 8);
         }
         assert_eq!(*counter.0.lock(), 80);
@@ -1014,18 +854,44 @@ mod tests {
     }
 
     #[test]
+    fn pool_resizes_between_publications() {
+        let net = Network::new();
+        let counter = std::sync::Arc::new(Counter(parking_lot::Mutex::new(0)));
+        net.register("http://c", counter.clone());
+        let engine = DeliveryEngine::new();
+        let mut sent = 0;
+        for workers in [4, 2, 3] {
+            let report = engine.execute_sharded(&net, 1, workers, jobs(24, "http://c"));
+            sent += 24;
+            assert_eq!(report.delivered, 24, "workers={workers}");
+            assert_eq!(*counter.0.lock(), sent, "each job sent once");
+            let mut ids: Vec<_> = report.resolved.iter().map(|m| m.sub_id.clone()).collect();
+            ids.sort();
+            ids.dedup();
+            assert_eq!(ids.len(), 24, "each job resolved once");
+        }
+        assert_eq!(
+            engine.pool.lock().as_ref().map(|p| p.txs.len()),
+            Some(3),
+            "the pool ends at the last size"
+        );
+    }
+
+    #[test]
     fn failures_reported_with_retry_budget() {
         let net = Network::new();
         // No handler registered: every send fails.
         let engine = DeliveryEngine::new();
-        for mode in [DispatchMode::Inline, DispatchMode::Sharded] {
-            engine.set_mode(mode);
-            let report = engine.execute(&net, 3, 4, jobs(8, "http://nowhere"));
+        for report in [
+            engine.execute(&net, 3, 1, jobs(8, "http://nowhere").into_iter()),
+            engine.execute_sharded(&net, 3, 4, jobs(8, "http://nowhere")),
+        ] {
+            let mode = report.mode;
             assert_eq!(report.delivered, 0);
             assert_eq!(report.delta.failed, 8);
             assert_eq!(
                 report.delta.retried, 16,
-                "attempts-1 retries per failed job ({mode:?})"
+                "attempts-1 retries per failed job ({mode})"
             );
             assert_eq!(report.failures.len(), 8);
             for (kind, job) in &report.failures {
@@ -1047,7 +913,7 @@ mod tests {
         let net = Network::new();
         net.register("http://faulty", std::sync::Arc::new(Faulty));
         let engine = DeliveryEngine::new();
-        let report = engine.execute(&net, 3, 1, jobs(2, "http://faulty"));
+        let report = engine.execute(&net, 3, 1, jobs(2, "http://faulty").into_iter());
         assert_eq!(report.delivered, 0);
         assert_eq!(report.mode, "inline");
         assert_eq!(report.delta.failed, 2);
@@ -1063,14 +929,22 @@ mod tests {
 
     #[test]
     fn small_batches_stay_inline() {
+        // Past both paths' bootstrap, a governed fan-out this size
+        // would have tried the pool by now.
         let net = Network::new();
         let counter = std::sync::Arc::new(Counter(parking_lot::Mutex::new(0)));
         net.register("http://c", counter.clone());
         let engine = DeliveryEngine::new();
-        engine.set_mode(DispatchMode::Sharded);
-        let report = engine.execute(&net, 1, 4, jobs(PARALLEL_THRESHOLD - 1, "http://c"));
-        assert_eq!(report.delivered, PARALLEL_THRESHOLD - 1);
-        assert_eq!(report.mode, "inline");
+        for _ in 0..2 * BOOTSTRAP_SAMPLES + 2 {
+            let report = engine.execute(
+                &net,
+                1,
+                4,
+                jobs(PARALLEL_THRESHOLD - 1, "http://c").into_iter(),
+            );
+            assert_eq!(report.delivered, PARALLEL_THRESHOLD - 1);
+            assert_eq!(report.mode, "inline");
+        }
         assert!(
             engine.pool.lock().is_none(),
             "no threads spawned below the threshold"

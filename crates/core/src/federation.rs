@@ -113,7 +113,6 @@ use crate::detect::SpecDialect;
 use crate::event::InternalEvent;
 use crate::obs::{BrokerObs, Stage};
 use crate::reliability::{FaultTolerance, PumpReport};
-use crate::DispatchMode;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -723,13 +722,6 @@ impl FederatedMessenger {
     pub fn set_fanout_workers(&self, workers: usize) {
         for s in &self.inner.ctx.shards {
             s.set_fanout_workers(workers);
-        }
-    }
-
-    /// Pin the delivery engine's dispatch policy on every shard.
-    pub fn set_dispatch_mode(&self, mode: DispatchMode) {
-        for s in &self.inner.ctx.shards {
-            s.set_dispatch_mode(mode);
         }
     }
 

@@ -71,9 +71,7 @@ pub mod stage;
 pub use backend::{InMemoryBackend, JmsBackend, MessagingBackend};
 pub use broker::{MediationStats, WsMessenger};
 pub use control::OpKind;
-pub use delivery::{
-    DeliveryEngine, DispatchMode, FailKind, FanOutReport, PushJob, ResolvedMark, StatsDelta,
-};
+pub use delivery::{DeliveryEngine, FailKind, FanOutReport, PushJob, ResolvedMark, StatsDelta};
 pub use detect::SpecDialect;
 pub use event::InternalEvent;
 pub use federation::{shard_of_root, BatchPolicy, FederatedMessenger, OverflowPolicy};
@@ -87,7 +85,7 @@ pub use reliability::{
     ReliabilityState,
 };
 pub use render::{render_notification, render_notification_cached, RenderCache};
-pub use stage::{EventSource, NetworkSink, SendReport, VecSource};
+pub use stage::{NetworkSink, SendReport};
 pub use wsm_obs::{
     reconstruct, story_for, DeliveryStory, HistogramStats, Outcome, SloReport, SloSpec, SpanRecord,
     Stage, TraceContext,

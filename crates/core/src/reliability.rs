@@ -287,6 +287,11 @@ pub struct DeadLetter {
     pub address: String,
     /// The undeliverable envelope.
     pub envelope: Envelope,
+    /// Whether the consumer is WS-Eventing (for the per-family stat
+    /// when the letter is redelivered).
+    pub wse: bool,
+    /// Whether the delivery crosses specification families.
+    pub mediated: bool,
     /// Why it was dead-lettered.
     pub reason: String,
     /// Transient attempts spent.
@@ -731,8 +736,8 @@ impl ReliabilityState {
                 });
             ch.queue.push_back(PendingDelivery {
                 envelope: dl.envelope,
-                wse: false,
-                mediated: false,
+                wse: dl.wse,
+                mediated: dl.mediated,
                 attempts: 0,
                 strikes: 0,
                 enqueued_at_ms: now_ms,
@@ -769,6 +774,8 @@ fn dead_letter_of(sub_id: &str, address: &str, p: PendingDelivery, now_ms: u64) 
         sub_id: sub_id.to_string(),
         address: address.to_string(),
         envelope: p.envelope,
+        wse: p.wse,
+        mediated: p.mediated,
         reason,
         attempts: p.attempts,
         strikes: p.strikes,

@@ -1,79 +1,18 @@
-//! Explicit pipeline staging: the producer/consumer seam of the
-//! delivery engine.
+//! The delivery engine's send stage.
 //!
-//! The fan-out used to be a barrier: the broker rendered *every*
-//! matched subscriber's envelope into a `Vec`, then handed the whole
-//! batch to the engine. Restructuring the pipeline around an
-//! [`EventSource`] (something that yields rendered [`PushJob`]s one at
-//! a time) and a [`NetworkSink`] (which puts one job on the wire) lets
-//! rendering overlap with delivery: the broker's lazy render source
-//! feeds the staged engine while workers are already sending the first
-//! shards (see [`crate::delivery`]), and the single-thread path sends
-//! each job as soon as it is rendered.
-//!
-//! [`NetworkSink`] owns the send-with-retry policy: transient errors
-//! burn the in-line retry budget, poison responses short-circuit. It
-//! sends straight through [`Network::send_class`] — every subscription
-//! has its own consumer address, so there is no route worth caching
-//! between consecutive jobs. A handler takes its envelope by value, so
-//! each send hands over a clone of the job's; the envelope is
-//! copy-on-write, which makes that two reference bumps.
+//! [`NetworkSink`] puts one rendered [`PushJob`] on the wire and owns
+//! the send-with-retry policy: transient errors burn the in-line retry
+//! budget, poison responses short-circuit. Every sending thread of a
+//! fan-out owns one: the publisher, and on the pool hand-off (see
+//! [`crate::delivery`]) each worker too. It sends
+//! straight through [`Network::send_class`] — every subscription has
+//! its own consumer address, so there is no route worth caching between
+//! consecutive jobs. A handler takes its envelope by value, so each
+//! send hands over a clone of the job's; the envelope is copy-on-write,
+//! which makes that two reference bumps.
 
 use crate::delivery::{FailKind, PushJob};
 use wsm_transport::{AttemptClass, Network};
-
-/// A stage that yields rendered push jobs, one at a time.
-///
-/// Implementations may do real work per call — the broker's fan-out
-/// source renders each subscriber's envelope lazily — so the staged
-/// engine overlaps this work with delivery instead of barriering on a
-/// fully-rendered batch.
-pub trait EventSource {
-    /// The next job, or `None` when the publication is exhausted.
-    fn next_event(&mut self) -> Option<PushJob>;
-
-    /// A hint of how many jobs this source will yield in total, used
-    /// to size shards. May be inexact; the engine only uses it for
-    /// partitioning, never for termination.
-    fn expected(&self) -> usize;
-}
-
-impl<T: EventSource + ?Sized> EventSource for &mut T {
-    fn next_event(&mut self) -> Option<PushJob> {
-        (**self).next_event()
-    }
-
-    fn expected(&self) -> usize {
-        (**self).expected()
-    }
-}
-
-/// An [`EventSource`] over an already-rendered batch.
-pub struct VecSource {
-    jobs: std::vec::IntoIter<PushJob>,
-    expected: usize,
-}
-
-impl VecSource {
-    /// Wrap a rendered batch.
-    pub fn new(jobs: Vec<PushJob>) -> Self {
-        let expected = jobs.len();
-        VecSource {
-            jobs: jobs.into_iter(),
-            expected,
-        }
-    }
-}
-
-impl EventSource for VecSource {
-    fn next_event(&mut self) -> Option<PushJob> {
-        self.jobs.next()
-    }
-
-    fn expected(&self) -> usize {
-        self.expected
-    }
-}
 
 /// What one sink call did: the send outcome (classified on failure),
 /// how many in-line retries it burned, and how long it took.
@@ -88,9 +27,7 @@ pub struct SendReport {
 }
 
 /// The delivery engine's sink: sends one rendered job over the
-/// simulated network with the broker's retry policy. Each delivery
-/// worker (and the publishing thread, when it participates in
-/// draining) owns one.
+/// simulated network with the broker's retry policy.
 pub struct NetworkSink {
     net: Network,
     attempts: u32,
@@ -172,15 +109,6 @@ mod tests {
             published_at_ms: 0,
             attempt,
         }
-    }
-
-    #[test]
-    fn vec_source_yields_in_order_and_hints_len() {
-        let mut src = VecSource::new(vec![job("http://a", 0), job("http://b", 0)]);
-        assert_eq!(src.expected(), 2);
-        assert_eq!(src.next_event().unwrap().address(), "http://a");
-        assert_eq!(src.next_event().unwrap().address(), "http://b");
-        assert!(src.next_event().is_none());
     }
 
     #[test]

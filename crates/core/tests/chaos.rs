@@ -9,7 +9,7 @@
 
 use wsm_eventing::{EventSink, SubscribeRequest, Subscriber, WseVersion};
 use wsm_messenger::render::WSM_NS;
-use wsm_messenger::{FaultTolerance, MediationStats, WsMessenger};
+use wsm_messenger::{FaultTolerance, MediationStats, Stage, WsMessenger};
 use wsm_soap::{Envelope, SoapVersion};
 use wsm_transport::{EndpointFaults, FaultPlan, Network};
 use wsm_xml::Element;
@@ -227,6 +227,10 @@ fn poison_messages_dead_letter_and_redeliver_over_soap() {
     assert_eq!(broker.dead_letter_count(), 0);
     let seqs = seqs_of(&sink.received());
     assert_eq!(seqs, vec![7], "the poisoned message finally arrived");
+    // The redelivered letter still counts for its consumer's family.
+    let stats = broker.stats();
+    assert_eq!(stats.delivered_wse, 1);
+    assert_eq!(stats.delivered_wsn, 0);
 }
 
 /// Breaker, queue-depth, dead-letter, and backoff instruments all
@@ -300,10 +304,11 @@ mod ordering {
     }
 }
 
-/// Satellite: engine drain/shutdown under the sharded handoff. A
-/// seeded churn thread unsubscribes consumers and silently kills their
-/// endpoints while a publisher drives the staged engine (4 workers,
-/// sharded dispatch forced) — every in-flight (event, subscriber)
+/// Engine drain/shutdown under the pool hand-off. A seeded churn
+/// thread unsubscribes consumers and silently kills their endpoints
+/// while a publisher drives the delivery engine (4 workers; the
+/// 100 µs wire makes the governor choose the pool once it has
+/// bootstrapped both paths) — every in-flight (event, subscriber)
 /// delivery must still reach exactly one terminal `Resolve` outcome:
 /// delivered, dead-lettered (endpoint gone), or expired (subscription
 /// torn down with messages pending). A lost span or a deadlocked
@@ -317,7 +322,6 @@ fn sharded_churn_resolves_every_inflight_delivery() {
     let net = Network::new();
     let broker = WsMessenger::start(&net, "http://broker");
     broker.set_fanout_workers(4);
-    broker.set_dispatch_mode(wsm_messenger::DispatchMode::Sharded);
     broker.set_fault_tolerance(Some(FaultTolerance {
         base_backoff_ms: 20,
         max_backoff_ms: 200,
@@ -392,6 +396,13 @@ fn sharded_churn_resolves_every_inflight_delivery() {
 
     let snap = broker.obs_snapshot();
     assert_eq!(snap.spans_evicted, 0, "ring large enough for the run");
+    assert!(
+        broker
+            .trace_spans()
+            .iter()
+            .any(|s| s.stage == Stage::Handoff),
+        "the pool carried at least one publication"
+    );
     let stories = broker.delivery_stories();
     assert!(!stories.is_empty());
     let unresolved: Vec<_> = stories

@@ -248,6 +248,27 @@ fn wse_wrapped_mode_through_broker() {
 }
 
 #[test]
+fn failed_wrapped_flush_expires_its_events() {
+    let (net, broker) = setup();
+    Subscriber::new(&net, WseVersion::Aug2004)
+        .subscribe(
+            broker.uri(),
+            SubscribeRequest::push(EndpointReference::new("http://nowhere"))
+                .with_mode(DeliveryMode::Wrapped),
+        )
+        .unwrap();
+    broker.publish_raw(&Element::local("a"));
+    broker.publish_raw(&Element::local("b"));
+    assert_eq!(broker.flush_wrapped(), 0);
+    assert_eq!(broker.subscription_count(), 0, "the failed batch evicts");
+    let stories = broker.delivery_stories();
+    assert_eq!(stories.len(), 2, "one story per buffered event");
+    assert!(stories
+        .iter()
+        .all(|s| s.outcome == Some(wsm_messenger::Outcome::Expired)));
+}
+
+#[test]
 fn delivery_failure_ends_wse_subscription_with_notice() {
     let (net, broker) = setup();
     let end_sink = EventSink::start(&net, "http://end", WseVersion::Aug2004);

@@ -519,17 +519,16 @@ impl SoapHandler for Unreachable {
     }
 }
 
-/// Satellite 1 (compiles with or without `obs`): the sharded fan-out
-/// path records one transport trace record per attempt, tagged with
-/// the thread that sent it — pool workers (`wsm-push-N`) or the
-/// publishing thread, which participates in draining — covering
-/// delivered, dropped, refused, and missing-endpoint outcomes.
+/// The pool fan-out path records one transport trace record per
+/// attempt, tagged with the thread that sent it — pool workers
+/// (`wsm-push-N`) or the publishing thread, which claims alongside
+/// them — covering delivered, dropped, refused, and missing-endpoint
+/// outcomes.
 #[test]
 fn parallel_fanout_trace_attributes_workers_and_outcomes() {
     let net = Network::new();
     let broker = WsMessenger::start(&net, "http://broker");
     broker.set_fanout_workers(4);
-    broker.set_dispatch_mode(wsm_messenger::DispatchMode::Sharded);
 
     let subscribe = |addr: &str| {
         Subscriber::new(&net, WseVersion::Aug2004)
@@ -539,14 +538,23 @@ fn parallel_fanout_trace_attributes_workers_and_outcomes() {
             )
             .unwrap();
     };
-    // Five healthy sinks plus one of each failure mode: enough jobs to
-    // engage the worker pool.
+    // Five healthy sinks: enough jobs to engage the worker pool.
     let mut sinks = Vec::new();
     for i in 0..5 {
         let uri = format!("http://good-{i}");
         sinks.push(EventSink::start(&net, &uri, WseVersion::Aug2004));
         subscribe(&uri);
     }
+    // Warm the governor on a wire slow enough that it learns the pool
+    // wins even on a loaded host: both paths bootstrap on these six
+    // publications.
+    const WARM_UPS: usize = 6;
+    net.set_send_delay_us(5_000);
+    for _ in 0..WARM_UPS {
+        broker.publish_raw(&Element::local("warm-up"));
+    }
+    net.set_send_delay_us(0);
+    // Then one of each failure mode.
     net.register_with(
         "http://walled",
         Arc::new(Unreachable),
@@ -558,16 +566,24 @@ fn parallel_fanout_trace_attributes_workers_and_outcomes() {
     subscribe("http://flaky");
     subscribe("http://missing");
 
-    // Discard the subscribe round-trips, then slow the wire enough
-    // that the publisher's own claim pass cannot race through every
-    // shard before the pool workers wake.
+    // Discard the warm-ups and subscribe round-trips, then slow the
+    // wire enough that the publisher's own claims cannot race through
+    // the whole fan-out before the pool workers wake.
     net.drain_trace();
+    broker.drain_trace_spans();
     net.set_send_delay_us(2_000);
     broker.publish_raw(&Element::local("alert"));
     net.set_send_delay_us(0);
     for sink in &sinks {
-        assert_eq!(sink.received().len(), 1);
+        assert_eq!(sink.received().len(), WARM_UPS + 1);
     }
+    assert!(
+        broker
+            .drain_trace_spans()
+            .iter()
+            .any(|s| s.stage == wsm_messenger::Stage::Handoff),
+        "the measured publication went to the pool"
+    );
 
     let fanout: Vec<_> = net
         .drain_trace()

@@ -41,10 +41,10 @@ pub enum Stage {
     /// final [`Outcome`], and `items` is the end-to-end latency in
     /// virtual milliseconds (publish → this resolution).
     Resolve,
-    /// Time the publishing thread spent waiting for the staged
-    /// delivery engine's workers to drain the sharded handoff after
-    /// sealing its last shard (`items` carries the worker count).
-    /// Zero-cost when the engine runs inline.
+    /// Time the publishing thread spent waiting for the delivery
+    /// engine's pool workers to merge after its own claims on the
+    /// hand-off ran dry (`items` carries the worker count). Not
+    /// recorded when the engine streams inline.
     Handoff,
     /// One batched inter-broker hop on the federation path: the
     /// structured handoff of a sealed batch to its owner shard.

@@ -419,12 +419,12 @@ pub fn mixed_dialects(seed: u64) -> ScenarioResult {
     judge("mixed_dialects", n, &broker)
 }
 
-/// The staged sharded delivery engine under sustained workload: a
-/// mid-size healthy population fanned out by a 4-worker pool with
-/// dispatch pinned to the sharded batch-handoff path (no adaptive
-/// fallback), so the pool's claim/steal/merge protocol carries every
-/// single publication. The scenario proves two things the unit tests
-/// can't: the protocol holds up across thousands of consecutive
+/// The delivery engine's pool under sustained workload: a mid-size
+/// healthy population fanned out by a 4-worker pool over a 50 µs wire,
+/// where the governor hands nearly every publication to the pool once
+/// it has bootstrapped both paths, so the pool's claim/merge protocol
+/// carries the run. The scenario proves two things the unit tests
+/// can't: the protocol holds up across a thousand consecutive
 /// publications on one engine instance, and its judged end-to-end
 /// latency stays inside the same envelope sequential delivery meets.
 /// Fan-out still serializes on the virtual clock (every hop advances
@@ -435,7 +435,7 @@ pub fn sharded_fanout(seed: u64) -> ScenarioResult {
     net.set_latency_ms(3);
     let broker = WsMessenger::start(&net, "http://broker");
     broker.set_fanout_workers(4);
-    broker.set_dispatch_mode(wsm_messenger::DispatchMode::Sharded);
+    net.set_send_delay_us(50);
     broker.set_slos(vec![
         // 32 hops × 3 virtual ms ≈ 96ms worst case for the last
         // subscriber of a publication; 150ms leaves room for hop
