@@ -171,7 +171,7 @@ pub struct StatsDelta {
 }
 
 impl StatsDelta {
-    fn merge(&mut self, o: &StatsDelta) {
+    pub(crate) fn merge(&mut self, o: &StatsDelta) {
         self.delivered_wse += o.delivered_wse;
         self.delivered_wsn += o.delivered_wsn;
         self.mediated += o.mediated;

@@ -63,6 +63,7 @@ pub mod detect;
 pub mod event;
 pub mod federation;
 pub mod obs;
+mod outbox;
 pub mod registry;
 pub mod reliability;
 pub mod render;
@@ -77,12 +78,10 @@ pub use event::InternalEvent;
 pub use federation::{shard_of_root, BatchPolicy, FederatedMessenger, OverflowPolicy};
 pub use obs::ObsSnapshot;
 pub use registry::{
-    BrokerDeliveryMode, BrokerSubscription, QueuedEvent, Registry, SubscriptionStatus,
-    UnifiedFilters,
+    BrokerDeliveryMode, BrokerSubscription, Registry, SubscriptionStatus, UnifiedFilters,
 };
 pub use reliability::{
     BreakerConfig, BreakerState, CircuitBreaker, DeadLetter, FaultTolerance, PumpReport,
-    ReliabilityState,
 };
 pub use render::{render_notification, render_notification_cached, RenderCache};
 pub use stage::{NetworkSink, SendReport};

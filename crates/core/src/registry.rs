@@ -1,5 +1,10 @@
 //! The broker's unified subscription registry and match index.
 //!
+//! The registry holds match state only: each subscription's immutable
+//! facts, its pause flag and lease, the shared filter programs and the
+//! index over them. Events waiting for a subscriber live in the
+//! broker's outboxes (`crate::outbox`), not here.
+//!
 //! Each subscription remembers which dialect created it ("the
 //! specification type of a target event consumer is determined by the
 //! subscription request message type", §VII) plus a *unified* compiled
@@ -58,11 +63,11 @@ use crate::event::InternalEvent;
 use parking_lot::Mutex;
 use std::cell::OnceCell;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::sync::Arc;
 use wsm_addressing::EndpointReference;
 use wsm_topics::{TopicExpression, TopicPath, TopicTrie};
-use wsm_xml::{Element, SharedElement};
+use wsm_xml::Element;
 use wsm_xpath::{CompiledFilter, EvalDoc};
 
 /// Unified compiled filters.
@@ -156,10 +161,10 @@ pub type BrokerDeliveryMode = wsm_eventing::DeliveryMode;
 /// One live broker subscription: the immutable facts fixed at
 /// `Subscribe` time.
 ///
-/// Mutable per-subscription state (pause flag, expiry, delivery
-/// queues) lives inside the registry, so matching hands out
-/// `Arc<BrokerSubscription>` clones — a refcount bump per match
-/// instead of a deep copy of filters and endpoint references.
+/// Mutable per-subscription state (pause flag, expiry) lives inside the
+/// registry, so matching hands out `Arc<BrokerSubscription>` clones — a
+/// refcount bump per match instead of a deep copy of filters and
+/// endpoint references.
 #[derive(Debug, Clone)]
 pub struct BrokerSubscription {
     /// Identifier minted by the registry. Shared by reference with
@@ -190,20 +195,6 @@ pub struct SubscriptionStatus {
     pub expires_at_ms: Option<u64>,
 }
 
-/// One event parked in a pull queue or wrapped-mode buffer: the shared
-/// payload subtree plus the causal coordinates the broker needs to
-/// resolve the delivery timeline when the event finally leaves.
-#[derive(Clone)]
-pub struct QueuedEvent {
-    /// The event payload, shared with the originating publication —
-    /// queueing is an `Arc` bump, not a tree clone.
-    pub payload: Arc<SharedElement>,
-    /// Publication sequence number (the trace id).
-    pub seq: u64,
-    /// Virtual time the event was published/queued.
-    pub queued_at_ms: u64,
-}
-
 /// Registry entry: the shared immutable core plus mutable state.
 struct SubEntry {
     core: Arc<BrokerSubscription>,
@@ -212,10 +203,6 @@ struct SubEntry {
     slots: Box<[u32]>,
     paused: bool,
     expires_at_ms: Option<u64>,
-    /// Queued events (pull mode).
-    queue: VecDeque<QueuedEvent>,
-    /// Buffered events (wrapped mode).
-    wrap_buffer: Vec<QueuedEvent>,
 }
 
 impl SubEntry {
@@ -476,8 +463,6 @@ impl Registry {
                 slots,
                 paused: false,
                 expires_at_ms,
-                queue: VecDeque::new(),
-                wrap_buffer: Vec::new(),
             },
         );
         id
@@ -671,62 +656,6 @@ impl Registry {
             || topics
                 .iter()
                 .any(|t| index.trie.matches(t).iter().any(live))
-    }
-
-    /// Queue an event on a pull subscription.
-    pub fn queue_event(
-        &self,
-        id: &str,
-        payload: Arc<SharedElement>,
-        seq: u64,
-        queued_at_ms: u64,
-    ) -> bool {
-        self.with_entry(id, |e| {
-            e.queue.push_back(QueuedEvent {
-                payload,
-                seq,
-                queued_at_ms,
-            })
-        })
-        .is_some()
-    }
-
-    /// Drain up to `max` queued events.
-    pub fn drain_queue(&self, id: &str, max: usize) -> Vec<QueuedEvent> {
-        self.with_entry(id, |e| {
-            let n = max.min(e.queue.len());
-            e.queue.drain(..n).collect()
-        })
-        .unwrap_or_default()
-    }
-
-    /// Buffer an event for wrapped delivery.
-    pub fn buffer_wrapped(
-        &self,
-        id: &str,
-        payload: Arc<SharedElement>,
-        seq: u64,
-        queued_at_ms: u64,
-    ) -> bool {
-        self.with_entry(id, |e| {
-            e.wrap_buffer.push(QueuedEvent {
-                payload,
-                seq,
-                queued_at_ms,
-            })
-        })
-        .is_some()
-    }
-
-    /// Take all wrapped buffers.
-    pub fn take_wrap_buffers(&self) -> Vec<(String, Vec<QueuedEvent>)> {
-        self.inner
-            .lock()
-            .by_key
-            .values_mut()
-            .filter(|e| !e.wrap_buffer.is_empty())
-            .map(|e| (e.core.id.to_string(), std::mem::take(&mut e.wrap_buffer)))
-            .collect()
     }
 
     /// Subscription count.
@@ -1131,29 +1060,5 @@ mod tests {
         assert_eq!(swept.len(), 1);
         assert_eq!(*swept[0].id, *id);
         assert!(r.matching(&ev, None, 30).is_empty());
-    }
-
-    #[test]
-    fn queues_and_buffers() {
-        let r = Registry::new();
-        let id = r.insert(
-            spec(),
-            epr(),
-            None,
-            UnifiedFilters::default(),
-            BrokerDeliveryMode::Pull,
-            false,
-            None,
-        );
-        r.queue_event(&id, SharedElement::new(Element::local("a")), 1, 0);
-        r.queue_event(&id, SharedElement::new(Element::local("b")), 2, 0);
-        let head = r.drain_queue(&id, 1);
-        assert_eq!(head.len(), 1);
-        assert_eq!(head[0].seq, 1, "FIFO keeps causal coordinates");
-        assert_eq!(r.drain_queue(&id, 10).len(), 1);
-        r.buffer_wrapped(&id, SharedElement::new(Element::local("c")), 3, 0);
-        let buffers = r.take_wrap_buffers();
-        assert_eq!(buffers.len(), 1);
-        assert_eq!(buffers[0].1.len(), 1);
     }
 }

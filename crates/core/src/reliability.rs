@@ -1,38 +1,31 @@
-//! Fault-tolerant delivery: redelivery queue, circuit breakers, and
-//! the dead-letter store.
+//! Fault-tolerance policy: the redelivery budget and backoff, the
+//! circuit breaker, and the shape of a dead letter.
 //!
 //! The seed broker's failure handling was binary: retry a failed push
 //! a fixed number of times back-to-back, then *permanently drop* the
 //! subscription — one transient network blip evicted a subscriber.
-//! This module replaces that with the delivery-guarantee machinery the
-//! paper inherits from CORBA Notification QoS and JMS redelivery
-//! semantics:
+//! With [`FaultTolerance`] installed the broker instead applies the
+//! delivery-guarantee machinery the paper inherits from CORBA
+//! Notification QoS and JMS redelivery semantics:
 //!
-//! * a **redelivery queue** — failed pushes re-enqueue per subscriber
-//!   with exponential backoff and deterministic, seeded jitter against
-//!   the virtual clock, so chaos runs replay bit-for-bit;
-//! * a **per-subscriber circuit breaker** (closed → open → half-open)
-//!   that stops burning delivery attempts on a flapping endpoint and
-//!   probes it once per open window instead;
-//! * a **dead-letter store** for messages that exhaust their budget:
-//!   [`FaultTolerance::max_redeliveries`] transient attempts, or —
-//!   per the poison/transient distinction in
-//!   [`crate::delivery::FailKind`] — a much smaller
-//!   [`FaultTolerance::poison_budget`] of SOAP-fault responses.
+//! * **exponential backoff** with deterministic, seeded jitter against
+//!   the virtual clock ([`FaultTolerance::backoff_ms`]), so chaos runs
+//!   replay bit-for-bit;
+//! * a **per-subscriber circuit breaker** ([`CircuitBreaker`]: closed →
+//!   open → half-open) that stops burning delivery attempts on a
+//!   flapping endpoint and probes it once per open window instead;
+//! * a **budget** ([`FaultTolerance::exhausted`]):
+//!   [`FaultTolerance::max_redeliveries`] transient attempts, or — per
+//!   the poison/transient distinction in [`crate::delivery::FailKind`]
+//!   — a much smaller [`FaultTolerance::poison_budget`] of SOAP-fault
+//!   responses, after which a message becomes a [`DeadLetter`].
 //!
-//! Ordering is preserved per subscriber: each subscriber has one FIFO
-//! channel, a new notification enqueues *behind* any pending
-//! redeliveries for that subscriber, and the pump never delivers entry
-//! *n+1* before entry *n* has been delivered or dead-lettered.
-//!
-//! Nothing here runs on its own thread — the clock is virtual. The
-//! broker pumps the queue on every publication it ingests, and tests
-//! or embedders drive [`crate::WsMessenger::drain_redeliveries`] to
-//! advance the clock to each due time until the queue empties.
+//! This module is policy only. Where a held retry waits, in what order
+//! it leaves and what happens to it when its subscription ends is the
+//! broker's per-subscription outbox (`crate::outbox`); this module
+//! decides only *when* to try again and *when* to give up.
 
-use crate::delivery::{FailKind, PushJob, StatsDelta};
-use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use crate::delivery::StatsDelta;
 use wsm_soap::Envelope;
 
 // ------------------------------------------------------------- config
@@ -102,6 +95,12 @@ impl FaultTolerance {
         }
         let j = mix(self.seed, fnv(key), attempt as u64) % (2 * span + 1);
         delay - span + j
+    }
+
+    /// Has a message that provoked `strikes` poison responses after
+    /// `attempts` transient failures used up its budget?
+    pub fn exhausted(&self, attempts: u32, strikes: u32) -> bool {
+        strikes >= self.poison_budget.max(1) || attempts >= self.max_redeliveries.max(1)
     }
 }
 
@@ -255,28 +254,7 @@ impl CircuitBreaker {
     }
 }
 
-// ------------------------------------------------------- queue + DLQ
-
-/// One message waiting for redelivery.
-#[derive(Debug, Clone)]
-pub struct PendingDelivery {
-    /// The rendered envelope, ready to resend.
-    pub envelope: Envelope,
-    /// Whether the consumer is WS-Eventing (for the per-family stat).
-    pub wse: bool,
-    /// Whether the delivery crosses specification families.
-    pub mediated: bool,
-    /// Transient attempts so far.
-    pub attempts: u32,
-    /// Poison (SOAP-fault) responses provoked so far.
-    pub strikes: u32,
-    /// Virtual time the message first entered the queue.
-    pub enqueued_at_ms: u64,
-    /// Publication sequence number of the event being carried.
-    pub seq: u64,
-    /// Virtual time the event was originally published.
-    pub published_at_ms: u64,
-}
+// ----------------------------------------------------- dead letters
 
 /// A message that exhausted its delivery budget.
 #[derive(Debug, Clone)]
@@ -306,42 +284,9 @@ pub struct DeadLetter {
     pub published_at_ms: u64,
 }
 
-/// One subscriber's redelivery channel: a FIFO of pending messages,
-/// the breaker guarding the endpoint, and the next virtual time the
-/// channel is due for a pump.
-#[derive(Debug)]
-struct SubChannel {
-    address: String,
-    queue: VecDeque<PendingDelivery>,
-    breaker: CircuitBreaker,
-    next_due_ms: u64,
-}
-
-#[derive(Default)]
-struct RelInner {
-    channels: HashMap<String, SubChannel>,
-    dead: Vec<DeadLetter>,
-    /// Messages currently queued across all channels.
-    depth: usize,
-}
-
-/// What happened when a failed fan-out job was admitted to the queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Admitted {
-    /// Enqueued for redelivery; the channel is due at the given
-    /// virtual time.
-    Requeued {
-        /// When the channel will next attempt it.
-        due_ms: u64,
-        /// The backoff delay that produced `due_ms`.
-        backoff_ms: u64,
-    },
-    /// The message exhausted its budget and moved to the dead-letter
-    /// store.
-    DeadLettered,
-}
-
-/// How one pump attempt ended, for the broker's causal trace.
+/// How one delivery attempt of a held message ended — a pump attempt,
+/// or a failed fan-out send taken into the outbox — for the broker's
+/// causal trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PumpEventKind {
     /// The attempt delivered the message.
@@ -355,9 +300,12 @@ pub enum PumpEventKind {
     /// The attempt failed and exhausted the budget; the message moved
     /// to the dead-letter store.
     DeadLettered,
+    /// The attempt failed after its subscription had ended: the
+    /// message leaves with the subscription.
+    Expired,
 }
 
-/// One pump attempt, reported back so the broker can record the
+/// One attempt, reported back so the broker can record the
 /// per-attempt span and, on a terminal outcome, the end-to-end
 /// resolution for the (event, subscriber) pair.
 #[derive(Debug, Clone)]
@@ -408,388 +356,15 @@ impl PumpReport {
         self.delivered += other.delivered;
         self.requeued += other.requeued;
         self.dead_lettered += other.dead_lettered;
-        self.delta.delivered_wse += other.delta.delivered_wse;
-        self.delta.delivered_wsn += other.delta.delivered_wsn;
-        self.delta.mediated += other.delta.mediated;
-        self.delta.failed += other.delta.failed;
-        self.delta.retried += other.delta.retried;
-        self.delta.redelivered += other.delta.redelivered;
-        self.delta.dead_lettered += other.delta.dead_lettered;
+        self.delta.merge(&other.delta);
         self.backoffs_ms.extend(other.backoffs_ms);
         self.events.extend(other.events);
-    }
-}
-
-/// The broker's fault-tolerance state: per-subscriber redelivery
-/// channels, breakers, and the dead-letter store.
-pub struct ReliabilityState {
-    config: FaultTolerance,
-    inner: Mutex<RelInner>,
-}
-
-impl ReliabilityState {
-    /// Fresh state under `config`.
-    pub fn new(config: FaultTolerance) -> Self {
-        ReliabilityState {
-            config,
-            inner: Mutex::new(RelInner::default()),
-        }
-    }
-
-    /// The active config.
-    pub fn config(&self) -> &FaultTolerance {
-        &self.config
-    }
-
-    /// Messages queued for redelivery across all subscribers.
-    pub fn depth(&self) -> usize {
-        self.inner.lock().depth
-    }
-
-    /// Dead letters currently stored.
-    pub fn dead_count(&self) -> usize {
-        self.inner.lock().dead.len()
-    }
-
-    /// Snapshot of the dead-letter store.
-    pub fn dead_letters(&self) -> Vec<DeadLetter> {
-        self.inner.lock().dead.clone()
-    }
-
-    /// Per-state breaker census: `(open, half_open)` counts as of
-    /// `now_ms`.
-    pub fn breaker_census(&self, now_ms: u64) -> (usize, usize) {
-        let inner = self.inner.lock();
-        let mut open = 0;
-        let mut half = 0;
-        for ch in inner.channels.values() {
-            match ch.breaker.state(now_ms) {
-                BreakerState::Open => open += 1,
-                BreakerState::HalfOpen => half += 1,
-                BreakerState::Closed => {}
-            }
-        }
-        (open, half)
-    }
-
-    /// The breaker state for one subscription, if it has a channel.
-    pub fn breaker_state(&self, sub_id: &str, now_ms: u64) -> Option<BreakerState> {
-        self.inner
-            .lock()
-            .channels
-            .get(sub_id)
-            .map(|ch| ch.breaker.state(now_ms))
-    }
-
-    /// The earliest virtual time any non-empty channel is due, if any.
-    pub fn next_due_ms(&self) -> Option<u64> {
-        let inner = self.inner.lock();
-        inner
-            .channels
-            .values()
-            .filter(|ch| !ch.queue.is_empty())
-            .map(|ch| ch.next_due_ms.max(ch.breaker.next_allowed_ms(0)))
-            .min()
-    }
-
-    /// Must a fresh notification for `sub_id` bypass the fan-out
-    /// engine and enqueue instead? True when the subscriber already
-    /// has pending redeliveries (FIFO order would break otherwise) or
-    /// its breaker is shedding load.
-    pub fn must_enqueue(&self, sub_id: &str, now_ms: u64) -> bool {
-        let inner = self.inner.lock();
-        match inner.channels.get(sub_id) {
-            Some(ch) => {
-                !ch.queue.is_empty() || matches!(ch.breaker.state(now_ms), BreakerState::Open)
-            }
-            None => false,
-        }
-    }
-
-    /// Append a fresh notification to `sub_id`'s channel (behind any
-    /// pending redeliveries).
-    pub fn enqueue_new(&self, job: PushJob, now_ms: u64) {
-        let mut inner = self.inner.lock();
-        let breaker_cfg = self.config.breaker;
-        let ch = inner
-            .channels
-            .entry(job.sub_id().to_string())
-            .or_insert_with(|| SubChannel {
-                address: job.address().to_string(),
-                queue: VecDeque::new(),
-                breaker: CircuitBreaker::new(breaker_cfg),
-                next_due_ms: now_ms,
-            });
-        ch.queue.push_back(PendingDelivery {
-            wse: job.wse(),
-            envelope: job.envelope,
-            mediated: job.mediated,
-            attempts: 0,
-            strikes: 0,
-            enqueued_at_ms: now_ms,
-            seq: job.seq,
-            published_at_ms: job.published_at_ms,
-        });
-        // An open breaker defers the channel to its probe time.
-        ch.next_due_ms = ch.next_due_ms.max(ch.breaker.next_allowed_ms(now_ms));
-        inner.depth += 1;
-    }
-
-    /// Admit a job the fan-out engine failed: charge the failure to
-    /// the breaker and either requeue the message with backoff or
-    /// dead-letter it. The job is only read — the queue keeps a clone
-    /// of its copy-on-write envelope — so the caller still has the
-    /// coordinates to trace the outcome with.
-    pub fn admit_failure(&self, kind: FailKind, job: &PushJob, now_ms: u64) -> Admitted {
-        let mut inner = self.inner.lock();
-        let breaker_cfg = self.config.breaker;
-        let ch = inner
-            .channels
-            .entry(job.sub_id().to_string())
-            .or_insert_with(|| SubChannel {
-                address: job.address().to_string(),
-                queue: VecDeque::new(),
-                breaker: CircuitBreaker::new(breaker_cfg),
-                next_due_ms: now_ms,
-            });
-        ch.breaker.on_failure(now_ms);
-        let pending = PendingDelivery {
-            envelope: job.envelope.clone(),
-            wse: job.wse(),
-            mediated: job.mediated,
-            attempts: if kind == FailKind::Transient { 1 } else { 0 },
-            strikes: if kind == FailKind::Poison { 1 } else { 0 },
-            enqueued_at_ms: now_ms,
-            seq: job.seq,
-            published_at_ms: job.published_at_ms,
-        };
-        if self.exhausted(&pending) {
-            let dl = dead_letter_of(job.sub_id(), &ch.address, pending, now_ms);
-            inner.dead.push(dl);
-            return Admitted::DeadLettered;
-        }
-        let backoff_ms = self
-            .config
-            .backoff_ms(job.sub_id(), pending.attempts.max(1));
-        // The failed message is older than anything a later
-        // publication enqueued while the fan-out was in flight, so it
-        // goes to the *front* of the channel.
-        let due_ms = now_ms + backoff_ms;
-        let breaker_due = ch.breaker.next_allowed_ms(now_ms);
-        ch.next_due_ms = due_ms.max(breaker_due);
-        ch.queue.push_front(pending);
-        inner.depth += 1;
-        Admitted::Requeued { due_ms, backoff_ms }
-    }
-
-    fn exhausted(&self, p: &PendingDelivery) -> bool {
-        p.strikes >= self.config.poison_budget.max(1)
-            || p.attempts >= self.config.max_redeliveries.max(1)
-    }
-
-    /// Channels due for a delivery attempt at `now_ms`.
-    fn due_channels(&self, now_ms: u64) -> Vec<String> {
-        let inner = self.inner.lock();
-        let mut due: Vec<String> = inner
-            .channels
-            .iter()
-            .filter(|(_, ch)| !ch.queue.is_empty() && now_ms >= ch.next_due_ms)
-            .map(|(id, _)| id.clone())
-            .collect();
-        // Deterministic pump order regardless of hash-map iteration.
-        due.sort();
-        due
-    }
-
-    /// Pump every due channel once: attempt the head message (and on
-    /// success keep draining until a failure or the queue empties).
-    ///
-    /// `send` performs one delivery attempt — the `bool` argument is
-    /// true when the attempt is a re-send rather than the message's
-    /// first-ever delivery round — and reports how it went; the pump
-    /// owns all bookkeeping. The send runs *outside* the state lock so
-    /// a consumer handler that publishes back into the broker cannot
-    /// deadlock against it.
-    pub fn pump(
-        &self,
-        now_ms: u64,
-        send: &dyn Fn(&str, Envelope, bool) -> Result<(), FailKind>,
-    ) -> PumpReport {
-        let mut report = PumpReport::default();
-        for sub_id in self.due_channels(now_ms) {
-            loop {
-                // Pop the head under the lock, send unlocked.
-                let (address, pending) = {
-                    let mut inner = self.inner.lock();
-                    let Some(ch) = inner.channels.get_mut(&sub_id) else {
-                        break;
-                    };
-                    if !ch.breaker.allow(now_ms) {
-                        ch.next_due_ms = ch.breaker.next_allowed_ms(now_ms);
-                        break;
-                    }
-                    let Some(p) = ch.queue.pop_front() else { break };
-                    inner.depth -= 1;
-                    let address = inner.channels[&sub_id].address.clone();
-                    (address, p)
-                };
-                report.attempted += 1;
-                // Attempt ordinal: every prior failure (transient or
-                // poison) was one delivery round.
-                let attempt = pending.attempts + pending.strikes;
-                let send_started = std::time::Instant::now();
-                let outcome = send(&address, pending.envelope.clone(), attempt > 0);
-                let dur_ns = send_started.elapsed().as_nanos() as u64;
-                let mut event = PumpEvent {
-                    seq: pending.seq,
-                    sub_id: sub_id.clone(),
-                    attempt,
-                    at_ms: now_ms,
-                    dur_ns,
-                    published_at_ms: pending.published_at_ms,
-                    kind: PumpEventKind::Redelivered,
-                };
-                let mut inner = self.inner.lock();
-                let Some(ch) = inner.channels.get_mut(&sub_id) else {
-                    break;
-                };
-                match outcome {
-                    Ok(()) => {
-                        ch.breaker.on_success();
-                        ch.next_due_ms = now_ms;
-                        report.delivered += 1;
-                        report.delta.redelivered += 1;
-                        if pending.wse {
-                            report.delta.delivered_wse += 1;
-                        } else {
-                            report.delta.delivered_wsn += 1;
-                        }
-                        if pending.mediated {
-                            report.delta.mediated += 1;
-                        }
-                        report.events.push(event);
-                        if ch.queue.is_empty() {
-                            break;
-                        }
-                        // Success: keep draining this channel.
-                    }
-                    Err(kind) => {
-                        ch.breaker.on_failure(now_ms);
-                        let mut p = pending;
-                        match kind {
-                            FailKind::Transient => p.attempts += 1,
-                            FailKind::Poison => p.strikes += 1,
-                        }
-                        report.delta.retried += 1;
-                        if self.exhausted(&p) {
-                            let dl = dead_letter_of(&sub_id, &ch.address, p, now_ms);
-                            inner.dead.push(dl);
-                            report.dead_lettered += 1;
-                            report.delta.dead_lettered += 1;
-                            report.delta.failed += 1;
-                            event.kind = PumpEventKind::DeadLettered;
-                            report.events.push(event);
-                            // The head is gone; the next message may
-                            // be attempted on the channel's next turn,
-                            // not in this burst.
-                        } else {
-                            let backoff_ms = self.config.backoff_ms(&sub_id, p.attempts.max(1));
-                            let due = now_ms + backoff_ms;
-                            ch.next_due_ms = due.max(ch.breaker.next_allowed_ms(now_ms));
-                            ch.queue.push_front(p);
-                            inner.depth += 1;
-                            report.requeued += 1;
-                            report.backoffs_ms.push(backoff_ms);
-                            event.kind = PumpEventKind::Requeued { backoff_ms };
-                            report.events.push(event);
-                        }
-                        break;
-                    }
-                }
-            }
-        }
-        // Drop drained channels with closed breakers so the census
-        // reflects live trouble, not history.
-        let mut inner = self.inner.lock();
-        inner.channels.retain(|_, ch| {
-            !ch.queue.is_empty() || ch.breaker.state(now_ms) != BreakerState::Closed
-        });
-        report
-    }
-
-    /// Move every dead letter back into its subscriber's channel with
-    /// a fresh budget. Returns how many were requeued.
-    pub fn redeliver_dead(&self, now_ms: u64) -> usize {
-        let mut inner = self.inner.lock();
-        let dead = std::mem::take(&mut inner.dead);
-        let n = dead.len();
-        let breaker_cfg = self.config.breaker;
-        for dl in dead {
-            let ch = inner
-                .channels
-                .entry(dl.sub_id.clone())
-                .or_insert_with(|| SubChannel {
-                    address: dl.address.clone(),
-                    queue: VecDeque::new(),
-                    breaker: CircuitBreaker::new(breaker_cfg),
-                    next_due_ms: now_ms,
-                });
-            ch.queue.push_back(PendingDelivery {
-                envelope: dl.envelope,
-                wse: dl.wse,
-                mediated: dl.mediated,
-                attempts: 0,
-                strikes: 0,
-                enqueued_at_ms: now_ms,
-                seq: dl.seq,
-                published_at_ms: dl.published_at_ms,
-            });
-            inner.depth += 1;
-        }
-        n
-    }
-
-    /// Forget a subscriber's channel (unsubscribe/expiry cleanup).
-    /// Returns the pending deliveries that were discarded, so the
-    /// caller can resolve their causal timelines as expired.
-    pub fn forget(&self, sub_id: &str) -> Vec<PendingDelivery> {
-        let mut inner = self.inner.lock();
-        match inner.channels.remove(sub_id) {
-            Some(ch) => {
-                inner.depth -= ch.queue.len();
-                ch.queue.into()
-            }
-            None => Vec::new(),
-        }
-    }
-}
-
-fn dead_letter_of(sub_id: &str, address: &str, p: PendingDelivery, now_ms: u64) -> DeadLetter {
-    let reason = if p.strikes > 0 && p.attempts == 0 {
-        "poison: the endpoint answered with SOAP faults".to_string()
-    } else {
-        format!("exhausted {} delivery attempts", p.attempts)
-    };
-    DeadLetter {
-        sub_id: sub_id.to_string(),
-        address: address.to_string(),
-        envelope: p.envelope,
-        wse: p.wse,
-        mediated: p.mediated,
-        reason,
-        attempts: p.attempts,
-        strikes: p.strikes,
-        at_ms: now_ms,
-        seq: p.seq,
-        published_at_ms: p.published_at_ms,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wsm_soap::SoapVersion;
-    use wsm_xml::Element;
 
     fn cfg() -> BreakerConfig {
         BreakerConfig {
@@ -884,132 +459,5 @@ mod tests {
         }
         // Different subscribers decorrelate.
         assert_ne!(ft.backoff_ms("wsm-1", 1), ft.backoff_ms("wsm-2", 1));
-    }
-
-    fn job(sub: &str, seq: u64) -> PushJob {
-        PushJob {
-            sub: crate::registry::test_sub(sub, &format!("http://{sub}"), true),
-            envelope: Envelope::new(SoapVersion::V11)
-                .with_body(Element::local("e").with_attr("seq", seq.to_string())),
-            mediated: false,
-            seq,
-            published_at_ms: 0,
-            attempt: 0,
-        }
-    }
-
-    #[test]
-    fn fresh_messages_queue_behind_pending_redeliveries() {
-        let state = ReliabilityState::new(FaultTolerance::default());
-        assert_eq!(
-            state.admit_failure(FailKind::Transient, &job("s", 1), 0),
-            Admitted::Requeued {
-                due_ms: state.config.backoff_ms("s", 1),
-                backoff_ms: state.config.backoff_ms("s", 1),
-            }
-        );
-        assert!(state.must_enqueue("s", 0), "pending head forces FIFO");
-        state.enqueue_new(job("s", 2), 0);
-        assert_eq!(state.depth(), 2);
-
-        // Pump at the due time: both deliver, oldest first.
-        let due = state.next_due_ms().unwrap();
-        let seen = Mutex::new(Vec::new());
-        let report = state.pump(due, &|_, env, _| {
-            seen.lock()
-                .push(env.body().unwrap().attr("seq").unwrap().to_string());
-            Ok(())
-        });
-        assert_eq!(report.delivered, 2);
-        assert_eq!(*seen.lock(), vec!["1".to_string(), "2".to_string()]);
-        assert_eq!(state.depth(), 0);
-        assert!(state.next_due_ms().is_none());
-    }
-
-    #[test]
-    fn poison_budget_dead_letters_quickly() {
-        let ft = FaultTolerance {
-            poison_budget: 2,
-            ..FaultTolerance::default()
-        };
-        let state = ReliabilityState::new(ft);
-        state.admit_failure(FailKind::Poison, &job("s", 1), 0);
-        assert_eq!(state.depth(), 1);
-        let due = state.next_due_ms().unwrap();
-        let report = state.pump(due, &|_, _, _| Err(FailKind::Poison));
-        assert_eq!(report.dead_lettered, 1, "second strike kills it");
-        assert_eq!(state.dead_count(), 1);
-        let dl = &state.dead_letters()[0];
-        assert_eq!(dl.sub_id, "s");
-        assert!(dl.reason.contains("poison"), "{}", dl.reason);
-    }
-
-    #[test]
-    fn transient_budget_dead_letters_eventually() {
-        let ft = FaultTolerance {
-            max_redeliveries: 3,
-            base_backoff_ms: 10,
-            jitter_pct: 0,
-            ..FaultTolerance::default()
-        };
-        let state = ReliabilityState::new(ft);
-        state.admit_failure(FailKind::Transient, &job("s", 1), 0);
-        let mut now = 0;
-        for _ in 0..8 {
-            let Some(due) = state.next_due_ms() else {
-                break;
-            };
-            now = due.max(now);
-            state.pump(now, &|_, _, _| Err(FailKind::Transient));
-        }
-        assert_eq!(state.dead_count(), 1);
-        assert_eq!(state.depth(), 0);
-        assert_eq!(state.dead_letters()[0].attempts, 3);
-    }
-
-    #[test]
-    fn redeliver_dead_requeues_with_fresh_budget() {
-        let ft = FaultTolerance {
-            poison_budget: 1,
-            ..FaultTolerance::default()
-        };
-        let state = ReliabilityState::new(ft);
-        state.admit_failure(FailKind::Poison, &job("s", 1), 0);
-        assert_eq!(state.dead_count(), 1);
-        assert_eq!(state.redeliver_dead(100), 1);
-        assert_eq!(state.dead_count(), 0);
-        assert_eq!(state.depth(), 1);
-        let report = state.pump(100, &|_, _, _| Ok(()));
-        assert_eq!(report.delivered, 1);
-    }
-
-    #[test]
-    fn forget_clears_channel_and_depth() {
-        let state = ReliabilityState::new(FaultTolerance::default());
-        state.admit_failure(FailKind::Transient, &job("s", 1), 0);
-        state.enqueue_new(job("s", 2), 0);
-        assert_eq!(state.depth(), 2);
-        state.forget("s");
-        assert_eq!(state.depth(), 0);
-        assert!(state.next_due_ms().is_none());
-    }
-
-    #[test]
-    fn breaker_census_counts_open_channels() {
-        let cfgd = FaultTolerance {
-            breaker: BreakerConfig {
-                failure_threshold: 1,
-                open_ms: 1_000,
-                max_open_ms: 1_000,
-            },
-            ..FaultTolerance::default()
-        };
-        let state = ReliabilityState::new(cfgd);
-        state.admit_failure(FailKind::Transient, &job("a", 1), 0);
-        state.admit_failure(FailKind::Transient, &job("b", 1), 0);
-        assert_eq!(state.breaker_census(10), (2, 0));
-        assert_eq!(state.breaker_census(1_000), (0, 2), "windows elapsed");
-        assert_eq!(state.breaker_state("a", 10), Some(BreakerState::Open));
-        assert_eq!(state.breaker_state("zz", 10), None);
     }
 }
