@@ -189,29 +189,26 @@ fn write_machine_readable() {
     });
     let overhead_pct = (disabled_eps - enabled_eps) / disabled_eps * 100.0;
 
-    // A consumer losing 20% of its traffic (seeded), two failure
-    // policies: the seed's immediate in-line retries versus the
+    // A consumer losing 20% of its traffic (seeded), behind the
     // fault-tolerant redelivery queue. Quantifies what the queue,
     // breaker, and backoff bookkeeping cost on the publish path when
     // the endpoint actually misbehaves.
-    for (mode, reliable) in [("legacy_retry", false), ("fault_tolerant", true)] {
-        let (net, broker) = flaky_broker(reliable, 42);
-        let mut seq = 0u64;
-        let events_per_sec = measure_events_per_sec(1, &mut || {
-            seq += 1;
-            broker.publish_on("jobs/status", &make_event(seq));
-            // Advance virtual time so backoff schedules come due and
-            // the piggybacked pump gets to redeliver.
-            net.clock().advance_ms(1);
-        });
-        broker.drain_redeliveries(60_000);
-        samples.push(ThroughputSample {
-            scenario: "flaky_20pct_loss".into(),
-            mode: mode.into(),
-            param: 20,
-            events_per_sec,
-        });
-    }
+    let (net, broker) = flaky_broker(42);
+    let mut seq = 0u64;
+    let events_per_sec = measure_events_per_sec(1, &mut || {
+        seq += 1;
+        broker.publish_on("jobs/status", &make_event(seq));
+        // Advance virtual time so backoff schedules come due and the
+        // piggybacked pump gets to redeliver.
+        net.clock().advance_ms(1);
+    });
+    broker.drain_redeliveries(60_000);
+    samples.push(ThroughputSample {
+        scenario: "flaky_20pct_loss".into(),
+        mode: "fault_tolerant".into(),
+        param: 20,
+        events_per_sec,
+    });
 
     let path = write_bench_json_with_stages("delivery", &samples, &stages, Some(overhead_pct));
     println!("wrote {}", path.display());
@@ -221,11 +218,9 @@ fn write_machine_readable() {
     );
 }
 
-/// A broker with one push subscriber behind a 20%-loss link, under
-/// either failure policy: legacy immediate retries (a budget deep
-/// enough that eviction is effectively impossible) or the
+/// A broker with one push subscriber behind a 20%-loss link and the
 /// fault-tolerant redelivery queue.
-fn flaky_broker(reliable: bool, seed: u64) -> (Network, WsMessenger) {
+fn flaky_broker(seed: u64) -> (Network, WsMessenger) {
     let net = Network::new();
     let broker = WsMessenger::start(&net, "http://broker");
     broker.set_fanout_workers(1);
@@ -233,16 +228,12 @@ fn flaky_broker(reliable: bool, seed: u64) -> (Network, WsMessenger) {
     Subscriber::new(&net, WseVersion::Aug2004)
         .subscribe(broker.uri(), SubscribeRequest::push(sink.epr()))
         .unwrap();
-    if reliable {
-        broker.set_fault_tolerance(Some(FaultTolerance {
-            base_backoff_ms: 2,
-            max_backoff_ms: 64,
-            seed,
-            ..FaultTolerance::default()
-        }));
-    } else {
-        broker.set_delivery_attempts(10);
-    }
+    broker.set_fault_tolerance(Some(FaultTolerance {
+        base_backoff_ms: 2,
+        max_backoff_ms: 64,
+        seed,
+        ..FaultTolerance::default()
+    }));
     net.set_fault_plan(
         FaultPlan::seeded(seed)
             .with_endpoint("http://flaky", EndpointFaults::new().with_drop_rate(0.2)),

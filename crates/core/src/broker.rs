@@ -20,7 +20,7 @@ use crate::brokered::Brokered;
 use crate::control::{
     unknown_subscription, ControlOp, Endpoint, Manage, OpKind, Reply, Subscribed, Subscription,
 };
-use crate::delivery::{self, DeliveryEngine, FailKind, PushJob, StatsDelta};
+use crate::delivery::{self, DeliveryEngine, PushJob, StatsDelta};
 use crate::detect::SpecDialect;
 use crate::event::InternalEvent;
 use crate::obs::{BrokerObs, Outcome, Stage};
@@ -32,13 +32,13 @@ use crate::reliability::{
 use crate::render::{render_batch, render_notification_cached, RenderCache};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use wsm_addressing::EndpointReference;
 use wsm_eventing::{EndStatus, Expires, WseCodec};
 use wsm_soap::Fault;
 use wsm_topics::{TopicExpression, TopicPath, TopicSpace};
-use wsm_transport::{AttemptClass, Network};
+use wsm_transport::Network;
 use wsm_xml::{Element, SharedElement};
 
 /// Counters describing the broker's mediation activity.
@@ -57,8 +57,9 @@ pub struct MediationStats {
     /// subscription was dropped, in fault-tolerant mode the message
     /// was dead-lettered.
     pub failed: u64,
-    /// Retries performed by the delivery engine and the redelivery
-    /// pump.
+    /// Failed redelivery attempts: held events the redelivery pump
+    /// tried and could not deliver (each then requeued or
+    /// dead-lettered). A first-round send is never retried in line.
     pub retried: u64,
     /// Successful deliveries that came off the redelivery queue.
     pub redelivered: u64,
@@ -133,9 +134,6 @@ struct MessengerInner {
     stats: StatsCells,
     obs: BrokerObs,
     brokered: Brokered,
-    /// Delivery attempts per notification before the subscription is
-    /// dropped (the broker's "reliable" knob; 1 = no retry).
-    delivery_attempts: AtomicU32,
     /// Worker threads for push fan-out; 0 or 1 delivers sequentially.
     fanout_workers: AtomicUsize,
     /// Persistent push worker pool (threads spawn lazily on the first
@@ -178,7 +176,6 @@ impl WsMessenger {
             stats: StatsCells::default(),
             obs: BrokerObs::new(),
             brokered: Brokered::default(),
-            delivery_attempts: AtomicU32::new(1),
             fanout_workers: AtomicUsize::new(delivery::default_workers()),
             engine: DeliveryEngine::new(),
             outboxes: Mutex::new(Outboxes::default()),
@@ -227,17 +224,6 @@ impl WsMessenger {
     /// span recording without recompiling.
     pub fn set_obs_enabled(&self, on: bool) {
         self.inner.obs.set_enabled(on);
-    }
-
-    /// Set how many delivery attempts each notification gets before the
-    /// broker gives up on the subscription (minimum 1). The retry is
-    /// immediate — the simulated network has no transient backoff — but
-    /// it absorbs injected loss, which is how the tests model flaky
-    /// consumers.
-    pub fn set_delivery_attempts(&self, attempts: u32) {
-        self.inner
-            .delivery_attempts
-            .store(attempts.max(1), Ordering::Relaxed);
     }
 
     /// Set the push fan-out worker count. `0` or `1` delivers
@@ -608,12 +594,7 @@ fn fan_out(inner: &MessengerInner, event: &InternalEvent, seq: u64) -> usize {
         render_ns: 0,
     };
     let deliver_timer = inner.obs.start();
-    let report = inner.engine.execute(
-        &inner.net,
-        inner.delivery_attempts.load(Ordering::Relaxed),
-        workers,
-        &mut source,
-    );
+    let report = inner.engine.execute(&inner.net, workers, &mut source);
     let after_ms = inner.net.clock().now_ms();
     // Render happened inside the deliver window (the source renders
     // as the engine pulls jobs); record its accumulated time first so
@@ -675,14 +656,23 @@ fn fan_out(inner: &MessengerInner, event: &InternalEvent, seq: u64) -> usize {
             resolve_job(inner, job, now, Outcome::Expired);
         }
     }
-    inner
-        .obs
-        .record_outcomes(report.delivered as u64, delta.failed, delta.mediated);
-    inner.stats.merge(&delta);
+    book(inner, &delta);
     delivered
 }
 
-/// Attempt every due redelivery at the current virtual time, merging
+/// Book one batch of delivery outcomes, a fan-out's or a pump pass's,
+/// into both ledgers: [`MediationStats`] and the `wsm_*_total`
+/// counters.
+fn book(inner: &MessengerInner, delta: &StatsDelta) {
+    inner.obs.record_outcomes(
+        delta.delivered_wse + delta.delivered_wsn,
+        delta.failed,
+        delta.mediated,
+    );
+    inner.stats.merge(delta);
+}
+
+/// Attempt every due redelivery at the current virtual time, booking
 /// outcomes into the broker's stats and metrics. `None` while fault
 /// tolerance is off.
 fn pump(inner: &MessengerInner) -> Option<PumpReport> {
@@ -691,22 +681,12 @@ fn pump(inner: &MessengerInner) -> Option<PumpReport> {
         &inner.outboxes,
         &inner.registry,
         now,
-        |sub, env, is_retry| {
-            let class = if is_retry {
-                AttemptClass::Retry
-            } else {
-                AttemptClass::First
-            };
-            inner
-                .net
-                .send_class(&sub.consumer.address, env, class)
-                .map_err(|e| FailKind::of(&e))
-        },
+        |sub, env, attempt| delivery::send(&inner.net, &sub.consumer.address, env, attempt),
     )?;
     for event in &report.events {
         trace_attempt(inner, event);
     }
-    inner.stats.merge(&report.delta);
+    book(inner, &report.delta);
     refresh_reliability_gauges(inner);
     Some(report)
 }
@@ -723,7 +703,6 @@ fn trace_attempt(inner: &MessengerInner, e: &PumpEvent) {
             return;
         }
         PumpEventKind::DeadLettered => {
-            obs.record_dead_letter();
             obs.dead_letter(e.seq, &e.sub_id, e.attempt.saturating_add(1), e.at_ms);
             Outcome::DeadLettered
         }

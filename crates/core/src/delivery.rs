@@ -3,11 +3,10 @@
 //!
 //! The broker's push deliveries are independent of each other within a
 //! single publication — each matched subscriber gets exactly one
-//! envelope — so the delivery engine may overlap the
-//! serialize-send-retry work across a worker pool without touching the
-//! ordering guarantee: a publication blocks until its whole fan-out
-//! completes, so subscriber *S* always observes a publisher's event *n*
-//! before its event *n+1*.
+//! envelope — so the delivery engine may overlap the sends across a
+//! worker pool without touching the ordering guarantee: a publication
+//! blocks until its whole fan-out completes, so subscriber *S* always
+//! observes a publisher's event *n* before its event *n+1*.
 //!
 //! [`DeliveryEngine::execute`] takes the publication as an iterator of
 //! rendered [`PushJob`]s and runs one of two paths:
@@ -22,6 +21,11 @@
 //!   by advancing one shared cursor until it passes the end, then
 //!   merges its outcomes once into one gather; the publisher waits for
 //!   the last merge. One `fetch_add` per claim is the whole protocol.
+//!
+//! Every push attempt, a first-round send here or a redelivery from an
+//! outbox (`crate::outbox`), goes through one function, `send`, which
+//! makes exactly one attempt. A failed first-round send is handed back
+//! in the [`FanOutReport`]; the broker decides its fate.
 //!
 //! The governor keeps a per-size-bucket EWMA of observed per-job cost
 //! for both paths and picks the cheaper, probing the loser
@@ -38,7 +42,6 @@
 
 use crate::detect::SpecDialect;
 use crate::registry::BrokerSubscription;
-use crate::stage::{NetworkSink, SendReport};
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -46,7 +49,7 @@ use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::thread;
 use std::time::Instant;
 use wsm_soap::Envelope;
-use wsm_transport::{Network, TransportError};
+use wsm_transport::{AttemptClass, Network, TransportError};
 
 /// How many push jobs a publication needs before parallel dispatch is
 /// worth considering. Below this the engine always streams inline on
@@ -68,13 +71,12 @@ pub fn default_workers() -> usize {
 
 /// How a delivery failed — the distinction that decides its fate.
 ///
-/// The seed conflated these: a SOAP fault from a live-but-rejecting
-/// consumer and a dropped datagram both counted as "failed" and burned
-/// the same retry budget. They are different problems. A **transient**
-/// failure (loss, missing endpoint, no response) means *try again
-/// later*; a **poison** response (SOAP fault, refused connection)
-/// means the endpoint is alive and saying no — retrying back-to-back
-/// is pointless, and only these count toward the small
+/// A SOAP fault from a live-but-rejecting consumer and a dropped
+/// datagram are different problems. A **transient** failure (loss,
+/// missing endpoint, no response) means *try again later*; a
+/// **poison** response (SOAP fault, refused connection) means the
+/// endpoint is alive and saying no, and only these count toward the
+/// small
 /// [`poison_budget`](crate::reliability::FaultTolerance::poison_budget)
 /// that dead-letters a message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,13 +99,33 @@ impl FailKind {
     }
 }
 
+/// Make one push attempt: send `envelope` to `to`, classed
+/// [`AttemptClass::First`] exactly when `attempt` is 0 (the original
+/// fan-out send, or a held event's first try) and
+/// [`AttemptClass::Retry`] otherwise. The one place a push is sent,
+/// for the fan-out and the redelivery pump alike.
+pub(crate) fn send(
+    net: &Network,
+    to: &str,
+    envelope: Envelope,
+    attempt: u32,
+) -> Result<(), FailKind> {
+    let class = if attempt == 0 {
+        AttemptClass::First
+    } else {
+        AttemptClass::Retry
+    };
+    net.send_class(to, envelope, class)
+        .map_err(|e| FailKind::of(&e))
+}
+
 /// One rendered push delivery, ready to send.
 ///
 /// The job borrows the subscription it answers instead of copying
 /// facts out of it: the id, the consumer address and the family are
 /// read through [`PushJob::sub_id`], [`PushJob::address`] and
-/// [`PushJob::wse`], so building a job allocates nothing and cloning
-/// one (the failure path) is reference bumps.
+/// `sub.spec`, so building a job allocates nothing and cloning one
+/// (the failure path) is reference bumps.
 #[derive(Debug, Clone)]
 pub struct PushJob {
     /// Subscription the delivery answers (dropped on failure).
@@ -134,11 +156,6 @@ impl PushJob {
         &self.sub.consumer.address
     }
 
-    /// Whether the consumer is WS-Eventing (for the per-family stat).
-    pub fn wse(&self) -> bool {
-        matches!(self.sub.spec, SpecDialect::Wse(_))
-    }
-
     /// The coordinates of a successful send of this job.
     fn resolved(&self) -> ResolvedMark {
         ResolvedMark {
@@ -160,9 +177,9 @@ pub struct StatsDelta {
     pub delivered_wsn: u64,
     /// Deliveries that crossed specification families.
     pub mediated: u64,
-    /// Deliveries that exhausted their attempt budget.
+    /// Deliveries that failed for good.
     pub failed: u64,
-    /// Retries performed.
+    /// Failed redelivery attempts.
     pub retried: u64,
     /// Successful deliveries that came off the redelivery queue.
     pub redelivered: u64,
@@ -179,6 +196,17 @@ impl StatsDelta {
         self.retried += o.retried;
         self.redelivered += o.redelivered;
         self.dead_lettered += o.dead_lettered;
+    }
+
+    /// Count one successful delivery to `sub`, per family and, if it
+    /// crossed families, as mediated.
+    pub(crate) fn count_delivered(&mut self, sub: &BrokerSubscription, mediated: bool) {
+        if matches!(sub.spec, SpecDialect::Wse(_)) {
+            self.delivered_wse += 1;
+        } else {
+            self.delivered_wsn += 1;
+        }
+        self.mediated += mediated as u64;
     }
 }
 
@@ -218,34 +246,22 @@ impl Gather {
         self.latencies_ns.extend(other.latencies_ns);
     }
 
-    /// Record one send of `job`. The job stays where it is (the
-    /// publisher's hands, or the shared hand-off), so the rare failure
-    /// clones out — reference bumps: a job is a subscription handle,
-    /// a copy-on-write envelope and a few numbers.
-    fn tally(&mut self, job: &PushJob, rep: &SendReport) {
-        self.delta.retried += rep.retried;
-        self.latencies_ns.push(rep.elapsed_ns);
-        match rep.result {
+    /// Record one send of `job`, begun at `started`. The job stays
+    /// where it is (the publisher's hands, or the shared hand-off), so
+    /// the rare failure clones out — reference bumps: a job is a
+    /// subscription handle, a copy-on-write envelope and a few numbers.
+    fn tally(&mut self, job: &PushJob, started: Instant, result: Result<(), FailKind>) {
+        self.latencies_ns.push(started.elapsed().as_nanos() as u64);
+        match result {
             Ok(()) => {
-                self.count_delivered(job);
+                self.delivered += 1;
+                self.delta.count_delivered(&job.sub, job.mediated);
                 self.resolved.push(job.resolved());
             }
             Err(kind) => {
                 self.delta.failed += 1;
                 self.failures.push((kind, job.clone()));
             }
-        }
-    }
-
-    fn count_delivered(&mut self, job: &PushJob) {
-        self.delivered += 1;
-        if job.wse() {
-            self.delta.delivered_wse += 1;
-        } else {
-            self.delta.delivered_wsn += 1;
-        }
-        if job.mediated {
-            self.delta.mediated += 1;
         }
     }
 }
@@ -272,7 +288,7 @@ pub struct FanOutReport {
     /// First-round successes, identified so the broker can record
     /// their terminal resolution spans.
     pub resolved: Vec<ResolvedMark>,
-    /// Wall-clock send duration per job (including retries), for the
+    /// Wall-clock duration of each job's one send, for the
     /// broker's per-subscriber delivery-latency histogram.
     pub latencies_ns: Vec<u64>,
 }
@@ -313,7 +329,6 @@ struct PubWork {
     /// the first thread to claim.
     step: usize,
     cursor: AtomicUsize,
-    attempts: u32,
     /// Pool workers that will merge into `sync` (the publisher merges
     /// its own claims separately).
     workers: usize,
@@ -328,12 +343,11 @@ struct Collected {
 }
 
 impl PubWork {
-    fn new(jobs: Vec<PushJob>, workers: usize, attempts: u32) -> PubWork {
+    fn new(jobs: Vec<PushJob>, workers: usize) -> PubWork {
         PubWork {
             step: (jobs.len() / (4 * (workers + 1))).clamp(1, CLAIM),
             jobs,
             cursor: AtomicUsize::new(0),
-            attempts,
             workers,
             sync: StdMutex::new(Collected::default()),
             cv: Condvar::new(),
@@ -343,7 +357,7 @@ impl PubWork {
     /// Send claimed runs of `step` jobs until the cursor passes the end.
     /// The cursor publishes no data (the jobs reached every thread with
     /// the `Arc`, through the channel), so `Relaxed` suffices.
-    fn claim(&self, sink: &NetworkSink, local: &mut Gather) {
+    fn claim(&self, net: &Network, local: &mut Gather) {
         loop {
             let start = self.cursor.fetch_add(self.step, Ordering::Relaxed);
             if start >= self.jobs.len() {
@@ -351,8 +365,9 @@ impl PubWork {
             }
             let end = (start + self.step).min(self.jobs.len());
             for job in &self.jobs[start..end] {
-                let rep = sink.send_event(job);
-                local.tally(job, &rep);
+                let started = Instant::now();
+                let result = send(net, job.address(), job.envelope.clone(), job.attempt);
+                local.tally(job, started, result);
             }
         }
     }
@@ -360,9 +375,9 @@ impl PubWork {
     /// A pool worker's whole participation in this publication: claim
     /// until drained, then merge exactly once; the last merger wakes
     /// the publisher.
-    fn run_worker(&self, sink: &NetworkSink) {
+    fn run_worker(&self, net: &Network) {
         let mut local = Gather::default();
-        self.claim(sink, &mut local);
+        self.claim(net, &mut local);
         let mut c = self.sync.lock().expect("pubwork mutex");
         c.merged += 1;
         c.gather.merge(local);
@@ -544,26 +559,24 @@ impl DeliveryEngine {
     pub fn execute(
         &self,
         net: &Network,
-        attempts: u32,
         workers: usize,
         jobs: impl Iterator<Item = PushJob>,
     ) -> FanOutReport {
-        let attempts = attempts.max(1);
         let (low, high) = jobs.size_hint();
         let expected = high.unwrap_or(low);
         if workers <= 1 || expected < PARALLEL_THRESHOLD {
-            return execute_streaming(net, attempts, jobs);
+            return execute_streaming(net, jobs);
         }
         let pick = self.governor.choose(expected);
         let started = Instant::now();
         let report = if pick == MODE_INLINE {
-            execute_streaming(net, attempts, jobs)
+            execute_streaming(net, jobs)
         } else {
             // Sized from the upper bound: `collect` would grow from the
             // lower one, which a filtering source reports as zero.
             let mut all = Vec::with_capacity(expected);
             all.extend(jobs);
-            self.execute_sharded(net, attempts, workers, all)
+            self.execute_sharded(net, workers, all)
         };
         self.governor
             .observe(pick, report.jobs, started.elapsed().as_nanos() as u64);
@@ -572,23 +585,16 @@ impl DeliveryEngine {
 
     /// The pool path: hand `jobs` to every worker, claim alongside
     /// them, and wait for the last merge.
-    fn execute_sharded(
-        &self,
-        net: &Network,
-        attempts: u32,
-        workers: usize,
-        jobs: Vec<PushJob>,
-    ) -> FanOutReport {
+    fn execute_sharded(&self, net: &Network, workers: usize, jobs: Vec<PushJob>) -> FanOutReport {
         let total = jobs.len();
         let txs = self.pool_senders(net, workers);
-        let work = Arc::new(PubWork::new(jobs, workers, attempts));
+        let work = Arc::new(PubWork::new(jobs, workers));
         for tx in &txs {
             tx.send(Arc::clone(&work))
                 .expect("delivery pool alive while engine exists");
         }
-        let sink = NetworkSink::new(net.clone(), attempts);
         let mut local = Gather::default();
-        work.claim(&sink, &mut local);
+        work.claim(net, &mut local);
         let join_started = Instant::now();
         let mut gather = work.wait_merged();
         let join_wait_ns = join_started.elapsed().as_nanos() as u64;
@@ -619,8 +625,7 @@ impl DeliveryEngine {
                 .name(format!("wsm-push-{i}"))
                 .spawn(move || {
                     for work in rx.iter() {
-                        let sink = NetworkSink::new(net.clone(), work.attempts);
-                        work.run_worker(&sink);
+                        work.run_worker(&net);
                     }
                 })
                 .expect("spawn delivery worker");
@@ -636,18 +641,14 @@ impl DeliveryEngine {
 /// from its render. Sends go out in iteration order on the publishing
 /// thread, which is what chaos scenarios pinning `workers = 1` rely on
 /// for a deterministic trace.
-fn execute_streaming(
-    net: &Network,
-    attempts: u32,
-    jobs: impl Iterator<Item = PushJob>,
-) -> FanOutReport {
-    let sink = NetworkSink::new(net.clone(), attempts);
+fn execute_streaming(net: &Network, jobs: impl Iterator<Item = PushJob>) -> FanOutReport {
     let mut gather = Gather::default();
     let mut total = 0usize;
     for job in jobs {
         total += 1;
-        let rep = sink.send_event(&job);
-        gather.tally(&job, &rep);
+        let started = Instant::now();
+        let result = send(net, job.address(), job.envelope.clone(), job.attempt);
+        gather.tally(&job, started, result);
     }
     FanOutReport::from_gather(gather, total, "inline")
 }
@@ -692,7 +693,7 @@ mod tests {
             let counter = std::sync::Arc::new(Counter(parking_lot::Mutex::new(0)));
             net.register("http://c", counter.clone());
             let engine = DeliveryEngine::new();
-            let report = engine.execute(&net, 1, workers, jobs(16, "http://c").into_iter());
+            let report = engine.execute(&net, workers, jobs(16, "http://c").into_iter());
             assert_eq!(report.delivered, 16, "workers={workers}");
             assert_eq!(report.jobs, 16);
             assert_eq!(report.delta.delivered_wse, 8);
@@ -728,7 +729,7 @@ mod tests {
             counter,
             sent_at_pull: Vec::new(),
         };
-        let report = DeliveryEngine::new().execute(&net, 1, 1, &mut source);
+        let report = DeliveryEngine::new().execute(&net, 1, &mut source);
         assert_eq!(report.delivered, 8);
         assert_eq!(
             source.sent_at_pull,
@@ -751,12 +752,11 @@ mod tests {
                 "http://c".to_string()
             }
         };
-        let report = DeliveryEngine::new().execute_sharded(&net, 2, 4, jobs_at(32, addr));
+        let report = DeliveryEngine::new().execute_sharded(&net, 4, jobs_at(32, addr));
         assert_eq!(report.mode, "sharded");
         assert_eq!(report.jobs, 32);
         assert_eq!(report.delivered, 24);
         assert_eq!(report.delta.failed, 8);
-        assert_eq!(report.delta.retried, 8, "one in-line retry per miss");
         assert_eq!(report.failures.len(), 8);
         assert!(report
             .failures
@@ -794,7 +794,7 @@ mod tests {
         let net = Network::new();
         let handler = std::sync::Arc::new(SlowNamed(parking_lot::Mutex::new(Vec::new())));
         net.register("http://slow", handler.clone());
-        let report = DeliveryEngine::new().execute_sharded(&net, 1, 4, jobs(8, "http://slow"));
+        let report = DeliveryEngine::new().execute_sharded(&net, 4, jobs(8, "http://slow"));
         assert_eq!(report.delivered, 8);
         let mut names = handler.0.lock().clone();
         assert_eq!(names.len(), 8);
@@ -821,7 +821,7 @@ mod tests {
         let mut modes = Vec::new();
         let boot = BOOTSTRAP_SAMPLES as usize;
         for _ in 0..(2 * boot + 4) {
-            let report = engine.execute(&net, 1, 4, jobs(64, "http://wire").into_iter());
+            let report = engine.execute(&net, 4, jobs(64, "http://wire").into_iter());
             assert_eq!(report.delivered, 64);
             modes.push(report.mode);
         }
@@ -842,7 +842,7 @@ mod tests {
         net.register("http://c", counter.clone());
         let engine = DeliveryEngine::new();
         for _ in 0..10 {
-            let report = engine.execute_sharded(&net, 1, 4, jobs(8, "http://c"));
+            let report = engine.execute_sharded(&net, 4, jobs(8, "http://c"));
             assert_eq!(report.delivered, 8);
         }
         assert_eq!(*counter.0.lock(), 80);
@@ -861,7 +861,7 @@ mod tests {
         let engine = DeliveryEngine::new();
         let mut sent = 0;
         for workers in [4, 2, 3] {
-            let report = engine.execute_sharded(&net, 1, workers, jobs(24, "http://c"));
+            let report = engine.execute_sharded(&net, workers, jobs(24, "http://c"));
             sent += 24;
             assert_eq!(report.delivered, 24, "workers={workers}");
             assert_eq!(*counter.0.lock(), sent, "each job sent once");
@@ -883,16 +883,11 @@ mod tests {
         // No handler registered: every send fails.
         let engine = DeliveryEngine::new();
         for report in [
-            engine.execute(&net, 3, 1, jobs(8, "http://nowhere").into_iter()),
-            engine.execute_sharded(&net, 3, 4, jobs(8, "http://nowhere")),
+            engine.execute(&net, 1, jobs(8, "http://nowhere").into_iter()),
+            engine.execute_sharded(&net, 4, jobs(8, "http://nowhere")),
         ] {
-            let mode = report.mode;
             assert_eq!(report.delivered, 0);
             assert_eq!(report.delta.failed, 8);
-            assert_eq!(
-                report.delta.retried, 16,
-                "attempts-1 retries per failed job ({mode})"
-            );
             assert_eq!(report.failures.len(), 8);
             for (kind, job) in &report.failures {
                 assert_eq!(*kind, FailKind::Transient, "missing endpoint is transient");
@@ -913,18 +908,40 @@ mod tests {
         let net = Network::new();
         net.register("http://faulty", std::sync::Arc::new(Faulty));
         let engine = DeliveryEngine::new();
-        let report = engine.execute(&net, 3, 1, jobs(2, "http://faulty").into_iter());
+        let report = engine.execute(&net, 1, jobs(2, "http://faulty").into_iter());
         assert_eq!(report.delivered, 0);
         assert_eq!(report.mode, "inline");
         assert_eq!(report.delta.failed, 2);
-        assert_eq!(
-            report.delta.retried, 0,
-            "a SOAP fault short-circuits the immediate retries"
-        );
         assert!(report
             .failures
             .iter()
             .all(|(kind, _)| *kind == FailKind::Poison));
+    }
+
+    #[test]
+    fn send_classifies_each_attempt_and_its_failure() {
+        let net = Network::new();
+        net.register("http://faulty", std::sync::Arc::new(Faulty));
+        let env = || Envelope::new(SoapVersion::V11).with_body(Element::local("e"));
+        assert_eq!(
+            send(&net, "http://nowhere", env(), 0),
+            Err(FailKind::Transient),
+            "a missing endpoint is transient"
+        );
+        assert_eq!(
+            send(&net, "http://faulty", env(), 1),
+            Err(FailKind::Poison),
+            "a SOAP fault is poison"
+        );
+        let m = net.metrics();
+        assert_eq!(
+            (
+                m.counter("net_sends_first_total").get(),
+                m.counter("net_sends_retry_total").get()
+            ),
+            (1, 1),
+            "attempt 0 is the first send, any later one a retry"
+        );
     }
 
     #[test]
@@ -938,7 +955,6 @@ mod tests {
         for _ in 0..2 * BOOTSTRAP_SAMPLES + 2 {
             let report = engine.execute(
                 &net,
-                1,
                 4,
                 jobs(PARALLEL_THRESHOLD - 1, "http://c").into_iter(),
             );

@@ -725,13 +725,6 @@ impl FederatedMessenger {
         }
     }
 
-    /// Set per-notification delivery attempts on every shard.
-    pub fn set_delivery_attempts(&self, attempts: u32) {
-        for s in &self.inner.ctx.shards {
-            s.set_delivery_attempts(attempts);
-        }
-    }
-
     /// Switch fault-tolerant delivery on or off on every shard.
     pub fn set_fault_tolerance(&self, config: Option<FaultTolerance>) {
         for s in &self.inner.ctx.shards {

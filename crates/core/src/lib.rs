@@ -67,7 +67,6 @@ mod outbox;
 pub mod registry;
 pub mod reliability;
 pub mod render;
-pub mod stage;
 
 pub use backend::{InMemoryBackend, JmsBackend, MessagingBackend};
 pub use broker::{MediationStats, WsMessenger};
@@ -84,7 +83,6 @@ pub use reliability::{
     BreakerConfig, BreakerState, CircuitBreaker, DeadLetter, FaultTolerance, PumpReport,
 };
 pub use render::{render_notification, render_notification_cached, RenderCache};
-pub use stage::{NetworkSink, SendReport};
 pub use wsm_obs::{
     reconstruct, story_for, DeliveryStory, HistogramStats, Outcome, SloReport, SloSpec, SpanRecord,
     Stage, TraceContext,

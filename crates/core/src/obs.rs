@@ -79,8 +79,11 @@ impl BrokerObs {
             registry.histogram(&name)
         });
         registry.describe("wsm_published_total", "Publications ingested.");
-        registry.describe("wsm_delivered_total", "Successful push deliveries.");
-        registry.describe("wsm_failed_total", "Failed push deliveries.");
+        registry.describe(
+            "wsm_delivered_total",
+            "Successful push deliveries, first-round and redelivered.",
+        );
+        registry.describe("wsm_failed_total", "Push deliveries that failed for good.");
         registry.describe(
             "wsm_spans_dropped",
             "Trace spans evicted from the bounded ring (silent span loss).",
@@ -103,7 +106,7 @@ impl BrokerObs {
         );
         registry.describe(
             "wsm_mediated_total",
-            "Publications that crossed specification families.",
+            "Deliveries that crossed specification families.",
         );
         registry.describe("wsm_subscriptions", "Live subscriptions.");
         registry.describe(
@@ -337,15 +340,6 @@ impl BrokerObs {
     /// Update the live-subscription gauge (called at scrape time).
     pub fn set_subscriptions(&self, n: i64) {
         self.subscriptions.set(n);
-    }
-
-    /// Count one message moved to the dead-letter store (counter
-    /// only; [`BrokerObs::dead_letter`] also records the span).
-    #[inline]
-    pub fn record_dead_letter(&self) {
-        if self.enabled() {
-            self.dead_letters.inc();
-        }
     }
 
     /// Record one scheduled backoff delay (virtual ms).

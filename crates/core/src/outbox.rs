@@ -479,7 +479,7 @@ fn dead_letter(sub: &BrokerSubscription, held: Retry, now_ms: u64) -> DeadLetter
 
 /// Pump every due push outbox once, in subscription-id order: attempt
 /// the head retry and, on success, keep draining until a failure or the
-/// outbox empties. `send(sub, envelope, is_retry)` performs one attempt
+/// outbox empties. `send(sub, envelope, attempt)` performs one attempt
 /// and runs with the lock released, so a consumer that publishes back
 /// into the broker cannot deadlock against it; the outbox counts the
 /// attempt as in flight meanwhile, so a concurrent pump keeps it. A
@@ -489,7 +489,7 @@ pub(crate) fn pump(
     outboxes: &Mutex<Outboxes>,
     registry: &Registry,
     now_ms: u64,
-    send: impl Fn(&BrokerSubscription, Envelope, bool) -> Result<(), FailKind>,
+    send: impl Fn(&BrokerSubscription, Envelope, u32) -> Result<(), FailKind>,
 ) -> Option<PumpReport> {
     let due: Vec<Arc<str>> = {
         let o = outboxes.lock();
@@ -526,7 +526,7 @@ pub(crate) fn pump(
             };
             report.attempted += 1;
             let started = Instant::now();
-            let outcome = send(&sub, held.body.clone(), held.attempt() > 0);
+            let outcome = send(&sub, held.body.clone(), held.attempt());
             let mut event = PumpEvent {
                 seq: held.seq,
                 sub_id: id.to_string(),
@@ -546,12 +546,7 @@ pub(crate) fn pump(
                 Ok(()) => {
                     report.delivered += 1;
                     report.delta.redelivered += 1;
-                    if matches!(sub.spec, SpecDialect::Wse(_)) {
-                        report.delta.delivered_wse += 1;
-                    } else {
-                        report.delta.delivered_wsn += 1;
-                    }
-                    report.delta.mediated += held.mediated as u64;
+                    report.delta.count_delivered(&sub, held.mediated);
                     report.events.push(event);
                     let Some(outbox) = o.retries.get_mut(&id) else {
                         break;

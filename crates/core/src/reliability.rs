@@ -1,12 +1,11 @@
 //! Fault-tolerance policy: the redelivery budget and backoff, the
 //! circuit breaker, and the shape of a dead letter.
 //!
-//! The seed broker's failure handling was binary: retry a failed push
-//! a fixed number of times back-to-back, then *permanently drop* the
-//! subscription — one transient network blip evicted a subscriber.
-//! With [`FaultTolerance`] installed the broker instead applies the
-//! delivery-guarantee machinery the paper inherits from CORBA
-//! Notification QoS and JMS redelivery semantics:
+//! By default the broker's failure handling is binary: a failed push
+//! *permanently drops* the subscription — one transient network blip
+//! evicts a subscriber. With [`FaultTolerance`] installed the broker
+//! instead applies the delivery-guarantee machinery the paper inherits
+//! from CORBA Notification QoS and JMS redelivery semantics:
 //!
 //! * **exponential backoff** with deterministic, seeded jitter against
 //!   the virtual clock ([`FaultTolerance::backoff_ms`]), so chaos runs

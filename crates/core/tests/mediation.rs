@@ -6,7 +6,7 @@ use wsm_eventing::{
     DeliveryMode, EventSink, Expires, Filter, SubscribeRequest, Subscriber, WseVersion,
 };
 use wsm_jms::JmsProvider;
-use wsm_messenger::{InternalEvent, JmsBackend, SpecDialect, WsMessenger};
+use wsm_messenger::{FaultTolerance, InternalEvent, JmsBackend, SpecDialect, WsMessenger};
 use wsm_notification::{
     NotificationConsumer, Termination, WsnClient, WsnCodec, WsnFilter, WsnSubscribeRequest,
     WsnVersion,
@@ -398,26 +398,23 @@ fn unknown_message_treated_as_raw_publication() {
 #[test]
 fn retry_policy_absorbs_transient_loss() {
     let (net, broker) = setup();
-    broker.set_delivery_attempts(3);
+    broker.set_fault_tolerance(Some(FaultTolerance::default()));
     let sink = EventSink::start(&net, "http://flaky", WseVersion::Aug2004);
     Subscriber::new(&net, WseVersion::Aug2004)
         .subscribe(broker.uri(), SubscribeRequest::push(sink.epr()))
         .unwrap();
-    // Two transient drops: the third attempt lands.
+    // Two transient drops: the first send and the first redelivery are
+    // lost, the second redelivery lands.
     net.drop_next("http://flaky", 2);
     broker.publish_raw(&Element::local("e1"));
-    assert_eq!(sink.received().len(), 1, "retries delivered it");
+    assert!(sink.received().is_empty(), "the first send was dropped");
+    broker.drain_redeliveries(60_000);
+    assert_eq!(sink.received().len(), 1, "redelivery delivered it");
     assert_eq!(broker.subscription_count(), 1, "subscription survives");
     let stats = broker.stats();
-    assert_eq!(stats.retried, 2);
+    assert_eq!(stats.retried, 1, "one failed redelivery attempt");
+    assert_eq!(stats.redelivered, 1);
     assert_eq!(stats.failed, 0);
-
-    // Loss exceeding the budget still drops the subscription.
-    net.drop_next("http://flaky", 3);
-    broker.publish_raw(&Element::local("e2"));
-    assert_eq!(sink.received().len(), 1);
-    assert_eq!(broker.subscription_count(), 0);
-    assert_eq!(broker.stats().failed, 1);
 }
 
 #[test]

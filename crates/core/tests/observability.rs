@@ -608,3 +608,113 @@ fn parallel_fanout_trace_attributes_workers_and_outcomes() {
         5
     );
 }
+
+/// With fault tolerance on, the broker keeps two ledgers of delivery
+/// outcomes — `stats()` and the `wsm_*_total` counters — and both count
+/// first-round sends and redeliveries alike.
+mod ledgers {
+    use super::*;
+    use wsm_messenger::FaultTolerance;
+
+    fn fault_tolerant(poison_budget: u32) -> (Network, WsMessenger, EventSink) {
+        let net = Network::new();
+        let (broker, sink) = broker_with_wse_sink(&net);
+        broker.set_fanout_workers(1);
+        broker.set_fault_tolerance(Some(FaultTolerance {
+            poison_budget,
+            ..FaultTolerance::default()
+        }));
+        (net, broker, sink)
+    }
+
+    fn metric(text: &str, name: &str) -> u64 {
+        text.lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("{name} missing from\n{text}"))
+            .parse()
+            .unwrap()
+    }
+
+    #[test]
+    fn each_dead_letter_is_counted_once() {
+        let (net, broker, _sink) = fault_tolerant(1);
+        net.fault_next("http://sink", 1);
+        broker.publish_raw(&Element::local("e"));
+        assert_eq!(broker.stats().dead_lettered, 1);
+        assert_eq!(metric(&broker.metrics_text(), "wsm_dead_letters_total"), 1);
+    }
+
+    #[test]
+    fn redeliveries_reach_the_delivery_counters() {
+        let (net, broker, sink) = fault_tolerant(3);
+        net.drop_next("http://sink", 1);
+        // A WSN publication to a WS-Eventing consumer: mediated.
+        net.send(
+            "http://broker",
+            notify_envelope("storms", Element::local("alert")),
+        )
+        .unwrap();
+        broker.drain_redeliveries(60_000);
+        assert_eq!(sink.received().len(), 1);
+        let stats = broker.stats();
+        assert_eq!(stats.redelivered, 1);
+        assert_eq!(
+            broker.obs_snapshot().delivered,
+            stats.delivered_wse + stats.delivered_wsn
+        );
+        assert_eq!(
+            metric(&broker.metrics_text(), "wsm_mediated_total"),
+            stats.mediated
+        );
+        assert_eq!(stats.mediated, 1);
+    }
+
+    #[test]
+    fn a_dead_letter_from_the_pump_reaches_the_failed_counter() {
+        // The first fault requeues, the redelivery's fault dead-letters.
+        let (net, broker, _sink) = fault_tolerant(2);
+        net.fault_next("http://sink", 2);
+        broker.publish_raw(&Element::local("e"));
+        assert_eq!(broker.stats().failed, 0, "held, not failed yet");
+        broker.drain_redeliveries(60_000);
+        let stats = broker.stats();
+        assert_eq!(stats.dead_lettered, 1);
+        assert_eq!(stats.failed, 1);
+        assert_eq!(broker.obs_snapshot().failed, stats.failed);
+    }
+
+    /// A push attempt is a first send exactly when its event was never
+    /// attempted before, whichever path sends it.
+    #[test]
+    fn first_and_retry_sends_are_told_apart_at_the_broker() {
+        let (net, broker, sink) = fault_tolerant(3);
+        let sends = || {
+            let m = net.metrics();
+            (
+                m.counter("net_sends_first_total").get(),
+                m.counter("net_sends_retry_total").get(),
+            )
+        };
+        let (first0, retry0) = sends();
+        let since = || {
+            let (f, r) = sends();
+            (f - first0, r - retry0)
+        };
+
+        net.drop_next("http://sink", 1);
+        broker.publish_raw(&Element::local("e1"));
+        broker.drain_redeliveries(60_000);
+        assert_eq!(sink.received().len(), 1);
+        assert_eq!(since(), (1, 1), "a dropped send, then its redelivery");
+
+        // e2's send is dropped and held; e3 is held behind it by the
+        // gate and never attempted until the pump sends it.
+        net.drop_next("http://sink", 1);
+        broker.publish_raw(&Element::local("e2"));
+        broker.publish_raw(&Element::local("e3"));
+        assert_eq!(since(), (2, 1), "e3 waits behind e2 unsent");
+        broker.drain_redeliveries(60_000);
+        assert_eq!(sink.received().len(), 3);
+        assert_eq!(since(), (3, 2), "the pump sends e2 as a retry, e3 first");
+    }
+}

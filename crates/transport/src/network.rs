@@ -54,7 +54,7 @@ pub trait SoapHandler: Send + Sync {
 }
 
 /// Whether a delivery attempt is the first try for its message or a
-/// retry (in-line re-send or queued redelivery). Transport metrics
+/// retry (a redelivery of a message already attempted). Transport metrics
 /// split send totals by this class so delivery success rates stay
 /// honest under heavy redelivery traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -344,8 +344,8 @@ impl Network {
         self.send_class(to, envelope, AttemptClass::First)
     }
 
-    /// One-way send with an explicit attempt class — the redelivery
-    /// and in-line-retry paths use [`AttemptClass::Retry`] so send
+    /// One-way send with an explicit attempt class — a redelivery of
+    /// a message already attempted uses [`AttemptClass::Retry`] so send
     /// metrics attribute re-sends separately from first attempts.
     pub fn send_class(
         &self,

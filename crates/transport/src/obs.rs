@@ -42,7 +42,7 @@ impl NetObs {
         );
         registry.describe(
             "net_sends_retry_total",
-            "Re-send attempts: in-line retries and queued redeliveries.",
+            "Re-send attempts: redeliveries of messages already attempted.",
         );
         registry.describe("net_send_ns", "Wall-clock send latency, nanoseconds.");
         registry.describe(
