@@ -32,16 +32,19 @@ use crate::reliability::{
 use crate::render::{render_batch, render_notification_cached, RenderCache};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use wsm_addressing::EndpointReference;
 use wsm_eventing::{EndStatus, Expires, WseCodec};
+use wsm_obs::{Counter, MetricsRegistry};
 use wsm_soap::Fault;
 use wsm_topics::{TopicExpression, TopicPath, TopicSpace};
 use wsm_transport::Network;
 use wsm_xml::{Element, SharedElement};
 
-/// Counters describing the broker's mediation activity.
+/// Counters describing the broker's mediation activity: a snapshot of
+/// the broker's one ledger, each field of which is also exposed as a
+/// `wsm_*_total` line of [`WsMessenger::metrics_text`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MediationStats {
     /// Publications ingested.
@@ -67,53 +70,77 @@ pub struct MediationStats {
     pub dead_lettered: u64,
 }
 
-/// The broker's live mediation counters: one relaxed atomic per field,
-/// so `stats()` snapshots without ever blocking a publishing thread
-/// (the seed kept these behind a `Mutex<MediationStats>`, which a
-/// snapshot reader could contend with mid-publication).
-#[derive(Debug, Default)]
-struct StatsCells {
-    published: AtomicU64,
-    delivered_wse: AtomicU64,
-    delivered_wsn: AtomicU64,
-    mediated: AtomicU64,
-    failed: AtomicU64,
-    retried: AtomicU64,
-    redelivered: AtomicU64,
-    dead_lettered: AtomicU64,
+/// The broker's one ledger: a counter per [`MediationStats`] field,
+/// registered in the broker's metrics registry, so `stats()` and the
+/// `wsm_*_total` exposition lines read the same cells. Each is one
+/// relaxed atomic: a snapshot never blocks a publishing thread, and the
+/// observability kill switch never stops a count.
+struct Ledger {
+    published: Arc<Counter>,
+    delivered_wse: Arc<Counter>,
+    delivered_wsn: Arc<Counter>,
+    mediated: Arc<Counter>,
+    failed: Arc<Counter>,
+    retried: Arc<Counter>,
+    redelivered: Arc<Counter>,
+    dead_lettered: Arc<Counter>,
 }
 
-impl StatsCells {
-    fn inc_published(&self) {
-        self.published.fetch_add(1, Ordering::Relaxed);
+impl Ledger {
+    fn new(registry: &MetricsRegistry) -> Self {
+        let counter = |name: &str, help: &str| {
+            registry.describe(name, help);
+            registry.counter(name)
+        };
+        Ledger {
+            published: counter("wsm_published_total", "Publications ingested."),
+            delivered_wse: counter(
+                "wsm_delivered_wse_total",
+                "Push deliveries to WS-Eventing consumers, first-round and redelivered.",
+            ),
+            delivered_wsn: counter(
+                "wsm_delivered_wsn_total",
+                "Push deliveries to WS-Notification consumers, first-round and redelivered.",
+            ),
+            mediated: counter(
+                "wsm_mediated_total",
+                "Deliveries that crossed specification families.",
+            ),
+            failed: counter("wsm_failed_total", "Push deliveries that failed for good."),
+            retried: counter("wsm_retried_total", "Failed redelivery attempts."),
+            redelivered: counter(
+                "wsm_redelivered_total",
+                "Successful deliveries that came off the redelivery queue.",
+            ),
+            dead_lettered: counter(
+                "wsm_dead_letters_total",
+                "Messages moved to the dead-letter store.",
+            ),
+        }
     }
 
-    /// Merge one publication's accumulated delivery outcomes: a single
-    /// pass of relaxed adds, once per publish.
-    fn merge(&self, delta: &StatsDelta) {
-        self.delivered_wse
-            .fetch_add(delta.delivered_wse, Ordering::Relaxed);
-        self.delivered_wsn
-            .fetch_add(delta.delivered_wsn, Ordering::Relaxed);
-        self.mediated.fetch_add(delta.mediated, Ordering::Relaxed);
-        self.failed.fetch_add(delta.failed, Ordering::Relaxed);
-        self.retried.fetch_add(delta.retried, Ordering::Relaxed);
-        self.redelivered
-            .fetch_add(delta.redelivered, Ordering::Relaxed);
-        self.dead_lettered
-            .fetch_add(delta.dead_lettered, Ordering::Relaxed);
+    /// Book one batch of delivery outcomes, a fan-out's or a pump
+    /// pass's.
+    fn book(&self, delta: &StatsDelta) {
+        self.delivered_wse.add(delta.delivered_wse);
+        self.delivered_wsn.add(delta.delivered_wsn);
+        self.mediated.add(delta.mediated);
+        self.failed.add(delta.failed);
+        self.retried.add(delta.retried);
+        self.redelivered.add(delta.redelivered);
+        self.dead_lettered.add(delta.dead_lettered);
     }
 
     fn snapshot(&self) -> MediationStats {
         MediationStats {
-            published: self.published.load(Ordering::Relaxed),
-            delivered_wse: self.delivered_wse.load(Ordering::Relaxed),
-            delivered_wsn: self.delivered_wsn.load(Ordering::Relaxed),
-            mediated: self.mediated.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-            retried: self.retried.load(Ordering::Relaxed),
-            redelivered: self.redelivered.load(Ordering::Relaxed),
-            dead_lettered: self.dead_lettered.load(Ordering::Relaxed),
+            published: self.published.get(),
+            delivered_wse: self.delivered_wse.get(),
+            delivered_wsn: self.delivered_wsn.get(),
+            mediated: self.mediated.get(),
+            failed: self.failed.get(),
+            retried: self.retried.get(),
+            redelivered: self.redelivered.get(),
+            dead_lettered: self.dead_lettered.get(),
         }
     }
 }
@@ -131,7 +158,7 @@ struct MessengerInner {
     /// previous document keeps it and each publication takes a
     /// reference rather than a copy.
     properties: Mutex<Arc<Element>>,
-    stats: StatsCells,
+    ledger: Ledger,
     obs: BrokerObs,
     brokered: Brokered,
     /// Worker threads for push fan-out; 0 or 1 delivers sequentially.
@@ -164,6 +191,7 @@ impl WsMessenger {
         uri: &str,
         backend: Arc<dyn MessagingBackend>,
     ) -> Self {
+        let obs = BrokerObs::new();
         let inner = Arc::new(MessengerInner {
             net: net.clone(),
             uri: uri.to_string(),
@@ -173,8 +201,8 @@ impl WsMessenger {
             topic_space: Mutex::new(TopicSpace::new()),
             current: Mutex::new(HashMap::new()),
             properties: Mutex::new(Arc::new(Element::local("ProducerProperties"))),
-            stats: StatsCells::default(),
-            obs: BrokerObs::new(),
+            ledger: Ledger::new(obs.registry()),
+            obs,
             brokered: Brokered::default(),
             fanout_workers: AtomicUsize::new(delivery::default_workers()),
             engine: DeliveryEngine::new(),
@@ -214,14 +242,17 @@ impl WsMessenger {
         self.inner.brokered.registrations()
     }
 
-    /// Mediation statistics so far (a lock-free snapshot of relaxed
-    /// per-field atomics; never blocks a publishing thread).
+    /// Mediation statistics so far: the ledger's counters, the cells
+    /// the `wsm_*_total` exposition lines read (a lock-free snapshot;
+    /// never blocks a publishing thread).
     pub fn stats(&self) -> MediationStats {
-        self.inner.stats.snapshot()
+        self.inner.ledger.snapshot()
     }
 
-    /// Runtime observability kill-switch: `false` stops metric and
-    /// span recording without recompiling.
+    /// Runtime observability kill-switch: `false` stops the stage
+    /// timers, the histograms, the span ring and the SLO feed without
+    /// recompiling. It never stops a count: [`WsMessenger::stats`] and
+    /// every `*_total` counter keep moving.
     pub fn set_obs_enabled(&self, on: bool) {
         self.inner.obs.set_enabled(on);
     }
@@ -256,7 +287,6 @@ impl WsMessenger {
         for (id, held) in released {
             resolve_held(&self.inner, &id, &[held], Outcome::Expired);
         }
-        refresh_reliability_gauges(&self.inner);
     }
 
     /// Whether fault-tolerant delivery is active.
@@ -332,8 +362,9 @@ impl WsMessenger {
         self.inner.backend.name()
     }
 
-    /// Prometheus-style text exposition of the broker metrics
-    /// (refreshes the live-subscription gauge at scrape time).
+    /// Prometheus-style text exposition of the broker metrics. The
+    /// gauges are read from the state they describe here, at scrape
+    /// time, and nowhere else.
     pub fn metrics_text(&self) -> String {
         self.inner
             .obs
@@ -462,8 +493,7 @@ fn ingest_seq(inner: &MessengerInner, event: InternalEvent, seq: u64) -> usize {
             .lock()
             .insert(t.to_string(), event.payload.clone());
     }
-    inner.stats.inc_published();
-    inner.obs.record_publication();
+    inner.ledger.published.inc();
     let relayed = inner.backend.relay(event);
     inner
         .obs
@@ -527,7 +557,6 @@ impl Iterator for RenderSource<'_> {
                 envelope,
                 seq: self.seq,
                 published_at_ms: self.now,
-                attempt: 0,
             };
             let job = if self.ft {
                 self.inner.outboxes.lock().gate(job, self.now)
@@ -646,7 +675,6 @@ fn fan_out(inner: &MessengerInner, event: &InternalEvent, seq: u64) -> usize {
             }
             trace_attempt(inner, &event);
         }
-        refresh_reliability_gauges(inner);
     } else {
         // Legacy mode evicts the subscription: the message's story ends
         // here, unresolved-by-delivery.
@@ -656,25 +684,13 @@ fn fan_out(inner: &MessengerInner, event: &InternalEvent, seq: u64) -> usize {
             resolve_job(inner, job, now, Outcome::Expired);
         }
     }
-    book(inner, &delta);
+    inner.ledger.book(&delta);
     delivered
 }
 
-/// Book one batch of delivery outcomes, a fan-out's or a pump pass's,
-/// into both ledgers: [`MediationStats`] and the `wsm_*_total`
-/// counters.
-fn book(inner: &MessengerInner, delta: &StatsDelta) {
-    inner.obs.record_outcomes(
-        delta.delivered_wse + delta.delivered_wsn,
-        delta.failed,
-        delta.mediated,
-    );
-    inner.stats.merge(delta);
-}
-
 /// Attempt every due redelivery at the current virtual time, booking
-/// outcomes into the broker's stats and metrics. `None` while fault
-/// tolerance is off.
+/// outcomes into the broker's ledger. `None` while fault tolerance is
+/// off.
 fn pump(inner: &MessengerInner) -> Option<PumpReport> {
     let now = inner.net.clock().now_ms();
     let report = outbox::pump(
@@ -686,8 +702,7 @@ fn pump(inner: &MessengerInner) -> Option<PumpReport> {
     for event in &report.events {
         trace_attempt(inner, event);
     }
-    book(inner, &report.delta);
-    refresh_reliability_gauges(inner);
+    inner.ledger.book(&report.delta);
     Some(report)
 }
 
@@ -718,7 +733,8 @@ fn trace_attempt(inner: &MessengerInner, e: &PumpEvent) {
     );
 }
 
-/// Push the redelivery-depth and open-breaker gauges.
+/// Set the redelivery-depth and open-breaker gauges from the outboxes
+/// (at scrape time: [`WsMessenger::metrics_text`]).
 fn refresh_reliability_gauges(inner: &MessengerInner) {
     let now = inner.net.clock().now_ms();
     let (depth, (open, _)) = {
@@ -748,14 +764,9 @@ fn resolve_held<B>(inner: &MessengerInner, id: &str, held: &[Held<B>], outcome: 
 
 /// Resolve a push job that was never held.
 fn resolve_job(inner: &MessengerInner, job: &PushJob, now: u64, outcome: Outcome) {
-    inner.obs.resolve(
-        job.seq,
-        job.sub_id(),
-        job.attempt,
-        job.published_at_ms,
-        now,
-        outcome,
-    );
+    inner
+        .obs
+        .resolve(job.seq, job.sub_id(), 0, job.published_at_ms, now, outcome);
 }
 
 /// The one exit of a subscription (`crate::outbox`, "One exit"): remove

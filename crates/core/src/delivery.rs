@@ -140,9 +140,6 @@ pub struct PushJob {
     /// Virtual time the publication was ingested, for end-to-end
     /// latency at terminal resolution.
     pub published_at_ms: u64,
-    /// Attempt ordinal for this send: 0 for the original fan-out, 1..
-    /// for queued redeliveries.
-    pub attempt: u32,
 }
 
 impl PushJob {
@@ -161,7 +158,6 @@ impl PushJob {
         ResolvedMark {
             seq: self.seq,
             sub_id: Arc::clone(&self.sub.id),
-            attempt: self.attempt,
             published_at_ms: self.published_at_ms,
         }
     }
@@ -220,8 +216,6 @@ pub struct ResolvedMark {
     /// Subscription the delivery answered (the subscription's own id,
     /// shared by reference).
     pub sub_id: Arc<str>,
-    /// Attempt ordinal of the successful send.
-    pub attempt: u32,
     /// Virtual ingest time, for the end-to-end latency.
     pub published_at_ms: u64,
 }
@@ -366,7 +360,7 @@ impl PubWork {
             let end = (start + self.step).min(self.jobs.len());
             for job in &self.jobs[start..end] {
                 let started = Instant::now();
-                let result = send(net, job.address(), job.envelope.clone(), job.attempt);
+                let result = send(net, job.address(), job.envelope.clone(), 0);
                 local.tally(job, started, result);
             }
         }
@@ -647,7 +641,7 @@ fn execute_streaming(net: &Network, jobs: impl Iterator<Item = PushJob>) -> FanO
     for job in jobs {
         total += 1;
         let started = Instant::now();
-        let result = send(net, job.address(), job.envelope.clone(), job.attempt);
+        let result = send(net, job.address(), job.envelope.clone(), 0);
         gather.tally(&job, started, result);
     }
     FanOutReport::from_gather(gather, total, "inline")
@@ -681,7 +675,6 @@ mod tests {
                 mediated: false,
                 seq: 1,
                 published_at_ms: 0,
-                attempt: 0,
             })
             .collect()
     }

@@ -243,10 +243,10 @@ struct LinkCtx {
     obs: BrokerObs,
     /// Fast-path dispatch flag: false ⇔ policy is `Immediate`.
     buffering: AtomicBool,
-    /// Events delivered inline by publishers under `OverflowPolicy::Shed`.
-    shed: AtomicU64,
+    /// Set from `HubState::queued` at scrape time only.
     queue_depth: Arc<wsm_obs::Gauge>,
     flush_size: Arc<wsm_obs::Histogram>,
+    /// Events delivered inline by publishers under `OverflowPolicy::Shed`.
     shed_total: Arc<wsm_obs::Counter>,
 }
 
@@ -346,7 +346,6 @@ fn flusher_loop(ctx: Arc<LinkCtx>, home: usize) {
         if lq.spare.capacity() < empty.capacity() {
             lq.spare = empty;
         }
-        ctx.queue_depth.set(state.queued as i64);
         ctx.room.notify_all();
         if state.queued == 0 && state.in_flight == 0 {
             ctx.idle.notify_all();
@@ -429,7 +428,6 @@ impl FederatedMessenger {
             shards: shard_brokers,
             obs,
             buffering: AtomicBool::new(false),
-            shed: AtomicU64::new(0),
             queue_depth,
             flush_size,
             shed_total,
@@ -562,7 +560,7 @@ impl FederatedMessenger {
     /// [`OverflowPolicy::Shed`] because the queue was full. Shed events
     /// are still delivered — this counts queue-bypass work, not loss.
     pub fn shed_events(&self) -> u64 {
-        self.inner.ctx.shed.load(Ordering::Relaxed)
+        self.inner.ctx.shed_total.get()
     }
 
     /// Publish an event on a topic through the federation.
@@ -630,7 +628,6 @@ impl FederatedMessenger {
                 }
                 OverflowPolicy::Shed => {
                     drop(state);
-                    ctx.shed.fetch_add(1, Ordering::Relaxed);
                     ctx.shed_total.inc();
                     deliver_batch(ctx, shard, vec![msg]);
                     ctx.obs.stage(
@@ -657,7 +654,6 @@ impl FederatedMessenger {
         lq.last_arrival_ms = now;
         lq.pending.push(msg);
         state.queued += 1;
-        ctx.queue_depth.set(state.queued as i64);
         let lq = &state.links[shard];
         let deadline_hit = matches!(
             policy,

@@ -84,6 +84,6 @@ pub use reliability::{
 };
 pub use render::{render_notification, render_notification_cached, RenderCache};
 pub use wsm_obs::{
-    reconstruct, story_for, DeliveryStory, HistogramStats, Outcome, SloReport, SloSpec, SpanRecord,
-    Stage, TraceContext,
+    reconstruct, DeliveryStory, HistogramStats, Outcome, SloReport, SloSpec, SpanRecord, Stage,
+    TraceContext,
 };

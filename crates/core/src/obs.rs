@@ -12,9 +12,12 @@
 //! publish → final resolution) and the [`SloEngine`].
 //!
 //! The runtime kill-switch ([`BrokerObs::set_enabled`]) is the one
-//! way to stop recording — which is how the bench harness measures the
-//! overhead of live instrumentation against the same binary with
-//! recording skipped.
+//! way to stop recording: it stops the stage timers, the histograms,
+//! the span ring and the SLO feed — which is how the bench harness
+//! measures the overhead of live instrumentation against the same
+//! binary with recording skipped. It never stops a count: the outcome
+//! counters here and the broker's ledger (`MediationStats`, whose
+//! counters the broker registers in this registry) move either way.
 
 use crate::delivery::ResolvedMark;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -24,9 +27,7 @@ use wsm_obs::{
     Counter, Gauge, Histogram, HistogramStats, MetricsRegistry, SloEngine, SpanRing, TraceContext,
 };
 
-pub use wsm_obs::{
-    reconstruct, story_for, DeliveryStory, Outcome, SloReport, SloSpec, SpanRecord, Stage,
-};
+pub use wsm_obs::{reconstruct, DeliveryStory, Outcome, SloReport, SloSpec, SpanRecord, Stage};
 
 /// Wall-clock handle for one open stage (`None` when recording is
 /// disabled, so a disabled broker skips even the `Instant` read).
@@ -42,23 +43,17 @@ pub struct BrokerObs {
     ring: SpanRing,
     enabled: AtomicBool,
     seq: AtomicU64,
-    published: Arc<Counter>,
-    delivered: Arc<Counter>,
-    failed: Arc<Counter>,
-    mediated: Arc<Counter>,
     subscriptions: Arc<Gauge>,
     /// Indexed by `Stage as usize` (pipeline order, then the
     /// per-subscriber attempt stages and the engine handoff stage).
     stages: [Arc<Histogram>; 11],
     delivery_latency: Arc<Histogram>,
-    dead_letters: Arc<Counter>,
     redelivery_depth: Arc<Gauge>,
     breakers_open: Arc<Gauge>,
     backoff_delay: Arc<Histogram>,
     spans_dropped: Arc<Gauge>,
     e2e_latency: Arc<Histogram>,
     outcome_delivered: Arc<Counter>,
-    outcome_dead_lettered: Arc<Counter>,
     outcome_expired: Arc<Counter>,
     slo: SloEngine,
 }
@@ -78,12 +73,6 @@ impl BrokerObs {
             registry.describe(&name, "Duration of this pipeline stage, wall ns.");
             registry.histogram(&name)
         });
-        registry.describe("wsm_published_total", "Publications ingested.");
-        registry.describe(
-            "wsm_delivered_total",
-            "Successful push deliveries, first-round and redelivered.",
-        );
-        registry.describe("wsm_failed_total", "Push deliveries that failed for good.");
         registry.describe(
             "wsm_spans_dropped",
             "Trace spans evicted from the bounded ring (silent span loss).",
@@ -97,25 +86,13 @@ impl BrokerObs {
             "Deliveries that terminally resolved as delivered.",
         );
         registry.describe(
-            "wsm_outcome_dead_lettered_total",
-            "Deliveries that terminally resolved into the dead-letter store.",
-        );
-        registry.describe(
             "wsm_outcome_expired_total",
             "Deliveries abandoned before reaching the consumer.",
-        );
-        registry.describe(
-            "wsm_mediated_total",
-            "Deliveries that crossed specification families.",
         );
         registry.describe("wsm_subscriptions", "Live subscriptions.");
         registry.describe(
             "wsm_delivery_latency_ns",
             "Per-subscriber send latency, wall ns.",
-        );
-        registry.describe(
-            "wsm_dead_letters_total",
-            "Messages moved to the dead-letter store.",
         );
         registry.describe(
             "wsm_redelivery_depth",
@@ -127,20 +104,14 @@ impl BrokerObs {
             "Scheduled redelivery backoff delays, virtual ms.",
         );
         BrokerObs {
-            published: registry.counter("wsm_published_total"),
-            delivered: registry.counter("wsm_delivered_total"),
-            failed: registry.counter("wsm_failed_total"),
-            mediated: registry.counter("wsm_mediated_total"),
             subscriptions: registry.gauge("wsm_subscriptions"),
             delivery_latency: registry.histogram("wsm_delivery_latency_ns"),
-            dead_letters: registry.counter("wsm_dead_letters_total"),
             redelivery_depth: registry.gauge("wsm_redelivery_depth"),
             breakers_open: registry.gauge("wsm_breakers_open"),
             backoff_delay: registry.histogram("wsm_backoff_delay_ms"),
             spans_dropped: registry.gauge("wsm_spans_dropped"),
             e2e_latency: registry.histogram_with("wsm_e2e_latency_ms", wsm_obs::metrics::ms_bounds),
             outcome_delivered: registry.counter("wsm_outcome_delivered_total"),
-            outcome_dead_lettered: registry.counter("wsm_outcome_dead_lettered_total"),
             outcome_expired: registry.counter("wsm_outcome_expired_total"),
             slo: SloEngine::new(),
             stages,
@@ -157,8 +128,9 @@ impl BrokerObs {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Runtime kill-switch: `false` makes every record call an
-    /// early-returning branch.
+    /// Runtime kill-switch: `false` stops the stage timers, the
+    /// histograms, the span ring and the SLO feed; the outcome counters
+    /// keep counting.
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
     }
@@ -226,12 +198,11 @@ impl BrokerObs {
 
     /// Record the move of one (event, subscriber) delivery into the
     /// dead-letter store: a [`Stage::DeadLetter`] span (`items` =
-    /// attempts spent) plus the dead-letter counter.
+    /// attempts spent). The broker's ledger counts the move.
     pub fn dead_letter(&self, seq: u64, subscriber: &str, attempt: u32, at_ms: u64) {
         if !self.enabled() {
             return;
         }
-        self.dead_letters.inc();
         let ctx = TraceContext::new(seq, subscriber, attempt);
         self.ring.push(SpanRecord::for_attempt(
             ctx,
@@ -245,8 +216,9 @@ impl BrokerObs {
     /// Record the terminal resolution of one (event, subscriber)
     /// delivery: a [`Stage::Resolve`] span whose `items` is the
     /// end-to-end latency (publish → now, virtual ms), the
-    /// end-to-end histogram, the per-outcome counters, and the SLO
-    /// engine.
+    /// end-to-end histogram, and the SLO engine, plus the per-outcome
+    /// counter, which counts with recording off too. A dead letter's
+    /// count is the ledger's `wsm_dead_letters_total`.
     pub fn resolve(
         &self,
         seq: u64,
@@ -256,16 +228,16 @@ impl BrokerObs {
         at_ms: u64,
         outcome: Outcome,
     ) {
+        match outcome {
+            Outcome::Delivered => self.outcome_delivered.inc(),
+            Outcome::Expired => self.outcome_expired.inc(),
+            Outcome::DeadLettered => {}
+        }
         if !self.enabled() {
             return;
         }
         let e2e_ms = at_ms.saturating_sub(published_at_ms);
         self.e2e_latency.record(e2e_ms);
-        match outcome {
-            Outcome::Delivered => self.outcome_delivered.inc(),
-            Outcome::DeadLettered => self.outcome_dead_lettered.inc(),
-            Outcome::Expired => self.outcome_expired.inc(),
-        }
         self.slo
             .observe(at_ms, e2e_ms, outcome == Outcome::Delivered);
         let ctx = TraceContext::new(seq, subscriber, attempt);
@@ -282,6 +254,7 @@ impl BrokerObs {
     /// under one lock and carry the marks' subscriber ids by
     /// reference.
     pub fn resolve_delivered(&self, marks: &[ResolvedMark], at_ms: u64) {
+        self.outcome_delivered.add(marks.len() as u64);
         if !self.enabled() {
             return;
         }
@@ -290,9 +263,8 @@ impl BrokerObs {
             self.e2e_latency.record(e2e_ms(m));
             self.slo.observe(at_ms, e2e_ms(m), true);
         }
-        self.outcome_delivered.add(marks.len() as u64);
         self.ring.push_all(marks.iter().map(|m| {
-            let ctx = TraceContext::new(m.seq, Arc::clone(&m.sub_id), m.attempt);
+            let ctx = TraceContext::new(m.seq, Arc::clone(&m.sub_id), 0);
             SpanRecord::for_attempt(ctx, Stage::Resolve, at_ms, 0, e2e_ms(m))
                 .with_outcome(Outcome::Delivered)
         }));
@@ -307,24 +279,6 @@ impl BrokerObs {
     /// SLO reports as of `now_ms` (virtual clock).
     pub fn slo_reports(&self, now_ms: u64) -> Vec<SloReport> {
         self.slo.reports(now_ms)
-    }
-
-    /// Count one ingested publication.
-    #[inline]
-    pub fn record_publication(&self) {
-        if self.enabled() {
-            self.published.inc();
-        }
-    }
-
-    /// Merge one fan-out's outcome totals.
-    pub fn record_outcomes(&self, delivered: u64, failed: u64, mediated: u64) {
-        if !self.enabled() {
-            return;
-        }
-        self.delivered.add(delivered);
-        self.failed.add(failed);
-        self.mediated.add(mediated);
     }
 
     /// Record per-subscriber delivery latencies from one fan-out.
@@ -406,11 +360,7 @@ impl BrokerObs {
                 .collect(),
             delivery_latency: self.delivery_latency.stats(),
             e2e_latency_ms: self.e2e_latency.stats(),
-            published: self.published.get(),
-            delivered: self.delivered.get(),
-            failed: self.failed.get(),
             outcome_delivered: self.outcome_delivered.get(),
-            outcome_dead_lettered: self.outcome_dead_lettered.get(),
             outcome_expired: self.outcome_expired.get(),
             spans_buffered: self.ring.len(),
             spans_evicted: self.ring.dropped(),
@@ -430,16 +380,8 @@ pub struct ObsSnapshot {
     /// End-to-end latency per (event, subscriber): publish → final
     /// resolution, in virtual ms.
     pub e2e_latency_ms: HistogramStats,
-    /// Publications ingested.
-    pub published: u64,
-    /// Successful deliveries.
-    pub delivered: u64,
-    /// Failed deliveries.
-    pub failed: u64,
     /// Deliveries terminally resolved as delivered.
     pub outcome_delivered: u64,
-    /// Deliveries terminally resolved as dead-lettered.
-    pub outcome_dead_lettered: u64,
     /// Deliveries terminally resolved as expired (abandoned).
     pub outcome_expired: u64,
     /// Spans currently buffered in the ring.
@@ -468,7 +410,6 @@ mod tests {
             .map(|i| ResolvedMark {
                 seq: 7 + i / 100,
                 sub_id: format!("wsm-{i}").into(),
-                attempt: (i % 3) as u32,
                 published_at_ms: i % 40,
             })
             .collect();
@@ -481,7 +422,7 @@ mod tests {
             one_by_one.resolve(
                 m.seq,
                 &m.sub_id,
-                m.attempt,
+                0,
                 m.published_at_ms,
                 at_ms,
                 Outcome::Delivered,
@@ -504,11 +445,15 @@ mod tests {
         let first = at_once.spans().remove(0).subscriber.unwrap();
         assert!(Arc::ptr_eq(&first, &marks[0].sub_id));
 
-        // Switched off, neither records anything.
+        // Switched off, it records nothing but the count.
         let off = BrokerObs::new();
         off.set_enabled(false);
+        off.set_slos(slo());
         off.resolve_delivered(&marks, at_ms);
         assert!(off.spans().is_empty());
-        assert_eq!(off.snapshot().outcome_delivered, 0);
+        let snap = off.snapshot();
+        assert_eq!(snap.e2e_latency_ms.count, 0);
+        assert_eq!(snap.outcome_delivered, marks.len() as u64);
+        assert_eq!(off.slo_reports(at_ms)[0].total, 0, "the SLO was not fed");
     }
 }

@@ -321,7 +321,7 @@ impl Outboxes {
         PumpEvent {
             seq: job.seq,
             sub_id: job.sub_id().to_string(),
-            attempt: job.attempt,
+            attempt: 0,
             at_ms: now_ms,
             dur_ns: 0,
             published_at_ms: job.published_at_ms,
@@ -626,7 +626,6 @@ mod tests {
             mediated: false,
             seq,
             published_at_ms: 0,
-            attempt: 0,
         }
     }
 

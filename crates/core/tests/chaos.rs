@@ -416,7 +416,7 @@ fn sharded_churn_resolves_every_inflight_delivery() {
     );
     assert_eq!(
         stories.len() as u64,
-        snap.outcome_delivered + snap.outcome_dead_lettered + snap.outcome_expired,
+        snap.outcome_delivered + broker.stats().dead_lettered + snap.outcome_expired,
         "outcome counters agree with reconstructed stories"
     );
 }

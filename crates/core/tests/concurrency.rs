@@ -4,7 +4,7 @@
 use std::thread;
 use wsm_eventing::{EventSink, SubscribeRequest, Subscriber, WseVersion};
 use wsm_messenger::WsMessenger;
-use wsm_transport::{DeliveryOutcome, Network};
+use wsm_transport::Network;
 use wsm_xml::Element;
 
 #[test]
@@ -52,11 +52,11 @@ fn broker_survives_concurrent_publish_and_subscribe() {
     publisher.join().unwrap();
     joiner.join().unwrap();
     assert_eq!(broker.subscription_count(), 8);
-    // Everything the stats counted was actually traced as delivered.
+    // Everything the stats counted the network counted delivered.
     let stats = broker.stats();
     assert_eq!(stats.published, 500);
     assert_eq!(
-        net.count_outcomes(|o| *o == DeliveryOutcome::Delivered) as u64,
+        net.metrics().counter("net_outcome_delivered_total").get(),
         // Subscribes are request/response deliveries too (8 of them).
         stats.delivered_wse + 8
     );

@@ -241,7 +241,7 @@ fn multi_shard_churn_leaves_no_orphans_and_resolves_every_delivery() {
             unresolved.is_empty(),
             "every in-flight delivery reached a terminal outcome, missing: {unresolved:?}"
         );
-        terminal += snap.outcome_delivered + snap.outcome_dead_lettered + snap.outcome_expired;
+        terminal += snap.outcome_delivered + shard.stats().dead_lettered + snap.outcome_expired;
     }
     assert!(terminal >= EVENTS as u64, "at least one outcome per event");
     // Federation hops were recorded and each carried one event

@@ -5,7 +5,9 @@
 use std::sync::Arc;
 use wsm_eventing::{EventSink, SubscribeRequest, Subscriber, WseVersion};
 use wsm_messenger::WsMessenger;
-use wsm_notification::{NotificationMessage, WsnCodec, WsnVersion};
+use wsm_notification::{
+    NotificationConsumer, NotificationMessage, WsnClient, WsnCodec, WsnSubscribeRequest, WsnVersion,
+};
 use wsm_soap::{Envelope, SoapVersion};
 use wsm_topics::TopicPath;
 use wsm_transport::{DeliveryOutcome, EndpointOptions, Network, SoapHandler};
@@ -95,10 +97,11 @@ mod spans {
         for i in 0..10 {
             broker.publish_on("storms", &Element::local(format!("e{i}")));
         }
+        let stats = broker.stats();
+        assert_eq!(stats.published, 10);
+        assert_eq!(stats.delivered_wse, 10);
+        assert_eq!(stats.failed, 0);
         let snap = broker.obs_snapshot();
-        assert_eq!(snap.published, 10);
-        assert_eq!(snap.delivered, 10);
-        assert_eq!(snap.failed, 0);
         for (name, stats) in &snap.stages {
             // In-process publishes skip the SOAP handler (no detect),
             // a healthy sink never exercises the attempt stages, a
@@ -128,22 +131,32 @@ mod spans {
         );
     }
 
+    /// Switched off, the broker stops timing and tracing but never
+    /// stops counting: no spans and no stage samples, while the
+    /// ledger and its exposition keep moving.
     #[test]
     fn kill_switch_stops_recording() {
         let net = Network::new();
         let (broker, sink) = broker_with_wse_sink(&net);
+        broker.publish_on("storms", &Element::local("loud"));
         broker.drain_trace_spans();
+        let timed = broker.obs_snapshot().stage("match").unwrap().count;
         broker.set_obs_enabled(false);
         broker.publish_on("storms", &Element::local("quiet"));
-        assert_eq!(sink.received().len(), 1, "delivery is unaffected");
+        assert_eq!(sink.received().len(), 2, "delivery is unaffected");
         assert!(
             broker.trace_spans().is_empty(),
             "no spans while recording is disabled"
         );
-        assert_eq!(broker.obs_snapshot().published, 0);
+        assert_eq!(
+            broker.obs_snapshot().stage("match").unwrap().count,
+            timed,
+            "no stage samples while recording is disabled"
+        );
+        assert_eq!(broker.stats().published, 2, "the count moved");
         // Switched off is still an answer, not a fault: GetMetrics
-        // serves the (frozen) exposition through the same handler that
-        // keeps mediating traffic.
+        // serves the exposition through the same handler that keeps
+        // mediating traffic, its counters current.
         let req = Envelope::new(SoapVersion::V11).with_body(Element::ns(
             wsm_messenger::render::WSM_NS,
             "GetMetrics",
@@ -156,12 +169,15 @@ mod spans {
             .child_ns(wsm_messenger::render::WSM_NS, "Exposition")
             .unwrap()
             .text();
-        assert!(text.contains("wsm_published_total 0"), "got:\n{text}");
-        broker.publish_on("storms", &Element::local("still quiet"));
-        assert_eq!(sink.received().len(), 2, "traffic still flows");
+        assert!(text.contains("wsm_published_total 2"), "got:\n{text}");
+        assert!(text.contains("wsm_delivered_wse_total 2"), "got:\n{text}");
+        assert!(
+            text.contains("wsm_outcome_delivered_total 2"),
+            "got:\n{text}"
+        );
         broker.set_obs_enabled(true);
-        broker.publish_on("storms", &Element::local("loud"));
-        assert_eq!(broker.obs_snapshot().published, 1);
+        broker.publish_on("storms", &Element::local("loud again"));
+        assert_eq!(broker.stats().published, 3);
         assert!(!broker.trace_spans().is_empty());
     }
 
@@ -185,7 +201,8 @@ mod spans {
             .unwrap()
             .text();
         assert!(text.contains("wsm_published_total 1"), "got:\n{text}");
-        assert!(text.contains("wsm_delivered_total 1"));
+        assert!(text.contains("wsm_delivered_wse_total 1"));
+        assert!(text.contains("wsm_delivered_wsn_total 0"));
         assert!(
             text.contains("wsm_subscriptions 1"),
             "gauge refreshed at scrape"
@@ -313,10 +330,10 @@ mod spans {
             "resolve span carries publish->dead-letter latency"
         );
         assert!(e2e >= 50, "covers the backoff chain, got {e2e}ms");
-        let snap = broker.obs_snapshot();
-        assert_eq!(snap.outcome_dead_lettered, 1);
+        assert_eq!(broker.stats().dead_lettered, 1);
         assert_eq!(
-            snap.e2e_latency_ms.max, e2e,
+            broker.obs_snapshot().e2e_latency_ms.max,
+            e2e,
             "the e2e histogram saw the full publish->dead-letter latency"
         );
     }
@@ -609,12 +626,14 @@ fn parallel_fanout_trace_attributes_workers_and_outcomes() {
     );
 }
 
-/// With fault tolerance on, the broker keeps two ledgers of delivery
-/// outcomes — `stats()` and the `wsm_*_total` counters — and both count
-/// first-round sends and redeliveries alike.
+/// The broker keeps one ledger of what it mediated: each `stats()`
+/// field is one counter, exposed as its `wsm_*_total` line, counting
+/// first-round sends and redeliveries alike, whether or not
+/// observability is recording.
 mod ledgers {
     use super::*;
-    use wsm_messenger::FaultTolerance;
+    use wsm_eventing::DeliveryMode;
+    use wsm_messenger::{FaultTolerance, FederatedMessenger, MediationStats};
 
     fn fault_tolerant(poison_budget: u32) -> (Network, WsMessenger, EventSink) {
         let net = Network::new();
@@ -658,14 +677,13 @@ mod ledgers {
         assert_eq!(sink.received().len(), 1);
         let stats = broker.stats();
         assert_eq!(stats.redelivered, 1);
+        let text = broker.metrics_text();
         assert_eq!(
-            broker.obs_snapshot().delivered,
+            metric(&text, "wsm_delivered_wse_total") + metric(&text, "wsm_delivered_wsn_total"),
             stats.delivered_wse + stats.delivered_wsn
         );
-        assert_eq!(
-            metric(&broker.metrics_text(), "wsm_mediated_total"),
-            stats.mediated
-        );
+        assert_eq!(stats.delivered_wse, 1);
+        assert_eq!(metric(&text, "wsm_mediated_total"), stats.mediated);
         assert_eq!(stats.mediated, 1);
     }
 
@@ -680,7 +698,148 @@ mod ledgers {
         let stats = broker.stats();
         assert_eq!(stats.dead_lettered, 1);
         assert_eq!(stats.failed, 1);
-        assert_eq!(broker.obs_snapshot().failed, stats.failed);
+        assert_eq!(
+            metric(&broker.metrics_text(), "wsm_failed_total"),
+            stats.failed
+        );
+    }
+
+    /// Each ledger count beside the name of its exposition line.
+    fn ledger(s: MediationStats) -> [(&'static str, u64); 8] {
+        [
+            ("wsm_published_total", s.published),
+            ("wsm_delivered_wse_total", s.delivered_wse),
+            ("wsm_delivered_wsn_total", s.delivered_wsn),
+            ("wsm_mediated_total", s.mediated),
+            ("wsm_failed_total", s.failed),
+            ("wsm_retried_total", s.retried),
+            ("wsm_redelivered_total", s.redelivered),
+            ("wsm_dead_letters_total", s.dead_lettered),
+        ]
+    }
+
+    /// Assert every `stats()` field equals its exposition line, and
+    /// return the stats.
+    fn assert_ledger_is_exposed(broker: &WsMessenger) -> MediationStats {
+        let stats = broker.stats();
+        let text = broker.metrics_text();
+        for (name, count) in ledger(stats) {
+            assert_eq!(metric(&text, name), count, "{name}");
+        }
+        stats
+    }
+
+    #[test]
+    fn counts_survive_the_kill_switch() {
+        let net = Network::new();
+        let (broker, sink) = broker_with_wse_sink(&net);
+        broker.set_obs_enabled(false);
+        broker.publish_raw(&Element::local("quiet"));
+        assert_eq!(sink.received().len(), 1);
+        let stats = assert_ledger_is_exposed(&broker);
+        assert_eq!((stats.published, stats.delivered_wse), (1, 1));
+    }
+
+    /// The ledger lives on each shard; the front moves none of its
+    /// counts, so it exposes none of them.
+    #[test]
+    fn front_exposes_no_frozen_broker_counters() {
+        let net = Network::new();
+        let fed = FederatedMessenger::start(&net, "http://fed", 2);
+        let sink = EventSink::start(&net, "http://sink", WseVersion::Aug2004);
+        Subscriber::new(&net, WseVersion::Aug2004)
+            .subscribe(fed.uri(), SubscribeRequest::push(sink.epr()))
+            .unwrap();
+        for i in 0..5 {
+            fed.publish_on("storms", &Element::local(format!("e{i}")));
+        }
+        fed.flush();
+        assert_eq!(sink.received().len(), 5);
+        let published: u64 = fed
+            .shards()
+            .iter()
+            .map(|s| metric(&s.metrics_text(), "wsm_published_total"))
+            .sum();
+        assert_eq!(published, 5, "the shards count what they ingest");
+        let text = fed.metrics_text();
+        for (name, _) in ledger(MediationStats::default()) {
+            assert!(
+                !text.lines().any(|l| l.starts_with(&format!("{name} "))),
+                "the front exposes {name}:\n{text}"
+            );
+        }
+    }
+
+    /// One mix that moves every count: a poisoned and a twice-dropped
+    /// push with fault tolerance on, a WSN publication mediated to the
+    /// WS-Eventing consumer, a WSN consumer, a pulled and a flushed
+    /// wrapped WS-Eventing subscriber, and a dead letter redelivered on
+    /// request.
+    #[test]
+    fn every_stat_is_its_exposition_line() {
+        let net = Network::new();
+        let (broker, sink) = broker_with_wse_sink(&net);
+        broker.set_fanout_workers(1);
+        broker.set_fault_tolerance(Some(FaultTolerance {
+            poison_budget: 1,
+            ..FaultTolerance::seeded(42)
+        }));
+        let consumer = NotificationConsumer::start(&net, "http://nc", WsnVersion::V1_3);
+        WsnClient::new(&net, WsnVersion::V1_3)
+            .subscribe(broker.uri(), &WsnSubscribeRequest::new(consumer.epr()))
+            .unwrap();
+        let subscribe = |addr: &str, mode| {
+            let epr = wsm_addressing::EndpointReference::new(addr);
+            Subscriber::new(&net, WseVersion::Aug2004)
+                .subscribe(broker.uri(), SubscribeRequest::push(epr).with_mode(mode))
+                .unwrap()
+        };
+        let puller = subscribe("http://puller", DeliveryMode::Pull);
+        let wrapped = EventSink::start(&net, "http://wrapped", WseVersion::Aug2004);
+        subscribe("http://wrapped", DeliveryMode::Wrapped);
+
+        net.fault_next("http://sink", 1);
+        broker.publish_raw(&Element::local("poisoned"));
+        net.drop_next("http://sink", 2);
+        broker.publish_raw(&Element::local("dropped twice"));
+        // Held behind the dropped event, then mediated by the pump.
+        net.send(
+            "http://broker",
+            notify_envelope("storms", Element::local("mediated")),
+        )
+        .unwrap();
+        broker.drain_redeliveries(600_000);
+        let pulled = Subscriber::new(&net, WseVersion::Aug2004)
+            .pull(&puller, 10)
+            .unwrap();
+        assert_eq!(pulled.len(), 3);
+        assert_eq!(broker.flush_wrapped(), 1);
+        assert!(!wrapped.received().is_empty());
+        let redeliver = Envelope::new(SoapVersion::V11).with_body(Element::ns(
+            wsm_messenger::render::WSM_NS,
+            "RedeliverDeadLetters",
+            "wsm",
+        ));
+        let resp = net.request("http://broker", redeliver).unwrap();
+        assert_eq!(resp.body().and_then(|b| b.attr("Count")), Some("1"));
+        broker.drain_redeliveries(600_000);
+        assert_eq!(sink.received().len(), 3);
+        assert_eq!(consumer.notifications().len(), 3);
+
+        let stats = assert_ledger_is_exposed(&broker);
+        assert_eq!(
+            stats,
+            MediationStats {
+                published: 3,
+                delivered_wse: 3,
+                delivered_wsn: 3,
+                mediated: 1,
+                failed: 1,
+                retried: 1,
+                redelivered: 3,
+                dead_lettered: 1,
+            }
+        );
     }
 
     /// A push attempt is a first send exactly when its event was never

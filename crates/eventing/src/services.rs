@@ -694,9 +694,9 @@ mod tests {
             )
             .unwrap();
         source.publish(&Element::local("e"));
-        // No EndTo: the only trace entries are the failed push.
+        // No EndTo: the failed push is the only send to no endpoint.
         assert_eq!(
-            net.count_outcomes(|o| matches!(o, wsm_transport::DeliveryOutcome::NoEndpoint)),
+            net.metrics().counter("net_outcome_no_endpoint_total").get(),
             1
         );
     }

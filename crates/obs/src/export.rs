@@ -3,7 +3,6 @@
 use crate::metrics::{Metric, MetricsRegistry};
 use crate::slo::SloReport;
 use crate::span::{SpanRecord, SpanRing};
-use parking_lot::Mutex;
 use std::fmt::Write as _;
 
 /// Escape a Prometheus label *value*: backslash, double quote, and
@@ -132,24 +131,6 @@ pub fn slo_prometheus(reports: &[SloReport]) -> String {
     out
 }
 
-/// One SLO report as a single JSON object (no trailing newline).
-pub fn slo_json(r: &SloReport) -> String {
-    format!(
-        "{{\"slo\":\"{}\",\"quantile\":{},\"target_ms\":{},\"window_ms\":{},\"measured_ms\":{:.3},\"total\":{},\"bad\":{},\"bad_fraction\":{:.6},\"error_budget\":{},\"burn_rate\":{:.6},\"pass\":{}}}",
-        escape_json(&r.name),
-        r.quantile,
-        r.target_ms,
-        r.window_ms,
-        r.measured_ms,
-        r.total,
-        r.bad,
-        r.bad_fraction,
-        r.error_budget,
-        r.burn_rate,
-        r.pass
-    )
-}
-
 fn escape_json(v: &str) -> String {
     let mut out = String::with_capacity(v.len());
     for ch in v.chars() {
@@ -215,74 +196,6 @@ pub fn ring_jsonl(ring: &SpanRing) -> String {
     out
 }
 
-/// An in-memory JSONL event sink.
-///
-/// Spans append as serialized lines; [`JsonlSink::dump`] yields the
-/// accumulated document and [`JsonlSink::write_to`] streams it to any
-/// writer (a file, a socket). The sink takes its own lock per append,
-/// so fan-out workers can feed it directly.
-#[derive(Debug, Default)]
-pub struct JsonlSink {
-    lines: Mutex<Vec<String>>,
-}
-
-impl JsonlSink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        JsonlSink::default()
-    }
-
-    /// Append one span event.
-    pub fn push(&self, span: &SpanRecord) {
-        self.lines.lock().push(span_json(span));
-    }
-
-    /// Append many span events.
-    pub fn extend(&self, spans: &[SpanRecord]) {
-        let mut lines = self.lines.lock();
-        lines.extend(spans.iter().map(span_json));
-    }
-
-    /// Append a gauge line (`{"gauge":NAME,"value":V}`), e.g. the
-    /// span-loss count accompanying a ring dump.
-    pub fn push_gauge(&self, name: &str, value: u64) {
-        self.lines.lock().push(format!(
-            "{{\"gauge\":\"{}\",\"value\":{value}}}",
-            escape_json(name)
-        ));
-    }
-
-    /// Number of buffered events.
-    pub fn len(&self) -> usize {
-        self.lines.lock().len()
-    }
-
-    /// Is the sink empty?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The accumulated JSONL document.
-    pub fn dump(&self) -> String {
-        let lines = self.lines.lock();
-        let mut out = String::new();
-        for l in lines.iter() {
-            out.push_str(l);
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Stream the accumulated document to `w` and clear the sink.
-    pub fn write_to(&self, w: &mut impl std::io::Write) -> std::io::Result<()> {
-        let lines: Vec<String> = std::mem::take(&mut *self.lines.lock());
-        for l in lines {
-            writeln!(w, "{l}")?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,21 +240,15 @@ mod tests {
 
     #[test]
     fn jsonl_one_line_per_span() {
-        let sink = JsonlSink::new();
         let mut s = SpanRecord::new(7, Stage::Deliver, 12, 900, 2);
         s.worker = Some("wsm-push-1".into());
-        sink.push(&s);
-        sink.extend(&[SpanRecord::new(8, Stage::Match, 13, 100, 5)]);
-        let doc = sink.dump();
+        let doc = spans_jsonl(&[s, SpanRecord::new(8, Stage::Match, 13, 100, 5)]);
         let lines: Vec<&str> = doc.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("\"stage\":\"deliver\""));
         assert!(lines[0].contains("\"worker\":\"wsm-push-1\""));
         assert!(lines[1].contains("\"seq\":8"));
-        let mut buf = Vec::new();
-        sink.write_to(&mut buf).unwrap();
-        assert_eq!(String::from_utf8(buf).unwrap(), doc);
-        assert!(sink.is_empty(), "write_to drains");
+        assert!(doc.ends_with('\n'));
     }
 
     #[test]

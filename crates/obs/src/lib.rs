@@ -25,9 +25,8 @@
 //!   ([`SloSpec`]) over terminal outcomes, with rolling-window
 //!   error-budget accounting and burn rate ([`SloReport`]);
 //! * **exporters**: a Prometheus-style text exposition
-//!   ([`export::prometheus`], [`export::slo_prometheus`]) and a JSONL
-//!   event sink ([`export::spans_jsonl`], [`export::ring_jsonl`],
-//!   [`export::JsonlSink`]).
+//!   ([`export::prometheus`], [`export::slo_prometheus`]) and JSONL
+//!   span documents ([`export::spans_jsonl`], [`export::ring_jsonl`]).
 //!
 //! Timestamps are supplied by the caller (the workspace's virtual clock
 //! `wsm_transport::clock::SimClock` for span positions, wall-clock
@@ -56,8 +55,7 @@ pub mod slo;
 pub mod span;
 pub mod timeline;
 
-pub use export::JsonlSink;
 pub use metrics::{Counter, Gauge, Histogram, HistogramStats, MetricsRegistry};
 pub use slo::{SloEngine, SloReport, SloSpec};
 pub use span::{Outcome, SpanRecord, SpanRing, Stage, TraceContext};
-pub use timeline::{reconstruct, story_for, DeliveryStory};
+pub use timeline::{reconstruct, DeliveryStory};

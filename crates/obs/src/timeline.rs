@@ -103,14 +103,6 @@ pub fn reconstruct(spans: &[SpanRecord]) -> Vec<DeliveryStory> {
     out
 }
 
-/// The story of one specific (event, subscriber) pair, if the ring
-/// still holds any of its spans.
-pub fn story_for(spans: &[SpanRecord], seq: u64, subscriber: &str) -> Option<DeliveryStory> {
-    reconstruct(spans)
-        .into_iter()
-        .find(|st| st.seq == seq && st.subscriber == subscriber)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,7 +142,13 @@ mod tests {
 
         let stories = reconstruct(&spans);
         assert_eq!(stories.len(), 2);
-        let story = story_for(&spans, 9, "sub-a").unwrap();
+        let story_of = |subscriber: &str| {
+            stories
+                .iter()
+                .find(|st| st.seq == 9 && st.subscriber == subscriber)
+                .unwrap()
+        };
+        let story = story_of("sub-a");
         assert_eq!(story.outcome, Some(Outcome::DeadLettered));
         assert_eq!(story.published_at_ms, Some(100));
         assert_eq!(story.resolved_at_ms, Some(140));
@@ -162,7 +160,7 @@ mod tests {
         assert_eq!(at, sorted, "spans are in causal order");
         assert_eq!(story.spans.last().unwrap().stage, Stage::Resolve);
 
-        let quick = story_for(&spans, 9, "sub-b").unwrap();
+        let quick = story_of("sub-b");
         assert_eq!(quick.outcome, Some(Outcome::Delivered));
     }
 }

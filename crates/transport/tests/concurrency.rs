@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 use wsm_soap::{Envelope, Fault, SoapVersion};
-use wsm_transport::{DeliveryOutcome, Network, SoapHandler};
+use wsm_transport::{Network, SoapHandler};
 use wsm_xml::Element;
 
 struct Counter(AtomicUsize);
@@ -45,8 +45,8 @@ fn concurrent_sends_are_all_delivered() {
     }
     assert_eq!(counter.0.load(Ordering::SeqCst), THREADS * PER_THREAD);
     assert_eq!(
-        net.count_outcomes(|o| *o == DeliveryOutcome::Delivered),
-        THREADS * PER_THREAD
+        net.metrics().counter("net_outcome_delivered_total").get(),
+        (THREADS * PER_THREAD) as u64
     );
 }
 

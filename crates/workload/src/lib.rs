@@ -124,7 +124,7 @@ fn judge(name: &'static str, events: u64, broker: &WsMessenger) -> ScenarioResul
         name,
         events,
         delivered: snap.outcome_delivered,
-        dead_lettered: snap.outcome_dead_lettered,
+        dead_lettered: broker.stats().dead_lettered,
         expired: snap.outcome_expired,
         p50_ms: snap.e2e_latency_ms.p50,
         p95_ms: snap.e2e_latency_ms.p95,
@@ -813,7 +813,7 @@ pub fn federated_zipf(seed: u64) -> ScenarioResult {
         name: "federated_zipf",
         events: n,
         delivered: snaps.iter().map(|s| s.outcome_delivered).sum(),
-        dead_lettered: snaps.iter().map(|s| s.outcome_dead_lettered).sum(),
+        dead_lettered: fed.shards().iter().map(|s| s.stats().dead_lettered).sum(),
         expired: snaps.iter().map(|s| s.outcome_expired).sum(),
         p50_ms: snaps
             .iter()

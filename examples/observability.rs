@@ -85,7 +85,8 @@ fn main() {
 
     // 1. Per-stage latency: where a publication's time goes.
     let snap = broker.obs_snapshot();
-    println!("pipeline stages over {} publications:", snap.published);
+    let ledger = broker.stats();
+    println!("pipeline stages over {} publications:", ledger.published);
     println!(
         "  {:<12} {:>6} {:>10} {:>10}",
         "stage", "count", "p50 µs", "p99 µs"
@@ -104,7 +105,7 @@ fn main() {
     }
     println!(
         "terminal outcomes: {} delivered, {} dead-lettered, {} expired",
-        snap.outcome_delivered, snap.outcome_dead_lettered, snap.outcome_expired
+        snap.outcome_delivered, ledger.dead_lettered, snap.outcome_expired
     );
     println!(
         "end-to-end latency (publish → resolution): p50 {:.0}ms, p99 {:.0}ms, max {}ms\n",
