@@ -21,6 +21,41 @@ fn table1_has_all_rows_and_columns() {
     assert_eq!(cell("Require WSRF", 3), "No");
 }
 
+/// Tables 1–3 and the §V.4 message diff, byte for byte. The goldens in
+/// `tests/golden/` are what the generators print; a change to a dialect
+/// fact that moves any cell or finding shows up here as a text diff.
+#[test]
+fn paper_artifacts_match_their_goldens() {
+    let artifacts = [
+        (
+            "table1",
+            compare::render_table1(),
+            include_str!("golden/table1.txt"),
+        ),
+        (
+            "table2",
+            compare::render_table2(),
+            include_str!("golden/table2.txt"),
+        ),
+        (
+            "table3",
+            compare::render_table3(),
+            include_str!("golden/table3.txt"),
+        ),
+        (
+            "msgdiff",
+            compare::run_msgdiff().render(),
+            include_str!("golden/msgdiff.txt"),
+        ),
+    ];
+    for (name, rendered, golden) in artifacts {
+        assert_eq!(
+            rendered, golden,
+            "{name} differs from tests/golden/{name}.txt"
+        );
+    }
+}
+
 #[test]
 fn table2_and_table3_shapes() {
     assert_eq!(compare::table2().len(), 7);
