@@ -2,8 +2,8 @@
 
 use crate::epr::EndpointReference;
 use crate::WsaVersion;
-use wsm_soap::Envelope;
-use wsm_xml::Element;
+use wsm_soap::{Envelope, SoapVersion};
+use wsm_xml::{Element, Node};
 
 /// The WS-Addressing message-addressing properties (MAPs) of one
 /// message: `To`, `Action`, `MessageID`, `RelatesTo`, `ReplyTo`,
@@ -48,6 +48,23 @@ impl MessageHeaders {
             echoed_reference_data: epr.all_reference_data().cloned().collect(),
             ..Default::default()
         }
+    }
+
+    /// A raw (unwrapped) delivery: `event`, a plain or shared element,
+    /// is the whole SOAP body, addressed at `to` under [`raw_action`].
+    /// WS-Eventing's notification and WS-Notification's `UseRaw`
+    /// delivery are this one envelope in different SOAP and
+    /// WS-Addressing versions.
+    pub fn raw_delivery(
+        soap: SoapVersion,
+        wsa: WsaVersion,
+        to: &EndpointReference,
+        event: Node,
+    ) -> Envelope {
+        let action = event.as_element().map(raw_action).unwrap_or_default();
+        let mut env = Envelope::new(soap).with_body_node(event);
+        MessageHeaders::to_epr(to, action).apply(&mut env, wsa);
+        env
     }
 
     /// Builder-style message id.
@@ -134,6 +151,16 @@ impl MessageHeaders {
             }
         }
         None
+    }
+}
+
+/// The implied WS-Addressing action of a raw event delivery: the event
+/// element's expanded name as a URI, `urn:wsm:event/<local>` when it
+/// has no namespace.
+pub fn raw_action(event: &Element) -> String {
+    match &event.name.ns {
+        Some(ns) => format!("{ns}/{}", event.name.local),
+        None => format!("urn:wsm:event/{}", event.name.local),
     }
 }
 

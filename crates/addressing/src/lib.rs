@@ -24,7 +24,7 @@ pub mod epr;
 pub mod headers;
 
 pub use epr::EndpointReference;
-pub use headers::MessageHeaders;
+pub use headers::{raw_action, MessageHeaders};
 
 /// The WS-Addressing specification versions in play.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -26,6 +26,7 @@ use std::time::Instant;
 use wsm_addressing::EndpointReference;
 use wsm_bench::{broker_with_subscribers, make_event, measure_allocs, AllocSample};
 use wsm_eventing::{Filter, SubscribeRequest, WseCodec, WseVersion};
+use wsm_messenger::SpecDialect;
 use wsm_notification::{
     NotificationMessage, SharedNotificationMessage, WsnCodec, WsnFilter, WsnSubscribeRequest,
     WsnVersion,
@@ -76,7 +77,10 @@ fn bench_codec(c: &mut Criterion) {
         let req =
             SubscribeRequest::push(consumer.clone()).with_filter(Filter::xpath("/event[@sev>3]"));
         group.bench_function(
-            format!("subscribe_roundtrip_{}", v.label().replace([' ', '/'], "_")),
+            format!(
+                "subscribe_roundtrip_{}",
+                SpecDialect::Wse(v).label().replace([' ', '/'], "_")
+            ),
             |b| {
                 b.iter(|| {
                     let env = codec.subscribe("http://broker", &req);
@@ -94,7 +98,10 @@ fn bench_codec(c: &mut Criterion) {
             .with_filter(WsnFilter::topic("jobs/status"))
             .with_filter(WsnFilter::content("/event[@sev>3]"));
         group.bench_function(
-            format!("subscribe_roundtrip_{}", v.label().replace([' ', '/'], "_")),
+            format!(
+                "subscribe_roundtrip_{}",
+                SpecDialect::Wsn(v).label().replace([' ', '/'], "_")
+            ),
             |b| {
                 b.iter(|| {
                     let env = codec.subscribe("http://broker", &req);

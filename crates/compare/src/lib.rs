@@ -8,7 +8,7 @@
 //!
 //! | Artifact | Module | Source of truth |
 //! |---|---|---|
-//! | Table 1 (version evolution) | [`mod@table1`] | capability methods on `WseVersion` / `WsnVersion` |
+//! | Table 1 (version evolution) | [`mod@table1`] | the broker's dialect profiles (`SpecDialect::profile`) plus the version predicates on `WseVersion` / `WsnVersion` |
 //! | Table 2 (function mapping) | [`mod@table2`] | the operations the service handlers actually implement |
 //! | Table 3 (six-spec comparison) | [`mod@table3`] | the substrate crates (CORBA, JMS, OGSI, WSN, WSE) |
 //! | Fig. 1 / Fig. 2 (architectures) | [`figures`] | entity/interaction declarations mirroring the running services |

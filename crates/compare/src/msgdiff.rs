@@ -184,12 +184,9 @@ pub fn run_msgdiff() -> MsgDiffReport {
     );
 
     // --- SubscribeResponse: same manager, same subscription id.
-    let manager = EndpointReference::new(format!("{broker}/subscriptions"));
+    let manager = format!("{broker}/subscriptions");
     let handle = SubscriptionHandle {
-        manager: manager.clone().with_reference(
-            WseVersion::Aug2004.wsa(),
-            Element::ns(WseVersion::Aug2004.ns(), "Identifier", "wse").with_text("sub-1"),
-        ),
+        manager: wse.manager_epr(&manager, "sub-1"),
         id: "sub-1".into(),
         expires: None,
         version: WseVersion::Aug2004,
@@ -212,6 +209,7 @@ pub fn run_msgdiff() -> MsgDiffReport {
         mode: BrokerDeliveryMode::Push,
         use_raw: false,
     };
+    let manager = EndpointReference::new(manager);
     let wse_notif = render_notification(
         &mk_sub(SpecDialect::Wse(WseVersion::Aug2004)),
         &event,
@@ -360,16 +358,14 @@ pub fn run_version_msgdiff() -> MsgDiffReport {
     let sub_old = wse_old.subscribe(broker, &req);
     let sub_new = wse_new.subscribe(broker, &req);
     let mk_handle = |v: WseVersion| {
-        let manager = if v.id_in_reference_parameters() {
-            EndpointReference::new(format!("{broker}/manager")).with_reference(
-                v.wsa(),
-                Element::ns(v.ns(), "Identifier", "wse").with_text("sub-1"),
-            )
+        // 01/2004's event source is its own subscription manager.
+        let manager = if v.has_separate_subscription_manager() {
+            format!("{broker}/manager")
         } else {
-            EndpointReference::new(broker)
+            broker.to_string()
         };
         SubscriptionHandle {
-            manager,
+            manager: WseCodec::new(v).manager_epr(&manager, "sub-1"),
             id: "sub-1".into(),
             expires: None,
             version: v,
@@ -384,7 +380,7 @@ pub fn run_version_msgdiff() -> MsgDiffReport {
     let wsn_req = WsnSubscribeRequest::new(consumer).with_filter(WsnFilter::topic("storms"));
     let wsub_old = wsn_old.subscribe(broker, &wsn_req);
     let wsub_new = wsn_new.subscribe(broker, &wsn_req);
-    let manager = EndpointReference::new(format!("{broker}/subscriptions"));
+    let manager = format!("{broker}/subscriptions");
     let wresp_old = wsn_old.subscribe_response(&manager, "s-1", 0, None);
     let wresp_new = wsn_new.subscribe_response(&manager, "s-1", 0, None);
 

@@ -34,7 +34,6 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use wsm_addressing::EndpointReference;
 use wsm_eventing::{EndStatus, Expires, WseCodec};
 use wsm_obs::{Counter, MetricsRegistry};
 use wsm_soap::Fault;
@@ -457,7 +456,7 @@ impl WsMessenger {
         let mut batches = 0;
         let buffers = inner.outboxes.lock().take_wrapped();
         for (sub, held) in buffers {
-            let epr = subscription_epr(&inner.manager_uri, &sub.id, sub.spec);
+            let epr = sub.spec.manager_epr(&inner.manager_uri, &sub.id);
             let payloads: Vec<_> = held.iter().map(|h| h.payload().clone()).collect();
             let env = render_batch(&sub, &payloads, &inner.uri, &epr);
             if inner.net.send(&sub.consumer.address, env).is_ok() {
@@ -790,7 +789,7 @@ fn retire<'a>(
         let Some(sub) = sub else { continue };
         removed += 1;
         if let (Some(status), SpecDialect::Wse(v), Some(end_to)) = (end, sub.spec, &sub.end_to) {
-            let manager = subscription_epr(&inner.manager_uri, &sub.id, sub.spec);
+            let manager = sub.spec.manager_epr(&inner.manager_uri, &sub.id);
             let env = WseCodec::new(v).subscription_end(
                 end_to,
                 &manager,
@@ -804,21 +803,6 @@ fn retire<'a>(
         demand_changed(inner);
     }
     removed
-}
-
-/// The EPR a subscriber manages subscription `id` through, at `manager`.
-pub(crate) fn subscription_epr(manager: &str, id: &str, spec: SpecDialect) -> EndpointReference {
-    let epr = EndpointReference::new(manager.to_string());
-    match spec {
-        SpecDialect::Wse(v) if v.id_in_reference_parameters() => epr.with_reference(
-            v.wsa(),
-            Element::ns(v.ns(), "Identifier", "wse").with_text(id),
-        ),
-        SpecDialect::Wse(_) => epr,
-        // Kept in lockstep with the cached render path, which patches
-        // the same EPR shape into its SubscriptionReference prototype.
-        SpecDialect::Wsn(v) => crate::render::wsn_subscription_epr(v, manager, id),
-    }
 }
 
 // ------------------------------------------------------- control plane

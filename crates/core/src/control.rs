@@ -29,7 +29,7 @@
 //! Publications (a WSN `Notify` or a bare payload) take the ingest path
 //! unchanged.
 
-use crate::broker::{subscription_epr, WsMessenger};
+use crate::broker::WsMessenger;
 use crate::brokered::Registration;
 use crate::detect::SpecDialect;
 use crate::event::InternalEvent;
@@ -40,8 +40,8 @@ use crate::reliability::DeadLetter;
 use crate::render::WSM_NS;
 use std::sync::Arc;
 use std::time::Instant;
-use wsm_addressing::{EndpointReference, WsaVersion};
-use wsm_eventing::{Expires, SubscriptionHandle, WseCodec, WseVersion};
+use wsm_addressing::EndpointReference;
+use wsm_eventing::{Expires, SubscriptionHandle, WseCodec};
 use wsm_notification::{Termination, WsnCodec, WsnFilter, WsnVersion};
 use wsm_soap::{Envelope, Fault, SoapVersion};
 use wsm_topics::TopicExpression;
@@ -121,13 +121,12 @@ impl OpKind {
 
     /// The namespace of the request's body element in `dialect`.
     pub fn ns(self, dialect: SpecDialect) -> &'static str {
-        match (self, dialect) {
-            (OpKind::Destroy | OpKind::SetTerminationTime, _) => WSRF_RL_NS,
-            (OpKind::GetResourceProperty, _) => WSRF_RP_NS,
-            (OpKind::RegisterPublisher | OpKind::CreatePullPoint, SpecDialect::Wsn(v)) => {
-                v.brokered_ns()
-            }
-            _ => dialect.ns(),
+        let p = dialect.profile();
+        match self {
+            OpKind::Destroy | OpKind::SetTerminationTime => WSRF_RL_NS,
+            OpKind::GetResourceProperty => WSRF_RP_NS,
+            OpKind::RegisterPublisher | OpKind::CreatePullPoint => p.brokered_ns.unwrap_or(p.ns),
+            _ => p.ns,
         }
     }
 }
@@ -160,23 +159,24 @@ impl SpecDialect {
     }
 }
 
-/// Every namespace a broker or front processes: both spec families
-/// (every version, base and brokered), the three WS-Addressing versions,
-/// WSRF, and the broker's own extension namespace.
-static UNDERSTOOD_NAMESPACES: [&str; 12] = [
-    WseVersion::Jan2004.ns(),
-    WseVersion::Aug2004.ns(),
-    WsnVersion::V1_0.ns(),
-    WsnVersion::V1_0.brokered_ns(),
-    WsnVersion::V1_3.ns(),
-    WsnVersion::V1_3.brokered_ns(),
-    WsaVersion::V200303.ns(),
-    WsaVersion::V200408.ns(),
-    WsaVersion::V200508.ns(),
-    WSRF_RL_NS,
-    WSRF_RP_NS,
-    WSM_NS,
-];
+/// Every namespace a broker or front processes: each dialect's base
+/// and brokered namespaces and WS-Addressing version, WSRF, and the
+/// broker's own extension namespace.
+static UNDERSTOOD_NAMESPACES: [&str; 15] = {
+    let mut understood = [WSM_NS; 15];
+    (understood[1], understood[2]) = (WSRF_RL_NS, WSRF_RP_NS);
+    let mut i = 0;
+    while i < SpecDialect::ALL.len() {
+        let p = SpecDialect::ALL[i].profile();
+        understood[3 + 3 * i] = p.ns;
+        understood[4 + 3 * i] = p.wsa.ns();
+        if let Some(ns) = p.brokered_ns {
+            understood[5 + 3 * i] = ns;
+        }
+        i += 1;
+    }
+    understood
+};
 
 /// A subscription request, decoded and with its filters compiled.
 #[derive(Clone)]
@@ -260,10 +260,12 @@ pub(crate) enum Reply {
 
 /// The fault for a management request naming no live subscription.
 pub(crate) fn unknown_subscription(dialect: SpecDialect, id: &str) -> Fault {
-    let fault = Fault::sender(format!("unknown subscription {id}"));
-    match dialect {
-        SpecDialect::Wse(_) => fault,
-        SpecDialect::Wsn(_) => fault.with_subcode("wsnt:ResourceUnknownFault"),
+    Fault {
+        subcode: dialect
+            .profile()
+            .unknown_subscription_subcode
+            .map(Into::into),
+        ..Fault::sender(format!("unknown subscription {id}"))
     }
 }
 
@@ -308,8 +310,9 @@ pub(crate) fn decode(dialect: SpecDialect, request: &Envelope) -> Result<Control
         (OpKind::Renew, SpecDialect::Wse(v)) => {
             Manage::Lease(kind, WseCodec::new(v).parse_renew(request)?)
         }
-        (OpKind::Renew, SpecDialect::Wsn(v)) => {
-            Manage::Lease(kind, Some(termination(body, v.ns(), "TerminationTime")?))
+        (OpKind::Renew, SpecDialect::Wsn(_)) => {
+            let lease = termination(body, dialect.profile().ns, "TerminationTime")?;
+            Manage::Lease(kind, Some(lease))
         }
         (OpKind::SetTerminationTime, _) => {
             let lease = termination(body, WSRF_RL_NS, "RequestedTerminationTime")?;
@@ -360,7 +363,7 @@ fn lease(t: Termination) -> Expires {
 /// Decode a Subscribe and compile its filters, once: every later match,
 /// on every shard the subscription is placed on, shares the programs.
 fn subscription(dialect: SpecDialect, request: &Envelope) -> Result<Box<Subscription>, Fault> {
-    let (mut sub, filters, subcode) = match dialect {
+    let (mut sub, filters) = match dialect {
         SpecDialect::Wse(v) => {
             let req = WseCodec::new(v).parse_subscribe(request)?;
             let sub = Subscription {
@@ -377,7 +380,7 @@ fn subscription(dialect: SpecDialect, request: &Envelope) -> Result<Box<Subscrip
                 dialect: f.dialect,
                 expression: f.expression,
             });
-            (sub, Vec::from_iter(filters), "wse:FilteringNotSupported")
+            (sub, Vec::from_iter(filters))
         }
         SpecDialect::Wsn(v) => {
             let req = WsnCodec::new(v).parse_subscribe(request)?;
@@ -390,9 +393,10 @@ fn subscription(dialect: SpecDialect, request: &Envelope) -> Result<Box<Subscrip
                 use_raw: req.use_raw,
                 lease: req.initial_termination.map(lease),
             };
-            (sub, req.filters, "wsnt:InvalidFilterFault")
+            (sub, req.filters)
         }
     };
+    let subcode = dialect.profile().invalid_filter_subcode;
     let compile = |what: &str, expression: &str| {
         wsm_xpath::CompiledFilter::compile(expression)
             .map(Arc::new)
@@ -432,19 +436,14 @@ pub(crate) fn encode(dialect: Option<SpecDialect>, reply: Reply) -> Envelope {
     let body = match (reply, dialect) {
         (Reply::Subscribed(s), Some(d @ SpecDialect::Wse(v))) => {
             return WseCodec::new(v).subscribe_response(&SubscriptionHandle {
-                manager: subscription_epr(&s.manager, &s.id, d),
+                manager: d.manager_epr(&s.manager, &s.id),
                 id: s.id,
                 expires: s.requested,
                 version: v,
             })
         }
         (Reply::Subscribed(s), Some(SpecDialect::Wsn(v))) => {
-            return WsnCodec::new(v).subscribe_response(
-                &EndpointReference::new(s.manager),
-                &s.id,
-                s.now_ms,
-                s.expires_at,
-            )
+            return WsnCodec::new(v).subscribe_response(&s.manager, &s.id, s.now_ms, s.expires_at)
         }
         (Reply::Ack(OpKind::Destroy, _), Some(SpecDialect::Wsn(v))) => {
             return WsnCodec::new(v).wsrf_destroy_response()

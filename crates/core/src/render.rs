@@ -12,11 +12,11 @@
 //! copies is one header vector, plus the `Notify` body for wrapped
 //! WS-Notification; nothing after the render copies the tree again.
 
-use crate::detect::SpecDialect;
+use crate::detect::{NotificationShape, SpecDialect};
 use crate::event::InternalEvent;
 use crate::registry::BrokerSubscription;
 use std::sync::{Arc, OnceLock};
-use wsm_addressing::EndpointReference;
+use wsm_addressing::{EndpointReference, MessageHeaders};
 use wsm_eventing::WseCodec;
 use wsm_notification::{NotificationMessage, SharedNotificationMessage, WsnCodec};
 use wsm_soap::Envelope;
@@ -59,19 +59,6 @@ pub struct RenderCache {
 
 /// Four dialects, each raw or wrapped.
 const CLASSES: usize = 2 * SpecDialect::ALL.len();
-
-/// The slot of one `(dialect, raw-mode)` class in [`RenderCache`].
-fn class_slot(spec: SpecDialect, use_raw: bool) -> usize {
-    use wsm_eventing::WseVersion::{Aug2004, Jan2004};
-    use wsm_notification::WsnVersion::{V1_0, V1_3};
-    let dialect = match spec {
-        SpecDialect::Wse(Jan2004) => 0,
-        SpecDialect::Wse(Aug2004) => 1,
-        SpecDialect::Wsn(V1_0) => 2,
-        SpecDialect::Wsn(V1_3) => 3,
-    };
-    2 * dialect + usize::from(use_raw)
-}
 
 /// One equivalence class's prebuilt envelope plus the patch points.
 struct ClassTemplate {
@@ -122,35 +109,11 @@ impl RenderCache {
         spec: SpecDialect,
         use_raw: bool,
     ) -> &ClassTemplate {
-        self.classes[class_slot(spec, use_raw)].get_or_init(|| {
+        let slot = 2 * spec.index() + usize::from(use_raw);
+        self.classes[slot].get_or_init(|| {
             let placeholder = EndpointReference::new("");
-            match spec {
-                SpecDialect::Wse(v) => {
-                    let mut proto =
-                        WseCodec::new(v).notification_shared(&placeholder, &self.payload);
-                    let echo_at = proto.headers().len();
-                    if let Some(t) = &event.topic {
-                        proto.add_header(
-                            Element::ns(WSM_NS, "Topic", "wsm").with_text(t.to_string()),
-                        );
-                    }
-                    ClassTemplate {
-                        proto,
-                        echo_at,
-                        sub_ref: None,
-                    }
-                }
-                SpecDialect::Wsn(v) if use_raw => {
-                    let proto =
-                        WsnCodec::new(v).raw_notification_shared(&placeholder, &self.payload);
-                    let echo_at = proto.headers().len();
-                    ClassTemplate {
-                        proto,
-                        echo_at,
-                        sub_ref: None,
-                    }
-                }
-                SpecDialect::Wsn(v) => {
+            match (spec, wrapped(spec, use_raw)) {
+                (SpecDialect::Wsn(v), true) => {
                     let message = SharedNotificationMessage {
                         topic: event.topic.clone(),
                         producer: event
@@ -160,12 +123,25 @@ impl RenderCache {
                         subscription: None,
                         message: Arc::clone(&self.payload),
                     };
-                    let proto = WsnCodec::new(v).notify_shared(&placeholder, &[message]);
-                    let echo_at = proto.headers().len();
+                    let codec = WsnCodec::new(v);
+                    let proto = codec.notify_shared(&placeholder, &[message]);
+                    // The manager EPR with no id text yet: its shape is
+                    // `[Address, <reference container>[identifier]]`, so
+                    // the per-subscriber patch finds the id by position.
+                    let manager = codec.manager_epr(manager_uri, "");
+                    ClassTemplate {
+                        echo_at: proto.headers().len(),
+                        proto,
+                        sub_ref: Some(codec.subscription_reference(&manager)),
+                    }
+                }
+                _ => {
+                    let payload = Node::Shared(Arc::clone(&self.payload));
+                    let (proto, echo_at) = raw(spec, &placeholder, payload, event);
                     ClassTemplate {
                         proto,
                         echo_at,
-                        sub_ref: Some(subscription_reference_proto(v, manager_uri)),
+                        sub_ref: None,
                     }
                 }
             }
@@ -173,47 +149,34 @@ impl RenderCache {
     }
 }
 
-/// The subscription-manager EPR the broker mints for subscription `id`
-/// under a WSN dialect: the manager address plus the dialect's
-/// subscription-identifier element in the WSA-version-appropriate
-/// reference container.
-pub fn wsn_subscription_epr(
-    v: wsm_notification::WsnVersion,
-    manager_uri: &str,
-    id: &str,
-) -> EndpointReference {
-    EndpointReference::new(manager_uri.to_string()).with_reference(
-        v.wsa(),
-        Element::ns(
-            v.ns(),
-            wsm_notification::messages::SUBSCRIPTION_ID_LOCAL,
-            "wsnt",
-        )
-        .with_text(id),
-    )
+/// Does `spec` deliver to this subscription wrapped in a `Notify`?
+fn wrapped(spec: SpecDialect, use_raw: bool) -> bool {
+    spec.profile().notification == NotificationShape::Notify && !use_raw
 }
 
-/// The `SubscriptionReference` prototype for a class: identical to
-/// [`WsnCodec::subscription_reference`] over [`wsn_subscription_epr`],
-/// except the identifier element is still empty. Shape is fixed —
-/// `[Address, <reference container>[identifier]]` — so the per-sub
-/// patch can address the id slot by position.
-fn subscription_reference_proto(v: wsm_notification::WsnVersion, manager_uri: &str) -> Element {
-    let manager = EndpointReference::new(manager_uri.to_string()).with_reference(
-        v.wsa(),
-        Element::ns(
-            v.ns(),
-            wsm_notification::messages::SUBSCRIPTION_ID_LOCAL,
-            "wsnt",
-        ),
-    );
-    WsnCodec::new(v).subscription_reference(&manager)
+/// A raw delivery of `payload` to `to` in `spec`'s SOAP and
+/// WS-Addressing versions, with the topic header where the dialect
+/// carries its topic in one; and the header index where `to`'s echoed
+/// reference data ends (before the topic header).
+fn raw(
+    spec: SpecDialect,
+    to: &EndpointReference,
+    payload: Node,
+    event: &InternalEvent,
+) -> (Envelope, usize) {
+    let p = spec.profile();
+    let mut env = MessageHeaders::raw_delivery(p.soap, p.wsa, to, payload);
+    let echo_end = env.headers().len();
+    if let (NotificationShape::RawWithTopicHeader, Some(t)) = (p.notification, &event.topic) {
+        env.add_header(Element::ns(WSM_NS, "Topic", "wsm").with_text(t.to_string()));
+    }
+    (env, echo_end)
 }
 
 /// Render one event for one subscription through the per-publication
 /// cache. Produces envelopes byte-identical to [`render_notification`]
-/// over the subscription-manager EPR the broker mints (see
-/// [`wsn_subscription_epr`]).
+/// over the subscription-manager EPR the broker mints
+/// ([`SpecDialect::manager_epr`]).
 ///
 /// Per subscriber this takes a copy-on-write clone of the class
 /// prototype and patches the three subscriber-dependent spots — the
@@ -242,15 +205,16 @@ pub fn render_notification_cached(
     }
     if let Some(proto) = &t.sub_ref {
         let mut sub_ref = proto.clone();
-        // Proto shape is [Address, <container>[identifier]]; write this
-        // subscription's id into the identifier slot.
-        if let Some(id_el) = sub_ref
+        // Proto shape is [Address, <container>[identifier[""]]]; write
+        // this subscription's id into the identifier's text.
+        if let Some(Node::Text(id)) = sub_ref
             .children
             .get_mut(1)
             .and_then(Node::as_element_mut)
             .and_then(|c| c.children.get_mut(0).and_then(Node::as_element_mut))
+            .and_then(|id_el| id_el.children.first_mut())
         {
-            id_el.push_text(&*sub.id);
+            id.push_str(&sub.id);
         }
         // Notify > NotificationMessage: the reference is its first
         // child, exactly where `notify_envelope` places it.
@@ -271,32 +235,22 @@ pub fn render_notification(
     broker_uri: &str,
     subscription_epr: &EndpointReference,
 ) -> Envelope {
-    match sub.spec {
-        SpecDialect::Wse(v) => {
-            let codec = WseCodec::new(v);
-            let mut env = codec.notification(&sub.consumer, event.payload_element());
-            // Topic rides in a SOAP header for WSE consumers.
-            if let Some(t) = &event.topic {
-                env.add_header(Element::ns(WSM_NS, "Topic", "wsm").with_text(t.to_string()));
-            }
-            env
+    match (sub.spec, wrapped(sub.spec, sub.use_raw)) {
+        (SpecDialect::Wsn(v), true) => {
+            let msg = NotificationMessage {
+                topic: event.topic.clone(),
+                producer: event
+                    .producer
+                    .clone()
+                    .or_else(|| Some(EndpointReference::new(broker_uri.to_string()))),
+                subscription: Some(subscription_epr.clone()),
+                message: event.payload_element().clone(),
+            };
+            WsnCodec::new(v).notify(&sub.consumer, &[msg])
         }
-        SpecDialect::Wsn(v) => {
-            let codec = WsnCodec::new(v);
-            if sub.use_raw {
-                codec.raw_notification(&sub.consumer, event.payload_element())
-            } else {
-                let msg = NotificationMessage {
-                    topic: event.topic.clone(),
-                    producer: event
-                        .producer
-                        .clone()
-                        .or_else(|| Some(EndpointReference::new(broker_uri.to_string()))),
-                    subscription: Some(subscription_epr.clone()),
-                    message: event.payload_element().clone(),
-                };
-                codec.notify(&sub.consumer, &[msg])
-            }
+        _ => {
+            let payload = Node::Element(event.payload_element().clone());
+            raw(sub.spec, &sub.consumer, payload, event).0
         }
     }
 }
@@ -437,10 +391,7 @@ mod tests {
             let s = sub(spec, raw);
             // The plain path receives the same subscription-manager EPR
             // the cached path mints from (manager_uri, sub.id).
-            let epr = match spec {
-                SpecDialect::Wsn(v) => wsn_subscription_epr(v, "http://b/subscriptions", &s.id),
-                SpecDialect::Wse(_) => mgr(),
-            };
+            let epr = spec.manager_epr("http://b/subscriptions", &s.id);
             let plain = render_notification(&s, &event, "http://b", &epr);
             let cached = render_notification_cached(
                 &cache,

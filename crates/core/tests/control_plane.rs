@@ -635,3 +635,60 @@ fn a_registration_is_addressed_at_the_broker_or_front_that_took_it() {
         }
     }
 }
+
+/// The `wse:Identifier` reference parameters of an EPR.
+fn identifiers(epr: &EndpointReference) -> usize {
+    let ns = WseVersion::Aug2004.ns();
+    epr.all_reference_data()
+        .filter(|e| e.name.is(ns, "Identifier"))
+        .count()
+}
+
+/// An endpoint that counts the `wse:Identifier` headers of each request
+/// and forwards it to `target`.
+struct IdentifierSpy {
+    net: Network,
+    target: String,
+    seen: std::sync::Mutex<Vec<usize>>,
+}
+
+impl wsm_transport::SoapHandler for IdentifierSpy {
+    fn handle(&self, request: Envelope) -> Result<Option<Envelope>, wsm_soap::Fault> {
+        let ns = WseVersion::Aug2004.ns();
+        let headers = request.headers().iter();
+        let ids = headers.filter(|h| h.name.is(ns, "Identifier")).count();
+        self.seen.lock().unwrap().push(ids);
+        match self.net.request(&self.target, request) {
+            Ok(reply) => Ok(Some(reply)),
+            Err(TransportError::Fault(f)) => Err(*f),
+            Err(other) => Err(wsm_soap::Fault::receiver(other.to_string())),
+        }
+    }
+}
+
+#[test]
+fn a_wse_aug2004_subscription_manager_carries_one_identifier() {
+    let v = WseVersion::Aug2004;
+    for federated in [false, true] {
+        let net = Network::new();
+        let setup = Setup::start(&net, federated);
+        let sink = EventSink::start(&net, "http://consumer", v);
+        let subscriber = Subscriber::new(&net, v);
+        let mut handle = subscriber
+            .subscribe(BROKER, SubscribeRequest::push(sink.epr()))
+            .expect("Subscribe");
+        assert_eq!(identifiers(&handle.manager), 1, "{}", setup.name());
+
+        let spy = std::sync::Arc::new(IdentifierSpy {
+            net: net.clone(),
+            target: handle.manager.address.clone(),
+            seen: Default::default(),
+        });
+        net.register("http://spy", spy.clone());
+        handle.manager.address = "http://spy".into();
+        subscriber.unsubscribe(&handle).expect("Unsubscribe");
+        assert_eq!(*spy.seen.lock().unwrap(), [1], "{}", setup.name());
+        setup.publish(&Element::local("after"));
+        assert!(sink.received().is_empty(), "{}: unsubscribed", setup.name());
+    }
+}

@@ -10,19 +10,13 @@ use crate::model::{
     DeliveryMode, EndStatus, Expires, Filter, SubscribeRequest, SubscriptionHandle,
 };
 use crate::version::WseVersion;
+use std::sync::Arc;
 use wsm_addressing::{EndpointReference, MessageHeaders};
 use wsm_soap::{Envelope, Fault, SoapVersion};
-use wsm_xml::Element;
+use wsm_xml::{Element, Node, SharedElement};
 
-/// The implied WS-Addressing action for a raw event delivery.
-fn notification_action(event: &Element) -> String {
-    event
-        .name
-        .ns
-        .clone()
-        .map(|ns| format!("{ns}/{}", event.name.local))
-        .unwrap_or_else(|| format!("urn:wsm:event/{}", event.name.local))
-}
+/// WS-Eventing's published examples use the SOAP 1.2 envelope.
+const SOAP: SoapVersion = SoapVersion::V12;
 
 /// Message builder/parser for one WS-Eventing version.
 #[derive(Debug, Clone, Copy)]
@@ -42,11 +36,23 @@ impl WseCodec {
     }
 
     fn envelope(&self) -> Envelope {
-        Envelope::new(SoapVersion::V12)
+        Envelope::new(SOAP)
     }
 
     fn apply_maps(&self, env: &mut Envelope, maps: MessageHeaders) {
         maps.apply(env, self.version.wsa());
+    }
+
+    /// The EPR of the subscription manager at `address` managing
+    /// subscription `id`: 08/2004 plants the id as a `wse:Identifier`
+    /// reference parameter, 01/2004 returns it beside the EPR as
+    /// `wse:Id` and leaves the EPR bare.
+    pub fn manager_epr(&self, address: &str, id: &str) -> EndpointReference {
+        let epr = EndpointReference::new(address);
+        if !self.version.id_in_reference_parameters() {
+            return epr;
+        }
+        epr.with_reference(self.version.wsa(), self.el("Identifier").with_text(id))
     }
 
     // ------------------------------------------------------ Subscribe
@@ -165,31 +171,21 @@ impl WseCodec {
             .transpose()
     }
 
-    /// Build a `SubscribeResponse`.
+    /// Build a `SubscribeResponse`, with `handle.manager` written as
+    /// given (mint it with [`WseCodec::manager_epr`]).
     ///
     /// The enclosing element for the subscription id is *the* concrete
     /// difference the paper calls out: 08/2004 plants `wse:Identifier`
     /// in the manager EPR's `ReferenceParameters`; 01/2004 returns a
     /// separate `wse:Id` element.
     pub fn subscribe_response(&self, handle: &SubscriptionHandle) -> Envelope {
-        let wsa = self.version.wsa();
-        let mut body = self.el("SubscribeResponse");
-        match self.version {
-            WseVersion::Jan2004 => {
-                body.push(
-                    handle
-                        .manager
-                        .to_named_element(wsa, self.el("SubscriptionManager")),
-                );
-                body.push(self.el("Id").with_text(handle.id.clone()));
-            }
-            WseVersion::Aug2004 => {
-                let epr = handle
-                    .manager
-                    .clone()
-                    .with_reference(wsa, self.el("Identifier").with_text(handle.id.clone()));
-                body.push(epr.to_named_element(wsa, self.el("SubscriptionManager")));
-            }
+        let mut body = self.el("SubscribeResponse").with_child(
+            handle
+                .manager
+                .to_named_element(self.version.wsa(), self.el("SubscriptionManager")),
+        );
+        if !self.version.id_in_reference_parameters() {
+            body.push(self.el("Id").with_text(handle.id.clone()));
         }
         if let Some(exp) = handle.expires {
             body.push(self.el("Expires").with_text(exp.to_lexical()));
@@ -344,33 +340,20 @@ impl WseCodec {
 
     /// Build a `PullResponse` containing queued events.
     pub fn pull_response(&self, events: &[Element]) -> Envelope {
-        let mut body = self.el("PullResponse");
-        for e in events {
-            body.push(e.clone());
-        }
-        let mut env = self.envelope().with_body(body);
-        self.apply_maps(
-            &mut env,
-            MessageHeaders {
-                action: Some(self.version.action("PullResponse")),
-                ..Default::default()
-            },
-        );
-        env
+        self.pull_response_envelope(events.iter().cloned().map(Node::Element))
     }
 
     /// Build a `PullResponse` over shared event subtrees: each queued
     /// event splices its cached serialization instead of deep-cloning
     /// into the wrapper. Byte-identical to [`WseCodec::pull_response`]
     /// over the same elements.
-    pub fn pull_response_shared(
-        &self,
-        events: &[std::sync::Arc<wsm_xml::SharedElement>],
-    ) -> Envelope {
+    pub fn pull_response_shared(&self, events: &[Arc<SharedElement>]) -> Envelope {
+        self.pull_response_envelope(events.iter().cloned().map(Node::Shared))
+    }
+
+    fn pull_response_envelope(&self, events: impl Iterator<Item = Node>) -> Envelope {
         let mut body = self.el("PullResponse");
-        for e in events {
-            body.push_shared(std::sync::Arc::clone(e));
-        }
+        body.children.extend(events);
         let mut env = self.envelope().with_body(body);
         self.apply_maps(
             &mut env,
@@ -396,12 +379,7 @@ impl WseCodec {
     /// body — WS-Eventing's only defined encapsulation, per the paper's
     /// message-encapsulation comparison.
     pub fn notification(&self, to: &EndpointReference, event: &Element) -> Envelope {
-        let mut env = self.envelope().with_body(event.clone());
-        self.apply_maps(
-            &mut env,
-            MessageHeaders::to_epr(to, notification_action(event)),
-        );
-        env
+        self.raw(to, Node::Element(event.clone()))
     }
 
     /// A raw notification over a shared payload subtree, so every
@@ -411,32 +389,20 @@ impl WseCodec {
     pub fn notification_shared(
         &self,
         to: &EndpointReference,
-        event: &std::sync::Arc<wsm_xml::SharedElement>,
+        event: &Arc<SharedElement>,
     ) -> Envelope {
-        let mut env = self
-            .envelope()
-            .with_shared_body(std::sync::Arc::clone(event));
-        self.apply_maps(
-            &mut env,
-            MessageHeaders::to_epr(to, notification_action(event.element())),
-        );
-        env
+        self.raw(to, Node::Shared(Arc::clone(event)))
+    }
+
+    fn raw(&self, to: &EndpointReference, event: Node) -> Envelope {
+        MessageHeaders::raw_delivery(SOAP, self.version.wsa(), to, event)
     }
 
     /// A wrapped notification batch. 08/2004 allows the mode but does
     /// not define the wrapper; we define `<wse:Notifications>` and say
     /// so loudly (reproducing the spec gap the paper highlights).
     pub fn wrapped_notification(&self, to: &EndpointReference, events: &[Element]) -> Envelope {
-        let mut wrapper = self.el("Notifications");
-        for e in events {
-            wrapper.push(e.clone());
-        }
-        let mut env = self.envelope().with_body(wrapper);
-        self.apply_maps(
-            &mut env,
-            MessageHeaders::to_epr(to, self.version.delivery_mode_uri("Wrap")),
-        );
-        env
+        self.wrapped(to, events.iter().cloned().map(Node::Element))
     }
 
     /// A wrapped notification batch over shared event subtrees — the
@@ -446,12 +412,14 @@ impl WseCodec {
     pub fn wrapped_notification_shared(
         &self,
         to: &EndpointReference,
-        events: &[std::sync::Arc<wsm_xml::SharedElement>],
+        events: &[Arc<SharedElement>],
     ) -> Envelope {
+        self.wrapped(to, events.iter().cloned().map(Node::Shared))
+    }
+
+    fn wrapped(&self, to: &EndpointReference, events: impl Iterator<Item = Node>) -> Envelope {
         let mut wrapper = self.el("Notifications");
-        for e in events {
-            wrapper.push_shared(std::sync::Arc::clone(e));
-        }
+        wrapper.children.extend(events);
         let mut env = self.envelope().with_body(wrapper);
         self.apply_maps(
             &mut env,
@@ -505,15 +473,13 @@ mod tests {
     }
 
     fn handle(v: WseVersion) -> SubscriptionHandle {
-        let codec = WseCodec::new(v);
-        let manager = if v.id_in_reference_parameters() {
-            EndpointReference::new("http://src/mgr")
-                .with_reference(v.wsa(), codec.el("Identifier").with_text("sub-1"))
+        let address = if v.has_separate_subscription_manager() {
+            "http://src/mgr"
         } else {
-            EndpointReference::new("http://src")
+            "http://src"
         };
         SubscriptionHandle {
-            manager,
+            manager: WseCodec::new(v).manager_epr(address, "sub-1"),
             id: "sub-1".into(),
             expires: Some(Expires::Duration(60_000)),
             version: v,
@@ -603,6 +569,8 @@ mod tests {
                 .unwrap();
             assert_eq!(back.id, "sub-1");
             assert_eq!(back.expires, h.expires);
+            // The manager EPR comes back as minted: one identifier.
+            assert_eq!(back.manager, h.manager);
         }
     }
 

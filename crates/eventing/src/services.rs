@@ -208,24 +208,11 @@ fn publish_event(inner: &SourceInner, event: &Element) -> PublishStats {
 /// not generated otherwise).
 fn end_subscription(inner: &SourceInner, sub: &Subscription, status: EndStatus, reason: &str) {
     if let Some(end_to) = &sub.end_to {
-        let manager = manager_epr(inner, &sub.id);
+        let manager = inner.codec.manager_epr(&inner.manager_uri, &sub.id);
         let env = inner
             .codec
             .subscription_end(end_to, &manager, status, Some(reason));
         let _ = inner.net.send(&end_to.address, env);
-    }
-}
-
-fn manager_epr(inner: &SourceInner, id: &str) -> EndpointReference {
-    let version = inner.codec.version;
-    let epr = EndpointReference::new(inner.manager_uri.clone());
-    if version.id_in_reference_parameters() {
-        epr.with_reference(
-            version.wsa(),
-            Element::ns(version.ns(), "Identifier", "wse").with_text(id),
-        )
-    } else {
-        epr
     }
 }
 
@@ -285,7 +272,7 @@ fn subscribe(inner: &SourceInner, request: &Envelope) -> Result<Envelope, Fault>
         .store
         .insert(req.notify_to, req.end_to, req.mode, expires_at, filter);
     let handle = SubscriptionHandle {
-        manager: manager_epr(inner, &id),
+        manager: inner.codec.manager_epr(&inner.manager_uri, &id),
         id,
         expires: req.expires,
         version: inner.codec.version,

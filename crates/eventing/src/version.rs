@@ -23,7 +23,7 @@ impl WseVersion {
 
     /// The WS-Addressing version this release binds to (Table 1's last
     /// row: 2003/03 for 01/2004, 2004/08 for 08/2004).
-    pub fn wsa(self) -> WsaVersion {
+    pub const fn wsa(self) -> WsaVersion {
         match self {
             WseVersion::Jan2004 => WsaVersion::V200303,
             WseVersion::Aug2004 => WsaVersion::V200408,
@@ -40,7 +40,10 @@ impl WseVersion {
         format!("{}/DeliveryModes/{mode}", self.ns())
     }
 
-    // ---- capability deltas (the highlighted Table 1 cells) ----------
+    // ---- capability deltas (Table 1 cells) ---------------------------
+    // The ones the codec, the services, the WSDL generator or the
+    // broker's `SpecDialect::supports` act on; the cells only Table 1
+    // reads are fields of the broker's dialect profile.
 
     /// 08/2004 separated the subscription manager from the event source
     /// ("following WS-Notification's architecture").
@@ -61,12 +64,6 @@ impl WseVersion {
         self == WseVersion::Aug2004
     }
 
-    /// 08/2004 added the wrapped delivery mode (without defining the
-    /// wrapped message format).
-    pub fn supports_wrapped_delivery(self) -> bool {
-        self == WseVersion::Aug2004
-    }
-
     /// 08/2004 added the pull delivery mode.
     pub fn supports_pull_delivery(self) -> bool {
         self == WseVersion::Aug2004
@@ -81,14 +78,6 @@ impl WseVersion {
     /// one filter.
     pub fn max_filters(self) -> usize {
         1
-    }
-
-    /// Human label matching the paper's column headers.
-    pub fn label(self) -> &'static str {
-        match self {
-            WseVersion::Jan2004 => "WSE 01/2004",
-            WseVersion::Aug2004 => "WSE 08/2004",
-        }
     }
 }
 
@@ -120,7 +109,6 @@ mod tests {
         );
         assert!(!old.has_get_status() && new.has_get_status());
         assert!(!old.id_in_reference_parameters() && new.id_in_reference_parameters());
-        assert!(!old.supports_wrapped_delivery() && new.supports_wrapped_delivery());
         assert!(!old.supports_pull_delivery() && new.supports_pull_delivery());
         assert!(old.supports_duration_expiry() && new.supports_duration_expiry());
         assert_eq!(old.max_filters(), 1);

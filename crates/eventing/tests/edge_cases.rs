@@ -185,3 +185,54 @@ fn filter_rejecting_everything_never_delivers() {
         "subscription stays; it just filters"
     );
 }
+
+/// An endpoint that counts the `wse:Identifier` headers of each request
+/// and forwards it to `target`.
+struct IdentifierSpy {
+    net: Network,
+    target: String,
+    seen: std::sync::Mutex<Vec<usize>>,
+}
+
+impl wsm_transport::SoapHandler for IdentifierSpy {
+    fn handle(
+        &self,
+        request: wsm_soap::Envelope,
+    ) -> Result<Option<wsm_soap::Envelope>, wsm_soap::Fault> {
+        let ns = WseVersion::Aug2004.ns();
+        let headers = request.headers().iter();
+        let ids = headers.filter(|h| h.name.is(ns, "Identifier")).count();
+        self.seen.lock().unwrap().push(ids);
+        match self.net.request(&self.target, request) {
+            Ok(reply) => Ok(Some(reply)),
+            Err(TransportError::Fault(f)) => Err(*f),
+            Err(other) => Err(wsm_soap::Fault::receiver(other.to_string())),
+        }
+    }
+}
+
+#[test]
+fn an_aug2004_subscription_manager_carries_one_identifier() {
+    let v = WseVersion::Aug2004;
+    let (net, source, sink, subscriber) = setup(v);
+    let mut handle = subscriber
+        .subscribe(source.uri(), SubscribeRequest::push(sink.epr()))
+        .unwrap();
+    let identifiers = handle
+        .manager
+        .all_reference_data()
+        .filter(|e| e.name.is(v.ns(), "Identifier"))
+        .count();
+    assert_eq!(identifiers, 1);
+
+    let spy = std::sync::Arc::new(IdentifierSpy {
+        net: net.clone(),
+        target: handle.manager.address.clone(),
+        seen: Default::default(),
+    });
+    net.register("http://spy", spy.clone());
+    handle.manager.address = "http://spy".into();
+    subscriber.unsubscribe(&handle).unwrap();
+    assert_eq!(*spy.seen.lock().unwrap(), [1]);
+    assert_eq!(source.subscription_count(), 0);
+}

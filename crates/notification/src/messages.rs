@@ -64,16 +64,6 @@ impl SharedNotificationMessage {
     }
 }
 
-/// The implied WS-Addressing action for a raw payload delivery.
-fn raw_action(message: &Element) -> String {
-    message
-        .name
-        .ns
-        .clone()
-        .map(|ns| format!("{ns}/{}", message.name.local))
-        .unwrap_or_else(|| format!("urn:wsm:event/{}", message.name.local))
-}
-
 /// The `xsd:boolean` value of element `el`, a sender fault when it has
 /// none.
 fn boolean(el: &Element, what: &str) -> Result<bool, Fault> {
@@ -87,6 +77,9 @@ fn boolean(el: &Element, what: &str) -> Result<bool, Fault> {
 /// is the paper's §V.4 category-1 example, observed against
 /// WS-Eventing's `Identifier`.
 pub const SUBSCRIPTION_ID_LOCAL: &str = "SubscriptionId";
+
+/// WS-Notification's published examples use the SOAP 1.1 envelope.
+const SOAP: SoapVersion = SoapVersion::V11;
 
 /// Message builder/parser for one WS-Notification version.
 #[derive(Debug, Clone, Copy)]
@@ -113,12 +106,23 @@ impl WsnCodec {
         epr.to_named_element(self.version.wsa(), self.el("SubscriptionReference"))
     }
 
+    /// The EPR of the subscription manager at `address` managing
+    /// subscription `id`: the id is a `wsnt:SubscriptionId` in the
+    /// reference container of the version's WS-Addressing
+    /// (`ReferenceProperties` in 1.0, `ReferenceParameters` in 1.3).
+    pub fn manager_epr(&self, address: &str, id: &str) -> EndpointReference {
+        EndpointReference::new(address).with_reference(
+            self.version.wsa(),
+            self.el(SUBSCRIPTION_ID_LOCAL).with_text(id),
+        )
+    }
+
     fn br_el(&self, local: &str) -> Element {
         Element::ns(self.version.brokered_ns(), local, "wsn-br")
     }
 
     fn envelope(&self) -> Envelope {
-        Envelope::new(SoapVersion::V11)
+        Envelope::new(SOAP)
     }
 
     fn apply_maps(&self, env: &mut Envelope, maps: MessageHeaders) {
@@ -313,22 +317,19 @@ impl WsnCodec {
         })
     }
 
-    /// Build a `SubscribeResponse` pointing at the subscription manager.
+    /// Build a `SubscribeResponse` pointing at subscription
+    /// `subscription_id` of the subscription manager at `manager`.
     pub fn subscribe_response(
         &self,
-        manager: &EndpointReference,
+        manager: &str,
         subscription_id: &str,
         now_ms: u64,
         termination_ms: Option<u64>,
     ) -> Envelope {
-        let wsa = self.version.wsa();
-        let epr = manager.clone().with_reference(
-            wsa,
-            self.el(SUBSCRIPTION_ID_LOCAL).with_text(subscription_id),
-        );
+        let epr = self.manager_epr(manager, subscription_id);
         let mut body = self
             .el("SubscribeResponse")
-            .with_child(epr.to_named_element(wsa, self.el("SubscriptionReference")));
+            .with_child(self.subscription_reference(&epr));
         if self.version == WsnVersion::V1_3 {
             body.push(
                 self.el("CurrentTime")
@@ -599,27 +600,9 @@ impl WsnCodec {
             ),
         >,
     ) -> Envelope {
-        let wsa = self.version.wsa();
         let mut body = self.el("Notify");
         for (topic, producer, subscription, message) in messages {
-            let mut nm = self.el("NotificationMessage");
-            if let Some(sub) = subscription {
-                nm.push(sub.to_named_element(wsa, self.el("SubscriptionReference")));
-            }
-            if let Some(t) = topic {
-                nm.push(
-                    self.el("Topic")
-                        .with_attr("Dialect", wsm_topics::expression::CONCRETE_DIALECT)
-                        .with_text(t.segments.join("/")),
-                );
-            }
-            if let Some(p) = producer {
-                nm.push(p.to_named_element(wsa, self.el("ProducerReference")));
-            }
-            let mut msg = self.el("Message");
-            msg.children.push(message);
-            nm.push(msg);
-            body.push(nm);
+            body.push(self.notification_message(topic, producer, subscription, message));
         }
         let mut env = self.envelope().with_body(body);
         self.apply_maps(
@@ -629,11 +612,39 @@ impl WsnCodec {
         env
     }
 
+    /// One `NotificationMessage`: the subscription it answers, its
+    /// topic, its producer and the payload, in that order.
+    fn notification_message(
+        &self,
+        topic: Option<&TopicPath>,
+        producer: Option<&EndpointReference>,
+        subscription: Option<&EndpointReference>,
+        message: Node,
+    ) -> Element {
+        let wsa = self.version.wsa();
+        let mut nm = self.el("NotificationMessage");
+        if let Some(sub) = subscription {
+            nm.push(self.subscription_reference(sub));
+        }
+        if let Some(t) = topic {
+            nm.push(
+                self.el("Topic")
+                    .with_attr("Dialect", wsm_topics::expression::CONCRETE_DIALECT)
+                    .with_text(t.segments.join("/")),
+            );
+        }
+        if let Some(p) = producer {
+            nm.push(p.to_named_element(wsa, self.el("ProducerReference")));
+        }
+        let mut msg = self.el("Message");
+        msg.children.push(message);
+        nm.push(msg);
+        nm
+    }
+
     /// Build a raw notification (just the payload in the body).
     pub fn raw_notification(&self, to: &EndpointReference, message: &Element) -> Envelope {
-        let mut env = self.envelope().with_body(message.clone());
-        self.apply_maps(&mut env, MessageHeaders::to_epr(to, raw_action(message)));
-        env
+        self.raw(to, Node::Element(message.clone()))
     }
 
     /// Raw notification over a shared payload subtree. Byte-identical
@@ -643,12 +654,11 @@ impl WsnCodec {
         to: &EndpointReference,
         message: &Arc<SharedElement>,
     ) -> Envelope {
-        let mut env = self.envelope().with_shared_body(Arc::clone(message));
-        self.apply_maps(
-            &mut env,
-            MessageHeaders::to_epr(to, raw_action(message.element())),
-        );
-        env
+        self.raw(to, Node::Shared(Arc::clone(message)))
+    }
+
+    fn raw(&self, to: &EndpointReference, message: Node) -> Envelope {
+        MessageHeaders::raw_delivery(SOAP, self.version.wsa(), to, message)
     }
 
     /// Parse a `Notify` body into its notification messages.
@@ -715,22 +725,14 @@ impl WsnCodec {
 
     /// `GetMessagesResponse` with queued notification messages.
     pub fn get_messages_response(&self, messages: &[NotificationMessage]) -> Envelope {
-        let wsa = self.version.wsa();
         let mut body = self.el("GetMessagesResponse");
         for m in messages {
-            let mut nm = self.el("NotificationMessage");
-            if let Some(t) = &m.topic {
-                nm.push(
-                    self.el("Topic")
-                        .with_attr("Dialect", wsm_topics::expression::CONCRETE_DIALECT)
-                        .with_text(t.segments.join("/")),
-                );
-            }
-            if let Some(p) = &m.producer {
-                nm.push(p.to_named_element(wsa, self.el("ProducerReference")));
-            }
-            nm.push(self.el("Message").with_child(m.message.clone()));
-            body.push(nm);
+            body.push(self.notification_message(
+                m.topic.as_ref(),
+                m.producer.as_ref(),
+                None,
+                Node::Element(m.message.clone()),
+            ));
         }
         self.envelope().with_body(body)
     }
@@ -900,13 +902,13 @@ mod tests {
     fn subscription_id_container_differs_by_version() {
         // 1.0 → ReferenceProperties (the paper's exact observation);
         // 1.3 → ReferenceParameters.
-        let mgr = EndpointReference::new("http://p/subs");
+        let mgr = "http://p/subs";
         let c10 = WsnCodec::new(WsnVersion::V1_0);
-        let x10 = c10.subscribe_response(&mgr, "s-1", 0, None).to_xml();
+        let x10 = c10.subscribe_response(mgr, "s-1", 0, None).to_xml();
         assert!(x10.contains("ReferenceProperties"), "{x10}");
         assert!(!x10.contains("ReferenceParameters"), "{x10}");
         let c13 = WsnCodec::new(WsnVersion::V1_3);
-        let x13 = c13.subscribe_response(&mgr, "s-1", 0, None).to_xml();
+        let x13 = c13.subscribe_response(mgr, "s-1", 0, None).to_xml();
         assert!(x13.contains("ReferenceParameters"), "{x13}");
         assert!(!x13.contains("ReferenceProperties"), "{x13}");
     }
@@ -915,8 +917,7 @@ mod tests {
     fn subscribe_response_roundtrip() {
         for v in [WsnVersion::V1_0, WsnVersion::V1_3] {
             let codec = WsnCodec::new(v);
-            let mgr = EndpointReference::new("http://p/subs");
-            let env = codec.subscribe_response(&mgr, "s-42", 1_000, Some(90_000));
+            let env = codec.subscribe_response("http://p/subs", "s-42", 1_000, Some(90_000));
             let (epr, id) = codec
                 .parse_subscribe_response(&Envelope::from_xml(&env.to_xml()).unwrap())
                 .unwrap();
@@ -928,10 +929,7 @@ mod tests {
     #[test]
     fn management_identifier_echo() {
         let codec = WsnCodec::new(WsnVersion::V1_3);
-        let mgr = EndpointReference::new("http://p/subs").with_reference(
-            WsnVersion::V1_3.wsa(),
-            codec.el(SUBSCRIPTION_ID_LOCAL).with_text("s-7"),
-        );
+        let mgr = codec.manager_epr("http://p/subs", "s-7");
         let env = codec.renew(&mgr, Termination::Duration(60_000));
         let reparsed = Envelope::from_xml(&env.to_xml()).unwrap();
         assert_eq!(

@@ -1,6 +1,6 @@
 //! The NotificationProducer and its subscription manager (paper Fig. 2).
 
-use crate::messages::{WsnCodec, SUBSCRIPTION_ID_LOCAL};
+use crate::messages::WsnCodec;
 use crate::model::{NotificationMessage, Termination, WsnSubscribeRequest};
 use crate::store::{CompiledFilters, WsnSubscriptionStore};
 use crate::version::WsnVersion;
@@ -147,7 +147,7 @@ fn publish_message(inner: &ProducerInner, topic: Option<&TopicPath>, payload: &E
             let msg = NotificationMessage {
                 topic: topic.cloned(),
                 producer: Some(EndpointReference::new(inner.uri.clone())),
-                subscription: Some(subscription_epr(inner, &sub.id)),
+                subscription: Some(inner.codec.manager_epr(&inner.manager_uri, &sub.id)),
                 message: payload.clone(),
             };
             inner.codec.notify(&sub.consumer, &[msg])
@@ -173,13 +173,6 @@ fn publish_message(inner: &ProducerInner, topic: Option<&TopicPath>, payload: &E
         }
     }
     delivered
-}
-
-fn subscription_epr(inner: &ProducerInner, id: &str) -> EndpointReference {
-    EndpointReference::new(inner.manager_uri.clone()).with_reference(
-        inner.codec.version.wsa(),
-        Element::ns(inner.codec.version.ns(), SUBSCRIPTION_ID_LOCAL, "wsnt").with_text(id),
-    )
 }
 
 fn handle_subscribe(inner: &ProducerInner, request: &Envelope) -> Result<Envelope, Fault> {
@@ -212,12 +205,9 @@ fn handle_subscribe(inner: &ProducerInner, request: &Envelope) -> Result<Envelop
             inner.resources.set_termination_time(&id, Some(t));
         }
     }
-    Ok(inner.codec.subscribe_response(
-        &EndpointReference::new(inner.manager_uri.clone()),
-        &id,
-        now,
-        termination,
-    ))
+    Ok(inner
+        .codec
+        .subscribe_response(&inner.manager_uri, &id, now, termination))
 }
 
 fn handle_get_current_message(

@@ -39,7 +39,7 @@ impl WsnVersion {
 
     /// The WS-Addressing version this release binds to (Table 1:
     /// 2003/03 for 1.0, 2005/08 for 1.3).
-    pub fn wsa(self) -> WsaVersion {
+    pub const fn wsa(self) -> WsaVersion {
         match self {
             WsnVersion::V1_0 => WsaVersion::V200303,
             WsnVersion::V1_3 => WsaVersion::V200508,
@@ -51,7 +51,10 @@ impl WsnVersion {
         format!("{}/{op}", self.ns())
     }
 
-    // ---- capability deltas (Table 1 rows) ----------------------------
+    // ---- capability deltas (Table 1 cells) ---------------------------
+    // The ones the codec, the services, the WSDL generator or the
+    // broker's `SpecDialect::supports` act on; the cells only Table 1
+    // reads are fields of the broker's dialect profile.
 
     /// 1.0 requires WSRF; 1.3 makes it optional by adding native
     /// `Renew`/`Unsubscribe`.
@@ -62,16 +65,6 @@ impl WsnVersion {
     /// 1.0 requires a topic in every subscription; 1.3 does not.
     pub fn requires_topic(self) -> bool {
         self == WsnVersion::V1_0
-    }
-
-    /// 1.3 adds the `Filter` wrapper element in `Subscribe`.
-    pub fn has_filter_element(self) -> bool {
-        self == WsnVersion::V1_3
-    }
-
-    /// 1.3 adds the XPath MessageContent dialect.
-    pub fn supports_xpath_dialect(self) -> bool {
-        self == WsnVersion::V1_3
     }
 
     /// 1.3 accepts durations for `InitialTerminationTime`; 1.0 only
@@ -91,30 +84,9 @@ impl WsnVersion {
         self == WsnVersion::V1_3
     }
 
-    /// Pause/Resume are required of implementations in 1.0, optional in
-    /// 1.3 (both define them; Table 1 row "Require Pause/Resume").
-    pub fn requires_pause_resume(self) -> bool {
-        self == WsnVersion::V1_0
-    }
-
     /// Both versions define GetCurrentMessage.
     pub fn has_get_current_message(self) -> bool {
         true
-    }
-
-    /// Both versions define the wrapped (`Notify`) message format —
-    /// unlike WS-Eventing, which allows a wrapped mode but never
-    /// defines the format (a Table 1 contrast).
-    pub fn defines_wrapped_format(self) -> bool {
-        true
-    }
-
-    /// Human label matching the paper's column headers.
-    pub fn label(self) -> &'static str {
-        match self {
-            WsnVersion::V1_0 => "WSN 1.0",
-            WsnVersion::V1_3 => "WSN 1.3",
-        }
     }
 }
 
@@ -134,14 +106,10 @@ mod tests {
         let new = WsnVersion::V1_3;
         assert!(old.requires_wsrf() && !new.requires_wsrf());
         assert!(old.requires_topic() && !new.requires_topic());
-        assert!(!old.has_filter_element() && new.has_filter_element());
-        assert!(!old.supports_xpath_dialect() && new.supports_xpath_dialect());
         assert!(!old.supports_duration_expiry() && new.supports_duration_expiry());
         assert!(!old.has_pull_point() && new.has_pull_point());
         assert!(!old.has_native_renew_unsubscribe() && new.has_native_renew_unsubscribe());
-        assert!(old.requires_pause_resume() && !new.requires_pause_resume());
         assert!(old.has_get_current_message() && new.has_get_current_message());
-        assert!(old.defines_wrapped_format() && new.defines_wrapped_format());
     }
 
     #[test]

@@ -216,6 +216,12 @@ impl Envelope {
         self
     }
 
+    /// Builder-style: the body is `node`, a plain or a shared subtree.
+    pub fn with_body_node(mut self, node: Node) -> Self {
+        self.replace_body(node);
+        self
+    }
+
     /// All header blocks.
     pub fn headers(&self) -> &[Element] {
         &self.headers
