@@ -89,27 +89,27 @@ impl MessageHeaders {
     pub fn apply(&self, env: &mut Envelope, version: WsaVersion) {
         let ns = version.ns();
         let text_header = |name: &str, value: &str| Element::ns(ns, name, "wsa").with_text(value);
+        let mut headers = Vec::new();
         if let Some(to) = &self.to {
-            env.add_header(text_header("To", to));
+            headers.push(text_header("To", to));
         }
         if let Some(action) = &self.action {
-            env.add_header(text_header("Action", action));
+            headers.push(text_header("Action", action));
         }
         if let Some(id) = &self.message_id {
-            env.add_header(text_header("MessageID", id));
+            headers.push(text_header("MessageID", id));
         }
         if let Some(rel) = &self.relates_to {
-            env.add_header(text_header("RelatesTo", rel));
+            headers.push(text_header("RelatesTo", rel));
         }
         if let Some(epr) = &self.reply_to {
-            env.add_header(epr.to_named_element(version, Element::ns(ns, "ReplyTo", "wsa")));
+            headers.push(epr.to_named_element(version, Element::ns(ns, "ReplyTo", "wsa")));
         }
         if let Some(epr) = &self.fault_to {
-            env.add_header(epr.to_named_element(version, Element::ns(ns, "FaultTo", "wsa")));
+            headers.push(epr.to_named_element(version, Element::ns(ns, "FaultTo", "wsa")));
         }
-        for item in &self.echoed_reference_data {
-            env.add_header(item.clone());
-        }
+        headers.extend(self.echoed_reference_data.iter().cloned());
+        env.extend_headers(headers.into_iter().map(Node::Element));
     }
 
     /// Extract the MAPs present in an envelope for a given WSA version.
@@ -209,7 +209,6 @@ mod tests {
         // The manager finds its identifier among the headers.
         let found = env2
             .headers()
-            .iter()
             .find(|h| h.name.is("urn:wse", "Identifier"))
             .expect("identifier echoed");
         assert_eq!(found.text(), "sub-9");

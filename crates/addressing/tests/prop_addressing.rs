@@ -78,7 +78,6 @@ proptest! {
         let reparsed = Envelope::from_xml(&env.to_xml()).unwrap();
         let token = reparsed
             .headers()
-            .iter()
             .find(|h| h.name.is("urn:ids", "Token"))
             .expect("echoed token header");
         prop_assert_eq!(token.text(), value);

@@ -39,13 +39,14 @@ static COUNTING: wsm_bench::CountingAlloc = wsm_bench::CountingAlloc;
 
 /// Allocation budget for one mediated publication fanning out to 256
 /// push subscribers (half WSE, half WSN), *including* the simulated
-/// consumers' parse work. Reads ~8.45k allocs/op (33 per subscriber:
-/// one copy of the header vector, for wrapped WSN one of the `Notify`
-/// body, and nothing in the transport); it read 14.1k while every
-/// envelope was deep-copied a second time on its way into the
-/// consumer's handler. The budget sits between the two, so a second
-/// per-subscriber tree copy — about 22 allocations each — fails the
-/// build, with ~30% headroom over today's reading for noise.
+/// consumers' parse work. Reads ~5.9k allocs/op (23 per subscriber;
+/// the render builds 3 nodes for a WSE delivery and 10 for a wrapped
+/// WSN one, and the transport allocates nothing); it read 8.45k while
+/// each delivery copied its class prototype's header vector and, for
+/// wrapped WSN, its `Notify` body, and 14.1k while every envelope was
+/// deep-copied a second time on its way into the consumer's handler.
+/// A second per-subscriber tree copy — about 22 allocations each —
+/// still fails the build.
 const MEDIATED_PUBLISH_ALLOC_BUDGET: f64 = 11_000.0;
 
 /// Allocation budget for encoding one 16-message wrapped `Notify`

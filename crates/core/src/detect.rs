@@ -198,7 +198,7 @@ impl SpecDialect {
             return Some(d);
         }
         // 2. Header namespaces (echoed Identifier / SubscriptionId).
-        if let Some(d) = env.headers().iter().find_map(owner) {
+        if let Some(d) = env.headers().find_map(owner) {
             return Some(d);
         }
         // 3. Descendant elements of the body.

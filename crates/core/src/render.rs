@@ -6,11 +6,16 @@
 //! [`InternalEvent`] in, an envelope in the subscription's dialect out.
 //!
 //! The fan-out renders through a per-publication [`RenderCache`]: one
-//! prototype envelope per dialect class, lent out by reference from a
-//! write-once slot (no lock, whichever thread asks), cloned
-//! copy-on-write per subscriber and patched in place. What a delivery
-//! copies is one header vector, plus the `Notify` body for wrapped
-//! WS-Notification; nothing after the render copies the tree again.
+//! template per dialect class, lent out by reference from a write-once
+//! slot (no lock, whichever thread asks). A template holds the parts of
+//! a delivery the publication fixes — `wsa:Action`, the topic, the
+//! `Notify` pieces, the payload — as shared subtrees, each serialized
+//! at most once. A delivery's envelope is pointer copies of those plus
+//! the few nodes that differ per subscriber: `wsa:To`, the consumer's
+//! echoed reference data, and for wrapped WS-Notification the
+//! containers that hold the subscription id. Nothing after the render
+//! copies the tree again. [`render_notification`] builds the same
+//! envelope from scratch and is the byte-identity reference.
 
 use crate::detect::{NotificationShape, SpecDialect};
 use crate::event::InternalEvent;
@@ -36,17 +41,20 @@ pub const WSM_NS: &str = "urn:ws-messenger:broker";
 ///   compact serialization is computed once and spliced into every
 ///   outgoing envelope, so a publication serializes its payload once
 ///   instead of once per subscriber.
-/// * **Prototype envelopes** — a complete envelope is built once per
-///   `(spec version, raw-mode)` equivalence class, addressed to a
-///   placeholder consumer. Per subscriber the prototype is cloned —
-///   two reference bumps, the envelope is copy-on-write — and only the
-///   subscriber-dependent parts are patched in: the `wsa:To` text, the
-///   consumer EPR's echoed reference data, and — for wrapped WSN — the
-///   `SubscriptionReference` inside the `NotificationMessage`. The
-///   first header patch copies the header vector (names are static
-///   handles, so that is element and text copies only); the body is
-///   copied only when it is patched, i.e. for wrapped WSN, and a
-///   WS-Eventing or raw delivery never copies its body at all.
+/// * **Class templates** — the parts of a delivery fixed by the event
+///   and the `(spec version, raw-mode)` equivalence class are built
+///   once per class as shared subtrees: the `wsa:Action` and WSE topic
+///   headers, and for wrapped WSN the `Topic`, `ProducerReference` and
+///   `Message` (around the shared payload) of the
+///   `NotificationMessage` and the subscription manager's
+///   `wsa:Address`. Per subscriber the render copies pointers to those
+///   and builds only what the subscription fixes: a `wsa:To`, the
+///   consumer EPR's echoed reference data, and for wrapped WSN the
+///   containers from `Notify` down to the subscription id. A raw
+///   delivery shares its whole body with its class.
+///
+/// Nothing here is per subscription: a subscription holds no tree, so
+/// the registry's footprint does not grow with the render.
 ///
 /// There are at most eight classes (four dialects, raw or wrapped),
 /// so the templates live in eight write-once slots: the cache is
@@ -60,22 +68,83 @@ pub struct RenderCache {
 /// Four dialects, each raw or wrapped.
 const CLASSES: usize = 2 * SpecDialect::ALL.len();
 
-/// One equivalence class's prebuilt envelope plus the patch points.
+/// One equivalence class's shared pieces.
 struct ClassTemplate {
-    /// The full envelope, addressed to an empty placeholder consumer
-    /// (blank `wsa:To`, no echoed reference data, and for wrapped WSN
-    /// no `SubscriptionReference`).
+    /// A delivery to an empty placeholder consumer, without its
+    /// `wsa:To`: its SOAP version, its body — shared as it stands by
+    /// every raw delivery — and the header blocks after `wsa:To`, each
+    /// a shared subtree.
     proto: Envelope,
-    /// Header index where a consumer's echoed reference data belongs:
-    /// after the MAPs (`To`, `Action`), before extension headers such
-    /// as the WSE topic header.
+    /// `wsa:To` with no text yet.
+    to: Element,
+    /// Index into `proto`'s headers where a consumer's echoed
+    /// reference data belongs: after the MAPs (`Action`), before
+    /// extension headers such as the WSE topic header.
     echo_at: usize,
-    /// Wrapped WSN only: prototype `SubscriptionReference` addressing
-    /// the subscription manager, its identifier element still empty.
-    /// Per subscriber it is cloned, the id text patched in, and the
-    /// result spliced into the `NotificationMessage` — replacing a
-    /// per-subscriber EPR construction and serialization.
-    sub_ref: Option<Element>,
+    /// Wrapped WSN only: the `Notify` body's pieces.
+    notify: Option<NotifyTemplate>,
+}
+
+/// A wrapped WSN class's `Notify` body, cut along the path from
+/// `Notify` down to the subscription id. The containers on that path
+/// are childless shells, filled per delivery; everything beside the
+/// path is a shared subtree.
+struct NotifyTemplate {
+    notify: Element,
+    message: Element,
+    /// The `NotificationMessage`'s children after its
+    /// `SubscriptionReference`: `Topic`, `ProducerReference`, `Message`.
+    rest: Vec<Node>,
+    sub_ref: Element,
+    /// The subscription manager's `wsa:Address`.
+    address: Node,
+    /// `ReferenceParameters` (or 1.0's `ReferenceProperties`).
+    container: Element,
+    id: Element,
+}
+
+impl NotifyTemplate {
+    /// The `Notify` body for subscription `id`, exactly as
+    /// [`WsnCodec::notify`] writes it for the manager EPR
+    /// [`WsnCodec::manager_epr`] mints.
+    fn body(&self, id: &str) -> Element {
+        let id = shell(&self.id, vec![Node::Text(id.to_string())]);
+        let container = shell(&self.container, vec![Node::Element(id)]);
+        let sub_ref = shell(
+            &self.sub_ref,
+            vec![self.address.clone(), Node::Element(container)],
+        );
+        let mut children = Vec::with_capacity(1 + self.rest.len());
+        children.push(Node::Element(sub_ref));
+        children.extend_from_slice(&self.rest);
+        let message = shell(&self.message, children);
+        shell(&self.notify, vec![Node::Element(message)])
+    }
+}
+
+/// `e`'s name and attributes over `children`.
+fn shell(e: &Element, children: Vec<Node>) -> Element {
+    Element {
+        name: e.name.clone(),
+        prefix_hint: e.prefix_hint.clone(),
+        attrs: e.attrs.clone(),
+        children,
+    }
+}
+
+/// `node` as a shared subtree.
+fn share(node: &Node) -> Node {
+    match node {
+        Node::Element(e) => Node::Shared(SharedElement::new(e.clone())),
+        other => other.clone(),
+    }
+}
+
+/// The one child element of `e`, where a template's shape has one.
+fn first_child(e: &Element) -> &Element {
+    e.elements()
+        .next()
+        .expect("template containers have a child")
 }
 
 impl RenderCache {
@@ -112,7 +181,7 @@ impl RenderCache {
         let slot = 2 * spec.index() + usize::from(use_raw);
         self.classes[slot].get_or_init(|| {
             let placeholder = EndpointReference::new("");
-            match (spec, wrapped(spec, use_raw)) {
+            let (mut proto, echo_at, notify) = match (spec, wrapped(spec, use_raw)) {
                 (SpecDialect::Wsn(v), true) => {
                     let message = SharedNotificationMessage {
                         topic: event.topic.clone(),
@@ -125,25 +194,46 @@ impl RenderCache {
                     };
                     let codec = WsnCodec::new(v);
                     let proto = codec.notify_shared(&placeholder, &[message]);
+                    let notify = proto.body().expect("a Notify has a body");
+                    let message = first_child(notify);
                     // The manager EPR with no id text yet: its shape is
-                    // `[Address, <reference container>[identifier]]`, so
-                    // the per-subscriber patch finds the id by position.
+                    // `[Address, <reference container>[identifier]]`.
                     let manager = codec.manager_epr(manager_uri, "");
-                    ClassTemplate {
-                        echo_at: proto.headers().len(),
-                        proto,
-                        sub_ref: Some(codec.subscription_reference(&manager)),
-                    }
+                    let sub_ref = codec.subscription_reference(&manager);
+                    let container = sub_ref
+                        .elements()
+                        .nth(1)
+                        .expect("a manager EPR holds its id in a container");
+                    let notify = NotifyTemplate {
+                        notify: shell(notify, Vec::new()),
+                        message: shell(message, Vec::new()),
+                        rest: message.children.iter().map(share).collect(),
+                        address: share(sub_ref.children.first().expect("an EPR has an Address")),
+                        sub_ref: shell(&sub_ref, Vec::new()),
+                        container: shell(container, Vec::new()),
+                        id: shell(first_child(container), Vec::new()),
+                    };
+                    let echo_at = proto.header_nodes().len();
+                    (proto, echo_at, Some(notify))
                 }
                 _ => {
                     let payload = Node::Shared(Arc::clone(&self.payload));
                     let (proto, echo_at) = raw(spec, &placeholder, payload, event);
-                    ClassTemplate {
-                        proto,
-                        echo_at,
-                        sub_ref: None,
-                    }
+                    (proto, echo_at, None)
                 }
+            };
+            // `wsa:To` is always the first header the MAPs applied.
+            let to = shell(
+                proto.headers().next().expect("MAPs apply wsa:To"),
+                Vec::new(),
+            );
+            let after_to: Vec<Node> = proto.header_nodes()[1..].iter().map(share).collect();
+            proto.set_header_nodes(after_to);
+            ClassTemplate {
+                proto,
+                to,
+                echo_at: echo_at - 1,
+                notify,
             }
         })
     }
@@ -166,7 +256,7 @@ fn raw(
 ) -> (Envelope, usize) {
     let p = spec.profile();
     let mut env = MessageHeaders::raw_delivery(p.soap, p.wsa, to, payload);
-    let echo_end = env.headers().len();
+    let echo_end = env.header_nodes().len();
     if let (NotificationShape::RawWithTopicHeader, Some(t)) = (p.notification, &event.topic) {
         env.add_header(Element::ns(WSM_NS, "Topic", "wsm").with_text(t.to_string()));
     }
@@ -178,12 +268,11 @@ fn raw(
 /// over the subscription-manager EPR the broker mints
 /// ([`SpecDialect::manager_epr`]).
 ///
-/// Per subscriber this takes a copy-on-write clone of the class
-/// prototype and patches the three subscriber-dependent spots — the
-/// `wsa:To` text, the consumer's echoed reference data, and (wrapped
-/// WSN) the subscription id inside the prototype
-/// `SubscriptionReference` — instead of rebuilding the tree: the header
-/// vector is copied once, the body only where it is patched.
+/// Per subscriber this builds a header list of pointer copies of the
+/// class's shared headers around a fresh `wsa:To` and the consumer's
+/// echoed reference data, and — for wrapped WSN — a `Notify` body whose
+/// only fresh nodes are the containers holding the subscription id. A
+/// raw delivery shares its class's body.
 pub fn render_notification_cached(
     cache: &RenderCache,
     sub: &BrokerSubscription,
@@ -192,38 +281,21 @@ pub fn render_notification_cached(
     manager_uri: &str,
 ) -> Envelope {
     let t = cache.template(event, broker_uri, manager_uri, sub.spec, sub.use_raw);
+    let shared = t.proto.header_nodes();
+    let to = shell(&t.to, vec![Node::Text(sub.consumer.address.clone())]);
+    // The consumer EPR's reference data goes after the MAPs, before
+    // any extension headers (the WSE topic header), as the plain path
+    // puts it. Every part has an exact length, so the list is stored
+    // in one allocation.
+    let echo = sub.consumer.all_reference_data().cloned();
+    let headers = std::iter::once(Node::Element(to))
+        .chain(shared[..t.echo_at].iter().cloned())
+        .chain(echo.map(Node::Element))
+        .chain(shared[t.echo_at..].iter().cloned());
     let mut env = t.proto.clone();
-    // Patch wsa:To — always the first header the MAPs applied.
-    if let Some(to) = env.header_at_mut(0) {
-        to.children.clear();
-        to.push_text(sub.consumer.address.clone());
-    }
-    // Echo the consumer EPR's reference data after the MAPs, before any
-    // extension headers (the WSE topic header), as the plain path does.
-    for (at, item) in (t.echo_at..).zip(sub.consumer.all_reference_data()) {
-        env.insert_header(at, item.clone());
-    }
-    if let Some(proto) = &t.sub_ref {
-        let mut sub_ref = proto.clone();
-        // Proto shape is [Address, <container>[identifier[""]]]; write
-        // this subscription's id into the identifier's text.
-        if let Some(Node::Text(id)) = sub_ref
-            .children
-            .get_mut(1)
-            .and_then(Node::as_element_mut)
-            .and_then(|c| c.children.get_mut(0).and_then(Node::as_element_mut))
-            .and_then(|id_el| id_el.children.first_mut())
-        {
-            id.push_str(&sub.id);
-        }
-        // Notify > NotificationMessage: the reference is its first
-        // child, exactly where `notify_envelope` places it.
-        if let Some(nm) = env
-            .body_first_mut()
-            .and_then(|b| b.children.iter_mut().find_map(Node::as_element_mut))
-        {
-            nm.children.insert(0, Node::Element(sub_ref));
-        }
+    env.set_header_nodes(headers);
+    if let Some(notify) = &t.notify {
+        env.set_body(notify.body(&sub.id));
     }
     env
 }
@@ -288,6 +360,7 @@ pub fn render_batch(
 mod tests {
     use super::*;
     use crate::registry::{BrokerDeliveryMode, UnifiedFilters};
+    use wsm_addressing::WsaVersion;
     use wsm_eventing::WseVersion;
     use wsm_notification::WsnVersion;
 
@@ -376,8 +449,19 @@ mod tests {
 
     #[test]
     fn cached_render_is_byte_identical_per_class() {
-        let event = ev();
-        let cache = RenderCache::new(&event);
+        // A payload in no namespace, and payloads in the namespaces the
+        // envelopes themselves bind: each WSN version's `wsnt` and two
+        // WS-Addressing versions' `wsa`.
+        let mut payloads = vec![Element::local("alert").with_text("x")];
+        for v in [WsnVersion::V1_0, WsnVersion::V1_3] {
+            payloads.push(
+                Element::ns(v.ns(), "Custom", "wsnt")
+                    .with_child(Element::ns(v.ns(), "Detail", "wsnt").with_text("d")),
+            );
+        }
+        for wsa in [WsaVersion::V200408, WsaVersion::V200508] {
+            payloads.push(Element::ns(wsa.ns(), "Custom", "wsa").with_text("a"));
+        }
         let mut shapes: Vec<(SpecDialect, bool)> =
             SpecDialect::ALL.iter().map(|d| (*d, false)).collect();
         shapes.extend(
@@ -387,31 +471,52 @@ mod tests {
                 .map(|d| (*d, true)),
         );
         let classes = shapes.len();
-        for (spec, raw) in shapes {
-            let s = sub(spec, raw);
-            // The plain path receives the same subscription-manager EPR
-            // the cached path mints from (manager_uri, sub.id).
-            let epr = spec.manager_epr("http://b/subscriptions", &s.id);
-            let plain = render_notification(&s, &event, "http://b", &epr);
-            let cached = render_notification_cached(
-                &cache,
-                &s,
-                &event,
-                "http://b",
-                "http://b/subscriptions",
-            );
-            assert_eq!(cached.to_xml(), plain.to_xml(), "{spec:?} raw={raw}");
-            // A second subscriber of the same class reuses the template.
-            let again = render_notification_cached(
-                &cache,
-                &s,
-                &event,
-                "http://b",
-                "http://b/subscriptions",
-            );
-            assert_eq!(again.to_xml(), plain.to_xml());
+        // Each payload on a topic, and one topicless publication.
+        let mut events: Vec<InternalEvent> = payloads
+            .into_iter()
+            .map(|p| InternalEvent::on_topic("storms", p))
+            .collect();
+        events.push(InternalEvent::raw(Element::local("alert")));
+        for event in events {
+            let cache = RenderCache::new(&event);
+            // Each class, to a consumer without and with reference
+            // data to echo.
+            let subs = shapes.iter().flat_map(|&(spec, raw)| {
+                let mut echoing = sub(spec, raw);
+                echoing.consumer = echoing.consumer.with_reference(
+                    spec.profile().wsa,
+                    Element::ns("urn:app", "Key", "app").with_text("k1"),
+                );
+                [sub(spec, raw), echoing]
+            });
+            for s in subs {
+                let (spec, raw) = (s.spec, s.use_raw);
+                // The plain path receives the same subscription-manager
+                // EPR the cached path mints from (manager_uri, sub.id).
+                let epr = spec.manager_epr("http://b/subscriptions", &s.id);
+                let plain = render_notification(&s, &event, "http://b", &epr).to_xml();
+                let cached = render_notification_cached(
+                    &cache,
+                    &s,
+                    &event,
+                    "http://b",
+                    "http://b/subscriptions",
+                );
+                let name = &event.payload_element().name;
+                assert_eq!(cached.to_xml(), plain, "{spec:?} raw={raw} {name:?}");
+                // A second subscriber of the same class reuses the
+                // template.
+                let again = render_notification_cached(
+                    &cache,
+                    &s,
+                    &event,
+                    "http://b",
+                    "http://b/subscriptions",
+                );
+                assert_eq!(again.to_xml(), plain);
+            }
+            assert_eq!(cache.class_count(), classes);
         }
-        assert_eq!(cache.class_count(), classes);
     }
 
     #[test]

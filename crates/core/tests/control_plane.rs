@@ -655,7 +655,7 @@ struct IdentifierSpy {
 impl wsm_transport::SoapHandler for IdentifierSpy {
     fn handle(&self, request: Envelope) -> Result<Option<Envelope>, wsm_soap::Fault> {
         let ns = WseVersion::Aug2004.ns();
-        let headers = request.headers().iter();
+        let headers = request.headers();
         let ids = headers.filter(|h| h.name.is(ns, "Identifier")).count();
         self.seen.lock().unwrap().push(ids);
         match self.net.request(&self.target, request) {

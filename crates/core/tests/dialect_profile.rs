@@ -109,7 +109,7 @@ fn fault(net: &Network, to: &str, request: Envelope) -> Fault {
 fn assert_versions(d: SpecDialect, what: &str, env: &Envelope) {
     let p = d.profile();
     assert_eq!(env.version(), p.soap, "{} {what}: SOAP", p.label);
-    let action = env.headers().iter().find(|h| h.name.local == "Action");
+    let action = env.headers().find(|h| h.name.local == "Action");
     let action = action.unwrap_or_else(|| panic!("{} {what}: no wsa:Action", p.label));
     assert_eq!(
         action.name.ns.as_deref(),

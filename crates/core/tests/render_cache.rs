@@ -1,18 +1,23 @@
 //! The render cache's core claim, measured: one publication serializes
-//! its payload once, not once per subscriber — asserted against the
-//! process-global shared-subtree serialization counter.
+//! each shared piece once, not once per subscriber — asserted against
+//! the process-global shared-subtree serialization counter.
+//!
+//! The shared pieces are the payload and each dialect class's
+//! template: the `wsa:Action` and WSE topic headers, and for wrapped
+//! WS-Notification the `Topic`, `ProducerReference` and `Message` of the
+//! `NotificationMessage` and the subscription manager's `wsa:Address`.
 //!
 //! The simulated wire hands envelopes over as trees, so the broker's
 //! send path serializes nothing at all; the serialization a real HTTP
 //! wire would do happens here, in the test, by calling `to_xml()` on
 //! every envelope the consumers received. That is where the cache has
-//! to pay off: all of one publication's envelopes share one payload
-//! subtree, and only the first `to_xml()` serializes it.
+//! to pay off: all of one publication's envelopes share those pieces,
+//! and only the first `to_xml()` serializes each of them.
 //!
 //! This file must stay the only test binary in the crate that asserts
 //! on `wsm_xml::shared_serialization_count()` deltas: the counter is
 //! process-global, and Rust runs each test *file* as its own process.
-//! (The two tests below serialize their measured sections with a mutex
+//! (The tests below serialize their measured sections with a mutex
 //! for the same reason.)
 
 use std::sync::{Arc, Mutex};
@@ -49,15 +54,15 @@ impl Recorder {
     }
 }
 
-#[test]
-fn publish_serializes_payload_once_across_all_subscribers() {
+/// Publish once on `storms` to `per_family` WSE 08/2004 and as many
+/// WSN 1.3 subscribers, and put every envelope on the wire. Returns the
+/// deliveries and the shared serializations made while publishing and
+/// in all.
+fn publish_to_both_families(per_family: usize) -> (usize, u64, u64) {
     let net = Network::new();
     let broker = WsMessenger::start(&net, "http://broker");
     let recorder = Arc::new(Recorder::default());
-
-    // 16 WSE + 16 WSN subscribers: 32 envelopes per publish, spanning
-    // both dialect families.
-    for i in 0..16 {
+    for i in 0..per_family {
         let address = format!("http://wse-{i}");
         net.register(address.as_str(), recorder.clone());
         Subscriber::new(&net, WseVersion::Aug2004)
@@ -67,7 +72,7 @@ fn publish_serializes_payload_once_across_all_subscribers() {
             )
             .unwrap();
     }
-    for i in 0..16 {
+    for i in 0..per_family {
         let address = format!("http://wsn-{i}");
         net.register(address.as_str(), recorder.clone());
         WsnClient::new(&net, WsnVersion::V1_3)
@@ -84,20 +89,27 @@ fn publish_serializes_payload_once_across_all_subscribers() {
     let before = shared_serialization_count();
     let delivered = broker.publish_on("storms", &payload);
     let on_send_path = shared_serialization_count() - before;
-    let serialized = recorder.serialize_all();
+    assert_eq!(recorder.serialize_all(), delivered);
     let on_the_wire = shared_serialization_count() - before;
     drop(guard);
+    (delivered, on_send_path, on_the_wire)
+}
 
-    assert_eq!(delivered, 32);
-    assert_eq!(serialized, 32);
-    assert_eq!(on_send_path, 0, "the send path serializes nothing");
-    // Two equivalence classes were rendered (WSE Aug2004 and WSN 1.3
-    // wrapped), so the ceiling is 2 — and payload sharing across
-    // classes brings the actual count down to 1.
-    assert_eq!(
-        on_the_wire, 1,
-        "32 envelopes of both dialect classes share one payload serialization"
-    );
+#[test]
+fn publish_serializes_each_shared_piece_once_across_all_subscribers() {
+    // Two equivalence classes are rendered (WSE 08/2004 and wrapped
+    // WSN 1.3), sharing one payload: 1 payload + 2 WSE pieces (Action,
+    // topic header) + 5 WSN pieces (Action, Topic, ProducerReference,
+    // Message, manager Address) = 8 serializations.
+    for per_family in [16, 32] {
+        let (delivered, on_send_path, on_the_wire) = publish_to_both_families(per_family);
+        assert_eq!(delivered, 2 * per_family);
+        assert_eq!(on_send_path, 0, "the send path serializes nothing");
+        assert_eq!(
+            on_the_wire, 8,
+            "{delivered} envelopes of both dialect classes share 8 serializations"
+        );
+    }
 }
 
 #[test]
@@ -126,8 +138,11 @@ fn each_publication_serializes_its_own_payload_once() {
     drop(guard);
     assert_eq!(serialized, 8 * 10);
     assert_eq!(on_send_path, 0, "the send path serializes nothing");
+    // Per publication: the payload and its class's `wsa:Action` (a raw
+    // delivery's Action names the payload, so it is per publication).
     assert_eq!(
-        on_the_wire, 10,
-        "one payload serialization per publication, not per subscriber"
+        on_the_wire,
+        2 * 10,
+        "two shared serializations per publication, not per subscriber"
     );
 }

@@ -303,7 +303,6 @@ impl WseCodec {
         match self.version {
             WseVersion::Aug2004 => env
                 .headers()
-                .iter()
                 .find(|h| h.name.is(ns, "Identifier"))
                 .map(|h| h.text().trim().to_string()),
             WseVersion::Jan2004 => env
@@ -379,23 +378,7 @@ impl WseCodec {
     /// body — WS-Eventing's only defined encapsulation, per the paper's
     /// message-encapsulation comparison.
     pub fn notification(&self, to: &EndpointReference, event: &Element) -> Envelope {
-        self.raw(to, Node::Element(event.clone()))
-    }
-
-    /// A raw notification over a shared payload subtree, so every
-    /// envelope carrying the same event reuses one cached payload
-    /// serialization. Byte-identical to [`WseCodec::notification`]
-    /// over the same element.
-    pub fn notification_shared(
-        &self,
-        to: &EndpointReference,
-        event: &Arc<SharedElement>,
-    ) -> Envelope {
-        self.raw(to, Node::Shared(Arc::clone(event)))
-    }
-
-    fn raw(&self, to: &EndpointReference, event: Node) -> Envelope {
-        MessageHeaders::raw_delivery(SOAP, self.version.wsa(), to, event)
+        MessageHeaders::raw_delivery(SOAP, self.version.wsa(), to, Node::Element(event.clone()))
     }
 
     /// A wrapped notification batch. 08/2004 allows the mode but does
@@ -405,10 +388,10 @@ impl WseCodec {
         self.wrapped(to, events.iter().cloned().map(Node::Element))
     }
 
-    /// A wrapped notification batch over shared event subtrees — the
-    /// batched counterpart of [`WseCodec::notification_shared`].
-    /// Byte-identical to [`WseCodec::wrapped_notification`] over the
-    /// same elements.
+    /// A wrapped notification batch over shared event subtrees, so
+    /// every envelope carrying the same events reuses their cached
+    /// serializations. Byte-identical to
+    /// [`WseCodec::wrapped_notification`] over the same elements.
     pub fn wrapped_notification_shared(
         &self,
         to: &EndpointReference,

@@ -200,7 +200,7 @@ impl wsm_transport::SoapHandler for IdentifierSpy {
         request: wsm_soap::Envelope,
     ) -> Result<Option<wsm_soap::Envelope>, wsm_soap::Fault> {
         let ns = WseVersion::Aug2004.ns();
-        let headers = request.headers().iter();
+        let headers = request.headers();
         let ids = headers.filter(|h| h.name.is(ns, "Identifier")).count();
         self.seen.lock().unwrap().push(ids);
         match self.net.request(&self.target, request) {

@@ -100,8 +100,8 @@ impl WsnCodec {
 
     /// The `wsnt:SubscriptionReference` element for `epr`, exactly as a
     /// `NotificationMessage` built by [`WsnCodec::notify`] embeds it.
-    /// Lets a renderer splice the one per-subscriber child into a cached
-    /// prototype envelope instead of rebuilding the whole message.
+    /// The broker's render cuts its per-class template from this, so
+    /// the shape it rebuilds per subscriber cannot drift.
     pub fn subscription_reference(&self, epr: &EndpointReference) -> Element {
         epr.to_named_element(self.version.wsa(), self.el("SubscriptionReference"))
     }
@@ -495,7 +495,6 @@ impl WsnCodec {
     /// `SubscriptionId` header).
     pub fn extract_subscription_id(&self, env: &Envelope) -> Option<String> {
         env.headers()
-            .iter()
             .find(|h| h.name.is(self.version.ns(), SUBSCRIPTION_ID_LOCAL))
             .map(|h| h.text().trim().to_string())
     }
@@ -644,20 +643,7 @@ impl WsnCodec {
 
     /// Build a raw notification (just the payload in the body).
     pub fn raw_notification(&self, to: &EndpointReference, message: &Element) -> Envelope {
-        self.raw(to, Node::Element(message.clone()))
-    }
-
-    /// Raw notification over a shared payload subtree. Byte-identical
-    /// to [`WsnCodec::raw_notification`] over the same element.
-    pub fn raw_notification_shared(
-        &self,
-        to: &EndpointReference,
-        message: &Arc<SharedElement>,
-    ) -> Envelope {
-        self.raw(to, Node::Shared(Arc::clone(message)))
-    }
-
-    fn raw(&self, to: &EndpointReference, message: Node) -> Envelope {
+        let message = Node::Element(message.clone());
         MessageHeaders::raw_delivery(SOAP, self.version.wsa(), to, message)
     }
 

@@ -1,19 +1,25 @@
 //! The envelope model.
 //!
-//! An [`Envelope`] is **copy-on-write**: its header vector and its body
-//! vector each sit behind an `Arc`, so `clone()` is two reference bumps
-//! and a clone shares both vectors with its original until one of them
-//! is written. Every mutator goes through `Arc::make_mut`, which copies
-//! the one vector it is about to change if (and only if) someone else
-//! still holds it (replacing the whole body copies nothing: a shared
-//! vector is simply left to its other holders).
+//! An [`Envelope`] is **copy-on-write** and **element-granular**. Its
+//! header list and its body are each a slice of [`Node`]s behind an
+//! `Arc` — one allocation apiece — so `clone()` is two reference bumps
+//! and a clone shares both lists with its original until one of them
+//! is written. A write copies the one list it changes if (and only if)
+//! someone else still holds it; replacing a whole list copies nothing,
+//! a shared one is simply left to its other holders. Each entry may
+//! itself be a [`Node::Shared`] subtree, so one header or body element
+//! can sit in many envelopes at once; the mutators that hand out
+//! `&mut Element` ([`Envelope::header_at_mut`],
+//! [`Envelope::body_first_mut`]) turn a shared entry into a private
+//! copy first.
 //!
-//! The broker leans on this three times per delivery. The per-class
-//! prototype is handed to each subscriber's render as a clone: the
-//! render's first header write is the delivery's one deep copy, and a
-//! body nobody patches is never copied. The sink clones the finished
-//! envelope for `SoapHandler::handle(&self, Envelope)`, and the
-//! redelivery queue keeps another; both are free. Equality,
+//! The broker leans on this per delivery. Its render builds each
+//! envelope from pieces fixed per publication — the `wsa:Action`, topic
+//! and `Notify` parts are shared subtrees — so a delivery's header list
+//! is pointer copies plus one fresh `wsa:To`, and a raw delivery shares
+//! its body with every other subscriber of its class. The sink clones
+//! the finished envelope for `SoapHandler::handle(&self, Envelope)`,
+//! and the redelivery queue keeps another; both are free. Equality,
 //! serialization and parsing see only the contents.
 
 use std::fmt;
@@ -106,20 +112,29 @@ impl From<XmlError> for SoapError {
 
 /// A SOAP envelope: optional header blocks and a body.
 ///
-/// Body entries are [`Node`]s so a broker fanning one publication out
-/// to many subscribers can splice a [`SharedElement`] payload — owned
-/// once, serialized once — into every per-subscriber envelope while
-/// the headers stay individually addressed. Node equality treats
-/// shared and plain subtrees identically, so this is invisible to
-/// comparisons and round-trips.
+/// Header and body entries are [`Node`]s so a broker fanning one
+/// publication out to many subscribers can splice a [`SharedElement`]
+/// — owned once, serialized once — into every per-subscriber envelope,
+/// building only the entries that differ per subscriber. Node equality
+/// treats shared and plain subtrees identically, so this is invisible
+/// to comparisons and round-trips.
 ///
 /// Cloning is cheap (see the module docs): the clone shares the header
-/// and body vectors until either side writes to one.
+/// and body lists until either side writes to one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Envelope {
     version: SoapVersion,
-    headers: Arc<Vec<Element>>,
-    body: Arc<Vec<Node>>,
+    headers: Arc<[Node]>,
+    body: Arc<[Node]>,
+}
+
+/// The element in `node`, made private first if it is a shared
+/// subtree, so writing to it changes this one envelope only.
+fn unshared(node: &mut Node) -> Option<&mut Element> {
+    if let Node::Shared(shared) = node {
+        *node = Node::Element(shared.element().clone());
+    }
+    node.as_element_mut()
 }
 
 impl Envelope {
@@ -139,7 +154,31 @@ impl Envelope {
 
     /// Append a header block.
     pub fn add_header(&mut self, header: Element) {
-        Arc::make_mut(&mut self.headers).push(header);
+        self.extend_headers([Node::Element(header)]);
+    }
+
+    /// Append header blocks, plain or shared subtrees, in one copy of
+    /// the list however many.
+    pub fn extend_headers(&mut self, headers: impl IntoIterator<Item = Node>) {
+        // The blocks already here are moved into the copy when this
+        // envelope is their only holder, and cloned otherwise.
+        let mut list: Vec<Node> = match Arc::get_mut(&mut self.headers) {
+            Some(owned) => owned
+                .iter_mut()
+                .map(|n| std::mem::replace(n, Node::Text(String::new())))
+                .collect(),
+            None => self.headers.to_vec(),
+        };
+        list.extend(headers);
+        self.headers = list.into();
+    }
+
+    /// Replace every header block at once, storing them in one
+    /// allocation where the iterator knows its exact length. Like a
+    /// whole-body replacement this copies nothing: a shared header list
+    /// is left to its other holders.
+    pub fn set_header_nodes(&mut self, headers: impl IntoIterator<Item = Node>) {
+        self.headers = headers.into_iter().collect();
     }
 
     /// Builder-style [`Envelope::add_header`].
@@ -148,36 +187,21 @@ impl Envelope {
         self
     }
 
-    /// Insert a header block at `index`, shifting later headers right.
-    ///
-    /// WS-Addressing binding rules make header *order* observable (To,
-    /// Action, then echoed reference data, then extensions), so callers
-    /// patching a cloned prototype envelope need positional insertion
-    /// rather than [`Envelope::add_header`]'s append.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index > self.headers().len()`.
-    pub fn insert_header(&mut self, index: usize, header: Element) {
-        Arc::make_mut(&mut self.headers).insert(index, header);
-    }
-
-    /// Mutable access to the header block at `index`, if any.
+    /// Mutable access to the header block at `index`, if any. A shared
+    /// block is copied into this envelope first.
     pub fn header_at_mut(&mut self, index: usize) -> Option<&mut Element> {
         // Probe first: an out-of-range index must not cost a copy.
         if index >= self.headers.len() {
             return None;
         }
-        Arc::make_mut(&mut self.headers).get_mut(index)
+        unshared(&mut Arc::make_mut(&mut self.headers)[index])
     }
 
-    /// Mutable access to the first body element (the usual case).
+    /// Mutable access to the first body element (the usual case). A
+    /// shared element is copied into this envelope first.
     pub fn body_first_mut(&mut self) -> Option<&mut Element> {
-        let at = self
-            .body
-            .iter()
-            .position(|n| matches!(n, Node::Element(_)))?;
-        Arc::make_mut(&mut self.body)[at].as_element_mut()
+        let at = self.body.iter().position(|n| n.as_element().is_some())?;
+        unshared(&mut Arc::make_mut(&mut self.body)[at])
     }
 
     /// Replace the body content with a single element.
@@ -198,16 +222,10 @@ impl Envelope {
     }
 
     /// The write half of copy-on-write for a whole-body replacement:
-    /// the old content is going away, so a shared vector is left to its
+    /// the old content is going away, so a shared list is left to its
     /// other holders rather than copied first.
     fn replace_body(&mut self, node: Node) {
-        match Arc::get_mut(&mut self.body) {
-            Some(body) => {
-                body.clear();
-                body.push(node);
-            }
-            None => self.body = Arc::new(vec![node]),
-        }
+        self.body = Arc::from([node]);
     }
 
     /// Builder-style [`Envelope::set_shared_body`].
@@ -222,14 +240,20 @@ impl Envelope {
         self
     }
 
-    /// All header blocks.
-    pub fn headers(&self) -> &[Element] {
+    /// All header blocks, shared subtrees included.
+    pub fn headers(&self) -> impl Iterator<Item = &Element> {
+        self.headers.iter().filter_map(Node::as_element)
+    }
+
+    /// All header blocks as the nodes this envelope holds: copying one
+    /// is a reference bump where it is a shared subtree.
+    pub fn header_nodes(&self) -> &[Node] {
         &self.headers
     }
 
     /// The first header block with the given expanded name.
     pub fn header(&self, ns: &str, local: &str) -> Option<&Element> {
-        self.headers.iter().find(|h| h.name.is(ns, local))
+        self.headers().find(|h| h.name.is(ns, local))
     }
 
     /// The first body element (the usual case).
@@ -259,9 +283,7 @@ impl Envelope {
         let mut env = Element::ns(ns, "Envelope", p);
         if !self.headers.is_empty() {
             let mut header = Element::ns(ns, "Header", p);
-            for h in self.headers.iter() {
-                header.push(h.clone());
-            }
+            header.children.extend(self.headers.iter().cloned());
             env.push(header);
         }
         let mut body = Element::ns(ns, "Body", p);
@@ -326,7 +348,7 @@ impl Envelope {
             return Err(SoapError::NotAnEnvelope(root.name.clark()));
         };
         let ns = version.ns();
-        let mut headers = Vec::new();
+        let mut headers: Arc<[Node]> = Arc::default();
         let mut body = None;
         for child in root.elements() {
             if child.name.is(ns, "Header") {
@@ -336,18 +358,12 @@ impl Envelope {
                 if !headers.is_empty() {
                     return Err(SoapError::Structure("multiple Header elements".into()));
                 }
-                headers = child.elements().cloned().collect();
+                headers = child.elements().cloned().map(Node::Element).collect();
             } else if child.name.is(ns, "Body") {
                 if body.is_some() {
                     return Err(SoapError::Structure("multiple Body elements".into()));
                 }
-                body = Some(
-                    child
-                        .elements()
-                        .cloned()
-                        .map(Node::Element)
-                        .collect::<Vec<_>>(),
-                );
+                body = Some(child.elements().cloned().map(Node::Element).collect());
             } else {
                 return Err(SoapError::Structure(format!(
                     "unexpected envelope child {}",
@@ -358,8 +374,8 @@ impl Envelope {
         let body = body.ok_or_else(|| SoapError::Structure("missing Body".into()))?;
         Ok(Envelope {
             version,
-            headers: Arc::new(headers),
-            body: Arc::new(body),
+            headers,
+            body,
         })
     }
 }
@@ -448,7 +464,7 @@ mod tests {
     #[test]
     fn multiple_body_elements_preserved() {
         let mut env = Envelope::new(SoapVersion::V11);
-        env.body = Arc::new(vec![
+        env.body = Arc::from([
             Node::Element(Element::local("a")),
             Node::Element(Element::local("b")),
         ]);
@@ -491,13 +507,8 @@ mod tests {
         // Each mutator copies the one vector it writes, and only for
         // the envelope it was called on.
         type Write = fn(&mut Envelope);
-        let writes: [(&str, Write, bool); 6] = [
+        let writes: [(&str, Write, bool); 5] = [
             ("add_header", |e| e.add_header(Element::local("x")), true),
-            (
-                "insert_header",
-                |e| e.insert_header(1, Element::local("x")),
-                true,
-            ),
             (
                 "header_at_mut",
                 |e| e.header_at_mut(0).unwrap().push_text("!"),
@@ -531,6 +542,32 @@ mod tests {
                 "{name}: body"
             );
         }
+    }
+
+    #[test]
+    fn a_shared_entry_is_made_private_before_a_write() {
+        let action = SharedElement::new(Element::ns("urn:h", "Action", "h").with_text("urn:go"));
+        let body = SharedElement::new(Element::ns("urn:b", "B", "b"));
+        let mut env = Envelope::new(SoapVersion::V12).with_shared_body(Arc::clone(&body));
+        env.extend_headers([Node::Shared(Arc::clone(&action))]);
+        let other = env.clone();
+        let xml = env.to_xml();
+        // Shared and plain blocks read alike.
+        assert_eq!(env.header("urn:h", "Action").unwrap().text(), "urn:go");
+        assert_eq!(env.headers().count(), 1);
+
+        env.header_at_mut(0).unwrap().push_text("!");
+        env.body_first_mut().unwrap().push_text("!");
+        assert!(matches!(env.header_nodes()[0], Node::Element(_)));
+        assert_eq!(action.element().text(), "urn:go");
+        assert!(body.element().is_empty());
+        assert_eq!(other.to_xml(), xml);
+        assert_eq!(
+            Envelope::from_xml(&env.to_xml()).unwrap(),
+            Envelope::new(SoapVersion::V12)
+                .with_header(Element::ns("urn:h", "Action", "h").with_text("urn:go!"))
+                .with_body(Element::ns("urn:b", "B", "b").with_text("!"))
+        );
     }
 
     #[test]

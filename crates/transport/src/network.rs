@@ -19,11 +19,13 @@
 //!   is exact, not an approximation.
 //! * **Clock.** The virtual clock is advanced only by a non-zero hop
 //!   latency; a zero-latency send just reads it.
-//! * **Trace.** The ring stores a private compact record whose strings
-//!   are shared: `to` is the endpoint table's own key, `label` comes
-//!   from a per-thread cache of the last few labels that thread sent,
-//!   `worker` is a per-thread handle on the thread's name. Readers
-//!   ([`Network::trace`], [`Network::drain_trace`],
+//! * **Trace.** The ring stores a private compact record of at most 48
+//!   bytes whose strings are shared, each behind one thin pointer: `to`
+//!   is the endpoint table's own key, `label` comes from a per-thread
+//!   cache of the last few labels that thread sent, `worker` is a
+//!   per-thread handle on the thread's name. The outcome is a one-byte
+//!   tag; only a fault's reason, off the delivered path, is boxed
+//!   beside it. Readers ([`Network::trace`], [`Network::drain_trace`],
 //!   [`Network::trace_jsonl`]) build the public [`TraceRecord`], with
 //!   its owned `String`s, on the way out — so what they return, and
 //!   every exported byte, is what it always was.
@@ -36,10 +38,12 @@ use crate::faults::{FaultPlan, Injected, Injection};
 use crate::obs::NetObs;
 use crate::trace::{DeliveryOutcome, TraceRecord};
 use parking_lot::{Mutex, RwLock};
-use std::borrow::Cow;
+use std::borrow::{Borrow, Cow};
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::fmt::{self, Write as _};
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -126,27 +130,98 @@ struct Endpoint {
     options: EndpointOptions,
 }
 
+/// A shared string behind one thin pointer — half the size of an
+/// `Arc<str>` — for the trace record's strings and the endpoint table
+/// keys they share. It hashes and compares as the `str` it holds, so
+/// the table is looked up by `&str`.
+#[derive(Clone, PartialEq, Eq)]
+struct ThinStr(Arc<String>);
+
+impl From<&str> for ThinStr {
+    fn from(s: &str) -> Self {
+        ThinStr(Arc::new(s.to_string()))
+    }
+}
+
+impl Deref for ThinStr {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl Borrow<str> for ThinStr {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
+impl Hash for ThinStr {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        str::hash(&self.0, state);
+    }
+}
+
+/// A [`DeliveryOutcome`] without its fault reason: one byte.
+#[derive(Clone, Copy)]
+enum Fate {
+    Delivered,
+    Dropped,
+    NoEndpoint,
+    Refused,
+    Faulted,
+}
+
+impl Fate {
+    /// `outcome` as a tag and, for a fault, its reason.
+    fn split(outcome: DeliveryOutcome) -> (Fate, Option<ThinStr>) {
+        match outcome {
+            DeliveryOutcome::Delivered => (Fate::Delivered, None),
+            DeliveryOutcome::Dropped => (Fate::Dropped, None),
+            DeliveryOutcome::NoEndpoint => (Fate::NoEndpoint, None),
+            DeliveryOutcome::Refused => (Fate::Refused, None),
+            DeliveryOutcome::Faulted(reason) => (Fate::Faulted, Some(ThinStr(Arc::new(reason)))),
+        }
+    }
+}
+
 /// What the trace ring stores per attempt: a [`TraceRecord`] whose
-/// strings are shared handles (see the module docs), so recording a
-/// delivered send allocates nothing.
+/// strings are shared handles and whose outcome is a tag (see the
+/// module docs), so recording a delivered send allocates nothing.
 struct Traced {
     time_ms: u64,
-    to: Arc<str>,
-    label: Arc<str>,
+    to: ThinStr,
+    label: ThinStr,
+    worker: ThinStr,
+    /// A fault's reason; `None` for every other fate.
+    reason: Option<ThinStr>,
+    fate: Fate,
     two_way: bool,
-    outcome: DeliveryOutcome,
-    worker: Arc<str>,
 }
+
+// A busy broker fills the ring: at `TRACE_CAPACITY` records every
+// byte of the record is 64 KiB of resident memory.
+const _: () = assert!(std::mem::size_of::<Traced>() <= 48);
 
 impl Traced {
     /// The public record readers get.
     fn record(&self) -> TraceRecord {
+        let outcome = match self.fate {
+            Fate::Delivered => DeliveryOutcome::Delivered,
+            Fate::Dropped => DeliveryOutcome::Dropped,
+            Fate::NoEndpoint => DeliveryOutcome::NoEndpoint,
+            Fate::Refused => DeliveryOutcome::Refused,
+            Fate::Faulted => {
+                DeliveryOutcome::Faulted(self.reason.as_deref().unwrap_or_default().to_string())
+            }
+        };
         TraceRecord {
             time_ms: self.time_ms,
             to: self.to.to_string(),
             label: self.label.to_string(),
             two_way: self.two_way,
-            outcome: self.outcome.clone(),
+            outcome,
             worker: self.worker.to_string(),
         }
     }
@@ -160,25 +235,25 @@ const LABEL_CACHE: usize = 8;
 thread_local! {
     /// The last [`LABEL_CACHE`] distinct labels this thread sent, oldest
     /// first.
-    static LABELS: RefCell<VecDeque<Arc<str>>> = const { RefCell::new(VecDeque::new()) };
+    static LABELS: RefCell<VecDeque<ThinStr>> = const { RefCell::new(VecDeque::new()) };
     /// This thread's name, as the trace attributes deliveries to it.
-    static WORKER: Arc<str> = Arc::from(std::thread::current().name().unwrap_or("(unnamed)"));
+    static WORKER: ThinStr = ThinStr::from(std::thread::current().name().unwrap_or("(unnamed)"));
 }
 
 /// A shared handle on `label`: this thread's cached one when it sent
 /// the same label recently, else a fresh one that pushes the oldest
 /// out of the cache. A miss only costs the allocation a hit saves; the
 /// label recorded is `label` either way.
-fn shared_label(label: &str) -> Arc<str> {
+fn shared_label(label: &str) -> ThinStr {
     LABELS.with_borrow_mut(|cache| {
         if let Some(hit) = cache.iter().find(|l| &***l == label) {
-            return Arc::clone(hit);
+            return hit.clone();
         }
-        let fresh: Arc<str> = Arc::from(label);
+        let fresh = ThinStr::from(label);
         if cache.len() == LABEL_CACHE {
             cache.pop_front();
         }
-        cache.push_back(Arc::clone(&fresh));
+        cache.push_back(fresh.clone());
         fresh
     })
 }
@@ -189,7 +264,7 @@ fn shared_label(label: &str) -> Arc<str> {
 const TRACE_CAPACITY: usize = 65_536;
 
 struct Inner {
-    endpoints: RwLock<HashMap<Arc<str>, Endpoint>>,
+    endpoints: RwLock<HashMap<ThinStr, Endpoint>>,
     faults: Mutex<FaultPlan>,
     /// True iff the plan in `faults` names any endpoint. Written only
     /// by `edit_faults`, under the plan lock; read by every send
@@ -273,7 +348,7 @@ impl Network {
         self.0
             .endpoints
             .write()
-            .insert(Arc::from(uri.into()), Endpoint { handler, options });
+            .insert(ThinStr(Arc::new(uri.into())), Endpoint { handler, options });
     }
 
     /// Remove an endpoint. Returns true if one was registered.
@@ -405,7 +480,7 @@ impl Network {
                 // before the handler runs.
                 let resolved = (self.0.endpoints.read())
                     .get_key_value(to)
-                    .map(|(key, ep)| (Arc::clone(key), ep.clone()));
+                    .map(|(key, ep)| (key.clone(), ep.clone()));
                 match resolved {
                     None => (Err(TransportError::NoEndpoint(to.to_string())), None),
                     Some((key, ep)) if ep.options.firewalled => {
@@ -428,8 +503,9 @@ impl Network {
             Err(err) => err.outcome(),
         };
         self.0.obs.observe(started, &outcome, class);
-        let to = key.unwrap_or_else(|| Arc::from(to));
-        let worker = WORKER.with(Arc::clone);
+        let to = key.unwrap_or_else(|| ThinStr::from(to));
+        let worker = WORKER.with(ThinStr::clone);
+        let (fate, reason) = Fate::split(outcome);
         let evicted = {
             let mut trace = self.0.trace.lock();
             let evicted = if trace.len() == TRACE_CAPACITY {
@@ -442,9 +518,10 @@ impl Network {
                 time_ms: self.0.clock.now_ms(),
                 to,
                 label,
-                two_way,
-                outcome,
                 worker,
+                reason,
+                fate,
+                two_way,
             });
             evicted
         };
@@ -869,9 +946,9 @@ mod tests {
         want.push(actions.last().unwrap());
         assert_eq!(labels, want);
         let ring = net.0.trace.lock();
-        let last_two: Vec<&Arc<str>> = ring.iter().rev().take(2).map(|r| &r.label).collect();
+        let last_two: Vec<&ThinStr> = ring.iter().rev().take(2).map(|r| &r.label).collect();
         assert!(
-            Arc::ptr_eq(last_two[0], last_two[1]),
+            Arc::ptr_eq(&last_two[0].0, &last_two[1].0),
             "a hit shares the handle"
         );
     }

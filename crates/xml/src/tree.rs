@@ -103,16 +103,32 @@ pub fn shared_serialization_count() -> u64 {
 /// documents, serializing at most once.
 ///
 /// The cached form is the *standalone* compact serialization: every
-/// namespace the subtree uses is declared within it, so the writer can
-/// splice the cached bytes into any compact document where no default
-/// namespace is in force (the one binding that could capture the
-/// subtree's unprefixed names). In pretty-print mode, or under an
-/// active default namespace, the writer falls back to recursively
-/// writing the wrapped element.
+/// namespace the subtree uses is declared within it. With it the first
+/// serialization records the `(prefix, uri)` pairs those declarations
+/// bind. The writer splices the cached bytes into a compact document
+/// only where they are exactly what writing the element in place would
+/// produce: no default namespace is in force (it could capture the
+/// subtree's unprefixed names), and the enclosing scope binds none of
+/// the recorded pairs (writing in place would leave that declaration
+/// out). Anywhere else — and in pretty-print mode — the writer falls
+/// back to recursively writing the wrapped element.
 #[derive(Debug)]
 pub struct SharedElement {
     element: Element,
-    xml: OnceLock<String>,
+    cached: OnceLock<Cached>,
+}
+
+/// A [`SharedElement`]'s standalone serialization and what it declares.
+#[derive(Debug)]
+pub(crate) struct Cached {
+    /// The standalone compact serialization.
+    pub(crate) xml: String,
+    /// Every `(prefix, uri)` pair the serialization declares, in
+    /// first-declared order; `None` is the default namespace.
+    pub(crate) decls: Box<[(Option<Interned>, Interned)]>,
+    /// The serialization invented a prefix (`ns0`, ...): the writer's
+    /// choice depends on the enclosing document, so it is never spliced.
+    pub(crate) generated: bool,
 }
 
 impl SharedElement {
@@ -120,7 +136,7 @@ impl SharedElement {
     pub fn new(element: Element) -> Arc<Self> {
         Arc::new(SharedElement {
             element,
-            xml: OnceLock::new(),
+            cached: OnceLock::new(),
         })
     }
 
@@ -132,9 +148,14 @@ impl SharedElement {
     /// The standalone compact serialization, rendered on first use and
     /// cached for the lifetime of the subtree.
     pub fn xml(&self) -> &str {
-        self.xml.get_or_init(|| {
+        &self.cached().xml
+    }
+
+    /// The cached serialization and its declarations.
+    pub(crate) fn cached(&self) -> &Cached {
+        self.cached.get_or_init(|| {
             SHARED_SERIALIZATIONS.fetch_add(1, Ordering::Relaxed);
-            crate::writer::to_string(&self.element)
+            crate::writer::standalone(&self.element)
         })
     }
 

@@ -12,7 +12,7 @@
 use crate::escape::{escape_attr, escape_text};
 use crate::intern::{intern, Interned};
 use crate::name::XML_NS;
-use crate::tree::{Element, Node};
+use crate::tree::{Cached, Element, Node};
 
 /// Serialization options.
 #[derive(Debug, Clone, Copy, Default)]
@@ -64,8 +64,44 @@ pub fn write_into(root: &Element, out: &mut String, opts: WriteOptions) {
         opts,
         scopes: Vec::new(),
         gen_counter: 0,
+        record: None,
     };
     w.element(root, 0);
+}
+
+/// The standalone compact serialization of `root` a
+/// [`crate::SharedElement`] caches, with the declarations it makes.
+pub(crate) fn standalone(root: &Element) -> Cached {
+    let mut xml = String::with_capacity(256);
+    let mut w = Writer {
+        out: &mut xml,
+        opts: WriteOptions::default(),
+        scopes: Vec::new(),
+        gen_counter: 0,
+        record: Some(Record::default()),
+    };
+    w.element(root, 0);
+    let record = w.record.take().unwrap_or_default();
+    Cached {
+        xml,
+        decls: record.decls.into_boxed_slice(),
+        generated: record.generated,
+    }
+}
+
+/// What a standalone serialization declared (see [`Cached`]).
+#[derive(Default)]
+struct Record {
+    decls: Vec<(Option<Interned>, Interned)>,
+    generated: bool,
+}
+
+impl Record {
+    fn declared(&mut self, pair: &(Option<Interned>, Interned)) {
+        if !self.decls.contains(pair) {
+            self.decls.push(pair.clone());
+        }
+    }
 }
 
 /// A resolved lexical tag name. Both halves are interned handles, so a
@@ -100,6 +136,8 @@ struct Writer<'a> {
     /// represents an un-declaration.
     scopes: Vec<(Option<Interned>, Interned)>,
     gen_counter: usize,
+    /// Set only while serializing a shared subtree's cached form.
+    record: Option<Record>,
 }
 
 impl Writer<'_> {
@@ -139,6 +177,9 @@ impl Writer<'_> {
         loop {
             let cand = format!("ns{}", self.gen_counter);
             self.gen_counter += 1;
+            if let Some(record) = &mut self.record {
+                record.generated = true;
+            }
             if self.binding_of(Some(&cand)).is_none() {
                 return intern(&cand);
             }
@@ -175,6 +216,11 @@ impl Writer<'_> {
             attr_tags.push(aname);
         }
 
+        if let Some(record) = &mut self.record {
+            for pair in &decls {
+                record.declared(pair);
+            }
+        }
         self.out.push('<');
         tag.push_to(self.out);
         for (p, u) in &decls {
@@ -217,15 +263,19 @@ impl Writer<'_> {
             match c {
                 Node::Element(child) => self.element(child, depth + 1),
                 Node::Shared(shared) => {
-                    // The cached form self-declares every namespace it
-                    // uses, so it can be spliced anywhere a default
-                    // namespace cannot capture its unprefixed names.
                     // Pretty mode re-renders so indentation stays right.
-                    let default_ns_active = self.binding_of(None).is_some_and(|u| !u.is_empty());
-                    if self.opts.indent.is_none() && !default_ns_active {
-                        self.out.push_str(shared.xml());
-                    } else {
-                        self.element(shared.element(), depth + 1);
+                    let cached = (self.opts.indent.is_none())
+                        .then(|| shared.cached())
+                        .filter(|cached| self.splices(cached));
+                    match cached {
+                        Some(cached) => {
+                            self.out.push_str(&cached.xml);
+                            if let Some(record) = &mut self.record {
+                                cached.decls.iter().for_each(|pair| record.declared(pair));
+                                record.generated |= cached.generated;
+                            }
+                        }
+                        None => self.element(shared.element(), depth + 1),
                     }
                 }
                 Node::Text(t) => self.out.push_str(&escape_text(t)),
@@ -257,6 +307,22 @@ impl Writer<'_> {
         tag.push_to(self.out);
         self.out.push('>');
         self.scopes.truncate(scope_base);
+    }
+
+    /// Are `cached`'s bytes exactly what writing its element here would
+    /// produce? They are where every lookup the element's writing makes
+    /// answers as it did standalone: no default namespace can capture
+    /// an unprefixed name, no recorded prefix is already bound to its
+    /// URI here (writing in place would not declare it again), no
+    /// recorded default-namespace URI has a prefix here (writing in
+    /// place would use it), and no prefix was invented.
+    fn splices(&self, cached: &Cached) -> bool {
+        !cached.generated
+            && self.binding_of(None).is_none_or(|u| u.is_empty())
+            && cached.decls.iter().all(|(p, u)| match p {
+                Some(p) => self.binding_of(Some(p)) != Some(u),
+                None => self.prefix_for(u, true).is_none(),
+            })
     }
 
     fn newline_indent(&mut self, depth: usize) {
@@ -518,6 +584,36 @@ mod tests {
             .push(Node::Shared(SharedElement::new(payload)));
         let back = parse(&to_string(&root)).unwrap();
         assert_eq!(back.elements().next().unwrap().name, QName::local("note"));
+    }
+
+    #[test]
+    fn shared_subtree_whose_binding_is_in_scope_writes_like_plain() {
+        use crate::tree::SharedElement;
+        let outer = |child: Node| {
+            // The unhinted attribute makes the writer invent `ns0` here.
+            let mut body = Element::ns("urn:a", "Body", "a").with_attr_ns("urn:y", "t", "", "1");
+            body.children.push(child);
+            Element::ns("urn:s", "Envelope", "s").with_child(body)
+        };
+        let payloads = [
+            // Its own prefix and URI are already bound: no redeclaration.
+            Element::ns("urn:a", "Custom", "a").with_child(Element::ns("urn:a", "In", "a")),
+            // Unhinted: writing in place reuses the outer `a` prefix.
+            Element::new(QName::ns("urn:a", "Bare")),
+            // An invented attribute prefix depends on the document.
+            Element::local("r").with_attr_ns("urn:x", "k", "", "v"),
+            // A pair declared below the root counts too.
+            Element::ns("urn:b", "Other", "b").with_child(Element::ns("urn:a", "In", "a")),
+            // Nothing it declares is bound here: the cached bytes are
+            // spliced.
+            Element::ns("urn:b", "Other", "b").with_child(Element::local("plain")),
+        ];
+        for payload in payloads {
+            let plain = to_string(&outer(Node::Element(payload.clone())));
+            let shared = to_string(&outer(Node::Shared(SharedElement::new(payload))));
+            assert_eq!(shared, plain);
+            assert_eq!(parse(&shared).unwrap(), parse(&plain).unwrap());
+        }
     }
 
     // `shared_subtree_serializes_once_across_documents` lives in
