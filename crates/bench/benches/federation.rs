@@ -60,9 +60,9 @@ const MATCHED_PER_TOPIC: u64 = 32;
 /// broker's delivery cost does not depend on endpoint identity.
 const SINKS: u64 = 64;
 
-/// Average events per shard per sealed batch — the adaptive policy's
-/// `max`, which the burst workload pins (back-to-back virtual-clock
-/// arrivals have a ~0 EWMA gap, steering the target to `max`).
+/// Events per shard per sealed batch — the adaptive policy's `max`.
+/// The burst never advances the virtual clock, so the deadline never
+/// fires and every batch seals at exactly this size.
 const EVENTS_PER_SHARD: usize = 8;
 
 /// Batches' worth of events per shard per measured iteration — one
@@ -73,7 +73,7 @@ const EVENTS_PER_SHARD: usize = 8;
 /// idle flushers to steal.
 const FLUSHES_PER_ITER: usize = 4;
 
-/// The link batch policy every grid point runs: seal at ~8 events (or
+/// The link batch policy every grid point runs: seal at 8 events (or
 /// a 5 virtual-ms deadline on trickle links), matching the hop size
 /// the pre-pipelined bench used so the grids stay comparable.
 const LINK_POLICY: wsm_messenger::BatchPolicy = wsm_messenger::BatchPolicy::Adaptive {

@@ -22,19 +22,18 @@
 //!   because each publication is routed to exactly **one** shard (its
 //!   topic root's owner; topicless events round-robin), so a
 //!   replicated subscription sees each event exactly once.
-//! * **Pipelined links.** Each (front → owner shard) link is a bounded,
+//! * **Pipelined links.** Each (front → owner shard) link is a
 //!   double-buffered batch queue drained by a persistent flusher
 //!   thread: publishers *enqueue and return* instead of carrying the
-//!   inter-broker hop themselves. Batch boundaries come from
-//!   [`BatchPolicy`]: adaptive Nagle-style sealing that sizes batches
-//!   from an EWMA of the arrival rate and a virtual-clock deadline
-//!   (`min == max` pins the size). When the shared queue bound is hit,
-//!   [`OverflowPolicy`] decides whether publishers park until the
-//!   flushers make room or *shed* — deliver their own event inline —
-//!   so backpressure never drops an event. The default policy is
-//!   [`BatchPolicy::Immediate`]: every publication is delivered
-//!   synchronously on the publisher's thread, in publication order,
-//!   and no flusher threads exist.
+//!   inter-broker hop themselves. Under [`BatchPolicy::Adaptive`] a
+//!   link seals a batch when it holds `max` events or when its oldest
+//!   event has waited `deadline_ms` of virtual time. All links share one
+//!   bound of 1 024 admitted-but-undelivered events: a publisher that
+//!   finds it reached seals every pending link and parks until the
+//!   flushers make room, so backpressure never drops an event. The
+//!   default policy is [`BatchPolicy::Immediate`]: every publication
+//!   is delivered synchronously on the publisher's thread, in
+//!   publication order, and no flusher threads exist.
 //! * **Zero-reparse hop.** A federated batch is handed to the owning
 //!   shard as structured [`SharedNotificationMessage`] values — the
 //!   `Arc`'d payload subtree crosses the hop without being serialized
@@ -95,8 +94,8 @@
 //! assert_eq!(wse.received().len(), 2);
 //!
 //! // Pipelined mode: publications buffer per link, persistent flushers
-//! // deliver adaptively-sized batches, and flush() is the barrier that
-//! // drains every link.
+//! // deliver each batch once it holds 64 events or its oldest has waited
+//! // 5 virtual ms, and flush() is the barrier that drains every link.
 //! fed.set_link_policy(BatchPolicy::Adaptive { min: 2, max: 64, deadline_ms: 5 });
 //! for _ in 0..10 {
 //!     fed.publish_on("storms", &Element::local("alert"));
@@ -148,36 +147,39 @@ pub enum BatchPolicy {
     /// the publisher's thread, in publication order. The default, and
     /// the only policy with no flusher threads.
     Immediate,
-    /// Nagle-style adaptive sealing: target
-    /// `clamp(ceil(deadline_ms / ewma_arrival_gap_ms), min, max)`
-    /// events per batch, where the EWMA tracks the link's inter-arrival
-    /// gap on the virtual clock — hot links grow toward `max`, trickle
-    /// links shrink toward `min`. Independently of the target, a batch
-    /// seals once its oldest event has waited `deadline_ms` of virtual
-    /// time (checked on each arrival, so no timer thread exists and
-    /// runs stay deterministic). `min == max` with
-    /// `deadline_ms: u64::MAX` seals after exactly that many events.
+    /// Nagle-style sealing: a link seals its pending events once it
+    /// holds `max` of them (at least 1), or once the oldest has waited
+    /// `deadline_ms` of virtual time. The deadline is checked on each
+    /// arrival, so no timer thread exists and runs stay deterministic;
+    /// `deadline_ms: u64::MAX` seals after exactly `max` events.
     Adaptive {
-        /// Smallest batch the rate estimate may choose.
+        /// Not read by sealing: a batch seals at `max` events.
         min: usize,
-        /// Largest batch the rate estimate may choose.
+        /// Events that seal a batch.
         max: usize,
         /// Max virtual ms an event may wait before its batch seals.
         deadline_ms: u64,
     },
 }
 
-/// What a publisher does when the shared link-queue bound is reached.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OverflowPolicy {
-    /// Park until the flushers make room (the pending events are sealed
-    /// first so progress is guaranteed). The default.
-    Park,
-    /// Shed the *work*, not the event: the publisher delivers its own
-    /// event inline, bypassing the queue. Counted by
-    /// [`FederatedMessenger::shed_events`]; nothing is ever dropped.
-    Shed,
+impl BatchPolicy {
+    /// Whether a link holding `pending` events, the oldest of which has
+    /// waited `waited_ms`, seals them now. `Immediate` always seals: a
+    /// publisher that saw buffering on just before the policy switched
+    /// back still hands its event to a flusher.
+    fn seals(self, pending: usize, waited_ms: u64) -> bool {
+        match self {
+            BatchPolicy::Immediate => true,
+            BatchPolicy::Adaptive {
+                max, deadline_ms, ..
+            } => pending >= max.max(1) || waited_ms >= deadline_ms,
+        }
+    }
 }
+
+/// Admitted-but-undelivered events the links hold between them before
+/// a publisher parks.
+const LINK_CAPACITY: usize = 1024;
 
 /// One inter-shard link's double-buffered batch queue.
 struct LinkQueue {
@@ -192,10 +194,6 @@ struct LinkQueue {
     /// Virtual arrival time of the oldest pending event (deadline
     /// sealing); meaningless while `pending` is empty.
     oldest_ms: u64,
-    /// Virtual time of the last arrival; `u64::MAX` until the first.
-    last_arrival_ms: u64,
-    /// EWMA of the virtual inter-arrival gap, ms.
-    ewma_gap_ms: f64,
 }
 
 impl LinkQueue {
@@ -205,8 +203,6 @@ impl LinkQueue {
             spare: Vec::new(),
             sealed: VecDeque::new(),
             oldest_ms: 0,
-            last_arrival_ms: u64::MAX,
-            ewma_gap_ms: 0.0,
         }
     }
 }
@@ -215,14 +211,12 @@ impl LinkQueue {
 /// the shared accounting the condvars wait on.
 struct HubState {
     links: Vec<LinkQueue>,
-    /// Events admitted but not yet delivered (pending + sealed).
+    /// Events admitted but not yet delivered (pending + sealed),
+    /// bounded by [`LINK_CAPACITY`].
     queued: usize,
     /// Batches currently being delivered by flushers.
     in_flight: usize,
     policy: BatchPolicy,
-    overflow: OverflowPolicy,
-    /// Shared bound on `queued` across all links.
-    capacity: usize,
     flushers_running: bool,
 }
 
@@ -246,29 +240,6 @@ struct LinkCtx {
     /// Set from `HubState::queued` at scrape time only.
     queue_depth: Arc<wsm_obs::Gauge>,
     flush_size: Arc<wsm_obs::Histogram>,
-    /// Events delivered inline by publishers under `OverflowPolicy::Shed`.
-    shed_total: Arc<wsm_obs::Counter>,
-}
-
-/// The batch size `policy` is currently steering `link` toward.
-fn batch_target(policy: &BatchPolicy, ewma_gap_ms: f64) -> usize {
-    match policy {
-        BatchPolicy::Immediate => 1,
-        BatchPolicy::Adaptive {
-            min,
-            max,
-            deadline_ms,
-        } => {
-            let (min, max) = ((*min).max(1), (*max).max(1));
-            if ewma_gap_ms <= f64::EPSILON {
-                // No rate estimate yet (or back-to-back arrivals on the
-                // virtual clock): take the biggest batch allowed.
-                return max;
-            }
-            let fit = (*deadline_ms as f64 / ewma_gap_ms).ceil() as usize;
-            fit.clamp(min, max)
-        }
-    }
 }
 
 /// Seal `shard`'s pending events into one batch (double-buffer swap:
@@ -286,9 +257,9 @@ fn seal_link(state: &mut HubState, shard: usize) -> usize {
 
 /// The one inter-shard hop: hand a batch to its owning shard, with no
 /// hub lock held — a sealed batch in flusher context, or a batch of one
-/// on the publisher's thread (the `Immediate` policy and the `Shed`
-/// overflow path). Returns the emptied vector so the flusher can
-/// recycle it as the link's spare buffer.
+/// on the publisher's thread (the `Immediate` policy). Returns the
+/// emptied vector so the flusher can recycle it as the link's spare
+/// buffer.
 fn deliver_batch(
     ctx: &LinkCtx,
     shard: usize,
@@ -389,7 +360,7 @@ impl FederatedMessenger {
             .map(|i| WsMessenger::start(net, &format!("{uri}/shard-{i}")))
             .collect();
         let obs = BrokerObs::new();
-        let (queue_depth, flush_size, shed_total) = {
+        let (queue_depth, flush_size) = {
             let r = obs.registry();
             r.describe(
                 "wsm_fed_link_queue_depth",
@@ -399,16 +370,11 @@ impl FederatedMessenger {
                 "wsm_fed_flush_size",
                 "Events per federation link flush (batch size at delivery).",
             );
-            r.describe(
-                "wsm_fed_shed_total",
-                "Events delivered inline by publishers because the link queue was full.",
-            );
             (
                 r.gauge("wsm_fed_link_queue_depth"),
                 r.histogram_with("wsm_fed_flush_size", || {
                     vec![1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]
                 }),
-                r.counter("wsm_fed_shed_total"),
             )
         };
         let ctx = Arc::new(LinkCtx {
@@ -417,8 +383,6 @@ impl FederatedMessenger {
                 queued: 0,
                 in_flight: 0,
                 policy: BatchPolicy::Immediate,
-                overflow: OverflowPolicy::Park,
-                capacity: 1024,
                 flushers_running: false,
             }),
             work: Condvar::new(),
@@ -430,7 +394,6 @@ impl FederatedMessenger {
             buffering: AtomicBool::new(false),
             queue_depth,
             flush_size,
-            shed_total,
         });
         let front = FederatedMessenger {
             inner: Arc::new(FederationInner {
@@ -458,11 +421,6 @@ impl FederatedMessenger {
     /// subscription handle points here).
     pub fn manager_uri(&self) -> &str {
         &self.inner.manager_uri
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.inner.ctx.shards.len()
     }
 
     /// The shard brokers, in shard order. Benches seed registries and
@@ -540,27 +498,16 @@ impl FederatedMessenger {
         }
     }
 
-    /// What publishers do when the shared link-queue bound is hit.
-    pub fn set_overflow_policy(&self, policy: OverflowPolicy) {
-        self.inner.ctx.state.lock().overflow = policy;
-    }
-
-    /// Bound the shared link queue to `capacity` admitted-but-
-    /// undelivered events (clamped to ≥ 1; default 1024).
-    pub fn set_link_capacity(&self, capacity: usize) {
-        self.inner.ctx.state.lock().capacity = capacity.max(1);
-    }
-
     /// Events admitted to the link queues and not yet delivered.
     pub fn link_queue_depth(&self) -> usize {
         self.inner.ctx.state.lock().queued
     }
 
-    /// Events delivered inline by publishers under
-    /// [`OverflowPolicy::Shed`] because the queue was full. Shed events
-    /// are still delivered — this counts queue-bypass work, not loss.
+    /// Events publishers delivered around a full link queue: always 0,
+    /// because a publisher that finds the queue full parks and nothing
+    /// sheds.
     pub fn shed_events(&self) -> u64 {
-        self.inner.ctx.shed_total.get()
+        0
     }
 
     /// Publish an event on a topic through the federation.
@@ -601,7 +548,7 @@ impl FederatedMessenger {
     }
 
     /// The buffered publish path: admit under the queue bound (parking
-    /// or shedding when full), push onto the owner link, seal when the
+    /// while it is reached), push onto the owner link, seal when the
     /// policy says so. The whole publisher-side cost — including any
     /// time parked on backpressure — is one `Stage::FederateEnqueue`
     /// span.
@@ -610,36 +557,18 @@ impl FederatedMessenger {
         let seq = ctx.obs.next_seq();
         let timer = ctx.obs.start();
         let mut state = ctx.state.lock();
-        while state.queued >= state.capacity {
-            match state.overflow {
-                OverflowPolicy::Park => {
-                    // A full queue overrides the batch target: seal
-                    // everything pending so the flushers can make room,
-                    // then wait for them. This guarantees progress even
-                    // when no link has reached its target yet.
-                    let mut sealed_any = false;
-                    for i in 0..state.links.len() {
-                        sealed_any |= seal_link(&mut state, i) > 0;
-                    }
-                    if sealed_any {
-                        ctx.work.notify_all();
-                    }
-                    ctx.room.wait(&mut state);
-                }
-                OverflowPolicy::Shed => {
-                    drop(state);
-                    ctx.shed_total.inc();
-                    deliver_batch(ctx, shard, vec![msg]);
-                    ctx.obs.stage(
-                        Stage::FederateEnqueue,
-                        seq,
-                        timer,
-                        ctx.net.clock().now_ms(),
-                        1,
-                    );
-                    return 1;
-                }
+        while state.queued >= LINK_CAPACITY {
+            // A full queue overrides the seal rule: seal everything
+            // pending so the flushers can make room, then wait for them.
+            // This guarantees progress even when no link would seal yet.
+            let mut sealed_any = false;
+            for i in 0..state.links.len() {
+                sealed_any |= seal_link(&mut state, i) > 0;
             }
+            if sealed_any {
+                ctx.work.notify_all();
+            }
+            ctx.room.wait(&mut state);
         }
         let now = ctx.net.clock().now_ms();
         let policy = state.policy;
@@ -647,20 +576,10 @@ impl FederatedMessenger {
         if lq.pending.is_empty() {
             lq.oldest_ms = now;
         }
-        if lq.last_arrival_ms != u64::MAX {
-            let gap = now.saturating_sub(lq.last_arrival_ms) as f64;
-            lq.ewma_gap_ms = 0.8 * lq.ewma_gap_ms + 0.2 * gap;
-        }
-        lq.last_arrival_ms = now;
         lq.pending.push(msg);
         state.queued += 1;
         let lq = &state.links[shard];
-        let deadline_hit = matches!(
-            policy,
-            BatchPolicy::Adaptive { deadline_ms, .. }
-                if now.saturating_sub(lq.oldest_ms) >= deadline_ms
-        );
-        let sealed = if lq.pending.len() >= batch_target(&policy, lq.ewma_gap_ms) || deadline_hit {
+        let sealed = if policy.seals(lq.pending.len(), now.saturating_sub(lq.oldest_ms)) {
             let n = seal_link(&mut state, shard);
             ctx.work.notify_one();
             n
@@ -737,23 +656,6 @@ impl FederatedMessenger {
         }
     }
 
-    /// Declare a topic on every shard (broadcast: topic-space metadata
-    /// is cheap and GetCurrentMessage may probe any shard).
-    pub fn add_topic(&self, path: &str) {
-        for s in &self.inner.ctx.shards {
-            s.add_topic(path);
-        }
-    }
-
-    /// Attempt every due redelivery on every shard.
-    pub fn pump_redeliveries(&self) -> PumpReport {
-        let mut total = PumpReport::default();
-        for s in &self.inner.ctx.shards {
-            total.absorb(s.pump_redeliveries());
-        }
-        total
-    }
-
     /// Drain every shard's redelivery queue within `horizon_ms`.
     pub fn drain_redeliveries(&self, horizon_ms: u64) -> PumpReport {
         let mut total = PumpReport::default();
@@ -788,10 +690,9 @@ impl FederatedMessenger {
 
     /// Prometheus-style text exposition of the front's federation
     /// metrics: the `federate` / `federate_enqueue` stage histograms,
-    /// the link queue-depth gauge (refreshed at scrape time), the
-    /// per-flush batch-size histogram, and the shed counter. Per-shard
-    /// pipeline metrics come from each shard's own
-    /// [`WsMessenger::metrics_text`].
+    /// the link queue-depth gauge (refreshed at scrape time) and the
+    /// per-flush batch-size histogram. Per-shard pipeline metrics come
+    /// from each shard's own [`WsMessenger::metrics_text`].
     pub fn metrics_text(&self) -> String {
         let ctx = &self.inner.ctx;
         ctx.queue_depth.set(ctx.state.lock().queued as i64);
@@ -887,9 +788,12 @@ impl FederatedMessenger {
                 };
                 drop(routes);
                 let entries = entries.ok_or_else(|| unknown_subscription(dialect, &id))?;
-                let reply = self.on_shards(entries.into_iter().map(|(shard, local)| {
-                    (shard, ControlOp::Manage(dialect, local, manage.clone()))
-                }));
+                let reply = match manage {
+                    Manage::Pull(max) => self.pull(dialect, entries, max),
+                    manage => self.on_shards(entries.into_iter().map(|(shard, local)| {
+                        (shard, ControlOp::Manage(dialect, local, manage.clone()))
+                    })),
+                };
                 self.refresh_demand();
                 reply
             }
@@ -922,36 +826,64 @@ impl FederatedMessenger {
         }
     }
 
-    /// Apply each `(shard, op)` and merge the shards' replies: pulled
-    /// events and dead letters concatenate, redelivery counts add, and
-    /// otherwise the first answer stands. Faults only when every shard
-    /// faulted, with the first shard's fault.
+    /// Apply each `(shard, op)` and [`merge`] the shards' replies.
     fn on_shards(&self, ops: impl Iterator<Item = (usize, ControlOp)>) -> Result<Reply, Fault> {
         ops.map(|(shard, op)| self.inner.ctx.shards[shard].apply(op))
-            .reduce(|a, b| match (a, b) {
-                (Ok(Reply::Pulled(mut a)), Ok(Reply::Pulled(b))) => {
-                    a.extend(b);
-                    Ok(Reply::Pulled(a))
-                }
-                (Ok(Reply::DeadLetters(mut a)), Ok(Reply::DeadLetters(b))) => {
-                    a.extend(b);
-                    Ok(Reply::DeadLetters(a))
-                }
-                (Ok(Reply::Redelivered(a)), Ok(Reply::Redelivered(b))) => {
-                    Ok(Reply::Redelivered(a + b))
-                }
-                (Ok(r), _) | (Err(_), Ok(r)) => Ok(r),
-                (Err(f), Err(_)) => Err(f),
-            })
+            .reduce(merge)
             .unwrap_or_else(|| Err(Fault::receiver("no shard answered")))
+    }
+
+    /// Pull from a subscription's placements in shard order, each with
+    /// the budget the earlier ones left, and stop once `max` events are
+    /// taken: one Pull returns at most `max` events however many shards
+    /// hold some. Replies [`merge`] as in [`Self::on_shards`].
+    fn pull(
+        &self,
+        dialect: SpecDialect,
+        placements: Vec<(usize, String)>,
+        max: usize,
+    ) -> Result<Reply, Fault> {
+        let mut merged: Option<Result<Reply, Fault>> = None;
+        for (shard, local) in placements {
+            let left = match &merged {
+                Some(Ok(Reply::Pulled(taken))) if taken.len() >= max => break,
+                Some(Ok(Reply::Pulled(taken))) => max - taken.len(),
+                _ => max,
+            };
+            let op = ControlOp::Manage(dialect, local, Manage::Pull(left));
+            let reply = self.inner.ctx.shards[shard].apply(op);
+            merged = Some(match merged {
+                Some(m) => merge(m, reply),
+                None => reply,
+            });
+        }
+        merged.unwrap_or_else(|| Err(Fault::receiver("no shard answered")))
+    }
+}
+
+/// Merge two shards' replies: pulled events and dead letters
+/// concatenate, redelivery counts add, and otherwise the first answer
+/// stands. Faults only when both faulted, with the first fault.
+fn merge(a: Result<Reply, Fault>, b: Result<Reply, Fault>) -> Result<Reply, Fault> {
+    match (a, b) {
+        (Ok(Reply::Pulled(mut a)), Ok(Reply::Pulled(b))) => {
+            a.extend(b);
+            Ok(Reply::Pulled(a))
+        }
+        (Ok(Reply::DeadLetters(mut a)), Ok(Reply::DeadLetters(b))) => {
+            a.extend(b);
+            Ok(Reply::DeadLetters(a))
+        }
+        (Ok(Reply::Redelivered(a)), Ok(Reply::Redelivered(b))) => Ok(Reply::Redelivered(a + b)),
+        (Ok(r), _) | (Err(_), Ok(r)) => Ok(r),
+        (Err(f), Err(_)) => Err(f),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wsm_addressing::EndpointReference;
-    use wsm_eventing::{DeliveryMode, EventSink, SubscribeRequest, Subscriber, WseVersion};
+    use wsm_eventing::{EventSink, SubscribeRequest, Subscriber, WseVersion};
     use wsm_notification::{NotificationConsumer, WsnClient, WsnFilter, WsnSubscribeRequest};
 
     fn payload(n: u64) -> Element {
@@ -992,29 +924,6 @@ mod tests {
         let wild = vec![TopicExpression::full("//storms").unwrap()];
         assert_eq!(target_shards(&wild, 4), vec![0, 1, 2, 3]);
         assert_eq!(target_shards(&[], 4), vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn adaptive_batch_target_tracks_arrival_rate() {
-        let p = BatchPolicy::Adaptive {
-            min: 4,
-            max: 64,
-            deadline_ms: 10,
-        };
-        // No rate estimate (or back-to-back arrivals): biggest batch.
-        assert_eq!(batch_target(&p, 0.0), 64);
-        // 1 ms gaps: ~10 events fit the deadline.
-        assert_eq!(batch_target(&p, 1.0), 10);
-        // Trickle arrivals clamp to min; a hot link clamps to max.
-        assert_eq!(batch_target(&p, 5.0), 4);
-        assert_eq!(batch_target(&p, 0.1), 64);
-        let pinned = BatchPolicy::Adaptive {
-            min: 8,
-            max: 8,
-            deadline_ms: u64::MAX,
-        };
-        assert_eq!(batch_target(&pinned, 3.0), 8);
-        assert_eq!(batch_target(&BatchPolicy::Immediate, 3.0), 1);
     }
 
     #[test]
@@ -1082,31 +991,6 @@ mod tests {
 
         // A management call on the dead handle now faults.
         assert!(sub.get_status(&hw).is_err());
-    }
-
-    #[test]
-    fn pull_merges_across_shards() {
-        let net = Network::new();
-        let fed = FederatedMessenger::start(&net, "http://fed", 4);
-        let sub = Subscriber::new(&net, WseVersion::Aug2004);
-        let h = sub
-            .subscribe(
-                fed.uri(),
-                SubscribeRequest::push(EndpointReference::new("http://puller"))
-                    .with_mode(DeliveryMode::Pull),
-            )
-            .unwrap();
-        // Two topics owned by different shards (find a pair).
-        let roots: Vec<String> = (0..16).map(|i| format!("t{i}")).collect();
-        let a = &roots[0];
-        let b = roots
-            .iter()
-            .find(|r| fed.shard_for_topic(r) != fed.shard_for_topic(a))
-            .expect("some root maps to another shard");
-        fed.publish_on(a, &payload(1));
-        fed.publish_on(b, &payload(2));
-        let events = sub.pull(&h, 10).unwrap();
-        assert_eq!(events.len(), 2, "one Pull drains every shard's queue");
     }
 
     #[test]
@@ -1191,9 +1075,9 @@ mod tests {
             max: 64,
             deadline_ms: 5,
         });
-        // Arrivals 2 virtual ms apart: the rate estimate would allow a
-        // large batch, but at the fourth arrival the oldest event has
-        // waited 6 ms ≥ the 5 ms deadline, so the batch seals at 4.
+        // Arrivals 2 virtual ms apart: far below `max`, but at the
+        // fourth arrival the oldest event has waited 6 ms ≥ the 5 ms
+        // deadline, so the batch seals at 4.
         let mut sealed = 0;
         for i in 0..4 {
             sealed += fed.publish_on("storms", &payload(i));

@@ -74,7 +74,7 @@ pub use control::OpKind;
 pub use delivery::{DeliveryEngine, FailKind, FanOutReport, PushJob, ResolvedMark, StatsDelta};
 pub use detect::{DialectProfile, NotificationShape, SpecDialect};
 pub use event::InternalEvent;
-pub use federation::{shard_of_root, BatchPolicy, FederatedMessenger, OverflowPolicy};
+pub use federation::{shard_of_root, BatchPolicy, FederatedMessenger};
 pub use obs::ObsSnapshot;
 pub use registry::{
     BrokerDeliveryMode, BrokerSubscription, Registry, SubscriptionStatus, UnifiedFilters,

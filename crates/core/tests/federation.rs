@@ -13,8 +13,12 @@
 //!   because each event is federated to exactly one owner shard.
 //! * **Terminal outcomes.** Every in-flight (event, subscriber)
 //!   delivery reaches a terminal `Resolve` outcome on its shard.
+//! * **One answer from many shards.** A Pull through the front takes at
+//!   most `MaxElements` events in all, and `flush_wrapped` sends one
+//!   batch per shard that holds wrapped events.
 
-use wsm_eventing::{EventSink, Expires, SubscribeRequest, Subscriber, WseVersion};
+use wsm_addressing::EndpointReference;
+use wsm_eventing::{DeliveryMode, EventSink, Expires, SubscribeRequest, Subscriber, WseVersion};
 use wsm_messenger::FederatedMessenger;
 use wsm_notification::{
     NotificationConsumer, Termination, WsnClient, WsnFilter, WsnSubscribeRequest, WsnVersion,
@@ -253,4 +257,87 @@ fn multi_shard_churn_leaves_no_orphans_and_resolves_every_delivery() {
         .map(|s| s.items)
         .sum();
     assert_eq!(hops, EVENTS as u64, "one federated event per publication");
+}
+
+/// One root per shard, in shard order: publishing on each puts one
+/// event on every shard.
+fn root_per_shard(fed: &FederatedMessenger) -> Vec<String> {
+    let mut roots: Vec<Option<String>> = vec![None; SHARDS];
+    for i in 0.. {
+        let root = format!("t{i}");
+        let slot = &mut roots[fed.shard_for_topic(&root)];
+        if slot.is_none() {
+            *slot = Some(root);
+        }
+        if roots.iter().all(Option::is_some) {
+            return roots.into_iter().flatten().collect();
+        }
+    }
+    unreachable!("some root maps to every shard")
+}
+
+/// A Pull through the front honours `MaxElements`: a WS-Eventing pull
+/// subscription is broadcast residue, so every shard holds some of its
+/// events, and one Pull still returns at most the number asked for.
+/// A larger Pull takes the rest from every shard that holds some, with
+/// no loss and no duplicate.
+#[test]
+fn front_pull_honours_max_elements() {
+    let net = Network::new();
+    let fed = FederatedMessenger::start(&net, "http://fed", SHARDS);
+    let sub = Subscriber::new(&net, WseVersion::Aug2004);
+    let h = sub
+        .subscribe(
+            fed.uri(),
+            SubscribeRequest::push(EndpointReference::new("http://puller"))
+                .with_mode(DeliveryMode::Pull),
+        )
+        .unwrap();
+    for (i, root) in root_per_shard(&fed).iter().enumerate() {
+        fed.publish_on(root, &event(i));
+    }
+
+    let mut pulled = sub.pull(&h, 1).unwrap();
+    assert_eq!(pulled.len(), 1, "pull(1) takes one event");
+    let rest = sub.pull(&h, 10).unwrap();
+    assert_eq!(rest.len(), SHARDS - 1, "one Pull spans every shard");
+    pulled.extend(rest);
+    assert!(sub.pull(&h, 10).unwrap().is_empty(), "all drained");
+    let mut seqs = seqs_of(&pulled);
+    seqs.sort_unstable();
+    assert_eq!(seqs, (0..SHARDS as u64).collect::<Vec<_>>());
+}
+
+/// Wrapped delivery through the front: a WS-Eventing `Wrapped`
+/// subscription lands on every shard, each shard buffers the events it
+/// owns, and `flush_wrapped` sends one batch per shard that holds
+/// some. The consumer sees each event exactly once.
+#[test]
+fn front_flush_wrapped_sends_one_batch_per_holding_shard() {
+    let net = Network::new();
+    let fed = FederatedMessenger::start(&net, "http://fed", SHARDS);
+    let sink = EventSink::start(&net, "http://wrapped", WseVersion::Aug2004);
+    Subscriber::new(&net, WseVersion::Aug2004)
+        .subscribe(
+            fed.uri(),
+            SubscribeRequest::push(sink.epr()).with_mode(DeliveryMode::Wrapped),
+        )
+        .unwrap();
+    assert_eq!(fed.subscription_count(), SHARDS, "broadcast residue");
+
+    // Two events on each of the first two shards' roots; the other
+    // shards hold nothing.
+    let roots = root_per_shard(&fed);
+    for i in 0..4 {
+        fed.publish_on(&roots[i % 2], &event(i));
+    }
+    assert!(
+        sink.received().is_empty(),
+        "wrapped events wait for a flush"
+    );
+    assert_eq!(fed.flush_wrapped(), 2, "one batch per shard holding events");
+    let mut seqs = seqs_of(&sink.received());
+    seqs.sort_unstable();
+    assert_eq!(seqs, vec![0, 1, 2, 3], "each event exactly once");
+    assert_eq!(fed.flush_wrapped(), 0, "nothing left to send");
 }

@@ -9,16 +9,16 @@
 //!   subscriber receives the *same set of envelope bytes* either way
 //!   (property-tested below; the encoded hop lives only here, as the
 //!   reference).
-//! * **Lossless backpressure.** When the bounded link queue fills,
-//!   [`OverflowPolicy::Park`] parks publishers until the flushers make
-//!   room and [`OverflowPolicy::Shed`] makes publishers deliver their
-//!   own event inline — in both cases every published event reaches
-//!   every matching subscriber exactly once; nothing is ever dropped.
+//! * **Lossless backpressure.** The links share one bound of 1 024
+//!   admitted-but-undelivered events. A publisher that finds it reached
+//!   seals every pending link and parks until the flushers make room,
+//!   and every published event still reaches every matching subscriber
+//!   exactly once; nothing is ever dropped.
 
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
 use wsm_eventing::{EventSink, SubscribeRequest, Subscriber, WseVersion};
-use wsm_messenger::{BatchPolicy, FederatedMessenger, OverflowPolicy};
+use wsm_messenger::{BatchPolicy, FederatedMessenger};
 use wsm_notification::{
     SharedNotificationMessage, WsnClient, WsnCodec, WsnFilter, WsnSubscribeRequest, WsnVersion,
 };
@@ -96,8 +96,7 @@ const ROOTS: [&str; 8] = [
     "t7",
 ];
 
-/// Seal after exactly `n` events: a batch size the arrival rate cannot
-/// move and no deadline.
+/// Seal after exactly `n` events, with no deadline.
 fn pinned(n: usize) -> BatchPolicy {
     BatchPolicy::Adaptive {
         min: n,
@@ -219,13 +218,16 @@ fn sorted_seqs(received: &[Element]) -> Vec<usize> {
     seqs
 }
 
-/// Full-queue backpressure under `Park` never drops an event: two
-/// publisher threads race a capacity-4 queue with slow consumers, and
-/// the broadcast subscriber still sees every event exactly once.
+/// Full-queue backpressure never drops an event: two publishers
+/// together admit more events than the links' bound while slow sends
+/// hold the flushers back, and the broadcast subscriber still sees
+/// every event exactly once.
 #[test]
 fn park_backpressure_never_drops_events() {
     const PUBS: usize = 2;
-    const PER_PUB: usize = 100;
+    const PER_PUB: usize = 800;
+    /// The links' shared bound on admitted-but-undelivered events.
+    const BOUND: usize = 1024;
     let seed: u64 = std::env::var("WSM_CHAOS_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
@@ -237,12 +239,10 @@ fn park_backpressure_never_drops_events() {
         .subscribe(fed.uri(), SubscribeRequest::push(wse.epr()))
         .unwrap();
 
-    // A tiny queue, a batch target the workload never reaches on its
-    // own, and real per-send time: every admission races the bound, so
-    // the park path (seal-everything-and-wait) carries the whole run.
-    fed.set_link_capacity(4);
-    fed.set_link_policy(pinned(64));
-    fed.set_overflow_policy(OverflowPolicy::Park);
+    // A batch target above the whole run and no deadline: no link
+    // seals on its own, so only a publisher that found the bound
+    // reached (seal everything and park) can hand work to a flusher.
+    fed.set_link_policy(pinned(2 * PUBS * PER_PUB));
     net.set_send_delay_us(100);
 
     let publishers: Vec<_> = (0..PUBS)
@@ -260,53 +260,22 @@ fn park_backpressure_never_drops_events() {
     for p in publishers {
         p.join().expect("publisher thread");
     }
+    // Every event past the bound was admitted only after a flusher
+    // delivered one that the park rule had sealed.
+    let before_flush = wse.received().len();
+    assert!(
+        before_flush >= PUBS * PER_PUB - BOUND,
+        "the park rule sealed and delivered {before_flush} events before flush()"
+    );
     fed.flush();
     net.set_send_delay_us(0);
 
     assert_eq!(fed.link_queue_depth(), 0, "flush drains the links");
-    assert_eq!(fed.shed_events(), 0, "park mode never sheds");
     let seqs = sorted_seqs(&wse.received());
     assert_eq!(
         seqs,
         (0..PUBS * PER_PUB).collect::<Vec<_>>(),
         "every event delivered exactly once through the full-queue chaos"
-    );
-}
-
-/// `Shed` overflow delivers inline instead of parking: the queue stays
-/// pinned at capacity, the publisher does its own hops, and still no
-/// event is lost or duplicated.
-#[test]
-fn shed_overflow_bypasses_queue_without_loss() {
-    const EVENTS: usize = 50;
-    let net = Network::new();
-    let fed = FederatedMessenger::start(&net, "http://fed", 2);
-    let wse = EventSink::start(&net, "http://sink", WseVersion::Aug2004);
-    Subscriber::new(&net, WseVersion::Aug2004)
-        .subscribe(fed.uri(), SubscribeRequest::push(wse.epr()))
-        .unwrap();
-
-    // Capacity 2 and a batch target of 64 that is never reached: the
-    // first two events buffer and everything after must shed.
-    fed.set_link_capacity(2);
-    fed.set_link_policy(pinned(64));
-    fed.set_overflow_policy(OverflowPolicy::Shed);
-    for i in 0..EVENTS {
-        fed.publish_on("storms/r", &seq_event(i));
-    }
-    assert_eq!(
-        fed.shed_events(),
-        (EVENTS - 2) as u64,
-        "everything past capacity shed to inline delivery"
-    );
-    assert_eq!(fed.link_queue_depth(), 2, "the buffered pair still queued");
-    fed.flush();
-    assert_eq!(fed.link_queue_depth(), 0);
-    let seqs = sorted_seqs(&wse.received());
-    assert_eq!(
-        seqs,
-        (0..EVENTS).collect::<Vec<_>>(),
-        "shed events delivered exactly once, nothing dropped"
     );
 }
 

@@ -513,7 +513,6 @@ mod spans {
             text.contains("# HELP wsm_fed_link_queue_depth "),
             "gauge described"
         );
-        assert!(text.contains("wsm_fed_shed_total "), "shed counter exposed");
         fed.flush();
         let text = fed.metrics_text();
         assert!(

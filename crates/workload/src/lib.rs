@@ -760,9 +760,11 @@ pub fn federated_zipf(seed: u64) -> ScenarioResult {
     }
     assert_eq!(fed.subscription_count() as u64, SUBSCRIBERS);
 
-    // Publish through the pipelined links: adaptive batches seal at ~8
-    // events (or a 5 virtual-ms deadline on a trickle), the flushers
-    // hand them to the shards, and the publisher only ever enqueues.
+    // Publish through the pipelined links: a link seals at 8 events or
+    // once its oldest event has waited 5 virtual ms, whichever comes
+    // first (`min` is not read), the flush barrier below seals the
+    // rest, the flushers hand the batches to the shards, and the
+    // publisher only ever enqueues.
     fed.set_link_policy(wsm_messenger::BatchPolicy::Adaptive {
         min: 4,
         max: 8,
@@ -781,7 +783,6 @@ pub fn federated_zipf(seed: u64) -> ScenarioResult {
     }
     fed.flush();
     assert_eq!(fed.link_queue_depth(), 0, "flush drains the link queues");
-    assert_eq!(fed.shed_events(), 0, "the bounded queues never shed");
 
     // Judge across the shards: outcomes sum; for the latency quantiles
     // the scenario reports the *worst* shard (the tail the objectives
