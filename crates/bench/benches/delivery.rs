@@ -8,14 +8,15 @@
 //! paper §V.3).
 //!
 //! Expectation: wrapped-64 < wrapped-8 < push per event (amortized
-//! envelope overhead); pull costs are split between enqueue (cheap) and
-//! the poll round-trip.
+//! envelope overhead); a pull round-trip of 8 events pays one poll
+//! exchange per eight enqueues.
+//!
+//! A plain `main` (`harness = false`): `cargo bench -p wsm-bench
+//! --bench delivery` rewrites `BENCH_delivery.json` at the repo root.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::hint::black_box;
 use wsm_bench::{
     broker_with_subscribers, make_event, measure_events_per_sec, stage_breakdowns,
-    write_bench_json_with_stages, ThroughputSample,
+    write_bench_json_full, ThroughputSample,
 };
 use wsm_eventing::{
     DeliveryMode, EventSink, EventSource, SubscribeRequest, Subscriber, WseVersion,
@@ -44,82 +45,10 @@ fn setup(
     (net, source, sink, h)
 }
 
-fn bench_delivery(c: &mut Criterion) {
-    if wsm_bench::quick_mode() {
-        // CI smoke: skip the Criterion sweeps, still emit the
-        // machine-readable report (with a shrunken measure window).
-        write_machine_readable();
-        return;
-    }
-    let mut group = c.benchmark_group("delivery");
-    group.sample_size(20);
-
-    let (_net, source, _sink, _h) = setup(DeliveryMode::Push);
-    let mut seq = 0u64;
-    group.bench_function("push_per_event", |b| {
-        b.iter(|| {
-            seq += 1;
-            black_box(source.publish(&make_event(seq)))
-        })
-    });
-
-    for batch in [1usize, 8, 64] {
-        let (_net, source, _sink, _h) = setup(DeliveryMode::Wrapped);
-        group.bench_with_input(
-            BenchmarkId::new("wrapped_batch", batch),
-            &batch,
-            |b, &batch| {
-                b.iter(|| {
-                    for _ in 0..batch {
-                        seq += 1;
-                        source.publish(&make_event(seq));
-                    }
-                    black_box(source.flush_wrapped())
-                })
-            },
-        );
-    }
-
-    // Pull: enqueue path and the poll round-trip, for a firewalled sink
-    // (the paper's motivating scenario for the mode).
-    let net = Network::new();
-    let source = EventSource::start(&net, "http://src", WseVersion::Aug2004);
-    let fw_sink = EventSink::start_firewalled(&net, "http://fw", WseVersion::Aug2004);
-    let subscriber = Subscriber::new(&net, WseVersion::Aug2004);
-    let h = subscriber
-        .subscribe(
-            source.uri(),
-            SubscribeRequest::push(fw_sink.epr()).with_mode(DeliveryMode::Pull),
-        )
-        .unwrap();
-    group.bench_function("pull_enqueue", |b| {
-        b.iter(|| {
-            seq += 1;
-            black_box(source.publish(&make_event(seq)));
-            // Keep the queue bounded so memory stays flat.
-            if seq.is_multiple_of(64) {
-                let _ = subscriber.pull(&h, usize::MAX);
-            }
-        })
-    });
-    group.bench_function("pull_roundtrip_8", |b| {
-        b.iter(|| {
-            for _ in 0..8 {
-                seq += 1;
-                source.publish(&make_event(seq));
-            }
-            black_box(subscriber.pull(&h, 8).unwrap())
-        })
-    });
-
-    group.finish();
-    write_machine_readable();
-}
-
 /// Emit `BENCH_delivery.json`: per-mode delivery throughput, the
 /// broker's per-stage pipeline breakdown on a 256-subscriber inline
 /// fan-out, and the measured throughput cost of live instrumentation.
-fn write_machine_readable() {
+fn main() {
     let mut samples = Vec::new();
 
     let (_net, source, _sink, _h) = setup(DeliveryMode::Push);
@@ -152,6 +81,34 @@ fn write_machine_readable() {
             events_per_sec,
         });
     }
+
+    // Pull: eight enqueues and one poll round-trip that takes them, for
+    // a firewalled sink (the paper's motivating scenario for the mode).
+    let net = Network::new();
+    let source = EventSource::start(&net, "http://src", WseVersion::Aug2004);
+    let fw_sink = EventSink::start_firewalled(&net, "http://fw", WseVersion::Aug2004);
+    let subscriber = Subscriber::new(&net, WseVersion::Aug2004);
+    let h = subscriber
+        .subscribe(
+            source.uri(),
+            SubscribeRequest::push(fw_sink.epr()).with_mode(DeliveryMode::Pull),
+        )
+        .unwrap();
+    let mut seq = 0u64;
+    let events_per_sec = measure_events_per_sec(8, &mut || {
+        for _ in 0..8 {
+            seq += 1;
+            source.publish(&make_event(seq));
+        }
+        let pulled = subscriber.pull(&h, 8).unwrap();
+        assert_eq!(pulled.len(), 8, "a pull takes the eight queued events");
+    });
+    samples.push(ThroughputSample {
+        scenario: "pull".into(),
+        mode: "roundtrip".into(),
+        param: 8,
+        events_per_sec,
+    });
 
     // Broker publish path, 256 subscribers, inline regime: where does
     // a publication's time go, and what does recording that cost? The
@@ -210,7 +167,7 @@ fn write_machine_readable() {
         events_per_sec,
     });
 
-    let path = write_bench_json_with_stages("delivery", &samples, &stages, Some(overhead_pct));
+    let path = write_bench_json_full("delivery", &samples, &stages, &[], Some(overhead_pct));
     println!("wrote {}", path.display());
     println!(
         "instrumentation overhead on 256-subscriber inline publish: {overhead_pct:.2}% \
@@ -240,6 +197,3 @@ fn flaky_broker(seed: u64) -> (Network, WsMessenger) {
     );
     (net, broker)
 }
-
-criterion_group!(benches, bench_delivery);
-criterion_main!(benches);

@@ -33,7 +33,6 @@
 //! [`FED_MATCH_BUDGET_NS`] even with a million registered
 //! subscriptions, or the bench (and the CI smoke job) fails.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::sync::Arc;
 use wsm_addressing::EndpointReference;
 use wsm_bench::{
@@ -267,7 +266,7 @@ fn grid_point(shards: usize, subs: u64, capture_stages: bool) -> (f64, f64, Vec<
 /// column so CI smoke stays in seconds; `federation_check` validates
 /// the full committed grid and re-derives the scaling ratio from this
 /// fresh quick output.
-fn write_machine_readable() {
+fn main() {
     let shard_grid = [1usize, 2, 4, 8];
     let sub_grid: &[u64] = if wsm_bench::quick_mode() {
         &[10_000]
@@ -304,45 +303,3 @@ fn write_machine_readable() {
     let path = write_bench_json_full("federation", &samples, &stages, &matching, None);
     println!("wrote {}", path.display());
 }
-
-fn bench_federation(c: &mut Criterion) {
-    if wsm_bench::quick_mode() {
-        write_machine_readable();
-        return;
-    }
-    // A small human-oriented probe in the inline regime (no wire
-    // delay): pure-CPU federation cost per event at the two ends of
-    // the shard grid. The wire-regime grid that matters for the
-    // scaling claim lives in the machine-readable report.
-    let mut group = c.benchmark_group("federation");
-    group.sample_size(15);
-    for shards in [1usize, 8] {
-        let net = Network::new();
-        let fed = federation_with_population(&net, shards, 10_000);
-        fed.set_fanout_workers(1);
-        fed.set_link_policy(LINK_POLICY);
-        let zipf = Zipf::new((10_000 / MATCHED_PER_TOPIC) as usize);
-        let mut rng = Lcg(0x5eed);
-        let mut seq = 0u64;
-        let batch = shards * EVENTS_PER_SHARD;
-        group.bench_with_input(
-            BenchmarkId::new("publish_inline_batch", shards),
-            &shards,
-            |b, _| {
-                b.iter(|| {
-                    for _ in 0..batch {
-                        seq += 1;
-                        let t = zipf.sample(rng.next_f64());
-                        fed.publish_on(&format!("z{t}/readings"), &make_event(seq));
-                    }
-                    std::hint::black_box(fed.flush())
-                })
-            },
-        );
-    }
-    group.finish();
-    write_machine_readable();
-}
-
-criterion_group!(benches, bench_federation);
-criterion_main!(benches);

@@ -24,7 +24,6 @@
 //!   parallel wins regardless of core count — this is the regime the
 //!   staged sharded engine exists for.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use wsm_addressing::EndpointReference;
 use wsm_bench::{
@@ -44,60 +43,6 @@ const PARALLEL_WORKERS: usize = 4;
 
 /// Per-send wire latency for the `wire` regime, in microseconds.
 const WIRE_DELAY_US: u64 = 100;
-
-fn bench_scaling(c: &mut Criterion) {
-    if wsm_bench::quick_mode() {
-        write_machine_readable();
-        return;
-    }
-    let mut group = c.benchmark_group("scaling");
-    group.sample_size(15);
-
-    for n in [1usize, 8, 64, 256] {
-        let (net, broker) = setup(n, "jobs/status");
-        let mut seq = 0u64;
-        for (regime, delay_us) in [("inline", 0u64), ("wire", WIRE_DELAY_US)] {
-            net.set_send_delay_us(delay_us);
-            broker.set_fanout_workers(1);
-            group.bench_with_input(
-                BenchmarkId::new(format!("publish_{regime}_sequential"), n),
-                &n,
-                |b, _| {
-                    b.iter(|| {
-                        seq += 1;
-                        black_box(broker.publish_on("jobs/status", &make_event(seq)))
-                    })
-                },
-            );
-            broker.set_fanout_workers(PARALLEL_WORKERS);
-            group.bench_with_input(
-                BenchmarkId::new(format!("publish_{regime}_parallel"), n),
-                &n,
-                |b, _| {
-                    b.iter(|| {
-                        seq += 1;
-                        black_box(broker.publish_on("jobs/status", &make_event(seq)))
-                    })
-                },
-            );
-        }
-        net.set_send_delay_us(0);
-    }
-
-    // Non-matching topic: the WSN half filters out; only the topicless
-    // WSE half receives.
-    let (_net, broker) = setup(256, "storms/tornado");
-    let mut seq = 0u64;
-    group.bench_function("publish_half_filtered_256", |b| {
-        b.iter(|| {
-            seq += 1;
-            black_box(broker.publish_on("jobs/status", &make_event(seq)))
-        })
-    });
-
-    group.finish();
-    write_machine_readable();
-}
 
 /// One interleaved sequential/parallel throughput pair at fan-out `n`.
 ///
@@ -324,7 +269,7 @@ fn measure_matching() -> Vec<MatchingSample> {
 /// regime (see the module docs) — plus a per-stage pipeline breakdown
 /// from the largest wire-regime population and the subscription-
 /// matching scaling curve.
-fn write_machine_readable() {
+fn main() {
     let mut samples = Vec::new();
     for (scenario, delay_us) in [("publish_inline", 0u64), ("publish_wire", WIRE_DELAY_US)] {
         for n in [1u64, 8, 64, 256] {
@@ -344,6 +289,3 @@ fn write_machine_readable() {
     let path = write_bench_json_full("scaling", &samples, &stages, &matching, None);
     println!("wrote {}", path.display());
 }
-
-criterion_group!(benches, bench_scaling);
-criterion_main!(benches);

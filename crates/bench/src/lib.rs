@@ -1,15 +1,16 @@
 #![warn(missing_docs)]
 //! # wsm-bench — benchmark harness support
 //!
-//! Shared workload generators for the Criterion benches and the
+//! Shared workload generators and report writers for the three report
+//! benches (`scaling`, `federation`, `delivery`, each a plain `main`
+//! that rewrites its root `BENCH_*.json`), the gates that read those
+//! reports back (`scaling_check`, `federation_check`), and the
 //! table/figure regeneration binaries (`table1`, `table2`, `table3`,
 //! `figures`, `msgdiff`).
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use wsm_eventing::{EventSink, SubscribeRequest, Subscriber, WseVersion};
 use wsm_messenger::WsMessenger;
@@ -20,9 +21,9 @@ use wsm_transport::Network;
 use wsm_xml::Element;
 
 /// Smoke-test mode: `WSM_BENCH_QUICK=1` shrinks the measurement window
-/// so CI can exercise the bench binaries (and their `BENCH_*.json`
-/// emission) in seconds. The vendored criterion substitute has no CLI
-/// filtering, so the env var is the only knob.
+/// and the swept grids so CI can run the bench binaries (and their
+/// `BENCH_*.json` emission) in seconds. The benches take no arguments,
+/// so the env var is the only knob.
 pub fn quick_mode() -> bool {
     std::env::var_os("WSM_BENCH_QUICK").is_some()
 }
@@ -34,83 +35,6 @@ pub fn measure_window() -> Duration {
         Duration::from_millis(10)
     } else {
         Duration::from_millis(200)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Allocation counting
-// ---------------------------------------------------------------------
-
-/// A counting wrapper around the system allocator, for the
-/// allocation-regression harness (`benches/codec.rs`).
-///
-/// Install it in a bench binary with
-/// `#[global_allocator] static A: CountingAlloc = CountingAlloc;` and
-/// read the counters through [`alloc_counters`] / [`measure_allocs`].
-/// Counters are global relaxed atomics, so allocations made on fan-out
-/// worker threads are counted too.
-pub struct CountingAlloc;
-
-static ALLOC_COUNT: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: defers every operation to `System`; the counter updates have
-// no effect on the returned memory.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(
-            new_size.saturating_sub(layout.size()) as u64,
-            Ordering::Relaxed,
-        );
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-/// Cumulative `(allocations, bytes)` since process start. Only
-/// meaningful in binaries that installed [`CountingAlloc`]; elsewhere
-/// both stay zero.
-pub fn alloc_counters() -> (u64, u64) {
-    (
-        ALLOC_COUNT.load(Ordering::Relaxed),
-        ALLOC_BYTES.load(Ordering::Relaxed),
-    )
-}
-
-/// Per-operation allocation statistics from [`measure_allocs`].
-#[derive(Debug, Clone, Copy)]
-pub struct AllocSample {
-    /// Heap allocations per operation (allocs + reallocs).
-    pub allocs_per_op: f64,
-    /// Bytes newly requested per operation.
-    pub bytes_per_op: f64,
-}
-
-/// Measure a workload's allocation rate: warm up (filling buffer pools
-/// and interner tables, which are one-time costs by design), then run
-/// `iters` iterations and average the counter deltas.
-pub fn measure_allocs(iters: u64, f: &mut dyn FnMut()) -> AllocSample {
-    for _ in 0..8 {
-        f();
-    }
-    let (a0, b0) = alloc_counters();
-    for _ in 0..iters {
-        f();
-    }
-    let (a1, b1) = alloc_counters();
-    AllocSample {
-        allocs_per_op: (a1 - a0) as f64 / iters as f64,
-        bytes_per_op: (b1 - b0) as f64 / iters as f64,
     }
 }
 
@@ -131,20 +55,6 @@ pub fn make_event(seq: u64) -> Element {
             Element::local("detail")
                 .with_text("transfer completed; bytes=1073741824 duration=42s checksum=ok"),
         )
-}
-
-/// Topic names used by topic-based workloads, cycling through a small
-/// tree.
-pub fn topic_for(seq: u64) -> &'static str {
-    const TOPICS: [&str; 6] = [
-        "jobs/status",
-        "jobs/errors",
-        "storms/tornado",
-        "storms/hail",
-        "transfers/complete",
-        "transfers/failed",
-    ];
-    TOPICS[(seq % 6) as usize]
 }
 
 /// One measured throughput point for the machine-readable bench
@@ -184,7 +94,7 @@ pub fn measure_events_per_sec(events_per_iter: u64, f: &mut dyn FnMut()) -> f64 
 
 /// A broker with `n` push subscribers, half WS-Eventing (topicless)
 /// and half WS-Notification filtered on `topic` — the standard
-/// mediation population the scaling and observability benches share.
+/// mediation population the scaling and delivery benches share.
 pub fn broker_with_subscribers(n: usize, topic: &str) -> (Network, WsMessenger) {
     let net = Network::new();
     let broker = WsMessenger::start(&net, "http://broker");
@@ -280,29 +190,14 @@ pub struct MatchingSample {
     pub mean_ns: f64,
 }
 
-/// Serialize samples as `BENCH_<name>.json` at the workspace root so
-/// tooling can track bench trends without parsing human-oriented
-/// Criterion output.
-pub fn write_bench_json(bench: &str, samples: &[ThroughputSample]) -> PathBuf {
-    write_bench_json_with_stages(bench, samples, &[], None)
-}
-
-/// [`write_bench_json`] plus per-stage duration breakdowns (a
-/// `"stages"` object keyed by stage name) and, when measured, the
-/// throughput cost of live instrumentation
+/// Serialize samples as `BENCH_<name>.json` at the workspace root, the
+/// line-oriented report [`parse_bench_report`] reads back. Empty
+/// `stages` / `matching` and a `None` overhead leave their sections
+/// out: per-stage duration breakdowns (a `"stages"` object keyed by
+/// stage name), the subscription-matching scaling curve (a
+/// `"matching"` array of `{scenario, param, matched, mean_ns}` rows)
+/// and the throughput cost of live instrumentation
 /// (`"instrumentation_overhead_pct"`).
-pub fn write_bench_json_with_stages(
-    bench: &str,
-    samples: &[ThroughputSample],
-    stages: &[StageBreakdown],
-    instrumentation_overhead_pct: Option<f64>,
-) -> PathBuf {
-    write_bench_json_full(bench, samples, stages, &[], instrumentation_overhead_pct)
-}
-
-/// [`write_bench_json_with_stages`] plus the subscription-matching
-/// scaling curve (a `"matching"` array of
-/// `{scenario, param, matched, mean_ns}` rows).
 pub fn write_bench_json_full(
     bench: &str,
     samples: &[ThroughputSample],
@@ -471,12 +366,6 @@ mod tests {
         let xml = wsm_xml::to_string(&a);
         assert!(xml.len() > 100, "realistic size, got {}", xml.len());
         assert_eq!(wsm_xml::parse(&xml).unwrap(), a);
-    }
-
-    #[test]
-    fn topics_cycle() {
-        assert_eq!(topic_for(0), topic_for(6));
-        assert_ne!(topic_for(0), topic_for(1));
     }
 
     #[test]

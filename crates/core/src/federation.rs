@@ -211,11 +211,11 @@ impl LinkQueue {
 /// the shared accounting the condvars wait on.
 struct HubState {
     links: Vec<LinkQueue>,
-    /// Events admitted but not yet delivered (pending + sealed),
-    /// bounded by [`LINK_CAPACITY`].
+    /// Events admitted but not yet delivered (pending, sealed or in a
+    /// flusher's hands), bounded by [`LINK_CAPACITY`]. A batch leaves
+    /// it only once delivered, and no sealed batch is empty, so
+    /// `queued == 0` means no batch is in flight either.
     queued: usize,
-    /// Batches currently being delivered by flushers.
-    in_flight: usize,
     policy: BatchPolicy,
     flushers_running: bool,
 }
@@ -306,19 +306,17 @@ fn flusher_loop(ctx: Arc<LinkCtx>, home: usize) {
             ctx.work.wait(&mut state);
             continue;
         };
-        state.in_flight += 1;
         drop(state);
         let delivered = batch.len();
         let empty = deliver_batch(&ctx, shard, batch);
         state = ctx.state.lock();
-        state.in_flight -= 1;
         state.queued -= delivered;
         let lq = &mut state.links[shard];
         if lq.spare.capacity() < empty.capacity() {
             lq.spare = empty;
         }
         ctx.room.notify_all();
-        if state.queued == 0 && state.in_flight == 0 {
+        if state.queued == 0 {
             ctx.idle.notify_all();
         }
     }
@@ -381,7 +379,6 @@ impl FederatedMessenger {
             state: Mutex::new(HubState {
                 links: (0..n).map(|_| LinkQueue::new()).collect(),
                 queued: 0,
-                in_flight: 0,
                 policy: BatchPolicy::Immediate,
                 flushers_running: false,
             }),
@@ -607,7 +604,7 @@ impl FederatedMessenger {
         let ctx = &self.inner.ctx;
         let mut state = ctx.state.lock();
         let total = state.queued;
-        if total == 0 && state.in_flight == 0 {
+        if total == 0 {
             return 0;
         }
         for i in 0..state.links.len() {
@@ -616,7 +613,7 @@ impl FederatedMessenger {
         if state.queued > 0 {
             ctx.work.notify_all();
         }
-        while state.queued > 0 || state.in_flight > 0 {
+        while state.queued > 0 {
             ctx.idle.wait(&mut state);
         }
         total

@@ -158,7 +158,8 @@ const WELL_KNOWN: &[&str] = &[
     // inter-broker hop encodes re-uses the WSN names above, and the
     // shard topic roots below keep million-subscriber bench setups and
     // cross-shard `Notify` encodes on the ptr-eq fast path (asserted
-    // by the BENCH_codec allocation budget in quick mode).
+    // by the 16-message encode budget in wsm-messenger's
+    // `tests/render_allocs.rs`).
     "readings",
     "stable",
     "event",
