@@ -47,7 +47,7 @@ use wsm_soap::{Envelope, Fault, SoapVersion};
 use wsm_topics::TopicExpression;
 use wsm_transport::SoapHandler;
 use wsm_wsrf::{WSRF_RL_NS, WSRF_RP_NS};
-use wsm_xml::{Element, SharedElement};
+use wsm_xml::{Element, QName, SharedElement};
 
 /// A specification operation a broker answers: those of paper Table 2,
 /// the WSRF arms WS-BaseNotification 1.0 manages subscriptions through,
@@ -572,13 +572,23 @@ impl SoapHandler for Endpoint {
         let started = Instant::now();
         let dialect = SpecDialect::detect(&request);
         let detect_ns = started.elapsed().as_nanos() as u64;
+        // A publication is moved out of the request it arrived in.
         let Some(dialect) = dialect else {
             // A bare payload: a raw publication.
-            self.ingest(std::iter::once(InternalEvent::raw(body.clone())), detect_ns);
+            let body = request
+                .into_body()
+                .ok_or_else(|| Fault::sender("empty body"))?;
+            self.ingest(std::iter::once(InternalEvent::raw(body)), detect_ns);
             return Ok(None);
         };
         if let SpecDialect::Wsn(v) = dialect {
-            if let Some(messages) = WsnCodec::new(v).parse_notify(&request) {
+            if body.name.is(v.ns(), "Notify") {
+                // A Notify it cannot read is answered as `decode`
+                // answers any body it has no operation for.
+                let messages = WsnCodec::new(v).into_notify(request).ok_or_else(|| {
+                    let notify = QName::ns(v.ns(), "Notify");
+                    Fault::sender(format!("{} has no {}", dialect.label(), notify.clark()))
+                })?;
                 self.ingest(
                     messages.into_iter().map(|m| InternalEvent {
                         topic: m.topic,

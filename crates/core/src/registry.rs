@@ -577,9 +577,12 @@ impl Registry {
         } = &mut *guard;
         programs.next_epoch();
         // One shared document index per publication, reused by every
-        // candidate filter evaluation and literal-group path; the
-        // producer-properties one is built when a candidate first asks.
-        let payload = EvalDoc::new(event.payload_element());
+        // candidate filter evaluation and literal-group path. Each is
+        // built when the first candidate or literal group asks for it:
+        // a publication that only topic-only subscriptions match never
+        // indexes its payload.
+        let payload_doc = OnceCell::new();
+        let payload = || payload_doc.get_or_init(|| EvalDoc::new(event.payload_element()));
         let props = OnceCell::new();
         let mut admit = |e: &SubEntry, topic_proven: bool| {
             e.live(now_ms)
@@ -587,7 +590,7 @@ impl Registry {
                     .filters
                     .admit_by(event.topic.as_ref(), topic_proven, |doc, n, f| {
                         programs.verdict(e.slots[n], doc, || match doc {
-                            Doc::Payload => run(f, Some(&payload)),
+                            Doc::Payload => run(f, Some(payload())),
                             Doc::Props => run(
                                 f,
                                 props
@@ -614,7 +617,7 @@ impl Registry {
         }
 
         for group in index.literal_groups.values() {
-            let mut values = group.rep.eval_literal_path(&payload);
+            let mut values = group.rep.eval_literal_path(payload());
             values.sort_unstable();
             values.dedup();
             for value in values {

@@ -50,7 +50,7 @@ pub mod version;
 pub use messages::WseCodec;
 pub use model::{DeliveryMode, EndStatus, Expires, Filter, SubscribeRequest, SubscriptionHandle};
 pub use services::{EventSink, EventSource, PublishStats, Subscriber};
-pub use store::{Subscription, SubscriptionStore};
+pub use store::{Delivery, Subscription, SubscriptionStore};
 pub use version::WseVersion;
 
 /// The XPath 1.0 filter dialect URI (the default dialect in WS-Eventing).

@@ -3,7 +3,7 @@
 
 use crate::messages::WseCodec;
 use crate::model::{DeliveryMode, EndStatus, Expires, SubscribeRequest, SubscriptionHandle};
-use crate::store::{CompiledFilter, Subscription, SubscriptionStore};
+use crate::store::{CompiledFilter, SubscriptionStore};
 use crate::version::WseVersion;
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -125,7 +125,8 @@ impl EventSource {
                 } else {
                     end_subscription(
                         inner,
-                        &sub,
+                        &sub.id,
+                        sub.end_to.as_ref(),
                         EndStatus::DeliveryFailure,
                         "wrapped delivery failed",
                     );
@@ -142,7 +143,8 @@ impl EventSource {
         for sub in self.inner.store.drain_all() {
             end_subscription(
                 &self.inner,
-                &sub,
+                &sub.id,
+                sub.end_to.as_ref(),
                 EndStatus::SourceShuttingDown,
                 "source shutting down",
             );
@@ -158,7 +160,13 @@ impl EventSource {
     pub fn cancel(&self, id: &str, reason: &str) -> bool {
         match self.inner.store.remove(id) {
             Some(sub) => {
-                end_subscription(&self.inner, &sub, EndStatus::SourceCancelling, reason);
+                end_subscription(
+                    &self.inner,
+                    &sub.id,
+                    sub.end_to.as_ref(),
+                    EndStatus::SourceCancelling,
+                    reason,
+                );
                 true
             }
             None => false,
@@ -181,7 +189,8 @@ fn publish_event(inner: &SourceInner, event: &Element) -> PublishStats {
                         inner.store.remove(&sub.id);
                         end_subscription(
                             inner,
-                            &sub,
+                            &sub.id,
+                            sub.end_to.as_ref(),
                             EndStatus::DeliveryFailure,
                             "delivery failed",
                         );
@@ -206,9 +215,15 @@ fn publish_event(inner: &SourceInner, event: &Element) -> PublishStats {
 /// Send `SubscriptionEnd` for a terminated subscription (only when the
 /// subscriber supplied `EndTo` — the paper notes the message is simply
 /// not generated otherwise).
-fn end_subscription(inner: &SourceInner, sub: &Subscription, status: EndStatus, reason: &str) {
-    if let Some(end_to) = &sub.end_to {
-        let manager = inner.codec.manager_epr(&inner.manager_uri, &sub.id);
+fn end_subscription(
+    inner: &SourceInner,
+    id: &str,
+    end_to: Option<&EndpointReference>,
+    status: EndStatus,
+    reason: &str,
+) {
+    if let Some(end_to) = end_to {
+        let manager = inner.codec.manager_epr(&inner.manager_uri, id);
         let env = inner
             .codec
             .subscription_end(end_to, &manager, status, Some(reason));

@@ -84,6 +84,23 @@ impl Subscription {
     }
 }
 
+/// What a publication needs of a subscription it delivers to: where
+/// the event goes, how, and who hears if the delivery fails. Unlike a
+/// [`Subscription`] snapshot it carries no filter and none of the
+/// events the subscription buffers, so a publish costs the same however
+/// many events are already queued or wrapped.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Delivery {
+    /// Subscription identifier.
+    pub id: String,
+    /// Where notifications go.
+    pub notify_to: EndpointReference,
+    /// Where `SubscriptionEnd` goes, if requested.
+    pub end_to: Option<EndpointReference>,
+    /// Delivery mode.
+    pub mode: DeliveryMode,
+}
+
 /// Thread-safe registry of subscriptions.
 #[derive(Clone, Default)]
 pub struct SubscriptionStore {
@@ -170,14 +187,20 @@ impl SubscriptionStore {
         inner.subs.drain().map(|(_, s)| s).collect()
     }
 
-    /// Snapshot of live subscriptions that accept `event` at `now`.
-    pub fn matching(&self, event: &Element, now_ms: u64) -> Vec<Subscription> {
+    /// The delivery facts of every live subscription that accepts
+    /// `event` at `now`.
+    pub fn matching(&self, event: &Element, now_ms: u64) -> Vec<Delivery> {
         self.inner
             .lock()
             .subs
             .values()
             .filter(|s| !s.expired(now_ms) && s.accepts(event))
-            .cloned()
+            .map(|s| Delivery {
+                id: s.id.clone(),
+                notify_to: s.notify_to.clone(),
+                end_to: s.end_to.clone(),
+                mode: s.mode,
+            })
             .collect()
     }
 

@@ -647,31 +647,59 @@ impl WsnCodec {
         MessageHeaders::raw_delivery(SOAP, self.version.wsa(), to, message)
     }
 
-    /// Parse a `Notify` body into its notification messages.
+    /// Parse a `Notify` body into its notification messages, copying
+    /// each payload out of the envelope.
     pub fn parse_notify(&self, env: &Envelope) -> Option<Vec<NotificationMessage>> {
         let ns = self.version.ns();
-        let wsa = self.version.wsa();
         let body = env.body().filter(|b| b.name.is(ns, "Notify"))?;
-        let mut out = Vec::new();
-        for nm in body.children_ns(ns, "NotificationMessage") {
-            let topic = nm
+        body.children_ns(ns, "NotificationMessage")
+            .map(|nm| {
+                let payload = nm.child_ns(ns, "Message")?.elements().next()?.clone();
+                Some(self.read_notification_message(nm, payload))
+            })
+            .collect()
+    }
+
+    /// [`WsnCodec::parse_notify`] for a receiver that owns the request:
+    /// each payload is moved out of the envelope instead of copied (a
+    /// payload the envelope shares with other holders is still copied).
+    pub fn into_notify(&self, env: Envelope) -> Option<Vec<NotificationMessage>> {
+        let ns = self.version.ns();
+        let body = env.into_body().filter(|b| b.name.is(ns, "Notify"))?;
+        body.children
+            .into_iter()
+            .filter_map(Node::into_element)
+            .filter(|nm| nm.name.is(ns, "NotificationMessage"))
+            .map(|mut nm| {
+                let at = nm
+                    .children
+                    .iter()
+                    .position(|c| c.as_element().is_some_and(|e| e.name.is(ns, "Message")))?;
+                let message = std::mem::replace(&mut nm.children[at], Node::Text(String::new()))
+                    .into_element()?;
+                let payload = message.children.into_iter().find_map(Node::into_element)?;
+                Some(self.read_notification_message(&nm, payload))
+            })
+            .collect()
+    }
+
+    /// One `NotificationMessage` around `payload`: the topic, producer
+    /// and subscription references `nm` carries.
+    fn read_notification_message(&self, nm: &Element, payload: Element) -> NotificationMessage {
+        let ns = self.version.ns();
+        let wsa = self.version.wsa();
+        let reference = |name| {
+            nm.child_ns(ns, name)
+                .and_then(|e| EndpointReference::from_element(e, wsa))
+        };
+        NotificationMessage {
+            topic: nm
                 .child_ns(ns, "Topic")
-                .and_then(|t| TopicPath::parse(t.text().trim()));
-            let producer = nm
-                .child_ns(ns, "ProducerReference")
-                .and_then(|e| EndpointReference::from_element(e, wsa));
-            let subscription = nm
-                .child_ns(ns, "SubscriptionReference")
-                .and_then(|e| EndpointReference::from_element(e, wsa));
-            let message = nm.child_ns(ns, "Message")?.elements().next()?.clone();
-            out.push(NotificationMessage {
-                topic,
-                producer,
-                subscription,
-                message,
-            });
+                .and_then(|t| TopicPath::parse(t.text().trim())),
+            producer: reference("ProducerReference"),
+            subscription: reference("SubscriptionReference"),
+            message: payload,
         }
-        Some(out)
     }
 
     // -------------------------------------------------------- PullPoint

@@ -333,13 +333,22 @@ impl Envelope {
     }
 
     /// Parse an envelope from XML text, detecting the SOAP version from
-    /// the envelope namespace.
+    /// the envelope namespace. The parsed header and body blocks are
+    /// moved into the envelope, not copied.
     pub fn from_xml(xml: &str) -> Result<Self, SoapError> {
-        Self::from_element(&parse(xml)?)
+        Self::from_root(parse(xml)?)
     }
 
-    /// Interpret an already-parsed element as an envelope.
+    /// Interpret an already-parsed element as an envelope: the reading
+    /// [`Envelope::from_xml`] makes, applied to a copy of `root`.
     pub fn from_element(root: &Element) -> Result<Self, SoapError> {
+        Self::from_root(root.clone())
+    }
+
+    /// Take an envelope element apart into the header and body lists,
+    /// moving its blocks. Nodes between the blocks that are not
+    /// elements (whitespace, comments) are dropped.
+    fn from_root(root: Element) -> Result<Self, SoapError> {
         let version = if root.name.is(SOAP11_NS, "Envelope") {
             SoapVersion::V11
         } else if root.name.is(SOAP12_NS, "Envelope") {
@@ -350,7 +359,7 @@ impl Envelope {
         let ns = version.ns();
         let mut headers: Arc<[Node]> = Arc::default();
         let mut body = None;
-        for child in root.elements() {
+        for child in root.children.into_iter().filter_map(Node::into_element) {
             if child.name.is(ns, "Header") {
                 if body.is_some() {
                     return Err(SoapError::Structure("Header after Body".into()));
@@ -358,12 +367,12 @@ impl Envelope {
                 if !headers.is_empty() {
                     return Err(SoapError::Structure("multiple Header elements".into()));
                 }
-                headers = child.elements().cloned().map(Node::Element).collect();
+                headers = element_list(child);
             } else if child.name.is(ns, "Body") {
                 if body.is_some() {
                     return Err(SoapError::Structure("multiple Body elements".into()));
                 }
-                body = Some(child.elements().cloned().map(Node::Element).collect());
+                body = Some(element_list(child));
             } else {
                 return Err(SoapError::Structure(format!(
                     "unexpected envelope child {}",
@@ -378,6 +387,29 @@ impl Envelope {
             body,
         })
     }
+
+    /// The first body element, moved out of this envelope when it is
+    /// the only holder of its body list, and copied otherwise — the
+    /// owned counterpart of [`Envelope::body`] for a receiver that
+    /// keeps the payload.
+    pub fn into_body(self) -> Option<Element> {
+        let mut body = self.body;
+        let at = body.iter().position(|n| n.as_element().is_some())?;
+        match Arc::get_mut(&mut body) {
+            Some(list) => {
+                std::mem::replace(&mut list[at], Node::Text(String::new())).into_element()
+            }
+            None => body[at].as_element().cloned(),
+        }
+    }
+}
+
+/// The element children of a `Header` or `Body` block, moved into one
+/// exactly sized list.
+fn element_list(block: Element) -> Arc<[Node]> {
+    let mut children = block.children;
+    children.retain(|n| n.as_element().is_some());
+    children.into()
 }
 
 #[cfg(test)]

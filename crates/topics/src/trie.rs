@@ -147,8 +147,11 @@ impl TopicTrie {
         let mut out: Vec<u64> = Vec::new();
         self.collect_subtree(&states, &mut out);
         let last = topic.segments.len().saturating_sub(1);
+        // Two state buffers, swapped per segment: the step writes the
+        // next set into the one the previous step read from.
+        let mut next: Vec<(u32, bool)> = Vec::new();
         for (i, seg) in topic.segments.iter().enumerate() {
-            let mut next: Vec<(u32, bool)> = Vec::new();
+            next.clear();
             for &(at, floating) in &states {
                 let node = &self.nodes[at as usize];
                 if floating {
@@ -162,7 +165,7 @@ impl TopicTrie {
                 }
             }
             self.closure(&mut next);
-            states = next;
+            std::mem::swap(&mut states, &mut next);
             if states.is_empty() {
                 break;
             }

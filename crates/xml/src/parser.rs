@@ -12,6 +12,8 @@ use crate::intern::{intern, Interned};
 use crate::name::{is_name_char, is_name_start, split_prefixed, QName, XML_NS};
 use crate::tree::{Attribute, Element, Node};
 use std::borrow::Cow;
+use std::cell::RefCell;
+use std::ops::Range;
 
 /// Maximum element nesting depth accepted by [`parse`].
 ///
@@ -29,22 +31,56 @@ pub fn parse(input: &str) -> XmlResult<Element> {
         input,
         bytes: input.as_bytes(),
         pos: 0,
-        scopes: Vec::new(),
         depth: 0,
+        scratch: SCRATCH.try_with(RefCell::take).unwrap_or_default(),
     };
-    p.skip_prolog()?;
-    if p.at_end() {
-        return Err(p.err(ErrorKind::Empty, "input contains no element"));
+    let out = p.document();
+    let mut scratch = p.scratch;
+    if scratch.nodes.capacity() <= MAX_RETAINED_NODES {
+        // Whatever an error left behind is cleared before reuse.
+        scratch.scopes.clear();
+        scratch.nodes.clear();
+        scratch.attrs.clear();
+        // A thread tearing down keeps nothing.
+        let _ = SCRATCH.try_with(|s| s.replace(scratch));
     }
-    let root = p.parse_element()?;
-    p.skip_misc()?;
-    if !p.at_end() {
-        return Err(p.err(
-            ErrorKind::TrailingContent,
-            "unexpected content after document element",
-        ));
-    }
-    Ok(root)
+    out
+}
+
+/// Node-stack capacity beyond which a thread does not keep its scratch:
+/// one pathological document must not pin its size per thread.
+const MAX_RETAINED_NODES: usize = 1024;
+
+thread_local! {
+    /// Each thread's parse scratch, reused from one document to the
+    /// next, so a warm thread's parse allocates only the tree it returns.
+    static SCRATCH: RefCell<Scratch> = const {
+        RefCell::new(Scratch {
+            scopes: Vec::new(),
+            nodes: Vec::new(),
+            attrs: Vec::new(),
+        })
+    };
+}
+
+/// A parser's working stacks.
+#[derive(Default)]
+struct Scratch {
+    /// In-scope namespace declarations, innermost last. A frame is
+    /// popped by truncating to the length recorded when the element was
+    /// entered. Both parts are interned: the same prefixes and URIs
+    /// recur on every message, so pushing a scope is two pointer
+    /// copies, not two `String`s.
+    scopes: Vec<(Option<Interned>, Interned)>,
+    /// Children of the open elements, innermost last. An element's
+    /// children are pushed here as they are parsed and moved into its
+    /// `children` in one exactly sized allocation when it closes, so a
+    /// parsed tree holds no spare capacity: a broker that keeps a
+    /// payload keeps only its bytes.
+    nodes: Vec<Node>,
+    /// The current start tag's attributes before namespace resolution
+    /// (emptied after each tag).
+    attrs: Vec<RawAttr>,
 }
 
 struct Parser<'a> {
@@ -52,24 +88,38 @@ struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
-    /// In-scope namespace declarations, innermost last:
-    /// `(prefix, uri, depth_marker)`. A frame is popped by truncating to
-    /// the length recorded when the element was entered. Both parts are
-    /// interned: the same prefixes and URIs recur on every message, so
-    /// pushing a scope is two pointer copies, not two `String`s.
-    scopes: Vec<(Option<Interned>, Interned)>,
+    scratch: Scratch,
 }
 
-/// Raw attribute before namespace resolution. The value borrows from
-/// the input unless entity expansion forced a copy.
-struct RawAttr<'a> {
-    prefix: Option<&'a str>,
-    local: &'a str,
-    value: Cow<'a, str>,
-    pos: usize,
+/// Raw attribute before namespace resolution, held as positions in the
+/// input so a thread's scratch can outlive one document.
+struct RawAttr {
+    /// The qualified name; its start is the attribute's position.
+    name: Range<usize>,
+    /// The value as written.
+    value: Range<usize>,
+    /// The value with entities expanded, where expansion changed it.
+    expanded: Option<String>,
 }
 
 impl<'a> Parser<'a> {
+    /// The document element, with the prolog and trailing misc around it.
+    fn document(&mut self) -> XmlResult<Element> {
+        self.skip_prolog()?;
+        if self.at_end() {
+            return Err(self.err(ErrorKind::Empty, "input contains no element"));
+        }
+        let root = self.parse_element()?;
+        self.skip_misc()?;
+        if !self.at_end() {
+            return Err(self.err(
+                ErrorKind::TrailingContent,
+                "unexpected content after document element",
+            ));
+        }
+        Ok(root)
+    }
+
     fn err(&self, kind: ErrorKind, detail: impl Into<String>) -> XmlError {
         XmlError::new(kind, self.pos, detail)
     }
@@ -196,7 +246,7 @@ impl<'a> Parser<'a> {
         match prefix {
             Some("xml") => Ok(Some(intern(XML_NS))),
             Some(p) => {
-                for (pref, uri) in self.scopes.iter().rev() {
+                for (pref, uri) in self.scratch.scopes.iter().rev() {
                     if pref.as_deref() == Some(p) {
                         if uri.is_empty() {
                             return Err(XmlError::new(
@@ -219,7 +269,7 @@ impl<'a> Parser<'a> {
                     // Unprefixed attributes are in no namespace.
                     return Ok(None);
                 }
-                for (pref, uri) in self.scopes.iter().rev() {
+                for (pref, uri) in self.scratch.scopes.iter().rev() {
                     if pref.is_none() {
                         return Ok(if uri.is_empty() {
                             None
@@ -252,8 +302,8 @@ impl<'a> Parser<'a> {
         let name_pos = self.pos;
 
         // Collect raw attributes and namespace declarations.
-        let scope_base = self.scopes.len();
-        let mut raw_attrs: Vec<RawAttr<'a>> = Vec::new();
+        let scope_base = self.scratch.scopes.len();
+        debug_assert!(self.scratch.attrs.is_empty());
         let self_closing;
         loop {
             self.skip_ws();
@@ -274,18 +324,22 @@ impl<'a> Parser<'a> {
                     self.skip_ws();
                     self.expect("=")?;
                     self.skip_ws();
-                    let value = self.read_attr_value()?;
+                    let (raw_value, value) = self.read_attr_value()?;
                     let (prefix, local) = split_prefixed(raw);
                     if prefix == Some("xmlns") {
-                        self.scopes.push((Some(intern(local)), intern(&value)));
+                        self.scratch
+                            .scopes
+                            .push((Some(intern(local)), intern(&value)));
                     } else if prefix.is_none() && local == "xmlns" {
-                        self.scopes.push((None, intern(&value)));
+                        self.scratch.scopes.push((None, intern(&value)));
                     } else {
-                        raw_attrs.push(RawAttr {
-                            prefix,
-                            local,
-                            value,
-                            pos: attr_pos,
+                        self.scratch.attrs.push(RawAttr {
+                            name: attr_pos..attr_pos + raw.len(),
+                            value: raw_value,
+                            expanded: match value {
+                                Cow::Borrowed(_) => None,
+                                Cow::Owned(expanded) => Some(expanded),
+                            },
                         });
                     }
                 }
@@ -305,40 +359,63 @@ impl<'a> Parser<'a> {
                 local: intern(elocal),
             },
             prefix_hint: eprefix.map(intern),
-            attrs: Vec::with_capacity(raw_attrs.len()),
+            attrs: Vec::with_capacity(self.scratch.attrs.len()),
             children: Vec::new(),
         };
+        let mut raw_attrs = std::mem::take(&mut self.scratch.attrs);
+        let resolved = self.resolve_attrs(&mut element, raw_attrs.drain(..));
+        // The drained scratch goes back for the next start tag.
+        self.scratch.attrs = raw_attrs;
+        resolved?;
+
+        if !self_closing {
+            let base = self.scratch.nodes.len();
+            self.parse_content(raw_name)?;
+            // Collecting a drain sizes the vector exactly.
+            element.children = self.scratch.nodes.drain(base..).collect();
+        }
+        self.scratch.scopes.truncate(scope_base);
+        Ok(element)
+    }
+
+    /// Resolve the start tag's raw attributes into `element`.
+    fn resolve_attrs(
+        &self,
+        element: &mut Element,
+        raw_attrs: impl Iterator<Item = RawAttr>,
+    ) -> XmlResult<()> {
         for ra in raw_attrs {
-            let ns = self.resolve(ra.prefix, true).map_err(|mut e| {
-                e.position = ra.pos;
+            let pos = ra.name.start;
+            let (prefix, local) = split_prefixed(&self.input[ra.name]);
+            let ns = self.resolve(prefix, true).map_err(|mut e| {
+                e.position = pos;
                 e
             })?;
             let name = QName {
                 ns,
-                local: intern(ra.local),
+                local: intern(local),
             };
             if element.attrs.iter().any(|a| a.name == name) {
                 return Err(XmlError::new(
                     ErrorKind::DuplicateAttribute,
-                    ra.pos,
+                    pos,
                     name.clark(),
                 ));
             }
             element.attrs.push(Attribute {
                 name,
-                prefix_hint: ra.prefix.map(intern),
-                value: ra.value.into_owned(),
+                prefix_hint: prefix.map(intern),
+                value: ra
+                    .expanded
+                    .unwrap_or_else(|| self.input[ra.value].to_string()),
             });
         }
-
-        if !self_closing {
-            self.parse_content(&mut element, raw_name)?;
-        }
-        self.scopes.truncate(scope_base);
-        Ok(element)
+        Ok(())
     }
 
-    fn read_attr_value(&mut self) -> XmlResult<Cow<'a, str>> {
+    /// An attribute value: where it is written, and its text with
+    /// entities expanded (borrowed from the input where nothing was).
+    fn read_attr_value(&mut self) -> XmlResult<(Range<usize>, Cow<'a, str>)> {
         let quote = match self.peek() {
             Some(q @ (b'"' | b'\'')) => q,
             _ => return Err(self.err(ErrorKind::Malformed, "expected quoted attribute value")),
@@ -349,13 +426,15 @@ impl<'a> Parser<'a> {
             Some(i) => {
                 let raw = &self.input[start..start + i];
                 self.pos = start + i + 1;
-                unescape(raw, start)
+                Ok((start..start + i, unescape(raw, start)?))
             }
             None => Err(self.err(ErrorKind::UnexpectedEof, "unterminated attribute value")),
         }
     }
 
-    fn parse_content(&mut self, parent: &mut Element, raw_name: &str) -> XmlResult<()> {
+    /// Parse an element's content up to and including its end tag,
+    /// pushing each child onto the node stack.
+    fn parse_content(&mut self, raw_name: &str) -> XmlResult<()> {
         loop {
             if self.at_end() {
                 return Err(self.err(ErrorKind::UnexpectedEof, format!("inside <{raw_name}>")));
@@ -377,8 +456,8 @@ impl<'a> Parser<'a> {
                 let start = self.pos;
                 match self.input[self.pos..].find("]]>") {
                     Some(i) => {
-                        parent
-                            .children
+                        self.scratch
+                            .nodes
                             .push(Node::CData(self.input[start..start + i].to_string()));
                         self.pos = start + i + 3;
                     }
@@ -389,8 +468,8 @@ impl<'a> Parser<'a> {
                 let start = self.pos;
                 match self.input[self.pos..].find("-->") {
                     Some(i) => {
-                        parent
-                            .children
+                        self.scratch
+                            .nodes
                             .push(Node::Comment(self.input[start..start + i].to_string()));
                         self.pos = start + i + 3;
                     }
@@ -403,7 +482,7 @@ impl<'a> Parser<'a> {
                 match self.input[self.pos..].find("?>") {
                     Some(i) => {
                         let data = self.input[start..start + i].trim().to_string();
-                        parent.children.push(Node::Pi { target, data });
+                        self.scratch.nodes.push(Node::Pi { target, data });
                         self.pos = start + i + 2;
                     }
                     None => {
@@ -415,7 +494,7 @@ impl<'a> Parser<'a> {
                 }
             } else if self.peek() == Some(b'<') {
                 let child = self.parse_element()?;
-                parent.children.push(Node::Element(child));
+                self.scratch.nodes.push(Node::Element(child));
             } else {
                 // Text run up to the next '<'.
                 let start = self.pos;
@@ -426,7 +505,7 @@ impl<'a> Parser<'a> {
                 self.pos = start + rel;
                 let text = unescape(raw, start)?;
                 if !text.is_empty() {
-                    parent.children.push(Node::Text(text.into_owned()));
+                    self.scratch.nodes.push(Node::Text(text.into_owned()));
                 }
             }
         }
@@ -612,6 +691,33 @@ mod tests {
             e.attr_ns("http://www.w3.org/XML/1998/namespace", "lang"),
             Some("en")
         );
+    }
+
+    #[test]
+    fn parsed_lists_hold_no_spare_capacity() {
+        fn check(e: &Element) {
+            assert_eq!(
+                e.children.capacity(),
+                e.children.len(),
+                "<{}>",
+                e.name.local
+            );
+            assert_eq!(e.attrs.capacity(), e.attrs.len(), "<{}>", e.name.local);
+            e.elements().for_each(check);
+        }
+        let doc = r#"<s:Envelope xmlns:s="urn:s" xmlns:a="urn:a"><s:Header><a:To>x</a:To><a:Action>y</a:Action><a:MessageID>z</a:MessageID></s:Header><s:Body><ev a="1" b="2" c="3" d="4" e="5"><k>1</k><k>2</k><k>3</k><k>4</k><k>5</k><k>6</k><!-- c --><?p d?>tail<e/></ev></s:Body></s:Envelope>"#;
+        // Twice: the second parse reuses the first one's scratch.
+        for _ in 0..2 {
+            check(&parse(doc).unwrap());
+        }
+    }
+
+    #[test]
+    fn a_failed_parse_leaves_no_scratch_behind() {
+        assert!(parse(r#"<r xmlns:p="urn:p"><a x="1"><b p:y="2">t<c"#).is_err());
+        let e = parse(r#"<r><a x="1"/>t</r>"#).unwrap();
+        assert_eq!(e.children.len(), 2);
+        assert_eq!(e.child("a").unwrap().attrs.len(), 1);
     }
 
     #[test]

@@ -41,6 +41,16 @@ impl Node {
         }
     }
 
+    /// The element inside this node, by value: moved out of a plain
+    /// element, copied out of a shared subtree.
+    pub fn into_element(self) -> Option<Element> {
+        match self {
+            Node::Element(e) => Some(e),
+            Node::Shared(s) => Some(s.element().clone()),
+            _ => None,
+        }
+    }
+
     /// Mutable variant of [`Node::as_element`].
     ///
     /// A [`Node::Shared`] subtree is immutable by construction, so this

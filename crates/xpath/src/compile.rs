@@ -23,7 +23,7 @@
 //!   their source text was spelled (see [`CompiledFilter`]'s `Eq`).
 
 use crate::ast::{Axis, BinOp, Expr, LocationPath, NodeTest, Step};
-use crate::eval::{v_bool, DocIndex, EvalDoc, V};
+use crate::eval::{v_bool, EvalDoc, V};
 use crate::parser::{self, XPathError};
 use crate::program::{
     const_verdict, name_bit, run_path_strings, run_root, CExpr, CPath, CStep, CTest, Func, Num,
@@ -130,16 +130,7 @@ impl CompiledFilter {
 
     /// Evaluate against a shared pre-indexed document.
     pub fn evaluate_doc(&self, doc: &EvalDoc) -> Value {
-        match run_root(&doc.idx, &self.prog) {
-            V::B(b) => Value::Boolean(b),
-            V::N(n) => Value::Number(n),
-            V::S(s) => Value::String(s),
-            V::Nodes(ids) => Value::NodeSet(
-                ids.iter()
-                    .map(|&id| doc.idx.string_value(id).into_owned())
-                    .collect(),
-            ),
-        }
+        doc.idx.value(run_root(doc, &self.prog))
     }
 
     /// Filter semantics against a shared pre-indexed document: the
@@ -148,7 +139,7 @@ impl CompiledFilter {
         if let Some(b) = const_verdict(&self.prog) {
             return b;
         }
-        v_bool(&run_root(&doc.idx, &self.prog))
+        v_bool(&run_root(doc, &self.prog))
     }
 
     /// Evaluate against `root`, indexing the document first.
@@ -194,7 +185,7 @@ impl CompiledFilter {
     /// literal-equality form.
     pub fn eval_literal_path<'a>(&self, doc: &EvalDoc<'a>) -> Vec<Cow<'a, str>> {
         match &self.literal_eq {
-            Some(le) => run_path_strings(&doc.idx, &le.path),
+            Some(le) => run_path_strings(doc, &le.path),
             None => Vec::new(),
         }
     }
@@ -350,15 +341,16 @@ fn fold(e: CExpr) -> CExpr {
         return rebuilt;
     }
     let dummy = Element::new(QName::local("x"));
-    let idx = DocIndex::build(&dummy);
-    match run_root(&idx, &rebuilt) {
-        V::B(b) => CExpr::Bool(b),
-        V::N(n) => CExpr::Number(Num(n)),
-        V::S(s) => CExpr::Literal(s),
+    let doc = EvalDoc::new(&dummy);
+    let folded = match run_root(&doc, &rebuilt) {
+        V::B(b) => Some(CExpr::Bool(b)),
+        V::N(n) => Some(CExpr::Number(Num(n))),
+        V::S(s) => Some(CExpr::Literal(s.into_owned())),
         // Pure expressions never yield node-sets; keep the program
         // unchanged if that invariant is ever violated.
-        V::Nodes(_) => rebuilt,
-    }
+        V::Nodes(_) => None,
+    };
+    folded.unwrap_or(rebuilt)
 }
 
 // ------------------------------------------------------- fact extraction

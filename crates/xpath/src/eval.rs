@@ -8,6 +8,8 @@ use crate::ast::{Axis, BinOp, Expr, LocationPath, NodeTest, Step};
 use crate::program::name_bit;
 use crate::value::{number_to_string, str_to_number, Value};
 use std::borrow::Cow;
+use std::cell::RefCell;
+use std::ops::{Deref, DerefMut};
 use wsm_xml::tree::{Attribute, Node};
 use wsm_xml::{Element, QName};
 
@@ -18,24 +20,16 @@ pub fn evaluate(expr: &Expr, root: &Element) -> Value {
 
 /// Evaluate with namespace bindings for prefixes in the expression.
 pub fn evaluate_with_namespaces(expr: &Expr, root: &Element, namespaces: &[(&str, &str)]) -> Value {
-    let doc = DocIndex::build(root);
+    let doc = EvalDoc::new(root);
     let ctx = Ctx {
-        doc: &doc,
+        doc: &doc.idx,
+        pool: &doc.pool,
         namespaces,
         node: ROOT,
         position: 1,
         size: 1,
     };
-    match eval(&ctx, expr) {
-        V::B(b) => Value::Boolean(b),
-        V::N(n) => Value::Number(n),
-        V::S(s) => Value::String(s),
-        V::Nodes(ids) => Value::NodeSet(
-            ids.iter()
-                .map(|&id| doc.string_value(id).into_owned())
-                .collect(),
-        ),
-    }
+    doc.idx.value(eval(&ctx, expr))
 }
 
 pub(crate) const ROOT: usize = 0;
@@ -54,54 +48,109 @@ pub(crate) enum NodeData<'a> {
     Comment { text: &'a str, parent: usize },
 }
 
+/// A node of the index and where its edges are.
+struct Slot<'a> {
+    data: NodeData<'a>,
+    /// Start of this node's attribute ids, followed by its child ids,
+    /// in [`DocIndex::edges`].
+    first: usize,
+    attrs: usize,
+    kids: usize,
+}
+
+/// The document as one node array in document order.
+///
+/// Built in two allocations whatever the document: the node array and
+/// one edge array, both sized exactly by a counting pass. Each node's
+/// attribute ids and then its child ids (element, text and comment —
+/// not processing instructions) sit in one contiguous range of
+/// `edges`, so the child and attribute axes are lent as slices.
 pub(crate) struct DocIndex<'a> {
-    pub(crate) nodes: Vec<NodeData<'a>>,
-    /// Children (element/text/comment — not attributes) per node id.
-    pub(crate) children: Vec<Vec<usize>>,
-    /// Attribute node ids per node id.
-    pub(crate) attrs: Vec<Vec<usize>>,
+    nodes: Vec<Slot<'a>>,
+    edges: Vec<usize>,
     /// Name-presence bitset: the OR of [`name_bit`] over every element
     /// and attribute local name in the document. A compiled filter
     /// whose required mask is not a subset of this can never match.
     pub(crate) name_mask: u64,
 }
 
+/// Index nodes under `el`, itself and its attributes included.
+fn count_nodes(el: &Element) -> usize {
+    let mut n = 1 + el.attrs.len();
+    for c in &el.children {
+        n += match c {
+            Node::Element(child) => count_nodes(child),
+            Node::Shared(shared) => count_nodes(shared.element()),
+            Node::Text(_) | Node::CData(_) | Node::Comment(_) => 1,
+            Node::Pi { .. } => 0,
+        };
+    }
+    n
+}
+
 impl<'a> DocIndex<'a> {
     pub(crate) fn build(root: &'a Element) -> Self {
+        // Every node but the root is exactly one edge of its parent.
+        let nodes = 1 + count_nodes(root);
         let mut idx = DocIndex {
-            nodes: Vec::new(),
-            children: Vec::new(),
-            attrs: Vec::new(),
+            nodes: Vec::with_capacity(nodes),
+            edges: vec![0; nodes - 1],
             name_mask: 0,
         };
-        idx.push(NodeData::Root);
-        let root_id = idx.add_element(root, ROOT);
-        idx.children[ROOT].push(root_id);
+        idx.nodes.push(Slot {
+            data: NodeData::Root,
+            first: 0,
+            attrs: 0,
+            kids: 1,
+        });
+        let mut next_edge = 1;
+        idx.edges[0] = idx.add_element(root, ROOT, &mut next_edge);
+        debug_assert_eq!(idx.nodes.len(), nodes);
         idx
     }
 
     fn push(&mut self, data: NodeData<'a>) -> usize {
-        self.nodes.push(data);
-        self.children.push(Vec::new());
-        self.attrs.push(Vec::new());
+        self.nodes.push(Slot {
+            data,
+            first: 0,
+            attrs: 0,
+            kids: 0,
+        });
         self.nodes.len() - 1
     }
 
-    fn add_element(&mut self, el: &'a Element, parent: usize) -> usize {
-        let id = self.push(NodeData::Element { el, parent });
+    /// Add `el` and its subtree; `next_edge` is the first unreserved
+    /// slot of `edges`. Each element reserves its whole edge range
+    /// before its children reserve theirs, so ranges never overlap.
+    fn add_element(&mut self, el: &'a Element, parent: usize, next_edge: &mut usize) -> usize {
+        let id = self.nodes.len();
+        let kids = el
+            .children
+            .iter()
+            .filter(|c| !matches!(c, Node::Pi { .. }))
+            .count();
+        let first = *next_edge;
+        *next_edge += el.attrs.len() + kids;
+        self.nodes.push(Slot {
+            data: NodeData::Element { el, parent },
+            first,
+            attrs: el.attrs.len(),
+            kids,
+        });
         self.name_mask |= name_bit(&el.name.local);
+        let mut edge = first;
         for a in &el.attrs {
             self.name_mask |= name_bit(&a.name.local);
-            let aid = self.push(NodeData::Attr {
+            self.edges[edge] = self.push(NodeData::Attr {
                 attr: a,
                 parent: id,
             });
-            self.attrs[id].push(aid);
+            edge += 1;
         }
         for c in &el.children {
-            let cid = match c {
-                Node::Element(child) => self.add_element(child, id),
-                Node::Shared(shared) => self.add_element(shared.element(), id),
+            self.edges[edge] = match c {
+                Node::Element(child) => self.add_element(child, id, next_edge),
+                Node::Shared(shared) => self.add_element(shared.element(), id, next_edge),
                 Node::Text(t) | Node::CData(t) => self.push(NodeData::Text {
                     text: t,
                     parent: id,
@@ -112,13 +161,31 @@ impl<'a> DocIndex<'a> {
                 }),
                 Node::Pi { .. } => continue,
             };
-            self.children[id].push(cid);
+            edge += 1;
         }
         id
     }
 
+    /// What node `id` is.
+    pub(crate) fn data(&self, id: usize) -> &NodeData<'a> {
+        &self.nodes[id].data
+    }
+
+    /// Attribute ids of node `id`, in document order.
+    pub(crate) fn attrs(&self, id: usize) -> &[usize] {
+        let s = &self.nodes[id];
+        &self.edges[s.first..s.first + s.attrs]
+    }
+
+    /// Child ids of node `id`, in document order.
+    pub(crate) fn children(&self, id: usize) -> &[usize] {
+        let s = &self.nodes[id];
+        let first = s.first + s.attrs;
+        &self.edges[first..first + s.kids]
+    }
+
     pub(crate) fn parent(&self, id: usize) -> Option<usize> {
-        match &self.nodes[id] {
+        match self.data(id) {
             NodeData::Root => None,
             NodeData::Element { parent, .. }
             | NodeData::Attr { parent, .. }
@@ -132,8 +199,8 @@ impl<'a> DocIndex<'a> {
     /// child is one text node — the common shape of a filtered field.
     /// Mixed or nested content is concatenated into a new string.
     pub(crate) fn string_value(&self, id: usize) -> Cow<'a, str> {
-        match &self.nodes[id] {
-            NodeData::Root => match self.children[ROOT].first() {
+        match self.data(id) {
+            NodeData::Root => match self.children(ROOT).first() {
                 Some(&r) => self.string_value(r),
                 None => Cow::Borrowed(""),
             },
@@ -147,20 +214,26 @@ impl<'a> DocIndex<'a> {
         }
     }
 
-    fn expanded_name(&self, id: usize) -> Option<(Option<&str>, &str)> {
-        match &self.nodes[id] {
-            NodeData::Element { el, .. } => Some((el.name.ns.as_deref(), &el.name.local)),
-            NodeData::Attr { attr, .. } => Some((attr.name.ns.as_deref(), &attr.name.local)),
+    /// The interned name of an element or attribute node.
+    pub(crate) fn qname(&self, id: usize) -> Option<&'a QName> {
+        match *self.data(id) {
+            NodeData::Element { el, .. } => Some(&el.name),
+            NodeData::Attr { attr, .. } => Some(&attr.name),
             _ => None,
         }
     }
 
-    /// The interned name of an element or attribute node.
-    pub(crate) fn qname(&self, id: usize) -> Option<&QName> {
-        match &self.nodes[id] {
-            NodeData::Element { el, .. } => Some(&el.name),
-            NodeData::Attr { attr, .. } => Some(&attr.name),
-            _ => None,
+    /// An internal value as the public [`Value`].
+    pub(crate) fn value(&self, v: V) -> Value {
+        match v {
+            V::B(b) => Value::Boolean(b),
+            V::N(n) => Value::Number(n),
+            V::S(s) => Value::String(s.into_owned()),
+            V::Nodes(ids) => Value::NodeSet(
+                ids.iter()
+                    .map(|&id| self.string_value(id).into_owned())
+                    .collect(),
+            ),
         }
     }
 }
@@ -171,9 +244,14 @@ impl<'a> DocIndex<'a> {
 /// Building the arena index is the per-document cost the old
 /// `evaluate()` path paid once *per filter*; wrapping it here lets the
 /// broker's match stage pay it once per publication regardless of how
-/// many candidate filters run.
+/// many candidate filters run. It also owns the node-set buffers those
+/// evaluations work in: the compiled programs are shared and
+/// immutable, the scratch belongs to the document, so the first
+/// evaluations of a publication allocate its buffers and the rest
+/// reuse them.
 pub struct EvalDoc<'a> {
     pub(crate) idx: DocIndex<'a>,
+    pub(crate) pool: Pool,
 }
 
 impl<'a> EvalDoc<'a> {
@@ -181,6 +259,7 @@ impl<'a> EvalDoc<'a> {
     pub fn new(root: &'a Element) -> Self {
         EvalDoc {
             idx: DocIndex::build(root),
+            pool: Pool::default(),
         }
     }
 
@@ -191,16 +270,81 @@ impl<'a> EvalDoc<'a> {
     }
 }
 
-/// Internal value with live node ids.
-pub(crate) enum V {
+/// Free node-id buffers of one document's evaluations.
+///
+/// Every node-set an evaluation builds — a path step's result, a
+/// candidate list, a predicate's survivors — lives in a buffer taken
+/// from here and handed back, cleared, when its [`Ids`] is dropped.
+#[derive(Default)]
+pub(crate) struct Pool {
+    free: RefCell<Vec<Vec<usize>>>,
+}
+
+impl Pool {
+    /// An empty buffer, reused where one is free.
+    pub(crate) fn take(&self) -> Ids<'_> {
+        Ids {
+            ids: self.free.borrow_mut().pop().unwrap_or_default(),
+            pool: self,
+        }
+    }
+
+    /// `ids` as a buffer of this pool.
+    pub(crate) fn adopt(&self, ids: Vec<usize>) -> Ids<'_> {
+        Ids { ids, pool: self }
+    }
+}
+
+/// A node-id list that returns its buffer to its [`Pool`] when dropped.
+pub(crate) struct Ids<'p> {
+    ids: Vec<usize>,
+    pool: &'p Pool,
+}
+
+impl Ids<'_> {
+    /// Keep only the first occurrence of each id, in document order.
+    pub(crate) fn sort_dedup(&mut self) {
+        self.ids.sort_unstable();
+        self.ids.dedup();
+    }
+}
+
+impl Deref for Ids<'_> {
+    type Target = Vec<usize>;
+
+    fn deref(&self) -> &Vec<usize> {
+        &self.ids
+    }
+}
+
+impl DerefMut for Ids<'_> {
+    fn deref_mut(&mut self) -> &mut Vec<usize> {
+        &mut self.ids
+    }
+}
+
+impl Drop for Ids<'_> {
+    fn drop(&mut self) {
+        if self.ids.capacity() > 0 {
+            let mut ids = std::mem::take(&mut self.ids);
+            ids.clear();
+            self.pool.free.borrow_mut().push(ids);
+        }
+    }
+}
+
+/// Internal value with live node ids. Strings borrow from the program
+/// (literals) or the document (string-values) wherever they can.
+pub(crate) enum V<'s, 'p> {
     B(bool),
     N(f64),
-    S(String),
-    Nodes(Vec<usize>),
+    S(Cow<'s, str>),
+    Nodes(Ids<'p>),
 }
 
 struct Ctx<'a, 'd> {
     doc: &'d DocIndex<'a>,
+    pool: &'d Pool,
     namespaces: &'d [(&'d str, &'d str)],
     node: usize,
     position: usize,
@@ -211,6 +355,7 @@ impl<'a, 'd> Ctx<'a, 'd> {
     fn with_node(&self, node: usize, position: usize, size: usize) -> Ctx<'a, 'd> {
         Ctx {
             doc: self.doc,
+            pool: self.pool,
             namespaces: self.namespaces,
             node,
             position,
@@ -224,37 +369,41 @@ impl<'a, 'd> Ctx<'a, 'd> {
             .find(|(p, _)| *p == prefix)
             .map(|(_, u)| *u)
     }
+
+    fn nodes(&self, ids: Vec<usize>) -> V<'a, 'd> {
+        V::Nodes(self.pool.adopt(ids))
+    }
 }
 
-fn eval(ctx: &Ctx, expr: &Expr) -> V {
+fn eval<'a, 'd>(ctx: &Ctx<'a, 'd>, expr: &'a Expr) -> V<'a, 'd> {
     match expr {
         Expr::Number(n) => V::N(*n),
-        Expr::Literal(s) => V::S(s.clone()),
+        Expr::Literal(s) => V::S(Cow::Borrowed(s)),
         // No variable bindings are defined by the WS filter dialects;
         // an unbound variable selects nothing.
-        Expr::Variable(_) => V::Nodes(Vec::new()),
+        Expr::Variable(_) => ctx.nodes(Vec::new()),
         Expr::Negate(e) => V::N(-to_number(ctx, eval(ctx, e))),
         Expr::Binary(op, l, r) => eval_binary(ctx, *op, l, r),
         Expr::Call { name, args } => eval_call(ctx, name, args),
-        Expr::Path(lp) => V::Nodes(eval_path(ctx, lp, None)),
+        Expr::Path(lp) => ctx.nodes(eval_path(ctx, lp, None)),
         Expr::Filtered {
             primary,
             predicates,
             path,
         } => {
             let base = match eval(ctx, primary) {
-                V::Nodes(ids) => ids,
+                V::Nodes(ids) => ids.to_vec(),
                 // Predicating a non-node-set is a type error in XPath;
                 // we yield the empty node-set.
                 _ => Vec::new(),
             };
             let mut filtered = base;
             for pred in predicates {
-                filtered = apply_predicate(ctx, filtered, pred, false);
+                filtered = apply_predicate(ctx, filtered, pred);
             }
             match path {
-                Some(lp) => V::Nodes(eval_path(ctx, lp, Some(filtered))),
-                None => V::Nodes(filtered),
+                Some(lp) => ctx.nodes(eval_path(ctx, lp, Some(filtered))),
+                None => ctx.nodes(filtered),
             }
         }
     }
@@ -263,27 +412,19 @@ fn eval(ctx: &Ctx, expr: &Expr) -> V {
 /// Numeric coercion against a document index. Shared by the AST
 /// interpreter and the compiled-program evaluator.
 pub(crate) fn v_number(doc: &DocIndex, v: V) -> f64 {
-    match v {
-        V::B(true) => 1.0,
-        V::B(false) => 0.0,
-        V::N(n) => n,
-        V::S(s) => str_to_number(&s),
-        V::Nodes(ids) => match ids.first() {
-            Some(&id) => str_to_number(&doc.string_value(id)),
-            None => f64::NAN,
-        },
-    }
+    num_of(doc, &v)
 }
 
-/// String coercion against a document index.
-pub(crate) fn v_string(doc: &DocIndex, v: V) -> String {
+/// String coercion against a document index, borrowing wherever the
+/// value or the document can lend the string.
+pub(crate) fn v_string<'s>(doc: &DocIndex<'s>, v: V<'s, '_>) -> Cow<'s, str> {
     match v {
-        V::B(b) => b.to_string(),
-        V::N(n) => number_to_string(n),
+        V::B(b) => Cow::Borrowed(if b { "true" } else { "false" }),
+        V::N(n) => Cow::Owned(number_to_string(n)),
         V::S(s) => s,
         V::Nodes(ids) => match ids.first() {
-            Some(&id) => doc.string_value(id).into_owned(),
-            None => String::new(),
+            Some(&id) => doc.string_value(id),
+            None => Cow::Borrowed(""),
         },
     }
 }
@@ -302,7 +443,7 @@ fn to_number(ctx: &Ctx, v: V) -> f64 {
     v_number(ctx.doc, v)
 }
 
-fn to_string_v(ctx: &Ctx, v: V) -> String {
+fn to_string_v<'a>(ctx: &Ctx<'a, '_>, v: V<'a, '_>) -> Cow<'a, str> {
     v_string(ctx.doc, v)
 }
 
@@ -310,7 +451,7 @@ fn to_bool(_ctx: &Ctx, v: &V) -> bool {
     v_bool(v)
 }
 
-fn eval_binary(ctx: &Ctx, op: BinOp, l: &Expr, r: &Expr) -> V {
+fn eval_binary<'a, 'd>(ctx: &Ctx<'a, 'd>, op: BinOp, l: &'a Expr, r: &'a Expr) -> V<'a, 'd> {
     match op {
         BinOp::Or => {
             if to_bool(ctx, &eval(ctx, l)) {
@@ -341,13 +482,12 @@ fn eval_binary(ctx: &Ctx, op: BinOp, l: &Expr, r: &Expr) -> V {
         BinOp::Union => {
             let mut ids = match eval(ctx, l) {
                 V::Nodes(i) => i,
-                _ => Vec::new(),
+                _ => ctx.pool.take(),
             };
             if let V::Nodes(more) = eval(ctx, r) {
-                ids.extend(more);
+                ids.extend_from_slice(&more);
             }
-            ids.sort_unstable();
-            ids.dedup();
+            ids.sort_dedup();
             V::Nodes(ids)
         }
     }
@@ -458,20 +598,21 @@ pub(crate) fn compare_rel(doc: &DocIndex, op: BinOp, l: V, r: V) -> bool {
 
 // ---------------------------------------------------------------- paths
 
-fn eval_path(ctx: &Ctx, lp: &LocationPath, start: Option<Vec<usize>>) -> Vec<usize> {
+fn eval_path<'a>(ctx: &Ctx<'a, '_>, lp: &'a LocationPath, start: Option<Vec<usize>>) -> Vec<usize> {
     let mut current: Vec<usize> = match start {
         Some(ids) => ids,
         None if lp.absolute => vec![ROOT],
         None => vec![ctx.node],
     };
+    let mut axis_buf = Vec::new();
     for step in &lp.steps {
         let mut next: Vec<usize> = Vec::new();
         for &node in &current {
-            let mut candidates = walk_axis(ctx.doc, node, step.axis).into_owned();
+            let mut candidates = walk_axis(ctx.doc, node, step.axis, &mut axis_buf).to_vec();
             candidates.retain(|&id| node_test_matches(ctx, id, step));
             // Predicates use proximity positions along the axis.
             for pred in &step.predicates {
-                candidates = apply_predicate(ctx, candidates, pred, is_reverse_axis(step.axis));
+                candidates = apply_predicate(ctx, candidates, pred);
             }
             next.extend(candidates);
         }
@@ -482,76 +623,57 @@ fn eval_path(ctx: &Ctx, lp: &LocationPath, start: Option<Vec<usize>>) -> Vec<usi
     current
 }
 
-pub(crate) fn is_reverse_axis(axis: Axis) -> bool {
-    matches!(
-        axis,
-        Axis::Parent | Axis::Ancestor | Axis::AncestorOrSelf | Axis::PrecedingSibling
-    )
-}
-
 /// Nodes on `axis` from `node`, in axis order (reverse axes are returned
 /// nearest-first, which is their proximity order). The child and
-/// attribute axes are lent straight from the index.
-pub(crate) fn walk_axis<'d>(doc: &'d DocIndex, node: usize, axis: Axis) -> Cow<'d, [usize]> {
-    let out = match axis {
-        Axis::Child => return Cow::Borrowed(&doc.children[node]),
-        Axis::Attribute => return Cow::Borrowed(&doc.attrs[node]),
-        Axis::Descendant => {
-            let mut out = Vec::new();
-            descend(doc, node, &mut out);
-            out
-        }
+/// attribute axes are lent straight from the index; the others are
+/// written into `buf`, which is cleared first.
+pub(crate) fn walk_axis<'r>(
+    doc: &'r DocIndex,
+    node: usize,
+    axis: Axis,
+    buf: &'r mut Vec<usize>,
+) -> &'r [usize] {
+    buf.clear();
+    match axis {
+        Axis::Child => return doc.children(node),
+        Axis::Attribute => return doc.attrs(node),
+        Axis::Descendant => descend(doc, node, buf),
         Axis::DescendantOrSelf => {
-            let mut out = vec![node];
-            descend(doc, node, &mut out);
-            out
+            buf.push(node);
+            descend(doc, node, buf);
         }
-        Axis::SelfAxis => vec![node],
-        Axis::Parent => doc.parent(node).into_iter().collect(),
-        Axis::Ancestor => {
-            let mut out = Vec::new();
+        Axis::SelfAxis => buf.push(node),
+        Axis::Parent => buf.extend(doc.parent(node)),
+        Axis::Ancestor | Axis::AncestorOrSelf => {
+            if axis == Axis::AncestorOrSelf {
+                buf.push(node);
+            }
             let mut cur = doc.parent(node);
             while let Some(p) = cur {
-                out.push(p);
+                buf.push(p);
                 cur = doc.parent(p);
             }
-            out
         }
-        Axis::AncestorOrSelf => {
-            let mut out = vec![node];
-            let mut cur = doc.parent(node);
-            while let Some(p) = cur {
-                out.push(p);
-                cur = doc.parent(p);
-            }
-            out
-        }
-        Axis::FollowingSibling => match doc.parent(node) {
-            Some(p) => {
-                let sibs = &doc.children[p];
-                match sibs.iter().position(|&s| s == node) {
-                    Some(i) => sibs[i + 1..].to_vec(),
-                    None => Vec::new(), // attributes have no siblings
+        Axis::FollowingSibling | Axis::PrecedingSibling => {
+            // Attributes have no siblings: they are not among their
+            // parent's children.
+            if let Some(p) = doc.parent(node) {
+                let sibs = doc.children(p);
+                if let Some(i) = sibs.iter().position(|&s| s == node) {
+                    if axis == Axis::FollowingSibling {
+                        buf.extend_from_slice(&sibs[i + 1..]);
+                    } else {
+                        buf.extend(sibs[..i].iter().rev());
+                    }
                 }
             }
-            None => Vec::new(),
-        },
-        Axis::PrecedingSibling => match doc.parent(node) {
-            Some(p) => {
-                let sibs = &doc.children[p];
-                match sibs.iter().position(|&s| s == node) {
-                    Some(i) => sibs[..i].iter().rev().copied().collect(),
-                    None => Vec::new(),
-                }
-            }
-            None => Vec::new(),
-        },
-    };
-    Cow::Owned(out)
+        }
+    }
+    buf
 }
 
 fn descend(doc: &DocIndex, node: usize, out: &mut Vec<usize>) {
-    for &c in &doc.children[node] {
+    for &c in doc.children(node) {
         out.push(c);
         descend(doc, c, out);
     }
@@ -560,43 +682,26 @@ fn descend(doc: &DocIndex, node: usize, out: &mut Vec<usize>) {
 fn node_test_matches(ctx: &Ctx, id: usize, step: &Step) -> bool {
     let doc = ctx.doc;
     let is_attr_axis = step.axis == Axis::Attribute;
+    let principal = if is_attr_axis {
+        matches!(doc.data(id), NodeData::Attr { .. })
+    } else {
+        matches!(doc.data(id), NodeData::Element { .. })
+    };
     match &step.test {
-        NodeTest::AnyNode => {
-            // On the attribute axis the principal node type is attributes;
-            // node() there still means any attribute node.
-            if is_attr_axis {
-                matches!(doc.nodes[id], NodeData::Attr { .. })
-            } else {
-                true
-            }
-        }
-        NodeTest::Text => matches!(doc.nodes[id], NodeData::Text { .. }),
-        NodeTest::Comment => matches!(doc.nodes[id], NodeData::Comment { .. }),
-        NodeTest::AnyName => {
-            if is_attr_axis {
-                matches!(doc.nodes[id], NodeData::Attr { .. })
-            } else {
-                matches!(doc.nodes[id], NodeData::Element { .. })
-            }
-        }
+        // On the attribute axis the principal node type is attributes;
+        // node() there still means any attribute node.
+        NodeTest::AnyNode => !is_attr_axis || principal,
+        NodeTest::Text => matches!(doc.data(id), NodeData::Text { .. }),
+        NodeTest::Comment => matches!(doc.data(id), NodeData::Comment { .. }),
+        NodeTest::AnyName => principal,
         NodeTest::NamespaceWildcard(prefix) => {
             let want = ctx.resolve_prefix(prefix);
             if want.is_none() {
                 return false;
             }
-            let principal = if is_attr_axis {
-                matches!(doc.nodes[id], NodeData::Attr { .. })
-            } else {
-                matches!(doc.nodes[id], NodeData::Element { .. })
-            };
-            principal && doc.expanded_name(id).is_some_and(|(ns, _)| ns == want)
+            principal && doc.qname(id).is_some_and(|q| q.ns.as_deref() == want)
         }
         NodeTest::Name { prefix, local } => {
-            let principal = if is_attr_axis {
-                matches!(doc.nodes[id], NodeData::Attr { .. })
-            } else {
-                matches!(doc.nodes[id], NodeData::Element { .. })
-            };
             if !principal {
                 return false;
             }
@@ -609,15 +714,15 @@ fn node_test_matches(ctx: &Ctx, id: usize, step: &Step) -> bool {
                     None => return false, // unbound prefix matches nothing
                 },
             };
-            doc.expanded_name(id)
-                .is_some_and(|(ns, l)| l == local && ns == want_ns)
+            doc.qname(id)
+                .is_some_and(|q| q.local.as_str() == local && q.ns.as_deref() == want_ns)
         }
     }
 }
 
 /// Filter `candidates` by `pred`, giving each candidate its proximity
 /// position. `candidates` must already be in axis order.
-fn apply_predicate(ctx: &Ctx, candidates: Vec<usize>, pred: &Expr, _reverse: bool) -> Vec<usize> {
+fn apply_predicate<'a>(ctx: &Ctx<'a, '_>, candidates: Vec<usize>, pred: &'a Expr) -> Vec<usize> {
     let size = candidates.len();
     let mut out = Vec::with_capacity(size);
     for (i, &id) in candidates.iter().enumerate() {
@@ -636,7 +741,7 @@ fn apply_predicate(ctx: &Ctx, candidates: Vec<usize>, pred: &Expr, _reverse: boo
 
 // ------------------------------------------------------------ functions
 
-fn eval_call(ctx: &Ctx, name: &str, args: &[Expr]) -> V {
+fn eval_call<'a, 'd>(ctx: &Ctx<'a, 'd>, name: &str, args: &'a [Expr]) -> V<'a, 'd> {
     let arg = |i: usize| eval(ctx, &args[i]);
     match (name, args.len()) {
         ("true", 0) => V::B(true),
@@ -645,30 +750,36 @@ fn eval_call(ctx: &Ctx, name: &str, args: &[Expr]) -> V {
         ("boolean", 1) => V::B(to_bool(ctx, &arg(0))),
         ("number", 0) => V::N(str_to_number(&ctx.doc.string_value(ctx.node))),
         ("number", 1) => V::N(to_number(ctx, arg(0))),
-        ("string", 0) => V::S(ctx.doc.string_value(ctx.node).into_owned()),
+        ("string", 0) => V::S(ctx.doc.string_value(ctx.node)),
         ("string", 1) => V::S(to_string_v(ctx, arg(0))),
         ("concat", n) if n >= 2 => {
             let mut s = String::new();
             for i in 0..n {
                 s.push_str(&to_string_v(ctx, arg(i)));
             }
-            V::S(s)
+            V::S(Cow::Owned(s))
         }
-        ("starts-with", 2) => V::B(to_string_v(ctx, arg(0)).starts_with(&to_string_v(ctx, arg(1)))),
-        ("contains", 2) => V::B(to_string_v(ctx, arg(0)).contains(&to_string_v(ctx, arg(1)))),
+        ("starts-with", 2) => {
+            V::B(to_string_v(ctx, arg(0)).starts_with(&*to_string_v(ctx, arg(1))))
+        }
+        ("contains", 2) => V::B(to_string_v(ctx, arg(0)).contains(&*to_string_v(ctx, arg(1)))),
         ("substring-before", 2) => {
             let s = to_string_v(ctx, arg(0));
             let pat = to_string_v(ctx, arg(1));
-            V::S(s.find(&pat).map(|i| s[..i].to_string()).unwrap_or_default())
+            V::S(Cow::Owned(
+                s.find(&*pat)
+                    .map(|i| s[..i].to_string())
+                    .unwrap_or_default(),
+            ))
         }
         ("substring-after", 2) => {
             let s = to_string_v(ctx, arg(0));
             let pat = to_string_v(ctx, arg(1));
-            V::S(
-                s.find(&pat)
+            V::S(Cow::Owned(
+                s.find(&*pat)
                     .map(|i| s[i + pat.len()..].to_string())
                     .unwrap_or_default(),
-            )
+            ))
         }
         ("substring", 2 | 3) => {
             let s = to_string_v(ctx, arg(0));
@@ -680,7 +791,7 @@ fn eval_call(ctx: &Ctx, name: &str, args: &[Expr]) -> V {
                 f64::INFINITY
             };
             if start.is_nan() || len.is_nan() {
-                return V::S(String::new());
+                return V::S(Cow::Borrowed(""));
             }
             // XPath positions are 1-based and rounded.
             let begin = start.round();
@@ -694,12 +805,14 @@ fn eval_call(ctx: &Ctx, name: &str, args: &[Expr]) -> V {
                 })
                 .map(|(_, c)| *c)
                 .collect();
-            V::S(out)
+            V::S(Cow::Owned(out))
         }
         ("string-length", 0) => V::N(ctx.doc.string_value(ctx.node).chars().count() as f64),
         ("string-length", 1) => V::N(to_string_v(ctx, arg(0)).chars().count() as f64),
-        ("normalize-space", 0) => V::S(normalize_space(&ctx.doc.string_value(ctx.node))),
-        ("normalize-space", 1) => V::S(normalize_space(&to_string_v(ctx, arg(0)))),
+        ("normalize-space", 0) => {
+            V::S(Cow::Owned(normalize_space(&ctx.doc.string_value(ctx.node))))
+        }
+        ("normalize-space", 1) => V::S(Cow::Owned(normalize_space(&to_string_v(ctx, arg(0))))),
         ("translate", 3) => {
             let s = to_string_v(ctx, arg(0));
             let from: Vec<char> = to_string_v(ctx, arg(1)).chars().collect();
@@ -711,7 +824,7 @@ fn eval_call(ctx: &Ctx, name: &str, args: &[Expr]) -> V {
                     None => Some(c),
                 })
                 .collect();
-            V::S(out)
+            V::S(Cow::Owned(out))
         }
         ("count", 1) => match arg(0) {
             V::Nodes(ids) => V::N(ids.len() as f64),
@@ -734,54 +847,38 @@ fn eval_call(ctx: &Ctx, name: &str, args: &[Expr]) -> V {
             // XPath round(): .5 rounds toward +inf.
             V::N((n + 0.5).floor())
         }
-        ("local-name", 0) => V::S(local_name_of(ctx, ctx.node)),
-        ("local-name", 1) => match arg(0) {
-            V::Nodes(ids) => V::S(
-                ids.first()
-                    .map(|&id| local_name_of(ctx, id))
-                    .unwrap_or_default(),
-            ),
-            _ => V::S(String::new()),
+        ("local-name", 0) | ("name", 0) => V::S(local_name_of(ctx.doc, ctx.node)),
+        ("local-name", 1) | ("name", 1) => match arg(0) {
+            V::Nodes(ids) => V::S(first_of(&ids, |id| local_name_of(ctx.doc, id))),
+            _ => V::S(Cow::Borrowed("")),
         },
-        ("namespace-uri", 0) => V::S(namespace_of(ctx, ctx.node)),
+        ("namespace-uri", 0) => V::S(namespace_of(ctx.doc, ctx.node)),
         ("namespace-uri", 1) => match arg(0) {
-            V::Nodes(ids) => V::S(
-                ids.first()
-                    .map(|&id| namespace_of(ctx, id))
-                    .unwrap_or_default(),
-            ),
-            _ => V::S(String::new()),
-        },
-        ("name", 0) => V::S(local_name_of(ctx, ctx.node)),
-        ("name", 1) => match arg(0) {
-            V::Nodes(ids) => V::S(
-                ids.first()
-                    .map(|&id| local_name_of(ctx, id))
-                    .unwrap_or_default(),
-            ),
-            _ => V::S(String::new()),
+            V::Nodes(ids) => V::S(first_of(&ids, |id| namespace_of(ctx.doc, id))),
+            _ => V::S(Cow::Borrowed("")),
         },
         // Unknown function or wrong arity: empty — filters must not
         // crash brokers on bad expressions at evaluation time.
-        _ => V::Nodes(Vec::new()),
+        _ => ctx.nodes(Vec::new()),
     }
 }
 
-fn local_name_of(ctx: &Ctx, id: usize) -> String {
-    ctx.doc
-        .expanded_name(id)
-        .map(|(_, l)| l.to_string())
-        .unwrap_or_default()
+/// `f` of the first node of `ids`, `""` for the empty node-set.
+pub(crate) fn first_of<'s>(ids: &[usize], f: impl Fn(usize) -> Cow<'s, str>) -> Cow<'s, str> {
+    ids.first().map_or(Cow::Borrowed(""), |&id| f(id))
 }
 
-fn namespace_of(ctx: &Ctx, id: usize) -> String {
-    ctx.doc
-        .expanded_name(id)
-        .and_then(|(ns, _)| ns.map(str::to_string))
-        .unwrap_or_default()
+/// The local name of an element or attribute node, `""` for others.
+pub(crate) fn local_name_of<'a>(doc: &DocIndex<'a>, id: usize) -> Cow<'a, str> {
+    Cow::Borrowed(doc.qname(id).map_or("", |q| q.local.as_str()))
 }
 
-fn normalize_space(s: &str) -> String {
+/// The namespace URI of an element or attribute node, `""` for others.
+pub(crate) fn namespace_of<'a>(doc: &DocIndex<'a>, id: usize) -> Cow<'a, str> {
+    Cow::Borrowed(doc.qname(id).and_then(|q| q.ns.as_deref()).unwrap_or(""))
+}
+
+pub(crate) fn normalize_space(s: &str) -> String {
     s.split_whitespace().collect::<Vec<_>>().join(" ")
 }
 

@@ -4,14 +4,18 @@
 //! [`CExpr`] program form defined here: namespace prefixes are resolved
 //! to interned URIs at compile time, function names become a dispatch
 //! enum, and constant subexpressions are pre-folded. The evaluator in
-//! this module runs a program over a [`DocIndex`](crate::eval) that the
-//! caller built once per document, so applying many compiled filters to
-//! one publication shares a single indexing pass — the shape a broker's
-//! match stage needs.
+//! this module runs a program over an [`EvalDoc`] that the caller built
+//! once per document, so applying many compiled filters to one
+//! publication shares a single indexing pass — the shape a broker's
+//! match stage needs. The program is shared and never written; the
+//! evaluation's scratch belongs to the document: node-sets live in
+//! buffers of the document's pool, and literals are lent from the
+//! program, so a warm document evaluates a filter without allocating.
 
 use crate::ast::{Axis, BinOp};
 use crate::eval::{
-    compare_eq, compare_rel, v_bool, v_number, v_string, walk_axis, DocIndex, NodeData, ROOT, V,
+    compare_eq, compare_rel, first_of, local_name_of, namespace_of, normalize_space, v_bool,
+    v_number, v_string, walk_axis, DocIndex, EvalDoc, Ids, NodeData, Pool, ROOT, V,
 };
 use crate::value::str_to_number;
 use std::borrow::Cow;
@@ -225,46 +229,50 @@ pub(crate) fn name_bit(local: &str) -> u64 {
 }
 
 /// Evaluation context for a compiled program: the shared document index
-/// plus the context node / position / size triple.
+/// and its buffer pool, plus the context node / position / size triple.
 #[derive(Clone, Copy)]
-pub(crate) struct PCtx<'a, 'd> {
-    pub(crate) doc: &'d DocIndex<'a>,
+pub(crate) struct PCtx<'s, 'd> {
+    pub(crate) doc: &'d DocIndex<'s>,
+    pub(crate) pool: &'d Pool,
     pub(crate) node: usize,
     pub(crate) position: usize,
     pub(crate) size: usize,
 }
 
-impl<'a, 'd> PCtx<'a, 'd> {
-    fn with_node(&self, node: usize, position: usize, size: usize) -> PCtx<'a, 'd> {
+impl<'s, 'd> PCtx<'s, 'd> {
+    /// The entry context: the document root with position 1 of 1,
+    /// exactly like the interpreter's.
+    pub(crate) fn root(doc: &'d EvalDoc<'s>) -> Self {
         PCtx {
-            doc: self.doc,
+            doc: &doc.idx,
+            pool: &doc.pool,
+            node: ROOT,
+            position: 1,
+            size: 1,
+        }
+    }
+
+    fn with_node(&self, node: usize, position: usize, size: usize) -> PCtx<'s, 'd> {
+        PCtx {
             node,
             position,
             size,
+            ..*self
         }
     }
 }
 
-/// Run a compiled program. The entry context is the document root with
-/// position 1 of 1, exactly like the interpreter's.
-pub(crate) fn run_root(doc: &DocIndex, prog: &CExpr) -> V {
-    run(
-        &PCtx {
-            doc,
-            node: ROOT,
-            position: 1,
-            size: 1,
-        },
-        prog,
-    )
+/// Run a compiled program from the document root.
+pub(crate) fn run_root<'s, 'd>(doc: &'d EvalDoc<'s>, prog: &'s CExpr) -> V<'s, 'd> {
+    run(&PCtx::root(doc), prog)
 }
 
-pub(crate) fn run(ctx: &PCtx, e: &CExpr) -> V {
+pub(crate) fn run<'s, 'd>(ctx: &PCtx<'s, 'd>, e: &'s CExpr) -> V<'s, 'd> {
     match e {
         CExpr::Number(n) => V::N(n.0),
-        CExpr::Literal(s) => V::S(s.clone()),
+        CExpr::Literal(s) => V::S(Cow::Borrowed(s)),
         CExpr::Bool(b) => V::B(*b),
-        CExpr::EmptySet => V::Nodes(Vec::new()),
+        CExpr::EmptySet => V::Nodes(ctx.pool.take()),
         CExpr::Negate(x) => V::N(-v_number(ctx.doc, run(ctx, x))),
         CExpr::Binary(op, l, r) => run_binary(ctx, *op, l, r),
         CExpr::Call(f, args) => run_call(ctx, *f, args),
@@ -274,13 +282,12 @@ pub(crate) fn run(ctx: &PCtx, e: &CExpr) -> V {
             predicates,
             path,
         } => {
-            let base = match run(ctx, primary) {
+            let mut filtered = match run(ctx, primary) {
                 V::Nodes(ids) => ids,
-                _ => Vec::new(),
+                _ => ctx.pool.take(),
             };
-            let mut filtered = base;
             for pred in predicates {
-                filtered = apply_predicate(ctx, filtered, pred);
+                apply_predicate(ctx, &mut filtered, pred);
             }
             match path {
                 Some(p) => V::Nodes(run_path(ctx, p, Some(filtered))),
@@ -290,7 +297,7 @@ pub(crate) fn run(ctx: &PCtx, e: &CExpr) -> V {
     }
 }
 
-fn run_binary(ctx: &PCtx, op: BinOp, l: &CExpr, r: &CExpr) -> V {
+fn run_binary<'s, 'd>(ctx: &PCtx<'s, 'd>, op: BinOp, l: &'s CExpr, r: &'s CExpr) -> V<'s, 'd> {
     match op {
         BinOp::Or => {
             if v_bool(&run(ctx, l)) {
@@ -321,13 +328,12 @@ fn run_binary(ctx: &PCtx, op: BinOp, l: &CExpr, r: &CExpr) -> V {
         BinOp::Union => {
             let mut ids = match run(ctx, l) {
                 V::Nodes(i) => i,
-                _ => Vec::new(),
+                _ => ctx.pool.take(),
             };
             if let V::Nodes(more) = run(ctx, r) {
-                ids.extend(more);
+                ids.extend_from_slice(&more);
             }
-            ids.sort_unstable();
-            ids.dedup();
+            ids.sort_dedup();
             V::Nodes(ids)
         }
     }
@@ -335,16 +341,25 @@ fn run_binary(ctx: &PCtx, op: BinOp, l: &CExpr, r: &CExpr) -> V {
 
 // ---------------------------------------------------------------- paths
 
-fn run_path(ctx: &PCtx, p: &CPath, start: Option<Vec<usize>>) -> Vec<usize> {
-    let mut current: Vec<usize> = match start {
-        Some(ids) => ids,
-        None if p.absolute => vec![ROOT],
-        None => vec![ctx.node],
-    };
+/// The nodes `p` selects from the context node, or from `start` when
+/// the path continues a filter expression. Every list here — the
+/// current and next step sets, an axis walk, a step's candidates — is
+/// a pooled buffer, so a warm document evaluates a path without
+/// allocating.
+fn run_path<'s, 'd>(ctx: &PCtx<'s, 'd>, p: &'s CPath, start: Option<Ids<'d>>) -> Ids<'d> {
+    let pool = ctx.pool;
+    let mut current = start.unwrap_or_else(|| {
+        let mut ids = pool.take();
+        ids.push(if p.absolute { ROOT } else { ctx.node });
+        ids
+    });
+    let mut next = pool.take();
+    let mut axis_buf = pool.take();
+    let mut candidates = pool.take();
     for step in &p.steps {
-        let mut next: Vec<usize> = Vec::new();
-        for &node in &current {
-            let axis = walk_axis(ctx.doc, node, step.axis);
+        next.clear();
+        for &node in current.iter() {
+            let axis = walk_axis(ctx.doc, node, step.axis, &mut axis_buf);
             let tested = axis
                 .iter()
                 .copied()
@@ -353,15 +368,15 @@ fn run_path(ctx: &PCtx, p: &CPath, start: Option<Vec<usize>>) -> Vec<usize> {
                 next.extend(tested);
                 continue;
             }
-            let mut candidates: Vec<usize> = tested.collect();
+            candidates.clear();
+            candidates.extend(tested);
             for pred in &step.predicates {
-                candidates = apply_predicate(ctx, candidates, pred);
+                apply_predicate(ctx, &mut candidates, pred);
             }
-            next.extend(candidates);
+            next.extend_from_slice(&candidates);
         }
-        next.sort_unstable();
-        next.dedup();
-        current = next;
+        next.sort_dedup();
+        std::mem::swap(&mut current, &mut next);
         if current.is_empty() {
             break;
         }
@@ -372,20 +387,14 @@ fn run_path(ctx: &PCtx, p: &CPath, start: Option<Vec<usize>>) -> Vec<usize> {
 fn test_matches(doc: &DocIndex, id: usize, axis: Axis, test: &CTest) -> bool {
     let is_attr_axis = axis == Axis::Attribute;
     let principal = if is_attr_axis {
-        matches!(doc.nodes[id], NodeData::Attr { .. })
+        matches!(doc.data(id), NodeData::Attr { .. })
     } else {
-        matches!(doc.nodes[id], NodeData::Element { .. })
+        matches!(doc.data(id), NodeData::Element { .. })
     };
     match test {
-        CTest::AnyNode => {
-            if is_attr_axis {
-                principal
-            } else {
-                true
-            }
-        }
-        CTest::Text => matches!(doc.nodes[id], NodeData::Text { .. }),
-        CTest::Comment => matches!(doc.nodes[id], NodeData::Comment { .. }),
+        CTest::AnyNode => !is_attr_axis || principal,
+        CTest::Text => matches!(doc.data(id), NodeData::Text { .. }),
+        CTest::Comment => matches!(doc.data(id), NodeData::Comment { .. }),
         CTest::AnyName => principal,
         CTest::NsWildcard(ns) => {
             // Interned namespace compare: a pointer check on the hot path.
@@ -401,29 +410,32 @@ fn test_matches(doc: &DocIndex, id: usize, axis: Axis, test: &CTest) -> bool {
     }
 }
 
-/// Filter `candidates` by `pred`, giving each its proximity position.
-fn apply_predicate(ctx: &PCtx, candidates: Vec<usize>, pred: &CExpr) -> Vec<usize> {
+/// Keep the `candidates` that satisfy `pred`, in place, giving each its
+/// proximity position among all of them.
+fn apply_predicate<'s>(ctx: &PCtx<'s, '_>, candidates: &mut Ids, pred: &'s CExpr) {
     let size = candidates.len();
-    let mut out = Vec::with_capacity(size);
-    for (i, &id) in candidates.iter().enumerate() {
+    let mut kept = 0;
+    for i in 0..size {
+        let id = candidates[i];
         let sub = ctx.with_node(id, i + 1, size);
         let keep = match run(&sub, pred) {
             V::N(n) => n == (i + 1) as f64,
             other => v_bool(&other),
         };
         if keep {
-            out.push(id);
+            candidates[kept] = id;
+            kept += 1;
         }
     }
-    out
+    candidates.truncate(kept);
 }
 
 // ------------------------------------------------------------ functions
 
-fn run_call(ctx: &PCtx, f: Func, args: &[CExpr]) -> V {
+fn run_call<'s, 'd>(ctx: &PCtx<'s, 'd>, f: Func, args: &'s [CExpr]) -> V<'s, 'd> {
     let doc = ctx.doc;
     let arg = |i: usize| run(ctx, &args[i]);
-    let s_of = |v: V| v_string(doc, v);
+    let s_of = |v: V<'s, 'd>| v_string(doc, v);
     let n_of = |v: V| v_number(doc, v);
     match f {
         Func::True => V::B(true),
@@ -432,30 +444,34 @@ fn run_call(ctx: &PCtx, f: Func, args: &[CExpr]) -> V {
         Func::Boolean => V::B(v_bool(&arg(0))),
         Func::Number0 => V::N(str_to_number(&doc.string_value(ctx.node))),
         Func::Number1 => V::N(n_of(arg(0))),
-        Func::String0 => V::S(doc.string_value(ctx.node).into_owned()),
+        Func::String0 => V::S(doc.string_value(ctx.node)),
         Func::String1 => V::S(s_of(arg(0))),
         Func::Concat => {
             let mut s = String::new();
             for i in 0..args.len() {
                 s.push_str(&s_of(arg(i)));
             }
-            V::S(s)
+            V::S(Cow::Owned(s))
         }
-        Func::StartsWith => V::B(s_of(arg(0)).starts_with(&s_of(arg(1)))),
-        Func::Contains => V::B(s_of(arg(0)).contains(&s_of(arg(1)))),
+        Func::StartsWith => V::B(s_of(arg(0)).starts_with(&*s_of(arg(1)))),
+        Func::Contains => V::B(s_of(arg(0)).contains(&*s_of(arg(1)))),
         Func::SubstringBefore => {
             let s = s_of(arg(0));
             let pat = s_of(arg(1));
-            V::S(s.find(&pat).map(|i| s[..i].to_string()).unwrap_or_default())
+            V::S(Cow::Owned(
+                s.find(&*pat)
+                    .map(|i| s[..i].to_string())
+                    .unwrap_or_default(),
+            ))
         }
         Func::SubstringAfter => {
             let s = s_of(arg(0));
             let pat = s_of(arg(1));
-            V::S(
-                s.find(&pat)
+            V::S(Cow::Owned(
+                s.find(&*pat)
                     .map(|i| s[i + pat.len()..].to_string())
                     .unwrap_or_default(),
-            )
+            ))
         }
         Func::Substring2 | Func::Substring3 => {
             let s = s_of(arg(0));
@@ -467,7 +483,7 @@ fn run_call(ctx: &PCtx, f: Func, args: &[CExpr]) -> V {
                 f64::INFINITY
             };
             if start.is_nan() || len.is_nan() {
-                return V::S(String::new());
+                return V::S(Cow::Borrowed(""));
             }
             let begin = start.round();
             let end = begin + len.round();
@@ -480,12 +496,12 @@ fn run_call(ctx: &PCtx, f: Func, args: &[CExpr]) -> V {
                 })
                 .map(|(_, c)| *c)
                 .collect();
-            V::S(out)
+            V::S(Cow::Owned(out))
         }
         Func::StringLength0 => V::N(doc.string_value(ctx.node).chars().count() as f64),
         Func::StringLength1 => V::N(s_of(arg(0)).chars().count() as f64),
-        Func::NormalizeSpace0 => V::S(normalize_space(&doc.string_value(ctx.node))),
-        Func::NormalizeSpace1 => V::S(normalize_space(&s_of(arg(0)))),
+        Func::NormalizeSpace0 => V::S(Cow::Owned(normalize_space(&doc.string_value(ctx.node)))),
+        Func::NormalizeSpace1 => V::S(Cow::Owned(normalize_space(&s_of(arg(0))))),
         Func::Translate => {
             let s = s_of(arg(0));
             let from: Vec<char> = s_of(arg(1)).chars().collect();
@@ -497,7 +513,7 @@ fn run_call(ctx: &PCtx, f: Func, args: &[CExpr]) -> V {
                     None => Some(c),
                 })
                 .collect();
-            V::S(out)
+            V::S(Cow::Owned(out))
         }
         Func::Count => match arg(0) {
             V::Nodes(ids) => V::N(ids.len() as f64),
@@ -521,56 +537,26 @@ fn run_call(ctx: &PCtx, f: Func, args: &[CExpr]) -> V {
         }
         Func::LocalName0 | Func::Name0 => V::S(local_name_of(doc, ctx.node)),
         Func::LocalName1 | Func::Name1 => match arg(0) {
-            V::Nodes(ids) => V::S(
-                ids.first()
-                    .map(|&id| local_name_of(doc, id))
-                    .unwrap_or_default(),
-            ),
-            _ => V::S(String::new()),
+            V::Nodes(ids) => V::S(first_of(&ids, |id| local_name_of(doc, id))),
+            _ => V::S(Cow::Borrowed("")),
         },
         Func::NamespaceUri0 => V::S(namespace_of(doc, ctx.node)),
         Func::NamespaceUri1 => match arg(0) {
-            V::Nodes(ids) => V::S(
-                ids.first()
-                    .map(|&id| namespace_of(doc, id))
-                    .unwrap_or_default(),
-            ),
-            _ => V::S(String::new()),
+            V::Nodes(ids) => V::S(first_of(&ids, |id| namespace_of(doc, id))),
+            _ => V::S(Cow::Borrowed("")),
         },
-        Func::Unknown => V::Nodes(Vec::new()),
+        Func::Unknown => V::Nodes(ctx.pool.take()),
     }
-}
-
-fn local_name_of(doc: &DocIndex, id: usize) -> String {
-    doc.qname(id)
-        .map(|q| q.local.as_str().to_string())
-        .unwrap_or_default()
-}
-
-fn namespace_of(doc: &DocIndex, id: usize) -> String {
-    doc.qname(id)
-        .and_then(|q| q.ns.as_ref().map(|n| n.as_str().to_string()))
-        .unwrap_or_default()
-}
-
-fn normalize_space(s: &str) -> String {
-    s.split_whitespace().collect::<Vec<_>>().join(" ")
 }
 
 /// Evaluate the string-values of the nodes a path program selects —
 /// the primitive behind the match index's literal-equality buckets.
 /// Values are borrowed from the document wherever its index can lend
 /// them.
-pub(crate) fn run_path_strings<'a>(doc: &DocIndex<'a>, p: &CPath) -> Vec<Cow<'a, str>> {
-    let ctx = PCtx {
-        doc,
-        node: ROOT,
-        position: 1,
-        size: 1,
-    };
-    run_path(&ctx, p, None)
-        .into_iter()
-        .map(|id| doc.string_value(id))
+pub(crate) fn run_path_strings<'a>(doc: &EvalDoc<'a>, p: &CPath) -> Vec<Cow<'a, str>> {
+    run_path(&PCtx::root(doc), p, None)
+        .iter()
+        .map(|&id| doc.idx.string_value(id))
         .collect()
 }
 

@@ -6,9 +6,15 @@
 //! filter verdict — and the required-name bitset must be *sound*: it
 //! may only reject documents the full evaluation would reject too.
 //! Expressions and documents are both generated.
+//!
+//! One more property pins the ingest path that hands the match stage
+//! its documents: parsing an envelope straight from text, which moves
+//! the parsed blocks, reads the same envelope as interpreting a parsed
+//! tree, which copies them.
 
 use proptest::prelude::*;
-use wsm_xml::Element;
+use wsm_soap::{Envelope, SoapVersion};
+use wsm_xml::{Element, Node};
 use wsm_xpath::{evaluate, parser, CompiledFilter, EvalDoc, Value};
 
 /// Random small trees over a fixed tag vocabulary, with numeric `v`
@@ -155,6 +161,69 @@ fn expr_strategy() -> impl Strategy<Value = String> {
     })
 }
 
+/// One child of a generated SOAP envelope element.
+#[derive(Debug, Clone)]
+enum Block {
+    Header(Vec<Element>),
+    Body(Vec<Element>),
+    /// A comment between blocks, which the envelope reading skips.
+    Comment,
+    /// A child that is neither: the reading must reject it.
+    Foreign(Element),
+}
+
+/// Envelope elements of either SOAP version: half of them one optional
+/// header and one body over generated blocks, half any sequence of
+/// blocks (body first, two bodies, a foreign child), written compactly
+/// or pretty-printed (whitespace between every block).
+fn envelope_xml_strategy() -> impl Strategy<Value = String> {
+    let block = prop_oneof![
+        prop::collection::vec(tree_strategy(), 0..3).prop_map(Block::Header),
+        prop::collection::vec(tree_strategy(), 0..3).prop_map(Block::Body),
+        Just(Block::Comment),
+        tree_strategy().prop_map(Block::Foreign),
+    ];
+    let well_formed = (
+        prop::option::of(prop::collection::vec(tree_strategy(), 0..3)),
+        prop::collection::vec(tree_strategy(), 0..3),
+    )
+        .prop_map(|(header, body)| {
+            header
+                .map(Block::Header)
+                .into_iter()
+                .chain([Block::Body(body)])
+                .collect::<Vec<_>>()
+        });
+    let blocks = prop_oneof![well_formed, prop::collection::vec(block, 0..4)];
+    (any::<bool>(), blocks, any::<bool>()).prop_map(|(v11, blocks, pretty)| {
+        let v = if v11 {
+            SoapVersion::V11
+        } else {
+            SoapVersion::V12
+        };
+        let el = |local: &str| Element::ns(v.ns(), local, v.prefix());
+        let mut env = el("Envelope");
+        for b in blocks {
+            let node = match b {
+                Block::Header(kids) => {
+                    Node::Element(kids.into_iter().fold(el("Header"), Element::with_child))
+                }
+                Block::Body(kids) => {
+                    Node::Element(kids.into_iter().fold(el("Body"), Element::with_child))
+                }
+                Block::Comment => Node::Comment(" between ".into()),
+                Block::Foreign(e) => Node::Element(e),
+            };
+            env.children.push(node);
+        }
+        if pretty {
+            wsm_xml::to_pretty_string(&env)
+        } else {
+            wsm_xml::to_string(&env)
+        }
+    })
+}
+
 /// Value equality with NaN ≡ NaN (both engines produce NaN for the
 /// same inputs; IEEE `==` would report spurious mismatches).
 fn value_eq(a: &Value, b: &Value) -> bool {
@@ -211,5 +280,44 @@ proptest! {
         let compiled = CompiledFilter::compile(&src).expect("generated expression compiles");
         let shared = EvalDoc::new(&tree);
         prop_assert_eq!(compiled.matches_doc(&shared), compiled.matches(&tree));
+    }
+
+    /// A sequence of filters evaluated one after another against *one*
+    /// shared `EvalDoc` — as the registry runs a publication's
+    /// candidates — each agrees with the interpreter on value and
+    /// verdict. The evaluations share the document's pool of node-set
+    /// buffers, so a buffer handed back with stale ids, or one lent
+    /// twice at once, shows here as a wrong answer to a later filter.
+    #[test]
+    fn one_shared_doc_serves_a_sequence_of_filters(
+        srcs in prop::collection::vec(expr_strategy(), 1..8),
+        tree in tree_strategy(),
+    ) {
+        let shared = EvalDoc::new(&tree);
+        for src in &srcs {
+            let ast = parser::parse(src).expect("generated expression parses");
+            let compiled = CompiledFilter::compile(src).expect("generated expression compiles");
+            let want = evaluate(&ast, &tree);
+            let got = compiled.evaluate_doc(&shared);
+            prop_assert!(
+                value_eq(&got, &want),
+                "value mismatch for `{}` in sequence {:?}: compiled {:?}, interpreter {:?}",
+                src, srcs, got, want
+            );
+            prop_assert_eq!(
+                compiled.matches_doc(&shared),
+                want.boolean(),
+                "verdict mismatch for `{}` in sequence {:?}", src, srcs
+            );
+        }
+    }
+
+    /// Parsing an envelope from text — which moves the parsed header
+    /// and body blocks into it — reads the same envelope, or the same
+    /// error, as interpreting the parsed tree, which copies them.
+    #[test]
+    fn from_xml_reads_what_from_element_reads(xml in envelope_xml_strategy()) {
+        let tree = wsm_xml::parse(&xml).expect("generated envelope parses as XML");
+        prop_assert_eq!(Envelope::from_xml(&xml), Envelope::from_element(&tree), "{}", xml);
     }
 }
