@@ -12,15 +12,15 @@
 //!    stage breakdown, and the matching curve.
 //! 2. **Parallel never loses** — at every grid point, parallel
 //!    events/sec must be at least `(1 − NOISE_TOLERANCE) ×`
-//!    sequential. On a single-core runner the inline regime is a
-//!    governed tie by design (the adaptive engine falls back to the
-//!    streaming inline path), so the tolerance absorbs quick-mode
-//!    timer noise, not a real deficit.
+//!    sequential. The inline regime is a tie by design (with no wire
+//!    delay both configurations stream on the publishing thread), so
+//!    the tolerance absorbs quick-mode timer noise, not a real
+//!    deficit.
 //! 3. **Deliver-stage budget** — the fresh `deliver` mean may exceed
 //!    the committed baseline's by at most `DELIVER_REGRESSION_MAX`.
-//!    The emitter fixes this histogram to a fixed-publication pool run
-//!    after a governor warm-up, precisely so quick and full runs are
-//!    comparable.
+//!    The emitter fixes this histogram to a fixed-publication
+//!    overlapped run after a warm-up, precisely so quick and full runs
+//!    are comparable.
 //!
 //! Usage: `scaling_check <fresh.json> <baseline.json>`. The fresh file
 //! is the one the quick-mode bench just wrote; the baseline is the

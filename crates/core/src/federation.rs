@@ -62,9 +62,8 @@
 //!
 //! Flusher threads are lazily spawned the first time a buffering
 //! [`BatchPolicy`] is installed and then live as long as the process —
-//! like the shard brokers' own worker pools, they are kept alive by the
-//! `Network` → handler → federation reference cycle and simply park on
-//! a condvar when idle.
+//! they are kept alive by the `Network` → handler → federation
+//! reference cycle and simply park on a condvar when idle.
 //!
 //! ```
 //! use wsm_messenger::{BatchPolicy, FederatedMessenger};

@@ -304,16 +304,15 @@ mod ordering {
     }
 }
 
-/// Engine drain/shutdown under the pool hand-off. A seeded churn
+/// Engine drain/shutdown under the overlapped path. A seeded churn
 /// thread unsubscribes consumers and silently kills their endpoints
-/// while a publisher drives the delivery engine (4 workers; the
-/// 100 µs wire makes the governor choose the pool once it has
-/// bootstrapped both paths) — every in-flight (event, subscriber)
-/// delivery must still reach exactly one terminal `Resolve` outcome:
-/// delivered, dead-lettered (endpoint gone), or expired (subscription
-/// torn down with messages pending). A lost span or a deadlocked
-/// worker fails (or hangs) this test; the CI chaos job runs it under a
-/// job timeout.
+/// while a publisher drives the delivery engine (4 workers; on the
+/// 100 µs wire each publication posts its sends and waits for them to
+/// land) — every in-flight (event, subscriber) delivery must still
+/// reach exactly one terminal `Resolve` outcome: delivered,
+/// dead-lettered (endpoint gone), or expired (subscription torn down
+/// with messages pending). A lost span or a lost landing wakeup fails
+/// (or hangs) this test; the CI chaos job runs it under a job timeout.
 #[test]
 fn sharded_churn_resolves_every_inflight_delivery() {
     const SINKS: usize = 12;
@@ -401,7 +400,7 @@ fn sharded_churn_resolves_every_inflight_delivery() {
             .trace_spans()
             .iter()
             .any(|s| s.stage == Stage::Handoff),
-        "the pool carried at least one publication"
+        "at least one publication was overlapped"
     );
     let stories = broker.delivery_stories();
     assert!(!stories.is_empty());

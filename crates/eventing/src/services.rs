@@ -10,7 +10,7 @@ use std::sync::Arc;
 use wsm_addressing::EndpointReference;
 use wsm_soap::{Envelope, Fault};
 use wsm_transport::{EndpointOptions, Network, SoapHandler, TransportError};
-use wsm_xml::Element;
+use wsm_xml::{Element, Node};
 
 /// Statistics from one `publish` call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -348,7 +348,9 @@ fn manage(inner: &SourceInner, request: &Envelope) -> Result<Option<Envelope>, F
 // -------------------------------------------------------------- sink
 
 struct SinkInner {
-    received: Mutex<Vec<Element>>,
+    /// Received events as the nodes they arrived in: a shared subtree
+    /// is kept shared, and `received()` builds the `Element`s.
+    received: Mutex<Vec<Node>>,
     ends: Mutex<Vec<(EndStatus, Option<String>)>>,
     codec: WseCodec,
     uri: String,
@@ -397,7 +399,8 @@ impl EventSink {
 
     /// Events received so far.
     pub fn received(&self) -> Vec<Element> {
-        self.inner.received.lock().clone()
+        let got = self.inner.received.lock();
+        got.iter().filter_map(Node::as_element).cloned().collect()
     }
 
     /// `SubscriptionEnd` notices received so far.
@@ -407,6 +410,7 @@ impl EventSink {
 
     /// Record events obtained out-of-band (e.g. by pulling).
     pub fn accept_events(&self, events: Vec<Element>) {
+        let events = events.into_iter().map(Node::Element);
         self.inner.received.lock().extend(events);
     }
 
@@ -429,13 +433,20 @@ impl SoapHandler for SinkHandler {
             return Ok(None);
         }
         let body = request
-            .body()
+            .into_body_node()
             .ok_or_else(|| Fault::sender("empty notification"))?;
-        if body.name.is(ns, "Notifications") {
-            // Wrapped batch.
-            self.inner.received.lock().extend(body.elements().cloned());
-        } else {
-            self.inner.received.lock().push(body.clone());
+        let mut received = self.inner.received.lock();
+        match body {
+            // A wrapped batch: its children, moved out of a plain
+            // wrapper or shared from a shared one (`received()` reads
+            // only the elements).
+            Node::Element(batch) if batch.name.is(ns, "Notifications") => {
+                received.extend(batch.children)
+            }
+            Node::Shared(batch) if batch.element().name.is(ns, "Notifications") => {
+                received.extend(batch.element().children.iter().cloned())
+            }
+            event => received.push(event),
         }
         Ok(None)
     }
@@ -523,6 +534,38 @@ mod tests {
         let sink = EventSink::start(&net, "http://sink", version);
         let subscriber = Subscriber::new(&net, version);
         (net, source, sink, subscriber)
+    }
+
+    #[test]
+    fn the_sink_keeps_shared_events_shared() {
+        let net = Network::new();
+        let sink = EventSink::start(&net, "http://sink", WseVersion::Aug2004);
+        let codec = WseCodec::new(WseVersion::Aug2004);
+        let shared = |n: &str| wsm_xml::SharedElement::new(Element::local("ev").with_attr("n", n));
+        let (one, two, three) = (shared("1"), shared("2"), shared("3"));
+        let raw = codec.notification(&sink.epr(), &Element::local("x"));
+        let raw = raw.with_shared_body(Arc::clone(&one));
+        let batch = codec.wrapped_notification_shared(&sink.epr(), &[two.clone(), three.clone()]);
+        let plain =
+            codec.wrapped_notification(&sink.epr(), &[Element::local("ev").with_attr("n", "4")]);
+        for env in [raw, batch, plain] {
+            net.send("http://sink", env).unwrap();
+        }
+        let seen: Vec<_> = sink
+            .received()
+            .iter()
+            .map(|e| e.attr("n").unwrap().to_string())
+            .collect();
+        assert_eq!(seen, ["1", "2", "3", "4"]);
+        let kept = sink.inner.received.lock();
+        let kept: Vec<_> = kept.iter().filter(|n| n.as_element().is_some()).collect();
+        for (node, original) in kept.iter().zip([&one, &two, &three]) {
+            assert!(
+                matches!(node, Node::Shared(s) if Arc::ptr_eq(s, original)),
+                "a shared event is kept as the same subtree, not copied"
+            );
+        }
+        assert!(matches!(kept[3], Node::Element(_)));
     }
 
     #[test]

@@ -393,13 +393,19 @@ impl Envelope {
     /// owned counterpart of [`Envelope::body`] for a receiver that
     /// keeps the payload.
     pub fn into_body(self) -> Option<Element> {
+        self.into_body_node()?.into_element()
+    }
+
+    /// The first body element as the node this envelope holds it in,
+    /// moved out when this envelope is the only holder of its body
+    /// list and cloned otherwise. A shared subtree stays shared either
+    /// way, so keeping it costs a reference count, not a copy.
+    pub fn into_body_node(self) -> Option<Node> {
         let mut body = self.body;
         let at = body.iter().position(|n| n.as_element().is_some())?;
         match Arc::get_mut(&mut body) {
-            Some(list) => {
-                std::mem::replace(&mut list[at], Node::Text(String::new())).into_element()
-            }
-            None => body[at].as_element().cloned(),
+            Some(list) => Some(std::mem::replace(&mut list[at], Node::Text(String::new()))),
+            None => Some(body[at].clone()),
         }
     }
 }
