@@ -83,13 +83,13 @@ fn throughput_pair(n: u64, delay_us: u64) -> (f64, f64) {
 /// overlapped path at the heaviest grid point (256 subscribers, wire
 /// latency).
 ///
-/// Fixed counts (not a timed window) keep the histogram's composition
-/// identical across quick and full runs, so the CI gate
+/// The same 96 publications in quick and full mode, measured first in
+/// `main` before any grid has run, keep the histogram's composition
+/// and the process state identical across both, so the CI gate
 /// (`scaling_check`) can compare the fresh quick-mode `deliver` mean
 /// against the committed full-mode baseline. Eight warm-up
 /// publications with observability off warm the render cache and
-/// allocator first, keeping that one-time cost
-/// out of the mean.
+/// allocator first, keeping that one-time cost out of the mean.
 fn deliver_breakdown() -> Vec<StageBreakdown> {
     let (net, broker) = setup(256, "jobs/status");
     net.set_send_delay_us(WIRE_DELAY_US);
@@ -99,8 +99,7 @@ fn deliver_breakdown() -> Vec<StageBreakdown> {
         broker.publish_on("jobs/status", &make_event(seq));
     }
     broker.set_obs_enabled(true);
-    let pubs = if wsm_bench::quick_mode() { 24 } else { 96 };
-    for seq in 0..pubs {
+    for seq in 0..96 {
         broker.publish_on("jobs/status", &make_event(seq));
     }
     stage_breakdowns(&broker.obs_snapshot())
@@ -268,6 +267,7 @@ fn measure_matching() -> Vec<MatchingSample> {
 /// from the largest wire-regime population and the subscription-
 /// matching scaling curve.
 fn main() {
+    let stages = deliver_breakdown();
     let mut samples = Vec::new();
     for (scenario, delay_us) in [("publish_inline", 0u64), ("publish_wire", WIRE_DELAY_US)] {
         for n in [1u64, 8, 64, 256] {
@@ -282,7 +282,6 @@ fn main() {
             }
         }
     }
-    let stages = deliver_breakdown();
     let matching = measure_matching();
     let path = write_bench_json_full("scaling", &samples, &stages, &matching, None);
     println!("wrote {}", path.display());

@@ -18,9 +18,10 @@
 //!    deficit.
 //! 3. **Deliver-stage budget** — the fresh `deliver` mean may exceed
 //!    the committed baseline's by at most `DELIVER_REGRESSION_MAX`.
-//!    The emitter fixes this histogram to a fixed-publication
-//!    overlapped run after a warm-up, precisely so quick and full runs
-//!    are comparable.
+//!    The emitter fixes this histogram to the same 96-publication
+//!    overlapped run in quick and full mode, measured after a warm-up
+//!    and before any grid, precisely so quick and full runs are
+//!    comparable.
 //!
 //! Usage: `scaling_check <fresh.json> <baseline.json>`. The fresh file
 //! is the one the quick-mode bench just wrote; the baseline is the

@@ -249,6 +249,57 @@ pub fn run_msgdiff() -> MsgDiffReport {
     MsgDiffReport { pairs }
 }
 
+/// §IV companion: diff the *same family across versions* on the wire —
+/// how each spec moved between its releases. Pairs: WSE 01/2004 vs
+/// 08/2004, and WSN 1.0 vs 1.3, on the Subscribe and SubscribeResponse
+/// exchanges.
+pub fn run_version_msgdiff() -> MsgDiffReport {
+    let consumer = EndpointReference::new("http://consumer.example.org/sink");
+    let broker = "http://broker.example.org/events";
+
+    // WSE: same logical subscription through both versions.
+    let wse_old = WseCodec::new(WseVersion::Jan2004);
+    let wse_new = WseCodec::new(WseVersion::Aug2004);
+    let req = SubscribeRequest::push(consumer.clone()).with_filter(Filter::xpath("/a"));
+    let sub_old = wse_old.subscribe(broker, &req);
+    let sub_new = wse_new.subscribe(broker, &req);
+    let mk_handle = |v: WseVersion| {
+        // 01/2004's event source is its own subscription manager.
+        let manager = if v.has_separate_subscription_manager() {
+            format!("{broker}/manager")
+        } else {
+            broker.to_string()
+        };
+        SubscriptionHandle {
+            manager: WseCodec::new(v).manager_epr(&manager, "sub-1"),
+            id: "sub-1".into(),
+            expires: None,
+            version: v,
+        }
+    };
+    let resp_old = wse_old.subscribe_response(&mk_handle(WseVersion::Jan2004));
+    let resp_new = wse_new.subscribe_response(&mk_handle(WseVersion::Aug2004));
+
+    // WSN: same logical subscription through both versions.
+    let wsn_old = WsnCodec::new(WsnVersion::V1_0);
+    let wsn_new = WsnCodec::new(WsnVersion::V1_3);
+    let wsn_req = WsnSubscribeRequest::new(consumer).with_filter(WsnFilter::topic("storms"));
+    let wsub_old = wsn_old.subscribe(broker, &wsn_req);
+    let wsub_new = wsn_new.subscribe(broker, &wsn_req);
+    let manager = format!("{broker}/subscriptions");
+    let wresp_old = wsn_old.subscribe_response(&manager, "s-1", 0, None);
+    let wresp_new = wsn_new.subscribe_response(&manager, "s-1", 0, None);
+
+    MsgDiffReport {
+        pairs: vec![
+            diff_pair("WSE Subscribe 01/04 vs 08/04", &sub_old, &sub_new),
+            diff_pair("WSE SubscribeResponse 01/04 vs 08/04", &resp_old, &resp_new),
+            diff_pair("WSN Subscribe 1.0 vs 1.3", &wsub_old, &wsub_new),
+            diff_pair("WSN SubscribeResponse 1.0 vs 1.3", &wresp_old, &wresp_new),
+        ],
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,57 +391,6 @@ mod tests {
             classify(&DiffKind::ChildCount { left: 1, right: 2 }),
             DiffCategory::Structure
         );
-    }
-}
-
-/// §IV companion: diff the *same family across versions* on the wire —
-/// how each spec moved between its releases. Pairs: WSE 01/2004 vs
-/// 08/2004, and WSN 1.0 vs 1.3, on the Subscribe and SubscribeResponse
-/// exchanges.
-pub fn run_version_msgdiff() -> MsgDiffReport {
-    let consumer = EndpointReference::new("http://consumer.example.org/sink");
-    let broker = "http://broker.example.org/events";
-
-    // WSE: same logical subscription through both versions.
-    let wse_old = WseCodec::new(WseVersion::Jan2004);
-    let wse_new = WseCodec::new(WseVersion::Aug2004);
-    let req = SubscribeRequest::push(consumer.clone()).with_filter(Filter::xpath("/a"));
-    let sub_old = wse_old.subscribe(broker, &req);
-    let sub_new = wse_new.subscribe(broker, &req);
-    let mk_handle = |v: WseVersion| {
-        // 01/2004's event source is its own subscription manager.
-        let manager = if v.has_separate_subscription_manager() {
-            format!("{broker}/manager")
-        } else {
-            broker.to_string()
-        };
-        SubscriptionHandle {
-            manager: WseCodec::new(v).manager_epr(&manager, "sub-1"),
-            id: "sub-1".into(),
-            expires: None,
-            version: v,
-        }
-    };
-    let resp_old = wse_old.subscribe_response(&mk_handle(WseVersion::Jan2004));
-    let resp_new = wse_new.subscribe_response(&mk_handle(WseVersion::Aug2004));
-
-    // WSN: same logical subscription through both versions.
-    let wsn_old = WsnCodec::new(WsnVersion::V1_0);
-    let wsn_new = WsnCodec::new(WsnVersion::V1_3);
-    let wsn_req = WsnSubscribeRequest::new(consumer).with_filter(WsnFilter::topic("storms"));
-    let wsub_old = wsn_old.subscribe(broker, &wsn_req);
-    let wsub_new = wsn_new.subscribe(broker, &wsn_req);
-    let manager = format!("{broker}/subscriptions");
-    let wresp_old = wsn_old.subscribe_response(&manager, "s-1", 0, None);
-    let wresp_new = wsn_new.subscribe_response(&manager, "s-1", 0, None);
-
-    MsgDiffReport {
-        pairs: vec![
-            diff_pair("WSE Subscribe 01/04 vs 08/04", &sub_old, &sub_new),
-            diff_pair("WSE SubscribeResponse 01/04 vs 08/04", &resp_old, &resp_new),
-            diff_pair("WSN Subscribe 1.0 vs 1.3", &wsub_old, &wsub_new),
-            diff_pair("WSN SubscribeResponse 1.0 vs 1.3", &wresp_old, &wresp_new),
-        ],
     }
 }
 

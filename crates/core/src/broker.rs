@@ -252,9 +252,9 @@ impl WsMessenger {
     }
 
     /// Runtime observability kill-switch: `false` stops the stage
-    /// timers, the histograms, the span ring and the SLO feed without
-    /// recompiling. It never stops a count: [`WsMessenger::stats`] and
-    /// every `*_total` counter keep moving.
+    /// timers, the histograms and the span ring without recompiling.
+    /// It never stops a count: [`WsMessenger::stats`] and every
+    /// `*_total` counter keep moving.
     pub fn set_obs_enabled(&self, on: bool) {
         self.inner.obs.set_enabled(on);
     }
@@ -357,12 +357,6 @@ impl WsMessenger {
         self.inner.outboxes.lock().breaker_state(sub_id, now)
     }
 
-    /// Outboxes currently kept.
-    #[cfg(test)]
-    pub(crate) fn outbox_count(&self) -> usize {
-        self.inner.outboxes.lock().count()
-    }
-
     /// The backend name.
     pub fn backend_name(&self) -> &'static str {
         self.inner.backend.name()
@@ -376,14 +370,7 @@ impl WsMessenger {
             .obs
             .set_subscriptions(self.inner.registry.len() as i64);
         refresh_reliability_gauges(&self.inner);
-        let mut text = self.inner.obs.prometheus();
-        text.push_str(
-            &self
-                .inner
-                .obs
-                .slo_prometheus(self.inner.net.clock().now_ms()),
-        );
-        text
+        self.inner.obs.prometheus()
     }
 
     /// Snapshot of the buffered pipeline-stage spans, oldest first.
@@ -401,18 +388,12 @@ impl WsMessenger {
         self.inner.obs.snapshot()
     }
 
-    /// Install declarative latency objectives on the broker's SLO
-    /// engine (replacing any previous set). Objectives are judged
-    /// against *terminal* end-to-end outcomes — publish to final
-    /// delivery, dead-lettering, or expiry — on the virtual clock.
-    pub fn set_slos(&self, specs: Vec<crate::obs::SloSpec>) {
-        self.inner.obs.set_slos(specs);
-    }
-
-    /// Evaluate every installed objective as of the current virtual
-    /// time: measured quantile, error-budget burn rate, pass/fail.
-    pub fn slo_reports(&self) -> Vec<crate::obs::SloReport> {
-        self.inner.obs.slo_reports(self.inner.net.clock().now_ms())
+    /// The `q`-quantile (`0.0 ..= 1.0`) of end-to-end latency —
+    /// publish to terminal outcome (delivery, dead-lettering or
+    /// expiry), virtual ms — read from the `wsm_e2e_latency_ms`
+    /// histogram behind [`WsMessenger::obs_snapshot`]'s p50/p95/p99.
+    pub fn e2e_quantile_ms(&self, q: f64) -> f64 {
+        self.inner.obs.e2e_quantile_ms(q)
     }
 
     /// Reconstruct complete per-(event, subscriber) delivery stories
@@ -660,8 +641,8 @@ fn fan_out(inner: &MessengerInner, event: &InternalEvent, seq: u64) -> usize {
     inner.obs.record_latencies(&report.latencies_ns);
     delivered += report.delivered;
     // Every first-round success is a terminal outcome: resolve the
-    // publication's causal timelines (and feed the e2e histogram + SLO
-    // engine) now, in one pass.
+    // publication's causal timelines (and feed the e2e histogram) now,
+    // in one pass.
     inner
         .obs
         .resolve_delivered(&report.resolved, inner.net.clock().now_ms());
@@ -984,5 +965,13 @@ fn manage(inner: &MessengerInner, id: &str, op: Manage) -> Option<Reply> {
                 _ => None,
             }))
         }
+    }
+}
+
+#[cfg(test)]
+impl WsMessenger {
+    /// Outboxes currently kept.
+    pub(crate) fn outbox_count(&self) -> usize {
+        self.inner.outboxes.lock().count()
     }
 }

@@ -694,25 +694,6 @@ impl FederatedMessenger {
         ctx.queue_depth.set(ctx.state.lock().queued as i64);
         ctx.obs.prometheus()
     }
-
-    /// Install declarative latency objectives on every shard's SLO
-    /// engine (replacing any previous set).
-    pub fn set_slos(&self, specs: Vec<crate::obs::SloSpec>) {
-        for s in &self.inner.ctx.shards {
-            s.set_slos(specs.clone());
-        }
-    }
-
-    /// Evaluate every installed objective on every shard, concatenated
-    /// in shard order.
-    pub fn slo_reports(&self) -> Vec<crate::obs::SloReport> {
-        self.inner
-            .ctx
-            .shards
-            .iter()
-            .flat_map(|s| s.slo_reports())
-            .collect()
-    }
 }
 
 // ------------------------------------------------------ control plane

@@ -84,6 +84,5 @@ pub use reliability::{
 };
 pub use render::{render_notification, render_notification_cached, RenderCache};
 pub use wsm_obs::{
-    reconstruct, DeliveryStory, HistogramStats, Outcome, SloReport, SloSpec, SpanRecord, Stage,
-    TraceContext,
+    reconstruct, DeliveryStory, HistogramStats, Outcome, SpanRecord, Stage, TraceContext,
 };

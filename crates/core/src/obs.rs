@@ -9,13 +9,13 @@
 //! side of delivery: per-subscriber attempt spans (retry, dead-letter)
 //! and exactly one terminal resolve span per (event, subscriber) pair,
 //! which feeds the end-to-end latency histogram (virtual ms,
-//! publish → final resolution) and the [`SloEngine`].
+//! publish → final resolution).
 //!
 //! The runtime kill-switch ([`BrokerObs::set_enabled`]) is the one
-//! way to stop recording: it stops the stage timers, the histograms,
-//! the span ring and the SLO feed — which is how the bench harness
-//! measures the overhead of live instrumentation against the same
-//! binary with recording skipped. It never stops a count: the outcome
+//! way to stop recording: it stops the stage timers, the histograms
+//! and the span ring — which is how the bench harness measures the
+//! overhead of live instrumentation against the same binary with
+//! recording skipped. It never stops a count: the outcome
 //! counters here and the broker's ledger (`MediationStats`, whose
 //! counters the broker registers in this registry) move either way.
 
@@ -23,11 +23,9 @@ use crate::delivery::ResolvedMark;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use wsm_obs::{
-    Counter, Gauge, Histogram, HistogramStats, MetricsRegistry, SloEngine, SpanRing, TraceContext,
-};
+use wsm_obs::{Counter, Gauge, Histogram, HistogramStats, MetricsRegistry, SpanRing, TraceContext};
 
-pub use wsm_obs::{reconstruct, DeliveryStory, Outcome, SloReport, SloSpec, SpanRecord, Stage};
+pub use wsm_obs::{reconstruct, DeliveryStory, Outcome, SpanRecord, Stage};
 
 /// Wall-clock handle for one open stage (`None` when recording is
 /// disabled, so a disabled broker skips even the `Instant` read).
@@ -55,7 +53,6 @@ pub struct BrokerObs {
     e2e_latency: Arc<Histogram>,
     outcome_delivered: Arc<Counter>,
     outcome_expired: Arc<Counter>,
-    slo: SloEngine,
 }
 
 impl Default for BrokerObs {
@@ -113,7 +110,6 @@ impl BrokerObs {
             e2e_latency: registry.histogram_with("wsm_e2e_latency_ms", wsm_obs::metrics::ms_bounds),
             outcome_delivered: registry.counter("wsm_outcome_delivered_total"),
             outcome_expired: registry.counter("wsm_outcome_expired_total"),
-            slo: SloEngine::new(),
             stages,
             ring: SpanRing::new(SPAN_RING_CAPACITY),
             enabled: AtomicBool::new(true),
@@ -129,8 +125,8 @@ impl BrokerObs {
     }
 
     /// Runtime kill-switch: `false` stops the stage timers, the
-    /// histograms, the span ring and the SLO feed; the outcome counters
-    /// keep counting.
+    /// histograms and the span ring; the outcome counters keep
+    /// counting.
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
     }
@@ -153,8 +149,7 @@ impl BrokerObs {
 
     /// Close a stage: record its duration into the stage histogram
     /// and append a span (virtual-clock position `at_ms`, `items`
-    /// the stage's cardinality). Spans from fan-out workers carry
-    /// no worker tag here — worker attribution lives in the
+    /// the stage's cardinality). Thread attribution lives in the
     /// transport trace, which records the delivering thread name.
     pub fn stage(&self, stage: Stage, seq: u64, timer: StageTimer, at_ms: u64, items: u64) {
         let Some(t) = timer else { return };
@@ -215,10 +210,10 @@ impl BrokerObs {
 
     /// Record the terminal resolution of one (event, subscriber)
     /// delivery: a [`Stage::Resolve`] span whose `items` is the
-    /// end-to-end latency (publish → now, virtual ms), the
-    /// end-to-end histogram, and the SLO engine, plus the per-outcome
-    /// counter, which counts with recording off too. A dead letter's
-    /// count is the ledger's `wsm_dead_letters_total`.
+    /// end-to-end latency (publish → now, virtual ms) and the
+    /// end-to-end histogram, plus the per-outcome counter, which
+    /// counts with recording off too. A dead letter's count is the
+    /// ledger's `wsm_dead_letters_total`.
     pub fn resolve(
         &self,
         seq: u64,
@@ -238,8 +233,6 @@ impl BrokerObs {
         }
         let e2e_ms = at_ms.saturating_sub(published_at_ms);
         self.e2e_latency.record(e2e_ms);
-        self.slo
-            .observe(at_ms, e2e_ms, outcome == Outcome::Delivered);
         let ctx = TraceContext::new(seq, subscriber, attempt);
         self.ring.push(
             SpanRecord::for_attempt(ctx, Stage::Resolve, at_ms, 0, e2e_ms).with_outcome(outcome),
@@ -249,10 +242,9 @@ impl BrokerObs {
     /// Record every first-round success of one publication as
     /// resolved at `at_ms`: exactly what one
     /// [`BrokerObs::resolve`]`(.., Outcome::Delivered)` per mark
-    /// records — the same spans in the same order, histogram samples,
-    /// outcome count and SLO feed — but the spans go into the ring
-    /// under one lock and carry the marks' subscriber ids by
-    /// reference.
+    /// records — the same spans in the same order, histogram samples
+    /// and outcome count — but the spans go into the ring under one
+    /// lock and carry the marks' subscriber ids by reference.
     pub fn resolve_delivered(&self, marks: &[ResolvedMark], at_ms: u64) {
         self.outcome_delivered.add(marks.len() as u64);
         if !self.enabled() {
@@ -261,7 +253,6 @@ impl BrokerObs {
         let e2e_ms = |m: &ResolvedMark| at_ms.saturating_sub(m.published_at_ms);
         for m in marks {
             self.e2e_latency.record(e2e_ms(m));
-            self.slo.observe(at_ms, e2e_ms(m), true);
         }
         self.ring.push_all(marks.iter().map(|m| {
             let ctx = TraceContext::new(m.seq, Arc::clone(&m.sub_id), 0);
@@ -270,15 +261,10 @@ impl BrokerObs {
         }));
     }
 
-    /// Install latency objectives on the broker's SLO engine,
-    /// replacing any previous set.
-    pub fn set_slos(&self, specs: Vec<SloSpec>) {
-        self.slo.set_objectives(specs);
-    }
-
-    /// SLO reports as of `now_ms` (virtual clock).
-    pub fn slo_reports(&self, now_ms: u64) -> Vec<SloReport> {
-        self.slo.reports(now_ms)
+    /// The `q`-quantile (`0.0 ..= 1.0`) of the end-to-end latency
+    /// histogram, virtual ms (0 before the first resolution).
+    pub fn e2e_quantile_ms(&self, q: f64) -> f64 {
+        self.e2e_latency.quantile(q).unwrap_or(0.0)
     }
 
     /// Record per-subscriber delivery latencies from one fan-out.
@@ -325,12 +311,6 @@ impl BrokerObs {
     pub fn prometheus(&self) -> String {
         self.spans_dropped.set(self.ring.dropped() as i64);
         wsm_obs::export::prometheus(&self.registry)
-    }
-
-    /// Prometheus text exposition of the SLO reports as of
-    /// `now_ms`; empty when no objectives are installed.
-    pub fn slo_prometheus(&self, now_ms: u64) -> String {
-        wsm_obs::export::slo_prometheus(&self.slo.reports(now_ms))
     }
 
     /// The buffered spans plus the span-loss count, as JSONL (the
@@ -414,10 +394,8 @@ mod tests {
             })
             .collect();
         let at_ms = 45;
-        let slo = || vec![SloSpec::p99("fast", 20, 1_000).with_budget(0.5)];
 
         let one_by_one = BrokerObs::new();
-        one_by_one.set_slos(slo());
         for m in &marks {
             one_by_one.resolve(
                 m.seq,
@@ -429,7 +407,6 @@ mod tests {
             );
         }
         let at_once = BrokerObs::new();
-        at_once.set_slos(slo());
         at_once.resolve_delivered(&marks, at_ms);
 
         assert_eq!(at_once.spans(), one_by_one.spans());
@@ -439,8 +416,6 @@ mod tests {
         assert_eq!(a.e2e_latency_ms, b.e2e_latency_ms);
         assert_eq!(a.outcome_delivered, marks.len() as u64);
         assert_eq!(a.outcome_delivered, b.outcome_delivered);
-        assert_eq!(at_once.slo_reports(at_ms), one_by_one.slo_reports(at_ms));
-        assert!(at_once.slo_reports(at_ms)[0].bad > 0, "the SLO was fed");
         // The spans carry the marks' own ids, not copies of them.
         let first = at_once.spans().remove(0).subscriber.unwrap();
         assert!(Arc::ptr_eq(&first, &marks[0].sub_id));
@@ -448,12 +423,10 @@ mod tests {
         // Switched off, it records nothing but the count.
         let off = BrokerObs::new();
         off.set_enabled(false);
-        off.set_slos(slo());
         off.resolve_delivered(&marks, at_ms);
         assert!(off.spans().is_empty());
         let snap = off.snapshot();
         assert_eq!(snap.e2e_latency_ms.count, 0);
         assert_eq!(snap.outcome_delivered, marks.len() as u64);
-        assert_eq!(off.slo_reports(at_ms)[0].total, 0, "the SLO was not fed");
     }
 }

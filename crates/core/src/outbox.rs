@@ -448,12 +448,6 @@ impl Outboxes {
             .map(|r| r.next_due_ms.max(r.breaker.next_allowed_ms(0)))
             .min()
     }
-
-    /// Outboxes currently kept.
-    #[cfg(test)]
-    pub(crate) fn count(&self) -> usize {
-        self.queues.len() + self.retries.len()
-    }
 }
 
 fn dead_letter(sub: &BrokerSubscription, held: Retry, now_ms: u64) -> DeadLetter {
@@ -585,6 +579,14 @@ pub(crate) fn pump(
     // live trouble, not history.
     outboxes.lock().retries.retain(|_, r| r.busy(now_ms));
     Some(report)
+}
+
+#[cfg(test)]
+impl Outboxes {
+    /// Outboxes currently kept.
+    pub(crate) fn count(&self) -> usize {
+        self.queues.len() + self.retries.len()
+    }
 }
 
 #[cfg(test)]

@@ -671,12 +671,6 @@ impl Registry {
         self.len() == 0
     }
 
-    /// Distinct filter programs in the program table.
-    #[cfg(test)]
-    pub(crate) fn program_count(&self) -> usize {
-        self.inner.lock().programs.slot_of.len()
-    }
-
     /// Snapshot all subscriptions.
     pub fn all(&self) -> Vec<Arc<BrokerSubscription>> {
         self.inner
@@ -685,6 +679,14 @@ impl Registry {
             .values()
             .map(|e| e.core.clone())
             .collect()
+    }
+}
+
+#[cfg(test)]
+impl Registry {
+    /// Distinct filter programs in the program table.
+    pub(crate) fn program_count(&self) -> usize {
+        self.inner.lock().programs.slot_of.len()
     }
 }
 

@@ -1,24 +1,8 @@
 //! Exporters: Prometheus-style text exposition and JSONL span events.
 
 use crate::metrics::{Metric, MetricsRegistry};
-use crate::slo::SloReport;
 use crate::span::{SpanRecord, SpanRing};
 use std::fmt::Write as _;
-
-/// Escape a Prometheus label *value*: backslash, double quote, and
-/// newline must be escaped per the text exposition format.
-pub fn escape_label_value(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for ch in v.chars() {
-        match ch {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Escape `# HELP` text: backslash and newline (quotes are legal
 /// there).
@@ -77,60 +61,6 @@ pub fn prometheus(registry: &MetricsRegistry) -> String {
     out
 }
 
-/// One exposition family of the SLO report: name, help text, and the
-/// per-report sample value.
-type SloFamily = (&'static str, &'static str, fn(&SloReport) -> String);
-
-/// Render SLO reports as Prometheus text exposition: one family per
-/// quantity, one sample per objective labeled `slo="<name>"` (label
-/// values escaped).
-pub fn slo_prometheus(reports: &[SloReport]) -> String {
-    if reports.is_empty() {
-        return String::new();
-    }
-    let mut out = String::new();
-    let families: [SloFamily; 5] = [
-        (
-            "wsm_slo_target_ms",
-            "Latency target of the objective's quantile, virtual ms.",
-            |r| r.target_ms.to_string(),
-        ),
-        (
-            "wsm_slo_latency_ms",
-            "Measured end-to-end latency at the objective's quantile, virtual ms.",
-            |r| format!("{:.3}", r.measured_ms),
-        ),
-        (
-            "wsm_slo_bad_fraction",
-            "Fraction of deliveries in the window that were slow or undelivered.",
-            |r| format!("{:.6}", r.bad_fraction),
-        ),
-        (
-            "wsm_slo_burn_rate",
-            "Error-budget burn rate (1.0 = burning exactly at budget).",
-            |r| format!("{:.6}", r.burn_rate),
-        ),
-        (
-            "wsm_slo_pass",
-            "1 when the objective currently holds, 0 when violated.",
-            |r| if r.pass { "1" } else { "0" }.to_string(),
-        ),
-    ];
-    for (family, help, value) in families {
-        let _ = writeln!(out, "# HELP {family} {}", escape_help(help));
-        let _ = writeln!(out, "# TYPE {family} gauge");
-        for r in reports {
-            let _ = writeln!(
-                out,
-                "{family}{{slo=\"{}\"}} {}",
-                escape_label_value(&r.name),
-                value(r)
-            );
-        }
-    }
-    out
-}
-
 fn escape_json(v: &str) -> String {
     let mut out = String::with_capacity(v.len());
     for ch in v.chars() {
@@ -154,9 +84,6 @@ pub fn span_json(span: &SpanRecord) -> String {
         span.dur_ns,
         span.items
     );
-    if let Some(w) = &span.worker {
-        let _ = write!(out, ",\"worker\":\"{}\"", escape_json(w));
-    }
     if let Some(sub) = &span.subscriber {
         let _ = write!(
             out,
@@ -199,7 +126,6 @@ pub fn ring_jsonl(ring: &SpanRing) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slo::{SloEngine, SloSpec};
     use crate::span::{Outcome, Stage, TraceContext};
 
     #[test]
@@ -225,28 +151,14 @@ mod tests {
     }
 
     #[test]
-    fn slo_exposition_escapes_label_values() {
-        let engine = SloEngine::new();
-        engine.set_objectives(vec![SloSpec::p99("odd\"name\\with\nnoise", 50, 1_000)]);
-        engine.observe(0, 5, true);
-        let text = slo_prometheus(&engine.reports(10));
-        assert!(text.contains("# TYPE wsm_slo_burn_rate gauge"));
-        assert!(
-            text.contains("{slo=\"odd\\\"name\\\\with\\nnoise\"}"),
-            "label value must be escaped: {text}"
-        );
-        assert!(text.contains("wsm_slo_pass"));
-    }
-
-    #[test]
     fn jsonl_one_line_per_span() {
-        let mut s = SpanRecord::new(7, Stage::Deliver, 12, 900, 2);
-        s.worker = Some("wsm-push-1".into());
-        let doc = spans_jsonl(&[s, SpanRecord::new(8, Stage::Match, 13, 100, 5)]);
+        let doc = spans_jsonl(&[
+            SpanRecord::new(7, Stage::Deliver, 12, 900, 2),
+            SpanRecord::new(8, Stage::Match, 13, 100, 5),
+        ]);
         let lines: Vec<&str> = doc.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("\"stage\":\"deliver\""));
-        assert!(lines[0].contains("\"worker\":\"wsm-push-1\""));
         assert!(lines[1].contains("\"seq\":8"));
         assert!(doc.ends_with('\n'));
     }

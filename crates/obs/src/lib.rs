@@ -14,19 +14,16 @@
 //!   and the registry lock is only touched at registration time;
 //! * **pipeline-stage spans** ([`SpanRecord`], [`Stage`]) collected
 //!   into a bounded ring buffer ([`SpanRing`]) that tolerates
-//!   concurrent writers — the crossbeam fan-out workers — and
-//!   overwrites oldest-first when full, so tracing can stay on
-//!   permanently without unbounded memory;
+//!   concurrent writers — every thread that publishes, redelivers or
+//!   flushes a federation link — and overwrites oldest-first when
+//!   full, so tracing can stay on permanently without unbounded memory;
 //! * **causal delivery timelines**: per-attempt spans carrying a
 //!   [`TraceContext`] (`seq`, `subscriber_id`, `attempt`) plus a
 //!   terminal [`Outcome`] per (event, subscriber) pair, reconstructed
 //!   into complete [`DeliveryStory`]s by [`timeline::reconstruct`];
-//! * an **SLO engine** ([`SloEngine`]): declarative latency objectives
-//!   ([`SloSpec`]) over terminal outcomes, with rolling-window
-//!   error-budget accounting and burn rate ([`SloReport`]);
 //! * **exporters**: a Prometheus-style text exposition
-//!   ([`export::prometheus`], [`export::slo_prometheus`]) and JSONL
-//!   span documents ([`export::spans_jsonl`], [`export::ring_jsonl`]).
+//!   ([`export::prometheus`]) and JSONL span documents
+//!   ([`export::spans_jsonl`], [`export::ring_jsonl`]).
 //!
 //! Timestamps are supplied by the caller (the workspace's virtual clock
 //! `wsm_transport::clock::SimClock` for span positions, wall-clock
@@ -51,11 +48,9 @@
 
 pub mod export;
 pub mod metrics;
-pub mod slo;
 pub mod span;
 pub mod timeline;
 
 pub use metrics::{Counter, Gauge, Histogram, HistogramStats, MetricsRegistry};
-pub use slo::{SloEngine, SloReport, SloSpec};
 pub use span::{Outcome, SpanRecord, SpanRing, Stage, TraceContext};
 pub use timeline::{reconstruct, DeliveryStory};

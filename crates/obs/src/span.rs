@@ -41,10 +41,9 @@ pub enum Stage {
     /// final [`Outcome`], and `items` is the end-to-end latency in
     /// virtual milliseconds (publish → this resolution).
     Resolve,
-    /// Time the publishing thread spent waiting for the delivery
-    /// engine's pool workers to merge after its own claims on the
-    /// hand-off ran dry (`items` carries the worker count). Not
-    /// recorded when the engine streams inline.
+    /// Time the publishing thread spent waiting for its posted wire
+    /// sends to land (`items` carries the sends posted). Not recorded
+    /// when the engine streams inline.
     Handoff,
     /// One batched inter-broker hop on the federation path: the
     /// structured handoff of a sealed batch to its owner shard.
@@ -181,8 +180,6 @@ pub struct SpanRecord {
     /// [`Stage::DeadLetter`] the attempts spent, and for
     /// [`Stage::Resolve`] the end-to-end latency in virtual ms.
     pub items: u64,
-    /// Thread that closed the span, when it was a fan-out worker.
-    pub worker: Option<String>,
     /// Subscriber this span belongs to, for per-subscriber
     /// delivery-attempt stages; `None` for pipeline-wide stages. The
     /// id is the [`TraceContext`]'s, shared by reference.
@@ -195,7 +192,7 @@ pub struct SpanRecord {
 }
 
 impl SpanRecord {
-    /// A pipeline-wide span with no worker or subscriber attribution.
+    /// A pipeline-wide span with no subscriber attribution.
     pub fn new(seq: u64, stage: Stage, at_ms: u64, dur_ns: u64, items: u64) -> Self {
         SpanRecord {
             seq,
@@ -203,7 +200,6 @@ impl SpanRecord {
             at_ms,
             dur_ns,
             items,
-            worker: None,
             subscriber: None,
             attempt: 0,
             outcome: None,
@@ -226,7 +222,6 @@ impl SpanRecord {
             at_ms,
             dur_ns,
             items,
-            worker: None,
             subscriber: Some(ctx.subscriber_id),
             attempt: ctx.attempt,
             outcome: None,
@@ -249,8 +244,8 @@ struct RingInner {
 
 /// A bounded ring of spans: push never fails and never grows past the
 /// capacity — when full, the oldest span is overwritten and counted in
-/// [`SpanRing::dropped`]. Safe for concurrent producers (the fan-out
-/// workers) via a short critical section per push.
+/// [`SpanRing::dropped`]. Safe for concurrent producers (every
+/// publishing thread) via a short critical section per push.
 #[derive(Debug)]
 pub struct SpanRing {
     cap: usize,

@@ -418,6 +418,44 @@ fn element_list(block: Element) -> Arc<[Node]> {
     children.into()
 }
 
+/// Check the mustUnderstand headers of an envelope against the
+/// namespaces a node actually understands.
+///
+/// Per the SOAP processing model, a node receiving a header marked
+/// `mustUnderstand` in a namespace it does not process must fault with
+/// the `MustUnderstand` code rather than silently ignore it. Handlers
+/// call this with the namespaces they implement (their own spec's, the
+/// WS-Addressing versions, ...).
+pub fn check_must_understand(
+    env: &Envelope,
+    understood_namespaces: &[&str],
+) -> Result<(), crate::fault::Fault> {
+    let soap_ns = env.version().ns();
+    let mu_true = env.version().must_understand_true();
+    for h in env.headers() {
+        let marked = h
+            .attr_ns(soap_ns, "mustUnderstand")
+            .map(|v| v == mu_true || v == "1" || v == "true")
+            .unwrap_or(false);
+        if !marked {
+            continue;
+        }
+        let ns = h.name.ns.as_deref().unwrap_or("");
+        if !understood_namespaces.contains(&ns) {
+            return Err(crate::fault::Fault {
+                code: crate::fault::FaultCode::MustUnderstand,
+                subcode: None,
+                reason: format!(
+                    "header {} is marked mustUnderstand but this node does not process its namespace",
+                    h.name.clark()
+                ),
+                detail: None,
+            });
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -613,44 +651,6 @@ mod tests {
         let xml = format!(r#"<s:Envelope xmlns:s="{SOAP12_NS}"><weird/><s:Body/></s:Envelope>"#);
         assert!(Envelope::from_xml(&xml).is_err());
     }
-}
-
-/// Check the mustUnderstand headers of an envelope against the
-/// namespaces a node actually understands.
-///
-/// Per the SOAP processing model, a node receiving a header marked
-/// `mustUnderstand` in a namespace it does not process must fault with
-/// the `MustUnderstand` code rather than silently ignore it. Handlers
-/// call this with the namespaces they implement (their own spec's, the
-/// WS-Addressing versions, ...).
-pub fn check_must_understand(
-    env: &Envelope,
-    understood_namespaces: &[&str],
-) -> Result<(), crate::fault::Fault> {
-    let soap_ns = env.version().ns();
-    let mu_true = env.version().must_understand_true();
-    for h in env.headers() {
-        let marked = h
-            .attr_ns(soap_ns, "mustUnderstand")
-            .map(|v| v == mu_true || v == "1" || v == "true")
-            .unwrap_or(false);
-        if !marked {
-            continue;
-        }
-        let ns = h.name.ns.as_deref().unwrap_or("");
-        if !understood_namespaces.contains(&ns) {
-            return Err(crate::fault::Fault {
-                code: crate::fault::FaultCode::MustUnderstand,
-                subcode: None,
-                reason: format!(
-                    "header {} is marked mustUnderstand but this node does not process its namespace",
-                    h.name.clark()
-                ),
-                detail: None,
-            });
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

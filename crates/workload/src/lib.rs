@@ -13,13 +13,13 @@
 //!
 //! Every scenario runs on the simulated network's **virtual clock**
 //! with a seeded [`rand::StdRng`], so a run is a pure function of
-//! `(seed, quick-mode)`. Each scenario installs declarative latency
-//! objectives ([`wsm_messenger::SloSpec`]) on the broker's SLO engine
-//! and is *judged*, not just measured: its result carries the
-//! end-to-end p50/p95/p99 (publish → terminal resolution, virtual
-//! milliseconds) plus one pass/fail verdict per objective, with
-//! error-budget burn rate. [`write_workload_json`] serializes the
-//! matrix as `BENCH_workload.json` at the repo root, which CI greps.
+//! `(seed, quick-mode)`. Each scenario names its latency
+//! [`Objective`]s as plain data and is *judged*, not just measured:
+//! its result carries the end-to-end p50/p95/p99 (publish → terminal
+//! resolution, virtual milliseconds) plus one pass/fail [`Verdict`]
+//! per objective, all read from the broker's own end-to-end histogram
+//! and outcome counts. [`write_workload_json`] serializes the matrix
+//! as `BENCH_workload.json` at the repo root, which CI greps.
 //!
 //! `WSM_BENCH_QUICK=1` shrinks event counts so the matrix finishes in
 //! seconds; the scenario *shapes* are identical.
@@ -29,7 +29,7 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use wsm_addressing::EndpointReference;
 use wsm_eventing::{DeliveryMode, EventSink, Expires, SubscribeRequest, Subscriber, WseVersion};
-use wsm_messenger::{FaultTolerance, SloSpec, WsMessenger};
+use wsm_messenger::{FaultTolerance, WsMessenger};
 use wsm_notification::{
     NotificationConsumer, NotificationMessage, WsnClient, WsnCodec, WsnFilter, WsnSubscribeRequest,
     WsnVersion,
@@ -54,24 +54,69 @@ fn events(full: u64) -> u64 {
     }
 }
 
-/// One SLO verdict inside a scenario result (a flattened
-/// [`wsm_messenger::SloReport`]).
-#[derive(Debug, Clone)]
-pub struct SloVerdict {
+/// A named latency objective over a scenario's terminal outcomes:
+/// the end-to-end `quantile` must be at or under `target_ms`, and at
+/// most `budget` of the (event, subscriber) pairs may end undelivered.
+#[derive(Debug, Clone, Copy)]
+pub struct Objective {
     /// Objective name.
-    pub name: String,
-    /// The quantile the objective constrains.
+    pub name: &'static str,
+    /// The quantile the target applies to (e.g. `0.99`).
     pub quantile: f64,
     /// Latency target, virtual ms.
     pub target_ms: u64,
-    /// Measured quantile over the window, virtual ms.
+    /// Allowed undelivered share (dead-lettered or expired).
+    pub budget: f64,
+}
+
+impl Objective {
+    /// Judge the objective against a measured quantile (virtual ms)
+    /// and an undelivered share.
+    pub fn judge(&self, measured_ms: f64, undelivered: f64) -> Verdict {
+        Verdict {
+            objective: *self,
+            measured_ms,
+            bad_fraction: undelivered,
+            pass: measured_ms <= self.target_ms as f64 && undelivered <= self.budget,
+        }
+    }
+}
+
+/// One objective's verdict inside a scenario result.
+#[derive(Debug, Clone)]
+pub struct Verdict {
+    /// The objective judged.
+    pub objective: Objective,
+    /// Measured end-to-end quantile, virtual ms.
     pub measured_ms: f64,
-    /// Fraction of deliveries that were bad (late or undelivered).
+    /// Undelivered share: `(dead_lettered + expired) / (delivered +
+    /// dead_lettered + expired)`.
     pub bad_fraction: f64,
-    /// Error-budget burn rate (1.0 = burning exactly the budget).
-    pub burn_rate: f64,
     /// Did the objective hold?
     pub pass: bool,
+}
+
+impl Verdict {
+    /// The worse of two verdicts on the same objective: the larger
+    /// measurement and share, and a pass only if both passed.
+    fn worst(self, other: Verdict) -> Verdict {
+        Verdict {
+            objective: self.objective,
+            measured_ms: self.measured_ms.max(other.measured_ms),
+            bad_fraction: self.bad_fraction.max(other.bad_fraction),
+            pass: self.pass && other.pass,
+        }
+    }
+}
+
+/// The share of resolved (event, subscriber) pairs that never reached
+/// their consumer (0 when nothing resolved).
+fn undelivered_share(delivered: u64, dead_lettered: u64, expired: u64) -> f64 {
+    let bad = dead_lettered + expired;
+    match delivered + bad {
+        0 => 0.0,
+        total => bad as f64 / total as f64,
+    }
 }
 
 /// One scenario's judged outcome.
@@ -93,8 +138,8 @@ pub struct ScenarioResult {
     pub p95_ms: f64,
     /// End-to-end 99th percentile, virtual ms.
     pub p99_ms: f64,
-    /// One verdict per installed objective.
-    pub slos: Vec<SloVerdict>,
+    /// One verdict per objective.
+    pub slos: Vec<Verdict>,
 }
 
 impl ScenarioResult {
@@ -102,34 +147,62 @@ impl ScenarioResult {
     pub fn all_pass(&self) -> bool {
         self.slos.iter().all(|s| s.pass)
     }
+
+    /// Fold another shard's result into this one: outcome counts sum,
+    /// quantiles and verdicts keep the worse of the two.
+    fn merge_shard(self, other: ScenarioResult) -> ScenarioResult {
+        ScenarioResult {
+            delivered: self.delivered + other.delivered,
+            dead_lettered: self.dead_lettered + other.dead_lettered,
+            expired: self.expired + other.expired,
+            p50_ms: self.p50_ms.max(other.p50_ms),
+            p95_ms: self.p95_ms.max(other.p95_ms),
+            p99_ms: self.p99_ms.max(other.p99_ms),
+            slos: (self.slos.into_iter().zip(other.slos))
+                .map(|(a, b)| a.worst(b))
+                .collect(),
+            ..self
+        }
+    }
 }
 
-/// Collect a finished scenario's result off the broker.
-fn judge(name: &'static str, events: u64, broker: &WsMessenger) -> ScenarioResult {
+/// Collect a finished scenario's result off the broker, each
+/// objective judged against its end-to-end histogram and outcome
+/// counts.
+fn judge(
+    name: &'static str,
+    events: u64,
+    broker: &WsMessenger,
+    objectives: &[Objective],
+) -> ScenarioResult {
     let snap = broker.obs_snapshot();
-    let slos = broker
-        .slo_reports()
-        .into_iter()
-        .map(|r| SloVerdict {
-            name: r.name,
-            quantile: r.quantile,
-            target_ms: r.target_ms,
-            measured_ms: r.measured_ms,
-            bad_fraction: r.bad_fraction,
-            burn_rate: r.burn_rate,
-            pass: r.pass,
-        })
-        .collect();
+    let dead_lettered = broker.stats().dead_lettered;
+    let undelivered =
+        undelivered_share(snap.outcome_delivered, dead_lettered, snap.outcome_expired);
     ScenarioResult {
         name,
         events,
         delivered: snap.outcome_delivered,
-        dead_lettered: broker.stats().dead_lettered,
+        dead_lettered,
         expired: snap.outcome_expired,
         p50_ms: snap.e2e_latency_ms.p50,
         p95_ms: snap.e2e_latency_ms.p95,
         p99_ms: snap.e2e_latency_ms.p99,
-        slos,
+        slos: objectives
+            .iter()
+            .map(|o| o.judge(broker.e2e_quantile_ms(o.quantile), undelivered))
+            .collect(),
+    }
+}
+
+/// An objective: `quantile` of end-to-end latency at or under
+/// `target_ms`, at most `budget` undelivered.
+const fn objective(name: &'static str, quantile: f64, target_ms: u64, budget: f64) -> Objective {
+    Objective {
+        name,
+        quantile,
+        target_ms,
+        budget,
     }
 }
 
@@ -176,17 +249,15 @@ impl Zipf {
 /// consumer healthy. The baseline the rest of the matrix degrades
 /// from.
 pub fn zipf_topics(seed: u64) -> ScenarioResult {
+    // Fan-out serializes on the virtual clock (each hop advances it),
+    // so per-event e2e scales with the matched population.
+    const OBJECTIVES: &[Objective] = &[
+        objective("zipf_p99_e2e", 0.99, 60, 0.01),
+        objective("zipf_p50_e2e", 0.5, 30, 0.01),
+    ];
     let net = Network::new();
     net.set_latency_ms(3);
     let broker = WsMessenger::start(&net, "http://broker");
-    // Fan-out serializes on the virtual clock (each hop advances it),
-    // so per-event e2e scales with the matched population.
-    broker.set_slos(vec![
-        SloSpec::p99("zipf_p99_e2e", 60, 60_000).with_budget(0.01),
-        SloSpec::p99("zipf_p50_e2e", 30, 60_000)
-            .with_quantile(0.5)
-            .with_budget(0.01),
-    ]);
     let mut rng = StdRng::seed_from_u64(seed);
     let topics: Vec<String> = (0..32).map(|i| format!("grid/node-{i}")).collect();
     let zipf = Zipf::new(topics.len(), 1.1);
@@ -207,7 +278,7 @@ pub fn zipf_topics(seed: u64) -> ScenarioResult {
         broker.publish_on(topic, &payload(seq));
         net.clock().advance_ms(1);
     }
-    judge("zipf_topics", n, &broker)
+    judge("zipf_topics", n, &broker, OBJECTIVES)
 }
 
 /// Subscriber churn: a WS-Eventing population where, between
@@ -215,12 +286,10 @@ pub fn zipf_topics(seed: u64) -> ScenarioResult {
 /// registry, match index, and per-subscriber delivery state never
 /// settle.
 pub fn subscriber_churn(seed: u64) -> ScenarioResult {
+    const OBJECTIVES: &[Objective] = &[objective("churn_p99_e2e", 0.99, 150, 0.02)];
     let net = Network::new();
     net.set_latency_ms(3);
     let broker = WsMessenger::start(&net, "http://broker");
-    broker.set_slos(vec![
-        SloSpec::p99("churn_p99_e2e", 150, 60_000).with_budget(0.02)
-    ]);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x1);
     let sub = Subscriber::new(&net, WseVersion::Aug2004);
     let mut handles = Vec::new();
@@ -252,24 +321,21 @@ pub fn subscriber_churn(seed: u64) -> ScenarioResult {
             }
         }
     }
-    judge("subscriber_churn", n, &broker)
+    judge("subscriber_churn", n, &broker, OBJECTIVES)
 }
 
 /// Flash crowd: a quiet population, then a storm — a tight burst of
 /// publications on one hot topic while two consumers suffer injected
 /// latency spikes, inflating the tail the p99 objective watches.
 pub fn flash_crowd(seed: u64) -> ScenarioResult {
+    const OBJECTIVES: &[Objective] = &[
+        objective("flash_p99_e2e", 0.99, 250, 0.05),
+        // "Even mid-storm, half the fan-out stays timely".
+        objective("flash_p50_e2e", 0.5, 150, 0.5),
+    ];
     let net = Network::new();
     net.set_latency_ms(2);
     let broker = WsMessenger::start(&net, "http://broker");
-    broker.set_slos(vec![
-        SloSpec::p99("flash_p99_e2e", 250, 60_000).with_budget(0.05),
-        // "Even mid-storm, half the fan-out stays timely": a median
-        // objective whose budget tolerates the storm tail.
-        SloSpec::p99("flash_p50_e2e", 150, 60_000)
-            .with_quantile(0.5)
-            .with_budget(0.5),
-    ]);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x2);
     let sub = Subscriber::new(&net, WseVersion::Aug2004);
     let mut sinks = Vec::new();
@@ -297,7 +363,7 @@ pub fn flash_crowd(seed: u64) -> ScenarioResult {
     for seq in n / 3..n {
         broker.publish_on("storms/warning", &payload(seq));
     }
-    judge("flash_crowd", n, &broker)
+    judge("flash_crowd", n, &broker, OBJECTIVES)
 }
 
 /// Firewalled pull consumers: subscribers that refuse inbound
@@ -307,14 +373,12 @@ pub fn flash_crowd(seed: u64) -> ScenarioResult {
 /// target acknowledges.
 pub fn firewalled_pull(seed: u64) -> ScenarioResult {
     const POLL_MS: u64 = 50;
+    // Worst case: published just after a poll, collected ~POLL_MS
+    // later (plus hop latency).
+    const OBJECTIVES: &[Objective] = &[objective("pull_p99_e2e", 0.99, 2 * POLL_MS, 0.02)];
     let net = Network::new();
     net.set_latency_ms(3);
     let broker = WsMessenger::start(&net, "http://broker");
-    broker.set_slos(vec![
-        // Worst case: published just after a poll, collected ~POLL_MS
-        // later (plus hop latency).
-        SloSpec::p99("pull_p99_e2e", 2 * POLL_MS, 60_000).with_budget(0.02),
-    ]);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x3);
     let sub = Subscriber::new(&net, WseVersion::Aug2004);
     struct Walled;
@@ -364,19 +428,17 @@ pub fn firewalled_pull(seed: u64) -> ScenarioResult {
         collected += sub.pull(h, usize::MAX).expect("pull").len();
     }
     assert_eq!(collected as u64, n * 8, "every queued event was pulled");
-    judge("firewalled_pull", n, &broker)
+    judge("firewalled_pull", n, &broker, OBJECTIVES)
 }
 
 /// Mixed dialects: WS-Notification `Notify` traffic fanned out to a
 /// half-WSE/half-WSN population, so most deliveries cross
 /// specification families and pay the mediation path.
 pub fn mixed_dialects(seed: u64) -> ScenarioResult {
+    const OBJECTIVES: &[Objective] = &[objective("mixed_p99_e2e", 0.99, 100, 0.01)];
     let net = Network::new();
     net.set_latency_ms(3);
     let broker = WsMessenger::start(&net, "http://broker");
-    broker.set_slos(vec![
-        SloSpec::p99("mixed_p99_e2e", 100, 60_000).with_budget(0.01)
-    ]);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x4);
     let sub = Subscriber::new(&net, WseVersion::Aug2004);
     let wsn = WsnClient::new(&net, WsnVersion::V1_3);
@@ -416,7 +478,7 @@ pub fn mixed_dialects(seed: u64) -> ScenarioResult {
         net.send(broker.uri(), env).expect("notify");
         net.clock().advance_ms(rng.gen_range(1..4));
     }
-    judge("mixed_dialects", n, &broker)
+    judge("mixed_dialects", n, &broker, OBJECTIVES)
 }
 
 /// The overlapped delivery path under sustained workload: a mid-size
@@ -430,17 +492,15 @@ pub fn mixed_dialects(seed: u64) -> ScenarioResult {
 /// it), so the target scales with the population, not with wall-clock
 /// parallelism.
 pub fn sharded_fanout(seed: u64) -> ScenarioResult {
+    // 32 hops × 3 virtual ms ≈ 96ms worst case for the last
+    // subscriber of a publication; 150ms leaves room for hop
+    // jitter without ever excusing a stuck shard.
+    const OBJECTIVES: &[Objective] = &[objective("sharded_p99_e2e", 0.99, 150, 0.02)];
     let net = Network::new();
     net.set_latency_ms(3);
     let broker = WsMessenger::start(&net, "http://broker");
     broker.set_fanout_workers(4);
     net.set_send_delay_us(50);
-    broker.set_slos(vec![
-        // 32 hops × 3 virtual ms ≈ 96ms worst case for the last
-        // subscriber of a publication; 150ms leaves room for hop
-        // jitter without ever excusing a stuck shard.
-        SloSpec::p99("sharded_p99_e2e", 150, 60_000).with_budget(0.02),
-    ]);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5);
     let sub = Subscriber::new(&net, WseVersion::Aug2004);
     for i in 0..32 {
@@ -457,7 +517,7 @@ pub fn sharded_fanout(seed: u64) -> ScenarioResult {
         broker.publish_on("grid/sharded", &payload(seq));
         net.clock().advance_ms(rng.gen_range(1..3));
     }
-    let result = judge("sharded_fanout", n, &broker);
+    let result = judge("sharded_fanout", n, &broker, OBJECTIVES);
     assert_eq!(
         result.delivered,
         n * 32,
@@ -470,9 +530,17 @@ pub fn sharded_fanout(seed: u64) -> ScenarioResult {
 /// population where some endpoints drop 30% of traffic, one flaps on
 /// a duty cycle, and one answers only SOAP faults — redelivery
 /// queues, breakers, and the dead-letter store all engage. The tight
-/// objective (and its small error budget) is *designed to fail*: the
+/// objective (and its small budget) is *designed to fail*: the
 /// matrix must prove verdicts can go red.
 pub fn slow_flaky_consumers(seed: u64) -> ScenarioResult {
+    const OBJECTIVES: &[Objective] = &[
+        // The tight objective is designed to go red: a 40ms p99 with a
+        // 1% budget cannot survive 30% drop rates and breaker trips.
+        objective("flaky_p99_e2e", 0.99, 40, 0.01),
+        // The generous one asks only for *eventual* delivery: p90
+        // within 30 virtual seconds, with up to 30% undelivered.
+        objective("flaky_eventual", 0.90, 30_000, 0.30),
+    ];
     let net = Network::new();
     net.set_latency_ms(3);
     let broker = WsMessenger::start(&net, "http://broker");
@@ -490,19 +558,6 @@ pub fn slow_flaky_consumers(seed: u64) -> ScenarioResult {
         },
         ..FaultTolerance::default()
     }));
-    broker.set_slos(vec![
-        // The tight objective is designed to go red: a 40ms p99 with a
-        // 1% budget cannot survive 30% drop rates and breaker trips.
-        SloSpec::p99("flaky_p99_e2e", 40, 3_600_000).with_budget(0.01),
-        // The generous one asks only for *eventual* delivery: p90
-        // within 30 virtual seconds, 30% of the window may be bad.
-        // The hour-long window spans the whole run, dead letters and
-        // all, so the verdict judges the full story rather than the
-        // final straggler-dominated stretch.
-        SloSpec::p99("flaky_eventual", 30_000, 3_600_000)
-            .with_quantile(0.90)
-            .with_budget(0.30),
-    ]);
     let sub = Subscriber::new(&net, WseVersion::Aug2004);
     let mut plan = FaultPlan::seeded(seed);
     for i in 0..12 {
@@ -555,7 +610,7 @@ pub fn slow_flaky_consumers(seed: u64) -> ScenarioResult {
         }
         broker.drain_redeliveries(600_000);
     }
-    judge("slow_flaky_consumers", n, &broker)
+    judge("slow_flaky_consumers", n, &broker, OBJECTIVES)
 }
 
 /// Wrapped-batch consumers: the whole population subscribes in
@@ -572,17 +627,15 @@ pub fn wrapped_batch(seed: u64) -> ScenarioResult {
     // consumer batches over a 3ms wire, so the tail rides the full
     // buffer window plus the fan-out of its own flush.
     const FLUSH_EVERY: u64 = 8;
+    const OBJECTIVES: &[Objective] = &[
+        objective("wrapped_p99_e2e", 0.99, 80, 0.02),
+        // A median objective: half the population rides out the full
+        // buffer window.
+        objective("wrapped_p50_e2e", 0.5, 45, 0.5),
+    ];
     let net = Network::new();
     net.set_latency_ms(3);
     let broker = WsMessenger::start(&net, "http://broker");
-    broker.set_slos(vec![
-        SloSpec::p99("wrapped_p99_e2e", 80, 60_000).with_budget(0.02),
-        // A median objective: half the population rides out the full
-        // buffer window, so the budget tolerates that half.
-        SloSpec::p99("wrapped_p50_e2e", 45, 60_000)
-            .with_quantile(0.5)
-            .with_budget(0.5),
-    ]);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x6);
     let sub = Subscriber::new(&net, WseVersion::Aug2004);
     const CONSUMERS: u64 = 16;
@@ -612,7 +665,7 @@ pub fn wrapped_batch(seed: u64) -> ScenarioResult {
         batches as u64 >= n / FLUSH_EVERY,
         "wrap buffers flushed as batches throughout the run"
     );
-    let result = judge("wrapped_batch", n, &broker);
+    let result = judge("wrapped_batch", n, &broker, OBJECTIVES);
     assert_eq!(
         result.delivered,
         n * CONSUMERS,
@@ -628,12 +681,10 @@ pub fn wrapped_batch(seed: u64) -> ScenarioResult {
 /// dead — the management plane the other scenarios never exercise
 /// while traffic is flowing.
 pub fn renewal_churn(seed: u64) -> ScenarioResult {
+    const OBJECTIVES: &[Objective] = &[objective("renewal_p99_e2e", 0.99, 120, 0.02)];
     let net = Network::new();
     net.set_latency_ms(3);
     let broker = WsMessenger::start(&net, "http://broker");
-    broker.set_slos(vec![
-        SloSpec::p99("renewal_p99_e2e", 120, 60_000).with_budget(0.02)
-    ]);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x7);
     let sub = Subscriber::new(&net, WseVersion::Aug2004);
     let mut created = 0u64;
@@ -678,15 +729,15 @@ pub fn renewal_churn(seed: u64) -> ScenarioResult {
         (broker.subscription_count() as u64) < created,
         "unrenewed leases expired during the run ({created} created)"
     );
-    judge("renewal_churn", n, &broker)
+    judge("renewal_churn", n, &broker, OBJECTIVES)
 }
 
 /// The pipelined federation under an open workload at population
 /// scale: a 100 000-subscriber registry spread across 8 topic-sharded
 /// brokers behind a [`wsm_messenger::FederatedMessenger`] front, a
 /// Zipf(1.1) publication stream enqueued through the bounded link
-/// queues (adaptive batching, persistent flushers), and per-shard SLO
-/// engines judging the end-to-end tail. The scenario proves the link
+/// queues (adaptive batching, persistent flushers), and every shard's
+/// end-to-end tail judged against the same objectives. The scenario proves the link
 /// layer at a scale the federation unit tests never reach: every
 /// publication must fan out to its topic's full 32-subscriber
 /// population on the owning shard, with nothing shed and the queues
@@ -710,20 +761,17 @@ pub fn federated_zipf(seed: u64) -> ScenarioResult {
     /// Publications between flush barriers — the link queues buffer at
     /// most this many events before the publisher waits them out.
     const FLUSH_EVERY: u64 = 8;
-    let net = Network::new();
-    net.set_latency_ms(1);
-    let fed = wsm_messenger::FederatedMessenger::start(&net, "http://fed", SHARDS);
     // Fan-out serializes on the virtual clock (every hop advances it),
     // so a flush window's whole backlog lands ahead of its last event:
     // 8 buffered events x 32 hops x 1 virtual ms ~= 256ms for the
-    // worst-placed event of a window. The p50 budget tolerates the
-    // half of every window that rides out most of the drain.
-    fed.set_slos(vec![
-        SloSpec::p99("federated_p99_e2e", 400, 60_000).with_budget(0.02),
-        SloSpec::p99("federated_p50_e2e", 200, 60_000)
-            .with_quantile(0.5)
-            .with_budget(0.5),
-    ]);
+    // worst-placed event of a window.
+    const OBJECTIVES: &[Objective] = &[
+        objective("federated_p99_e2e", 0.99, 400, 0.02),
+        objective("federated_p50_e2e", 0.5, 200, 0.5),
+    ];
+    let net = Network::new();
+    net.set_latency_ms(1);
+    let fed = wsm_messenger::FederatedMessenger::start(&net, "http://fed", SHARDS);
     for i in 0..SINK_POOL {
         net.register(
             format!("http://fsink-{i}"),
@@ -785,50 +833,15 @@ pub fn federated_zipf(seed: u64) -> ScenarioResult {
 
     // Judge across the shards: outcomes sum; for the latency quantiles
     // the scenario reports the *worst* shard (the tail the objectives
-    // exist to catch). Each shard's SLO engine judged only its own
-    // traffic, so a verdict aggregates as all-shards-must-pass with
-    // the worst measured quantile and burn rate.
-    let snaps: Vec<_> = fed.shards().iter().map(|s| s.obs_snapshot()).collect();
-    let mut by_name: Vec<SloVerdict> = Vec::new();
-    for r in fed.slo_reports() {
-        match by_name.iter_mut().find(|v| v.name == r.name) {
-            Some(v) => {
-                v.measured_ms = v.measured_ms.max(r.measured_ms);
-                v.bad_fraction = v.bad_fraction.max(r.bad_fraction);
-                v.burn_rate = v.burn_rate.max(r.burn_rate);
-                v.pass &= r.pass;
-            }
-            None => by_name.push(SloVerdict {
-                name: r.name,
-                quantile: r.quantile,
-                target_ms: r.target_ms,
-                measured_ms: r.measured_ms,
-                bad_fraction: r.bad_fraction,
-                burn_rate: r.burn_rate,
-                pass: r.pass,
-            }),
-        }
-    }
-    let result = ScenarioResult {
-        name: "federated_zipf",
-        events: n,
-        delivered: snaps.iter().map(|s| s.outcome_delivered).sum(),
-        dead_lettered: fed.shards().iter().map(|s| s.stats().dead_lettered).sum(),
-        expired: snaps.iter().map(|s| s.outcome_expired).sum(),
-        p50_ms: snaps
-            .iter()
-            .map(|s| s.e2e_latency_ms.p50)
-            .fold(0.0, f64::max),
-        p95_ms: snaps
-            .iter()
-            .map(|s| s.e2e_latency_ms.p95)
-            .fold(0.0, f64::max),
-        p99_ms: snaps
-            .iter()
-            .map(|s| s.e2e_latency_ms.p99)
-            .fold(0.0, f64::max),
-        slos: by_name,
-    };
+    // exist to catch). Each shard is judged on its own traffic, so a
+    // verdict aggregates as all-shards-must-pass with the worst
+    // measured quantile and undelivered share.
+    let result = fed
+        .shards()
+        .iter()
+        .map(|s| judge("federated_zipf", n, s, OBJECTIVES))
+        .reduce(ScenarioResult::merge_shard)
+        .expect("at least one shard");
     assert_eq!(
         result.delivered,
         n * MATCHED_PER_TOPIC,
@@ -874,13 +887,13 @@ pub fn render_workload_json(seed: u64, results: &[ScenarioResult]) -> String {
         out.push_str("     \"slo\": [\n");
         for (j, s) in r.slos.iter().enumerate() {
             out.push_str(&format!(
-                "       {{\"name\": \"{}\", \"quantile\": {}, \"target_ms\": {}, \"measured_ms\": {:.1}, \"bad_fraction\": {:.4}, \"burn_rate\": {:.2}, \"pass\": {}}}{}\n",
-                s.name,
-                s.quantile,
-                s.target_ms,
+                "       {{\"name\": \"{}\", \"quantile\": {}, \"target_ms\": {}, \"budget\": {}, \"measured_ms\": {:.1}, \"bad_fraction\": {:.4}, \"pass\": {}}}{}\n",
+                s.objective.name,
+                s.objective.quantile,
+                s.objective.target_ms,
+                s.objective.budget,
                 s.measured_ms,
                 s.bad_fraction,
-                s.burn_rate,
                 s.pass,
                 if j + 1 < r.slos.len() { "," } else { "" }
             ));
@@ -920,5 +933,25 @@ mod tests {
         }
         assert!(counts[0] > counts[8] && counts[0] > counts[15]);
         assert!(counts.iter().sum::<u64>() == 4_000);
+    }
+
+    #[test]
+    fn a_verdict_goes_red_on_latency_or_on_loss() {
+        let o = objective("p99", 0.99, 40, 0.01);
+        // At or under both bounds: green.
+        assert!(o.judge(40.0, 0.01).pass);
+        assert!(o.judge(3.0, 0.0).pass);
+        // The quantile over its target: red, whatever the loss.
+        assert!(!o.judge(40.5, 0.0).pass);
+        // The undelivered share over its budget: red, however fast.
+        assert!(!o.judge(3.0, 0.011).pass);
+
+        // The share counts dead letters and expiries against every
+        // resolved pair.
+        assert_eq!(undelivered_share(0, 0, 0), 0.0);
+        assert_eq!(undelivered_share(97, 2, 1), 0.03);
+        let v = o.judge(3.0, undelivered_share(99, 1, 0));
+        assert!(v.pass && v.bad_fraction == 0.01);
+        assert!(!o.judge(3.0, undelivered_share(98, 1, 1)).pass);
     }
 }

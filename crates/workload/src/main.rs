@@ -20,7 +20,13 @@ fn main() {
         let slo: Vec<String> = r
             .slos
             .iter()
-            .map(|s| format!("{}={}", s.name, if s.pass { "PASS" } else { "FAIL" }))
+            .map(|s| {
+                format!(
+                    "{}={}",
+                    s.objective.name,
+                    if s.pass { "PASS" } else { "FAIL" }
+                )
+            })
             .collect();
         println!(
             "{:<22} {:>7} {:>9} {:>6} {:>7} {:>8.1} {:>8.1} {:>8.1}  {}",

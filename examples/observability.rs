@@ -1,4 +1,4 @@
-//! Watching the broker work: causal timelines, SLO verdicts, exports.
+//! Watching the broker work: causal timelines, end-to-end latency, exports.
 //!
 //! A fault-tolerant broker feeds a mixed population — healthy
 //! consumers plus one that swallows every delivery — and the
@@ -12,18 +12,17 @@
 //!    [`DeliveryStory`] — first attempt, each backed-off retry, the
 //!    dead-letter move, and a terminal outcome with true end-to-end
 //!    latency (publish → resolution, not publish → first send).
-//! 3. **Is the service *good*?** Declarative SLOs judge the terminal
-//!    outcomes: a latency target at a quantile, an error budget over a
-//!    rolling window, and a burn rate that says how fast the budget is
-//!    going.
+//! 3. **Is the service *good*?** The end-to-end histogram (publish →
+//!    terminal outcome, virtual ms) and the outcome counts say how
+//!    long delivery took and how much of it got through.
 //! 4. **How do I scrape it?** Prometheus text and SOAP (`GetMetrics`
 //!    / `GetTrace` in the broker's extension namespace) carry the
-//!    same data, span-loss gauge and SLO verdicts included.
+//!    same data, span-loss gauge included.
 //!
 //! Run with `cargo run --example observability`.
 
 use ws_messenger_suite::eventing::{EventSink, SubscribeRequest, Subscriber, WseVersion};
-use ws_messenger_suite::messenger::{FaultTolerance, Outcome, SloSpec, WsMessenger};
+use ws_messenger_suite::messenger::{FaultTolerance, Outcome, WsMessenger};
 use ws_messenger_suite::soap::{Envelope, SoapVersion};
 use ws_messenger_suite::transport::{EndpointFaults, FaultPlan, Network};
 use ws_messenger_suite::xml::Element;
@@ -40,16 +39,6 @@ fn main() {
         max_redeliveries: 4,
         ..FaultTolerance::default()
     }));
-
-    // The objectives the run will be judged by. The windows span the
-    // whole run so the verdicts weigh every terminal outcome, breaker-
-    // paced dead-letter stragglers included.
-    broker.set_slos(vec![
-        SloSpec::p99("fanout_p99", 60, 3_600_000).with_budget(0.25),
-        SloSpec::p99("fanout_p50", 30, 3_600_000)
-            .with_quantile(0.5)
-            .with_budget(0.25),
-    ]);
 
     // Four healthy consumers and one black hole that drops every push.
     let wse = Subscriber::new(&net, WseVersion::Aug2004);
@@ -103,14 +92,7 @@ fn main() {
             stats.p99 / 1000.0
         );
     }
-    println!(
-        "terminal outcomes: {} delivered, {} dead-lettered, {} expired",
-        snap.outcome_delivered, ledger.dead_lettered, snap.outcome_expired
-    );
-    println!(
-        "end-to-end latency (publish → resolution): p50 {:.0}ms, p99 {:.0}ms, max {}ms\n",
-        snap.e2e_latency_ms.p50, snap.e2e_latency_ms.p99, snap.e2e_latency_ms.max
-    );
+    println!();
 
     // 2. One event's complete delivery story: the black hole's first
     // event retried with backoff until the redelivery budget ran out,
@@ -143,28 +125,26 @@ fn main() {
         doomed.e2e_ms().unwrap()
     );
 
-    // 3. The verdicts: is the service meeting its objectives?
-    println!("SLO verdicts:");
-    for r in broker.slo_reports() {
-        println!(
-            "  {:<12} {}  p{:02.0} {:>6.1}ms vs {}ms target, bad {:.1}%, burn {:.2}x",
-            r.name,
-            if r.pass { "PASS" } else { "FAIL" },
-            r.quantile * 100.0,
-            r.measured_ms,
-            r.target_ms,
-            r.bad_fraction * 100.0,
-            r.burn_rate
-        );
-    }
+    // 3. End to end: how long each (event, subscriber) pair took from
+    // publish to its terminal outcome, and how many got through. The
+    // black hole's dead letters sit in the tail, paced by its breaker.
+    let e2e = &snap.e2e_latency_ms;
+    println!(
+        "end-to-end (publish to terminal outcome, {} pairs):",
+        e2e.count
+    );
+    println!(
+        "  p50 {:.0}ms, p99 {:.0}ms; {} delivered, {} dead-lettered, {} expired",
+        e2e.p50, e2e.p99, snap.outcome_delivered, ledger.dead_lettered, snap.outcome_expired
+    );
 
     // 4. Scraping: the same data over Prometheus text and SOAP.
     let metrics = broker.metrics_text();
     println!("\nselected Prometheus samples:");
     for line in metrics.lines().filter(|l| {
         l.starts_with("wsm_outcome_")
+            || l.starts_with("wsm_e2e_latency_ms_count")
             || l.starts_with("wsm_spans_dropped")
-            || l.starts_with("wsm_slo_pass")
     }) {
         println!("  {line}");
     }
