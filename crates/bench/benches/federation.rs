@@ -1,32 +1,31 @@
-//! X-B7: federation scaling — topic-partitioned broker shards under a
+//! X-B6: federation scaling — topic-partitioned broker shards under a
 //! Zipf fan-out workload.
 //!
 //! §VII of the paper argues a single broker is the scalability
 //! bottleneck of both specification families; the federation layer
 //! partitions the topic space across N in-process shards behind a
-//! routing front (`FederatedMessenger`) and batches cross-shard
-//! publications into one wrapped `Notify` hop per shard. This bench
-//! sweeps the shard count (1/2/4/8) against the subscriber population
-//! (10k/100k/1M) and measures end-to-end publication throughput in the
+//! routing front (`FederatedMessenger`). This bench sweeps the shard
+//! count (1/2/4/8) against the subscriber population (10k/100k/1M) and
+//! measures end-to-end publication throughput of one publisher in the
 //! **wire regime** (100µs per send, the deployed-broker model the
-//! scaling bench established). Since the links became pipelined, the
-//! publisher only *enqueues*: adaptive batching seals per-link batches
-//! and the persistent flushers deliver them concurrently — idle
-//! flushers steal sealed batches from the Zipf-hot link, so the hot
-//! shard's backlog is drained by every flusher, not just its own, and
-//! throughput grows with the shard count past the hot shard's
-//! single-link bound.
+//! scaling bench established).
+//!
+//! The front hands each publication to its owner shard on the
+//! publisher's thread, and the shard posts the publication's 32 sends
+//! on that thread's landing, so they overlap: a publication costs about
+//! one wire delay plus its match and render, whatever the shard count.
+//! So **shard count does not change one publisher's throughput** in
+//! this regime; every column of the grid reads about the same. What the
+//! grid guards is that throughput (the `federation_check` gate holds
+//! every column at or above 4.0× the 1-shard throughput of the
+//! buffered links this layer once had) and that matching stays flat in
+//! the registry size at every shard count.
 //!
 //! The workload is **fan-out bound and Zipf skewed**: `subs / 32`
 //! topics, exactly 32 push subscribers per topic, and a publication
 //! stream whose topic choice is Zipf(1.0)-distributed — hot topics
 //! dominate the event stream the way hot job queues dominate a Grid
-//! monitoring feed. The skew is the honest part of the experiment:
-//! the hottest topic's owner link carries its whole publication mass,
-//! and only batch stealing lets the other flushers share that load —
-//! so measured speedup is *near*-linear, not ideal (the committed
-//! `BENCH_federation.json` shows ~5-7x at 8 shards; the CI gate in
-//! `federation_check` requires ≥ 4.0x).
+//! monitoring feed.
 //!
 //! Per-shard match budgets are asserted in-binary at every grid point:
 //! the worst shard's mean `match` stage cost must stay under
@@ -59,38 +58,16 @@ const MATCHED_PER_TOPIC: u64 = 32;
 /// broker's delivery cost does not depend on endpoint identity.
 const SINKS: u64 = 64;
 
-/// Events per shard per sealed batch — the adaptive policy's `max`.
-/// The burst never advances the virtual clock, so the deadline never
-/// fires and every batch seals at exactly this size.
-const EVENTS_PER_SHARD: usize = 8;
+/// Publications per measured iteration.
+const EVENTS_PER_ITER: u64 = 32;
 
-/// Batches' worth of events per shard per measured iteration — one
-/// continuous publish burst ending in a single `flush()` barrier.
-/// Averages the Zipf skew across enough events that per-batch binomial
-/// noise in the hot shard's share cannot swing the scaling ratio, and
-/// deep enough that the hot link always has several sealed batches for
-/// idle flushers to steal.
-const FLUSHES_PER_ITER: usize = 4;
-
-/// The link batch policy every grid point runs: seal at 8 events (or
-/// a 5 virtual-ms deadline on trickle links), matching the hop size
-/// the pre-pipelined bench used so the grids stay comparable.
-const LINK_POLICY: wsm_messenger::BatchPolicy = wsm_messenger::BatchPolicy::Adaptive {
-    min: 4,
-    max: EVENTS_PER_SHARD,
-    deadline_ms: 5,
-};
-
-/// Budget for the worst shard's mean `match`-stage cost, ns, measured
-/// by a contention-free inline probe after each grid point (see
-/// `grid_point`). The topic-trie index holds this flat in the
+/// Budget for the worst shard's mean `match`-stage cost, ns, over each
+/// grid point's run (one publisher, so no registry-lock waits land in
+/// the span). The topic-trie index holds this flat in the
 /// registry size; the seed's linear scan paid 173µs at just 256
 /// subscriptions and would pay ~0.7s at the million-subscriber grid
 /// point.
 const FED_MATCH_BUDGET_NS: f64 = 100_000.0;
-
-/// Publications the per-shard match-cost probe drives inline.
-const MATCH_PROBE_EVENTS: usize = 256;
 
 /// A consumer endpoint that accepts and discards every notification.
 struct NullSink;
@@ -188,29 +165,20 @@ fn federation_with_population(net: &Network, shards: usize, subs: u64) -> Federa
 fn grid_point(shards: usize, subs: u64, capture_stages: bool) -> (f64, f64, Vec<StageBreakdown>) {
     let net = Network::new();
     let fed = federation_with_population(&net, shards, subs);
-    fed.set_fanout_workers(1);
-    let batch = shards * EVENTS_PER_SHARD;
-    fed.set_link_policy(LINK_POLICY);
     net.set_send_delay_us(WIRE_DELAY_US);
 
     let topics = (subs / MATCHED_PER_TOPIC) as usize;
     let zipf = Zipf::new(topics);
     // Seed depends only on the population, so every shard count
-    // publishes the *same* Zipf event stream and the scaling ratio is
-    // not at the mercy of per-run skew.
+    // publishes the *same* Zipf event stream.
     let mut rng = Lcg(0x5eed ^ subs);
     let mut seq = 0u64;
-    let events_per_iter = (batch * FLUSHES_PER_ITER) as u64;
-    let eps = measure_events_per_sec(events_per_iter, &mut || {
-        // Continuous publish: enqueues seal batches as they fill and
-        // the flushers deliver them while the burst is still going.
-        // The single flush() is the end-of-iteration barrier.
-        for _ in 0..events_per_iter {
+    let eps = measure_events_per_sec(EVENTS_PER_ITER, &mut || {
+        for _ in 0..EVENTS_PER_ITER {
             seq += 1;
             let t = zipf.sample(rng.next_f64());
             fed.publish_on(&format!("z{t}/readings"), &make_event(seq));
         }
-        fed.flush();
     });
     net.set_send_delay_us(0);
 
@@ -220,37 +188,9 @@ fn grid_point(shards: usize, subs: u64, capture_stages: bool) -> (f64, f64, Vec<
         stages.extend(stage_breakdowns(&fed.shards()[0].obs_snapshot()));
     }
 
-    // Contention-free match-cost probe. The budget guards the match
-    // *index's* per-call cost against registry-size degradation; the
-    // pipelined run above is the wrong place to read it, because
-    // stealing lets several flushers publish into one shard at once
-    // and their registry-lock waits land inside the wall-clock match
-    // span (runs vary 2-5x on the hot shard). Inline delivery keeps
-    // one publisher per span, so the delta mean below is pure index
-    // cost.
-    let before: Vec<(u64, f64)> = fed
-        .shards()
-        .iter()
-        .map(|s| match s.obs_snapshot().stage("match") {
-            Some(st) => (st.count, st.mean * st.count as f64),
-            None => (0, 0.0),
-        })
-        .collect();
-    fed.set_link_policy(wsm_messenger::BatchPolicy::Immediate);
-    for _ in 0..MATCH_PROBE_EVENTS {
-        seq += 1;
-        let t = zipf.sample(rng.next_f64());
-        fed.publish_on(&format!("z{t}/readings"), &make_event(seq));
-    }
-    let mut worst_match_ns = 0.0f64;
-    for (shard, (count0, sum0)) in fed.shards().iter().zip(before) {
-        if let Some(st) = shard.obs_snapshot().stage("match") {
-            if st.count > count0 {
-                let mean = (st.mean * st.count as f64 - sum0) / (st.count - count0) as f64;
-                worst_match_ns = worst_match_ns.max(mean);
-            }
-        }
-    }
+    let worst_match_ns = (fed.shards().iter())
+        .filter_map(|shard| shard.obs_snapshot().stage("match").map(|st| st.mean))
+        .fold(0.0f64, f64::max);
     assert!(
         worst_match_ns <= FED_MATCH_BUDGET_NS,
         "per-shard match budget exceeded at {shards} shards / {subs} subs: worst shard mean \
@@ -264,8 +204,8 @@ fn grid_point(shards: usize, subs: u64, capture_stages: bool) -> (f64, f64, Vec<
 /// count), the worst-shard match means, and the flagship grid point's
 /// stage breakdown. Quick mode trims the grid to the 10k-subscriber
 /// column so CI smoke stays in seconds; `federation_check` validates
-/// the full committed grid and re-derives the scaling ratio from this
-/// fresh quick output.
+/// the full committed grid and holds this fresh quick output to the
+/// same throughput floor.
 fn main() {
     let shard_grid = [1usize, 2, 4, 8];
     let sub_grid: &[u64] = if wsm_bench::quick_mode() {

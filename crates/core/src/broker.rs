@@ -32,7 +32,6 @@ use crate::reliability::{
 use crate::render::{render_batch, render_notification_cached, RenderCache};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use wsm_eventing::{EndStatus, Expires, WseCodec};
 use wsm_obs::{Counter, MetricsRegistry};
@@ -144,10 +143,6 @@ impl Ledger {
     }
 }
 
-/// The default fan-out setting: any value above 1 overlaps a
-/// publication's sends on a delayed wire.
-const OVERLAP: usize = 2;
-
 struct MessengerInner {
     net: Network,
     uri: String,
@@ -166,9 +161,6 @@ struct MessengerInner {
     ledger: Ledger,
     obs: BrokerObs,
     brokered: Brokered,
-    /// Push fan-out setting: 0 or 1 delivers sequentially, any larger
-    /// value overlaps a publication's sends on a delayed wire.
-    fanout_workers: AtomicUsize,
     /// Every subscription's held events, the fault-tolerance config
     /// and the dead-letter store. Taken before the registry's lock,
     /// never after it (`crate::outbox`, "The race rule").
@@ -207,7 +199,6 @@ impl WsMessenger {
             ledger: Ledger::new(obs.registry()),
             obs,
             brokered: Brokered::default(),
-            fanout_workers: AtomicUsize::new(OVERLAP),
             outboxes: Mutex::new(Outboxes::default()),
         });
         let broker = WsMessenger { inner };
@@ -259,17 +250,13 @@ impl WsMessenger {
         self.inner.obs.set_enabled(on);
     }
 
-    /// Set the push fan-out mode. `0` or `1` delivers sequentially on
-    /// the publishing thread, one blocking send after another. Any
-    /// larger value (the default) overlaps: on a network with a send
-    /// delay ([`Network::set_send_delay_us`]) the publisher posts every
-    /// send of a publication and waits once for all of them to land;
-    /// with no delay, or a single push subscriber, there is nothing to
-    /// overlap and it streams as `1` does. The publisher lands its own
-    /// sends — no thread is spawned per worker, and overlapping waits
-    /// needs no cores — so any value above 1 acts the same.
+    /// Does nothing; kept because `benchmark/` calls it. There is one
+    /// fan-out: the publisher posts every send of a publication and
+    /// lands each itself, so on a network with a send delay
+    /// ([`Network::set_send_delay_us`]) a publication waits about one
+    /// delay whatever `workers` says (see `crate::delivery`).
     pub fn set_fanout_workers(&self, workers: usize) {
-        self.inner.fanout_workers.store(workers, Ordering::Relaxed);
+        let _ = workers;
     }
 
     /// Switch fault-tolerant delivery on (`Some(config)`) or back to
@@ -501,8 +488,8 @@ fn ingest_seq(inner: &MessengerInner, event: InternalEvent, seq: u64) -> usize {
 }
 
 /// The broker's render source: an iterator that renders each matched
-/// push subscriber's envelope as the delivery engine pulls it. Both
-/// paths send or post each job as soon as it is rendered.
+/// push subscriber's envelope as the delivery engine pulls it, so each
+/// job is posted as soon as it is rendered.
 /// With fault tolerance on, per-subscriber gating (FIFO behind held
 /// retries) happens here too: a gated job is held in the subscriber's
 /// outbox and the source moves on to the next subscriber, which is why
@@ -599,7 +586,6 @@ fn fan_out(inner: &MessengerInner, event: &InternalEvent, seq: u64) -> usize {
     }
     delivered -= gone.len();
     let cache = RenderCache::new(event);
-    let workers = inner.fanout_workers.load(Ordering::Relaxed);
     let mut source = RenderSource {
         inner,
         cache: &cache,
@@ -612,7 +598,7 @@ fn fan_out(inner: &MessengerInner, event: &InternalEvent, seq: u64) -> usize {
         render_ns: 0,
     };
     let deliver_timer = inner.obs.start();
-    let report = delivery::execute(&inner.net, workers, &mut source);
+    let report = delivery::execute(&inner.net, &mut source);
     let after_ms = inner.net.clock().now_ms();
     // Render happened inside the deliver window (the source renders
     // as the engine pulls jobs); record its accumulated time first so
@@ -629,7 +615,7 @@ fn fan_out(inner: &MessengerInner, event: &InternalEvent, seq: u64) -> usize {
         after_ms,
         report.delivered as u64,
     );
-    if report.mode == "overlapped" {
+    if report.join_wait_ns > 0 {
         inner.obs.stage_dur(
             Stage::Handoff,
             seq,

@@ -541,11 +541,10 @@ impl Endpoint {
         }
     }
 
-    /// Hand a publication to ingest. A front federates its events, then
-    /// flushes: SOAP publishers expect publish-is-delivered semantics
-    /// (buffering is the in-process publisher API's knob). Its shards
-    /// may have swept expired subscriptions meanwhile, so it then
-    /// re-evaluates its demand-based publishers.
+    /// Hand a publication to ingest. A front federates its events, each
+    /// delivered before `publish_event` returns. Its shards may have
+    /// swept expired subscriptions meanwhile, so it then re-evaluates
+    /// its demand-based publishers.
     fn ingest(&self, events: impl Iterator<Item = InternalEvent>, detect_ns: u64) {
         match self {
             Endpoint::Broker(b) => b.ingest(events, detect_ns),
@@ -553,7 +552,6 @@ impl Endpoint {
                 for ev in events {
                     f.publish_event(ev);
                 }
-                f.flush();
                 f.refresh_demand();
             }
         }

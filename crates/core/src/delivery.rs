@@ -1,42 +1,43 @@
 //! Push fan-out: every matched push subscriber of one publication gets
-//! exactly one send, streamed on the publishing thread or overlapped on
-//! the wire.
+//! exactly one send, posted on the publishing thread's [`Landing`].
 //!
 //! [`execute`] takes the publication as an iterator of rendered
-//! [`PushJob`]s and runs one of two paths:
+//! [`PushJob`]s and runs one loop: post each job as the source yields
+//! it, tally every fate that has landed by then, and once the source is
+//! spent wait for the sends still in flight (the `handoff` stage).
 //!
-//! * **streaming** — pull one job, send it, repeat, on the publishing
-//!   thread, so each envelope goes out while still hot from its render.
-//!   With `set_fanout_workers(0|1)`, on a network with no send delay,
-//!   or for a publication with at most one push subscriber (there is
-//!   no wait to overlap), this is the path: the sequential baseline,
-//!   sending in match order.
-//! * **overlapped** — post each job on a [`Landing`] as the source
-//!   yields it, then wait once for all of them to land (the `handoff`
-//!   stage). The publisher lands each send itself once its delay has
-//!   passed — between renders if it is due by then, else after
-//!   sleeping until it is — so a publication of *n* sends waits about
-//!   one delay rather than *n*. No thread is parked per send, so
-//!   overlapping needs no cores.
+//! * On a wire with no send delay a post lands before it returns, so
+//!   each job is sent and tallied before the next is pulled: the
+//!   envelope goes out while still hot from its render, and nothing is
+//!   left to wait for.
+//! * On a delayed wire ([`Network::set_send_delay_us`]) the publisher
+//!   lands each send itself once its delay has passed — between renders
+//!   if it is due by then, else in the final wait — so a publication of
+//!   *n* sends waits about one delay rather than *n*. No thread is
+//!   parked per send, so overlapping needs no cores.
 //!
-//! Either way the outcomes are tallied on the publishing thread in
-//! match order, so a [`FanOutReport`] reads the same whichever path ran,
+//! Fates land in post order, so outcomes are tallied in match order,
 //! and a publication returns only after its last send has landed:
 //! subscriber *S* always observes a publisher's event *n* before its
-//! event *n+1*. The broker applies one [`StatsDelta`] per publication
-//! and drops failed subscriptions after the fan-out.
+//! event *n+1*. The jobs in flight and the landing's queues are
+//! per-thread buffers reused across publications, so a fan-out
+//! allocates no per-job bookkeeping once its thread has warmed up. The
+//! broker applies one [`StatsDelta`] per publication and drops failed
+//! subscriptions after the fan-out.
 //!
-//! Every push attempt, a first-round send here or a redelivery from an
-//! outbox (`crate::outbox`), is made by `send` or posted here, one
-//! attempt each. A failed first-round send is handed back in the
-//! [`FanOutReport`]; the broker decides its fate.
+//! Every push attempt, a first-round send posted here or a redelivery
+//! from an outbox (`crate::outbox`) made by `send`, is one attempt. A
+//! failed first-round send is handed back in the [`FanOutReport`]; the
+//! broker decides its fate.
 
 use crate::detect::SpecDialect;
 use crate::registry::BrokerSubscription;
+use std::cell::Cell;
+use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use wsm_soap::Envelope;
-use wsm_transport::{AttemptClass, Landing, Network, TransportError};
+use wsm_transport::{AttemptClass, Landed, Landing, Network, TransportError};
 
 /// How a delivery failed — the distinction that decides its fate.
 ///
@@ -72,9 +73,8 @@ impl FailKind {
 /// [`AttemptClass::First`] exactly when `attempt` is 0 (the original
 /// fan-out send, or a held event's first try) and
 /// [`AttemptClass::Retry`] otherwise. The one place a push is sent
-/// blocking, for the streaming fan-out and the redelivery pump alike;
-/// the overlapped fan-out posts its sends instead, each a first
-/// attempt.
+/// blocking: the redelivery pump's. The fan-out posts its sends
+/// instead, each a first attempt.
 pub(crate) fn send(
     net: &Network,
     to: &str,
@@ -198,12 +198,9 @@ pub struct FanOutReport {
     pub delivered: usize,
     /// Total push jobs the source yielded.
     pub jobs: usize,
-    /// Which path ran: `"inline"` (streaming on the publishing thread)
-    /// or `"overlapped"` (posted, then waited for once).
-    pub mode: &'static str,
-    /// Wall time the publishing thread spent waiting for its posted
-    /// sends to land (overlapped path only; the broker records it as
-    /// the `handoff` stage).
+    /// Wall time the publishing thread spent waiting, once the source
+    /// was spent, for the sends still in flight to land; 0 when none
+    /// was (the broker then records no `handoff` stage).
     pub join_wait_ns: u64,
     /// Stat increments to merge.
     pub delta: StatsDelta,
@@ -220,82 +217,66 @@ pub struct FanOutReport {
 }
 
 impl FanOutReport {
-    /// Record one send of `job` that took `elapsed`. A failed job is
-    /// kept for the broker; a delivered one leaves only its mark.
-    fn tally(&mut self, job: PushJob, elapsed: Duration, result: Result<(), FailKind>) {
+    /// Record the landed fate of the oldest job in flight, which it
+    /// answers (fates land in post order). A failed job is kept for the
+    /// broker; a delivered one leaves only its mark.
+    fn tally(&mut self, in_flight: &mut VecDeque<PushJob>, landed: Landed) {
+        let job = in_flight
+            .pop_front()
+            .expect("each fate answers a posted job");
         self.jobs += 1;
-        self.latencies_ns.push(elapsed.as_nanos() as u64);
-        match result {
+        self.latencies_ns.push(landed.elapsed.as_nanos() as u64);
+        match landed.result {
             Ok(()) => {
                 self.delivered += 1;
                 self.delta.count_delivered(&job.sub, job.mediated);
                 self.resolved.push(job.resolved());
             }
-            Err(kind) => {
+            Err(err) => {
                 self.delta.failed += 1;
-                self.failures.push((kind, job));
+                self.failures.push((FailKind::of(&err), job));
             }
         }
     }
 }
 
-/// Execute a publication's push fan-out: streamed on the publishing
-/// thread when `workers <= 1`, the network has no send delay or the
-/// source holds at most one job (nothing to overlap), otherwise
-/// overlapped on the wire (see the module docs). `jobs` may render
-/// lazily; each job is sent or posted as soon as it is pulled.
-pub fn execute(net: &Network, workers: usize, jobs: impl Iterator<Item = PushJob>) -> FanOutReport {
-    let several = jobs.size_hint().1.is_none_or(|most| most > 1);
-    if workers > 1 && several && net.send_delay_us() > 0 {
-        execute_overlapped(net, jobs)
-    } else {
-        execute_streaming(net, jobs)
-    }
+thread_local! {
+    /// The jobs of this thread's last fan-out that were posted and not
+    /// yet tallied, emptied, so that its next fan-out reuses the
+    /// capacity.
+    static IN_FLIGHT: Cell<VecDeque<PushJob>> = const { Cell::new(VecDeque::new()) };
 }
 
-/// The streaming path: pull one job, send it, repeat — no
-/// intermediate batch `Vec`, and each envelope is sent while still hot
-/// from its render. Sends go out in iteration order on the publishing
-/// thread, which is what chaos scenarios pinning `workers = 1` rely on
-/// for a deterministic trace.
-fn execute_streaming(net: &Network, jobs: impl Iterator<Item = PushJob>) -> FanOutReport {
-    let mut report = FanOutReport {
-        mode: "inline",
-        ..FanOutReport::default()
-    };
-    for job in jobs {
-        let started = Instant::now();
-        let result = send(net, job.address(), job.envelope.clone(), 0);
-        report.tally(job, started.elapsed(), result);
-    }
-    report
-}
-
-/// The overlapped path: post each job as the source yields it, wait
-/// once for every send to land, then tally the fates in match order.
-fn execute_overlapped(net: &Network, jobs: impl Iterator<Item = PushJob>) -> FanOutReport {
+/// Execute a publication's push fan-out (see the module docs): post
+/// each job as soon as it is pulled from `jobs`, which may render
+/// lazily, tally each fate as soon as it lands, and wait once at the
+/// end for the sends still in flight.
+pub fn execute(net: &Network, jobs: impl Iterator<Item = PushJob>) -> FanOutReport {
     // Sized from the upper bound: a filtering source reports a lower
     // bound of zero.
-    let expected = jobs.size_hint().1.unwrap_or_default();
-    let mut landing = Landing::new(net, expected);
-    let mut posted = Vec::with_capacity(expected);
-    for job in jobs {
-        let _ = landing.post(job.address(), job.envelope.clone());
-        posted.push(job);
-    }
-    let waited = Instant::now();
-    let landed = landing.wait();
+    let most = jobs.size_hint().1.unwrap_or_default();
     let mut report = FanOutReport {
-        mode: "overlapped",
-        join_wait_ns: waited.elapsed().as_nanos() as u64,
-        resolved: Vec::with_capacity(posted.len()),
-        latencies_ns: Vec::with_capacity(posted.len()),
+        resolved: Vec::with_capacity(most),
+        latencies_ns: Vec::with_capacity(most),
         ..FanOutReport::default()
     };
-    for (job, landed) in posted.into_iter().zip(landed) {
-        let result = landed.result.map_err(|e| FailKind::of(&e));
-        report.tally(job, landed.elapsed, result);
+    let mut in_flight = IN_FLIGHT.take();
+    let mut landing = Landing::new(net);
+    for job in jobs {
+        landing.post(job.address(), job.envelope.clone());
+        in_flight.push_back(job);
+        while let Some(landed) = landing.take_landed() {
+            report.tally(&mut in_flight, landed);
+        }
     }
+    if !in_flight.is_empty() {
+        let waited = Instant::now();
+        for landed in landing {
+            report.tally(&mut in_flight, landed);
+        }
+        report.join_wait_ns = waited.elapsed().as_nanos() as u64;
+    }
+    IN_FLIGHT.set(in_flight);
     report
 }
 
@@ -303,6 +284,7 @@ fn execute_overlapped(net: &Network, jobs: impl Iterator<Item = PushJob>) -> Fan
 mod tests {
     use super::*;
     use crate::registry::test_sub;
+    use std::time::Duration;
     use wsm_soap::SoapVersion;
     use wsm_transport::SoapHandler;
     use wsm_xml::Element;
@@ -350,13 +332,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_sequential_agree() {
-        for workers in [1, 4] {
-            let (net, counter) = wire(20);
-            let report = execute(&net, workers, jobs(16, "http://c").into_iter());
-            let mode = if workers == 1 { "inline" } else { "overlapped" };
-            assert_eq!(report.mode, mode);
-            assert_eq!(report.delivered, 16, "workers={workers}");
+    fn every_job_is_delivered_on_either_wire() {
+        for delay_us in [0, 20] {
+            let (net, counter) = wire(delay_us);
+            let report = execute(&net, jobs(16, "http://c").into_iter());
+            assert_eq!(report.delivered, 16, "delay {delay_us} us");
             assert_eq!(report.jobs, 16);
             assert_eq!(report.delta.delivered_wse, 8);
             assert_eq!(report.delta.delivered_wsn, 8);
@@ -382,39 +362,37 @@ mod tests {
     }
 
     #[test]
-    fn single_worker_streams_pulls_between_sends() {
+    fn a_zero_delay_wire_sends_each_job_before_pulling_the_next() {
         let (net, counter) = wire(0);
         let mut source = ProbeSource {
             left: jobs(8, "http://c"),
             counter,
             sent_at_pull: Vec::new(),
         };
-        let report = execute(&net, 1, &mut source);
+        let report = execute(&net, &mut source);
         assert_eq!(report.delivered, 8);
         assert_eq!(
             source.sent_at_pull,
             (0..=8).collect::<Vec<usize>>(),
             "each job is sent before the next is pulled, with no barrier"
         );
+        assert_eq!(report.join_wait_ns, 0, "nothing was left to wait for");
     }
 
     #[test]
-    fn nothing_to_overlap_streams_whatever_the_workers() {
-        // No wire delay, or a single send: the publisher sends itself.
-        for (delay_us, n) in [(0, 16), (20, 1)] {
-            let (net, counter) = wire(delay_us);
-            let report = execute(&net, 4, jobs(n, "http://c").into_iter());
-            assert_eq!(report.mode, "inline");
-            assert_eq!(report.delivered, n);
-            assert_eq!(counter.count(), n);
-        }
+    fn a_delayed_wire_waits_once_even_for_one_send() {
+        let (net, counter) = wire(20);
+        let report = execute(&net, jobs(1, "http://c").into_iter());
+        assert_eq!((report.delivered, counter.count()), (1, 1));
+        assert!(report.join_wait_ns > 0, "the send was still in flight");
     }
 
     #[test]
-    fn overlapped_matches_sequential_outcomes() {
-        // Mixed good/missing endpoints, overlapped on the wire, must
-        // report exactly what a sequential send loop reports: the same
-        // counts, and failures, marks and latencies in match order.
+    fn a_delayed_wire_reports_what_a_zero_delay_wire_reports() {
+        // Mixed good/missing endpoints: overlapped on a delayed wire,
+        // the fan-out must report exactly what it reports when every
+        // send lands at once: the same counts, and failures, marks and
+        // latencies in match order.
         let addr = |i: usize| {
             if i % 4 == 3 {
                 "http://nowhere".to_string()
@@ -422,15 +400,14 @@ mod tests {
                 "http://c".to_string()
             }
         };
-        let run = |workers: usize| {
-            let (net, counter) = wire(20);
-            let report = execute(&net, workers, jobs_at(32, addr).into_iter());
+        let run = |delay_us: u64| {
+            let (net, counter) = wire(delay_us);
+            let report = execute(&net, jobs_at(32, addr).into_iter());
             assert_eq!(counter.count(), 24);
             report
         };
-        let (seq, over) = (run(1), run(4));
-        assert_eq!((seq.mode, over.mode), ("inline", "overlapped"));
-        for report in [&seq, &over] {
+        let (at_once, delayed) = (run(0), run(20));
+        for report in [&at_once, &delayed] {
             assert_eq!(report.jobs, 32);
             assert_eq!(report.delivered, 24);
             assert_eq!(report.delta.failed, 8);
@@ -448,17 +425,17 @@ mod tests {
         let resolved = |r: &FanOutReport| -> Vec<Arc<str>> {
             r.resolved.iter().map(|m| m.sub_id.clone()).collect()
         };
-        assert_eq!(failed(&seq), failed(&over));
-        assert_eq!(resolved(&seq), resolved(&over));
-        assert!(seq.join_wait_ns == 0 && over.join_wait_ns > 0);
+        assert_eq!(failed(&at_once), failed(&delayed));
+        assert_eq!(resolved(&at_once), resolved(&delayed));
+        assert!(at_once.join_wait_ns == 0 && delayed.join_wait_ns > 0);
     }
 
     #[test]
-    fn an_overlapped_fan_out_waits_about_one_delay() {
+    fn a_delayed_fan_out_waits_about_one_delay() {
         // Sixteen 2 ms sends: 32 ms back to back, one delay overlapped.
         let (net, counter) = wire(2_000);
         let started = Instant::now();
-        let report = execute(&net, 4, jobs(16, "http://c").into_iter());
+        let report = execute(&net, jobs(16, "http://c").into_iter());
         let took = started.elapsed();
         assert_eq!(report.delivered, 16);
         assert!(took < Duration::from_millis(16), "took {took:?}");
@@ -473,9 +450,9 @@ mod tests {
     #[test]
     fn failures_reported_with_retry_budget() {
         // No handler registered: every send fails.
-        for workers in [1, 4] {
-            let (net, _) = wire(20);
-            let report = execute(&net, workers, jobs(8, "http://nowhere").into_iter());
+        for delay_us in [0, 20] {
+            let (net, _) = wire(delay_us);
+            let report = execute(&net, jobs(8, "http://nowhere").into_iter());
             assert_eq!(report.delivered, 0);
             assert_eq!(report.delta.failed, 8);
             assert_eq!(report.failures.len(), 8);
@@ -495,10 +472,10 @@ mod tests {
 
     #[test]
     fn poison_responses_skip_the_retry_budget() {
-        for workers in [1, 4] {
-            let (net, _) = wire(20);
+        for delay_us in [0, 20] {
+            let (net, _) = wire(delay_us);
             net.register("http://faulty", Arc::new(Faulty));
-            let report = execute(&net, workers, jobs(2, "http://faulty").into_iter());
+            let report = execute(&net, jobs(2, "http://faulty").into_iter());
             assert_eq!(report.delivered, 0);
             assert_eq!(report.delta.failed, 2);
             assert!(report

@@ -56,25 +56,6 @@ impl InternalEvent {
         }
     }
 
-    /// An event rebuilt from a federated
-    /// [`SharedNotificationMessage`](wsm_notification::SharedNotificationMessage)
-    /// without touching the payload tree — the zero-reparse
-    /// in-process federation hop. `origin` is the dialect the
-    /// equivalent wire hop would have arrived in, so mediation
-    /// accounting matches what an encoded `Notify` would record.
-    pub fn from_shared_notification(
-        msg: wsm_notification::SharedNotificationMessage,
-        origin: SpecDialect,
-    ) -> Self {
-        let (topic, producer, payload) = msg.into_parts();
-        InternalEvent {
-            topic,
-            payload,
-            producer,
-            origin: Some(origin),
-        }
-    }
-
     /// The payload as a plain element (filter evaluation, tests).
     pub fn payload_element(&self) -> &Element {
         self.payload.element()

@@ -1,12 +1,11 @@
 //! Sharded multi-broker federation: a topic-partitioned network of
-//! [`WsMessenger`] shards behind one routing front, connected by
-//! **pipelined federation links**.
+//! [`WsMessenger`] shards behind one routing front.
 //!
 //! The paper's WS-BrokeredNotification discussion (§VI) anticipates
 //! *networks* of brokers rather than a single mediator, and the CORBA
 //! notification-service lineage it cites survived real control-system
-//! load only by federating channels with batched inter-broker traffic.
-//! This module reproduces that topology in-process:
+//! load only by federating channels. This module reproduces that
+//! topology in-process:
 //!
 //! * **Partitioning.** The topic space is split across N broker shards
 //!   by hashing the *topic root* (the first path segment) with FNV-1a.
@@ -22,30 +21,24 @@
 //!   because each publication is routed to exactly **one** shard (its
 //!   topic root's owner; topicless events round-robin), so a
 //!   replicated subscription sees each event exactly once.
-//! * **Pipelined links.** Each (front → owner shard) link is a
-//!   double-buffered batch queue drained by a persistent flusher
-//!   thread: publishers *enqueue and return* instead of carrying the
-//!   inter-broker hop themselves. Under [`BatchPolicy::Adaptive`] a
-//!   link seals a batch when it holds `max` events or when its oldest
-//!   event has waited `deadline_ms` of virtual time. All links share one
-//!   bound of 1 024 admitted-but-undelivered events: a publisher that
-//!   finds it reached seals every pending link and parks until the
-//!   flushers make room, so backpressure never drops an event. The
-//!   default policy is [`BatchPolicy::Immediate`]: every publication
-//!   is delivered synchronously on the publisher's thread, in
-//!   publication order, and no flusher threads exist.
-//! * **Zero-reparse hop.** A federated batch is handed to the owning
-//!   shard as structured [`SharedNotificationMessage`] values — the
-//!   `Arc`'d payload subtree crosses the hop without being serialized
-//!   or reparsed, and the [`Stage::Federate`] span times exactly the
-//!   structured handoff (batch → [`InternalEvent`] conversion);
-//!   delivery cost then shows up in the owning shard's own pipeline
-//!   stages, where it belongs. Consumer deliveries are byte-identical
-//!   to sending the shard the multi-message `Notify` envelope
-//!   ([`wsm_notification::WsnCodec::notify_shared`]) a remote broker would receive
-//!   (property-tested in `tests/federation_links.rs`).
+//! * **Unbuffered links.** A publication is handed to its owner shard
+//!   on the publisher's own thread, and the shard's fan-out posts its
+//!   sends on that thread's landing (`crate::delivery`), so they
+//!   overlap on a delayed wire. There is no link queue and no thread:
+//!   `publish_on` returns once the owner shard has landed every send,
+//!   so each subscriber sees one publisher's events in the order it
+//!   published them, by construction.
+//! * **Zero-reparse hop.** The event crosses to its shard as the same
+//!   [`InternalEvent`] — the `Arc`'d payload subtree is neither
+//!   serialized nor reparsed — accounted as if it had arrived in the
+//!   WSN 1.3 `Notify` a remote broker would receive. Consumer
+//!   deliveries are byte-identical to sending the shard that encoded
+//!   `Notify` ([`wsm_notification::WsnCodec::notify_shared`];
+//!   property-tested in `tests/federation_links.rs`). The
+//!   [`Stage::Federate`] span times the handoff; delivery cost shows
+//!   up in the owning shard's own pipeline stages, where it belongs.
 //! * **Shard autonomy.** Each shard is a full [`WsMessenger`]: its own
-//!   registry, staged delivery engine, reliability layer, and WSE↔WSN
+//!   registry, delivery engine, reliability layer, and WSE↔WSN
 //!   mediation. The front only routes.
 //! * **Control plane.** The front decodes each management request once
 //!   (`crate::control`) and places it: a Subscribe on the shards that
@@ -60,10 +53,10 @@
 //!   own: it subscribes at a demand-based publisher once, as the
 //!   consumer, and ORs its shards' demand.
 //!
-//! Flusher threads are lazily spawned the first time a buffering
-//! [`BatchPolicy`] is installed and then live as long as the process —
-//! they are kept alive by the `Network` → handler → federation
-//! reference cycle and simply park on a condvar when idle.
+//! [`FederatedMessenger::set_link_policy`], [`FederatedMessenger::flush`],
+//! [`FederatedMessenger::link_queue_depth`] and
+//! [`FederatedMessenger::shed_events`] are kept as no-ops for callers
+//! written against the buffered links this module once had.
 //!
 //! ```
 //! use wsm_messenger::{BatchPolicy, FederatedMessenger};
@@ -92,16 +85,16 @@
 //! assert_eq!(wsn.notifications().len(), 1);
 //! assert_eq!(wse.received().len(), 2);
 //!
-//! // Pipelined mode: publications buffer per link, persistent flushers
-//! // deliver each batch once it holds 64 events or its oldest has waited
-//! // 5 virtual ms, and flush() is the barrier that drains every link.
+//! // A link policy changes nothing: every publication has reached its
+//! // subscribers by the time `publish_on` returns, so there is never
+//! // anything for `flush()` to drain.
 //! fed.set_link_policy(BatchPolicy::Adaptive { min: 2, max: 64, deadline_ms: 5 });
 //! for _ in 0..10 {
 //!     fed.publish_on("storms", &Element::local("alert"));
 //! }
-//! fed.flush();
 //! assert_eq!(wsn.notifications().len(), 11);
 //! assert_eq!(wse.received().len(), 12);
+//! assert_eq!((fed.flush(), fed.link_queue_depth()), (0, 0));
 //! ```
 
 use crate::broker::WsMessenger;
@@ -111,11 +104,11 @@ use crate::detect::SpecDialect;
 use crate::event::InternalEvent;
 use crate::obs::{BrokerObs, Stage};
 use crate::reliability::{FaultTolerance, PumpReport};
-use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use parking_lot::Mutex;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use wsm_notification::{SharedNotificationMessage, WsnVersion};
+use wsm_notification::WsnVersion;
 use wsm_soap::Fault;
 use wsm_topics::{TopicExpression, TopicPath};
 use wsm_transport::Network;
@@ -134,191 +127,27 @@ pub fn shard_of_root(root: &str, shards: usize) -> usize {
     (h % shards.max(1) as u64) as usize
 }
 
-/// The dialect a federated hop is accounted as: the batch crosses the
+/// The dialect a federated hop is accounted as: the event crosses the
 /// link in WSN 1.3 shape, so mediation statistics are what an encoded
 /// `Notify` to the owning shard would produce.
 const FED_ORIGIN: SpecDialect = SpecDialect::Wsn(WsnVersion::V1_3);
 
-/// When a link seals its pending events into a batch.
+/// A link batching policy, from when federation links buffered
+/// publications. Links no longer buffer, so
+/// [`FederatedMessenger::set_link_policy`] accepts it and changes
+/// nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchPolicy {
-    /// No buffering: every publication is delivered synchronously on
-    /// the publisher's thread, in publication order. The default, and
-    /// the only policy with no flusher threads.
-    Immediate,
-    /// Nagle-style sealing: a link seals its pending events once it
-    /// holds `max` of them (at least 1), or once the oldest has waited
-    /// `deadline_ms` of virtual time. The deadline is checked on each
-    /// arrival, so no timer thread exists and runs stay deterministic;
-    /// `deadline_ms: u64::MAX` seals after exactly `max` events.
+    /// Once: seal a link's batch at `max` events or after
+    /// `deadline_ms` of virtual time.
     Adaptive {
-        /// Not read by sealing: a batch seals at `max` events.
+        /// Not read.
         min: usize,
-        /// Events that seal a batch.
+        /// Not read.
         max: usize,
-        /// Max virtual ms an event may wait before its batch seals.
+        /// Not read.
         deadline_ms: u64,
     },
-}
-
-impl BatchPolicy {
-    /// Whether a link holding `pending` events, the oldest of which has
-    /// waited `waited_ms`, seals them now. `Immediate` always seals: a
-    /// publisher that saw buffering on just before the policy switched
-    /// back still hands its event to a flusher.
-    fn seals(self, pending: usize, waited_ms: u64) -> bool {
-        match self {
-            BatchPolicy::Immediate => true,
-            BatchPolicy::Adaptive {
-                max, deadline_ms, ..
-            } => pending >= max.max(1) || waited_ms >= deadline_ms,
-        }
-    }
-}
-
-/// Admitted-but-undelivered events the links hold between them before
-/// a publisher parks.
-const LINK_CAPACITY: usize = 1024;
-
-/// One inter-shard link's double-buffered batch queue.
-struct LinkQueue {
-    /// Events accumulating toward the next seal.
-    pending: Vec<SharedNotificationMessage>,
-    /// The recycled buffer `pending` swaps to at seal time, returned
-    /// here by the flusher after delivery — steady state allocates no
-    /// new batch vectors.
-    spare: Vec<SharedNotificationMessage>,
-    /// Sealed batches awaiting a flusher.
-    sealed: VecDeque<Vec<SharedNotificationMessage>>,
-    /// Virtual arrival time of the oldest pending event (deadline
-    /// sealing); meaningless while `pending` is empty.
-    oldest_ms: u64,
-}
-
-impl LinkQueue {
-    fn new() -> Self {
-        LinkQueue {
-            pending: Vec::new(),
-            spare: Vec::new(),
-            sealed: VecDeque::new(),
-            oldest_ms: 0,
-        }
-    }
-}
-
-/// Everything the link hub guards under one lock: per-link queues and
-/// the shared accounting the condvars wait on.
-struct HubState {
-    links: Vec<LinkQueue>,
-    /// Events admitted but not yet delivered (pending, sealed or in a
-    /// flusher's hands), bounded by [`LINK_CAPACITY`]. A batch leaves
-    /// it only once delivered, and no sealed batch is empty, so
-    /// `queued == 0` means no batch is in flight either.
-    queued: usize,
-    policy: BatchPolicy,
-    flushers_running: bool,
-}
-
-/// Shared context of the link hub: the hub state plus everything a
-/// flusher needs to deliver a batch without the lock.
-struct LinkCtx {
-    state: Mutex<HubState>,
-    /// Signals flushers: a batch was sealed.
-    work: Condvar,
-    /// Signals parked publishers: a batch was delivered, room exists.
-    room: Condvar,
-    /// Signals `flush()` barriers: the hub may have drained.
-    idle: Condvar,
-    net: Network,
-    shards: Vec<WsMessenger>,
-    /// The front's own observability: `Stage::Federate` hop spans and
-    /// `Stage::FederateEnqueue` publisher-side spans.
-    obs: BrokerObs,
-    /// Fast-path dispatch flag: false ⇔ policy is `Immediate`.
-    buffering: AtomicBool,
-    /// Set from `HubState::queued` at scrape time only.
-    queue_depth: Arc<wsm_obs::Gauge>,
-    flush_size: Arc<wsm_obs::Histogram>,
-}
-
-/// Seal `shard`'s pending events into one batch (double-buffer swap:
-/// `pending` becomes the recycled `spare`). Returns the sealed count.
-fn seal_link(state: &mut HubState, shard: usize) -> usize {
-    let lq = &mut state.links[shard];
-    if lq.pending.is_empty() {
-        return 0;
-    }
-    let batch = std::mem::replace(&mut lq.pending, std::mem::take(&mut lq.spare));
-    let n = batch.len();
-    lq.sealed.push_back(batch);
-    n
-}
-
-/// The one inter-shard hop: hand a batch to its owning shard, with no
-/// hub lock held — a sealed batch in flusher context, or a batch of one
-/// on the publisher's thread (the `Immediate` policy). Returns the
-/// emptied vector so the flusher can recycle it as the link's spare
-/// buffer.
-fn deliver_batch(
-    ctx: &LinkCtx,
-    shard: usize,
-    mut batch: Vec<SharedNotificationMessage>,
-) -> Vec<SharedNotificationMessage> {
-    let n = batch.len() as u64;
-    if n == 0 {
-        return batch;
-    }
-    let seq = ctx.obs.next_seq();
-    ctx.flush_size.record(n);
-    let timer = ctx.obs.start();
-    let events: Vec<InternalEvent> = batch
-        .drain(..)
-        .map(|m| InternalEvent::from_shared_notification(m, FED_ORIGIN))
-        .collect();
-    // The Federate span covers exactly the structured handoff; the
-    // shard's own pipeline stages time the delivery that follows.
-    ctx.obs
-        .stage(Stage::Federate, seq, timer, ctx.net.clock().now_ms(), n);
-    for ev in events {
-        ctx.shards[shard].publish_event(ev);
-    }
-    batch
-}
-
-/// One persistent flusher. `home` is the link it prefers; when home has
-/// no sealed batch it *steals* the next sealed batch from any other
-/// link (scan order `(home + k) % n`), so a hot shard's backlog is
-/// drained by every idle flusher, not just its own.
-fn flusher_loop(ctx: Arc<LinkCtx>, home: usize) {
-    let n = ctx.shards.len();
-    let mut state = ctx.state.lock();
-    loop {
-        let mut found = None;
-        for k in 0..n {
-            let i = (home + k) % n;
-            if let Some(batch) = state.links[i].sealed.pop_front() {
-                found = Some((i, batch));
-                break;
-            }
-        }
-        let Some((shard, batch)) = found else {
-            ctx.work.wait(&mut state);
-            continue;
-        };
-        drop(state);
-        let delivered = batch.len();
-        let empty = deliver_batch(&ctx, shard, batch);
-        state = ctx.state.lock();
-        state.queued -= delivered;
-        let lq = &mut state.links[shard];
-        if lq.spare.capacity() < empty.capacity() {
-            lq.spare = empty;
-        }
-        ctx.room.notify_all();
-        if state.queued == 0 {
-            ctx.idle.notify_all();
-        }
-    }
 }
 
 struct FederationInner {
@@ -333,14 +162,17 @@ struct FederationInner {
     round_robin: AtomicUsize,
     /// Publishers registered at the front, and its PullPoints.
     brokered: Brokered,
-    /// The link hub: shards, queues, flusher coordination.
-    ctx: Arc<LinkCtx>,
+    net: Network,
+    shards: Vec<WsMessenger>,
+    /// The front's own observability: the [`Stage::Federate`] hop
+    /// spans.
+    obs: BrokerObs,
 }
 
 /// The routing front of a sharded broker federation.
 ///
 /// Cloneable handle, like [`WsMessenger`]. See the module docs for the
-/// partitioning, link-pipelining and exactly-once rules.
+/// partitioning and exactly-once rules.
 #[derive(Clone)]
 pub struct FederatedMessenger {
     inner: Arc<FederationInner>,
@@ -356,41 +188,6 @@ impl FederatedMessenger {
         let shard_brokers: Vec<WsMessenger> = (0..n)
             .map(|i| WsMessenger::start(net, &format!("{uri}/shard-{i}")))
             .collect();
-        let obs = BrokerObs::new();
-        let (queue_depth, flush_size) = {
-            let r = obs.registry();
-            r.describe(
-                "wsm_fed_link_queue_depth",
-                "Events buffered across federation link queues (admitted, not yet delivered).",
-            );
-            r.describe(
-                "wsm_fed_flush_size",
-                "Events per federation link flush (batch size at delivery).",
-            );
-            (
-                r.gauge("wsm_fed_link_queue_depth"),
-                r.histogram_with("wsm_fed_flush_size", || {
-                    vec![1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]
-                }),
-            )
-        };
-        let ctx = Arc::new(LinkCtx {
-            state: Mutex::new(HubState {
-                links: (0..n).map(|_| LinkQueue::new()).collect(),
-                queued: 0,
-                policy: BatchPolicy::Immediate,
-                flushers_running: false,
-            }),
-            work: Condvar::new(),
-            room: Condvar::new(),
-            idle: Condvar::new(),
-            net: net.clone(),
-            shards: shard_brokers,
-            obs,
-            buffering: AtomicBool::new(false),
-            queue_depth,
-            flush_size,
-        });
         let front = FederatedMessenger {
             inner: Arc::new(FederationInner {
                 uri: uri.to_string(),
@@ -399,7 +196,9 @@ impl FederatedMessenger {
                 next_id: AtomicU64::new(0),
                 round_robin: AtomicUsize::new(0),
                 brokered: Brokered::default(),
-                ctx,
+                net: net.clone(),
+                shards: shard_brokers,
+                obs: BrokerObs::new(),
             }),
         };
         let endpoint = Arc::new(Endpoint::Front(front.clone()));
@@ -422,7 +221,7 @@ impl FederatedMessenger {
     /// The shard brokers, in shard order. Benches seed registries and
     /// tests inspect per-shard state through these.
     pub fn shards(&self) -> &[WsMessenger] {
-        &self.inner.ctx.shards
+        &self.inner.shards
     }
 
     /// Which shard owns publications on `topic` — the partition rule,
@@ -430,7 +229,7 @@ impl FederatedMessenger {
     /// exactly where a routed subscription would land.
     pub fn shard_for_topic(&self, topic: &str) -> usize {
         match TopicPath::parse(topic) {
-            Some(p) => shard_of_root(p.root(), self.inner.ctx.shards.len()),
+            Some(p) => shard_of_root(p.root(), self.inner.shards.len()),
             None => 0,
         }
     }
@@ -439,7 +238,6 @@ impl FederatedMessenger {
     /// subscription counts once per shard it is replicated to.
     pub fn subscription_count(&self) -> usize {
         self.inner
-            .ctx
             .shards
             .iter()
             .map(|s| s.subscription_count())
@@ -458,64 +256,30 @@ impl FederatedMessenger {
         self.inner.routes.lock().values().map(Vec::len).sum()
     }
 
-    /// Spawn the persistent flushers (one per link) if they are not
-    /// already running. Called before any buffering policy becomes
-    /// visible to publishers, so an enqueued event always has a
-    /// consumer.
-    fn ensure_flushers(&self) {
-        let ctx = &self.inner.ctx;
-        let mut state = ctx.state.lock();
-        if state.flushers_running {
-            return;
-        }
-        state.flushers_running = true;
-        for i in 0..ctx.shards.len() {
-            let ctx = Arc::clone(ctx);
-            std::thread::Builder::new()
-                .name(format!("wsm-fed-{i}"))
-                .spawn(move || flusher_loop(ctx, i))
-                .expect("spawn federation flusher");
-        }
-    }
-
-    /// Install the batch policy on every link. Switching to a buffering
-    /// policy lazily spawns the persistent flushers; switching back to
-    /// [`BatchPolicy::Immediate`] drains whatever is queued first.
+    /// Does nothing: links do not buffer (see [`BatchPolicy`]). Kept
+    /// because `benchmark/` calls it.
     pub fn set_link_policy(&self, policy: BatchPolicy) {
-        let ctx = &self.inner.ctx;
-        let buffering = !matches!(policy, BatchPolicy::Immediate);
-        if buffering {
-            self.ensure_flushers();
-        }
-        ctx.state.lock().policy = policy;
-        ctx.buffering.store(buffering, Ordering::Relaxed);
-        if !buffering {
-            self.flush();
-        }
+        let _ = policy;
     }
 
-    /// Events admitted to the link queues and not yet delivered.
+    /// Events held between the front and the shards: always 0, because
+    /// every publication reaches its shard before `publish_on` returns.
+    /// Kept because `benchmark/` calls it.
     pub fn link_queue_depth(&self) -> usize {
-        self.inner.ctx.state.lock().queued
+        0
     }
 
-    /// Events publishers delivered around a full link queue: always 0,
-    /// because a publisher that finds the queue full parks and nothing
-    /// sheds.
+    /// Events shed around a full link queue: always 0, because there is
+    /// no link queue. Kept because `benchmark/` calls it.
     pub fn shed_events(&self) -> u64 {
         0
     }
 
-    /// Publish an event on a topic through the federation.
-    ///
-    /// Under [`BatchPolicy::Immediate`] (the default) the event is
-    /// delivered synchronously and this returns 1. Under a buffering
-    /// policy the event is enqueued on its owner link and the return
-    /// value is the number of events *sealed* into a batch by this call
-    /// (0 while the batch is still filling — the persistent flushers
-    /// deliver it asynchronously). Unlike [`WsMessenger::publish_on`],
-    /// the return value counts federated *events*, not per-subscriber
-    /// deliveries — those happen inside the owning shard.
+    /// Publish an event on a topic through the federation. Returns 1:
+    /// unlike [`WsMessenger::publish_on`], the return value counts
+    /// federated *events*, not per-subscriber deliveries — those happen
+    /// inside the owning shard, which has landed every one of them by
+    /// the time this returns.
     pub fn publish_on(&self, topic: &str, payload: &Element) -> usize {
         self.publish_event(InternalEvent::on_topic(topic, payload.clone()))
     }
@@ -526,119 +290,49 @@ impl FederatedMessenger {
         self.publish_event(InternalEvent::raw(payload.clone()))
     }
 
-    /// Publish a fully-specified internal event (see
-    /// [`Self::publish_on`] for the buffering contract).
+    /// Publish a fully-specified internal event: hand it, as if it had
+    /// arrived in a WSN 1.3 `Notify`, to its owner shard on this thread
+    /// (see [`Self::publish_on`]).
     pub fn publish_event(&self, event: InternalEvent) -> usize {
         let inner = &self.inner;
-        let ctx = &inner.ctx;
+        let shards = inner.shards.len();
         let shard = match &event.topic {
-            Some(t) => shard_of_root(t.root(), ctx.shards.len()),
-            None => inner.round_robin.fetch_add(1, Ordering::Relaxed) % ctx.shards.len(),
+            Some(t) => shard_of_root(t.root(), shards),
+            None => inner.round_robin.fetch_add(1, Ordering::Relaxed) % shards,
         };
-        let msg = SharedNotificationMessage::new(event.topic, event.producer, event.payload);
-        if !ctx.buffering.load(Ordering::Relaxed) {
-            deliver_batch(ctx, shard, vec![msg]);
-            return 1;
-        }
-        self.enqueue_buffered(shard, msg)
+        let seq = inner.obs.next_seq();
+        let timer = inner.obs.start();
+        let event = event.with_origin(FED_ORIGIN);
+        // The Federate span covers exactly the handoff; the shard's own
+        // pipeline stages time the delivery that follows.
+        inner
+            .obs
+            .stage(Stage::Federate, seq, timer, inner.net.clock().now_ms(), 1);
+        inner.shards[shard].publish_event(event);
+        1
     }
 
-    /// The buffered publish path: admit under the queue bound (parking
-    /// while it is reached), push onto the owner link, seal when the
-    /// policy says so. The whole publisher-side cost — including any
-    /// time parked on backpressure — is one `Stage::FederateEnqueue`
-    /// span.
-    fn enqueue_buffered(&self, shard: usize, msg: SharedNotificationMessage) -> usize {
-        let ctx = &self.inner.ctx;
-        let seq = ctx.obs.next_seq();
-        let timer = ctx.obs.start();
-        let mut state = ctx.state.lock();
-        while state.queued >= LINK_CAPACITY {
-            // A full queue overrides the seal rule: seal everything
-            // pending so the flushers can make room, then wait for them.
-            // This guarantees progress even when no link would seal yet.
-            let mut sealed_any = false;
-            for i in 0..state.links.len() {
-                sealed_any |= seal_link(&mut state, i) > 0;
-            }
-            if sealed_any {
-                ctx.work.notify_all();
-            }
-            ctx.room.wait(&mut state);
-        }
-        let now = ctx.net.clock().now_ms();
-        let policy = state.policy;
-        let lq = &mut state.links[shard];
-        if lq.pending.is_empty() {
-            lq.oldest_ms = now;
-        }
-        lq.pending.push(msg);
-        state.queued += 1;
-        let lq = &state.links[shard];
-        let sealed = if policy.seals(lq.pending.len(), now.saturating_sub(lq.oldest_ms)) {
-            let n = seal_link(&mut state, shard);
-            ctx.work.notify_one();
-            n
-        } else {
-            0
-        };
-        drop(state);
-        ctx.obs.stage(
-            Stage::FederateEnqueue,
-            seq,
-            timer,
-            ctx.net.clock().now_ms(),
-            1,
-        );
-        sealed
-    }
-
-    /// Drain the links: seal everything pending, wake every flusher,
-    /// and wait until all admitted events are delivered (including
-    /// batches already in flight). Returns the number of events that
-    /// were still queued when the flush began; under
-    /// [`BatchPolicy::Immediate`] nothing ever queues, so this
-    /// returns 0.
+    /// Does nothing and returns 0: no event is ever held between the
+    /// front and the shards. Kept because `benchmark/` calls it.
     pub fn flush(&self) -> usize {
-        let ctx = &self.inner.ctx;
-        let mut state = ctx.state.lock();
-        let total = state.queued;
-        if total == 0 {
-            return 0;
-        }
-        for i in 0..state.links.len() {
-            seal_link(&mut state, i);
-        }
-        if state.queued > 0 {
-            ctx.work.notify_all();
-        }
-        while state.queued > 0 {
-            ctx.idle.wait(&mut state);
-        }
-        total
+        0
     }
 
     /// Flush wrapped-mode consumer buffers on every shard; returns
     /// batches sent.
     pub fn flush_wrapped(&self) -> usize {
-        self.inner
-            .ctx
-            .shards
-            .iter()
-            .map(|s| s.flush_wrapped())
-            .sum()
+        self.inner.shards.iter().map(|s| s.flush_wrapped()).sum()
     }
 
-    /// Set the push fan-out worker count on every shard.
+    /// Does nothing, like [`WsMessenger::set_fanout_workers`]. Kept
+    /// because `benchmark/` calls it.
     pub fn set_fanout_workers(&self, workers: usize) {
-        for s in &self.inner.ctx.shards {
-            s.set_fanout_workers(workers);
-        }
+        let _ = workers;
     }
 
     /// Switch fault-tolerant delivery on or off on every shard.
     pub fn set_fault_tolerance(&self, config: Option<FaultTolerance>) {
-        for s in &self.inner.ctx.shards {
+        for s in &self.inner.shards {
             s.set_fault_tolerance(config.clone());
         }
     }
@@ -646,8 +340,8 @@ impl FederatedMessenger {
     /// Observability kill-switch for the front's federation spans and
     /// every shard's pipeline obs.
     pub fn set_obs_enabled(&self, on: bool) {
-        self.inner.ctx.obs.set_enabled(on);
-        for s in &self.inner.ctx.shards {
+        self.inner.obs.set_enabled(on);
+        for s in &self.inner.shards {
             s.set_obs_enabled(on);
         }
     }
@@ -655,7 +349,7 @@ impl FederatedMessenger {
     /// Drain every shard's redelivery queue within `horizon_ms`.
     pub fn drain_redeliveries(&self, horizon_ms: u64) -> PumpReport {
         let mut total = PumpReport::default();
-        for s in &self.inner.ctx.shards {
+        for s in &self.inner.shards {
             total.absorb(s.drain_redeliveries(horizon_ms));
         }
         total
@@ -664,35 +358,29 @@ impl FederatedMessenger {
     /// Dead letters summed across shards.
     pub fn dead_letter_count(&self) -> usize {
         self.inner
-            .ctx
             .shards
             .iter()
             .map(|s| s.dead_letter_count())
             .sum()
     }
 
-    /// The front's own span snapshot: the [`Stage::Federate`] hops and
-    /// [`Stage::FederateEnqueue`] publisher-side enqueues.
+    /// The front's own span snapshot: the [`Stage::Federate`] hops.
     pub fn federation_spans(&self) -> Vec<crate::obs::SpanRecord> {
-        self.inner.ctx.obs.spans()
+        self.inner.obs.spans()
     }
 
-    /// Aggregate statistics of the front's obs (only the `federate` /
-    /// `federate_enqueue` stages accumulate here; per-shard pipelines
-    /// report on the shards themselves).
+    /// Aggregate statistics of the front's obs (only the `federate`
+    /// stage accumulates here; per-shard pipelines report on the shards
+    /// themselves).
     pub fn federation_snapshot(&self) -> crate::obs::ObsSnapshot {
-        self.inner.ctx.obs.snapshot()
+        self.inner.obs.snapshot()
     }
 
     /// Prometheus-style text exposition of the front's federation
-    /// metrics: the `federate` / `federate_enqueue` stage histograms,
-    /// the link queue-depth gauge (refreshed at scrape time) and the
-    /// per-flush batch-size histogram. Per-shard pipeline metrics come
-    /// from each shard's own [`WsMessenger::metrics_text`].
+    /// metrics: the `federate` stage histogram. Per-shard pipeline
+    /// metrics come from each shard's own [`WsMessenger::metrics_text`].
     pub fn metrics_text(&self) -> String {
-        let ctx = &self.inner.ctx;
-        ctx.queue_depth.set(ctx.state.lock().queued as i64);
-        ctx.obs.prometheus()
+        self.inner.obs.prometheus()
     }
 }
 
@@ -720,9 +408,9 @@ impl FederatedMessenger {
     /// Re-evaluate the demand-based publishers registered at the front:
     /// one is wanted while some shard wants its topics.
     pub(crate) fn refresh_demand(&self) {
-        let ctx = &self.inner.ctx;
-        self.inner.brokered.refresh(&ctx.net, |topics| {
-            ctx.shards.iter().any(|s| s.wants(topics))
+        let inner = &self.inner;
+        inner.brokered.refresh(&inner.net, |topics| {
+            inner.shards.iter().any(|s| s.wants(topics))
         });
     }
 
@@ -733,7 +421,7 @@ impl FederatedMessenger {
     /// PullPoints are the front's own too.
     pub(crate) fn apply(&self, op: ControlOp) -> Result<Reply, Fault> {
         let inner = &self.inner;
-        let shards = &inner.ctx.shards;
+        let shards = &inner.shards;
         let n = shards.len();
         match op {
             // Placed on every shard it needs, under one federated id.
@@ -787,16 +475,16 @@ impl FederatedMessenger {
                 for s in shards {
                     s.seed_topics(&r.topics);
                 }
-                let address = inner.brokered.register(&inner.ctx.net, &inner.uri, *r)?;
+                let address = inner.brokered.register(&inner.net, &inner.uri, *r)?;
                 self.refresh_demand();
                 Ok(Reply::Registered(address))
             }
             ControlOp::CreatePullPoint(v) => inner
                 .brokered
-                .create_pull_point(&inner.ctx.net, &inner.uri, v)
+                .create_pull_point(&inner.net, &inner.uri, v)
                 .map(Reply::PullPoint),
             ControlOp::GetMetrics => Ok(Reply::Metrics(self.metrics_text())),
-            ControlOp::GetTrace(true) => Ok(Reply::Trace(inner.ctx.obs.drain_spans())),
+            ControlOp::GetTrace(true) => Ok(Reply::Trace(inner.obs.drain_spans())),
             ControlOp::GetTrace(false) => Ok(Reply::Trace(self.federation_spans())),
             // Dead letters live on the shards.
             op => self.on_shards((0..n).map(|s| (s, op.clone()))),
@@ -805,7 +493,7 @@ impl FederatedMessenger {
 
     /// Apply each `(shard, op)` and [`merge`] the shards' replies.
     fn on_shards(&self, ops: impl Iterator<Item = (usize, ControlOp)>) -> Result<Reply, Fault> {
-        ops.map(|(shard, op)| self.inner.ctx.shards[shard].apply(op))
+        ops.map(|(shard, op)| self.inner.shards[shard].apply(op))
             .reduce(merge)
             .unwrap_or_else(|| Err(Fault::receiver("no shard answered")))
     }
@@ -828,7 +516,7 @@ impl FederatedMessenger {
                 _ => max,
             };
             let op = ControlOp::Manage(dialect, local, Manage::Pull(left));
-            let reply = self.inner.ctx.shards[shard].apply(op);
+            let reply = self.inner.shards[shard].apply(op);
             merged = Some(match merged {
                 Some(m) => merge(m, reply),
                 None => reply,
@@ -968,108 +656,5 @@ mod tests {
 
         // A management call on the dead handle now faults.
         assert!(sub.get_status(&hw).is_err());
-    }
-
-    #[test]
-    fn in_process_batching_amortizes_hops() {
-        let net = Network::new();
-        let fed = FederatedMessenger::start(&net, "http://fed", 2);
-        fed.set_obs_enabled(true);
-        let wse = EventSink::start(&net, "http://c", WseVersion::Aug2004);
-        Subscriber::new(&net, WseVersion::Aug2004)
-            .subscribe(fed.uri(), SubscribeRequest::push(wse.epr()))
-            .unwrap();
-
-        fed.set_link_policy(BatchPolicy::Adaptive {
-            min: 8,
-            max: 8,
-            deadline_ms: u64::MAX,
-        });
-        let mut flushed = 0;
-        for i in 0..6 {
-            flushed += fed.publish_on("storms", &payload(i));
-        }
-        assert_eq!(flushed, 0, "below the batch target nothing seals");
-        assert_eq!(fed.link_queue_depth(), 6, "all six buffered on the link");
-        assert_eq!(wse.received().len(), 0);
-        assert_eq!(fed.flush(), 6);
-        assert_eq!(fed.link_queue_depth(), 0, "flush drains the link");
-        assert_eq!(wse.received().len(), 6);
-
-        let spans = fed.federation_spans();
-        let federate: Vec<_> = spans
-            .iter()
-            .filter(|s| s.stage == crate::obs::Stage::Federate)
-            .collect();
-        assert_eq!(federate.len(), 1, "one hop for the whole batch");
-        assert_eq!(federate[0].items, 6, "items carries the batch size");
-        let enqueues = spans
-            .iter()
-            .filter(|s| s.stage == crate::obs::Stage::FederateEnqueue)
-            .count();
-        assert_eq!(enqueues, 6, "each buffered publish records an enqueue");
-    }
-
-    #[test]
-    fn pinned_policy_seals_and_delivers_at_target() {
-        let net = Network::new();
-        let fed = FederatedMessenger::start(&net, "http://fed", 2);
-        let wse = EventSink::start(&net, "http://c", WseVersion::Aug2004);
-        Subscriber::new(&net, WseVersion::Aug2004)
-            .subscribe(fed.uri(), SubscribeRequest::push(wse.epr()))
-            .unwrap();
-
-        fed.set_link_policy(BatchPolicy::Adaptive {
-            min: 4,
-            max: 4,
-            deadline_ms: u64::MAX,
-        });
-        let mut sealed = 0;
-        for i in 0..4 {
-            sealed += fed.publish_on("storms", &payload(i));
-        }
-        assert_eq!(sealed, 4, "the fourth publish seals the batch");
-        fed.flush();
-        assert_eq!(wse.received().len(), 4);
-        // Back to Immediate: delivery is synchronous again.
-        fed.set_link_policy(BatchPolicy::Immediate);
-        assert_eq!(fed.publish_on("storms", &payload(9)), 1);
-        assert_eq!(wse.received().len(), 5);
-    }
-
-    #[test]
-    fn adaptive_deadline_seals_partial_batches() {
-        let net = Network::new();
-        let fed = FederatedMessenger::start(&net, "http://fed", 1);
-        fed.set_obs_enabled(true);
-        let wse = EventSink::start(&net, "http://c", WseVersion::Aug2004);
-        Subscriber::new(&net, WseVersion::Aug2004)
-            .subscribe(fed.uri(), SubscribeRequest::push(wse.epr()))
-            .unwrap();
-
-        fed.set_link_policy(BatchPolicy::Adaptive {
-            min: 2,
-            max: 64,
-            deadline_ms: 5,
-        });
-        // Arrivals 2 virtual ms apart: far below `max`, but at the
-        // fourth arrival the oldest event has waited 6 ms ≥ the 5 ms
-        // deadline, so the batch seals at 4.
-        let mut sealed = 0;
-        for i in 0..4 {
-            sealed += fed.publish_on("storms", &payload(i));
-            net.clock().advance_ms(2);
-        }
-        assert_eq!(sealed, 4, "the deadline seals a partial batch");
-        fed.flush();
-        assert_eq!(wse.received().len(), 4);
-
-        let federate: Vec<_> = fed
-            .federation_spans()
-            .into_iter()
-            .filter(|s| s.stage == crate::obs::Stage::Federate)
-            .collect();
-        assert_eq!(federate.len(), 1, "deadline sealing made one hop");
-        assert_eq!(federate[0].items, 4);
     }
 }

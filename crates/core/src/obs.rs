@@ -44,7 +44,7 @@ pub struct BrokerObs {
     subscriptions: Arc<Gauge>,
     /// Indexed by `Stage as usize` (pipeline order, then the
     /// per-subscriber attempt stages and the engine handoff stage).
-    stages: [Arc<Histogram>; 11],
+    stages: [Arc<Histogram>; 10],
     delivery_latency: Arc<Histogram>,
     redelivery_depth: Arc<Gauge>,
     breakers_open: Arc<Gauge>,

@@ -897,7 +897,6 @@ mod tests {
         let v = WseVersion::Aug2004;
         let net = Network::new();
         let broker = WsMessenger::start(&net, "http://broker");
-        broker.set_fanout_workers(2);
         broker.set_fault_tolerance(Some(FaultTolerance {
             base_backoff_ms: 5,
             max_backoff_ms: 40,

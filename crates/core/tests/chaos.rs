@@ -2,8 +2,9 @@
 //! fault-tolerant delivery path end to end.
 //!
 //! Every scenario is keyed on `WSM_CHAOS_SEED` (default 42) and runs
-//! entirely on the virtual clock with a single fan-out worker, so two
-//! runs of the same binary produce byte-identical transport traces.
+//! entirely on the virtual clock with each send landed by the
+//! publishing thread in post order, so two runs of the same binary
+//! produce byte-identical transport traces.
 //! The CI chaos job runs this suite twice with `WSM_CHAOS_TRACE`
 //! pointing at different files and diffs the exports.
 
@@ -33,11 +34,9 @@ fn seqs_of(received: &[Element]) -> Vec<u64> {
         .collect()
 }
 
-/// A broker with fault tolerance on, one WSE push subscriber, and
-/// sequential fan-out (deterministic trace order).
+/// A broker with fault tolerance on and one WSE push subscriber.
 fn reliable_broker(net: &Network, seed: u64) -> (WsMessenger, EventSink) {
     let broker = WsMessenger::start(net, "http://broker");
-    broker.set_fanout_workers(1);
     broker.set_fault_tolerance(Some(FaultTolerance {
         base_backoff_ms: 25,
         max_backoff_ms: 400,
@@ -156,7 +155,6 @@ fn poison_messages_dead_letter_and_redeliver_over_soap() {
     let net = Network::new();
     net.set_latency_ms(3);
     let broker = WsMessenger::start(&net, "http://broker");
-    broker.set_fanout_workers(1);
     broker.set_fault_tolerance(Some(FaultTolerance {
         base_backoff_ms: 10,
         poison_budget: 2,
@@ -306,9 +304,9 @@ mod ordering {
 
 /// Engine drain/shutdown under the overlapped path. A seeded churn
 /// thread unsubscribes consumers and silently kills their endpoints
-/// while a publisher drives the delivery engine (4 workers; on the
-/// 100 µs wire each publication posts its sends and waits for them to
-/// land) — every in-flight (event, subscriber) delivery must still
+/// while a publisher drives the delivery engine (on the 100 µs wire
+/// each publication posts its sends and waits for them to land) —
+/// every in-flight (event, subscriber) delivery must still
 /// reach exactly one terminal `Resolve` outcome: delivered,
 /// dead-lettered (endpoint gone), or expired (subscription torn down
 /// with messages pending). A lost span or a lost landing wakeup fails
@@ -320,7 +318,6 @@ fn sharded_churn_resolves_every_inflight_delivery() {
     let seed = chaos_seed();
     let net = Network::new();
     let broker = WsMessenger::start(&net, "http://broker");
-    broker.set_fanout_workers(4);
     broker.set_fault_tolerance(Some(FaultTolerance {
         base_backoff_ms: 20,
         max_backoff_ms: 200,

@@ -68,7 +68,6 @@ fn multi_shard_churn_leaves_no_orphans_and_resolves_every_delivery() {
     let net = Network::new();
     let fed = FederatedMessenger::start(&net, "http://fed", SHARDS);
     fed.set_obs_enabled(true);
-    fed.set_fanout_workers(1);
     // Real per-send time so the churn genuinely lands mid-publication.
     net.set_send_delay_us(50);
 

@@ -1,6 +1,7 @@
-//! Pipelined federation links: wire equivalence and backpressure.
+//! Federation links: wire equivalence, exactly-once and per-publisher
+//! order.
 //!
-//! Two contracts guard the link layer:
+//! Two contracts guard the hop from the front to a shard:
 //!
 //! * **Wire equivalence.** The zero-reparse structured hop must be
 //!   indistinguishable to consumers from the encoded hop a remote
@@ -9,18 +10,20 @@
 //!   subscriber receives the *same set of envelope bytes* either way
 //!   (property-tested below; the encoded hop lives only here, as the
 //!   reference).
-//! * **Lossless backpressure.** The links share one bound of 1 024
-//!   admitted-but-undelivered events. A publisher that finds it reached
-//!   seals every pending link and parks until the flushers make room,
-//!   and every published event still reaches every matching subscriber
-//!   exactly once; nothing is ever dropped.
+//! * **Exactly once, in each publisher's order.** Publishers racing on
+//!   one front over a delayed wire hand each event to its shard on
+//!   their own threads: every subscriber receives every event it
+//!   matches exactly once, one publisher's events in the order that
+//!   publisher published them, and nothing is ever left queued between
+//!   the front and the shards.
 
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
 use wsm_eventing::{EventSink, SubscribeRequest, Subscriber, WseVersion};
 use wsm_messenger::{BatchPolicy, FederatedMessenger};
 use wsm_notification::{
-    SharedNotificationMessage, WsnClient, WsnCodec, WsnFilter, WsnSubscribeRequest, WsnVersion,
+    NotificationConsumer, SharedNotificationMessage, WsnClient, WsnCodec, WsnFilter,
+    WsnSubscribeRequest, WsnVersion,
 };
 use wsm_soap::{Envelope, Fault};
 use wsm_topics::TopicPath;
@@ -96,19 +99,10 @@ const ROOTS: [&str; 8] = [
     "t7",
 ];
 
-/// Seal after exactly `n` events, with no deadline.
-fn pinned(n: usize) -> BatchPolicy {
-    BatchPolicy::Adaptive {
-        min: n,
-        max: n,
-        deadline_ms: u64::MAX,
-    }
-}
-
 /// How a workload's events reach their owning shard.
 #[derive(Clone, Copy)]
 enum Hop {
-    /// Through the federation's own pipelined links.
+    /// Through the federation front.
     Links,
     /// The reference: each event encoded as the `Notify` envelope a
     /// remote broker would send, posted to the owning shard's endpoint.
@@ -144,9 +138,6 @@ fn run_workload(hop: Hop, seed: u64, shards: usize, events: usize) -> Vec<Vec<St
         .unwrap();
     sinks.push(broadcast);
 
-    // Batched pipelined delivery on the links: the equivalence claim
-    // covers the whole link layer, not just the inline path.
-    fed.set_link_policy(pinned(4));
     let codec = WsnCodec::new(WsnVersion::V1_3);
     let mut rng = Lcg(seed);
     for i in 0..events {
@@ -177,7 +168,6 @@ fn run_workload(hop: Hop, seed: u64, shards: usize, events: usize) -> Vec<Vec<St
             net.clock().advance_ms(1);
         }
     }
-    fed.flush();
     sinks.iter().map(|s| s.sorted()).collect()
 }
 
@@ -205,103 +195,115 @@ proptest! {
     }
 }
 
-fn seq_event(i: usize) -> Element {
-    Element::local("event").with_attr("seq", i.to_string())
+/// The `(publisher, index)` each received payload carries, in arrival
+/// order.
+fn origins<'a>(payloads: impl Iterator<Item = &'a Element>) -> Vec<(usize, usize)> {
+    let attr = |e: &Element, name: &str| -> usize {
+        let value = e.attr(name).unwrap_or_else(|| panic!("{name} attr"));
+        value.parse().expect("numeric")
+    };
+    payloads.map(|e| (attr(e, "pub"), attr(e, "i"))).collect()
 }
 
-fn sorted_seqs(received: &[Element]) -> Vec<usize> {
-    let mut seqs: Vec<usize> = received
-        .iter()
-        .map(|e| e.attr("seq").expect("seq attr").parse().expect("numeric"))
-        .collect();
-    seqs.sort_unstable();
-    seqs
+/// `got` holds every event of `expected` exactly once, each
+/// publisher's events in the order it published them.
+fn assert_exactly_once_in_order(got: &[(usize, usize)], expected: &[(usize, usize)], who: &str) {
+    let mut sorted = got.to_vec();
+    sorted.sort_unstable();
+    assert_eq!(sorted, expected, "{who}: every matching event exactly once");
+    for p in 0..2 {
+        let order: Vec<usize> = got.iter().filter(|o| o.0 == p).map(|o| o.1).collect();
+        assert!(
+            order.windows(2).all(|w| w[0] < w[1]),
+            "{who}: publisher {p}'s events arrived out of order: {order:?}"
+        );
+    }
 }
 
-/// Full-queue backpressure never drops an event: two publishers
-/// together admit more events than the links' bound while slow sends
-/// hold the flushers back, and the broadcast subscriber still sees
-/// every event exactly once.
+/// Two publisher threads race Zipf topics through a 4-shard front over
+/// a 100 µs wire. Each event reaches its shard on its publisher's
+/// thread: a broadcast subscriber and one subscriber per hot root get
+/// every event they match exactly once and in each publisher's order,
+/// and there is never anything for `flush()` to drain. The link policy
+/// is installed first and changes none of this.
 #[test]
-fn park_backpressure_never_drops_events() {
+fn racing_publishers_deliver_exactly_once_in_publisher_order() {
     const PUBS: usize = 2;
-    const PER_PUB: usize = 800;
-    /// The links' shared bound on admitted-but-undelivered events.
-    const BOUND: usize = 1024;
-    let seed: u64 = std::env::var("WSM_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42);
+    const PER_PUB: usize = 300;
+    const ROOTED: usize = 4;
     let net = Network::new();
-    let fed = FederatedMessenger::start(&net, "http://fed", 2);
+    let fed = FederatedMessenger::start(&net, "http://fed", 4);
+    fed.set_link_policy(BatchPolicy::Adaptive {
+        min: 4,
+        max: 8,
+        deadline_ms: 5,
+    });
     let wse = EventSink::start(&net, "http://sink", WseVersion::Aug2004);
     Subscriber::new(&net, WseVersion::Aug2004)
         .subscribe(fed.uri(), SubscribeRequest::push(wse.epr()))
         .unwrap();
-
-    // A batch target above the whole run and no deadline: no link
-    // seals on its own, so only a publisher that found the bound
-    // reached (seal everything and park) can hand work to a flusher.
-    fed.set_link_policy(pinned(2 * PUBS * PER_PUB));
+    let wsn = WsnClient::new(&net, WsnVersion::V1_3);
+    let rooted: Vec<NotificationConsumer> = ROOTS[..ROOTED]
+        .iter()
+        .enumerate()
+        .map(|(i, root)| {
+            let consumer =
+                NotificationConsumer::start(&net, &format!("http://wsn-{i}"), WsnVersion::V1_3);
+            wsn.subscribe(
+                fed.uri(),
+                &WsnSubscribeRequest::new(consumer.epr()).with_filter(WsnFilter::topic(root)),
+            )
+            .unwrap();
+            consumer
+        })
+        .collect();
     net.set_send_delay_us(100);
 
+    // Each publisher returns the root it published each event on.
     let publishers: Vec<_> = (0..PUBS)
         .map(|p| {
             let fed = fed.clone();
-            let mut rng = Lcg(seed.wrapping_add(p as u64));
+            let mut rng = Lcg(42 + p as u64);
             std::thread::spawn(move || {
-                for i in 0..PER_PUB {
-                    let root = ROOTS[zipf_pick(&mut rng, ROOTS.len())];
-                    fed.publish_on(&format!("{root}/r"), &seq_event(p * PER_PUB + i));
-                }
+                (0..PER_PUB)
+                    .map(|i| {
+                        let root = zipf_pick(&mut rng, ROOTS.len());
+                        let event = Element::local("event")
+                            .with_attr("pub", p.to_string())
+                            .with_attr("i", i.to_string());
+                        assert_eq!(fed.publish_on(ROOTS[root], &event), 1);
+                        root
+                    })
+                    .collect::<Vec<usize>>()
             })
         })
         .collect();
-    for p in publishers {
-        p.join().expect("publisher thread");
-    }
-    // Every event past the bound was admitted only after a flusher
-    // delivered one that the park rule had sealed.
-    let before_flush = wse.received().len();
-    assert!(
-        before_flush >= PUBS * PER_PUB - BOUND,
-        "the park rule sealed and delivered {before_flush} events before flush()"
-    );
-    fed.flush();
+    let roots: Vec<Vec<usize>> = publishers
+        .into_iter()
+        .map(|p| p.join().expect("publisher thread"))
+        .collect();
     net.set_send_delay_us(0);
+    assert_eq!((fed.flush(), fed.link_queue_depth()), (0, 0));
 
-    assert_eq!(fed.link_queue_depth(), 0, "flush drains the links");
-    let seqs = sorted_seqs(&wse.received());
-    assert_eq!(
-        seqs,
-        (0..PUBS * PER_PUB).collect::<Vec<_>>(),
-        "every event delivered exactly once through the full-queue chaos"
-    );
-}
-
-/// Stealing: with every sealed batch parked on one hot link, idle
-/// flushers from other links drain it — the backlog clears even though
-/// the hot link has only one "home" flusher.
-#[test]
-fn idle_flushers_steal_hot_link_backlog() {
-    let net = Network::new();
-    let fed = FederatedMessenger::start(&net, "http://fed", 4);
-    let wse = EventSink::start(&net, "http://sink", WseVersion::Aug2004);
-    Subscriber::new(&net, WseVersion::Aug2004)
-        .subscribe(fed.uri(), SubscribeRequest::push(wse.epr()))
-        .unwrap();
-
-    // Everything lands on one root → one link; batches of 2 seal 32
-    // sealed batches onto that single link.
-    fed.set_link_policy(pinned(2));
-    for i in 0..64 {
-        fed.publish_on("storms/r", &seq_event(i));
+    let published_on = |want: Option<usize>| -> Vec<(usize, usize)> {
+        let mut all = Vec::new();
+        for (p, roots) in roots.iter().enumerate() {
+            for (i, root) in roots.iter().enumerate() {
+                if want.is_none_or(|w| w == *root) {
+                    all.push((p, i));
+                }
+            }
+        }
+        all
+    };
+    let everything = published_on(None);
+    assert_eq!(everything.len(), PUBS * PER_PUB);
+    assert_exactly_once_in_order(&origins(wse.received().iter()), &everything, "broadcast");
+    for (r, consumer) in rooted.iter().enumerate() {
+        let got = consumer.notifications();
+        let expected = published_on(Some(r));
+        assert!(!expected.is_empty(), "root {r} was published on");
+        let who = format!("subscriber on {}", ROOTS[r]);
+        assert_exactly_once_in_order(&origins(got.iter().map(|m| &m.message)), &expected, &who);
     }
-    fed.flush();
-    let seqs = sorted_seqs(&wse.received());
-    assert_eq!(
-        seqs,
-        (0..64).collect::<Vec<_>>(),
-        "hot-link backlog drained"
-    );
 }

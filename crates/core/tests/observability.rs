@@ -109,13 +109,7 @@ mod spans {
             // and a standalone broker makes no federation hops.
             if matches!(
                 *name,
-                "detect"
-                    | "retry"
-                    | "dead_letter"
-                    | "resolve"
-                    | "handoff"
-                    | "federate"
-                    | "federate_enqueue"
+                "detect" | "retry" | "dead_letter" | "resolve" | "handoff" | "federate"
             ) {
                 continue;
             }
@@ -261,7 +255,6 @@ mod spans {
         let net = Network::new();
         net.set_latency_ms(5);
         let broker = WsMessenger::start(&net, "http://broker");
-        broker.set_fanout_workers(1);
         broker.set_fault_tolerance(Some(wsm_messenger::FaultTolerance {
             base_backoff_ms: 25,
             max_backoff_ms: 400,
@@ -461,11 +454,10 @@ mod spans {
         assert!(checked > 3, "several histograms checked, got {checked}");
     }
 
-    /// The federation front's exposition carries the link-layer
-    /// metrics: the queue-depth gauge (refreshed at scrape time), the
-    /// per-flush batch-size histogram, and the shed counter.
+    /// The federation front's exposition carries one hop sample per
+    /// publication and no link-queue metrics: there is no link queue.
     #[test]
-    fn federation_exposition_reports_link_queue_metrics() {
+    fn federation_exposition_reports_one_hop_per_publication() {
         let net = Network::new();
         let fed = wsm_messenger::FederatedMessenger::start(&net, "http://fed", 2);
         fed.set_obs_enabled(true);
@@ -482,34 +474,20 @@ mod spans {
         for i in 0..3 {
             fed.publish_on("storms", &Element::local(format!("e{i}")));
         }
-        // All three still buffered: below the batch target nothing
-        // seals, so no flusher races the scrape.
-        let text = fed.metrics_text();
-        let depth_line = text
-            .lines()
-            .find(|l| l.starts_with("wsm_fed_link_queue_depth "))
-            .expect("link queue-depth gauge exposed to Prometheus");
-        let depth: i64 = depth_line
-            .split_whitespace()
-            .nth(1)
-            .unwrap()
-            .parse()
-            .unwrap();
-        assert_eq!(depth, 3);
-        assert_eq!(fed.link_queue_depth(), 3);
-        assert!(
-            text.contains("# HELP wsm_fed_link_queue_depth "),
-            "gauge described"
+        assert_eq!(
+            sink.received().len(),
+            3,
+            "delivered before publish returned"
         );
-        fed.flush();
+        assert_eq!(fed.link_queue_depth(), 0);
         let text = fed.metrics_text();
         assert!(
-            text.contains("wsm_fed_link_queue_depth 0"),
-            "scrape refreshes the gauge after the flush drains the links"
+            text.contains("wsm_stage_federate_ns_count 3"),
+            "one federate hop per publication: {text}"
         );
         assert!(
-            text.contains("wsm_fed_flush_size_bucket{"),
-            "flush-size histogram exposed"
+            !text.contains("wsm_fed_"),
+            "no link-queue gauge or flush-size histogram: {text}"
         );
     }
 }
@@ -533,7 +511,6 @@ impl SoapHandler for Named {
 fn parallel_fanout_trace_attributes_workers_and_outcomes() {
     let net = Network::new();
     let broker = WsMessenger::start(&net, "http://broker");
-    broker.set_fanout_workers(4);
 
     let subscribe = |addr: &str| {
         Subscriber::new(&net, WseVersion::Aug2004)
@@ -625,7 +602,6 @@ mod ledgers {
     fn fault_tolerant(poison_budget: u32) -> (Network, WsMessenger, EventSink) {
         let net = Network::new();
         let (broker, sink) = broker_with_wse_sink(&net);
-        broker.set_fanout_workers(1);
         broker.set_fault_tolerance(Some(FaultTolerance {
             poison_budget,
             ..FaultTolerance::default()
@@ -766,7 +742,6 @@ mod ledgers {
     fn every_stat_is_its_exposition_line() {
         let net = Network::new();
         let (broker, sink) = broker_with_wse_sink(&net);
-        broker.set_fanout_workers(1);
         broker.set_fault_tolerance(Some(FaultTolerance {
             poison_budget: 1,
             ..FaultTolerance::seeded(42)

@@ -22,10 +22,9 @@ fn event(seq: usize) -> Element {
     Element::local("reading").with_attr("seq", seq.to_string())
 }
 
-/// A broker on one fan-out worker, optionally fault tolerant.
+/// A broker, optionally fault tolerant.
 fn broker(net: &Network, ft: Option<FaultTolerance>) -> WsMessenger {
     let broker = WsMessenger::start(net, "http://broker");
-    broker.set_fanout_workers(1);
     broker.set_fault_tolerance(ft);
     broker
 }

@@ -4,9 +4,9 @@
 //! every subscriber, and keep `MediationStats` exact.
 //!
 //! Every scenario runs on a wire with a 20 µs send delay: with no delay
-//! a broker streams each fan-out on its publisher, and the overlapped
-//! path (posted sends, landed by the publisher once their delay has
-//! passed) would never run.
+//! each posted send lands before the next is rendered, and no sends
+//! would ever be in flight together (landed by the publisher once
+//! their delay has passed).
 
 use std::thread;
 use wsm_eventing::{EventSink, Expires, SubscribeRequest, Subscriber, WseVersion};
@@ -199,12 +199,11 @@ fn publish_with_churn_round() {
 }
 
 #[test]
-fn sequential_and_parallel_fanout_agree() {
-    let run = |workers: usize| {
+fn delayed_and_instant_wires_agree() {
+    let run = |delay_us: u64| {
         let net = Network::new();
-        net.set_send_delay_us(WIRE_US);
+        net.set_send_delay_us(delay_us);
         let broker = WsMessenger::start(&net, "http://broker");
-        broker.set_fanout_workers(workers);
         let sinks: Vec<EventSink> = (0..8)
             .map(|i| {
                 let sink =
@@ -221,10 +220,11 @@ fn sequential_and_parallel_fanout_agree() {
         let overlapped = (broker.trace_spans().iter())
             .filter(|s| s.stage == Stage::Handoff)
             .count();
+        // Only a publication that left sends in flight waited for them.
         assert_eq!(
             overlapped,
-            if workers > 1 { 20 } else { 0 },
-            "workers={workers}"
+            if delay_us > 0 { 20 } else { 0 },
+            "delay {delay_us} us"
         );
         let received: Vec<Vec<String>> = sinks
             .iter()
@@ -237,8 +237,8 @@ fn sequential_and_parallel_fanout_agree() {
             .collect();
         (broker.stats(), received)
     };
-    let (seq_stats, seq_received) = run(1);
-    let (par_stats, par_received) = run(8);
-    assert_eq!(seq_stats, par_stats);
-    assert_eq!(seq_received, par_received);
+    let (instant_stats, instant_received) = run(0);
+    let (delayed_stats, delayed_received) = run(WIRE_US);
+    assert_eq!(instant_stats, delayed_stats);
+    assert_eq!(instant_received, delayed_received);
 }

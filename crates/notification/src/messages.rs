@@ -48,20 +48,6 @@ impl SharedNotificationMessage {
             message,
         }
     }
-
-    /// Decompose into `(topic, producer, payload)` — the zero-reparse
-    /// federation fast path hands these straight to the peer shard's
-    /// ingest, moving the `Arc` instead of serializing a `Notify`
-    /// envelope the peer would only re-parse.
-    pub fn into_parts(
-        self,
-    ) -> (
-        Option<TopicPath>,
-        Option<EndpointReference>,
-        Arc<SharedElement>,
-    ) {
-        (self.topic, self.producer, self.message)
-    }
 }
 
 /// The `xsd:boolean` value of element `el`, a sender fault when it has

@@ -41,27 +41,20 @@ pub enum Stage {
     /// final [`Outcome`], and `items` is the end-to-end latency in
     /// virtual milliseconds (publish → this resolution).
     Resolve,
-    /// Time the publishing thread spent waiting for its posted wire
-    /// sends to land (`items` carries the sends posted). Not recorded
-    /// when the engine streams inline.
+    /// Time the publishing thread spent waiting, once every send of a
+    /// publication was posted, for those still in flight to land
+    /// (`items` carries the sends posted). Not recorded when none was
+    /// in flight, as on a wire with no send delay.
     Handoff,
-    /// One batched inter-broker hop on the federation path: the
-    /// structured handoff of a sealed batch to its owner shard.
-    /// `items` carries the batch size, so the amortization of the hop
-    /// is visible in timelines.
+    /// One inter-broker hop on the federation path: the structured
+    /// handoff of an event to its owner shard (`items` is 1).
     Federate,
-    /// The publisher-side half of a pipelined federation hop: placing
-    /// one event on its link's batch queue, including any time the
-    /// publisher was parked by link backpressure. Paired with the
-    /// flusher-side [`Stage::Federate`] span so enqueue wait and hop
-    /// transfer are separately attributable.
-    FederateEnqueue,
 }
 
 impl Stage {
     /// Every stage: the five pipeline stages in order, then the
     /// per-subscriber delivery-attempt stages.
-    pub const ALL: [Stage; 11] = [
+    pub const ALL: [Stage; 10] = [
         Stage::Publish,
         Stage::Detect,
         Stage::Match,
@@ -72,7 +65,6 @@ impl Stage {
         Stage::Resolve,
         Stage::Handoff,
         Stage::Federate,
-        Stage::FederateEnqueue,
     ];
 
     /// The per-publication pipeline stages, in pipeline order.
@@ -97,7 +89,6 @@ impl Stage {
             Stage::Resolve => "resolve",
             Stage::Handoff => "handoff",
             Stage::Federate => "federate",
-            Stage::FederateEnqueue => "federate_enqueue",
         }
     }
 }
@@ -369,8 +360,7 @@ mod tests {
                 "dead_letter",
                 "resolve",
                 "handoff",
-                "federate",
-                "federate_enqueue"
+                "federate"
             ]
         );
     }

@@ -47,8 +47,9 @@
 //! A [`Landing`] lets one thread overlap the delays of many sends.
 //! [`Landing::post`] decides a send at once and queues it with a
 //! deadline of post time plus the send delay; the owner lands every
-//! send that is due whenever it posts, and [`Landing::wait`] sleeps
-//! until each remaining deadline and lands the rest. A batch of *n*
+//! send that is due whenever it posts, takes the fates landed so far
+//! with [`Landing::take_landed`], and iterates the landing to sleep
+//! until each remaining deadline and take the rest. A batch of *n*
 //! sends so takes about one delay rather than *n*, and no other thread
 //! is involved: a handler runs on the thread that posted its send, as
 //! it would for a blocking send. The rules:
@@ -63,8 +64,8 @@
 //! * **Traced as posted.** The record carries the virtual time of the
 //!   post, so it does not depend on when the owner got round to
 //!   landing the send.
-//! * **Nothing allocated.** A landing reuses the queue of the thread's
-//!   previous one and sizes its result list when it is made; the
+//! * **Nothing allocated.** A landing reuses both queues of the
+//!   thread's previous one (sends in flight, fates not yet taken); the
 //!   endpoint key, the label and the thread name are shared handles.
 //! * **No delay, no queue.** With a zero delay a post lands before it
 //!   returns, exactly as a blocking send would.
@@ -325,8 +326,8 @@ struct Inner {
     clock: SimClock,
     /// Simulated per-hop latency added to the clock on every delivery.
     /// An atomic, not a mutex: every delivery reads it, and a lock
-    /// here would serialize concurrent federation-link flushers on a
-    /// value that changes only when a test reconfigures the network.
+    /// here would serialize concurrent publishers on a value that
+    /// changes only when a test reconfigures the network.
     latency_ms: AtomicU64,
     /// Real wall-clock delay per delivery, in microseconds. Zero (the
     /// default) keeps sends instantaneous; benches set it to model wire
@@ -454,52 +455,56 @@ pub struct Landed {
 }
 
 /// A batch of sends whose delays overlap, landed by the thread that
-/// owns it (see the module docs). [`post`](Self::post) each send, then
-/// [`wait`](Self::wait) once for all of their fates, in post order.
-#[must_use = "posted sends land only in `post` or `wait`"]
+/// owns it (see the module docs). [`post`](Self::post) each send, take
+/// the fates that have already landed with
+/// [`take_landed`](Self::take_landed), and iterate the landing for the
+/// rest: fates come out in post order. Sends still in flight when a
+/// landing is dropped never land.
+#[must_use = "posted sends land only while the landing is posted to or iterated"]
 pub struct Landing {
     net: Network,
     /// Sends posted and not yet landed, deadlines non-decreasing front
     /// to back.
     posted: VecDeque<Posted>,
-    /// The fates of the sends landed so far, in post order.
-    landed: Vec<Landed>,
+    /// Fates landed and not yet taken, in post order.
+    landed: VecDeque<Landed>,
 }
 
+/// A landing's two queues, emptied.
+type Queues = (VecDeque<Posted>, VecDeque<Landed>);
+
 thread_local! {
-    /// The queue of this thread's last landing, emptied, so that a
-    /// publisher's next landing reuses its capacity.
-    static SPARE: Cell<VecDeque<Posted>> = const { Cell::new(VecDeque::new()) };
+    /// The queues of this thread's last landing, emptied, so that a
+    /// publisher's next landing reuses their capacity.
+    static SPARE: Cell<Queues> = const { Cell::new((VecDeque::new(), VecDeque::new())) };
 }
 
 impl Landing {
-    /// An empty landing on `net` with room for `sends` posts.
-    pub fn new(net: &Network, sends: usize) -> Landing {
-        let mut posted = SPARE.take();
-        posted.reserve(sends);
+    /// An empty landing on `net`.
+    pub fn new(net: &Network) -> Landing {
+        let (posted, landed) = SPARE.take();
         Landing {
             net: net.clone(),
             posted,
-            landed: Vec::with_capacity(sends),
+            landed,
         }
     }
 
-    /// Post a one-way first-attempt send to `to` and return its token:
-    /// the index of its fate in what [`wait`](Self::wait) returns. The
-    /// fault plan and the virtual clock are consulted now; the endpoint
-    /// is resolved and its handler run once the send delay has passed,
-    /// by this or a later `post` or by `wait`. Every earlier send that
-    /// is due lands before this returns. With no delay the send lands
-    /// before this returns, exactly as [`Network::send`] would have
-    /// delivered it.
-    pub fn post(&mut self, to: &str, envelope: Envelope) -> usize {
-        let (token, started) = (self.landed.len() + self.posted.len(), Instant::now());
+    /// Post a one-way first-attempt send to `to`. The fault plan and
+    /// the virtual clock are consulted now; the endpoint is resolved
+    /// and its handler run once the send delay has passed, by this or a
+    /// later `post` or while the landing is iterated. Every earlier
+    /// send that is due lands before this returns. With no delay the
+    /// send lands before this returns, exactly as [`Network::send`]
+    /// would have delivered it.
+    pub fn post(&mut self, to: &str, envelope: Envelope) {
+        let started = Instant::now();
         let delay = self.net.send_delay_us();
         if delay == 0 && self.posted.is_empty() {
             let result = self.net.send(to, envelope);
             let elapsed = started.elapsed();
-            self.landed.push(Landed { result, elapsed });
-            return token;
+            self.landed.push_back(Landed { result, elapsed });
+            return;
         }
         let inner = &self.net.0;
         let injection = inner.decide(to);
@@ -519,7 +524,12 @@ impl Landing {
             entry,
         });
         self.land_due();
-        token
+    }
+
+    /// The fate of the oldest send not yet taken, if it has landed.
+    /// Never waits.
+    pub fn take_landed(&mut self) -> Option<Landed> {
+        self.landed.pop_front()
     }
 
     /// Land every send whose deadline has passed, in post order.
@@ -537,23 +547,41 @@ impl Landing {
             let (result, _) = inner.land(&entry.to, envelope, injection);
             inner.record(started, &result, AttemptClass::First, entry);
             let (result, elapsed) = (result.map(|_| ()), started.elapsed());
-            self.landed.push(Landed { result, elapsed });
+            self.landed.push_back(Landed { result, elapsed });
         }
     }
+}
 
-    /// Land every send posted, each once its deadline has passed —
-    /// sleeping until the next one is due — and return their fates in
-    /// post order.
-    pub fn wait(mut self) -> Vec<Landed> {
-        while let Some(due) = self.posted.front().map(|p| p.due) {
+/// Iterating a landing takes each fate in post order, sleeping until
+/// the oldest send in flight is due when none has landed yet; it ends
+/// once every posted send's fate has been taken.
+impl Iterator for Landing {
+    type Item = Landed;
+
+    fn next(&mut self) -> Option<Landed> {
+        if self.landed.is_empty() {
+            let due = self.posted.front()?.due;
             let now = Instant::now();
             if now < due {
                 std::thread::sleep(due - now);
             }
             self.land_due();
         }
-        SPARE.set(std::mem::take(&mut self.posted));
-        self.landed
+        self.landed.pop_front()
+    }
+}
+
+impl Drop for Landing {
+    fn drop(&mut self) {
+        let (mut posted, mut landed) = (
+            std::mem::take(&mut self.posted),
+            std::mem::take(&mut self.landed),
+        );
+        posted.clear();
+        landed.clear();
+        // A landing dropped while the thread's locals are torn down
+        // just frees its queues.
+        let _ = SPARE.try_with(|spare| spare.set((posted, landed)));
     }
 }
 
@@ -1206,9 +1234,9 @@ mod tests {
             arm(&net);
             let result = if posted {
                 net.set_send_delay_us(50);
-                let mut landing = Landing::new(&net, 1);
-                assert_eq!(landing.post("http://x", env()), 0);
-                let mut landed = landing.wait();
+                let mut landing = Landing::new(&net);
+                landing.post("http://x", env());
+                let mut landed: Vec<Landed> = landing.collect();
                 assert_eq!(landed.len(), 1);
                 landed.remove(0).result
             } else {
@@ -1324,17 +1352,17 @@ mod tests {
         let handler = Arc::new(Clocked::default());
         net.register("http://a", handler.clone());
         net.set_send_delay_us(DELAY.as_micros() as u64);
-        let mut landing = Landing::new(&net, 200);
+        let mut landing = Landing::new(&net);
         let mut posted_at = Vec::new();
         for i in 0..200 {
             posted_at.push(Instant::now());
-            assert_eq!(landing.post("http://a", env()), i, "tokens count up");
+            landing.post("http://a", env());
             if i % 50 == 49 {
                 // Let some deadlines pass, so later posts land them.
                 std::thread::sleep(Duration::from_millis(1));
             }
         }
-        let landed = landing.wait();
+        let landed: Vec<Landed> = landing.collect();
         assert_eq!(landed.len(), 200);
         assert!(landed
             .iter()
@@ -1352,11 +1380,11 @@ mod tests {
         net.register("http://a", Arc::new(Sink));
         net.set_send_delay_us(2_000);
         let started = Instant::now();
-        let mut landing = Landing::new(&net, 64);
+        let mut landing = Landing::new(&net);
         for _ in 0..64 {
-            let _ = landing.post("http://a", env());
+            landing.post("http://a", env());
         }
-        let landed = landing.wait();
+        let landed: Vec<Landed> = landing.collect();
         let took = started.elapsed();
         assert_eq!(landed.iter().filter(|l| l.result.is_ok()).count(), 64);
         // Sequential sends would take 64 × 2 ms = 128 ms.
@@ -1369,10 +1397,10 @@ mod tests {
         let net = Network::new();
         net.register("http://a", Arc::new(Sink));
         net.set_send_delay_us(20_000);
-        let mut landing = Landing::new(&net, 1);
-        let _ = landing.post("http://a", env());
+        let mut landing = Landing::new(&net);
+        landing.post("http://a", env());
         assert!(net.unregister("http://a"));
-        let landed = landing.wait();
+        let landed: Vec<Landed> = landing.collect();
         assert!(matches!(
             &landed[0].result,
             Err(TransportError::NoEndpoint(to)) if to == "http://a"
@@ -1386,14 +1414,14 @@ mod tests {
         net.register("http://a", Arc::new(Sink));
         net.set_latency_ms(5);
         net.set_send_delay_us(1_000);
-        let mut landing = Landing::new(&net, 3);
+        let mut landing = Landing::new(&net);
         for _ in 0..3 {
-            let _ = landing.post("http://a", env());
+            landing.post("http://a", env());
         }
         // The clock moved at each post, not at each landing.
         assert_eq!(net.clock().now_ms(), 15);
         net.set_latency_ms(100);
-        let _ = landing.wait();
+        landing.for_each(drop);
         let trace = net.trace();
         let times: Vec<u64> = trace.iter().map(|r| r.time_ms).collect();
         assert_eq!(times, [5, 10, 15]);
@@ -1409,11 +1437,12 @@ mod tests {
         let net = Network::new();
         let handler = Arc::new(Clocked::default());
         net.register("http://a", handler.clone());
-        let mut landing = Landing::new(&net, 1);
-        let _ = landing.post("http://a", env());
+        let mut landing = Landing::new(&net);
+        landing.post("http://a", env());
         assert_eq!(handler.0.lock().len(), 1, "landed before post returned");
         assert!(landing.posted.is_empty());
-        assert!(landing.wait()[0].result.is_ok());
+        assert!(landing.take_landed().is_some_and(|l| l.result.is_ok()));
+        assert!(landing.next().is_none(), "nothing left in flight");
     }
 
     /// Lands its own posted batch of four sends to `http://a` from
@@ -1421,11 +1450,11 @@ mod tests {
     struct Relay(Network);
     impl SoapHandler for Relay {
         fn handle(&self, _request: Envelope) -> Result<Option<Envelope>, Fault> {
-            let mut landing = Landing::new(&self.0, 4);
+            let mut landing = Landing::new(&self.0);
             for _ in 0..4 {
-                let _ = landing.post("http://a", env());
+                landing.post("http://a", env());
             }
-            assert!(landing.wait().iter().all(|l| l.result.is_ok()));
+            assert!(landing.all(|l| l.result.is_ok()));
             Ok(None)
         }
     }
@@ -1465,17 +1494,17 @@ mod tests {
         let blocked = std::thread::spawn({
             let net = net.clone();
             move || {
-                let mut landing = Landing::new(&net, 1);
-                let _ = landing.post("http://blocks", env());
-                landing.wait().remove(0).result
+                let mut landing = Landing::new(&net);
+                landing.post("http://blocks", env());
+                landing.next().expect("one send posted").result
             }
         });
-        let mut landing = Landing::new(&net, 9);
+        let mut landing = Landing::new(&net);
         for _ in 0..8 {
-            let _ = landing.post("http://a", env());
+            landing.post("http://a", env());
         }
-        let _ = landing.post("http://relay", env());
-        assert!(landing.wait().iter().all(|l| l.result.is_ok()));
+        landing.post("http://relay", env());
+        assert!(landing.all(|l| l.result.is_ok()));
         assert_eq!(blocked.join().unwrap(), Ok(()));
         assert_eq!(seen.0.lock().len(), 12);
         net.unregister("http://relay"); // the relay holds the network

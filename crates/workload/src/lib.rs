@@ -499,7 +499,6 @@ pub fn sharded_fanout(seed: u64) -> ScenarioResult {
     let net = Network::new();
     net.set_latency_ms(3);
     let broker = WsMessenger::start(&net, "http://broker");
-    broker.set_fanout_workers(4);
     net.set_send_delay_us(50);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5);
     let sub = Subscriber::new(&net, WseVersion::Aug2004);
@@ -544,7 +543,6 @@ pub fn slow_flaky_consumers(seed: u64) -> ScenarioResult {
     let net = Network::new();
     net.set_latency_ms(3);
     let broker = WsMessenger::start(&net, "http://broker");
-    broker.set_fanout_workers(1);
     broker.set_fault_tolerance(Some(FaultTolerance {
         base_backoff_ms: 20,
         max_backoff_ms: 400,
@@ -732,16 +730,16 @@ pub fn renewal_churn(seed: u64) -> ScenarioResult {
     judge("renewal_churn", n, &broker, OBJECTIVES)
 }
 
-/// The pipelined federation under an open workload at population
-/// scale: a 100 000-subscriber registry spread across 8 topic-sharded
-/// brokers behind a [`wsm_messenger::FederatedMessenger`] front, a
-/// Zipf(1.1) publication stream enqueued through the bounded link
-/// queues (adaptive batching, persistent flushers), and every shard's
-/// end-to-end tail judged against the same objectives. The scenario proves the link
-/// layer at a scale the federation unit tests never reach: every
-/// publication must fan out to its topic's full 32-subscriber
-/// population on the owning shard, with nothing shed and the queues
-/// drained at the end of the run.
+/// The federation under an open workload at population scale: a
+/// 100 000-subscriber registry spread across 8 topic-sharded brokers
+/// behind a [`wsm_messenger::FederatedMessenger`] front, a Zipf(1.1)
+/// publication stream handed to each event's owner shard on the
+/// publisher's thread, and every shard's end-to-end tail judged against
+/// the same objectives. The scenario proves the federation at a scale
+/// its unit tests never reach: every publication must fan out to its
+/// topic's full 32-subscriber population on the owning shard, with
+/// nothing left queued between the front and the shards at the end of
+/// the run.
 pub fn federated_zipf(seed: u64) -> ScenarioResult {
     const SHARDS: usize = 8;
     const SUBSCRIBERS: u64 = 100_000;
@@ -758,13 +756,9 @@ pub fn federated_zipf(seed: u64) -> ScenarioResult {
             Ok(None)
         }
     }
-    /// Publications between flush barriers — the link queues buffer at
-    /// most this many events before the publisher waits them out.
-    const FLUSH_EVERY: u64 = 8;
-    // Fan-out serializes on the virtual clock (every hop advances it),
-    // so a flush window's whole backlog lands ahead of its last event:
-    // 8 buffered events x 32 hops x 1 virtual ms ~= 256ms for the
-    // worst-placed event of a window.
+    // Each hop advances the virtual clock 1 ms, so the last of a
+    // publication's 32 deliveries resolves about 32 ms after its
+    // ingest.
     const OBJECTIVES: &[Objective] = &[
         objective("federated_p99_e2e", 0.99, 400, 0.02),
         objective("federated_p50_e2e", 0.5, 200, 0.5),
@@ -807,16 +801,6 @@ pub fn federated_zipf(seed: u64) -> ScenarioResult {
     }
     assert_eq!(fed.subscription_count() as u64, SUBSCRIBERS);
 
-    // Publish through the pipelined links: a link seals at 8 events or
-    // once its oldest event has waited 5 virtual ms, whichever comes
-    // first (`min` is not read), the flush barrier below seals the
-    // rest, the flushers hand the batches to the shards, and the
-    // publisher only ever enqueues.
-    fed.set_link_policy(wsm_messenger::BatchPolicy::Adaptive {
-        min: 4,
-        max: 8,
-        deadline_ms: 5,
-    });
     let mut rng = StdRng::seed_from_u64(seed ^ 0x8);
     let zipf = Zipf::new(topics, 1.1);
     let n = events(2_000);
@@ -824,12 +808,12 @@ pub fn federated_zipf(seed: u64) -> ScenarioResult {
         let t = zipf.sample(&mut rng);
         fed.publish_on(&format!("fz{t}/readings"), &payload(seq));
         net.clock().advance_ms(1);
-        if seq % FLUSH_EVERY == FLUSH_EVERY - 1 {
-            fed.flush();
-        }
     }
-    fed.flush();
-    assert_eq!(fed.link_queue_depth(), 0, "flush drains the link queues");
+    assert_eq!(
+        fed.link_queue_depth(),
+        0,
+        "nothing queued between front and shards"
+    );
 
     // Judge across the shards: outcomes sum; for the latency quantiles
     // the scenario reports the *worst* shard (the tail the objectives

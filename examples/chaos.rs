@@ -37,9 +37,6 @@ fn main() {
     net.set_latency_ms(5);
 
     let broker = WsMessenger::start(&net, "http://broker");
-    // One worker keeps the transport trace in deterministic order —
-    // the same configuration the chaos test suite pins in CI.
-    broker.set_fanout_workers(1);
     broker.set_fault_tolerance(Some(FaultTolerance {
         base_backoff_ms: 25,
         max_backoff_ms: 400,

@@ -31,7 +31,6 @@ fn main() {
     let net = Network::new();
     net.set_latency_ms(5);
     let broker = WsMessenger::start(&net, "http://broker");
-    broker.set_fanout_workers(1);
     broker.set_fault_tolerance(Some(FaultTolerance {
         base_backoff_ms: 25,
         max_backoff_ms: 400,
