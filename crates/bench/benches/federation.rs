@@ -12,10 +12,14 @@
 //!
 //! The front hands each publication to its owner shard on the
 //! publisher's thread, and the shard posts the publication's 32 sends
-//! on that thread's landing, so they overlap: a publication costs about
-//! one wire delay plus its match and render, whatever the shard count.
-//! So **shard count does not change one publisher's throughput** in
-//! this regime; every column of the grid reads about the same. What the
+//! on that thread's pipeline and returns: the thread lands them during
+//! its next publications, so consecutive publications overlap on the
+//! wire. Each measured iteration ends with `flush()`, which lands every
+//! send still in flight, so the grid counts delivered events, not
+//! posts. A publication costs its match and render plus its share of
+//! the wire, whatever the shard count. So **shard count does not change
+//! one publisher's throughput** in this regime; every column of the
+//! grid reads about the same. What the
 //! grid guards is that throughput (the `federation_check` gate holds
 //! every column at or above 4.0× the 1-shard throughput of the
 //! buffered links this layer once had) and that matching stays flat in
@@ -179,6 +183,7 @@ fn grid_point(shards: usize, subs: u64, capture_stages: bool) -> (f64, f64, Vec<
             let t = zipf.sample(rng.next_f64());
             fed.publish_on(&format!("z{t}/readings"), &make_event(seq));
         }
+        fed.flush();
     });
     net.set_send_delay_us(0);
 

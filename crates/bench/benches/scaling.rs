@@ -10,18 +10,18 @@
 //! subscribers out (non-matching topic) costs only the filter
 //! evaluation.
 //!
-//! The sequential-vs-parallel comparison runs in two regimes:
+//! Throughput is measured in two regimes:
 //!
 //! * **inline** — the seed's zero-cost in-process sends. Here a
-//!   delivery is pure CPU and there is no wait to overlap, so the
-//!   parallel *configuration* streams on the publishing thread exactly
-//!   as the sequential one does: the two tie.
+//!   delivery is pure CPU and there is no wait to overlap: each send
+//!   lands as it is posted, on the publishing thread.
 //! * **wire** — each send pays a real 100µs delay
 //!   ([`Network::set_send_delay_us`]), modeling the HTTP notification
-//!   latency a deployed broker pays. The parallel configuration posts
-//!   every send of a publication and waits once for all of them to
-//!   land, so it wins regardless of core count — this is the regime
-//!   the overlapped path exists for.
+//!   latency a deployed broker pays. The broker posts every send of a
+//!   publication and waits once for the last to land, so a publication
+//!   costs about one delay, not one per subscriber.
+//!
+//! [`Network::set_send_delay_us`]: wsm_transport::Network::set_send_delay_us
 
 use std::hint::black_box;
 use wsm_addressing::EndpointReference;
@@ -34,54 +34,26 @@ use wsm_messenger::registry::Registry;
 use wsm_messenger::{BrokerDeliveryMode, InternalEvent, SpecDialect, UnifiedFilters};
 use wsm_topics::TopicExpression;
 
-/// Fan-out setting for the parallel axis: any value above 1
-/// overlaps, and an explicit one keeps the axis independent of the
-/// broker's default.
-const PARALLEL_WORKERS: usize = 4;
-
 /// Per-send wire latency for the `wire` regime, in microseconds.
 const WIRE_DELAY_US: u64 = 100;
 
-/// One interleaved sequential/parallel throughput pair at fan-out `n`.
-///
-/// Both modes run on the *same* broker back to back (allocator and
-/// cache state shared), and a contested point — parallel below
-/// sequential — is re-measured up to three times, keeping the pair
-/// with the best parallel/sequential ratio. This is deliberate and
-/// worth being open about: the inline regime is a tie by design (see
-/// the module docs), so a parallel deficit there is scheduler/timer
-/// noise, and re-measuring filters
-/// the noise without touching a real regression — a configuration
-/// that genuinely loses keeps losing on every retry and the report
-/// says so.
-fn throughput_pair(n: u64, delay_us: u64) -> (f64, f64) {
+/// The row label of every throughput sample: one broker, whose
+/// fan-out posts every send.
+const MODE: &str = "posted";
+
+/// Publications per second at fan-out `n` on a wire of `delay_us`.
+fn throughput(n: u64, delay_us: u64) -> f64 {
     let (net, broker) = setup(n as usize, "jobs/status");
     net.set_send_delay_us(delay_us);
     let mut seq = 0u64;
-    let mut run = |workers: usize| {
-        broker.set_fanout_workers(workers);
-        measure_events_per_sec(1, &mut || {
-            seq += 1;
-            broker.publish_on("jobs/status", &make_event(seq));
-        })
-    };
-    let (mut sequential, mut parallel) = (run(1), run(PARALLEL_WORKERS));
-    for _ in 0..3 {
-        if parallel >= sequential {
-            break;
-        }
-        let (s, p) = (run(1), run(PARALLEL_WORKERS));
-        if p / s > parallel / sequential {
-            sequential = s;
-            parallel = p;
-        }
-    }
-    (sequential, parallel)
+    measure_events_per_sec(1, &mut || {
+        seq += 1;
+        broker.publish_on("jobs/status", &make_event(seq));
+    })
 }
 
-/// Per-stage pipeline breakdown from a fixed-publication run of the
-/// overlapped path at the heaviest grid point (256 subscribers, wire
-/// latency).
+/// Per-stage pipeline breakdown from a fixed-publication run at the
+/// heaviest grid point (256 subscribers, wire latency).
 ///
 /// The same 96 publications in quick and full mode, measured first in
 /// `main` before any grid has run, keep the histogram's composition
@@ -90,10 +62,9 @@ fn throughput_pair(n: u64, delay_us: u64) -> (f64, f64) {
 /// against the committed full-mode baseline. Eight warm-up
 /// publications with observability off warm the render cache and
 /// allocator first, keeping that one-time cost out of the mean.
-fn deliver_breakdown() -> Vec<StageBreakdown> {
+fn deliver_pass() -> Vec<StageBreakdown> {
     let (net, broker) = setup(256, "jobs/status");
     net.set_send_delay_us(WIRE_DELAY_US);
-    broker.set_fanout_workers(PARALLEL_WORKERS);
     broker.set_obs_enabled(false);
     for seq in 0..8 {
         broker.publish_on("jobs/status", &make_event(seq));
@@ -103,6 +74,22 @@ fn deliver_breakdown() -> Vec<StageBreakdown> {
         broker.publish_on("jobs/status", &make_event(seq));
     }
     stage_breakdowns(&broker.obs_snapshot())
+}
+
+/// The `deliver` mean of a breakdown, µs.
+fn deliver_mean(stages: &[StageBreakdown]) -> f64 {
+    (stages.iter())
+        .find(|s| s.name == "deliver")
+        .map_or(f64::NAN, |s| s.mean_us)
+}
+
+/// Of three [`deliver_pass`]es, in quick and full mode alike, the one
+/// whose `deliver` mean is the median: one pass's mean spreads about
+/// 1.7× on a shared host, wider than the gate's 1.25× bound.
+fn deliver_breakdown() -> Vec<StageBreakdown> {
+    let mut passes: Vec<Vec<StageBreakdown>> = (0..3).map(|_| deliver_pass()).collect();
+    passes.sort_by(|a, b| deliver_mean(a).total_cmp(&deliver_mean(b)));
+    passes.swap_remove(1)
 }
 
 /// Insert one subscription directly into a registry (bypassing SOAP
@@ -260,8 +247,8 @@ fn measure_matching() -> Vec<MatchingSample> {
     out
 }
 
-/// Emit `BENCH_scaling.json`: events/sec against subscriber count, for
-/// the sequential and parallel delivery engines, in both the zero-cost
+/// Emit `BENCH_scaling.json`: events/sec against subscriber count, one
+/// row per scenario and fan-out, in both the zero-cost
 /// `publish_inline` regime and the 100µs-per-send `publish_wire`
 /// regime (see the module docs) — plus a per-stage pipeline breakdown
 /// from the largest wire-regime population and the subscription-
@@ -271,15 +258,12 @@ fn main() {
     let mut samples = Vec::new();
     for (scenario, delay_us) in [("publish_inline", 0u64), ("publish_wire", WIRE_DELAY_US)] {
         for n in [1u64, 8, 64, 256] {
-            let (sequential, parallel) = throughput_pair(n, delay_us);
-            for (mode, events_per_sec) in [("sequential", sequential), ("parallel", parallel)] {
-                samples.push(ThroughputSample {
-                    scenario: scenario.into(),
-                    mode: mode.into(),
-                    param: n,
-                    events_per_sec,
-                });
-            }
+            samples.push(ThroughputSample {
+                scenario: scenario.into(),
+                mode: MODE.into(),
+                param: n,
+                events_per_sec: throughput(n, delay_us),
+            });
         }
     }
     let matching = measure_matching();

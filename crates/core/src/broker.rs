@@ -20,7 +20,7 @@ use crate::brokered::Brokered;
 use crate::control::{
     unknown_subscription, ControlOp, Endpoint, Manage, OpKind, Reply, Subscribed, Subscription,
 };
-use crate::delivery::{self, PushJob, StatsDelta};
+use crate::delivery::{self, Fates, PushJob, Return, Settle, StatsDelta};
 use crate::detect::SpecDialect;
 use crate::event::InternalEvent;
 use crate::obs::{BrokerObs, Outcome, Stage};
@@ -420,9 +420,17 @@ impl WsMessenger {
         self.publish_event(InternalEvent::raw(payload.clone()))
     }
 
-    /// Publish a fully-specified internal event.
+    /// Publish a fully-specified internal event. Returns once every
+    /// send it made has landed, with the deliveries made.
     pub fn publish_event(&self, event: InternalEvent) -> usize {
-        ingest(&self.inner, event)
+        ingest(&self.inner, event, Return::Landed)
+    }
+
+    /// Publish `event` as a federation shard: return once its sends are
+    /// posted, holding at most `cap` of this thread's sends in flight
+    /// (`crate::delivery`).
+    pub(crate) fn publish_posted(&self, event: InternalEvent, cap: usize) {
+        ingest(&self.inner, event, Return::Posted { cap });
     }
 
     /// Flush wrapped-mode buffers; returns batches sent.
@@ -450,15 +458,15 @@ impl WsMessenger {
 
 // ---------------------------------------------------------- ingestion
 
-fn ingest(inner: &MessengerInner, event: InternalEvent) -> usize {
+fn ingest(inner: &Arc<MessengerInner>, event: InternalEvent, until: Return) -> usize {
     let seq = inner.obs.next_seq();
-    ingest_seq(inner, event, seq)
+    ingest_seq(inner, event, seq, until)
 }
 
 /// Ingest one publication under an already-minted trace sequence
 /// number (a SOAP publication's messages and its `detect` span share
 /// one trace id).
-fn ingest_seq(inner: &MessengerInner, event: InternalEvent, seq: u64) -> usize {
+fn ingest_seq(inner: &Arc<MessengerInner>, event: InternalEvent, seq: u64, until: Return) -> usize {
     let timer = inner.obs.start();
     if let Some(t) = &event.topic {
         inner.topic_space.lock().add(t);
@@ -477,7 +485,7 @@ fn ingest_seq(inner: &MessengerInner, event: InternalEvent, seq: u64) -> usize {
         .stage(Stage::Publish, seq, timer, inner.net.clock().now_ms(), 1);
     let mut delivered = 0;
     for ev in &relayed {
-        delivered += fan_out(inner, ev, seq);
+        delivered += fan_out(inner, ev, seq, until);
     }
     // Piggyback a redelivery pass on every publication: held retries
     // whose backoff elapsed (the sends above advanced the virtual
@@ -552,7 +560,12 @@ impl Iterator for RenderSource<'_> {
     }
 }
 
-fn fan_out(inner: &MessengerInner, event: &InternalEvent, seq: u64) -> usize {
+/// Match `event`, hold it for pull and wrapped subscribers, and post a
+/// rendered send to each push subscriber (`crate::delivery`). Returns
+/// the deliveries made: held events, plus the pushes that landed
+/// ([`Return::Landed`]) or were posted ([`Return::Posted`]).
+fn fan_out(inner: &Arc<MessengerInner>, event: &InternalEvent, seq: u64, until: Return) -> usize {
+    delivery::land_due();
     let now = inner.net.clock().now_ms();
     let match_timer = inner.obs.start();
     let swept = inner.registry.sweep_expired(now);
@@ -585,6 +598,10 @@ fn fan_out(inner: &MessengerInner, event: &InternalEvent, seq: u64) -> usize {
         resolve_held(inner, &sub.id, std::slice::from_ref(held), Outcome::Expired);
     }
     delivered -= gone.len();
+    // With fault tolerance on, a failed send must be held before the
+    // subscriber's next event is gated behind it, so the fan-out lands
+    // its own sends before it returns.
+    let until = if ft { Return::Landed } else { until };
     let cache = RenderCache::new(event);
     let mut source = RenderSource {
         inner,
@@ -598,69 +615,76 @@ fn fan_out(inner: &MessengerInner, event: &InternalEvent, seq: u64) -> usize {
         render_ns: 0,
     };
     let deliver_timer = inner.obs.start();
-    let report = delivery::execute(&inner.net, &mut source);
+    let owner: Arc<dyn Settle> = inner.clone();
+    let fan_out = delivery::execute(&inner.net, &owner, &mut source, until);
     let after_ms = inner.net.clock().now_ms();
+    let pushed = match until {
+        Return::Landed => fan_out.delivered,
+        Return::Posted { .. } => fan_out.jobs,
+    };
     // Render happened inside the deliver window (the source renders
     // as the engine pulls jobs); record its accumulated time first so
     // ring order stays publish → match → render → deliver, then the
     // deliver span — whose duration *includes* the rendering — and
-    // the publisher's wait for its posted sends to land.
+    // the publisher's wait for sends to land.
     inner
         .obs
         .stage_dur(Stage::Render, seq, source.render_ns, now, source.rendered);
-    inner.obs.stage(
-        Stage::Deliver,
-        seq,
-        deliver_timer,
-        after_ms,
-        report.delivered as u64,
-    );
-    if report.join_wait_ns > 0 {
+    inner
+        .obs
+        .stage(Stage::Deliver, seq, deliver_timer, after_ms, pushed as u64);
+    if fan_out.waited_ns > 0 {
         inner.obs.stage_dur(
             Stage::Handoff,
             seq,
-            report.join_wait_ns,
+            fan_out.waited_ns,
             after_ms,
-            report.jobs as u64,
+            fan_out.jobs as u64,
         );
     }
-    inner.obs.record_latencies(&report.latencies_ns);
-    delivered += report.delivered;
-    // Every first-round success is a terminal outcome: resolve the
-    // publication's causal timelines (and feed the e2e histogram) now,
-    // in one pass.
-    inner
-        .obs
-        .resolve_delivered(&report.resolved, inner.net.clock().now_ms());
-    let mut delta = report.delta;
-    let now = inner.net.clock().now_ms();
-    if ft {
-        // Fault-tolerant mode: a failed push is not "failed" yet — it
-        // is held with backoff, and only dead-lettering counts against
-        // the broker.
-        delta.failed = 0;
-        for (kind, job) in &report.failures {
-            let event = inner
-                .outboxes
-                .lock()
-                .admit_failure(&inner.registry, *kind, job, now);
-            if event.kind == PumpEventKind::DeadLettered {
-                delta.failed += 1;
-                delta.dead_lettered += 1;
+    delivery::land_due();
+    delivered + pushed
+}
+
+/// The one settle path of a landed push, whether its fan-out waited
+/// for it or returned once it was posted (`crate::delivery`).
+impl Settle for MessengerInner {
+    fn settle(&self, fates: &mut Fates) {
+        let inner = self;
+        inner.obs.record_latencies(&fates.latencies_ns);
+        let now = inner.net.clock().now_ms();
+        // Every first-round success is a terminal outcome: resolve its
+        // causal timeline (and feed the e2e histogram) now, in one pass.
+        inner.obs.resolve_delivered(&fates.resolved, now);
+        let mut delta = fates.delta;
+        let ft = !fates.failures.is_empty() && inner.outboxes.lock().ft().is_some();
+        if ft {
+            // Fault-tolerant mode: a failed push is not "failed" yet —
+            // it is held with backoff, and only dead-lettering counts
+            // against the broker.
+            delta.failed = 0;
+            for (kind, job) in &fates.failures {
+                let event = inner
+                    .outboxes
+                    .lock()
+                    .admit_failure(&inner.registry, *kind, job, now);
+                if event.kind == PumpEventKind::DeadLettered {
+                    delta.failed += 1;
+                    delta.dead_lettered += 1;
+                }
+                trace_attempt(inner, &event);
             }
-            trace_attempt(inner, &event);
+        } else if !fates.failures.is_empty() {
+            // Legacy mode evicts the subscription: the message's story
+            // ends here, unresolved-by-delivery.
+            let failed = fates.failures.iter().map(|(_, job)| job.sub_id());
+            retire(inner, failed, Some(EndStatus::DeliveryFailure));
+            for (_, job) in &fates.failures {
+                resolve_job(inner, job, now, Outcome::Expired);
+            }
         }
-    } else {
-        // Legacy mode evicts the subscription: the message's story ends
-        // here, unresolved-by-delivery.
-        let failed = report.failures.iter().map(|(_, job)| job.sub_id());
-        retire(inner, failed, Some(EndStatus::DeliveryFailure));
-        for (_, job) in &report.failures {
-            resolve_job(inner, job, now, Outcome::Expired);
-        }
+        inner.ledger.book(&delta);
     }
-    inner.ledger.book(&delta);
-    delivered
 }
 
 /// Attempt every due redelivery at the current virtual time, booking
@@ -793,7 +817,7 @@ impl WsMessenger {
         let now = inner.net.clock().now_ms();
         inner.obs.stage_dur(Stage::Detect, seq, detect_ns, now, 1);
         for ev in events {
-            ingest_seq(inner, ev, seq);
+            ingest_seq(inner, ev, seq, Return::Landed);
         }
     }
 
@@ -803,12 +827,13 @@ impl WsMessenger {
         self.seed_topics(&s.filters.topics);
         let now = inner.net.clock().now_ms();
         let expires_at = s.lease.map(|l| l.absolute(now));
-        let id = inner.registry.insert(
+        let (id, key) = inner.registry.insert_keyed(
             s.dialect, s.consumer, s.end_to, s.filters, s.mode, s.use_raw, expires_at,
         );
         Subscribed {
             manager: inner.manager_uri.clone(),
             id,
+            key,
             requested: s.lease,
             now_ms: now,
             expires_at,

@@ -231,6 +231,9 @@ pub(crate) enum ControlOp {
 pub(crate) struct Subscribed {
     pub(crate) manager: String,
     pub(crate) id: String,
+    /// The registry key behind `id` (`wsm-{key}`) on the broker that
+    /// placed the subscription.
+    pub(crate) key: u64,
     /// The lease the request asked for, echoed by WS-Eventing.
     pub(crate) requested: Option<Expires>,
     pub(crate) now_ms: u64,
@@ -542,9 +545,10 @@ impl Endpoint {
     }
 
     /// Hand a publication to ingest. A front federates its events, each
-    /// delivered before `publish_event` returns. Its shards may have
-    /// swept expired subscriptions meanwhile, so it then re-evaluates
-    /// its demand-based publishers.
+    /// posted on this thread's pipeline before `publish_event` returns
+    /// (`crate::delivery`). Its shards may have swept expired
+    /// subscriptions meanwhile, so it then re-evaluates its
+    /// demand-based publishers.
     fn ingest(&self, events: impl Iterator<Item = InternalEvent>, detect_ns: u64) {
         match self {
             Endpoint::Broker(b) => b.ingest(events, detect_ns),

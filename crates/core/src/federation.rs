@@ -23,11 +23,16 @@
 //!   replicated subscription sees each event exactly once.
 //! * **Unbuffered links.** A publication is handed to its owner shard
 //!   on the publisher's own thread, and the shard's fan-out posts its
-//!   sends on that thread's landing (`crate::delivery`), so they
-//!   overlap on a delayed wire. There is no link queue and no thread:
-//!   `publish_on` returns once the owner shard has landed every send,
-//!   so each subscriber sees one publisher's events in the order it
-//!   published them, by construction.
+//!   sends on that thread's pipeline (`crate::delivery`). There is no
+//!   link queue and no thread: `publish_on` returns once the sends are
+//!   posted, and the thread lands them during its later calls, at
+//!   [`FederatedMessenger::flush`], when it holds 1 024 sends in
+//!   flight, or when it ends. One pipeline lands in post order, so each
+//!   subscriber sees one publisher's events in the order it published
+//!   them, by construction, and a thread's publications overlap on a
+//!   delayed wire across shards. A send posted before a management
+//!   request (an Unsubscribe, say) may land after its response, as on
+//!   a real wire.
 //! * **Zero-reparse hop.** The event crosses to its shard as the same
 //!   [`InternalEvent`] — the `Arc`'d payload subtree is neither
 //!   serialized nor reparsed — accounted as if it had arrived in the
@@ -53,8 +58,7 @@
 //!   own: it subscribes at a demand-based publisher once, as the
 //!   consumer, and ORs its shards' demand.
 //!
-//! [`FederatedMessenger::set_link_policy`], [`FederatedMessenger::flush`],
-//! [`FederatedMessenger::link_queue_depth`] and
+//! [`FederatedMessenger::set_link_policy`] and
 //! [`FederatedMessenger::shed_events`] are kept as no-ops for callers
 //! written against the buffered links this module once had.
 //!
@@ -85,9 +89,8 @@
 //! assert_eq!(wsn.notifications().len(), 1);
 //! assert_eq!(wse.received().len(), 2);
 //!
-//! // A link policy changes nothing: every publication has reached its
-//! // subscribers by the time `publish_on` returns, so there is never
-//! // anything for `flush()` to drain.
+//! // A link policy changes nothing, and on a wire with no send delay
+//! // every send lands as it is posted: nothing is left for `flush()`.
 //! fed.set_link_policy(BatchPolicy::Adaptive { min: 2, max: 64, deadline_ms: 5 });
 //! for _ in 0..10 {
 //!     fed.publish_on("storms", &Element::local("alert"));
@@ -95,11 +98,24 @@
 //! assert_eq!(wsn.notifications().len(), 11);
 //! assert_eq!(wse.received().len(), 12);
 //! assert_eq!((fed.flush(), fed.link_queue_depth()), (0, 0));
+//!
+//! // On a delayed wire `publish_on` returns once the sends are posted;
+//! // this thread lands them later, at the latest when it flushes.
+//! net.set_send_delay_us(100);
+//! for _ in 0..10 {
+//!     fed.publish_on("storms", &Element::local("alert"));
+//! }
+//! assert!(fed.link_queue_depth() > 0, "sends still in flight");
+//! let landed = wsn.notifications().len() + wse.received().len() - 23;
+//! assert_eq!(fed.flush(), 20 - landed);
+//! assert_eq!((wsn.notifications().len(), wse.received().len()), (21, 22));
+//! assert_eq!(fed.link_queue_depth(), 0);
 //! ```
 
 use crate::broker::WsMessenger;
 use crate::brokered::Brokered;
 use crate::control::{unknown_subscription, ControlOp, Endpoint, Manage, Reply, Subscribed};
+use crate::delivery::{self, IN_FLIGHT_CAP};
 use crate::detect::SpecDialect;
 use crate::event::InternalEvent;
 use crate::obs::{BrokerObs, Stage};
@@ -150,14 +166,96 @@ pub enum BatchPolicy {
     },
 }
 
+/// One placement of a federated subscription: a shard and the key its
+/// registry minted the local id `wsm-{key}` from, packed in one word.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Placement(u64);
+
+/// Bits of a [`Placement`] that hold the registry key; the shard index
+/// takes the rest.
+const KEY_BITS: u32 = 48;
+
+impl Placement {
+    fn new(shard: usize, key: u64) -> Placement {
+        assert!(key < 1 << KEY_BITS, "registry key {key} out of range");
+        Placement((shard as u64) << KEY_BITS | key)
+    }
+
+    fn shard(self) -> usize {
+        (self.0 >> KEY_BITS) as usize
+    }
+
+    /// The shard's own id for the subscription, built only for a
+    /// management request.
+    fn local_id(self) -> String {
+        format!("wsm-{}", self.0 & ((1 << KEY_BITS) - 1))
+    }
+}
+
+/// Federated id → the placements behind it, keyed by the `n` of the
+/// `fed-{n}` id the front minted. A route with one placement, the
+/// common case, is one 16-byte entry; the broadcast residue and
+/// multi-root filters keep a boxed slice in a map of their own.
+#[derive(Default)]
+struct Routes {
+    one: HashMap<u64, Placement>,
+    many: HashMap<u64, Box<[Placement]>>,
+}
+
+impl Routes {
+    fn insert(&mut self, n: u64, placements: Vec<Placement>) {
+        match placements[..] {
+            [one] => {
+                self.one.insert(n, one);
+            }
+            _ => {
+                self.many.insert(n, placements.into_boxed_slice());
+            }
+        }
+    }
+
+    /// The placements of route `n` as `(shard, local id)`, removed
+    /// with it when `remove` is set.
+    fn placements(&mut self, n: u64, remove: bool) -> Option<Vec<(usize, String)>> {
+        let placed: Vec<Placement> = if remove {
+            (self.one.remove(&n).map(|p| vec![p]))
+                .or_else(|| self.many.remove(&n).map(Vec::from))?
+        } else {
+            (self.one.get(&n).map(|p| vec![*p]))
+                .or_else(|| self.many.get(&n).map(|ps| ps.to_vec()))?
+        };
+        Some(placed.iter().map(|p| (p.shard(), p.local_id())).collect())
+    }
+
+    fn len(&self) -> usize {
+        self.one.len() + self.many.len()
+    }
+
+    fn placement_count(&self) -> usize {
+        self.one.len() + self.many.values().map(|ps| ps.len()).sum::<usize>()
+    }
+}
+
+/// The `n` of a federated id `fed-{n}` spelled as the front mints it:
+/// digits only, no sign and no leading zero, so no other spelling
+/// names the same route.
+fn route_number(id: &str) -> Option<u64> {
+    let digits = id.strip_prefix("fed-")?;
+    let canonical = !digits.is_empty()
+        && !digits.starts_with('0')
+        && digits.bytes().all(|b| b.is_ascii_digit());
+    canonical.then(|| digits.parse().ok()).flatten()
+}
+
 struct FederationInner {
     uri: String,
     manager_uri: String,
-    /// Federated id → the `(shard, local id)` placements behind it. The
-    /// front mints `fed-{n}` ids so a subscriber holds one handle however
-    /// many shards back it.
-    routes: Mutex<HashMap<String, Vec<(usize, String)>>>,
+    /// The front mints `fed-{n}` ids so a subscriber holds one handle
+    /// however many shards back it.
+    routes: Mutex<Routes>,
     next_id: AtomicU64,
+    /// Sends a publishing thread may hold in flight.
+    cap: usize,
     /// Round-robin cursor for topicless publications.
     round_robin: AtomicUsize,
     /// Publishers registered at the front, and its PullPoints.
@@ -179,12 +277,18 @@ pub struct FederatedMessenger {
 }
 
 impl FederatedMessenger {
-    /// Start a federation of `shards` broker shards (clamped to ≥ 1)
-    /// behind a routing front at `uri`. Shard `i` is a full
+    /// Start a federation of `shards` broker shards (clamped to
+    /// 1..=65 536) behind a routing front at `uri`. Shard `i` is a full
     /// [`WsMessenger`] at `{uri}/shard-{i}`; the front's subscription
     /// manager answers at `{uri}/subscriptions`.
     pub fn start(net: &Network, uri: &str, shards: usize) -> Self {
-        let n = shards.max(1);
+        Self::start_capped(net, uri, shards, IN_FLIGHT_CAP)
+    }
+
+    /// [`Self::start`], with a publishing thread holding at most `cap`
+    /// sends in flight (at least 1).
+    pub(crate) fn start_capped(net: &Network, uri: &str, shards: usize, cap: usize) -> Self {
+        let n = shards.clamp(1, 1 << (64 - KEY_BITS));
         let shard_brokers: Vec<WsMessenger> = (0..n)
             .map(|i| WsMessenger::start(net, &format!("{uri}/shard-{i}")))
             .collect();
@@ -192,8 +296,9 @@ impl FederatedMessenger {
             inner: Arc::new(FederationInner {
                 uri: uri.to_string(),
                 manager_uri: format!("{uri}/subscriptions"),
-                routes: Mutex::new(HashMap::new()),
+                routes: Mutex::new(Routes::default()),
                 next_id: AtomicU64::new(0),
+                cap: cap.max(1),
                 round_robin: AtomicUsize::new(0),
                 brokered: Brokered::default(),
                 net: net.clone(),
@@ -253,7 +358,7 @@ impl FederatedMessenger {
     /// subscriptions — equals [`Self::subscription_count`] when no
     /// registration is orphaned and none was inserted out-of-band.
     pub fn route_entry_count(&self) -> usize {
-        self.inner.routes.lock().values().map(Vec::len).sum()
+        self.inner.routes.lock().placement_count()
     }
 
     /// Does nothing: links do not buffer (see [`BatchPolicy`]). Kept
@@ -262,11 +367,12 @@ impl FederatedMessenger {
         let _ = policy;
     }
 
-    /// Events held between the front and the shards: always 0, because
-    /// every publication reaches its shard before `publish_on` returns.
-    /// Kept because `benchmark/` calls it.
+    /// Sends the calling thread has posted and not yet landed, through
+    /// this front or any other broker (`crate::delivery`): what
+    /// [`Self::flush`] would land now. Nothing is ever queued between
+    /// the front and the shards.
     pub fn link_queue_depth(&self) -> usize {
-        0
+        delivery::in_flight()
     }
 
     /// Events shed around a full link queue: always 0, because there is
@@ -277,9 +383,11 @@ impl FederatedMessenger {
 
     /// Publish an event on a topic through the federation. Returns 1:
     /// unlike [`WsMessenger::publish_on`], the return value counts
-    /// federated *events*, not per-subscriber deliveries — those happen
-    /// inside the owning shard, which has landed every one of them by
-    /// the time this returns.
+    /// federated *events*, not per-subscriber deliveries. The owning
+    /// shard posts one send per push subscriber on this thread's
+    /// pipeline and returns; with no send delay each lands before this
+    /// returns, else this thread lands them during its later calls or at
+    /// [`Self::flush`] (see the module docs).
     pub fn publish_on(&self, topic: &str, payload: &Element) -> usize {
         self.publish_event(InternalEvent::on_topic(topic, payload.clone()))
     }
@@ -308,14 +416,16 @@ impl FederatedMessenger {
         inner
             .obs
             .stage(Stage::Federate, seq, timer, inner.net.clock().now_ms(), 1);
-        inner.shards[shard].publish_event(event);
+        inner.shards[shard].publish_posted(event, inner.cap);
         1
     }
 
-    /// Does nothing and returns 0: no event is ever held between the
-    /// front and the shards. Kept because `benchmark/` calls it.
+    /// Land every send the calling thread has posted and not yet
+    /// landed — through this front or any other broker — waiting out
+    /// their delays, and settle each with its shard. Returns how many
+    /// landed; another thread's sends are its own to land.
     pub fn flush(&self) -> usize {
-        0
+        delivery::land_all()
     }
 
     /// Flush wrapped-mode consumer buffers on every shard; returns
@@ -430,12 +540,16 @@ impl FederatedMessenger {
                 let (&last, rest) = targets.split_last().expect("a subscription has a shard");
                 let mut entries = Vec::with_capacity(targets.len());
                 for &i in rest {
-                    entries.push((i, shards[i].subscribe(s.as_ref().clone()).id));
+                    entries.push(Placement::new(
+                        i,
+                        shards[i].subscribe(s.as_ref().clone()).key,
+                    ));
                 }
                 let placed = shards[last].subscribe(*s);
-                entries.push((last, placed.id));
-                let id = format!("fed-{}", inner.next_id.fetch_add(1, Ordering::Relaxed) + 1);
-                inner.routes.lock().insert(id.clone(), entries);
+                entries.push(Placement::new(last, placed.key));
+                let n = inner.next_id.fetch_add(1, Ordering::Relaxed) + 1;
+                inner.routes.lock().insert(n, entries);
+                let id = format!("fed-{n}");
                 self.refresh_demand();
                 let manager = inner.manager_uri.clone();
                 Ok(Reply::Subscribed(Subscribed {
@@ -445,14 +559,11 @@ impl FederatedMessenger {
                 }))
             }
             ControlOp::Manage(dialect, id, manage) => {
-                let mut routes = inner.routes.lock();
                 // Unsubscribe and Destroy end the route with its placements.
-                let entries = match manage {
-                    Manage::End(_) => routes.remove(&id),
-                    _ => routes.get(&id).cloned(),
-                };
-                drop(routes);
-                let entries = entries.ok_or_else(|| unknown_subscription(dialect, &id))?;
+                let end = matches!(manage, Manage::End(_));
+                let entries = route_number(&id)
+                    .and_then(|n| inner.routes.lock().placements(n, end))
+                    .ok_or_else(|| unknown_subscription(dialect, &id))?;
                 let reply = match manage {
                     Manage::Pull(max) => self.pull(dialect, entries, max),
                     manage => self.on_shards(entries.into_iter().map(|(shard, local)| {
@@ -548,6 +659,7 @@ fn merge(a: Result<Reply, Fault>, b: Result<Reply, Fault>) -> Result<Reply, Faul
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::broker::WsMessenger;
     use wsm_eventing::{EventSink, SubscribeRequest, Subscriber, WseVersion};
     use wsm_notification::{NotificationConsumer, WsnClient, WsnFilter, WsnSubscribeRequest};
 
@@ -621,6 +733,189 @@ mod tests {
 
         assert_eq!(wsn.notifications().len(), 3, "topic sub: its topic only");
         assert_eq!(wse.received().len(), 5, "broadcast sub: every event, once");
+    }
+
+    #[test]
+    fn only_the_minted_spelling_of_a_federated_id_names_its_route() {
+        let net = Network::new();
+        let fed = FederatedMessenger::start(&net, "http://fed", 2);
+        let wsn = NotificationConsumer::start(&net, "http://c-wsn", WsnVersion::V1_3);
+        let client = WsnClient::new(&net, WsnVersion::V1_3);
+        for _ in 0..7 {
+            let request =
+                WsnSubscribeRequest::new(wsn.epr()).with_filter(WsnFilter::topic("storms"));
+            client.subscribe(fed.uri(), &request).unwrap();
+        }
+        let dialect = SpecDialect::Wsn(WsnVersion::V1_3);
+        let status = |id: &str| {
+            fed.apply(ControlOp::Manage(dialect, id.into(), Manage::GetStatus))
+                .map(|_| ())
+        };
+        assert!(status("fed-7").is_ok());
+        for id in [
+            "fed-007", "fed-07", "fed-+7", "fed-x", "fed-", "fed-8", "wsm-7", "7",
+        ] {
+            let fault = status(id).expect_err(id);
+            let unknown = unknown_subscription(dialect, id);
+            assert_eq!(
+                (fault.subcode, fault.reason),
+                (unknown.subcode, unknown.reason),
+                "{id} answers the unknown-subscription fault"
+            );
+        }
+    }
+
+    /// `(publisher, index)` of each received payload, in arrival order.
+    fn origins(payloads: impl Iterator<Item = Element>) -> Vec<(usize, usize)> {
+        let attr = |e: &Element, name: &str| -> usize { e.attr(name).unwrap().parse().unwrap() };
+        payloads.map(|e| (attr(&e, "pub"), attr(&e, "i"))).collect()
+    }
+
+    /// `got` is `expected` (sorted) exactly once, each publisher's
+    /// events in the order it published them.
+    fn assert_exactly_once_in_order(got: &[(usize, usize)], expected: &[(usize, usize)]) {
+        let mut sorted = got.to_vec();
+        sorted.sort_unstable();
+        assert_eq!(sorted, expected, "every matching event exactly once");
+        for p in 0..2 {
+            let order: Vec<usize> = got.iter().filter(|o| o.0 == p).map(|o| o.1).collect();
+            assert!(order.windows(2).all(|w| w[0] < w[1]), "{p}: {order:?}");
+        }
+    }
+
+    /// The racing-publishers scenario of `tests/federation_links.rs`
+    /// at a cap of one send in flight: each post first lands the send
+    /// before it, and every subscriber still gets each matching event
+    /// once, in each publisher's order.
+    #[test]
+    fn racing_publishers_deliver_exactly_once_in_publisher_order_at_a_cap_of_one() {
+        const ROOTS: [&str; 6] = ["storms", "jobs", "transfers", "compute", "t4", "t5"];
+        let net = Network::new();
+        let fed = FederatedMessenger::start_capped(&net, "http://fed", 4, 1);
+        let wse = EventSink::start(&net, "http://sink", WseVersion::Aug2004);
+        Subscriber::new(&net, WseVersion::Aug2004)
+            .subscribe(fed.uri(), SubscribeRequest::push(wse.epr()))
+            .unwrap();
+        let client = WsnClient::new(&net, WsnVersion::V1_3);
+        let rooted: Vec<NotificationConsumer> = (ROOTS[..4].iter().enumerate())
+            .map(|(i, root)| {
+                let c =
+                    NotificationConsumer::start(&net, &format!("http://wsn-{i}"), WsnVersion::V1_3);
+                let request = WsnSubscribeRequest::new(c.epr()).with_filter(WsnFilter::topic(root));
+                client.subscribe(fed.uri(), &request).unwrap();
+                c
+            })
+            .collect();
+        net.set_send_delay_us(100);
+        let publishers: Vec<_> = (0..2usize)
+            .map(|p| {
+                let fed = fed.clone();
+                std::thread::spawn(move || {
+                    (0..300usize)
+                        .map(|i| {
+                            let root = (i * 7 + p * 3) % ROOTS.len();
+                            let event = Element::local("event")
+                                .with_attr("pub", p.to_string())
+                                .with_attr("i", i.to_string());
+                            fed.publish_on(ROOTS[root], &event);
+                            assert!(fed.link_queue_depth() <= 1, "the cap holds");
+                            root
+                        })
+                        .collect::<Vec<usize>>()
+                })
+            })
+            .collect();
+        let roots: Vec<Vec<usize>> = publishers.into_iter().map(|p| p.join().unwrap()).collect();
+        net.set_send_delay_us(0);
+        let published_on = |want: Option<usize>| -> Vec<(usize, usize)> {
+            (roots.iter().enumerate())
+                .flat_map(|(p, rs)| rs.iter().enumerate().map(move |(i, r)| (p, i, *r)))
+                .filter(|(_, _, r)| want.is_none_or(|w| w == *r))
+                .map(|(p, i, _)| (p, i))
+                .collect()
+        };
+        assert_exactly_once_in_order(&origins(wse.received().into_iter()), &published_on(None));
+        for (r, c) in rooted.iter().enumerate() {
+            let got = origins(c.notifications().into_iter().map(|m| m.message));
+            assert_exactly_once_in_order(&got, &published_on(Some(r)));
+        }
+    }
+
+    /// Publishes each notification it receives on `echo` through the
+    /// front, from inside the handler, while the publisher's pipeline
+    /// is landing the send that reached it.
+    struct Echo(parking_lot::Mutex<Option<FederatedMessenger>>);
+    impl wsm_transport::SoapHandler for Echo {
+        fn handle(&self, _req: wsm_soap::Envelope) -> Result<Option<wsm_soap::Envelope>, Fault> {
+            let front = self.0.lock().clone();
+            if let Some(front) = front {
+                front.publish_on("echo", &Element::local("echoed"));
+            }
+            Ok(None)
+        }
+    }
+
+    #[test]
+    fn a_consumer_that_publishes_through_the_front_as_its_send_lands_loses_nothing() {
+        let net = Network::new();
+        let fed = FederatedMessenger::start(&net, "http://fed", 4);
+        let echo = Arc::new(Echo(parking_lot::Mutex::new(Some(fed.clone()))));
+        net.register("http://echo", echo.clone());
+        let client = WsnClient::new(&net, WsnVersion::V1_3);
+        let subscribe = |uri: &str, topic: &str| {
+            let epr = wsm_addressing::EndpointReference::new(uri);
+            let request = WsnSubscribeRequest::new(epr).with_filter(WsnFilter::topic(topic));
+            client.subscribe(fed.uri(), &request).unwrap();
+        };
+        subscribe("http://echo", "storms");
+        let sink = NotificationConsumer::start(&net, "http://sink", WsnVersion::V1_3);
+        subscribe("http://sink", "echo");
+        net.set_send_delay_us(200);
+        for i in 0..20 {
+            fed.publish_on("storms", &payload(i));
+        }
+        fed.flush();
+        assert_eq!(
+            sink.notifications().len(),
+            20,
+            "every nested publication landed"
+        );
+        assert_eq!(fed.link_queue_depth(), 0);
+        // At no delay the nested publication lands inside the outer one.
+        net.set_send_delay_us(0);
+        fed.publish_on("storms", &payload(20));
+        assert_eq!(sink.notifications().len(), 21);
+        echo.0.lock().take(); // the handler holds the front
+    }
+
+    #[test]
+    fn a_thread_mixing_front_and_broker_publications_keeps_each_consumers_fifo() {
+        let net = Network::new();
+        let fed = FederatedMessenger::start(&net, "http://fed", 4);
+        let broker = WsMessenger::start(&net, "http://broker");
+        let sink = EventSink::start(&net, "http://sink", WseVersion::Aug2004);
+        let subscriber = Subscriber::new(&net, WseVersion::Aug2004);
+        subscriber
+            .subscribe(fed.uri(), SubscribeRequest::push(sink.epr()))
+            .unwrap();
+        subscriber
+            .subscribe(broker.uri(), SubscribeRequest::push(sink.epr()))
+            .unwrap();
+        net.set_send_delay_us(500);
+        for i in 0..30 {
+            let event = payload(i);
+            if i % 3 == 2 {
+                // Returns once its own send has landed, and so every
+                // earlier posted one too.
+                assert_eq!(broker.publish_on("jobs", &event), 1);
+                assert_eq!(fed.link_queue_depth(), 0);
+            } else {
+                fed.publish_on("storms", &event);
+            }
+        }
+        let got: Vec<String> = sink.received().iter().map(|e| e.text()).collect();
+        let sent: Vec<String> = (0..30).map(|i| format!("e{i}")).collect();
+        assert_eq!(got, sent, "one consumer, one thread: publication order");
     }
 
     #[test]

@@ -71,7 +71,7 @@ pub mod render;
 pub use backend::{InMemoryBackend, JmsBackend, MessagingBackend};
 pub use broker::{MediationStats, WsMessenger};
 pub use control::OpKind;
-pub use delivery::{FailKind, FanOutReport, PushJob, ResolvedMark, StatsDelta};
+pub use delivery::{FailKind, Fates, PushJob, ResolvedMark, StatsDelta};
 pub use detect::{DialectProfile, NotificationShape, SpecDialect};
 pub use event::InternalEvent;
 pub use federation::{shard_of_root, BatchPolicy, FederatedMessenger};

@@ -423,11 +423,36 @@ impl Registry {
         spec: SpecDialect,
         consumer: EndpointReference,
         end_to: Option<EndpointReference>,
-        mut filters: UnifiedFilters,
+        filters: UnifiedFilters,
         mode: BrokerDeliveryMode,
         use_raw: bool,
         expires_at_ms: Option<u64>,
     ) -> String {
+        self.insert_keyed(
+            spec,
+            consumer,
+            end_to,
+            filters,
+            mode,
+            use_raw,
+            expires_at_ms,
+        )
+        .0
+    }
+
+    /// [`Registry::insert`], also returning the key the id was minted
+    /// from (the id is `wsm-{key}`).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn insert_keyed(
+        &self,
+        spec: SpecDialect,
+        consumer: EndpointReference,
+        end_to: Option<EndpointReference>,
+        mut filters: UnifiedFilters,
+        mode: BrokerDeliveryMode,
+        use_raw: bool,
+        expires_at_ms: Option<u64>,
+    ) -> (String, u64) {
         let mut inner = self.inner.lock();
         let slots = filters
             .content
@@ -465,7 +490,7 @@ impl Registry {
                 expires_at_ms,
             },
         );
-        id
+        (id, key)
     }
 
     fn with_entry<T>(&self, id: &str, f: impl FnOnce(&mut SubEntry) -> T) -> Option<T> {

@@ -60,6 +60,6 @@ pub mod trace;
 
 pub use clock::SimClock;
 pub use faults::{EndpointFaults, FaultPlan, Flap, Injected, Injection};
-pub use network::{AttemptClass, EndpointOptions, Landed, Landing, Network};
+pub use network::{AttemptClass, EndpointOptions, Flight, Landed, Network};
 pub use network::{SoapHandler, TransportError};
 pub use trace::{DeliveryOutcome, TraceRecord};

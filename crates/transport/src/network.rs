@@ -44,31 +44,27 @@
 //! send delay ([`Network::set_send_delay_us`]) between decide and
 //! resolve.
 //!
-//! A [`Landing`] lets one thread overlap the delays of many sends.
-//! [`Landing::post`] decides a send at once and queues it with a
-//! deadline of post time plus the send delay; the owner lands every
-//! send that is due whenever it posts, takes the fates landed so far
-//! with [`Landing::take_landed`], and iterates the landing to sleep
-//! until each remaining deadline and take the rest. A batch of *n*
-//! sends so takes about one delay rather than *n*, and no other thread
-//! is involved: a handler runs on the thread that posted its send, as
-//! it would for a blocking send. The rules:
+//! [`Network::post`] lets a caller overlap the delays of many sends.
+//! It decides a send at once and hands back a [`Flight`], due at post
+//! time plus the send delay; [`Flight::land`] resolves, runs, counts
+//! and traces it. The caller keeps its flights in post order and lands
+//! each once it is due — between its own other work, or sleeping until
+//! [`Flight::due`] — so a batch of *n* sends takes about one delay
+//! rather than *n*, and no other thread is involved: a handler runs on
+//! the thread that lands its send, as it would for a blocking send.
+//! The rules:
 //!
-//! * **Never early.** A send lands no earlier than its post time plus
-//!   the delay. Deadlines are kept in post order (a later post never
-//!   gets an earlier deadline), so sends land in the order they were
-//!   posted.
+//! * **Never early.** [`Flight::land`] sleeps out whatever is left of
+//!   the delay, so a send lands no earlier than its post time plus the
+//!   delay, whoever lands it.
 //! * **Resolved on landing.** An endpoint unregistered while a send is
 //!   in flight answers `NoEndpoint`, as it would to a blocking send
 //!   made after the unregistration.
 //! * **Traced as posted.** The record carries the virtual time of the
 //!   post, so it does not depend on when the owner got round to
 //!   landing the send.
-//! * **Nothing allocated.** A landing reuses both queues of the
-//!   thread's previous one (sends in flight, fates not yet taken); the
-//!   endpoint key, the label and the thread name are shared handles.
-//! * **No delay, no queue.** With a zero delay a post lands before it
-//!   returns, exactly as a blocking send would.
+//! * **Nothing allocated.** The endpoint key, the label and the thread
+//!   name a flight carries are shared handles.
 
 use crate::clock::SimClock;
 use crate::faults::{FaultPlan, Injected, Injection};
@@ -76,7 +72,7 @@ use crate::obs::NetObs;
 use crate::trace::{DeliveryOutcome, TraceRecord};
 use parking_lot::{Mutex, RwLock};
 use std::borrow::{Borrow, Cow};
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::fmt::{self, Write as _};
 use std::hash::{Hash, Hasher};
@@ -249,7 +245,9 @@ impl Traced {
             time_ms,
             to,
             label,
-            worker: WORKER.with(ThinStr::clone),
+            worker: WORKER
+                .try_with(ThinStr::clone)
+                .unwrap_or_else(|_| ThinStr::from("(exiting)")),
             reason: None,
             fate: Fate::Delivered,
             two_way,
@@ -296,17 +294,22 @@ thread_local! {
 /// out of the cache. A miss only costs the allocation a hit saves; the
 /// label recorded is `label` either way.
 fn shared_label(label: &str) -> ThinStr {
-    LABELS.with_borrow_mut(|cache| {
-        if let Some(hit) = cache.iter().find(|l| &***l == label) {
-            return hit.clone();
-        }
-        let fresh = ThinStr::from(label);
-        if cache.len() == LABEL_CACHE {
-            cache.pop_front();
-        }
-        cache.push_back(fresh.clone());
-        fresh
-    })
+    // A send made while the thread's locals are torn down (a landing
+    // at thread exit) just pays for its own label.
+    LABELS
+        .try_with(|cache| {
+            let mut cache = cache.borrow_mut();
+            if let Some(hit) = cache.iter().find(|l| &***l == label) {
+                return hit.clone();
+            }
+            let fresh = ThinStr::from(label);
+            if cache.len() == LABEL_CACHE {
+                cache.pop_front();
+            }
+            cache.push_back(fresh.clone());
+            fresh
+        })
+        .unwrap_or_else(|_| ThinStr::from(label))
 }
 
 /// How many delivery attempts the trace keeps: at most 384 KiB of
@@ -430,8 +433,21 @@ impl Inner {
     }
 }
 
-/// One send between its post and its landing.
-struct Posted {
+/// What became of one posted send.
+#[derive(Debug)]
+pub struct Landed {
+    /// The send's fate, as [`Network::send`] would have returned it.
+    pub result: Result<(), TransportError>,
+    /// Wall time from the post to the end of the landing: the wire
+    /// delay plus the handler.
+    pub elapsed: Duration,
+}
+
+/// One send between its post ([`Network::post`]) and its landing
+/// ([`Flight::land`]); see the module docs.
+#[must_use = "a posted send reaches its endpoint only once it is landed"]
+pub struct Flight {
+    net: Network,
     /// The send lands no earlier than this.
     due: Instant,
     envelope: Envelope,
@@ -444,144 +460,36 @@ struct Posted {
     entry: Traced,
 }
 
-/// What became of one posted send.
-#[derive(Debug)]
-pub struct Landed {
-    /// The send's fate, as [`Network::send`] would have returned it.
-    pub result: Result<(), TransportError>,
-    /// Wall time from the post to the end of the landing: the wire
-    /// delay plus the handler.
-    pub elapsed: Duration,
-}
-
-/// A batch of sends whose delays overlap, landed by the thread that
-/// owns it (see the module docs). [`post`](Self::post) each send, take
-/// the fates that have already landed with
-/// [`take_landed`](Self::take_landed), and iterate the landing for the
-/// rest: fates come out in post order. Sends still in flight when a
-/// landing is dropped never land.
-#[must_use = "posted sends land only while the landing is posted to or iterated"]
-pub struct Landing {
-    net: Network,
-    /// Sends posted and not yet landed, deadlines non-decreasing front
-    /// to back.
-    posted: VecDeque<Posted>,
-    /// Fates landed and not yet taken, in post order.
-    landed: VecDeque<Landed>,
-}
-
-/// A landing's two queues, emptied.
-type Queues = (VecDeque<Posted>, VecDeque<Landed>);
-
-thread_local! {
-    /// The queues of this thread's last landing, emptied, so that a
-    /// publisher's next landing reuses their capacity.
-    static SPARE: Cell<Queues> = const { Cell::new((VecDeque::new(), VecDeque::new())) };
-}
-
-impl Landing {
-    /// An empty landing on `net`.
-    pub fn new(net: &Network) -> Landing {
-        let (posted, landed) = SPARE.take();
-        Landing {
-            net: net.clone(),
-            posted,
-            landed,
-        }
+impl Flight {
+    /// The instant the send may land: its post time plus the send
+    /// delay in force then.
+    pub fn due(&self) -> Instant {
+        self.due
     }
 
-    /// Post a one-way first-attempt send to `to`. The fault plan and
-    /// the virtual clock are consulted now; the endpoint is resolved
-    /// and its handler run once the send delay has passed, by this or a
-    /// later `post` or while the landing is iterated. Every earlier
-    /// send that is due lands before this returns. With no delay the
-    /// send lands before this returns, exactly as [`Network::send`]
-    /// would have delivered it.
-    pub fn post(&mut self, to: &str, envelope: Envelope) {
-        let started = Instant::now();
-        let delay = self.net.send_delay_us();
-        if delay == 0 && self.posted.is_empty() {
-            let result = self.net.send(to, envelope);
-            let elapsed = started.elapsed();
-            self.landed.push_back(Landed { result, elapsed });
-            return;
-        }
-        let inner = &self.net.0;
-        let injection = inner.decide(to);
-        let to = match inner.endpoints.read().get_key_value(to) {
-            Some((key, _)) => key.clone(),
-            None => ThinStr::from(to),
-        };
-        let label = shared_label(&label_of(&envelope));
-        let entry = Traced::stamp(inner.clock.now_ms(), to, label, false);
-        // Never due before an earlier post, so sends land in post order.
-        let after = self.posted.back().map_or(started, |last| last.due);
-        self.posted.push_back(Posted {
-            due: after.max(started + Duration::from_micros(delay)),
+    /// Land the send on this thread: sleep out what is left of its
+    /// delay, resolve the endpoint, run its handler, count and trace
+    /// the attempt, as a first attempt.
+    pub fn land(self) -> Landed {
+        let Flight {
+            net,
+            due,
             envelope,
             injection,
             started,
             entry,
-        });
-        self.land_due();
-    }
-
-    /// The fate of the oldest send not yet taken, if it has landed.
-    /// Never waits.
-    pub fn take_landed(&mut self) -> Option<Landed> {
-        self.landed.pop_front()
-    }
-
-    /// Land every send whose deadline has passed, in post order.
-    fn land_due(&mut self) {
+        } = self;
         let now = Instant::now();
-        while self.posted.front().is_some_and(|p| p.due <= now) {
-            let Posted {
-                envelope,
-                injection,
-                started,
-                entry,
-                ..
-            } = self.posted.pop_front().expect("the front was just read");
-            let inner = &self.net.0;
-            let (result, _) = inner.land(&entry.to, envelope, injection);
-            inner.record(started, &result, AttemptClass::First, entry);
-            let (result, elapsed) = (result.map(|_| ()), started.elapsed());
-            self.landed.push_back(Landed { result, elapsed });
+        if now < due {
+            std::thread::sleep(due - now);
         }
-    }
-}
-
-/// Iterating a landing takes each fate in post order, sleeping until
-/// the oldest send in flight is due when none has landed yet; it ends
-/// once every posted send's fate has been taken.
-impl Iterator for Landing {
-    type Item = Landed;
-
-    fn next(&mut self) -> Option<Landed> {
-        if self.landed.is_empty() {
-            let due = self.posted.front()?.due;
-            let now = Instant::now();
-            if now < due {
-                std::thread::sleep(due - now);
-            }
-            self.land_due();
+        let inner = &net.0;
+        let (result, _) = inner.land(&entry.to, envelope, injection);
+        inner.record(started, &result, AttemptClass::First, entry);
+        Landed {
+            result: result.map(|_| ()),
+            elapsed: started.elapsed(),
         }
-        self.landed.pop_front()
-    }
-}
-
-impl Drop for Landing {
-    fn drop(&mut self) {
-        let (mut posted, mut landed) = (
-            std::mem::take(&mut self.posted),
-            std::mem::take(&mut self.landed),
-        );
-        posted.clear();
-        landed.clear();
-        // A landing dropped while the thread's locals are torn down
-        // just frees its queues.
-        let _ = SPARE.try_with(|spare| spare.set((posted, landed)));
     }
 }
 
@@ -629,8 +537,8 @@ impl Network {
     /// overlapped fan-out measurably different from a sequential one in
     /// the benches. A blocking send ([`send`](Self::send),
     /// [`request`](Self::request)) sleeps it on the caller; sends
-    /// posted on a [`Landing`] overlap their delays. Zero (the default)
-    /// disables it, and posts then land at once.
+    /// [`post`](Self::post)ed together overlap their delays. Zero (the
+    /// default) disables it, and a posted send is then due at once.
     pub fn set_send_delay_us(&self, us: u64) {
         self.0.send_delay_us.store(us, Ordering::Relaxed);
     }
@@ -737,6 +645,30 @@ impl Network {
         class: AttemptClass,
     ) -> Result<(), TransportError> {
         self.deliver(to, envelope, false, class).map(|_| ())
+    }
+
+    /// Post a one-way first-attempt send to `to` (see the module
+    /// docs): the fault plan and the virtual clock are consulted now;
+    /// the endpoint is resolved and its handler run when the returned
+    /// flight is landed, no earlier than the send delay from now.
+    pub fn post(&self, to: &str, envelope: Envelope) -> Flight {
+        let started = Instant::now();
+        let inner = &self.0;
+        let injection = inner.decide(to);
+        let to = match inner.endpoints.read().get_key_value(to) {
+            Some((key, _)) => key.clone(),
+            None => ThinStr::from(to),
+        };
+        let label = shared_label(&label_of(&envelope));
+        let entry = Traced::stamp(inner.clock.now_ms(), to, label, false);
+        Flight {
+            net: self.clone(),
+            due: started + Duration::from_micros(self.send_delay_us()),
+            envelope,
+            injection,
+            started,
+            entry,
+        }
     }
 
     /// Two-way request/response exchange.
@@ -1234,11 +1166,7 @@ mod tests {
             arm(&net);
             let result = if posted {
                 net.set_send_delay_us(50);
-                let mut landing = Landing::new(&net);
-                landing.post("http://x", env());
-                let mut landed: Vec<Landed> = landing.collect();
-                assert_eq!(landed.len(), 1);
-                landed.remove(0).result
+                net.post("http://x", env()).land().result
             } else {
                 net.send("http://x", env())
             };
@@ -1345,6 +1273,14 @@ mod tests {
         }
     }
 
+    /// Land each flight at the front of `in_flight` that is due by now,
+    /// in post order, as a poster does between its posts.
+    fn land_due(in_flight: &mut VecDeque<Flight>, landed: &mut Vec<Landed>) {
+        while in_flight.front().is_some_and(|f| f.due() <= Instant::now()) {
+            landed.push(in_flight.pop_front().expect("just read").land());
+        }
+    }
+
     #[test]
     fn no_posted_send_lands_before_its_deadline() {
         const DELAY: Duration = Duration::from_micros(300);
@@ -1352,17 +1288,19 @@ mod tests {
         let handler = Arc::new(Clocked::default());
         net.register("http://a", handler.clone());
         net.set_send_delay_us(DELAY.as_micros() as u64);
-        let mut landing = Landing::new(&net);
+        let (mut in_flight, mut landed) = (VecDeque::new(), Vec::new());
         let mut posted_at = Vec::new();
         for i in 0..200 {
             posted_at.push(Instant::now());
-            landing.post("http://a", env());
+            in_flight.push_back(net.post("http://a", env()));
+            land_due(&mut in_flight, &mut landed);
             if i % 50 == 49 {
                 // Let some deadlines pass, so later posts land them.
                 std::thread::sleep(Duration::from_millis(1));
             }
         }
-        let landed: Vec<Landed> = landing.collect();
+        assert!(!landed.is_empty(), "some sends landed between posts");
+        landed.extend(in_flight.into_iter().map(Flight::land));
         assert_eq!(landed.len(), 200);
         assert!(landed
             .iter()
@@ -1375,16 +1313,28 @@ mod tests {
     }
 
     #[test]
+    fn a_flight_landed_early_sleeps_out_its_delay() {
+        const DELAY: Duration = Duration::from_micros(2_000);
+        let net = Network::new();
+        let handler = Arc::new(Clocked::default());
+        net.register("http://a", handler.clone());
+        net.set_send_delay_us(DELAY.as_micros() as u64);
+        let posted = Instant::now();
+        let flight = net.post("http://a", env());
+        assert!(flight.due() >= posted + DELAY);
+        assert!(handler.0.lock().is_empty(), "nothing runs at the post");
+        assert!(flight.land().result.is_ok());
+        assert!(handler.0.lock()[0] >= posted + DELAY);
+    }
+
+    #[test]
     fn a_posted_batch_overlaps_its_delays() {
         let net = Network::new();
         net.register("http://a", Arc::new(Sink));
         net.set_send_delay_us(2_000);
         let started = Instant::now();
-        let mut landing = Landing::new(&net);
-        for _ in 0..64 {
-            landing.post("http://a", env());
-        }
-        let landed: Vec<Landed> = landing.collect();
+        let flights: Vec<Flight> = (0..64).map(|_| net.post("http://a", env())).collect();
+        let landed: Vec<Landed> = flights.into_iter().map(Flight::land).collect();
         let took = started.elapsed();
         assert_eq!(landed.iter().filter(|l| l.result.is_ok()).count(), 64);
         // Sequential sends would take 64 × 2 ms = 128 ms.
@@ -1397,12 +1347,10 @@ mod tests {
         let net = Network::new();
         net.register("http://a", Arc::new(Sink));
         net.set_send_delay_us(20_000);
-        let mut landing = Landing::new(&net);
-        landing.post("http://a", env());
+        let flight = net.post("http://a", env());
         assert!(net.unregister("http://a"));
-        let landed: Vec<Landed> = landing.collect();
         assert!(matches!(
-            &landed[0].result,
+            &flight.land().result,
             Err(TransportError::NoEndpoint(to)) if to == "http://a"
         ));
         assert_eq!(net.trace()[0].outcome, DeliveryOutcome::NoEndpoint);
@@ -1414,14 +1362,11 @@ mod tests {
         net.register("http://a", Arc::new(Sink));
         net.set_latency_ms(5);
         net.set_send_delay_us(1_000);
-        let mut landing = Landing::new(&net);
-        for _ in 0..3 {
-            landing.post("http://a", env());
-        }
+        let flights: Vec<Flight> = (0..3).map(|_| net.post("http://a", env())).collect();
         // The clock moved at each post, not at each landing.
         assert_eq!(net.clock().now_ms(), 15);
         net.set_latency_ms(100);
-        landing.for_each(drop);
+        flights.into_iter().for_each(|f| drop(f.land()));
         let trace = net.trace();
         let times: Vec<u64> = trace.iter().map(|r| r.time_ms).collect();
         assert_eq!(times, [5, 10, 15]);
@@ -1433,28 +1378,25 @@ mod tests {
     }
 
     #[test]
-    fn posts_without_a_delay_land_on_the_caller() {
+    fn a_send_posted_without_a_delay_is_due_at_once_and_lands_on_the_caller() {
         let net = Network::new();
         let handler = Arc::new(Clocked::default());
         net.register("http://a", handler.clone());
-        let mut landing = Landing::new(&net);
-        landing.post("http://a", env());
-        assert_eq!(handler.0.lock().len(), 1, "landed before post returned");
-        assert!(landing.posted.is_empty());
-        assert!(landing.take_landed().is_some_and(|l| l.result.is_ok()));
-        assert!(landing.next().is_none(), "nothing left in flight");
+        let flight = net.post("http://a", env());
+        assert!(flight.due() <= Instant::now());
+        assert!(flight.land().result.is_ok());
+        assert_eq!(handler.0.lock().len(), 1);
+        let me = std::thread::current();
+        assert_eq!(net.trace()[0].worker, me.name().unwrap_or("(unnamed)"));
     }
 
-    /// Lands its own posted batch of four sends to `http://a` from
+    /// Posts and lands its own batch of four sends to `http://a` from
     /// inside a handler: a fan-out nested in a delivery.
     struct Relay(Network);
     impl SoapHandler for Relay {
         fn handle(&self, _request: Envelope) -> Result<Option<Envelope>, Fault> {
-            let mut landing = Landing::new(&self.0);
-            for _ in 0..4 {
-                landing.post("http://a", env());
-            }
-            assert!(landing.all(|l| l.result.is_ok()));
+            let flights: Vec<Flight> = (0..4).map(|_| self.0.post("http://a", env())).collect();
+            assert!(flights.into_iter().all(|f| f.land().result.is_ok()));
             Ok(None)
         }
     }
@@ -1493,18 +1435,11 @@ mod tests {
         net.set_send_delay_us(200);
         let blocked = std::thread::spawn({
             let net = net.clone();
-            move || {
-                let mut landing = Landing::new(&net);
-                landing.post("http://blocks", env());
-                landing.next().expect("one send posted").result
-            }
+            move || net.post("http://blocks", env()).land().result
         });
-        let mut landing = Landing::new(&net);
-        for _ in 0..8 {
-            landing.post("http://a", env());
-        }
-        landing.post("http://relay", env());
-        assert!(landing.all(|l| l.result.is_ok()));
+        let mut flights: Vec<Flight> = (0..8).map(|_| net.post("http://a", env())).collect();
+        flights.push(net.post("http://relay", env()));
+        assert!(flights.into_iter().all(|f| f.land().result.is_ok()));
         assert_eq!(blocked.join().unwrap(), Ok(()));
         assert_eq!(seen.0.lock().len(), 12);
         net.unregister("http://relay"); // the relay holds the network
