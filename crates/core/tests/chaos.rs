@@ -1,12 +1,11 @@
 //! Deterministic chaos suite: seeded fault plans driving the
 //! fault-tolerant delivery path end to end.
 //!
-//! Every scenario is keyed on `WSM_CHAOS_SEED` (default 42) and runs
-//! entirely on the virtual clock with each send landed by the
-//! publishing thread in post order, so two runs of the same binary
-//! produce byte-identical transport traces.
-//! The CI chaos job runs this suite twice with `WSM_CHAOS_TRACE`
-//! pointing at different files and diffs the exports.
+//! Every scenario is keyed on [`SEED`] and runs entirely on the
+//! virtual clock with each send landed by the publishing thread in
+//! post order, so every run produces the same transport trace byte for
+//! byte; `chaos_trace_is_deterministic` pins it against
+//! `tests/golden/chaos_seed42.jsonl`.
 
 use wsm_eventing::{EventSink, SubscribeRequest, Subscriber, WseVersion};
 use wsm_messenger::render::WSM_NS;
@@ -15,13 +14,8 @@ use wsm_soap::{Envelope, SoapVersion};
 use wsm_transport::{EndpointFaults, FaultPlan, Network};
 use wsm_xml::Element;
 
-/// The suite-wide seed: `WSM_CHAOS_SEED` or 42.
-fn chaos_seed() -> u64 {
-    std::env::var("WSM_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
-}
+/// The suite-wide seed.
+const SEED: u64 = 42;
 
 fn event(seq: usize) -> Element {
     Element::local("reading").with_attr("seq", seq.to_string())
@@ -56,11 +50,10 @@ fn reliable_broker(net: &Network, seed: u64) -> (WsMessenger, EventSink) {
 /// the subscription never evicted.
 #[test]
 fn flapping_subscriber_receives_every_message_after_recovery() {
-    let seed = chaos_seed();
     let net = Network::new();
     net.set_latency_ms(7);
-    let (broker, sink) = reliable_broker(&net, seed);
-    net.set_fault_plan(FaultPlan::seeded(seed).with_endpoint(
+    let (broker, sink) = reliable_broker(&net, SEED);
+    net.set_fault_plan(FaultPlan::seeded(SEED).with_endpoint(
         "http://sink",
         EndpointFaults::new().with_flapping(1000, 300),
     ));
@@ -126,23 +119,23 @@ fn mixed_chaos_run(seed: u64) -> (String, MediationStats) {
     (net.trace_jsonl(), broker.stats())
 }
 
-/// The same seed must reproduce the same trace bit for bit — the
-/// property the CI chaos job checks across two whole processes by
-/// diffing `WSM_CHAOS_TRACE` exports.
+/// The same seed must reproduce the same trace bit for bit, in every
+/// process and in every run within one: the first run must equal the
+/// recorded seed-42 export, and a second on the same thread the first.
+/// A change to what the transport traces, or to how it writes a
+/// record, shows up here; one that moves the trace on purpose updates
+/// the golden in the same commit. Each record names the thread that
+/// landed it, so this test keeps its name.
 #[test]
 fn chaos_trace_is_deterministic() {
-    let seed = chaos_seed();
-    let (trace_a, stats_a) = mixed_chaos_run(seed);
-    let (trace_b, stats_b) = mixed_chaos_run(seed);
+    let (trace_a, stats_a) = mixed_chaos_run(SEED);
+    let (trace_b, stats_b) = mixed_chaos_run(SEED);
+    assert!(
+        trace_a == include_str!("../../../tests/golden/chaos_seed42.jsonl"),
+        "the trace differs from tests/golden/chaos_seed42.jsonl; it now reads:\n{trace_a}"
+    );
     assert_eq!(trace_a, trace_b, "same seed, byte-identical trace");
     assert_eq!(stats_a, stats_b, "same seed, same counters");
-    assert!(
-        trace_a.lines().count() > 1,
-        "delivery records before the trace_dropped trailer"
-    );
-    if let Ok(path) = std::env::var("WSM_CHAOS_TRACE") {
-        std::fs::write(&path, &trace_a).expect("export chaos trace");
-    }
 }
 
 /// Poison responses burn the small poison budget, land the message in
@@ -151,14 +144,13 @@ fn chaos_trace_is_deterministic() {
 /// operations.
 #[test]
 fn poison_messages_dead_letter_and_redeliver_over_soap() {
-    let seed = chaos_seed();
     let net = Network::new();
     net.set_latency_ms(3);
     let broker = WsMessenger::start(&net, "http://broker");
     broker.set_fault_tolerance(Some(FaultTolerance {
         base_backoff_ms: 10,
         poison_budget: 2,
-        seed,
+        seed: SEED,
         ..FaultTolerance::default()
     }));
     let sink = EventSink::start(&net, "http://sink", WseVersion::Aug2004);
@@ -205,7 +197,7 @@ fn poison_messages_dead_letter_and_redeliver_over_soap() {
 
     // Heal the endpoint, requeue the dead letter over SOAP, drain: the
     // message finally arrives and the store empties.
-    net.set_fault_plan(FaultPlan::seeded(seed));
+    net.set_fault_plan(FaultPlan::seeded(SEED));
     let resp = net
         .request(
             "http://broker",
@@ -235,10 +227,9 @@ fn poison_messages_dead_letter_and_redeliver_over_soap() {
 /// surface through the metrics exposition.
 #[test]
 fn reliability_metrics_appear_in_exposition() {
-    let seed = chaos_seed();
     let net = Network::new();
     net.set_latency_ms(3);
-    let (broker, sink) = reliable_broker(&net, seed);
+    let (broker, sink) = reliable_broker(&net, SEED);
     net.drop_next("http://sink", 4);
     broker.publish_on("storms", &event(0));
     assert!(broker.redelivery_depth() > 0, "first attempt was dropped");
@@ -310,19 +301,18 @@ mod ordering {
 /// reach exactly one terminal `Resolve` outcome: delivered,
 /// dead-lettered (endpoint gone), or expired (subscription torn down
 /// with messages pending). A lost span or a lost landing wakeup fails
-/// (or hangs) this test; the CI chaos job runs it under a job timeout.
+/// (or hangs) this test; CI's stress job loops it under a job timeout.
 #[test]
 fn sharded_churn_resolves_every_inflight_delivery() {
     const SINKS: usize = 12;
     const EVENTS: usize = 40;
-    let seed = chaos_seed();
     let net = Network::new();
     let broker = WsMessenger::start(&net, "http://broker");
     broker.set_fault_tolerance(Some(FaultTolerance {
         base_backoff_ms: 20,
         max_backoff_ms: 200,
         max_redeliveries: 3,
-        seed,
+        seed: SEED,
         ..FaultTolerance::default()
     }));
     // Real per-send time so the churn genuinely lands mid-fan-out.
@@ -358,7 +348,7 @@ fn sharded_churn_resolves_every_inflight_delivery() {
         let net = net.clone();
         let subscriber = Subscriber::new(&net, WseVersion::Aug2004);
         std::thread::spawn(move || {
-            let mut rng = seed.wrapping_mul(2).wrapping_add(1);
+            let mut rng = SEED.wrapping_mul(2).wrapping_add(1);
             let mut step = || {
                 rng = rng
                     .wrapping_mul(6364136223846793005)

@@ -30,13 +30,8 @@ const SHARDS: usize = 4;
 const EVENTS: usize = 120;
 const CHURN_TOPICS: usize = 12;
 
-/// The suite-wide seed: `WSM_CHAOS_SEED` or 42.
-fn chaos_seed() -> u64 {
-    std::env::var("WSM_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
-}
+/// The suite-wide seed (the chaos suite's).
+const SEED: u64 = 42;
 
 fn event(seq: usize) -> Element {
     Element::local("reading").with_attr("seq", seq.to_string())
@@ -64,7 +59,6 @@ impl Lcg {
 
 #[test]
 fn multi_shard_churn_leaves_no_orphans_and_resolves_every_delivery() {
-    let seed = chaos_seed();
     let net = Network::new();
     let fed = FederatedMessenger::start(&net, "http://fed", SHARDS);
     fed.set_obs_enabled(true);
@@ -122,7 +116,7 @@ fn multi_shard_churn_leaves_no_orphans_and_resolves_every_delivery() {
             let wsn = WsnClient::new(&net, WsnVersion::V1_3);
             let wsn_10 = WsnClient::new(&net, WsnVersion::V1_0);
             let wse = Subscriber::new(&net, WseVersion::Aug2004);
-            let mut rng = Lcg(seed.wrapping_mul(3).wrapping_add(7));
+            let mut rng = Lcg(SEED.wrapping_mul(3).wrapping_add(7));
             let mut wsn_handles = Vec::new();
             let mut wse_handles = Vec::new();
             for step in 0..80 {

@@ -22,7 +22,8 @@
 //!
 //! Everything runs on the virtual clock with a seeded `FaultPlan`, so
 //! the run is deterministic: same seed, same trace, same output. The
-//! CI chaos job leans on exactly this property.
+//! chaos suite's pinned trace (`tests/golden/chaos_seed42.jsonl`)
+//! leans on exactly this property.
 //!
 //! Run with `cargo run --example chaos`.
 
