@@ -119,6 +119,7 @@ use crate::delivery::{self, IN_FLIGHT_CAP};
 use crate::detect::SpecDialect;
 use crate::event::InternalEvent;
 use crate::obs::{BrokerObs, Stage};
+use crate::registry;
 use crate::reliability::{FaultTolerance, PumpReport};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -188,7 +189,7 @@ impl Placement {
     /// The shard's own id for the subscription, built only for a
     /// management request.
     fn local_id(self) -> String {
-        format!("wsm-{}", self.0 & ((1 << KEY_BITS) - 1))
+        registry::minted_id(self.0 & ((1 << KEY_BITS) - 1))
     }
 }
 
@@ -234,17 +235,6 @@ impl Routes {
     fn placement_count(&self) -> usize {
         self.one.len() + self.many.values().map(|ps| ps.len()).sum::<usize>()
     }
-}
-
-/// The `n` of a federated id `fed-{n}` spelled as the front mints it:
-/// digits only, no sign and no leading zero, so no other spelling
-/// names the same route.
-fn route_number(id: &str) -> Option<u64> {
-    let digits = id.strip_prefix("fed-")?;
-    let canonical = !digits.is_empty()
-        && !digits.starts_with('0')
-        && digits.bytes().all(|b| b.is_ascii_digit());
-    canonical.then(|| digits.parse().ok()).flatten()
 }
 
 struct FederationInner {
@@ -561,7 +551,7 @@ impl FederatedMessenger {
             ControlOp::Manage(dialect, id, manage) => {
                 // Unsubscribe and Destroy end the route with its placements.
                 let end = matches!(manage, Manage::End(_));
-                let entries = route_number(&id)
+                let entries = registry::minted_number(&id, "fed-")
                     .and_then(|n| inner.routes.lock().placements(n, end))
                     .ok_or_else(|| unknown_subscription(dialect, &id))?;
                 let reply = match manage {
@@ -735,26 +725,28 @@ mod tests {
         assert_eq!(wse.received().len(), 5, "broadcast sub: every event, once");
     }
 
-    #[test]
-    fn only_the_minted_spelling_of_a_federated_id_names_its_route() {
-        let net = Network::new();
-        let fed = FederatedMessenger::start(&net, "http://fed", 2);
-        let wsn = NotificationConsumer::start(&net, "http://c-wsn", WsnVersion::V1_3);
-        let client = WsnClient::new(&net, WsnVersion::V1_3);
+    /// Subscribes seven times at `uri` (WSN 1.3), then checks that
+    /// `minted` answers GetStatus and each of `others` the
+    /// unknown-subscription fault, through `apply`.
+    fn only_minted_answers(
+        net: &Network,
+        uri: &str,
+        apply: impl Fn(ControlOp) -> Result<Reply, Fault>,
+        minted: &str,
+        others: &[&str],
+    ) {
+        let wsn = NotificationConsumer::start(net, "http://c-wsn", WsnVersion::V1_3);
+        let client = WsnClient::new(net, WsnVersion::V1_3);
         for _ in 0..7 {
             let request =
                 WsnSubscribeRequest::new(wsn.epr()).with_filter(WsnFilter::topic("storms"));
-            client.subscribe(fed.uri(), &request).unwrap();
+            client.subscribe(uri, &request).unwrap();
         }
         let dialect = SpecDialect::Wsn(WsnVersion::V1_3);
-        let status = |id: &str| {
-            fed.apply(ControlOp::Manage(dialect, id.into(), Manage::GetStatus))
-                .map(|_| ())
-        };
-        assert!(status("fed-7").is_ok());
-        for id in [
-            "fed-007", "fed-07", "fed-+7", "fed-x", "fed-", "fed-8", "wsm-7", "7",
-        ] {
+        let status =
+            |id: &str| apply(ControlOp::Manage(dialect, id.into(), Manage::GetStatus)).map(|_| ());
+        assert!(status(minted).is_ok());
+        for &id in others {
             let fault = status(id).expect_err(id);
             let unknown = unknown_subscription(dialect, id);
             assert_eq!(
@@ -763,6 +755,26 @@ mod tests {
                 "{id} answers the unknown-subscription fault"
             );
         }
+    }
+
+    #[test]
+    fn only_the_minted_spelling_of_a_federated_id_names_its_route() {
+        let net = Network::new();
+        let fed = FederatedMessenger::start(&net, "http://fed", 2);
+        let others = [
+            "fed-007", "fed-07", "fed-+7", "fed-x", "fed-", "fed-8", "wsm-7", "7",
+        ];
+        only_minted_answers(&net, fed.uri(), |op| fed.apply(op), "fed-7", &others);
+    }
+
+    #[test]
+    fn only_the_minted_spelling_of_a_broker_id_names_its_subscription() {
+        let net = Network::new();
+        let broker = WsMessenger::start(&net, "http://broker");
+        let others = [
+            "wsm-007", "wsm-07", "wsm-+7", "wsm-x", "wsm-", "wsm-8", "fed-7", "7",
+        ];
+        only_minted_answers(&net, broker.uri(), |op| broker.apply(op), "wsm-7", &others);
     }
 
     /// `(publisher, index)` of each received payload, in arrival order.

@@ -49,7 +49,6 @@ pub struct BrokerObs {
     redelivery_depth: Arc<Gauge>,
     breakers_open: Arc<Gauge>,
     backoff_delay: Arc<Histogram>,
-    spans_dropped: Arc<Gauge>,
     e2e_latency: Arc<Histogram>,
     outcome_delivered: Arc<Counter>,
     outcome_expired: Arc<Counter>,
@@ -106,12 +105,11 @@ impl BrokerObs {
             redelivery_depth: registry.gauge("wsm_redelivery_depth"),
             breakers_open: registry.gauge("wsm_breakers_open"),
             backoff_delay: registry.histogram("wsm_backoff_delay_ms"),
-            spans_dropped: registry.gauge("wsm_spans_dropped"),
             e2e_latency: registry.histogram_with("wsm_e2e_latency_ms", wsm_obs::metrics::ms_bounds),
             outcome_delivered: registry.counter("wsm_outcome_delivered_total"),
             outcome_expired: registry.counter("wsm_outcome_expired_total"),
             stages,
-            ring: SpanRing::new(SPAN_RING_CAPACITY),
+            ring: SpanRing::counted_by(SPAN_RING_CAPACITY, registry.gauge("wsm_spans_dropped")),
             enabled: AtomicBool::new(true),
             seq: AtomicU64::new(0),
             registry,
@@ -305,11 +303,10 @@ impl BrokerObs {
         &self.registry
     }
 
-    /// Prometheus text exposition of the broker metrics (refreshes
-    /// the span-loss gauge first, so silent ring eviction is
-    /// visible to every scrape).
+    /// Prometheus text exposition of the broker metrics. The span
+    /// ring counts its evictions in the `wsm_spans_dropped` gauge, so
+    /// silent span loss is visible to every scrape.
     pub fn prometheus(&self) -> String {
-        self.spans_dropped.set(self.ring.dropped() as i64);
         wsm_obs::export::prometheus(&self.registry)
     }
 
@@ -332,7 +329,6 @@ impl BrokerObs {
 
     /// Aggregate per-stage and per-delivery statistics.
     pub fn snapshot(&self) -> ObsSnapshot {
-        self.spans_dropped.set(self.ring.dropped() as i64);
         ObsSnapshot {
             stages: Stage::ALL
                 .iter()
@@ -353,7 +349,8 @@ impl BrokerObs {
 #[derive(Debug, Clone)]
 pub struct ObsSnapshot {
     /// `(stage name, duration stats in ns)` in [`Stage::ALL`] order
-    /// (the five pipeline stages, then retry/dead_letter/resolve).
+    /// (the five pipeline stages, then retry/dead_letter/resolve, then
+    /// handoff/federate).
     pub stages: Vec<(&'static str, HistogramStats)>,
     /// Per-subscriber send latency (ns).
     pub delivery_latency: HistogramStats,

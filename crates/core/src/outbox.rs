@@ -564,10 +564,7 @@ pub(crate) fn pump(
                     report.delta.dead_lettered += 1;
                     report.delta.failed += 1;
                 }
-                PumpEventKind::Requeued { backoff_ms } => {
-                    report.requeued += 1;
-                    report.backoffs_ms.push(backoff_ms);
-                }
+                PumpEventKind::Requeued { .. } => report.requeued += 1,
                 _ => {}
             }
             report.events.push(event);

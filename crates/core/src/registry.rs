@@ -223,10 +223,10 @@ pub struct Registry {
 
 #[derive(Default)]
 struct RegistryInner {
-    /// Entries keyed by the numeric part of the minted id.
+    /// Entries keyed by the numeric part of the minted id
+    /// ([`minted_id`]); an id is turned back into its key by parsing
+    /// it ([`key_of`]).
     by_key: HashMap<u64, SubEntry>,
-    /// Public id string → numeric key.
-    key_of: HashMap<String, u64>,
     next_id: u64,
     index: MatchIndex,
     programs: Programs,
@@ -397,7 +397,7 @@ impl RegistryInner {
     }
 
     fn remove_entry(&mut self, id: &str) -> Option<SubEntry> {
-        let key = self.key_of.remove(id)?;
+        let key = key_of(id)?;
         let entry = self.by_key.remove(&key)?;
         self.unlink(key, &entry.core);
         let filters = &entry.core.filters;
@@ -407,6 +407,27 @@ impl RegistryInner {
         }
         Some(entry)
     }
+}
+
+/// The id a registry mints for `key`.
+pub(crate) fn minted_id(key: u64) -> String {
+    format!("wsm-{key}")
+}
+
+/// The key of an id spelled as [`minted_id`] spells it.
+fn key_of(id: &str) -> Option<u64> {
+    minted_number(id, "wsm-")
+}
+
+/// The `n` of an id `{prefix}{n}` spelled as it was minted: digits
+/// only, no sign and no leading zero, so no other spelling names the
+/// same entry.
+pub(crate) fn minted_number(id: &str, prefix: &str) -> Option<u64> {
+    let digits = id.strip_prefix(prefix)?;
+    let canonical = !digits.is_empty()
+        && !digits.starts_with('0')
+        && digits.bytes().all(|b| b.is_ascii_digit());
+    canonical.then(|| digits.parse().ok()).flatten()
 }
 
 impl Registry {
@@ -466,7 +487,7 @@ impl Registry {
             .collect();
         inner.next_id += 1;
         let key = inner.next_id;
-        let id = format!("wsm-{key}");
+        let id = minted_id(key);
         let core = Arc::new(BrokerSubscription {
             id: Arc::from(id.as_str()),
             spec,
@@ -477,7 +498,6 @@ impl Registry {
             use_raw,
         });
         inner.link(key, &core);
-        inner.key_of.insert(id.clone(), key);
         if let Some(t) = expires_at_ms {
             inner.expiry.push(Reverse((t, key)));
         }
@@ -494,9 +514,7 @@ impl Registry {
     }
 
     fn with_entry<T>(&self, id: &str, f: impl FnOnce(&mut SubEntry) -> T) -> Option<T> {
-        let mut inner = self.inner.lock();
-        let key = *inner.key_of.get(id)?;
-        inner.by_key.get_mut(&key).map(f)
+        self.inner.lock().by_key.get_mut(&key_of(id)?).map(f)
     }
 
     /// The shared immutable core of one subscription.
@@ -519,19 +537,16 @@ impl Registry {
 
     /// Update expiry. False when unknown.
     pub fn set_expiry(&self, id: &str, expires_at_ms: Option<u64>) -> bool {
-        let mut inner = self.inner.lock();
-        let Some(&key) = inner.key_of.get(id) else {
+        let inner = &mut *self.inner.lock();
+        let Some(key) = key_of(id) else { return false };
+        let Some(e) = inner.by_key.get_mut(&key) else {
             return false;
         };
+        e.expires_at_ms = expires_at_ms;
         if let Some(t) = expires_at_ms {
             inner.expiry.push(Reverse((t, key)));
         }
-        if let Some(e) = inner.by_key.get_mut(&key) {
-            e.expires_at_ms = expires_at_ms;
-            true
-        } else {
-            false
-        }
+        true
     }
 
     /// Pause / resume. False when unknown.

@@ -341,9 +341,6 @@ pub struct PumpReport {
     pub dead_lettered: u64,
     /// Stat increments for the broker's mediation counters.
     pub delta: StatsDelta,
-    /// Backoff delays scheduled during the pass (for the backoff
-    /// histogram).
-    pub backoffs_ms: Vec<u64>,
     /// Per-attempt outcomes for the causal trace.
     pub events: Vec<PumpEvent>,
 }
@@ -356,7 +353,6 @@ impl PumpReport {
         self.requeued += other.requeued;
         self.dead_lettered += other.dead_lettered;
         self.delta.merge(&other.delta);
-        self.backoffs_ms.extend(other.backoffs_ms);
         self.events.extend(other.events);
     }
 }

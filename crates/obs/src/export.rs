@@ -1,7 +1,8 @@
-//! Exporters: Prometheus-style text exposition and JSONL span events.
+//! Exporters: Prometheus-style text exposition, and JSONL for any
+//! bounded log ([`Ring`]) — the broker's spans and the network's sends.
 
 use crate::metrics::{Metric, MetricsRegistry};
-use crate::span::{SpanRecord, SpanRing};
+use crate::span::{Ring, SpanRecord, SpanRing};
 use std::fmt::Write as _;
 
 /// Escape `# HELP` text: backslash and newline (quotes are legal
@@ -61,22 +62,62 @@ pub fn prometheus(registry: &MetricsRegistry) -> String {
     out
 }
 
-fn escape_json(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for ch in v.chars() {
-        match ch {
+/// Append `s` as the inside of a JSON string. A backslash, a line
+/// break or any other control character is written as its JSON escape,
+/// so a record stays one valid object on one line whatever its strings
+/// hold — a send's label and a fault's reason come off the wire. A
+/// double quote is written as `'` rather than `\"`, as the transport's
+/// trace export always has.
+pub fn escape_into(out: &mut String, s: &str) {
+    for c in s.chars() {
+        match c {
+            '"' => out.push('\''),
             '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
             '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if c.is_control() => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
-    out
 }
 
-/// One span as a single JSON object (no trailing newline).
-pub fn span_json(span: &SpanRecord) -> String {
-    let mut out = format!(
+/// Append each record as `write` writes it, one per line.
+fn lines<'a, T: 'a>(
+    out: &mut String,
+    records: impl IntoIterator<Item = &'a T>,
+    mut write: impl FnMut(&mut String, &T),
+) {
+    for record in records {
+        write(out, record);
+        out.push('\n');
+    }
+}
+
+/// A [`Ring`] as JSONL: the held records, oldest first, one per line
+/// as `write` writes it, then a trailing gauge line carrying the ring's
+/// eviction count — `{"gauge":"<gauge>","value":N}` — so a reader can
+/// tell a complete log from a truncated one. The records and the count
+/// are read under the ring's lock, so they agree.
+pub fn jsonl<T>(ring: &Ring<T>, gauge: &str, write: impl FnMut(&mut String, &T)) -> String {
+    ring.read(|records| {
+        let mut out = String::with_capacity(records.len() * 96 + 48);
+        lines(&mut out, records, write);
+        let _ = writeln!(
+            out,
+            "{{\"gauge\":\"{gauge}\",\"value\":{}}}",
+            ring.dropped()
+        );
+        out
+    })
+}
+
+/// Append one span as a JSON object.
+fn write_span(out: &mut String, span: &SpanRecord) {
+    let _ = write!(
+        out,
         "{{\"seq\":{},\"stage\":\"{}\",\"at_ms\":{},\"dur_ns\":{},\"items\":{}",
         span.seq,
         span.stage.name(),
@@ -85,42 +126,34 @@ pub fn span_json(span: &SpanRecord) -> String {
         span.items
     );
     if let Some(sub) = &span.subscriber {
-        let _ = write!(
-            out,
-            ",\"subscriber\":\"{}\",\"attempt\":{}",
-            escape_json(sub),
-            span.attempt
-        );
+        out.push_str(",\"subscriber\":\"");
+        escape_into(out, sub);
+        let _ = write!(out, "\",\"attempt\":{}", span.attempt);
     }
     if let Some(o) = span.outcome {
         let _ = write!(out, ",\"outcome\":\"{}\"", o.name());
     }
     out.push('}');
+}
+
+/// One span as a single JSON object (no trailing newline).
+pub fn span_json(span: &SpanRecord) -> String {
+    let mut out = String::new();
+    write_span(&mut out, span);
     out
 }
 
 /// Spans as JSONL: one JSON object per line.
 pub fn spans_jsonl(spans: &[SpanRecord]) -> String {
     let mut out = String::new();
-    for s in spans {
-        out.push_str(&span_json(s));
-        out.push('\n');
-    }
+    lines(&mut out, spans, write_span);
     out
 }
 
-/// A whole [`SpanRing`] as JSONL: the buffered spans, then a trailing
-/// gauge line surfacing how many spans were silently evicted —
-/// `{"gauge":"spans_dropped","value":N}` — so downstream consumers can
-/// tell a complete trace from a truncated one.
+/// A whole [`SpanRing`] as JSONL ([`jsonl`]), ending with the
+/// `{"gauge":"spans_dropped","value":N}` line.
 pub fn ring_jsonl(ring: &SpanRing) -> String {
-    let mut out = spans_jsonl(&ring.snapshot());
-    let _ = writeln!(
-        out,
-        "{{\"gauge\":\"spans_dropped\",\"value\":{}}}",
-        ring.dropped()
-    );
-    out
+    jsonl(ring, "spans_dropped", write_span)
 }
 
 #[cfg(test)]
@@ -185,5 +218,32 @@ mod tests {
         let last = doc.lines().last().unwrap();
         assert_eq!(last, "{\"gauge\":\"spans_dropped\",\"value\":3}");
         assert_eq!(doc.lines().count(), 3, "2 spans + 1 gauge line");
+    }
+
+    fn escaped(s: &str) -> String {
+        let mut out = String::new();
+        escape_into(&mut out, s);
+        out
+    }
+
+    #[test]
+    fn escape_writes_what_the_wire_can_carry_as_escapes() {
+        assert_eq!(escaped("a\\b\nc\td\u{1}\u{7f}"), r"a\\b\nc\td\u0001\u007f");
+        assert_eq!(escaped("line one\r\nline two"), r"line one\r\nline two");
+        assert_eq!(escaped("no \"thanks\""), "no 'thanks'");
+        assert_eq!(escaped("wsm-7 ünïcode"), "wsm-7 ünïcode");
+    }
+
+    #[test]
+    fn a_hostile_subscriber_id_stays_on_its_line() {
+        let ring = SpanRing::new(4);
+        let ctx = TraceContext::new(1, "a\"b\nc\r", 0);
+        ring.push(SpanRecord::for_attempt(ctx, Stage::Retry, 0, 0, 0));
+        let doc = ring_jsonl(&ring);
+        assert_eq!(doc.lines().count(), 2, "one span + 1 gauge line");
+        assert!(
+            doc.contains(r#""subscriber":"a'b\nc\r","attempt":0"#),
+            "{doc}"
+        );
     }
 }

@@ -13,17 +13,20 @@
 //!   publish hot path — recording is a couple of relaxed atomic adds,
 //!   and the registry lock is only touched at registration time;
 //! * **pipeline-stage spans** ([`SpanRecord`], [`Stage`]) collected
-//!   into a bounded ring buffer ([`SpanRing`]) that tolerates
-//!   concurrent writers — every thread that publishes, redelivers or
-//!   flushes a federation link — and overwrites oldest-first when
-//!   full, so tracing can stay on permanently without unbounded memory;
+//!   into a bounded log ([`SpanRing`], a [`Ring`] of spans) that
+//!   tolerates concurrent writers — every thread that publishes or
+//!   redelivers — and evicts oldest-first when full, counting what it
+//!   evicted, so tracing can stay on permanently without unbounded
+//!   memory (the transport keeps its send trace in a [`Ring`] too);
 //! * **causal delivery timelines**: per-attempt spans carrying a
 //!   [`TraceContext`] (`seq`, `subscriber_id`, `attempt`) plus a
 //!   terminal [`Outcome`] per (event, subscriber) pair, reconstructed
 //!   into complete [`DeliveryStory`]s by [`timeline::reconstruct`];
 //! * **exporters**: a Prometheus-style text exposition
-//!   ([`export::prometheus`]) and JSONL span documents
-//!   ([`export::spans_jsonl`], [`export::ring_jsonl`]).
+//!   ([`export::prometheus`]) and JSONL documents: any [`Ring`] through
+//!   one writer ([`export::jsonl`]: a line per record, then the
+//!   eviction count) and one string escaper ([`export::escape_into`]),
+//!   and span documents ([`export::spans_jsonl`], [`export::ring_jsonl`]).
 //!
 //! Timestamps are supplied by the caller (the workspace's virtual clock
 //! `wsm_transport::clock::SimClock` for span positions, wall-clock
@@ -52,5 +55,5 @@ pub mod span;
 pub mod timeline;
 
 pub use metrics::{Counter, Gauge, Histogram, HistogramStats, MetricsRegistry};
-pub use span::{Outcome, SpanRecord, SpanRing, Stage, TraceContext};
+pub use span::{Outcome, Ring, SpanRecord, SpanRing, Stage, TraceContext};
 pub use timeline::{reconstruct, DeliveryStory};

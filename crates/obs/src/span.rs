@@ -1,5 +1,5 @@
-//! Pipeline-stage spans, delivery-attempt spans, and the bounded ring
-//! buffer they collect into.
+//! Pipeline-stage spans, delivery-attempt spans, and the bounded log
+//! ([`Ring`]) they collect into.
 //!
 //! PR 2 introduced flat per-stage spans keyed by publication `seq`.
 //! This module now also models the *causal* side of delivery: once the
@@ -11,6 +11,7 @@
 //! [`SpanRing`] contents can be re-assembled into complete delivery
 //! stories by [`crate::timeline`].
 
+use crate::metrics::Gauge;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -52,8 +53,10 @@ pub enum Stage {
 }
 
 impl Stage {
-    /// Every stage: the five pipeline stages in order, then the
-    /// per-subscriber delivery-attempt stages.
+    /// Every stage: the five pipeline stages in order, the
+    /// per-subscriber delivery-attempt stages (retry, dead-letter,
+    /// resolve), then the publisher's handoff wait and the federation
+    /// hop.
     pub const ALL: [Stage; 10] = [
         Stage::Publish,
         Stage::Detect,
@@ -123,17 +126,18 @@ impl Outcome {
 /// (`seq`), which subscriber, and which attempt ordinal (0 = the
 /// original fan-out send, 1.. = redeliveries).
 ///
-/// A `TraceContext` is threaded from publish through the fan-out
-/// engine, the redelivery queues, and the dead-letter store, so every
-/// span a delivery produces lands in the ring with the same
-/// coordinates and the event's whole story can be reconstructed.
+/// The broker builds one whenever it records an attempt span, from the
+/// publication seq and subscription id that the queued send or held
+/// event carries, so every span a delivery produces lands in the ring
+/// with the same coordinates and the event's whole story can be
+/// reconstructed.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TraceContext {
     /// Publication sequence number (the trace id).
     pub seq: u64,
     /// Subscription id of the consumer this delivery targets — shared
-    /// with the subscription it names, so threading a context through
-    /// queues and spans copies a pointer, not the id.
+    /// with the subscription it names, so a span built from a context
+    /// copies a pointer, not the id.
     pub subscriber_id: Arc<str>,
     /// Attempt ordinal: 0 for the original send, counting up across
     /// redeliveries.
@@ -227,54 +231,72 @@ impl SpanRecord {
     }
 }
 
-#[derive(Debug, Default)]
-struct RingInner {
-    buf: VecDeque<SpanRecord>,
-    dropped: u64,
-}
-
-/// A bounded ring of spans: push never fails and never grows past the
-/// capacity — when full, the oldest span is overwritten and counted in
-/// [`SpanRing::dropped`]. Safe for concurrent producers (every
-/// publishing thread) via a short critical section per push.
+/// A bounded log, safe for concurrent producers via a short critical
+/// section per push: a push never fails and never grows the log past
+/// its capacity — when full, the oldest record is evicted and counted.
+/// The broker's spans ([`SpanRing`]) and the network's send trace are
+/// both one. Draining or clearing keeps the storage and the count.
 #[derive(Debug)]
-pub struct SpanRing {
+pub struct Ring<T> {
     cap: usize,
-    inner: Mutex<RingInner>,
+    buf: Mutex<VecDeque<T>>,
+    /// Records evicted so far, bumped under the lock. A registry's
+    /// gauge when the ring was made by [`Ring::counted_by`], so every
+    /// scrape reads the live count.
+    dropped: Arc<Gauge>,
 }
 
-impl SpanRing {
-    /// A ring holding at most `cap` spans (`cap` is clamped to ≥ 1).
+/// The broker's span log.
+pub type SpanRing = Ring<SpanRecord>;
+
+impl<T> Ring<T> {
+    /// A ring holding at most `cap` records (`cap` is clamped to ≥ 1).
     pub fn new(cap: usize) -> Self {
-        SpanRing {
+        Ring::counted_by(cap, Arc::default())
+    }
+
+    /// [`Ring::new`], counting evictions in `dropped` (a registry's
+    /// gauge).
+    pub fn counted_by(cap: usize, dropped: Arc<Gauge>) -> Self {
+        Ring {
             cap: cap.max(1),
-            inner: Mutex::new(RingInner::default()),
+            buf: Mutex::new(VecDeque::new()),
+            dropped,
         }
     }
 
-    /// Append a span, evicting the oldest when full.
-    pub fn push(&self, span: SpanRecord) {
-        self.push_all([span]);
+    /// Append a record, evicting the oldest when full. The evicted
+    /// record is dropped once the lock is released: dropping it may
+    /// write reference counts it shares.
+    pub fn push(&self, record: T) {
+        let evicted = self.admit(&mut self.buf.lock(), record);
+        drop(evicted);
     }
 
-    /// Append every span of `spans`, in order, under one lock — what a
-    /// publication that resolves hundreds of deliveries at once uses
-    /// instead of taking the lock per subscriber. Eviction is per span,
-    /// exactly as that many [`SpanRing::push`] calls would do it.
-    pub fn push_all(&self, spans: impl IntoIterator<Item = SpanRecord>) {
-        let mut inner = self.inner.lock();
-        for span in spans {
-            if inner.buf.len() == self.cap {
-                inner.buf.pop_front();
-                inner.dropped += 1;
-            }
-            inner.buf.push_back(span);
+    /// Append every record of `records`, in order, under one lock —
+    /// what a publication that resolves hundreds of deliveries at once
+    /// uses instead of taking the lock per subscriber. Eviction is per
+    /// record, exactly as that many [`Ring::push`] calls would do it,
+    /// but the records it evicts are dropped under the lock.
+    pub fn push_all(&self, records: impl IntoIterator<Item = T>) {
+        let mut buf = self.buf.lock();
+        for record in records {
+            self.admit(&mut buf, record);
         }
     }
 
-    /// Spans currently buffered.
+    fn admit(&self, buf: &mut VecDeque<T>, record: T) -> Option<T> {
+        let evicted = (buf.len() == self.cap).then(|| buf.pop_front()).flatten();
+        if evicted.is_some() {
+            self.dropped.add(1);
+        }
+        buf.push_back(record);
+        evicted
+    }
+
+    /// Records currently held.
     pub fn len(&self) -> usize {
-        self.inner.lock().buf.len()
+        self.buf.lock().len()
     }
 
     /// Is the ring empty?
@@ -287,20 +309,31 @@ impl SpanRing {
         self.cap
     }
 
-    /// How many spans have been evicted to stay within capacity.
+    /// How many records have been evicted to stay within capacity.
     pub fn dropped(&self) -> u64 {
-        self.inner.lock().dropped
+        self.dropped.get() as u64
     }
 
-    /// Copy out the buffered spans, oldest first.
-    pub fn snapshot(&self) -> Vec<SpanRecord> {
-        self.inner.lock().buf.iter().cloned().collect()
+    /// `f` of the held records, oldest first, under the ring's lock.
+    pub fn read<R>(&self, f: impl FnOnce(&VecDeque<T>) -> R) -> R {
+        f(&self.buf.lock())
     }
 
-    /// Take the buffered spans, leaving the ring empty (the eviction
-    /// counter is preserved).
-    pub fn drain(&self) -> Vec<SpanRecord> {
-        self.inner.lock().buf.drain(..).collect()
+    /// Take the held records, oldest first, leaving the ring empty.
+    pub fn drain(&self) -> Vec<T> {
+        self.buf.lock().drain(..).collect()
+    }
+
+    /// Drop the held records.
+    pub fn clear(&self) {
+        self.buf.lock().clear();
+    }
+}
+
+impl<T: Clone> Ring<T> {
+    /// Copy out the held records, oldest first.
+    pub fn snapshot(&self) -> Vec<T> {
+        self.read(|buf| buf.iter().cloned().collect())
     }
 }
 
@@ -321,6 +354,19 @@ mod tests {
         assert_eq!(ring.drain().len(), 3);
         assert!(ring.is_empty());
         assert_eq!(ring.dropped(), 2, "drain keeps the eviction count");
+    }
+
+    #[test]
+    fn a_ring_counted_by_a_gauge_shows_every_eviction_there() {
+        let gauge = Arc::new(Gauge::new());
+        let ring = Ring::counted_by(2, Arc::clone(&gauge));
+        ring.push_all(0..5u32);
+        assert_eq!((gauge.get(), ring.dropped()), (3, 3));
+        ring.clear();
+        assert!(ring.is_empty());
+        ring.push(5);
+        assert_eq!(ring.snapshot(), [5]);
+        assert_eq!(gauge.get(), 3, "clear keeps the eviction count");
     }
 
     #[test]

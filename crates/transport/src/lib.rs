@@ -19,11 +19,14 @@
 //!   flapping down-windows, latency spikes) and a fixed per-hop
 //!   simulated latency, driving a **virtual clock** that subscription
 //!   expiration and fault schedules are measured against;
-//! * a **trace** of delivery attempts — a bounded ring of the last
-//!   8 192, with evictions counted in the `net_trace_dropped` gauge —
-//!   which the tests and the EXPERIMENTS harness read back. The ring
-//!   stores compact records whose strings are shared handles; readers
-//!   get [`TraceRecord`]s with owned `String`s, built on the way out.
+//! * a **trace** of delivery attempts, which the tests and the
+//!   EXPERIMENTS harness read back. It is a `wsm_obs::Ring`, the one
+//!   bounded log type the broker keeps its spans in: the last 8 192
+//!   attempts, evictions counted in the `net_trace_dropped` gauge, and
+//!   [`Network::trace_jsonl`] written by `wsm_obs::export::jsonl`, as
+//!   the span export is. The ring stores compact records whose strings
+//!   are shared handles; readers get [`TraceRecord`]s with owned
+//!   `String`s, built on the way out.
 //!
 //! A send that is delivered with no fault configured allocates nothing
 //! and takes no exclusive lock but the trace ring's: it resolves its

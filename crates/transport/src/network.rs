@@ -20,13 +20,15 @@
 //!   is exact, not an approximation.
 //! * **Clock.** The virtual clock is advanced only by a non-zero hop
 //!   latency; a zero-latency send just reads it.
-//! * **Trace.** The ring stores a private compact record of at most 48
-//!   bytes whose strings are shared, each behind one thin pointer: `to`
-//!   is the endpoint table's own key, `label` comes from a per-thread
-//!   cache of the last few labels that thread sent, `worker` is a
-//!   per-thread handle on the thread's name. The outcome is a one-byte
-//!   tag; only a fault's reason, off the delivered path, is boxed
-//!   beside it. Readers ([`Network::trace`], [`Network::drain_trace`],
+//! * **Trace.** The trace is a `wsm_obs::Ring`, the bounded log the
+//!   broker keeps its spans in. It stores a private compact record of
+//!   at most 48 bytes whose strings are shared, each behind one thin
+//!   pointer: `to` is the endpoint table's own key, `label` comes from
+//!   a per-thread cache of the last few labels that thread sent,
+//!   `worker` is a per-thread handle on the thread's name. The outcome
+//!   is a one-byte tag, set straight from the attempt's `Result`; only
+//!   a fault's reason, off the delivered path, is boxed beside it.
+//!   Readers ([`Network::trace`], [`Network::drain_trace`],
 //!   [`Network::trace_jsonl`]) build the public [`TraceRecord`], with
 //!   its owned `String`s, on the way out — so what they return, and
 //!   every exported byte, is what it always was.
@@ -74,12 +76,13 @@ use parking_lot::{Mutex, RwLock};
 use std::borrow::{Borrow, Cow};
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use wsm_obs::Ring;
 use wsm_soap::{Envelope, Fault};
 use wsm_xml::Node;
 
@@ -141,22 +144,6 @@ impl fmt::Display for TransportError {
 
 impl std::error::Error for TransportError {}
 
-impl TransportError {
-    /// The trace outcome of a delivery attempt that ended in this
-    /// error. `NoResponse` is decided after the attempt (the handler
-    /// accepted the message, it just had no response body), so the
-    /// attempt itself counts as delivered.
-    fn outcome(&self) -> DeliveryOutcome {
-        match self {
-            TransportError::NoEndpoint(_) => DeliveryOutcome::NoEndpoint,
-            TransportError::Refused(_) => DeliveryOutcome::Refused,
-            TransportError::Dropped(_) => DeliveryOutcome::Dropped,
-            TransportError::Fault(fault) => DeliveryOutcome::Faulted(fault.reason.clone()),
-            TransportError::NoResponse(_) => DeliveryOutcome::Delivered,
-        }
-    }
-}
-
 #[derive(Clone)]
 struct Endpoint {
     handler: Arc<dyn SoapHandler>,
@@ -198,25 +185,12 @@ impl Hash for ThinStr {
 
 /// A [`DeliveryOutcome`] without its fault reason: one byte.
 #[derive(Clone, Copy)]
-enum Fate {
+pub(crate) enum Fate {
     Delivered,
     Dropped,
     NoEndpoint,
     Refused,
     Faulted,
-}
-
-impl Fate {
-    /// `outcome` as a tag and, for a fault, its reason.
-    fn split(outcome: DeliveryOutcome) -> (Fate, Option<ThinStr>) {
-        match outcome {
-            DeliveryOutcome::Delivered => (Fate::Delivered, None),
-            DeliveryOutcome::Dropped => (Fate::Dropped, None),
-            DeliveryOutcome::NoEndpoint => (Fate::NoEndpoint, None),
-            DeliveryOutcome::Refused => (Fate::Refused, None),
-            DeliveryOutcome::Faulted(reason) => (Fate::Faulted, Some(ThinStr(Arc::new(reason)))),
-        }
-    }
 }
 
 /// What the trace ring stores per attempt: a [`TraceRecord`] whose
@@ -325,7 +299,9 @@ struct Inner {
     /// by `edit_faults`, under the plan lock; read by every send
     /// *before* the lock, which it then takes only when this is set.
     faults_armed: AtomicBool,
-    trace: Mutex<VecDeque<Traced>>,
+    /// The send trace; evictions count in the `net_trace_dropped`
+    /// gauge.
+    trace: Ring<Traced>,
     clock: SimClock,
     /// Simulated per-hop latency added to the clock on every delivery.
     /// An atomic, not a mutex: every delivery reads it, and a lock
@@ -404,32 +380,21 @@ impl Inner {
         started: Instant,
         result: &Result<T, TransportError>,
         class: AttemptClass,
-        entry: Traced,
+        mut entry: Traced,
     ) {
-        let outcome = match result {
-            Ok(_) => DeliveryOutcome::Delivered,
-            Err(err) => err.outcome(),
+        (entry.fate, entry.reason) = match result {
+            // Decided after the attempt: the handler accepted the
+            // message, it just had no response body.
+            Ok(_) | Err(TransportError::NoResponse(_)) => (Fate::Delivered, None),
+            Err(TransportError::Dropped(_)) => (Fate::Dropped, None),
+            Err(TransportError::NoEndpoint(_)) => (Fate::NoEndpoint, None),
+            Err(TransportError::Refused(_)) => (Fate::Refused, None),
+            Err(TransportError::Fault(fault)) => {
+                (Fate::Faulted, Some(ThinStr::from(&*fault.reason)))
+            }
         };
-        self.obs.observe(started, &outcome, class);
-        let (fate, reason) = Fate::split(outcome);
-        let evicted = {
-            let mut trace = self.trace.lock();
-            let evicted = if trace.len() == TRACE_CAPACITY {
-                self.obs.trace_dropped.add(1);
-                trace.pop_front()
-            } else {
-                None
-            };
-            trace.push_back(Traced {
-                fate,
-                reason,
-                ..entry
-            });
-            evicted
-        };
-        // Released outside the lock: dropping a record writes to the
-        // reference counts it shares.
-        drop(evicted);
+        self.obs.observe(started, entry.fate, class);
+        self.trace.push(entry);
     }
 }
 
@@ -506,15 +471,17 @@ impl Default for Network {
 impl Network {
     /// A fresh network with its own clock and no latency.
     pub fn new() -> Self {
+        let obs = NetObs::new();
+        let dropped = obs.registry().gauge("net_trace_dropped");
         Network(Arc::new(Inner {
             endpoints: RwLock::new(HashMap::new()),
             faults: Mutex::new(FaultPlan::default()),
             faults_armed: AtomicBool::new(false),
-            trace: Mutex::new(VecDeque::new()),
+            trace: Ring::counted_by(TRACE_CAPACITY, dropped),
             clock: SimClock::new(),
             latency_ms: AtomicU64::new(0),
             send_delay_us: AtomicU64::new(0),
-            obs: NetObs::new(),
+            obs,
         }))
     }
 
@@ -705,7 +672,9 @@ impl Network {
     /// last `TRACE_CAPACITY` (8 192) attempts; older records are
     /// evicted and counted in the `net_trace_dropped` gauge.
     pub fn trace(&self) -> Vec<TraceRecord> {
-        self.0.trace.lock().iter().map(Traced::record).collect()
+        self.0
+            .trace
+            .read(|t| t.iter().map(Traced::record).collect())
     }
 
     /// Take the delivery trace, leaving it empty — the cheap way for
@@ -713,35 +682,28 @@ impl Network {
     /// posted sends included.
     /// The eviction count is kept.
     pub fn drain_trace(&self) -> Vec<TraceRecord> {
-        let drained = std::mem::take(&mut *self.0.trace.lock());
-        drained.iter().map(Traced::record).collect()
+        self.0.trace.drain().iter().map(Traced::record).collect()
     }
 
     /// Clear the trace (benches do this between runs). The eviction
-    /// count is kept.
+    /// count is kept, and so is the ring's storage.
     pub fn clear_trace(&self) {
-        self.0.trace.lock().clear();
+        self.0.trace.clear();
     }
 
-    /// The delivery trace as JSONL, one record per line, then a
-    /// trailing `{"gauge":"trace_dropped","value":N}` line (the shape
-    /// `wsm_obs::export::ring_jsonl` uses) so a reader can tell a
-    /// complete trace from one the ring truncated.
+    /// The delivery trace as JSONL (`wsm_obs::export::jsonl`): one
+    /// record per line, then a trailing
+    /// `{"gauge":"trace_dropped","value":N}` line so a reader can tell
+    /// a complete trace from one the ring truncated.
     ///
     /// Every field is derived from the virtual clock and message
     /// content — no wall-clock durations — so two runs of the same
-    /// seeded scenario produce byte-identical documents. The chaos CI
-    /// job diffs this export across back-to-back runs.
+    /// seeded scenario produce byte-identical documents; the chaos
+    /// suite pins one run's export against a golden file.
     pub fn trace_jsonl(&self) -> String {
-        let trace = self.0.trace.lock();
-        let mut out = String::with_capacity(trace.len() * 96 + 48);
-        for r in trace.iter() {
-            out.push_str(&r.record().to_json());
-            out.push('\n');
-        }
-        let dropped = self.0.obs.trace_dropped.get();
-        let _ = writeln!(out, "{{\"gauge\":\"trace_dropped\",\"value\":{dropped}}}");
-        out
+        wsm_obs::export::jsonl(&self.0.trace, "trace_dropped", |out, r| {
+            out.push_str(&r.record().to_json())
+        })
     }
 
     /// Send-path metrics registry (attempt/outcome counters and the
@@ -1114,12 +1076,11 @@ mod tests {
         }
         want.push(actions.last().unwrap());
         assert_eq!(labels, want);
-        let ring = net.0.trace.lock();
-        let last_two: Vec<&ThinStr> = ring.iter().rev().take(2).map(|r| &r.label).collect();
-        assert!(
-            Arc::ptr_eq(&last_two[0].0, &last_two[1].0),
-            "a hit shares the handle"
-        );
+        let shared = net.0.trace.read(|ring| {
+            let last_two: Vec<&ThinStr> = ring.iter().rev().take(2).map(|r| &r.label).collect();
+            Arc::ptr_eq(&last_two[0].0, &last_two[1].0)
+        });
+        assert!(shared, "a hit shares the handle");
     }
 
     #[test]

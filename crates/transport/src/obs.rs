@@ -1,14 +1,14 @@
 //! Send-path instrumentation facade over `wsm-obs`.
 
-use crate::network::AttemptClass;
-use crate::trace::DeliveryOutcome;
+use crate::network::{AttemptClass, Fate};
 use std::sync::Arc;
 use std::time::Instant;
-use wsm_obs::{Counter, Gauge, Histogram, MetricsRegistry};
+use wsm_obs::{Counter, Histogram, MetricsRegistry};
 
 /// Metrics for the network send/latency path: attempt totals (split
-/// by first-attempt vs retry), per-outcome counters, a send-latency
-/// histogram, and the trace ring's eviction count.
+/// by first-attempt vs retry), per-outcome counters and a send-latency
+/// histogram. The registry also holds the trace ring's eviction
+/// gauge, `net_trace_dropped`, which the ring itself bumps.
 pub struct NetObs {
     registry: MetricsRegistry,
     sends: Arc<Counter>,
@@ -20,9 +20,6 @@ pub struct NetObs {
     no_endpoint: Arc<Counter>,
     refused: Arc<Counter>,
     faulted: Arc<Counter>,
-    /// Records evicted from the bounded trace — the only copy of the
-    /// count; the network bumps it under the trace lock.
-    pub(crate) trace_dropped: Arc<Gauge>,
 }
 
 impl Default for NetObs {
@@ -59,25 +56,24 @@ impl NetObs {
             no_endpoint: registry.counter("net_outcome_no_endpoint_total"),
             refused: registry.counter("net_outcome_refused_total"),
             faulted: registry.counter("net_outcome_faulted_total"),
-            trace_dropped: registry.gauge("net_trace_dropped"),
             registry,
         }
     }
 
     /// Record one finished delivery attempt that began at `started`.
-    pub fn observe(&self, started: Instant, outcome: &DeliveryOutcome, class: AttemptClass) {
+    pub fn observe(&self, started: Instant, fate: Fate, class: AttemptClass) {
         self.send_ns.record(started.elapsed().as_nanos() as u64);
         self.sends.inc();
         match class {
             AttemptClass::First => self.sends_first.inc(),
             AttemptClass::Retry => self.sends_retry.inc(),
         }
-        match outcome {
-            DeliveryOutcome::Delivered => self.delivered.inc(),
-            DeliveryOutcome::Dropped => self.dropped.inc(),
-            DeliveryOutcome::NoEndpoint => self.no_endpoint.inc(),
-            DeliveryOutcome::Refused => self.refused.inc(),
-            DeliveryOutcome::Faulted(_) => self.faulted.inc(),
+        match fate {
+            Fate::Delivered => self.delivered.inc(),
+            Fate::Dropped => self.dropped.inc(),
+            Fate::NoEndpoint => self.no_endpoint.inc(),
+            Fate::Refused => self.refused.inc(),
+            Fate::Faulted => self.faulted.inc(),
         }
     }
 

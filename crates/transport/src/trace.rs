@@ -1,6 +1,7 @@
 //! Delivery tracing.
 
 use std::fmt::{self, Write as _};
+use wsm_obs::export::escape_into;
 
 /// What happened to one delivery attempt.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,14 +70,12 @@ impl TraceRecord {
     ///
     /// Every field is deterministic for a seeded scenario on the
     /// virtual clock (no wall-clock values), which is what lets the
-    /// chaos CI job diff two runs' exports byte for byte.
+    /// chaos suite pin a run's export against a golden file.
     ///
     /// The label and a fault's reason come off the wire, so every
-    /// string is escaped: a backslash, a line break or any other
-    /// control character is written as its JSON escape, and the record
+    /// string goes through `wsm_obs::export::escape_into`: the record
     /// stays one valid object on one line whatever a sender put in its
-    /// `wsa:Action`. A double quote is written as `'` rather than
-    /// `\"`, as this export always has.
+    /// `wsa:Action`.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(128);
         let _ = write!(out, "{{\"time_ms\":{},\"to\":\"", self.time_ms);
@@ -98,24 +97,6 @@ impl TraceRecord {
         escape_into(&mut out, &self.worker);
         out.push_str("\"}");
         out
-    }
-}
-
-/// Append `s` as the inside of a JSON string (see
-/// [`TraceRecord::to_json`] for the one non-standard mapping).
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push('\''),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if c.is_control() => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
     }
 }
 

@@ -1,4 +1,5 @@
-//! A delivered send allocates nothing inside the transport.
+//! A delivered send, blocking or posted, allocates nothing inside the
+//! transport.
 //!
 //! Counted per thread, by an allocator local to this file: the test
 //! harness's own threads allocate whenever they like, and a
@@ -48,14 +49,10 @@ impl SoapHandler for Discard {
     }
 }
 
-#[test]
-fn a_delivered_send_allocates_nothing_in_steady_state() {
-    const SENDS: usize = 1_000;
-    let net = Network::new();
-    net.register("http://consumer/0", Arc::new(Discard));
-    // Two actions in turn, as a mediated fan-out sends them: a label
-    // cache of one would miss — and allocate — on every send.
-    let messages: Vec<Envelope> = ["urn:wse:notify", "urn:wsn:Notify"]
+/// Two actions in turn, as a mediated fan-out sends them: a label
+/// cache of one would miss — and allocate — on every send.
+fn messages() -> Vec<Envelope> {
+    ["urn:wse:notify", "urn:wsn:Notify"]
         .into_iter()
         .map(|action| {
             Envelope::new(SoapVersion::V12)
@@ -65,26 +62,50 @@ fn a_delivered_send_allocates_nothing_in_steady_state() {
                 )
                 .with_body(Element::local("event"))
         })
-        .collect();
+        .collect()
+}
+
+/// Allocations this thread makes over `SENDS` delivered sends made by
+/// `send`, in steady state: the thread's label cache and name handle
+/// exist, and the trace ring has grown to hold this many records
+/// (clearing it keeps its storage). The ring holds exactly those sends.
+fn steady_state_allocs(send: impl Fn(&Network, Envelope)) -> u64 {
+    const SENDS: usize = 1_000;
+    let net = Network::new();
+    net.register("http://consumer/0", Arc::new(Discard));
+    let messages = messages();
     let send_all = || {
         for i in 0..SENDS {
             // A clone of a copy-on-write envelope is reference bumps.
-            let message = messages[i % messages.len()].clone();
-            net.send("http://consumer/0", message).unwrap();
+            send(&net, messages[i % messages.len()].clone());
         }
     };
-    // Steady state: the thread's label cache and name handle exist, and
-    // the trace ring has grown to hold this many records (clearing it
-    // keeps its storage).
     send_all();
     net.clear_trace();
 
     let before = ALLOCS.get();
     send_all();
-    assert_eq!(
-        ALLOCS.get() - before,
-        0,
-        "allocations over {SENDS} delivered sends"
-    );
-    assert_eq!(net.trace().len(), SENDS);
+    let allocs = ALLOCS.get() - before;
+    let trace = net.trace();
+    assert_eq!(trace.len(), SENDS);
+    assert!(trace.iter().all(|r| r.outcome.tag() == "delivered"));
+    allocs
+}
+
+#[test]
+fn a_delivered_send_allocates_nothing_in_steady_state() {
+    let allocs =
+        steady_state_allocs(|net, message| net.send("http://consumer/0", message).unwrap());
+    assert_eq!(allocs, 0, "allocations over 1 000 delivered sends");
+}
+
+#[test]
+fn a_delivered_posted_send_allocates_nothing_in_steady_state() {
+    let allocs = steady_state_allocs(|net, message| {
+        net.post("http://consumer/0", message)
+            .land()
+            .result
+            .unwrap()
+    });
+    assert_eq!(allocs, 0, "allocations over 1 000 posted and landed sends");
 }
