@@ -20,7 +20,7 @@ use crate::brokered::Brokered;
 use crate::control::{
     unknown_subscription, ControlOp, Endpoint, Manage, OpKind, Reply, Subscribed, Subscription,
 };
-use crate::delivery::{self, Fates, PushJob, Return, Settle, StatsDelta};
+use crate::delivery::{self, FailKind, Fates, PushJob, Return, Settle, StatsDelta};
 use crate::detect::SpecDialect;
 use crate::event::InternalEvent;
 use crate::obs::{BrokerObs, Outcome, Stage};
@@ -37,7 +37,7 @@ use wsm_eventing::{EndStatus, Expires, WseCodec};
 use wsm_obs::{Counter, MetricsRegistry};
 use wsm_soap::Fault;
 use wsm_topics::{TopicExpression, TopicPath, TopicSpace};
-use wsm_transport::Network;
+use wsm_transport::{AttemptClass, Network};
 use wsm_xml::{Element, SharedElement};
 
 /// Counters describing the broker's mediation activity: a snapshot of
@@ -282,11 +282,6 @@ impl WsMessenger {
         }
     }
 
-    /// Whether fault-tolerant delivery is active.
-    pub fn fault_tolerance_enabled(&self) -> bool {
-        self.inner.outboxes.lock().ft().is_some()
-    }
-
     /// Attempt every due redelivery at the current virtual time.
     /// Returns what the pass did. A no-op (empty report) when fault
     /// tolerance is off or nothing is due.
@@ -393,11 +388,6 @@ impl WsMessenger {
     /// The buffered spans plus a trailing span-loss gauge, as JSONL.
     pub fn spans_jsonl(&self) -> String {
         self.inner.obs.spans_jsonl()
-    }
-
-    /// Declare a topic.
-    pub fn add_topic(&self, path: &str) {
-        self.inner.topic_space.lock().add_str(path);
     }
 
     /// Set a broker/producer property (ProducerProperties filters).
@@ -690,13 +680,25 @@ impl Settle for MessengerInner {
 /// Attempt every due redelivery at the current virtual time, booking
 /// outcomes into the broker's ledger. `None` while fault tolerance is
 /// off.
+///
+/// The one place a push is sent blocking; the fan-out posts its sends
+/// instead, each a first attempt. A held event's attempt 0 (its first
+/// try) is classed [`AttemptClass::First`], any later one
+/// [`AttemptClass::Retry`].
 fn pump(inner: &MessengerInner) -> Option<PumpReport> {
     let now = inner.net.clock().now_ms();
     let report = outbox::pump(
         &inner.outboxes,
         &inner.registry,
         now,
-        |sub, env, attempt| delivery::send(&inner.net, &sub.consumer.address, env, attempt),
+        |sub, env, attempt| {
+            let class = if attempt == 0 {
+                AttemptClass::First
+            } else {
+                AttemptClass::Retry
+            };
+            (inner.net.send_class(&sub.consumer.address, env, class)).map_err(|e| FailKind::of(&e))
+        },
     )?;
     for event in &report.events {
         trace_attempt(inner, event);

@@ -43,9 +43,9 @@
 //! the sends already in flight.
 //!
 //! Every push attempt, a first-round send posted here or a redelivery
-//! from an outbox (`crate::outbox`) made by `send`, is one attempt. A
-//! failed first-round send is handed back in the [`Fates`]; the broker
-//! decides its fate.
+//! the broker's pump sends blocking from an outbox (`crate::outbox`),
+//! is one attempt. A failed first-round send is handed back in the
+//! [`Fates`]; the broker decides its fate.
 
 use crate::detect::SpecDialect;
 use crate::registry::BrokerSubscription;
@@ -54,7 +54,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 use wsm_soap::Envelope;
-use wsm_transport::{AttemptClass, Flight, Landed, Network, TransportError};
+use wsm_transport::{Flight, Landed, Network, TransportError};
 
 /// How a delivery failed — the distinction that decides its fate.
 ///
@@ -84,27 +84,6 @@ impl FailKind {
             | TransportError::NoResponse(_) => FailKind::Transient,
         }
     }
-}
-
-/// Make one push attempt: send `envelope` to `to`, classed
-/// [`AttemptClass::First`] exactly when `attempt` is 0 (the original
-/// fan-out send, or a held event's first try) and
-/// [`AttemptClass::Retry`] otherwise. The one place a push is sent
-/// blocking: the redelivery pump's. The fan-out posts its sends
-/// instead, each a first attempt.
-pub(crate) fn send(
-    net: &Network,
-    to: &str,
-    envelope: Envelope,
-    attempt: u32,
-) -> Result<(), FailKind> {
-    let class = if attempt == 0 {
-        AttemptClass::First
-    } else {
-        AttemptClass::Retry
-    };
-    net.send_class(to, envelope, class)
-        .map_err(|e| FailKind::of(&e))
 }
 
 /// One rendered push delivery, ready to send.
@@ -906,28 +885,20 @@ mod tests {
     }
 
     #[test]
-    fn send_classifies_each_attempt_and_its_failure() {
+    fn each_transport_failure_has_its_kind() {
         let net = Network::new();
         net.register("http://faulty", Arc::new(Faulty));
         let env = || Envelope::new(SoapVersion::V11).with_body(Element::local("e"));
+        let kind = |to| FailKind::of(&net.send(to, env()).unwrap_err());
         assert_eq!(
-            send(&net, "http://nowhere", env(), 0),
-            Err(FailKind::Transient),
+            kind("http://nowhere"),
+            FailKind::Transient,
             "a missing endpoint is transient"
         );
         assert_eq!(
-            send(&net, "http://faulty", env(), 1),
-            Err(FailKind::Poison),
+            kind("http://faulty"),
+            FailKind::Poison,
             "a SOAP fault is poison"
-        );
-        let m = net.metrics();
-        assert_eq!(
-            (
-                m.counter("net_sends_first_total").get(),
-                m.counter("net_sends_retry_total").get()
-            ),
-            (1, 1),
-            "attempt 0 is the first send, any later one a retry"
         );
     }
 }

@@ -569,22 +569,22 @@ fn parallel_fanout_trace_attributes_workers_and_outcomes() {
     let fanout: Vec<_> = net
         .drain_trace()
         .into_iter()
-        .filter(|r| !r.two_way)
+        .filter(|r| !r.two_way())
         .collect();
     assert_eq!(fanout.len(), 8, "one record per push attempt");
     assert!(
-        fanout.iter().all(|r| r.worker == publisher),
+        fanout.iter().all(|r| r.worker() == publisher),
         "every record names the publishing thread, got {:?}",
-        fanout.iter().map(|r| r.worker.clone()).collect::<Vec<_>>()
+        fanout.iter().map(|r| r.worker()).collect::<Vec<_>>()
     );
-    let outcome_of = |to: &str| &fanout.iter().find(|r| r.to == to).unwrap().outcome;
-    assert_eq!(*outcome_of("http://walled"), DeliveryOutcome::Refused);
-    assert_eq!(*outcome_of("http://flaky"), DeliveryOutcome::Dropped);
-    assert_eq!(*outcome_of("http://missing"), DeliveryOutcome::NoEndpoint);
+    let outcome_of = |to: &str| fanout.iter().find(|r| r.to() == to).unwrap().outcome();
+    assert_eq!(outcome_of("http://walled"), DeliveryOutcome::Refused);
+    assert_eq!(outcome_of("http://flaky"), DeliveryOutcome::Dropped);
+    assert_eq!(outcome_of("http://missing"), DeliveryOutcome::NoEndpoint);
     assert_eq!(
         fanout
             .iter()
-            .filter(|r| r.outcome == DeliveryOutcome::Delivered)
+            .filter(|r| r.outcome() == DeliveryOutcome::Delivered)
             .count(),
         5
     );

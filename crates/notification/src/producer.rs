@@ -100,11 +100,6 @@ impl NotificationProducer {
         self.inner.store.len()
     }
 
-    /// Declare a topic in the producer's topic space.
-    pub fn add_topic(&self, path: &str) {
-        self.inner.topic_space.lock().add_str(path);
-    }
-
     /// Set a producer property (ProducerProperties filters see it).
     pub fn set_property(&self, name: &str, value: &str) {
         let mut props = self.inner.properties.lock();

@@ -41,7 +41,7 @@ fn uri_hash(uri: &str) -> u64 {
 }
 
 /// A periodic down-window on the virtual clock: the endpoint is
-/// unreachable whenever `(now + phase) % period < down` — e.g.
+/// unreachable whenever `now % period < down` — e.g.
 /// `period_ms: 1000, down_ms: 300` models an endpoint that is dark for
 /// 30% of virtual time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,8 +50,6 @@ pub struct Flap {
     pub period_ms: u64,
     /// How long the endpoint is down at the start of each cycle.
     pub down_ms: u64,
-    /// Offset into the cycle at virtual time zero.
-    pub phase_ms: u64,
 }
 
 impl Flap {
@@ -60,7 +58,7 @@ impl Flap {
         if self.period_ms == 0 {
             return false;
         }
-        (now_ms + self.phase_ms) % self.period_ms < self.down_ms.min(self.period_ms)
+        now_ms % self.period_ms < self.down_ms.min(self.period_ms)
     }
 }
 
@@ -123,21 +121,7 @@ impl EndpointFaults {
 
     /// Flap: down for `down_ms` out of every `period_ms`.
     pub fn with_flapping(mut self, period_ms: u64, down_ms: u64) -> Self {
-        self.flap = Some(Flap {
-            period_ms,
-            down_ms,
-            phase_ms: 0,
-        });
-        self
-    }
-
-    /// Flap with an explicit phase offset.
-    pub fn with_flapping_phased(mut self, period_ms: u64, down_ms: u64, phase_ms: u64) -> Self {
-        self.flap = Some(Flap {
-            period_ms,
-            down_ms,
-            phase_ms,
-        });
+        self.flap = Some(Flap { period_ms, down_ms });
         self
     }
 
@@ -308,7 +292,6 @@ mod tests {
         let f = Flap {
             period_ms: 1000,
             down_ms: 300,
-            phase_ms: 0,
         };
         assert!(f.down_at(0));
         assert!(f.down_at(299));

@@ -24,9 +24,10 @@
 //!   bounded log type the broker keeps its spans in: the last 8 192
 //!   attempts, evictions counted in the `net_trace_dropped` gauge, and
 //!   [`Network::trace_jsonl`] written by `wsm_obs::export::jsonl`, as
-//!   the span export is. The ring stores compact records whose strings
-//!   are shared handles; readers get [`TraceRecord`]s with owned
-//!   `String`s, built on the way out.
+//!   the span export is. The ring stores compact [`TraceRecord`]s
+//!   whose strings are shared handles, and readers get those same
+//!   records: [`Network::trace`] clones them (reference bumps) and the
+//!   export writes each one's JSON straight from it.
 //!
 //! A send that is delivered with no fault configured allocates nothing
 //! and takes no exclusive lock but the trace ring's: it resolves its

@@ -21,17 +21,17 @@
 //! * **Clock.** The virtual clock is advanced only by a non-zero hop
 //!   latency; a zero-latency send just reads it.
 //! * **Trace.** The trace is a `wsm_obs::Ring`, the bounded log the
-//!   broker keeps its spans in. It stores a private compact record of
-//!   at most 48 bytes whose strings are shared, each behind one thin
-//!   pointer: `to` is the endpoint table's own key, `label` comes from
-//!   a per-thread cache of the last few labels that thread sent,
-//!   `worker` is a per-thread handle on the thread's name. The outcome
-//!   is a one-byte tag, set straight from the attempt's `Result`; only
-//!   a fault's reason, off the delivered path, is boxed beside it.
-//!   Readers ([`Network::trace`], [`Network::drain_trace`],
-//!   [`Network::trace_jsonl`]) build the public [`TraceRecord`], with
-//!   its owned `String`s, on the way out — so what they return, and
-//!   every exported byte, is what it always was.
+//!   broker keeps its spans in. It stores [`TraceRecord`]s of at most
+//!   48 bytes whose strings are shared, each behind one thin pointer:
+//!   `to` is the endpoint table's own key, `label` comes from a
+//!   per-thread cache of the last few labels that thread sent, `worker`
+//!   is a per-thread handle on the thread's name. The outcome is one
+//!   byte, set straight from the attempt's `Result`; only a fault's
+//!   reason, off the delivered path, is allocated beside it. Readers
+//!   get the stored records themselves: [`Network::trace`] clones them
+//!   (reference bumps), [`Network::drain_trace`] moves them out, and
+//!   [`Network::trace_jsonl`] has each write its JSON straight into
+//!   the export.
 //!
 //! The error arms (no endpoint, refused, dropped, faulted) build their
 //! `String`s as before: they are not the path a broker is sized for.
@@ -71,14 +71,12 @@
 use crate::clock::SimClock;
 use crate::faults::{FaultPlan, Injected, Injection};
 use crate::obs::NetObs;
-use crate::trace::{DeliveryOutcome, TraceRecord};
+use crate::trace::{DeliveryOutcome, ThinStr, TraceRecord};
 use parking_lot::{Mutex, RwLock};
-use std::borrow::{Borrow, Cow};
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::hash::{Hash, Hasher};
-use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -150,106 +148,6 @@ struct Endpoint {
     options: EndpointOptions,
 }
 
-/// A shared string behind one thin pointer — half the size of an
-/// `Arc<str>` — for the trace record's strings and the endpoint table
-/// keys they share. It hashes and compares as the `str` it holds, so
-/// the table is looked up by `&str`.
-#[derive(Clone, PartialEq, Eq)]
-struct ThinStr(Arc<String>);
-
-impl From<&str> for ThinStr {
-    fn from(s: &str) -> Self {
-        ThinStr(Arc::new(s.to_string()))
-    }
-}
-
-impl Deref for ThinStr {
-    type Target = str;
-
-    fn deref(&self) -> &str {
-        &self.0
-    }
-}
-
-impl Borrow<str> for ThinStr {
-    fn borrow(&self) -> &str {
-        &self.0
-    }
-}
-
-impl Hash for ThinStr {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        str::hash(&self.0, state);
-    }
-}
-
-/// A [`DeliveryOutcome`] without its fault reason: one byte.
-#[derive(Clone, Copy)]
-pub(crate) enum Fate {
-    Delivered,
-    Dropped,
-    NoEndpoint,
-    Refused,
-    Faulted,
-}
-
-/// What the trace ring stores per attempt: a [`TraceRecord`] whose
-/// strings are shared handles and whose outcome is a tag (see the
-/// module docs), so recording a delivered send allocates nothing.
-struct Traced {
-    time_ms: u64,
-    to: ThinStr,
-    label: ThinStr,
-    worker: ThinStr,
-    /// A fault's reason; `None` for every other fate.
-    reason: Option<ThinStr>,
-    fate: Fate,
-    two_way: bool,
-}
-
-// A busy broker fills the ring: at `TRACE_CAPACITY` records every
-// byte of the record is 8 KiB of resident memory.
-const _: () = assert!(std::mem::size_of::<Traced>() <= 48);
-
-impl Traced {
-    /// A record of an attempt made on this thread at virtual time
-    /// `time_ms`, delivered until `Inner::record` says otherwise.
-    fn stamp(time_ms: u64, to: ThinStr, label: ThinStr, two_way: bool) -> Traced {
-        Traced {
-            time_ms,
-            to,
-            label,
-            worker: WORKER
-                .try_with(ThinStr::clone)
-                .unwrap_or_else(|_| ThinStr::from("(exiting)")),
-            reason: None,
-            fate: Fate::Delivered,
-            two_way,
-        }
-    }
-
-    /// The public record readers get.
-    fn record(&self) -> TraceRecord {
-        let outcome = match self.fate {
-            Fate::Delivered => DeliveryOutcome::Delivered,
-            Fate::Dropped => DeliveryOutcome::Dropped,
-            Fate::NoEndpoint => DeliveryOutcome::NoEndpoint,
-            Fate::Refused => DeliveryOutcome::Refused,
-            Fate::Faulted => {
-                DeliveryOutcome::Faulted(self.reason.as_deref().unwrap_or_default().to_string())
-            }
-        };
-        TraceRecord {
-            time_ms: self.time_ms,
-            to: self.to.to_string(),
-            label: self.label.to_string(),
-            two_way: self.two_way,
-            outcome,
-            worker: self.worker.to_string(),
-        }
-    }
-}
-
 /// How many distinct labels a thread remembers. A broker thread sends a
 /// handful of actions in turn (one per consumer dialect on a mediated
 /// fan-out), so a single entry would miss on every send.
@@ -259,8 +157,6 @@ thread_local! {
     /// The last [`LABEL_CACHE`] distinct labels this thread sent, oldest
     /// first.
     static LABELS: RefCell<VecDeque<ThinStr>> = const { RefCell::new(VecDeque::new()) };
-    /// This thread's name, as the trace attributes deliveries to it.
-    static WORKER: ThinStr = ThinStr::from(std::thread::current().name().unwrap_or("(unnamed)"));
 }
 
 /// A shared handle on `label`: this thread's cached one when it sent
@@ -301,7 +197,7 @@ struct Inner {
     faults_armed: AtomicBool,
     /// The send trace; evictions count in the `net_trace_dropped`
     /// gauge.
-    trace: Ring<Traced>,
+    trace: Ring<TraceRecord>,
     clock: SimClock,
     /// Simulated per-hop latency added to the clock on every delivery.
     /// An atomic, not a mutex: every delivery reads it, and a lock
@@ -380,20 +276,21 @@ impl Inner {
         started: Instant,
         result: &Result<T, TransportError>,
         class: AttemptClass,
-        mut entry: Traced,
+        mut entry: TraceRecord,
     ) {
-        (entry.fate, entry.reason) = match result {
+        (entry.outcome, entry.reason) = match result {
             // Decided after the attempt: the handler accepted the
             // message, it just had no response body.
-            Ok(_) | Err(TransportError::NoResponse(_)) => (Fate::Delivered, None),
-            Err(TransportError::Dropped(_)) => (Fate::Dropped, None),
-            Err(TransportError::NoEndpoint(_)) => (Fate::NoEndpoint, None),
-            Err(TransportError::Refused(_)) => (Fate::Refused, None),
-            Err(TransportError::Fault(fault)) => {
-                (Fate::Faulted, Some(ThinStr::from(&*fault.reason)))
-            }
+            Ok(_) | Err(TransportError::NoResponse(_)) => (DeliveryOutcome::Delivered, None),
+            Err(TransportError::Dropped(_)) => (DeliveryOutcome::Dropped, None),
+            Err(TransportError::NoEndpoint(_)) => (DeliveryOutcome::NoEndpoint, None),
+            Err(TransportError::Refused(_)) => (DeliveryOutcome::Refused, None),
+            Err(TransportError::Fault(fault)) => (
+                DeliveryOutcome::Faulted,
+                Some(ThinStr::from(&*fault.reason)),
+            ),
         };
-        self.obs.observe(started, entry.fate, class);
+        self.obs.observe(started, entry.outcome, class);
         self.trace.push(entry);
     }
 }
@@ -422,7 +319,7 @@ pub struct Flight {
     /// on landing. Its `to` is the endpoint table's key for the target
     /// (the target itself when the table had no such endpoint at post
     /// time), and the send is resolved by it.
-    entry: Traced,
+    entry: TraceRecord,
 }
 
 impl Flight {
@@ -582,11 +479,7 @@ impl Network {
     /// `period_ms` of virtual time.
     pub fn set_flapping(&self, uri: impl Into<String>, period_ms: u64, down_ms: u64) {
         self.edit_faults(|plan| {
-            plan.endpoint_mut(uri).flap = Some(crate::faults::Flap {
-                period_ms,
-                down_ms,
-                phase_ms: 0,
-            })
+            plan.endpoint_mut(uri).flap = Some(crate::faults::Flap { period_ms, down_ms })
         });
     }
 
@@ -627,7 +520,7 @@ impl Network {
             None => ThinStr::from(to),
         };
         let label = shared_label(&label_of(&envelope));
-        let entry = Traced::stamp(inner.clock.now_ms(), to, label, false);
+        let entry = TraceRecord::stamp(inner.clock.now_ms(), to, label, false);
         Flight {
             net: self.clone(),
             due: started + Duration::from_micros(self.send_delay_us()),
@@ -662,7 +555,7 @@ impl Network {
         let label = shared_label(&label_of(&envelope));
         let (result, key) = self.0.land(to, envelope, injection);
         let to = key.unwrap_or_else(|| ThinStr::from(to));
-        let entry = Traced::stamp(self.0.clock.now_ms(), to, label, two_way);
+        let entry = TraceRecord::stamp(self.0.clock.now_ms(), to, label, two_way);
         self.0.record(started, &result, class, entry);
         result
     }
@@ -672,9 +565,7 @@ impl Network {
     /// last `TRACE_CAPACITY` (8 192) attempts; older records are
     /// evicted and counted in the `net_trace_dropped` gauge.
     pub fn trace(&self) -> Vec<TraceRecord> {
-        self.0
-            .trace
-            .read(|t| t.iter().map(Traced::record).collect())
+        self.0.trace.snapshot()
     }
 
     /// Take the delivery trace, leaving it empty — the cheap way for
@@ -682,7 +573,7 @@ impl Network {
     /// posted sends included.
     /// The eviction count is kept.
     pub fn drain_trace(&self) -> Vec<TraceRecord> {
-        self.0.trace.drain().iter().map(Traced::record).collect()
+        self.0.trace.drain()
     }
 
     /// Clear the trace (benches do this between runs). The eviction
@@ -701,9 +592,7 @@ impl Network {
     /// seeded scenario produce byte-identical documents; the chaos
     /// suite pins one run's export against a golden file.
     pub fn trace_jsonl(&self) -> String {
-        wsm_obs::export::jsonl(&self.0.trace, "trace_dropped", |out, r| {
-            out.push_str(&r.record().to_json())
-        })
+        wsm_obs::export::jsonl(&self.0.trace, "trace_dropped", |out, r| r.write_json(out))
     }
 
     /// Send-path metrics registry (attempt/outcome counters and the
@@ -858,8 +747,8 @@ mod tests {
         net.send("http://a", env()).unwrap();
         assert_eq!(net.clock().now_ms(), 10);
         let t = net.trace();
-        assert_eq!(t[0].time_ms, 5);
-        assert_eq!(t[1].time_ms, 10);
+        assert_eq!(t[0].time_ms(), 5);
+        assert_eq!(t[1].time_ms(), 10);
     }
 
     #[test]
@@ -891,8 +780,8 @@ mod tests {
         );
         net.send("http://a", with_action).unwrap();
         let t = net.trace();
-        assert_eq!(t[0].label, "Ping");
-        assert_eq!(t[1].label, "urn:go");
+        assert_eq!(t[0].label(), "Ping");
+        assert_eq!(t[1].label(), "urn:go");
     }
 
     /// A flat JSON object, checked the way a line-oriented reader
@@ -937,7 +826,11 @@ mod tests {
         );
         net.send("http://a", hostile.clone()).unwrap();
         net.send("http://g", hostile).unwrap_err();
-        assert_eq!(net.trace()[0].label, "a\\b\nc", "the record keeps the text");
+        assert_eq!(
+            net.trace()[0].label(),
+            "a\\b\nc",
+            "the record keeps the text"
+        );
         let jsonl = net.trace_jsonl();
         assert_eq!(jsonl.lines().count(), 3, "two records and the gauge");
         for line in jsonl.lines() {
@@ -1069,18 +962,21 @@ mod tests {
         // Inside what the cache keeps, a repeat shares its label.
         net.send("http://a", messages.last().unwrap().clone())
             .unwrap();
-        let labels: Vec<String> = net.trace().into_iter().map(|r| r.label).collect();
+        let trace = net.trace();
+        let labels: Vec<&str> = trace.iter().map(TraceRecord::label).collect();
         let mut want: Vec<&str> = Vec::new();
         for _ in 0..3 {
             want.extend(actions.iter().map(String::as_str));
         }
         want.push(actions.last().unwrap());
         assert_eq!(labels, want);
-        let shared = net.0.trace.read(|ring| {
-            let last_two: Vec<&ThinStr> = ring.iter().rev().take(2).map(|r| &r.label).collect();
-            Arc::ptr_eq(&last_two[0].0, &last_two[1].0)
-        });
-        assert!(shared, "a hit shares the handle");
+        let [.., a, b] = &trace[..] else {
+            unreachable!("the trace holds every send")
+        };
+        assert!(
+            std::ptr::eq(a.label(), b.label()),
+            "a hit shares the handle"
+        );
     }
 
     #[test]
@@ -1089,39 +985,43 @@ mod tests {
             n.register("http://x", Arc::new(Sink));
         }
         type Setup = fn(&Network);
-        let fates: [(Setup, DeliveryOutcome); 6] = [
-            (plain, DeliveryOutcome::Delivered),
+        let fates: [(Setup, DeliveryOutcome, Option<&str>); 6] = [
+            (plain, DeliveryOutcome::Delivered, None),
             (
                 |n| {
                     plain(n);
                     n.drop_next("http://x", 1);
                 },
                 DeliveryOutcome::Dropped,
+                None,
             ),
             (
                 |n| {
                     plain(n);
                     n.fault_next("http://x", 1);
                 },
-                DeliveryOutcome::Faulted("injected fault".into()),
+                DeliveryOutcome::Faulted,
+                Some("injected fault"),
             ),
             (
                 |n| n.register("http://x", Arc::new(Grumpy)),
-                DeliveryOutcome::Faulted("no thanks".into()),
+                DeliveryOutcome::Faulted,
+                Some("no thanks"),
             ),
-            (|_| {}, DeliveryOutcome::NoEndpoint),
+            (|_| {}, DeliveryOutcome::NoEndpoint, None),
             (
                 |n| {
                     let options = EndpointOptions { firewalled: true };
                     n.register_with("http://x", Arc::new(Sink), options);
                 },
                 DeliveryOutcome::Refused,
+                None,
             ),
         ];
         // Each fate once blocking, once posted on a delayed wire.
-        for (arm, outcome, posted) in fates
+        for (arm, outcome, reason, posted) in fates
             .iter()
-            .flat_map(|(a, o)| [(a, o, false), (a, o, true)])
+            .flat_map(|&(a, o, r)| [(a, o, r, false), (a, o, r, true)])
         {
             let net = Network::new();
             arm(&net);
@@ -1131,11 +1031,12 @@ mod tests {
             } else {
                 net.send("http://x", env())
             };
-            let outcome = outcome.clone();
             assert_eq!(result.is_ok(), outcome == DeliveryOutcome::Delivered);
             let trace = net.trace();
+            let outcome = outcome.tag();
             assert_eq!(trace.len(), 1, "{outcome}: one trace record");
-            assert_eq!(trace[0].outcome, outcome, "{outcome}");
+            assert_eq!(trace[0].outcome().tag(), outcome);
+            assert_eq!(trace[0].reason(), reason, "{outcome}");
             let metrics = net.metrics();
             assert_eq!(metrics.counter("net_sends_total").get(), 1, "{outcome}");
             assert_eq!(
@@ -1147,7 +1048,7 @@ mod tests {
                 let counted = metrics.counter(&format!("net_outcome_{t}_total")).get();
                 assert_eq!(
                     counted,
-                    u64::from(t == outcome.tag()),
+                    u64::from(t == outcome),
                     "{outcome}: net_outcome_{t}"
                 );
             }
@@ -1165,8 +1066,11 @@ mod tests {
         let trace = net.trace();
         assert_eq!(trace.len(), TRACE_CAPACITY);
         // Send k is stamped k ms: the ten oldest are the ones gone.
-        assert_eq!(trace[0].time_ms, 11);
-        assert_eq!(trace.last().unwrap().time_ms, (TRACE_CAPACITY + 10) as u64);
+        assert_eq!(trace[0].time_ms(), 11);
+        assert_eq!(
+            trace.last().unwrap().time_ms(),
+            (TRACE_CAPACITY + 10) as u64
+        );
         assert!(net.metrics_text().contains("\nnet_trace_dropped 10\n"));
         let sends = net.metrics().counter("net_sends_total").get();
         assert_eq!(sends, (TRACE_CAPACITY + 10) as u64);
@@ -1221,7 +1125,7 @@ mod tests {
         assert!(net.trace().is_empty());
         assert!(net.drain_trace().is_empty());
         // Every record carries the delivering thread's name.
-        assert!(drained.iter().all(|r| !r.worker.is_empty()));
+        assert!(drained.iter().all(|r| !r.worker().is_empty()));
     }
 
     /// Records when each delivery entered the handler.
@@ -1314,7 +1218,7 @@ mod tests {
             &flight.land().result,
             Err(TransportError::NoEndpoint(to)) if to == "http://a"
         ));
-        assert_eq!(net.trace()[0].outcome, DeliveryOutcome::NoEndpoint);
+        assert_eq!(net.trace()[0].outcome(), DeliveryOutcome::NoEndpoint);
     }
 
     #[test]
@@ -1329,13 +1233,13 @@ mod tests {
         net.set_latency_ms(100);
         flights.into_iter().for_each(|f| drop(f.land()));
         let trace = net.trace();
-        let times: Vec<u64> = trace.iter().map(|r| r.time_ms).collect();
+        let times: Vec<u64> = trace.iter().map(TraceRecord::time_ms).collect();
         assert_eq!(times, [5, 10, 15]);
         let me = std::thread::current()
             .name()
             .unwrap_or("(unnamed)")
             .to_string();
-        assert!(trace.iter().all(|r| r.worker == me && !r.two_way));
+        assert!(trace.iter().all(|r| r.worker() == me && !r.two_way()));
     }
 
     #[test]
@@ -1348,7 +1252,7 @@ mod tests {
         assert!(flight.land().result.is_ok());
         assert_eq!(handler.0.lock().len(), 1);
         let me = std::thread::current();
-        assert_eq!(net.trace()[0].worker, me.name().unwrap_or("(unnamed)"));
+        assert_eq!(net.trace()[0].worker(), me.name().unwrap_or("(unnamed)"));
     }
 
     /// Posts and lands its own batch of four sends to `http://a` from

@@ -1,6 +1,7 @@
 //! Send-path instrumentation facade over `wsm-obs`.
 
-use crate::network::{AttemptClass, Fate};
+use crate::network::AttemptClass;
+use crate::trace::DeliveryOutcome;
 use std::sync::Arc;
 use std::time::Instant;
 use wsm_obs::{Counter, Histogram, MetricsRegistry};
@@ -61,19 +62,19 @@ impl NetObs {
     }
 
     /// Record one finished delivery attempt that began at `started`.
-    pub fn observe(&self, started: Instant, fate: Fate, class: AttemptClass) {
+    pub fn observe(&self, started: Instant, outcome: DeliveryOutcome, class: AttemptClass) {
         self.send_ns.record(started.elapsed().as_nanos() as u64);
         self.sends.inc();
         match class {
             AttemptClass::First => self.sends_first.inc(),
             AttemptClass::Retry => self.sends_retry.inc(),
         }
-        match fate {
-            Fate::Delivered => self.delivered.inc(),
-            Fate::Dropped => self.dropped.inc(),
-            Fate::NoEndpoint => self.no_endpoint.inc(),
-            Fate::Refused => self.refused.inc(),
-            Fate::Faulted => self.faulted.inc(),
+        match outcome {
+            DeliveryOutcome::Delivered => self.delivered.inc(),
+            DeliveryOutcome::Dropped => self.dropped.inc(),
+            DeliveryOutcome::NoEndpoint => self.no_endpoint.inc(),
+            DeliveryOutcome::Refused => self.refused.inc(),
+            DeliveryOutcome::Faulted => self.faulted.inc(),
         }
     }
 

@@ -1,5 +1,5 @@
 //! A delivered send, blocking or posted, allocates nothing inside the
-//! transport.
+//! transport, and reading the trace allocates only what is returned.
 //!
 //! Counted per thread, by an allocator local to this file: the test
 //! harness's own threads allocate whenever they like, and a
@@ -88,7 +88,7 @@ fn steady_state_allocs(send: impl Fn(&Network, Envelope)) -> u64 {
     let allocs = ALLOCS.get() - before;
     let trace = net.trace();
     assert_eq!(trace.len(), SENDS);
-    assert!(trace.iter().all(|r| r.outcome.tag() == "delivered"));
+    assert!(trace.iter().all(|r| r.outcome().tag() == "delivered"));
     allocs
 }
 
@@ -108,4 +108,51 @@ fn a_delivered_posted_send_allocates_nothing_in_steady_state() {
             .unwrap()
     });
     assert_eq!(allocs, 0, "allocations over 1 000 posted and landed sends");
+}
+
+/// The trace ring's capacity.
+const RING: usize = 8_192;
+
+/// A network whose trace ring is full of delivered sends, with ten
+/// more evicted.
+fn full_ring() -> Network {
+    let net = Network::new();
+    net.register("http://consumer/0", Arc::new(Discard));
+    let messages = messages();
+    for i in 0..RING + 10 {
+        net.send("http://consumer/0", messages[i % messages.len()].clone())
+            .unwrap();
+    }
+    net
+}
+
+#[test]
+fn a_full_ring_exports_into_one_growing_string() {
+    let net = full_ring();
+    let before = ALLOCS.get();
+    let jsonl = net.trace_jsonl();
+    let allocs = ALLOCS.get() - before;
+    assert_eq!(
+        jsonl.lines().count(),
+        RING + 1,
+        "every record and the gauge"
+    );
+    assert!(jsonl.ends_with("{\"gauge\":\"trace_dropped\",\"value\":10}\n"));
+    assert!(allocs <= 8, "{allocs} allocations exporting a full ring");
+}
+
+#[test]
+fn reading_a_full_ring_allocates_only_the_returned_vec() {
+    let net = full_ring();
+    let before = ALLOCS.get();
+    let trace = net.trace();
+    let copied = ALLOCS.get() - before;
+    let before = ALLOCS.get();
+    let drained = net.drain_trace();
+    let taken = ALLOCS.get() - before;
+    assert_eq!(trace.len(), RING);
+    assert_eq!(trace, drained, "a copy and a drain read the same records");
+    assert!(net.trace().is_empty());
+    assert!(copied <= 2, "{copied} allocations copying a full ring");
+    assert!(taken <= 2, "{taken} allocations draining a full ring");
 }

@@ -323,12 +323,6 @@ impl Element {
         self.children.push(Node::Text(text.into()));
     }
 
-    /// Append a shared child subtree, splicing its cached serialization
-    /// instead of deep-copying the tree.
-    pub fn push_shared(&mut self, child: Arc<SharedElement>) {
-        self.children.push(Node::Shared(child));
-    }
-
     // ---- accessors ------------------------------------------------------
 
     /// Value of the attribute with local name `local` in no namespace.
