@@ -697,7 +697,10 @@ fn pump(inner: &MessengerInner) -> Option<PumpReport> {
             } else {
                 AttemptClass::Retry
             };
-            (inner.net.send_class(&sub.consumer.address, env, class)).map_err(|e| FailKind::of(&e))
+            inner
+                .net
+                .send_class(&sub.consumer.address, env, class)
+                .map_err(|e| FailKind::of(&e))
         },
     )?;
     for event in &report.events {

@@ -560,18 +560,20 @@ impl Network {
         result
     }
 
-    /// Snapshot of the delivery trace, oldest first. The trace is a
-    /// bounded ring: this and every other reader below see at most the
-    /// last `TRACE_CAPACITY` (8 192) attempts; older records are
-    /// evicted and counted in the `net_trace_dropped` gauge.
+    /// Snapshot of the delivery trace, oldest first: the stored records,
+    /// cloned (reference bumps; the `Vec` is the one allocation). The
+    /// trace is a bounded ring: this and every other reader below see
+    /// at most the last `TRACE_CAPACITY` (8 192) attempts; older
+    /// records are evicted and counted in the `net_trace_dropped`
+    /// gauge.
     pub fn trace(&self) -> Vec<TraceRecord> {
         self.0.trace.snapshot()
     }
 
     /// Take the delivery trace, leaving it empty — the cheap way for
     /// tests to assert exactly the records one scenario produced,
-    /// posted sends included.
-    /// The eviction count is kept.
+    /// posted sends included. The records are moved out; the eviction
+    /// count is kept.
     pub fn drain_trace(&self) -> Vec<TraceRecord> {
         self.0.trace.drain()
     }
@@ -585,7 +587,8 @@ impl Network {
     /// The delivery trace as JSONL (`wsm_obs::export::jsonl`): one
     /// record per line, then a trailing
     /// `{"gauge":"trace_dropped","value":N}` line so a reader can tell
-    /// a complete trace from one the ring truncated.
+    /// a complete trace from one the ring truncated. Each record writes
+    /// its JSON straight into the one output `String`.
     ///
     /// Every field is derived from the virtual clock and message
     /// content — no wall-clock durations — so two runs of the same

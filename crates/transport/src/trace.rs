@@ -216,7 +216,7 @@ mod tests {
         }
     }
 
-    fn json(r: &TraceRecord) -> String {
+    fn json_of(r: &TraceRecord) -> String {
         let mut out = String::new();
         r.write_json(&mut out);
         out
@@ -225,8 +225,8 @@ mod tests {
     #[test]
     fn record_json_is_one_deterministic_object() {
         let r = faulted(42, "urn:go", "no \"thanks\"");
-        let json = json(&r);
-        assert_eq!(json, self::json(&r));
+        let json = json_of(&r);
+        assert_eq!(json, json_of(&r));
         assert!(json.starts_with("{\"time_ms\":42,"));
         assert!(json.contains("\"outcome\":\"faulted\""));
         assert!(json.contains("\"reason\":\"no 'thanks'\""));
@@ -239,7 +239,7 @@ mod tests {
             two_way: true,
             ..faulted(1, "a\\b\nc\td\u{1}\u{7f}", "line one\r\nline two")
         };
-        let json = json(&r);
+        let json = json_of(&r);
         assert!(!json.contains(['\n', '\r', '\t', '\u{1}', '\u{7f}']));
         assert!(
             json.contains(r#""label":"a\\b\nc\td\u0001\u007f""#),
